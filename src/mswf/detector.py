@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .characteristics import flow_batch
-from .errors import InputError
+from .errors import InputError, MswfError
 from .grid import GridFunction
 from .packets import GaussianWindow, wpt
 from .potentials import VectorPotentialModel
@@ -420,7 +420,10 @@ def wf_scan(mode: str, field_or_datum: GridFunction, positions, directions,
     """Run a membership test over a lattice of cells; errors stay in-row.
 
     Each cell is (position, direction); results come back in input order
-    regardless of the worker count, so scans are deterministic.
+    regardless of the worker count, so scans are deterministic.  A package
+    error (MswfError: a guard, input or numeric failure) is recorded in its
+    cell and the scan goes on; any other exception is a programming error
+    and propagates.
     """
     if mode not in ("static", "dynamic"):
         raise InputError("mode must be 'static' or 'dynamic'")
@@ -440,7 +443,7 @@ def wf_scan(mode: str, field_or_datum: GridFunction, positions, directions,
                                               ladder, thresholds, width, b,
                                               scalar=scalar, tol=tol,
                                               noise_rel=noise_rel)
-        except Exception as exc:  # recorded per cell, scan continues
+        except MswfError as exc:  # recorded per cell, scan continues; bugs propagate
             cell.error = f"{type(exc).__name__}: {exc}"
         return cell
 

@@ -191,9 +191,9 @@ def _consistency_engine(cfg: dict, experiment: str) -> dict:
     cell_rows = []
     ladder_rows = []
     agree_count = conclusive_count = total_cells = 0
-    for entry in data_entries:
-        u0 = _datum_from_config(entry, spec)
-        u_t0 = propagator.evolve(model, scalar, u0, 0.0, t0, evolve_cfg)
+    data = [_datum_from_config(entry, spec) for entry in data_entries]
+    evolved = propagator.evolve(model, scalar, data, 0.0, t0, evolve_cfg)
+    for u0, u_t0 in zip(data, evolved):
         static_cells = detector.wf_scan(
             "static", u_t0, positions, directions, ladder, thresholds,
             width, b, k_radius=k_radius, half_angle=half_angle, a=a_param,

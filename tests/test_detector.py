@@ -266,6 +266,16 @@ def test_scan_records_errors_in_row():
     assert "InputError" in cells[0].error
 
 
+def test_scan_propagates_programming_errors(monkeypatch):
+    def broken(*args, **kwargs):
+        raise TypeError("not a package error")
+
+    monkeypatch.setattr(det, "wf_test_static", broken)
+    g = grid.gaussian_data(FINE)
+    with pytest.raises(TypeError, match="not a package error"):
+        det.wf_scan("static", g, [(0.0,)], det.direction_fan(1, 2), LADDER)
+
+
 def test_scan_thread_determinism():
     g = grid.gaussian_data(FINE)
     kw = dict(ladder=LADDER, a=1.5)

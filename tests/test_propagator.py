@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from mswf import errors, grid, packets, potentials as pots, propagator as prop
 from mswf.packets import GaussianBase, PacketSpec
@@ -157,6 +158,122 @@ def test_probe_callback_sees_each_step():
                 prop.EvolveConfig(dt=0.025), probe=lambda t, f: seen.append(t))
     assert len(seen) == 4
     assert seen[-1] == pytest.approx(0.1)
+
+
+# ---------------------------------------------------------------------------
+# batched transport: prefilter, spline kernel, batches
+
+
+def random_field(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def spline_filter_complex(values):
+    return (ndimage.spline_filter(values.real, order=3, mode="grid-wrap")
+            + 1j * ndimage.spline_filter(values.imag, order=3, mode="grid-wrap"))
+
+
+@pytest.mark.parametrize("spec", [grid.GridSpec(1, 64, 3.0),
+                                  grid.GridSpec(2, (32, 16), (4.0, 2.0))],
+                         ids=["1d", "2d"])
+def test_prefilter_multiplier_matches_spline_filter(spec):
+    f = random_field(np.random.default_rng(0), spec.shape)
+    folded = np.fft.ifftn(prop.bspline_prefilter(spec) * np.fft.fftn(f))
+    expected = spline_filter_complex(f)
+    assert np.max(np.abs(folded - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("shape", [(64,), (64, 32)], ids=["1d", "2d"])
+def test_spline_kernel_matches_map_coordinates(shape):
+    rng = np.random.default_rng(1)
+    fields = random_field(rng, shape + (3,))
+    # more points than one block, many outside the box to exercise the wrap
+    points = rng.uniform(-0.5, 1.5, (len(shape), 2 * prop.SPLINE_BLOCK + 17)) \
+        * np.array(shape)[:, None]
+    factor = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, points.shape[1]))
+    coeffs = np.stack([spline_filter_complex(fields[..., b]) for b in range(3)], -1)
+    out = prop.bspline_sample(coeffs, points, np.empty((points.shape[1], 3), complex),
+                              factor)
+    for b in range(3):
+        f = fields[..., b]
+        expected = (ndimage.map_coordinates(f.real, points, order=3, mode="grid-wrap")
+                    + 1j * ndimage.map_coordinates(f.imag, points, order=3,
+                                                   mode="grid-wrap"))
+        assert np.max(np.abs(out[:, b] - factor * expected)) \
+            <= 1e-13 * np.max(np.abs(expected))
+
+
+def test_spline_kernel_rejects_grids_it_cannot_wrap():
+    with pytest.raises(errors.InputError):
+        prop.bspline_sample(np.zeros((48, 1), complex), np.zeros((1, 3)),
+                            np.empty((3, 1), complex))
+
+
+def rotational_batch():
+    spec = grid.GridSpec(2, 64, 5.0)
+    return spec, [grid.gaussian_data(spec, width=0.7),
+                  grid.gaussian_data(spec, width=0.5, label="narrow"),
+                  grid.gaussian_data(spec, width=0.6, center=(-0.5, 0.0),
+                                     momentum=(2.0, 0.0), label="moving")]
+
+
+def test_batched_evolve_bit_identical_without_transport():
+    data = [grid.gaussian_data(SPEC), grid.gaussian_data(SPEC, width=0.3, center=1.0),
+            grid.builtin_data("jump", SPEC)]
+    V = prop.ScalarPotentialModel("soft-power", mu=1.0, amplitude=0.3)
+    cfg = prop.EvolveConfig(dt=1e-2)
+    batch = prop.evolve(pots.zero_model(1), V, data, 0.0, 0.2, cfg)
+    for u0, u1 in zip(data, batch):
+        single = prop.evolve(pots.zero_model(1), V, u0, 0.0, 0.2, cfg)
+        np.testing.assert_array_equal(u1.values, single.values)
+        assert u1.label == u0.label
+
+
+def test_batched_evolve_matches_single_with_transport():
+    _, data = rotational_batch()
+    model = pots.rotational_model(0.5, modulation="sin")
+    cfg = prop.EvolveConfig(dt=1e-2)
+    batch = prop.evolve(model, None, data, 0.0, 0.2, cfg)
+    assert isinstance(batch, list) and len(batch) == 3
+    for u0, u1 in zip(data, batch):
+        single = prop.evolve(model, None, u0, 0.0, 0.2, cfg)
+        assert isinstance(single, grid.GridFunction)
+        assert rel_l2(u1, single) <= 1e-12
+        assert u1.label == u0.label
+
+
+def test_batched_reference_solver_matches_single():
+    spec = grid.GridSpec(1, 64, 8.0)
+    data = [grid.gaussian_data(spec), grid.gaussian_data(spec, center=1.0)]
+    model = pots.soft_power_model(1, 0.5, amplitude=0.5, modulation="sin")
+    cfg = prop.EvolveConfig(dt=5e-2, method="reference-midpoint")
+    batch = prop.evolve(model, None, data, 0.0, 0.2, cfg)
+    for u0, u1 in zip(data, batch):
+        assert rel_l2(u1, prop.evolve(model, None, u0, 0.0, 0.2, cfg)) <= 1e-12
+
+
+@pytest.mark.parametrize("model", [pots.zero_model(1), pots.soft_power_model(1, 0.5)],
+                         ids=["zero", "soft-power"])
+def test_boundary_mass_guard_checks_every_field_of_a_batch(model):
+    spec = grid.GridSpec(1, 256, 5.0)
+    data = [grid.gaussian_data(spec), grid.gaussian_data(spec, width=0.1)]
+    with pytest.raises(errors.BoundaryMassError, match="field 1"):
+        prop.evolve(model, None, data, 0.0, 2.0, prop.EvolveConfig(dt=1e-2))
+
+
+def test_batch_probe_and_validation():
+    spec, data = rotational_batch()
+    seen = []
+    out = prop.evolve(pots.zero_model(2), None, data, 0.0, 0.1,
+                      prop.EvolveConfig(dt=0.05), probe=lambda t, f: seen.append(f))
+    assert len(seen) == 2 and all(len(f) == 3 for f in seen)
+    np.testing.assert_array_equal(seen[-1][2].values, out[2].values)
+    with pytest.raises(errors.InputError):
+        prop.evolve(pots.zero_model(2), None, [], 0.0, 0.1, prop.EvolveConfig(dt=0.05))
+    other = grid.gaussian_data(grid.GridSpec(2, 32, 5.0))
+    with pytest.raises(errors.InputError):
+        prop.evolve(pots.zero_model(2), None, data + [other], 0.0, 0.1,
+                    prop.EvolveConfig(dt=0.05))
 
 
 # ---------------------------------------------------------------------------
