@@ -32,33 +32,41 @@ from .potentials import (VectorPotentialModel, divergence_a, eval_a,
 TOL_RANGE = (1e-13, 1e-3)
 
 
-def hamiltonian(model: VectorPotentialModel, t: float, x, xi) -> float:
-    """Kinetic energy |xi - a(t, x)|^2 / 2 of the canonical pair."""
+def _vector_field(model: VectorPotentialModel, s: float, x, xi):
+    """(dx/ds, dxi/ds) = (xi - a, (grad_x a)^T (xi - a)), batched over leading axes."""
+    v = xi - eval_a(model, s, x)
+    return v, np.einsum("...kj,...k->...j", jacobian_a(model, s, x), v)
+
+
+def _phase_rate(model: VectorPotentialModel, s: float, x, v, dxi) -> tuple:
+    """Real and imaginary parts of Psi, given the vector field (v, dxi) at (s, x)."""
+    re = -0.5 * np.sum(v * v, axis=-1) - np.sum(dxi * x, axis=-1)
+    return re, 0.5 * divergence_a(model, s, x)
+
+
+def _canonical_pair(x, xi) -> tuple:
     x = np.asarray(x, dtype=float)
     xi = np.asarray(xi, dtype=float)
     if x.shape != xi.shape:
         raise InputError("x and xi must have matching shapes")
-    v = xi - eval_a(model, t, x)
+    return x, xi
+
+
+def hamiltonian(model: VectorPotentialModel, t: float, x, xi) -> float:
+    """Kinetic energy |xi - a(t, x)|^2 / 2 of the canonical pair."""
+    v, _ = _vector_field(model, t, *_canonical_pair(x, xi))
     return 0.5 * np.sum(v * v, axis=-1)
 
 
 def grad_x_h(model: VectorPotentialModel, t: float, x, xi) -> np.ndarray:
     """Spatial gradient of h; equals -(grad_x a)^T (xi - a)."""
-    x = np.asarray(x, dtype=float)
-    xi = np.asarray(xi, dtype=float)
-    v = xi - eval_a(model, t, x)
-    J = jacobian_a(model, t, x)
-    return -np.einsum("...kj,...k->...j", J, v)
+    return -_vector_field(model, t, *_canonical_pair(x, xi))[1]
 
 
 def phase_density(model: VectorPotentialModel, s: float, x, xi) -> complex:
     """Complex integrand accumulated along the flow."""
-    x = np.asarray(x, dtype=float)
-    xi = np.asarray(xi, dtype=float)
-    h = hamiltonian(model, s, x, xi)
-    re = -h + float(np.dot(grad_x_h(model, s, x, xi), x))
-    im = 0.5 * float(divergence_a(model, s, x))
-    return complex(re, im)
+    x, xi = _canonical_pair(x, xi)
+    return complex(*_phase_rate(model, s, x, *_vector_field(model, s, x, xi)))
 
 
 @dataclass(frozen=True)
@@ -115,16 +123,9 @@ def flow(model: VectorPotentialModel, t0: float, s_target: float,
                           {"steps": 0, "rhs_evaluations": 0, "tol": tol})
 
     def rhs(s, y):
-        x, xi = y[:n], y[n:2 * n]
-        a = eval_a(model, s, x)
-        v = xi - a
-        J = jacobian_a(model, s, x)
-        dxi = J.T @ v if J.ndim == 2 else np.einsum("kj,k->j", J, v)
-        h = 0.5 * float(v @ v)
-        gxh = -dxi
-        dre = -h + float(gxh @ x)
-        dim = 0.5 * float(divergence_a(model, s, x))
-        return np.concatenate([v, dxi, [dre, dim]])
+        x = y[:n]
+        v, dxi = _vector_field(model, s, x, y[n:2 * n])
+        return np.concatenate([v, dxi, _phase_rate(model, s, x, v, dxi)])
 
     y0 = np.concatenate([x0, xi0, [0.0, 0.0]])
     scale = max(1.0, float(np.max(np.abs(y0))))
@@ -161,11 +162,7 @@ def flow_batch(model: VectorPotentialModel, t0: float, s_target: float,
 
     def rhs(s, y):
         state = y.reshape(K, 2 * n)
-        x, xi = state[:, :n], state[:, n:]
-        a = eval_a(model, s, x)
-        v = xi - a
-        J = jacobian_a(model, s, x)
-        dxi = np.einsum("bkj,bk->bj", J, v)
+        v, dxi = _vector_field(model, s, state[:, :n], state[:, n:])
         return np.concatenate([v, dxi], axis=1).reshape(-1)
 
     y0 = np.concatenate([x0, xi0], axis=1).reshape(-1)
@@ -305,6 +302,13 @@ def check_integral_bound(model: VectorPotentialModel, delta: float, interval,
     denom = 1.0 + (b - a)
     values = {}
     sup_ratio = {}
+
+    def rhs(s, y):
+        x, xi = y[:n], y[n:2 * n]
+        v, dxi = _vector_field(model, s, x, xi)
+        weight = (1.0 + float(x @ x)) ** (0.5 * (1.0 + delta))
+        return np.concatenate([v, dxi, [float(np.linalg.norm(xi)) / weight]])
+
     for lam in ladder:
         vals = []
         for x0, xi_hat in samples:
@@ -313,17 +317,6 @@ def check_integral_bound(model: VectorPotentialModel, delta: float, interval,
             if b == a:
                 vals.append(0.0)
                 continue
-
-            def rhs(s, y):
-                x, xi = y[:n], y[n:2 * n]
-                av = eval_a(model, s, x)
-                v = xi - av
-                J = jacobian_a(model, s, x)
-                dxi = J.T @ v
-                speed = float(np.linalg.norm(xi))
-                weight = (1.0 + float(x @ x)) ** (0.5 * (1.0 + delta))
-                return np.concatenate([v, dxi, [speed / weight]])
-
             y0 = np.concatenate([x0, xi0, [0.0]])
             scale = np.maximum(1.0, np.abs(y0))
             sol = solve_ivp(rhs, (a, b), y0, method="RK45",
@@ -348,26 +341,32 @@ class LowerBoundReport:
 
     ladder: tuple
     ratios: dict             # lam -> list over samples
+    x0_norms: dict           # lam -> flowed |x(0)| per sample
     top_in_bracket: bool     # all top-rung ratios within 10 percent of 1
 
 
 def lower_bound_x0(model: VectorPotentialModel, t0: float, k_samples,
                    gamma_samples, lam_ladder, tol: float = 1e-9) -> LowerBoundReport:
-    """Growth of the backward-flowed position: |x(0)| should scale like lam t0 |xi|."""
+    """Growth of the backward-flowed position: |x(0)| should scale like lam t0 |xi|.
+
+    Samples run over positions, then directions; each is flowed once per rung.
+    """
     if t0 <= 0:
         raise InputError("t0 must be positive")
     ladder = tuple(sorted(float(l) for l in lam_ladder))
-    ratios = {}
+    ratios, x0_norms = {}, {}
     for lam in ladder:
-        vals = []
+        vals, norms = [], []
         for x in k_samples:
             x = np.atleast_1d(np.asarray(x, dtype=float))
             for xi_hat in gamma_samples:
                 xi_hat = np.atleast_1d(np.asarray(xi_hat, dtype=float))
                 res = flow(model, t0, 0.0, x, lam * xi_hat, tol)
-                x0_norm = float(np.linalg.norm(res.terminal.x))
-                vals.append(x0_norm / (lam * t0 * float(np.linalg.norm(xi_hat))))
+                norms.append(float(np.linalg.norm(res.terminal.x)))
+                vals.append(norms[-1] / (lam * t0 * float(np.linalg.norm(xi_hat))))
         ratios[lam] = vals
+        x0_norms[lam] = norms
     top = ratios[ladder[-1]]
     top_in_bracket = all(0.9 <= r <= 1.1 for r in top)
-    return LowerBoundReport(ladder=ladder, ratios=ratios, top_in_bracket=top_in_bracket)
+    return LowerBoundReport(ladder=ladder, ratios=ratios, x0_norms=x0_norms,
+                            top_in_bracket=top_in_bracket)

@@ -2,14 +2,13 @@
 
 Subcommands: packet, wpt, iwpt, flow, evolve, detect, experiment.
 Exit codes: 0 success, 2 guard violation, 3 numeric failure,
-4 consistency failure.  MSWF_THREADS caps the scan worker pool.
+4 consistency failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -18,14 +17,6 @@ import numpy as np
 from . import characteristics as chars
 from . import detector, experiments, grid, packets, potentials, propagator
 from .errors import InputError, MswfError
-
-
-def _threads() -> int:
-    raw = os.environ.get("MSWF_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise InputError(f"MSWF_THREADS must be an integer, got '{raw}'")
 
 
 def _parse_vector(text: str) -> np.ndarray:
@@ -207,7 +198,6 @@ def _cmd_experiment(args) -> int:
     cfg = _load_config(args.config)
     if args.out_dir:
         cfg["out_dir"] = args.out_dir
-    cfg.setdefault("threads", _threads())
     summary = experiments.run_experiment(cfg)
     keys = [k for k in ("agreement", "fraction_not_in_wf", "all_ok") if k in summary]
     note = " ".join(f"{k}={summary[k]!r}" for k in keys)

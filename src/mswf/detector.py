@@ -299,6 +299,34 @@ def default_ladder(kmin: int = 3, kmax: int = 12) -> tuple:
     return tuple(float(2 ** k) for k in range(kmin, kmax + 1))
 
 
+def _ladder_test(f: GridFunction, xs, xis, ladder: tuple, points: list, t: float,
+                 thresholds: Thresholds, width: float, b: float, noise_rel: float,
+                 reason: str, metadata: dict) -> DecayReport:
+    """Pair f with windows evolved freely by t over the ladder.
+
+    (xs, xis) are the conic samples; points[r] holds the (S, n) pairing
+    positions and frequencies of rung r.  Rungs whose frequencies leave f's
+    band are dropped; fewer than 5 surviving rungs yield an inconclusive
+    report flagged with `reason`.
+    """
+    n = xs.shape[1]
+    nyq = f.spec.nyquist()
+    used, pairs = [], []
+    for lam, (X, XI) in zip(ladder, points):
+        if all(np.max(np.abs(XI[:, i])) <= nyq[i] * (1 + 1e-12) for i in range(n)):
+            used.append(lam)
+            pairs.append((X, XI))
+    if len(used) < MIN_RUNGS:
+        return _truncated_report(used, ladder, xs, xis, thresholds, metadata, reason)
+    floor_abs = noise_rel * f.l2_norm() * GaussianWindow(n, width, 1.0, b, 0.0).l2_norm()
+    mags = np.empty((len(xs), len(used)))
+    for r, (lam, (X, XI)) in enumerate(zip(used, pairs)):
+        window = GaussianWindow(n, width, lam, b, t)
+        for s in range(len(xs)):
+            mags[s, r] = abs(wpt(f, window, (X[s], XI[s])))
+    return _aggregate(used, ladder, xs, xis, mags, thresholds, metadata, floor_abs)
+
+
 def wf_test_static(f: GridFunction, sample: ConicSample, ladder=None,
                    thresholds: Thresholds = Thresholds(),
                    width: float = 1.0, b: float = 1.0 / 8.0,
@@ -315,21 +343,9 @@ def wf_test_static(f: GridFunction, sample: ConicSample, ladder=None,
     xs, xis = sample.phase_samples()
     metadata = {"mode": "static", "width": width, "b": b,
                 "a": sample.a, "n": sample.n, "noise_rel": noise_rel}
-    nyq = f.spec.nyquist()
-    used = [lam for lam in ladder
-            if all(lam * np.max(np.abs(xis[:, i])) <= nyq[i] * (1 + 1e-12)
-                   for i in range(sample.n))]
-    if len(used) < MIN_RUNGS:
-        return _truncated_report(used, ladder, xs, xis, thresholds, metadata,
-                                 "nyquist-guard")
-    floor_abs = noise_rel * f.l2_norm() * GaussianWindow(
-        sample.n, width, 1.0, b, 0.0).l2_norm()
-    mags = np.empty((len(xs), len(used)))
-    for r, lam in enumerate(used):
-        window = GaussianWindow(sample.n, width, lam, b, 0.0)
-        for s in range(len(xs)):
-            mags[s, r] = abs(wpt(f, window, (xs[s], lam * xis[s])))
-    return _aggregate(used, ladder, xs, xis, mags, thresholds, metadata, floor_abs)
+    return _ladder_test(f, xs, xis, ladder, [(xs, lam * xis) for lam in ladder],
+                        0.0, thresholds, width, b, noise_rel, "nyquist-guard",
+                        metadata)
 
 
 def wf_test_dynamic(u0: GridFunction, model: VectorPotentialModel, t0: float,
@@ -359,27 +375,9 @@ def wf_test_dynamic(u0: GridFunction, model: VectorPotentialModel, t0: float,
     metadata = {"mode": "dynamic", "t0": t0, "width": width, "b": b,
                 "a": sample.a, "n": sample.n, "noise_rel": noise_rel,
                 "scalar": getattr(scalar, "family", None)}
-    nyq = u0.spec.nyquist()
-    used, flowed = [], []
-    for lam in ladder:
-        x0s, xi0s = flow_batch(model, t0, 0.0, xs, lam * xis, tol)
-        ok = all(np.max(np.abs(xi0s[:, i])) <= nyq[i] * (1 + 1e-12)
-                 for i in range(sample.n))
-        if ok:
-            used.append(lam)
-            flowed.append((x0s, xi0s))
-    if len(used) < MIN_RUNGS:
-        return _truncated_report(used, ladder, xs, xis, thresholds, metadata,
-                                 "flowed-nyquist-guard")
-    floor_abs = noise_rel * u0.l2_norm() * GaussianWindow(
-        sample.n, width, 1.0, b, 0.0).l2_norm()
-    mags = np.empty((len(xs), len(used)))
-    for r, lam in enumerate(used):
-        window = GaussianWindow(sample.n, width, lam, b, -t0)
-        x0s, xi0s = flowed[r]
-        for s in range(len(xs)):
-            mags[s, r] = abs(wpt(u0, window, (x0s[s], xi0s[s])))
-    return _aggregate(used, ladder, xs, xis, mags, thresholds, metadata, floor_abs)
+    flowed = [flow_batch(model, t0, 0.0, xs, lam * xis, tol) for lam in ladder]
+    return _ladder_test(u0, xs, xis, ladder, flowed, -t0, thresholds, width, b,
+                        noise_rel, "flowed-nyquist-guard", metadata)
 
 
 # ---------------------------------------------------------------------------
@@ -415,23 +413,21 @@ def wf_scan(mode: str, field_or_datum: GridFunction, positions, directions,
             width: float = 1.0, b: float = 1.0 / 8.0,
             model: VectorPotentialModel = None, t0: float = 0.0,
             scalar=None, k_radius: float = 0.25, half_angle: float = 0.2,
-            a: float = 1.0, tol: float = 1e-9, threads: int = 1,
+            a: float = 1.0, tol: float = 1e-9,
             noise_rel: float = 1e-12) -> list:
     """Run a membership test over a lattice of cells; errors stay in-row.
 
-    Each cell is (position, direction); results come back in input order
-    regardless of the worker count, so scans are deterministic.  A package
-    error (MswfError: a guard, input or numeric failure) is recorded in its
-    cell and the scan goes on; any other exception is a programming error
-    and propagates.
+    Each cell is (position, direction); results come back in input order.
+    A package error (MswfError: a guard, input or numeric failure) is
+    recorded in its cell and the scan goes on; any other exception is a
+    programming error and propagates.
     """
     if mode not in ("static", "dynamic"):
         raise InputError("mode must be 'static' or 'dynamic'")
     cells = [ScanCell(tuple(float(v) for v in np.atleast_1d(pos)),
                       tuple(float(v) for v in np.atleast_1d(d)))
              for pos in positions for d in directions]
-
-    def run(cell: ScanCell) -> ScanCell:
+    for cell in cells:
         try:
             sample = ConicSample(cell.x0, cell.xi0, k_radius=k_radius,
                                  half_angle=half_angle, a=a)
@@ -445,13 +441,4 @@ def wf_scan(mode: str, field_or_datum: GridFunction, positions, directions,
                                               noise_rel=noise_rel)
         except MswfError as exc:  # recorded per cell, scan continues; bugs propagate
             cell.error = f"{type(exc).__name__}: {exc}"
-        return cell
-
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            cells = list(pool.map(run, cells))
-    else:
-        cells = [run(c) for c in cells]
     return cells

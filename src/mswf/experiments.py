@@ -134,6 +134,23 @@ def _directions_from_config(cfg: dict, n: int) -> np.ndarray:
                        for d in directions])
 
 
+def _scan_settings(cfg: dict, spec: grid.GridSpec,
+                   model: potentials.VectorPotentialModel) -> dict:
+    """The `wf_scan` arguments a scanning experiment reads from its config."""
+    return {
+        "positions": _positions_from_config(cfg, spec.n),
+        "directions": _directions_from_config(cfg, spec.n),
+        "ladder": _ladder_from_config(cfg),
+        "thresholds": _thresholds_from_config(cfg),
+        "width": float(cfg.get("width", 1.0)),
+        "b": _b_from_config(cfg, model),
+        "k_radius": float(cfg.get("k_radius", 0.2)),
+        "half_angle": float(cfg.get("cone_angle", 0.2)),
+        "a": float(cfg.get("a", 1.0)),
+        "tol": float(cfg.get("tol", 1e-9)),
+    }
+
+
 def _out_dir(cfg: dict) -> Path | None:
     out = cfg.get("out_dir")
     if out is None:
@@ -144,9 +161,9 @@ def _out_dir(cfg: dict) -> Path | None:
 
 
 def _config_echo(cfg: dict) -> dict:
-    """The computational part of the config; destinations and worker counts
-    do not influence results and must not break output byte-identity."""
-    return {k: v for k, v in cfg.items() if k not in ("out_dir", "threads")}
+    """The computational part of the config; the destination does not
+    influence results and must not break output byte-identity."""
+    return {k: v for k, v in cfg.items() if k != "out_dir"}
 
 
 def _cell_columns(n: int) -> list:
@@ -157,7 +174,13 @@ def _cell_columns(n: int) -> list:
 # transport consistency
 
 
-def _consistency_engine(cfg: dict, experiment: str) -> dict:
+def run_transport_consistency(cfg: dict) -> dict:
+    """Static test on the evolved field vs dynamic test on the datum.
+
+    Also runs the scalar-potential experiment: a sub-quadratic scalar term
+    enters the evolution only, since the flow never sees it.
+    """
+    experiment = cfg.get("experiment", "free-transport")
     spec = _grid_from_config(cfg)
     model = _model_from_config(cfg)
     scalar = _scalar_from_config(cfg)
@@ -166,21 +189,11 @@ def _consistency_engine(cfg: dict, experiment: str) -> dict:
                          "hypothesis; transport experiments need a conforming model")
     if not scalar.conforming:
         raise GuardError("scalar potential must be sub-quadratic")
-    thresholds = _thresholds_from_config(cfg)
-    ladder = _ladder_from_config(cfg)
-    b = _b_from_config(cfg, model)
+    scan = _scan_settings(cfg, spec, model)
     t0 = float(cfg.get("t0", 1.0))
     dt = float(cfg.get("dt", 1e-3))
-    width = float(cfg.get("width", 1.0))
-    k_radius = float(cfg.get("k_radius", 0.2))
-    half_angle = float(cfg.get("cone_angle", 0.2))
-    a_param = float(cfg.get("a", 1.0))
-    tol = float(cfg.get("tol", 1e-9))
-    threads = int(cfg.get("threads", 1))
     min_agreement = float(cfg.get("min_agreement", 0.9))
     max_inconclusive = float(cfg.get("max_inconclusive", 0.5))
-    positions = _positions_from_config(cfg, spec.n)
-    directions = _directions_from_config(cfg, spec.n)
     data_entries = cfg.get("data", ["gaussian"])
 
     # the evolved field carries solver error; its transform floor sits there
@@ -194,15 +207,11 @@ def _consistency_engine(cfg: dict, experiment: str) -> dict:
     data = [_datum_from_config(entry, spec) for entry in data_entries]
     evolved = propagator.evolve(model, scalar, data, 0.0, t0, evolve_cfg)
     for u0, u_t0 in zip(data, evolved):
-        static_cells = detector.wf_scan(
-            "static", u_t0, positions, directions, ladder, thresholds,
-            width, b, k_radius=k_radius, half_angle=half_angle, a=a_param,
-            threads=threads, noise_rel=static_noise)
-        dynamic_cells = detector.wf_scan(
-            "dynamic", u0, positions, directions, ladder, thresholds,
-            width, b, model=model, t0=t0, scalar=scalar,
-            k_radius=k_radius, half_angle=half_angle, a=a_param, tol=tol,
-            threads=threads, noise_rel=dynamic_noise)
+        static_cells = detector.wf_scan("static", u_t0, **scan,
+                                        noise_rel=static_noise)
+        dynamic_cells = detector.wf_scan("dynamic", u0, **scan, model=model,
+                                         t0=t0, scalar=scalar,
+                                         noise_rel=dynamic_noise)
         datum_rows = []
         for sc, dc in zip(static_cells, dynamic_cells):
             total_cells += 1
@@ -239,8 +248,8 @@ def _consistency_engine(cfg: dict, experiment: str) -> dict:
         "experiment": experiment,
         "config": _jsonify(_config_echo(cfg)),
         "resolved": {
-            "b": b, "ladder": list(ladder), "t0": t0, "dt": dt,
-            "width": width, "thresholds": DEFAULT_THRESHOLDS
+            "b": scan["b"], "ladder": list(scan["ladder"]), "t0": t0, "dt": dt,
+            "width": scan["width"], "thresholds": DEFAULT_THRESHOLDS
             | cfg.get("thresholds", {}),
             "model": potentials.model_to_json(model),
             "scalar": scalar.family,
@@ -278,21 +287,6 @@ def _consistency_engine(cfg: dict, experiment: str) -> dict:
     return summary
 
 
-def run_transport_consistency(cfg: dict) -> dict:
-    """Static test on the evolved field vs dynamic test on the datum."""
-    experiment = cfg.get("experiment", "free-transport")
-    return _consistency_engine(cfg, experiment)
-
-
-def run_scalar_potential(cfg: dict) -> dict:
-    """Transport consistency with a sub-quadratic scalar term switched on.
-
-    The detector side is untouched (the flow never sees V); with a zero
-    scalar this reduces byte-identically to `run_transport_consistency`.
-    """
-    return _consistency_engine(cfg, cfg.get("experiment", "scalar-potential"))
-
-
 # ---------------------------------------------------------------------------
 # point-mass experiment
 
@@ -311,49 +305,36 @@ def run_fundamental_solution(cfg: dict) -> dict:
     control = bool(cfg.get("control", False))
     if t0 == 0.0 and not control:
         raise GuardError("t0 = 0 is the singular control case; pass control=true")
-    thresholds = _thresholds_from_config(cfg)
-    ladder = _ladder_from_config(cfg)
-    b = _b_from_config(cfg, model)
-    width = float(cfg.get("width", 1.0))
-    k_radius = float(cfg.get("k_radius", 0.2))
-    half_angle = float(cfg.get("cone_angle", 0.2))
-    a_param = float(cfg.get("a", 1.0))
-    tol = float(cfg.get("tol", 1e-9))
-    threads = int(cfg.get("threads", 1))
-    positions = _positions_from_config(cfg, spec.n)
-    directions = _directions_from_config(cfg, spec.n)
+    scan = _scan_settings(cfg, spec, model)
+    b = scan["b"]
     u0 = grid.delta_spike(spec)
 
-    cells = detector.wf_scan("dynamic", u0, positions, directions, ladder,
-                             thresholds, width, b, model=model, t0=t0,
-                             k_radius=k_radius, half_angle=half_angle,
-                             a=a_param, tol=tol, threads=threads)
+    cells = detector.wf_scan("dynamic", u0, **scan, model=model, t0=t0)
     conclusive = [c for c in cells if c.verdict in ("in-WF", "not-in-WF")]
     smooth = [c for c in conclusive if c.verdict == "not-in-WF"]
     fraction_smooth = len(smooth) / len(conclusive) if conclusive else 0.0
 
-    # analytic cross-plot: flowed |x(0)| against the magnitude envelope
+    # analytic cross-plot: flowed |x(0)| against the magnitude envelope; the
+    # ratio report flows each cell once per rung, in the cells' order
     env_ladder = tuple(float(l) for l in cfg.get("envelope_ladder",
                                                  (1.0, 10.0, 100.0, 1000.0, 10000.0)))
     envelope_rows = []
-    if t0 != 0.0:
-        for c in cells:
-            for lam in env_ladder:
-                res = chars.flow(model, t0, 0.0, np.asarray(c.x0),
-                                 lam * np.asarray(c.xi0), tol)
-                x0_norm = float(np.linalg.norm(res.terminal.x))
-                env = packets.fundamental_solution_envelope(lam, b, t0, x0_norm, spec.n)
-                envelope_rows.append([*c.x0, *c.xi0, lam, x0_norm, env])
-
     ratio_report = None
     if t0 != 0.0:
         ratio_report = chars.lower_bound_x0(
-            model, t0, positions, [d for d in directions], env_ladder, tol=tol)
+            model, t0, scan["positions"], scan["directions"], env_ladder,
+            tol=scan["tol"])
+        for i, c in enumerate(cells):
+            for lam in env_ladder:
+                x0_norm = ratio_report.x0_norms[lam][i]
+                env = packets.fundamental_solution_envelope(lam, b, t0, x0_norm, spec.n)
+                envelope_rows.append([*c.x0, *c.xi0, lam, x0_norm, env])
 
     summary = {
         "experiment": "fundamental-solution",
         "config": _jsonify(_config_echo(cfg)),
-        "resolved": {"b": b, "ladder": list(ladder), "t0": t0, "width": width,
+        "resolved": {"b": b, "ladder": list(scan["ladder"]), "t0": t0,
+                     "width": scan["width"],
                      "model": potentials.model_to_json(model),
                      "control": control},
         "cells_total": len(cells),
@@ -480,7 +461,7 @@ RUNNERS = {
     "magnetic-transport": run_transport_consistency,
     "fundamental-solution": run_fundamental_solution,
     "lemma-suite": run_lemma_suite,
-    "scalar-potential": run_scalar_potential,
+    "scalar-potential": run_transport_consistency,
 }
 
 

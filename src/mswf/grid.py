@@ -211,7 +211,8 @@ def spectral_support_edge(f: GridFunction, rel_floor: float = 1e-10) -> tuple:
 
 def boundary_mass_fraction(f: GridFunction, margin: float = 0.1) -> float:
     """Fraction of squared L2 mass within `margin` of the box edge."""
-    total = np.sum(np.abs(f.values) ** 2)
+    w = np.abs(f.values) ** 2
+    total = w.sum()
     if total == 0.0:
         return 0.0
     mask = np.zeros(f.spec.shape, dtype=bool)
@@ -221,7 +222,7 @@ def boundary_mass_fraction(f: GridFunction, margin: float = 0.1) -> float:
         shape = [1] * f.spec.n
         shape[i] = f.spec.points[i]
         mask |= edge.reshape(shape)
-    return float(np.sum(np.abs(f.values[mask]) ** 2) / total)
+    return float(w[mask].sum() / total)
 
 
 # ---------------------------------------------------------------------------
@@ -267,22 +268,10 @@ def jump_data(spec: GridSpec, width=1.0, axis: int = 0, steepness: float = 0.0,
     return GridFunction(spec, g.values * flip.reshape(shape), label)
 
 
-def converging_chirp(spec: GridSpec, width=1.0, focus_time=1.0, label="chirp") -> GridFunction:
-    """Gaussian with a converging quadratic phase that focuses at focus_time."""
-    g = gaussian_data(spec, width=width)
-    r2 = np.zeros(spec.shape)
-    for i in range(spec.n):
-        shape = [1] * spec.n
-        shape[i] = spec.points[i]
-        r2 = r2 + (spec.axis(i) ** 2).reshape(shape)
-    return GridFunction(spec, g.values * np.exp(-0.5j * r2 / focus_time), label)
-
-
 BUILTIN_DATA = {
     "gaussian": gaussian_data,
     "delta": delta_spike,
     "jump": jump_data,
-    "chirp": converging_chirp,
 }
 
 

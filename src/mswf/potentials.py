@@ -423,23 +423,3 @@ def verify_decay(model: VectorPotentialModel, rho: float, max_order: int,
                 conforming = False
     return DecayVerification(rho=rho, radii=tuple(radii), shell_sups=sups,
                              conforming=conforming, worst_ratio=worst_ratio, slack=slack)
-
-
-# ---------------------------------------------------------------------------
-# reference magnetic fields (documentation and decay tests only; no gauge is
-# reconstructed for them)
-
-
-def circular_current_field(x) -> np.ndarray:
-    """Field along the axis of a circular loop: (0, 0, 1/(1 + x3^2)) in R^3."""
-    x = np.asarray(x, dtype=float)
-    out = np.zeros(x.shape[:-1] + (3,))
-    out[..., 2] = 1.0 / (1.0 + x[..., 2] ** 2)
-    return out
-
-
-def line_current_field(x) -> np.ndarray:
-    """Planar field of a straight wire, regularized at the origin: <x>^-2 (x2, -x1)."""
-    x = np.asarray(x, dtype=float)
-    b2 = 1.0 + np.sum(x * x, axis=-1)
-    return np.stack([x[..., 1], -x[..., 0]], axis=-1) / b2[..., None]

@@ -342,12 +342,12 @@ def test_c11_fundamental_solution():
 
 
 def test_c12_scalar_potential():
-    free = exp.run_scalar_potential(dict(FREE_TRANSPORT,
-                                         experiment="scalar-potential",
-                                         scalar_potential=dict(SCALAR)))
-    rot = exp.run_scalar_potential(dict(ROTATIONAL_TRANSPORT,
-                                        experiment="scalar-potential",
-                                        scalar_potential=dict(SCALAR)))
+    free = exp.run_transport_consistency(dict(FREE_TRANSPORT,
+                                              experiment="scalar-potential",
+                                              scalar_potential=dict(SCALAR)))
+    rot = exp.run_transport_consistency(dict(ROTATIONAL_TRANSPORT,
+                                             experiment="scalar-potential",
+                                             scalar_potential=dict(SCALAR)))
     ok = (free["agreement"] == 1.0 and free["cells_conclusive"] > 0
           and rot["agreement"] >= 0.9 and rot["cells_conclusive"] > 0)
     assert report("C12", ok, "equivalence persists under a sub-quadratic scalar term",

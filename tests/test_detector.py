@@ -274,15 +274,3 @@ def test_scan_propagates_programming_errors(monkeypatch):
     g = grid.gaussian_data(FINE)
     with pytest.raises(TypeError, match="not a package error"):
         det.wf_scan("static", g, [(0.0,)], det.direction_fan(1, 2), LADDER)
-
-
-def test_scan_thread_determinism():
-    g = grid.gaussian_data(FINE)
-    kw = dict(ladder=LADDER, a=1.5)
-    single = det.wf_scan("static", g, [(0.0,), (5.0,)], det.direction_fan(1, 2),
-                         threads=1, **kw)
-    multi = det.wf_scan("static", g, [(0.0,), (5.0,)], det.direction_fan(1, 2),
-                        threads=4, **kw)
-    assert [c.verdict for c in single] == [c.verdict for c in multi]
-    for a, b in zip(single, multi):
-        np.testing.assert_array_equal(a.report.magnitudes, b.report.magnitudes)

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from mswf import cli, errors, experiments as exp, grid
+from mswf import characteristics as chars, cli, errors, experiments as exp, grid
 
 FREE_CFG = {
     "experiment": "free-transport",
@@ -41,15 +41,6 @@ def test_transport_consistency_deterministic_outputs(tmp_path):
         assert a == b, f"{name} not byte-identical"
 
 
-def test_scalar_zero_reduces_to_plain_transport(tmp_path):
-    # with no scalar term the two runners produce byte-identical files
-    out1, out2 = tmp_path / "plain", tmp_path / "scalar"
-    exp.run_transport_consistency(dict(FREE_CFG, out_dir=str(out1)))
-    exp.run_scalar_potential(dict(FREE_CFG, out_dir=str(out2)))
-    for name in ("summary.json", "cells.csv", "ladder.csv"):
-        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
-
-
 def test_transport_consistency_agreement_gate():
     with pytest.raises(errors.ConsistencyError):
         exp.run_transport_consistency(dict(FREE_CFG, min_agreement=1.01))
@@ -80,6 +71,31 @@ def test_fundamental_solution_smoke(tmp_path):
     assert (tmp_path / "ladder.csv").exists()
     assert (tmp_path / "envelope.csv").exists()
     assert (tmp_path / "ratios.csv").exists()
+
+
+def test_fundamental_solution_flows_each_point_once(tmp_path, monkeypatch):
+    calls = []
+    flow = chars.flow
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return flow(*args, **kwargs)
+
+    monkeypatch.setattr(chars, "flow", counted)
+    exp.run_fundamental_solution(dict(FS_CFG, out_dir=str(tmp_path)))
+    cells = len(FS_CFG["positions"]) * FS_CFG["directions"]
+    assert len(calls) == cells * len(FS_CFG["envelope_ladder"])
+    # each envelope row carries the |x(0)| its cell's ratio was taken from
+    # (t0 = 1 and |xi| = 1, so ratio = |x(0)| / lam)
+    ratio = {(float(lam), int(i)): float(r) for lam, i, r in
+             (line.split(",") for line in
+              (tmp_path / "ratios.csv").read_text().splitlines()[1:])}
+    rows = [[float(v) for v in line.split(",")] for line in
+            (tmp_path / "envelope.csv").read_text().splitlines()[1:]]
+    assert len(rows) == len(calls)
+    for k, (_, _, lam, x0_norm, _) in enumerate(rows):
+        cell = k // len(FS_CFG["envelope_ladder"])
+        assert ratio[(lam, cell)] == x0_norm / lam
 
 
 def test_fundamental_solution_rejects_t0_zero():
@@ -201,13 +217,3 @@ def test_cli_exit_codes(tmp_path):
     # malformed vector -> 2
     assert cli.main(["flow", "--t0", "0", "--target", "1",
                      "--x", "oops", "--xi", "1"]) == 2
-
-
-def test_cli_threads_env(tmp_path, monkeypatch):
-    monkeypatch.setenv("MSWF_THREADS", "2")
-    cfg = dict(FREE_CFG)
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(cfg))
-    assert cli.main(["experiment", "--config", str(cfg_path)]) == 0
-    monkeypatch.setenv("MSWF_THREADS", "zebra")
-    assert cli.main(["experiment", "--config", str(cfg_path)]) == 2

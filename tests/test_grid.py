@@ -76,6 +76,11 @@ def test_boundary_mass_fraction():
     assert grid.boundary_mass_fraction(edge) > 0.5
 
 
+def test_builtin_data_rejects_unknown_name():
+    with pytest.raises(errors.InputError):
+        grid.builtin_data("chirp", grid.GridSpec(1, 64, 5.0))
+
+
 def test_jump_data_mollified():
     spec = grid.GridSpec(1, 256, 10.0)
     hard = grid.jump_data(spec)

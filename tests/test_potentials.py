@@ -161,16 +161,6 @@ def test_custom_model_finite_difference_fallback():
     assert J[0, 0] == pytest.approx(np.cos(0.7), abs=1e-10)
 
 
-def test_reference_fields_decay():
-    # physical field profiles used for documentation-level decay checks
-    x3 = np.array([[0.0, 0.0, 10.0], [0.0, 0.0, 100.0]])
-    vals = pots.circular_current_field(x3)[:, 2]
-    assert vals[1] / vals[0] == pytest.approx(1e-2, rel=0.05)
-    x2 = np.array([[10.0, 0.0], [100.0, 0.0]])
-    mags = np.linalg.norm(pots.line_current_field(x2), axis=-1)
-    assert mags[1] / mags[0] == pytest.approx(0.1, rel=0.05)
-
-
 def test_dimension_mismatch_rejected():
     with pytest.raises(errors.InputError):
         pots.eval_a(pots.zero_model(2), 0.0, np.zeros(3))
