@@ -16,6 +16,15 @@ The static test probes a field directly.  The dynamic test never touches
 the evolved field: it flows each phase point backward along the magnetic
 bicharacteristics, evolves the window freely by -t0 in closed form, and
 pairs it with the initial datum at the flowed point.
+
+The probe is batched.  Both tests and `wf_scan` take one field or a
+sequence of fields on one grid.  Each rung pairs all conic samples with
+all fields in one `packets.pair_many` call, and a dynamic test flows each
+rung once, as one `flow_batch` over the samples, for every datum; the
+backward flows depend on the model, t0, the samples and tol, never on
+the datum.  Rungs and cells are never stacked into one flow, because the
+adaptive steps of a stacked state would move the flowed points at the
+size of tol.
 """
 
 from __future__ import annotations
@@ -26,8 +35,10 @@ import numpy as np
 
 from .characteristics import flow_batch
 from .errors import InputError, MswfError
-from .grid import GridFunction
-from .packets import GaussianWindow, wpt
+from .grid import field_batch
+# nothing here calls wpt; the name stays because perfbench/layers.py
+# wraps mswf.detector.wpt in its traced run
+from .packets import GaussianWindow, pair_many, wpt  # noqa: F401
 from .potentials import VectorPotentialModel
 
 FLOOR_REL = 1e-14
@@ -299,85 +310,101 @@ def default_ladder(kmin: int = 3, kmax: int = 12) -> tuple:
     return tuple(float(2 ** k) for k in range(kmin, kmax + 1))
 
 
-def _ladder_test(f: GridFunction, xs, xis, ladder: tuple, points: list, t: float,
+def _ladder_test(fields: list, xs, xis, ladder: tuple, points: list, t: float,
                  thresholds: Thresholds, width: float, b: float, noise_rel: float,
-                 reason: str, metadata: dict) -> DecayReport:
-    """Pair f with windows evolved freely by t over the ladder.
+                 reason: str, metadata: dict) -> list:
+    """Pair every field with windows evolved freely by t over the ladder.
 
     (xs, xis) are the conic samples; points[r] holds the (S, n) pairing
-    positions and frequencies of rung r.  Rungs whose frequencies leave f's
-    band are dropped; fewer than 5 surviving rungs yield an inconclusive
-    report flagged with `reason`.
+    positions and frequencies of rung r, shared by all fields.  Each rung
+    is one `pair_many` call over all samples and fields.  Rungs whose
+    frequencies leave the band are dropped; fewer than 5 surviving rungs
+    yield inconclusive reports flagged with `reason`.  Returns one report
+    per field.
     """
     n = xs.shape[1]
-    nyq = f.spec.nyquist()
+    spec = fields[0].spec
+    nyq = spec.nyquist()
     used, pairs = [], []
     for lam, (X, XI) in zip(ladder, points):
         if all(np.max(np.abs(XI[:, i])) <= nyq[i] * (1 + 1e-12) for i in range(n)):
             used.append(lam)
             pairs.append((X, XI))
     if len(used) < MIN_RUNGS:
-        return _truncated_report(used, ladder, xs, xis, thresholds, metadata, reason)
-    floor_abs = noise_rel * f.l2_norm() * GaussianWindow(n, width, 1.0, b, 0.0).l2_norm()
-    mags = np.empty((len(xs), len(used)))
+        return [_truncated_report(used, ladder, xs, xis, thresholds, dict(metadata),
+                                  reason) for _ in fields]
+    values = [f.values for f in fields]
+    mags = np.empty((len(fields), len(xs), len(used)))
     for r, (lam, (X, XI)) in enumerate(zip(used, pairs)):
         window = GaussianWindow(n, width, lam, b, t)
-        for s in range(len(xs)):
-            mags[s, r] = abs(wpt(f, window, (X[s], XI[s])))
-    return _aggregate(used, ladder, xs, xis, mags, thresholds, metadata, floor_abs)
+        mags[..., r] = np.abs(pair_many(spec, values, window, X, XI)).T
+    window_norm = GaussianWindow(n, width, 1.0, b, 0.0).l2_norm()
+    return [_aggregate(used, ladder, xs, xis, m, thresholds, dict(metadata),
+                       noise_rel * f.l2_norm() * window_norm)
+            for f, m in zip(fields, mags)]
 
 
-def wf_test_static(f: GridFunction, sample: ConicSample, ladder=None,
+def wf_test_static(f, sample: ConicSample, ladder=None,
                    thresholds: Thresholds = Thresholds(),
                    width: float = 1.0, b: float = 1.0 / 8.0,
-                   noise_rel: float = 1e-12) -> DecayReport:
+                   noise_rel: float = 1e-12):
     """Probe membership of (x0, xi0) relative to the field f itself.
 
-    Rungs whose top frequency lambda |xi| would leave the grid band are
-    dropped; fewer than 5 surviving rungs yield an inconclusive verdict
-    instead of a fit on aliased data.  `noise_rel` scales the absolute
-    censoring floor noise_rel * |f|_L2 * |window|_L2; raise it when f
-    itself carries solver error.
+    `f` is one GridFunction or a sequence of them on one grid; the result
+    is a DecayReport or a list of them, one per field.  Rungs whose top
+    frequency lambda |xi| would leave the grid band are dropped; fewer
+    than 5 surviving rungs yield an inconclusive verdict instead of a fit
+    on aliased data.  `noise_rel` scales the absolute censoring floor
+    noise_rel * |f|_L2 * |window|_L2 of each field; raise it when f itself
+    carries solver error.
     """
+    fields, single = field_batch(f)
     ladder = default_ladder() if ladder is None else tuple(float(l) for l in ladder)
     xs, xis = sample.phase_samples()
     metadata = {"mode": "static", "width": width, "b": b,
                 "a": sample.a, "n": sample.n, "noise_rel": noise_rel}
-    return _ladder_test(f, xs, xis, ladder, [(xs, lam * xis) for lam in ladder],
-                        0.0, thresholds, width, b, noise_rel, "nyquist-guard",
-                        metadata)
+    reports = _ladder_test(fields, xs, xis, ladder,
+                           [(xs, lam * xis) for lam in ladder], 0.0, thresholds,
+                           width, b, noise_rel, "nyquist-guard", metadata)
+    return reports[0] if single else reports
 
 
-def wf_test_dynamic(u0: GridFunction, model: VectorPotentialModel, t0: float,
+def wf_test_dynamic(u0, model: VectorPotentialModel, t0: float,
                     sample: ConicSample, ladder=None,
                     thresholds: Thresholds = Thresholds(),
                     width: float = 1.0, b: float = 1.0 / 8.0,
                     scalar=None, tol: float = 1e-9,
-                    noise_rel: float = 1e-12) -> DecayReport:
+                    noise_rel: float = 1e-12):
     """Probe membership of (x0, xi0) relative to the solution at time t0,
     using only the initial datum.
 
     Per rung: flow (x, lambda xi) backward from t0 to 0, evolve the scaled
     window freely by -t0 in closed form, and measure the pairing with u0
-    at the flowed phase point.  A scalar potential never enters the flow,
-    so it is accepted only to be recorded.  Rungs whose flowed frequency
-    leaves the band of u0's grid are dropped.
+    at the flowed phase point.  `u0` is one GridFunction or a sequence of
+    them on one grid, and the result a DecayReport or a list of them; each
+    rung is flowed once and paired with every datum.  A scalar potential
+    never enters the flow, so it is accepted only to be recorded.  Rungs
+    whose flowed frequency leaves the band of u0's grid are dropped.
     """
-    if model.n != u0.spec.n:
+    fields, single = field_batch(u0)
+    if model.n != fields[0].spec.n:
         raise InputError("model dimension does not match the datum")
     ladder = default_ladder() if ladder is None else tuple(float(l) for l in ladder)
     if t0 == 0.0:
-        report = wf_test_static(u0, sample, ladder, thresholds, width, b,
-                                noise_rel)
-        report.metadata.update({"mode": "dynamic", "t0": 0.0})
-        return report
-    xs, xis = sample.phase_samples()
-    metadata = {"mode": "dynamic", "t0": t0, "width": width, "b": b,
-                "a": sample.a, "n": sample.n, "noise_rel": noise_rel,
-                "scalar": getattr(scalar, "family", None)}
-    flowed = [flow_batch(model, t0, 0.0, xs, lam * xis, tol) for lam in ladder]
-    return _ladder_test(u0, xs, xis, ladder, flowed, -t0, thresholds, width, b,
-                        noise_rel, "flowed-nyquist-guard", metadata)
+        reports = wf_test_static(fields, sample, ladder, thresholds, width, b,
+                                 noise_rel)
+        for report in reports:
+            report.metadata.update({"mode": "dynamic", "t0": 0.0})
+    else:
+        xs, xis = sample.phase_samples()
+        metadata = {"mode": "dynamic", "t0": t0, "width": width, "b": b,
+                    "a": sample.a, "n": sample.n, "noise_rel": noise_rel,
+                    "scalar": getattr(scalar, "family", None)}
+        flowed = [flow_batch(model, t0, 0.0, xs, lam * xis, tol) for lam in ladder]
+        reports = _ladder_test(fields, xs, xis, ladder, flowed, -t0, thresholds,
+                               width, b, noise_rel, "flowed-nyquist-guard",
+                               metadata)
+    return reports[0] if single else reports
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +435,7 @@ def direction_fan(n: int, count: int) -> np.ndarray:
     return shell_points(3, 1.0, count)
 
 
-def wf_scan(mode: str, field_or_datum: GridFunction, positions, directions,
+def wf_scan(mode: str, field_or_datum, positions, directions,
             ladder=None, thresholds: Thresholds = Thresholds(),
             width: float = 1.0, b: float = 1.0 / 8.0,
             model: VectorPotentialModel = None, t0: float = 0.0,
@@ -417,28 +444,37 @@ def wf_scan(mode: str, field_or_datum: GridFunction, positions, directions,
             noise_rel: float = 1e-12) -> list:
     """Run a membership test over a lattice of cells; errors stay in-row.
 
-    Each cell is (position, direction); results come back in input order.
-    A package error (MswfError: a guard, input or numeric failure) is
-    recorded in its cell and the scan goes on; any other exception is a
-    programming error and propagates.
+    Each cell is (position, direction).  `field_or_datum` is one
+    GridFunction or a sequence of them on one grid; the result is one flat
+    list of ScanCell, datum-major (all cells of the first field, then the
+    next), each field's cells in input order.  Every cell is tested once
+    for all fields together, so a dynamic scan flows each (cell, rung)
+    once.  A package error (MswfError: a guard, input or numeric failure)
+    is recorded in its cell, for every field, and the scan goes on; any
+    other exception is a programming error and propagates.
     """
     if mode not in ("static", "dynamic"):
         raise InputError("mode must be 'static' or 'dynamic'")
-    cells = [ScanCell(tuple(float(v) for v in np.atleast_1d(pos)),
-                      tuple(float(v) for v in np.atleast_1d(d)))
-             for pos in positions for d in directions]
-    for cell in cells:
+    fields, _ = field_batch(field_or_datum)
+    lattice = [(tuple(float(v) for v in np.atleast_1d(pos)),
+                tuple(float(v) for v in np.atleast_1d(d)))
+               for pos in positions for d in directions]
+    rows = [[ScanCell(x0, xi0) for x0, xi0 in lattice] for _ in fields]
+    for c, (x0, xi0) in enumerate(lattice):
         try:
-            sample = ConicSample(cell.x0, cell.xi0, k_radius=k_radius,
+            sample = ConicSample(x0, xi0, k_radius=k_radius,
                                  half_angle=half_angle, a=a)
             if mode == "static":
-                cell.report = wf_test_static(field_or_datum, sample, ladder,
-                                             thresholds, width, b, noise_rel)
+                reports = wf_test_static(fields, sample, ladder, thresholds,
+                                         width, b, noise_rel)
             else:
-                cell.report = wf_test_dynamic(field_or_datum, model, t0, sample,
-                                              ladder, thresholds, width, b,
-                                              scalar=scalar, tol=tol,
-                                              noise_rel=noise_rel)
+                reports = wf_test_dynamic(fields, model, t0, sample, ladder,
+                                          thresholds, width, b, scalar=scalar,
+                                          tol=tol, noise_rel=noise_rel)
         except MswfError as exc:  # recorded per cell, scan continues; bugs propagate
-            cell.error = f"{type(exc).__name__}: {exc}"
-    return cells
+            for row in rows:
+                row[c].error = f"{type(exc).__name__}: {exc}"
+            continue
+        for row, report in zip(rows, reports):
+            row[c].report = report
+    return [cell for row in rows for cell in row]

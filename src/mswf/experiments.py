@@ -206,14 +206,17 @@ def run_transport_consistency(cfg: dict) -> dict:
     agree_count = conclusive_count = total_cells = 0
     data = [_datum_from_config(entry, spec) for entry in data_entries]
     evolved = propagator.evolve(model, scalar, data, 0.0, t0, evolve_cfg)
-    for u0, u_t0 in zip(data, evolved):
-        static_cells = detector.wf_scan("static", u_t0, **scan,
-                                        noise_rel=static_noise)
-        dynamic_cells = detector.wf_scan("dynamic", u0, **scan, model=model,
-                                         t0=t0, scalar=scalar,
-                                         noise_rel=dynamic_noise)
+    # one scan per mode over all data; results come back datum-major
+    static_cells = detector.wf_scan("static", evolved, **scan,
+                                    noise_rel=static_noise)
+    dynamic_cells = detector.wf_scan("dynamic", data, **scan, model=model,
+                                     t0=t0, scalar=scalar,
+                                     noise_rel=dynamic_noise)
+    per_datum = len(static_cells) // len(data)
+    for j, u0 in enumerate(data):
+        own = slice(j * per_datum, (j + 1) * per_datum)
         datum_rows = []
-        for sc, dc in zip(static_cells, dynamic_cells):
+        for sc, dc in zip(static_cells[own], dynamic_cells[own]):
             total_cells += 1
             conclusive = (sc.verdict in ("in-WF", "not-in-WF")
                           and dc.verdict in ("in-WF", "not-in-WF"))

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -130,6 +131,21 @@ class GridFunction:
         return GridFunction(self.spec, values, label if label is not None else self.label)
 
 
+def field_batch(f) -> tuple:
+    """(fields, single) for one GridFunction or a sequence of them on one grid.
+
+    `single` says whether f was one GridFunction, so a batched routine can
+    return its result in the form it was given.
+    """
+    single = isinstance(f, GridFunction)
+    fields = [f] if single else list(f)
+    if not fields:
+        raise InputError("a batch needs at least one field")
+    if any(g.spec != fields[0].spec for g in fields):
+        raise InputError("batched fields must share one grid")
+    return fields, single
+
+
 @dataclass(frozen=True)
 class PhasePoint:
     """A position/frequency pair (x, xi) in phase space."""
@@ -209,20 +225,27 @@ def spectral_support_edge(f: GridFunction, rel_floor: float = 1e-10) -> tuple:
     return tuple(edges)
 
 
+@lru_cache(maxsize=16)
+def _edge_mask(spec: GridSpec, margin: float) -> np.ndarray:
+    """Read-only mask of the nodes within `margin` of the box edge."""
+    mask = np.zeros(spec.shape, dtype=bool)
+    for i in range(spec.n):
+        x = np.abs(spec.axis(i))
+        edge = x >= (1.0 - margin) * spec.halfwidths[i]
+        shape = [1] * spec.n
+        shape[i] = spec.points[i]
+        mask |= edge.reshape(shape)
+    mask.flags.writeable = False
+    return mask
+
+
 def boundary_mass_fraction(f: GridFunction, margin: float = 0.1) -> float:
     """Fraction of squared L2 mass within `margin` of the box edge."""
     w = np.abs(f.values) ** 2
     total = w.sum()
     if total == 0.0:
         return 0.0
-    mask = np.zeros(f.spec.shape, dtype=bool)
-    for i in range(f.spec.n):
-        x = np.abs(f.spec.axis(i))
-        edge = x >= (1.0 - margin) * f.spec.halfwidths[i]
-        shape = [1] * f.spec.n
-        shape[i] = f.spec.points[i]
-        mask |= edge.reshape(shape)
-    return float(w[mask].sum() / total)
+    return float(w[_edge_mask(f.spec, margin)].sum() / total)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,11 @@ grid.  Windows come in two flavors:
   closed form), which can be centered arbitrarily far outside the box and
   is what the wave-front detector uses along flowed phase points.
 
+The Gaussian quadrature is written once, in `pair_many`: it pairs B
+fields with one window at S phase points through one (S, M_i) vector per
+axis, shared by every field, and `wpt` with a Gaussian window is its
+one-point case.  The detector makes one such call per ladder rung.
+
 Scaled packets follow phi_lam(y) = lam^(n b / 2) phi(lam^b y), which keeps
 the L2 norm independent of lam.
 """
@@ -227,12 +232,60 @@ def free_evolve_packet(packet: GridFunction, t: float) -> GridFunction:
 # the transform
 
 
-def _check_nyquist(spec: GridSpec, xi) -> None:
-    for i, d in enumerate(spec.dx):
-        if abs(xi[i]) * d > np.pi * NYQUIST_TOL:
-            raise NyquistError(
-                f"|xi_{i}| = {abs(xi[i]):.4g} exceeds the grid band pi/dx = "
-                f"{np.pi / d:.4g}")
+def _check_nyquist(spec: GridSpec, XI) -> None:
+    """Raise NyquistError if any frequency row of XI leaves the grid band."""
+    XI = np.atleast_2d(XI)
+    over = np.abs(XI) * np.asarray(spec.dx) > np.pi * NYQUIST_TOL
+    if over.any():
+        s, i = np.argwhere(over)[0]
+        raise NyquistError(
+            f"|xi_{i}| = {abs(XI[s, i]):.4g} exceeds the grid band pi/dx = "
+            f"{np.pi / spec.dx[i]:.4g}")
+
+
+def pair_many(spec: GridSpec, values, window: GaussianWindow,
+              X, XI) -> np.ndarray:
+    """Transforms of B fields against a Gaussian window at S phase points.
+
+    `values` is a sequence of B arrays of the grid's shape; X and XI are
+    (S, n).  Returns the (S, B) array of transforms.  The separable window
+    gives one (S, M_i) vector per axis, exp(-conj(beta) (y - x_i)^2 / 2
+    - i y xi_i), built in place in the real and imaginary parts of one
+    complex buffer, and every field shares them.  Each field is contracted
+    on its own, the first axis with a matrix product and each later one
+    with a per-sample einsum, so a field's transforms do not depend on the
+    rest of the batch (a one-column product would take BLAS's
+    matrix-vector path) and no field is copied.  Raises NyquistError if
+    any frequency leaves the grid band.
+    """
+    if window.n != spec.n:
+        raise InputError("window dimension does not match the field")
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    XI = np.atleast_2d(np.asarray(XI, dtype=float))
+    if X.shape != XI.shape or X.shape[1] != spec.n:
+        raise InputError("phase points must be (S, n) for both x and xi")
+    if any(np.shape(v) != spec.shape for v in values):
+        raise InputError("each field must have the grid's shape")
+    _check_nyquist(spec, XI)
+    half_betabar = -0.5 * np.conj(window.beta)
+    vecs = []
+    for i in range(spec.n):
+        y = spec.axis(i)
+        vec = np.empty((len(X), len(y)), dtype=np.complex128)
+        np.subtract(y, X[:, i, None], out=vec.real)
+        np.square(vec.real, out=vec.real)
+        np.multiply(vec.real, half_betabar.imag, out=vec.imag)
+        vec.real *= half_betabar.real
+        for row, xi in zip(vec.imag, XI[:, i]):
+            row -= xi * y
+        vecs.append(np.exp(vec, out=vec))
+    out = np.empty((len(X), len(values)), dtype=np.complex128)
+    for j, g in enumerate(values):
+        g = np.tensordot(vecs[0], g, axes=(1, 0))
+        for vec in vecs[1:]:
+            g = np.einsum("sk,sk...->s...", vec, g)
+        out[:, j] = g
+    return np.conj(window.amplitude) * spec.cell_volume * out
 
 
 def _contract(values: np.ndarray, axis_vectors: list) -> complex:
@@ -253,14 +306,8 @@ def wpt(f: GridFunction, packet, p) -> complex:
     _check_nyquist(f.spec, point.xi)
     spec = f.spec
     if isinstance(packet, GaussianWindow):
-        if packet.n != spec.n:
-            raise InputError("window dimension does not match the field")
-        amp = np.conj(packet.amplitude)
-        betabar = np.conj(packet.beta)
-        vecs = [np.exp(-0.5 * betabar * (spec.axis(i) - point.x[i]) ** 2
-                       - 1j * spec.axis(i) * point.xi[i])
-                for i in range(spec.n)]
-        return complex(amp * spec.cell_volume * _contract(f.values, vecs))
+        return complex(pair_many(spec, [f.values], packet, point.x,
+                                 point.xi)[0, 0])
     if isinstance(packet, GridFunction):
         if packet.spec != spec:
             raise InputError("packet and field must live on the same grid")

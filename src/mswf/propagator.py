@@ -41,7 +41,7 @@ from .characteristics import flow
 from .errors import (BoundaryMassError, CflError, GuardError, InputError,
                      NumericError)
 from .grid import GridFunction, GridSpec, as_phase_point, \
-    boundary_mass_fraction
+    boundary_mass_fraction, field_batch
 from .packets import GaussianBase, PacketSpec, wpt
 from .potentials import (MODULATIONS, VectorPotentialModel,
                          bracket_power_derivative, divergence_a, eval_a)
@@ -233,13 +233,8 @@ def evolve(model: VectorPotentialModel, scalar, u0, t0: float, t1: float,
     BoundaryMassError when, for any field, more than `boundary_mass_limit`
     of the squared norm sits within 10 percent of the box edge.
     """
-    single = isinstance(u0, GridFunction)
-    fields = [u0] if single else list(u0)
-    if not fields:
-        raise InputError("evolve needs at least one field")
+    fields, single = field_batch(u0)
     spec = fields[0].spec
-    if any(f.spec != spec for f in fields):
-        raise InputError("batched fields must share one grid")
     if model.n != spec.n:
         raise InputError("model dimension does not match the field")
 

@@ -274,3 +274,81 @@ def test_scan_propagates_programming_errors(monkeypatch):
     g = grid.gaussian_data(FINE)
     with pytest.raises(TypeError, match="not a package error"):
         det.wf_scan("static", g, [(0.0,)], det.direction_fan(1, 2), LADDER)
+
+
+# ---------------------------------------------------------------------------
+# multi-datum scans
+
+MULTI_SPEC = grid.GridSpec(1, 4096, 30.0)
+MULTI_LADDER = det.default_ladder(2, 6)
+MULTI_POSITIONS = [(-1.0,), (0.0,), (1.0,)]
+
+
+def _multi_data():
+    return [grid.delta_spike(MULTI_SPEC),
+            grid.gaussian_data(MULTI_SPEC, momentum=1.0),
+            grid.gaussian_data(MULTI_SPEC, width=0.5, center=0.5)]
+
+
+def _scan(mode, data, directions):
+    # the experiments' static noise level, where each datum's censoring
+    # floor binds
+    model = pots.soft_power_model(1, 0.5, 0.7)
+    return det.wf_scan(mode, data, MULTI_POSITIONS, directions, MULTI_LADDER,
+                       model=model, t0=1.0 if mode == "dynamic" else 0.0,
+                       noise_rel=1e-7)
+
+
+@pytest.mark.parametrize("mode", ["static", "dynamic"])
+def test_scan_over_data_equals_one_scan_per_datum(mode):
+    # the zero direction makes one error cell per position, for every datum
+    directions = [(1.0,), (-1.0,), (0.0,)]
+    data = _multi_data()
+    batched = _scan(mode, data, directions)
+    singles = [cell for f in data for cell in _scan(mode, f, directions)]
+    assert len(batched) == len(singles) == len(data) * 3 * 3
+    for got, want in zip(batched, singles):  # flat and datum-major
+        assert isinstance(got, det.ScanCell)
+        assert (got.x0, got.xi0, got.verdict, got.error) == \
+            (want.x0, want.xi0, want.verdict, want.error)
+        if want.report is None:
+            assert got.report is None and "InputError" in got.error
+            continue
+        assert got.report.flags == want.report.flags
+        np.testing.assert_allclose(got.report.n_hat, want.report.n_hat,
+                                   rtol=0, atol=1e-12)
+    assert {c.verdict for c in batched} >= {"not-in-WF", "error"}
+
+
+def test_dynamic_scan_flows_each_cell_and_rung_once(monkeypatch):
+    calls = []
+    flow_batch = det.flow_batch
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return flow_batch(*args, **kwargs)
+
+    monkeypatch.setattr(det, "flow_batch", counted)
+    directions = det.direction_fan(1, 2)
+    cells = _scan("dynamic", _multi_data(), directions)
+    assert len(cells) == 3 * len(MULTI_POSITIONS) * len(directions)
+    assert len(calls) == len(MULTI_POSITIONS) * len(directions) * len(MULTI_LADDER)
+
+
+def test_single_field_tests_return_one_report():
+    g = grid.gaussian_data(MULTI_SPEC)
+    sample = det.ConicSample((0.0,), (1.0,))
+    assert isinstance(det.wf_test_static(g, sample, MULTI_LADDER), det.DecayReport)
+    assert isinstance(det.wf_test_dynamic(g, pots.zero_model(1), 1.0, sample,
+                                          MULTI_LADDER), det.DecayReport)
+    both = det.wf_test_static([g, g], sample, MULTI_LADDER)
+    assert [r.verdict for r in both] == ["not-in-WF"] * 2
+
+
+def test_scan_rejects_data_on_different_grids():
+    other = grid.gaussian_data(grid.GridSpec(1, 2048, 30.0))
+    with pytest.raises(errors.InputError):
+        det.wf_scan("static", [grid.gaussian_data(MULTI_SPEC), other],
+                    MULTI_POSITIONS, det.direction_fan(1, 2), MULTI_LADDER)
+    with pytest.raises(errors.InputError):
+        det.wf_test_static([], det.ConicSample((0.0,), (1.0,)), MULTI_LADDER)

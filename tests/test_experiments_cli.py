@@ -74,17 +74,25 @@ def test_fundamental_solution_smoke(tmp_path):
 
 
 def test_fundamental_solution_flows_each_point_once(tmp_path, monkeypatch):
-    calls = []
-    flow = chars.flow
+    calls = {"flow": [], "flow_batch": []}
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return flow(*args, **kwargs)
+    def counting(name):
+        original = getattr(chars, name)
 
-    monkeypatch.setattr(chars, "flow", counted)
+        def counted(*args, **kwargs):
+            calls[name].append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(chars, name, counted)
+
+    counting("flow")
+    counting("flow_batch")
     exp.run_fundamental_solution(dict(FS_CFG, out_dir=str(tmp_path)))
     cells = len(FS_CFG["positions"]) * FS_CFG["directions"]
-    assert len(calls) == cells * len(FS_CFG["envelope_ladder"])
+    # one stacked flow per envelope rung, holding every cell once
+    assert calls["flow"] == []
+    assert len(calls["flow_batch"]) == len(FS_CFG["envelope_ladder"])
+    assert all(args[3].shape[0] == cells for args in calls["flow_batch"])
     # each envelope row carries the |x(0)| its cell's ratio was taken from
     # (t0 = 1 and |xi| = 1, so ratio = |x(0)| / lam)
     ratio = {(float(lam), int(i)): float(r) for lam, i, r in
@@ -92,7 +100,7 @@ def test_fundamental_solution_flows_each_point_once(tmp_path, monkeypatch):
               (tmp_path / "ratios.csv").read_text().splitlines()[1:])}
     rows = [[float(v) for v in line.split(",")] for line in
             (tmp_path / "envelope.csv").read_text().splitlines()[1:]]
-    assert len(rows) == len(calls)
+    assert len(rows) == cells * len(FS_CFG["envelope_ladder"])
     for k, (_, _, lam, x0_norm, _) in enumerate(rows):
         cell = k // len(FS_CFG["envelope_ladder"])
         assert ratio[(lam, cell)] == x0_norm / lam

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mswf import errors, grid, packets
 from mswf.packets import (DeltaSignal, GaussianBase, GaussianSignal,
@@ -156,6 +157,86 @@ def test_wpt_domain_guard_grid_window_only():
         packets.wpt(f, pk, ((19.0,), (0.0,)))
     win = GaussianWindow(1)
     packets.wpt(f, win, ((50.0,), (0.0,)))  # analytic windows go anywhere
+
+
+# one grid per dimension, fine enough that a unit Gaussian product is
+# resolved and decays to round-off before the box edge
+PAIR_GRIDS = {1: grid.GridSpec(1, 256, 8.0), 2: grid.GridSpec(2, 128, 8.0),
+              3: grid.GridSpec(3, 64, 8.0)}
+
+
+@st.composite
+def pairing_cases(draw):
+    n = draw(st.sampled_from((1, 2, 3)))
+    window = GaussianWindow(n, width=draw(st.floats(0.8, 1.5)),
+                            lam=draw(st.floats(1.0, 20.0)),
+                            b=draw(st.floats(0.05, 0.13)),
+                            t=draw(st.floats(0.1, 1.0)) * draw(st.sampled_from((-1, 1))))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    return (PAIR_GRIDS[n], window, draw(st.integers(1, 6)),
+            draw(st.sampled_from((1, 3))), np.random.default_rng(seed))
+
+
+def _per_point_reference(spec, values, window, X, XI):
+    """Each point and field on its own: conj(window) times the plane wave,
+    contracted axis by axis with tensordot."""
+    out = np.empty((len(X), len(values)), dtype=complex)
+    for s in range(len(X)):
+        for j, g in enumerate(values):
+            for i in range(spec.n):
+                y = spec.axis(i)
+                vec = np.conj(np.exp(-0.5 * window.beta * (y - X[s, i]) ** 2)) \
+                    * np.exp(-1j * y * XI[s, i])
+                g = np.tensordot(vec, g, axes=(0, 0))
+            out[s, j] = np.conj(window.amplitude) * spec.cell_volume * g
+    return out
+
+
+@settings(max_examples=30, deadline=None)
+@given(pairing_cases())
+def test_pair_many_matches_reference_oracle_and_guard(case):
+    spec, window, S, B, rng = case
+    n = spec.n
+    X = rng.uniform(-2.0, 2.0, (S, n))
+    XI = rng.uniform(-3.0, 3.0, (S, n))
+    # random fields: the kernel against a per-point tensordot reference
+    noise = [rng.standard_normal(spec.shape) + 1j * rng.standard_normal(spec.shape)
+             for _ in range(B)]
+    got = packets.pair_many(spec, noise, window, X, XI)
+    want = _per_point_reference(spec, noise, window, X, XI)
+    assert got.shape == (S, B)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    # Gaussian fields inside the guards: the kernel against the closed form,
+    # to 1e-9 of the Cauchy-Schwarz bound |window| |signal|
+    signals = [GaussianSignal(width=rng.uniform(0.5, 0.8),
+                              center=tuple(rng.uniform(-0.5, 0.5, n)),
+                              momentum=tuple(rng.uniform(-2.0, 2.0, n)))
+               for _ in range(B)]
+    fields = [grid.gaussian_data(spec, width=sig.width, center=sig.center,
+                                 momentum=sig.momentum).values for sig in signals]
+    got = packets.pair_many(spec, fields, window, X, XI)
+    for j, sig in enumerate(signals):
+        bound = window.l2_norm() * (np.sqrt(np.pi) * sig.width) ** (n / 2)
+        for s in range(S):
+            oracle = packets.gaussian_wpt_oracle(sig, window, (X[s], XI[s]))
+            assert abs(got[s, j] - oracle) <= 1e-9 * bound
+    # one out-of-band frequency anywhere in the batch trips the guard
+    s, i = rng.integers(S), rng.integers(n)
+    XI[s, i] = rng.choice((-1.0, 1.0)) * 1.01 * spec.nyquist()[i]
+    with pytest.raises(errors.NyquistError):
+        packets.pair_many(spec, noise, window, X, XI)
+
+
+def test_pair_many_input_checks():
+    spec = PAIR_GRIDS[2]
+    win = GaussianWindow(2)
+    values = [np.zeros(spec.shape, dtype=complex)]
+    with pytest.raises(errors.InputError):
+        packets.pair_many(spec, values, GaussianWindow(1), [(0.0, 0.0)], [(1.0, 0.0)])
+    with pytest.raises(errors.InputError):
+        packets.pair_many(spec, values, win, [(0.0, 0.0)], [(1.0,)])
+    with pytest.raises(errors.InputError):
+        packets.pair_many(spec, [values[0][0]], win, [(0.0, 0.0)], [(1.0, 0.0)])
 
 
 def test_wpt_grid_reduces_to_pointwise():
