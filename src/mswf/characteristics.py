@@ -5,13 +5,20 @@ The flow solves
     dx/ds  = xi - a(s, x)
     dxi/ds = (grad_x a)^T (s, x) (xi - a(s, x))
 
-with an adaptive embedded Runge-Kutta 5(4) pair (scipy's RK45) and dense
-output.  A complex phase density
+with an adaptive embedded Runge-Kutta 5(4) pair (scipy's RK45).  `flow`
+integrates one trajectory with dense output.  A complex phase density
 
     Psi = -h + grad_x(h) . x + (i/2) div a
 
 is accumulated as two extra quadrature components sharing the stepper's
 error control, so phase integrals converge at the same rate as the state.
+
+`flow_batch` integrates groups of trajectories, `(K, n)` for one group or
+`(G, K, n)` for G, and returns terminal states only.  Its stepper,
+`_rk45_groups`, advances all groups in lockstep, one vectorised RK45
+attempt per pass, while each group keeps its own time, step size and
+accept/reject state.  Each group therefore takes the steps solve_ivp takes
+on it alone, and its result is the same bits alone or in a batch.
 
 The module also provides empirical sweeps for the ballistic sandwich
 bounds |x(s - t0)| ~ lambda |s - t0|, the momentum-over-position integral
@@ -23,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import RK45, solve_ivp
 
 from .errors import InputError, NumericError, StepUnderflowError
 from .potentials import (VectorPotentialModel, divergence_a, eval_a,
@@ -32,8 +39,17 @@ from .potentials import (VectorPotentialModel, divergence_a, eval_a,
 TOL_RANGE = (1e-13, 1e-3)
 
 
-def _vector_field(model: VectorPotentialModel, s: float, x, xi):
-    """(dx/ds, dxi/ds) = (xi - a, (grad_x a)^T (xi - a)), batched over leading axes."""
+def _vector_field(model: VectorPotentialModel, s, x, xi):
+    """(dx/ds, dxi/ds) = (xi - a, (grad_x a)^T (xi - a)), batched over leading axes.
+
+    `s` is a time, or one time per group of shape (G, 1) with x of shape
+    (G, K, n).  A custom-sampled callable is handed scalar times, one group
+    at a time.
+    """
+    if np.ndim(s) and model.family == "custom-sampled":
+        v, dxi = zip(*(_vector_field(model, sg.item(), xg, xig)
+                       for sg, xg, xig in zip(s, x, xi)))
+        return np.stack(v), np.stack(dxi)
     v = xi - eval_a(model, s, x)
     return v, np.einsum("...kj,...k->...j", jacobian_a(model, s, x), v)
 
@@ -147,34 +163,140 @@ def flow(model: VectorPotentialModel, t0: float, s_target: float,
     return FlowResult(terminal, states, psi, stats, _sol=sol.sol)
 
 
+# the step control of solve_ivp's RK45
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
+_ERROR_EXPONENT = -1.0 / (RK45.error_estimator_order + 1)
+
+
+def _rms(z):
+    """solve_ivp's RMS norm, one per group (row)."""
+    return np.sqrt(np.sum(z * z, axis=-1)) / z.shape[-1] ** 0.5
+
+
+def _initial_step(fun, t, y, f, direction, span, rtol, atol):
+    """solve_ivp's `select_initial_step`, one step size per group."""
+    scale = atol + np.abs(y) * rtol
+    d0, d1 = _rms(y / scale), _rms(f / scale)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        h0 = np.minimum(np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1), span)
+    f1 = fun(t + h0 * direction, y + (h0 * direction)[:, None] * f)
+    d2 = _rms((f1 - f) / scale) / h0
+    with np.errstate(divide="ignore"):
+        h1 = np.where((d1 <= 1e-15) & (d2 <= 1e-15), np.maximum(1e-6, h0 * 1e-3),
+                      (0.01 / np.maximum(d1, d2)) ** (-_ERROR_EXPONENT))
+    return np.minimum(np.minimum(100 * h0, h1), span)
+
+
+def _rk45_groups(fun, t0: float, t_bound: float, y0: np.ndarray, rtol: float,
+                 atol: np.ndarray) -> tuple:
+    """Integrate G independent systems from t0 to t_bound in lockstep.
+
+    y0 and atol have shape (G, N); fun maps times (G,) and states (G, N)
+    to derivatives (G, N).  Each group keeps its own time, step size and
+    accept/reject state, and each lockstep pass makes one RK45 attempt for
+    every unfinished group, so a group takes the steps solve_ivp(method=
+    "RK45") takes on it alone.  All arithmetic is elementwise or per group,
+    so a group's result is the same bits alone or in a batch.  Returns the
+    (G, N) end states and the per-group RHS evaluation counts; raises
+    StepUnderflowError naming the first group whose step underflows.
+    """
+    A, B, C, E = RK45.A, RK45.B, RK45.C, RK45.E
+    direction = 1.0 if t_bound > t0 else -1.0
+    G = y0.shape[0]
+    end, nfev = np.empty_like(y0), np.full(G, 2)
+    group = np.arange(G)
+    t, y = np.full(G, t0), y0
+    f = fun(t, y)
+    h_abs = _initial_step(fun, t, y, f, direction, abs(t_bound - t0), rtol, atol)
+    rejected = np.zeros(G, dtype=bool)
+    K = [f] * (RK45.n_stages + 1)
+    while group.size:
+        min_step = 10 * np.abs(np.nextafter(t, direction * np.inf) - t)
+        stuck = rejected & ~(h_abs >= min_step)
+        if stuck.any():
+            raise StepUnderflowError(
+                f"step size underflow in group {group[np.argmax(stuck)]} at s = "
+                f"{t[np.argmax(stuck)]:.6g}")
+        h_abs = np.where(rejected, h_abs, np.maximum(h_abs, min_step))
+        t_new = t + h_abs * direction
+        t_new = np.where(direction * (t_new - t_bound) > 0, t_bound, t_new)
+        h = t_new - t
+        hc = h[:, None]
+        K[0] = f
+        for s in range(1, RK45.n_stages):
+            dy = K[0] * A[s, 0]
+            for j in range(1, s):
+                dy = dy + K[j] * A[s, j]
+            K[s] = fun(t + C[s] * h, y + dy * hc)
+        y_new = y + hc * sum(K[j] * B[j] for j in range(RK45.n_stages))
+        K[-1] = fun(t + h, y_new)
+        scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+        error = sum(K[j] * E[j] for j in range(RK45.n_stages + 1))
+        error_norm = _rms(error * hc / scale)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            grow = _SAFETY * error_norm ** _ERROR_EXPONENT
+        accept = error_norm < 1
+        factor = np.where(accept, np.minimum(_MAX_FACTOR, grow),
+                          np.fmax(_MIN_FACTOR, grow))
+        factor = np.where(accept & rejected, np.minimum(1.0, factor), factor)
+        h_abs = np.abs(h) * factor
+        rejected = ~accept
+        nfev[group] += RK45.n_stages
+        t = np.where(accept, t_new, t)
+        y = np.where(accept[:, None], y_new, y)
+        f = np.where(accept[:, None], K[-1], f)
+        done = accept & (direction * (t - t_bound) >= 0)
+        if done.any():
+            end[group[done]] = y[done]
+            keep = ~done
+            group, t, y, f, h_abs, rejected, atol = (
+                v[keep] for v in (group, t, y, f, h_abs, rejected, atol))
+    return end, nfev
+
+
+def _flow_rhs(model: VectorPotentialModel, K: int):
+    """Right-hand side of groups of K trajectories, each group's state
+    flattened as (x_1, xi_1, ..., x_K, xi_K), for `_rk45_groups`."""
+    n = model.n
+
+    def rhs(s, y):
+        state = y.reshape(len(y), K, 2 * n)
+        v, dxi = _vector_field(model, s[:, None], state[..., :n], state[..., n:])
+        return np.concatenate([v, dxi], axis=-1).reshape(len(y), -1)
+
+    return rhs
+
+
 def flow_batch(model: VectorPotentialModel, t0: float, s_target: float,
                x0: np.ndarray, xi0: np.ndarray, tol: float = 1e-9):
-    """Terminal states of many trajectories integrated as one stacked system."""
+    """Terminal states of groups of trajectories, each group one RK45 system.
+
+    x0 and xi0 are (K, n), one group of K trajectories, or (G, K, n), G
+    groups; the result has the same shape.  All groups advance in lockstep
+    through `_rk45_groups`, each with its own step control (rtol = tol,
+    atol = tol * max(1, |y0|) per component, RMS error over the group), so
+    a group's terminal states are the same bits alone or in a batch and
+    match solve_ivp(method="RK45") on that group to round-off.  A group
+    whose step underflows or whose end state is not finite raises
+    StepUnderflowError or NumericError naming it.
+    """
     tol = _validate_tol(tol)
     n = model.n
     x0 = np.atleast_2d(np.asarray(x0, dtype=float))
     xi0 = np.atleast_2d(np.asarray(xi0, dtype=float))
-    if x0.shape != xi0.shape or x0.shape[1] != n:
-        raise InputError("batch shapes must be (K, n) for both x and xi")
-    K = x0.shape[0]
-    if s_target == t0:
+    if x0.shape != xi0.shape or x0.ndim > 3 or x0.shape[-1] != n:
+        raise InputError("batch shapes must be (K, n) or (G, K, n) for both x and xi")
+    if s_target == t0 or x0.size == 0:
         return x0.copy(), xi0.copy()
-
-    def rhs(s, y):
-        state = y.reshape(K, 2 * n)
-        v, dxi = _vector_field(model, s, state[:, :n], state[:, n:])
-        return np.concatenate([v, dxi], axis=1).reshape(-1)
-
-    y0 = np.concatenate([x0, xi0], axis=1).reshape(-1)
-    scale = np.maximum(1.0, np.abs(y0))
-    sol = solve_ivp(rhs, (t0, s_target), y0, method="RK45",
-                    rtol=tol, atol=tol * scale)
-    if not sol.success:
-        raise StepUnderflowError(f"batched flow failed: {sol.message}")
-    if not np.all(np.isfinite(sol.y[:, -1])):
-        raise NumericError("batched flow produced non-finite state")
-    out = sol.y[:, -1].reshape(K, 2 * n)
-    return out[:, :n].copy(), out[:, n:].copy()
+    y0 = np.concatenate([x0, xi0], axis=-1).reshape(-1, x0.shape[-2] * 2 * n)
+    end, _ = _rk45_groups(_flow_rhs(model, x0.shape[-2]), float(t0), float(s_target),
+                          y0, tol, tol * np.maximum(1.0, np.abs(y0)))
+    bad = ~np.all(np.isfinite(end), axis=-1)
+    if bad.any():
+        raise NumericError(f"batched flow produced a non-finite state in group "
+                           f"{np.argmax(bad)}")
+    end = end.reshape(x0.shape[:-1] + (2 * n,))
+    return end[..., :n].copy(), end[..., n:].copy()
 
 
 def phase_integral(model: VectorPotentialModel, t0: float, t: float,
@@ -349,8 +471,8 @@ def lower_bound_x0(model: VectorPotentialModel, t0: float, k_samples,
                    gamma_samples, lam_ladder, tol: float = 1e-9) -> LowerBoundReport:
     """Growth of the backward-flowed position: |x(0)| should scale like lam t0 |xi|.
 
-    Samples run over positions, then directions; each rung flows all of
-    them once, as one `flow_batch`.
+    Samples run over positions, then directions; one grouped `flow_batch`
+    flows all of them once per rung, one group per rung.
     """
     if t0 <= 0:
         raise InputError("t0 must be positive")
@@ -360,10 +482,11 @@ def lower_bound_x0(model: VectorPotentialModel, t0: float, k_samples,
     xi_hats = np.array([np.atleast_1d(np.asarray(xi, dtype=float))
                         for _ in k_samples for xi in gamma_samples])
     xi_norms = np.linalg.norm(xi_hats, axis=-1)
+    x_end, _ = flow_batch(model, t0, 0.0, np.array([xs] * len(ladder)),
+                          np.array([lam * xi_hats for lam in ladder]), tol)
     ratios, x0_norms = {}, {}
-    for lam in ladder:
-        x_end, _ = flow_batch(model, t0, 0.0, xs, lam * xi_hats, tol)
-        norms = np.linalg.norm(x_end, axis=-1)
+    for lam, x_rung in zip(ladder, x_end):
+        norms = np.linalg.norm(x_rung, axis=-1)
         x0_norms[lam] = [float(v) for v in norms]
         ratios[lam] = [float(v) for v in norms / (lam * t0 * xi_norms)]
     top = ratios[ladder[-1]]

@@ -19,12 +19,13 @@ pairs it with the initial datum at the flowed point.
 
 The probe is batched.  Both tests and `wf_scan` take one field or a
 sequence of fields on one grid.  Each rung pairs all conic samples with
-all fields in one `packets.pair_many` call, and a dynamic test flows each
-rung once, as one `flow_batch` over the samples, for every datum; the
-backward flows depend on the model, t0, the samples and tol, never on
-the datum.  Rungs and cells are never stacked into one flow, because the
-adaptive steps of a stacked state would move the flowed points at the
-size of tol.
+all fields in one `packets.pair_many` call.  The backward flows depend on
+the model, t0, the samples and tol, never on the datum, so each
+(cell, rung) is flowed once for every datum.  A dynamic test flows all its
+rungs, and a dynamic scan all its cells' rungs, in one `flow_batch` call,
+one group per (cell, rung).  Each group keeps its own RK45 step control,
+so a flowed point is the same bits whether its (cell, rung) is flowed
+alone or with others.
 """
 
 from __future__ import annotations
@@ -381,10 +382,11 @@ def wf_test_dynamic(u0, model: VectorPotentialModel, t0: float,
     Per rung: flow (x, lambda xi) backward from t0 to 0, evolve the scaled
     window freely by -t0 in closed form, and measure the pairing with u0
     at the flowed phase point.  `u0` is one GridFunction or a sequence of
-    them on one grid, and the result a DecayReport or a list of them; each
-    rung is flowed once and paired with every datum.  A scalar potential
-    never enters the flow, so it is accepted only to be recorded.  Rungs
-    whose flowed frequency leaves the band of u0's grid are dropped.
+    them on one grid, and the result a DecayReport or a list of them; the
+    rungs are flowed once, as one grouped `flow_batch`, and paired with
+    every datum.  A scalar potential never enters the flow, so it is
+    accepted only to be recorded.  Rungs whose flowed frequency leaves the
+    band of u0's grid are dropped.
     """
     fields, single = field_batch(u0)
     if model.n != fields[0].spec.n:
@@ -396,15 +398,40 @@ def wf_test_dynamic(u0, model: VectorPotentialModel, t0: float,
         for report in reports:
             report.metadata.update({"mode": "dynamic", "t0": 0.0})
     else:
-        xs, xis = sample.phase_samples()
-        metadata = {"mode": "dynamic", "t0": t0, "width": width, "b": b,
-                    "a": sample.a, "n": sample.n, "noise_rel": noise_rel,
-                    "scalar": getattr(scalar, "family", None)}
-        flowed = [flow_batch(model, t0, 0.0, xs, lam * xis, tol) for lam in ladder]
-        reports = _ladder_test(fields, xs, xis, ladder, flowed, -t0, thresholds,
-                               width, b, noise_rel, "flowed-nyquist-guard",
-                               metadata)
+        phase = sample.phase_samples()
+        reports = _flowed_test(fields, t0, sample, phase, ladder,
+                               _flow_rungs(model, t0, [phase], ladder, tol)[0],
+                               thresholds, width, b, scalar, noise_rel)
     return reports[0] if single else reports
+
+
+def _flow_rungs(model: VectorPotentialModel, t0: float, phases: list,
+                ladder: tuple, tol: float) -> list:
+    """Backward flows of every cell's rungs as one grouped `flow_batch`.
+
+    phases[c] holds cell c's (S, n) samples (xs, xis); cells built with
+    the same sampling settings share S.  Group c * R + r is cell c at rung
+    r.  Returns, per cell, the list of flowed (X, XI) per rung.
+    """
+    X, XI = flow_batch(model, t0, 0.0,
+                       np.array([xs for xs, _ in phases for _ in ladder]),
+                       np.array([lam * xis for _, xis in phases for lam in ladder]),
+                       tol)
+    R = len(ladder)
+    return [list(zip(X[c * R:(c + 1) * R], XI[c * R:(c + 1) * R]))
+            for c in range(len(phases))]
+
+
+def _flowed_test(fields: list, t0: float, sample: ConicSample, phase: tuple,
+                 ladder: tuple, flowed: list, thresholds: Thresholds,
+                 width: float, b: float, scalar, noise_rel: float) -> list:
+    """Dynamic reports of one cell, given its flowed points per rung."""
+    xs, xis = phase
+    metadata = {"mode": "dynamic", "t0": t0, "width": width, "b": b,
+                "a": sample.a, "n": sample.n, "noise_rel": noise_rel,
+                "scalar": getattr(scalar, "family", None)}
+    return _ladder_test(fields, xs, xis, ladder, flowed, -t0, thresholds,
+                        width, b, noise_rel, "flowed-nyquist-guard", metadata)
 
 
 # ---------------------------------------------------------------------------
@@ -435,6 +462,30 @@ def direction_fan(n: int, count: int) -> np.ndarray:
     return shell_points(3, 1.0, count)
 
 
+def _scan_flows(model: VectorPotentialModel, t0: float, phases: dict,
+                ladder: tuple, tol: float, record) -> dict:
+    """Flowed rungs per cell of a dynamic scan, all in one `flow_batch` call.
+
+    If the grouped call fails, the cells are flowed one by one, so only a
+    failing cell records the error (through `record`); the others get the
+    same bits as in the grouped call.
+    """
+    if not phases:
+        return {}
+    try:
+        return dict(zip(phases, _flow_rungs(model, t0, list(phases.values()),
+                                            ladder, tol)))
+    except MswfError:
+        pass
+    flowed = {}
+    for c, phase in phases.items():
+        try:
+            flowed[c] = _flow_rungs(model, t0, [phase], ladder, tol)[0]
+        except MswfError as exc:
+            record(c, exc)
+    return flowed
+
+
 def wf_scan(mode: str, field_or_datum, positions, directions,
             ladder=None, thresholds: Thresholds = Thresholds(),
             width: float = 1.0, b: float = 1.0 / 8.0,
@@ -448,32 +499,54 @@ def wf_scan(mode: str, field_or_datum, positions, directions,
     GridFunction or a sequence of them on one grid; the result is one flat
     list of ScanCell, datum-major (all cells of the first field, then the
     next), each field's cells in input order.  Every cell is tested once
-    for all fields together, so a dynamic scan flows each (cell, rung)
-    once.  A package error (MswfError: a guard, input or numeric failure)
-    is recorded in its cell, for every field, and the scan goes on; any
-    other exception is a programming error and propagates.
+    for all fields together.  A dynamic scan with t0 != 0 flows every
+    (cell, rung) once, all in one grouped `flow_batch` call.  A package
+    error (MswfError: a guard, input or numeric failure) is recorded in its
+    cell, for every field, and the scan goes on; any other exception is a
+    programming error and propagates.
     """
     if mode not in ("static", "dynamic"):
         raise InputError("mode must be 'static' or 'dynamic'")
     fields, _ = field_batch(field_or_datum)
+    ladder = default_ladder() if ladder is None else tuple(float(l) for l in ladder)
     lattice = [(tuple(float(v) for v in np.atleast_1d(pos)),
                 tuple(float(v) for v in np.atleast_1d(d)))
                for pos in positions for d in directions]
     rows = [[ScanCell(x0, xi0) for x0, xi0 in lattice] for _ in fields]
+
+    def record(c, exc):  # recorded per cell, scan continues; bugs propagate
+        for row in rows:
+            row[c].error = f"{type(exc).__name__}: {exc}"
+
+    samples = {}
     for c, (x0, xi0) in enumerate(lattice):
         try:
-            sample = ConicSample(x0, xi0, k_radius=k_radius,
-                                 half_angle=half_angle, a=a)
+            samples[c] = ConicSample(x0, xi0, k_radius=k_radius,
+                                     half_angle=half_angle, a=a)
+        except MswfError as exc:
+            record(c, exc)
+    flowed = None
+    # a model of the wrong dimension reaches wf_test_dynamic, whose
+    # InputError each cell records
+    if mode == "dynamic" and t0 != 0.0 and model.n == fields[0].spec.n:
+        phases = {c: sample.phase_samples() for c, sample in samples.items()}
+        flowed = _scan_flows(model, t0, phases, ladder, tol, record)
+        samples = {c: sample for c, sample in samples.items() if c in flowed}
+    for c, sample in samples.items():
+        try:
             if mode == "static":
                 reports = wf_test_static(fields, sample, ladder, thresholds,
                                          width, b, noise_rel)
-            else:
+            elif flowed is None:
                 reports = wf_test_dynamic(fields, model, t0, sample, ladder,
                                           thresholds, width, b, scalar=scalar,
                                           tol=tol, noise_rel=noise_rel)
-        except MswfError as exc:  # recorded per cell, scan continues; bugs propagate
-            for row in rows:
-                row[c].error = f"{type(exc).__name__}: {exc}"
+            else:
+                reports = _flowed_test(fields, t0, sample, phases[c], ladder,
+                                       flowed[c], thresholds, width, b, scalar,
+                                       noise_rel)
+        except MswfError as exc:
+            record(c, exc)
             continue
         for row, report in zip(rows, reports):
             row[c].report = report

@@ -193,10 +193,16 @@ def _check_point(model: VectorPotentialModel, x) -> np.ndarray:
     return x
 
 
-def eval_a(model: VectorPotentialModel, t: float, x) -> np.ndarray:
-    """Vector potential values; batched over leading axes of x."""
+def eval_a(model: VectorPotentialModel, t, x) -> np.ndarray:
+    """Vector potential values; batched over leading axes of x.
+
+    `t` is a time, or an array of times that broadcasts against
+    x.shape[:-1], such as one time per group of points.  Built-in families
+    give the same bits as scalar-t calls; a custom-sampled callable gets `t`
+    as passed.
+    """
     x = _check_point(model, x)
-    g = model.g(t)
+    g = np.expand_dims(model.g(t), -1)
     if model.family == "zero":
         return np.zeros_like(x)
     if model.family == "soft-power":
@@ -214,8 +220,11 @@ def eval_a(model: VectorPotentialModel, t: float, x) -> np.ndarray:
     return out
 
 
-def jacobian_a(model: VectorPotentialModel, t: float, x) -> np.ndarray:
-    """Matrix with entry (j, k) = d a_j / d x_k; batched over leading axes."""
+def jacobian_a(model: VectorPotentialModel, t, x) -> np.ndarray:
+    """Matrix with entry (j, k) = d a_j / d x_k; batched over leading axes.
+
+    `t` broadcasts against x.shape[:-1], as in `eval_a`.
+    """
     x = _check_point(model, x)
     g = model.g(t)
     batch = x.shape[:-1]
@@ -225,6 +234,7 @@ def jacobian_a(model: VectorPotentialModel, t: float, x) -> np.ndarray:
     if model.family == "soft-power":
         pm2 = bracket(x) ** (model.rho - 2.0)
         amp = np.asarray(model.amplitude)
+        g = np.expand_dims(g, (-2, -1))
         return model.rho * g * amp[..., :, None] * x[..., None, :] * pm2[..., None, None]
     if model.family == "rotational":
         x1, x2 = x[..., 0], x[..., 1]
@@ -265,8 +275,11 @@ def _fd_jacobian(model: VectorPotentialModel, t: float, x: np.ndarray) -> np.nda
     return J
 
 
-def divergence_a(model: VectorPotentialModel, t: float, x) -> np.ndarray:
-    """div a; closed forms where available (rotational and constant-field are 0)."""
+def divergence_a(model: VectorPotentialModel, t, x) -> np.ndarray:
+    """div a; closed forms where available (rotational and constant-field are 0).
+
+    `t` broadcasts against x.shape[:-1], as in `eval_a`.
+    """
     x = _check_point(model, x)
     batch = x.shape[:-1]
     if model.family in ("zero", "rotational", "constant-field"):

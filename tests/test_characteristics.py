@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.integrate import solve_ivp
 
 from mswf import characteristics as chars, errors, potentials as pots
 
@@ -238,3 +240,60 @@ def test_lower_bound_conforming_models(model):
                                   [e1, e2, (e1 + e2) / np.sqrt(2)],
                                   (100.0, 10000.0), tol=1e-9)
     assert report.top_in_bracket
+
+
+# ---------------------------------------------------------------------------
+# the grouped RK45 stepper
+
+
+@st.composite
+def grouped_flows(draw):
+    family = draw(st.sampled_from(("zero", "soft-power", "rotational", "constant-field")))
+    n = 2 if family in ("rotational", "constant-field") else draw(st.integers(1, 3))
+    model = pots.VectorPotentialModel(
+        family, n, rho=0.5, amplitude=draw(st.floats(0.3, 2.0)),
+        modulation=draw(st.sampled_from(("one", "sin", "cosbump"))))
+    G, K = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    t0 = draw(st.floats(0.0, 1.0))
+    span = draw(st.floats(0.2, 1.5)) * draw(st.sampled_from((-1.0, 1.0)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    x = rng.uniform(-3.0, 3.0, (G, K, n))
+    xi = rng.uniform(-1.0, 1.0, (G, K, n)) * draw(st.sampled_from((1.0, 10.0)))
+    return model, t0, t0 + span, x, xi, draw(st.sampled_from((1e-9, 1e-11)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(grouped_flows())
+def test_grouped_flow_matches_solve_ivp_per_group(case):
+    model, t0, s1, X, XI, tol = case
+    G, K, n = X.shape
+    x, xi = chars.flow_batch(model, t0, s1, X, XI, tol)
+    assert x.shape == xi.shape == (G, K, n)
+    rhs = chars._flow_rhs(model, K)
+    y0 = np.concatenate([X, XI], axis=-1).reshape(G, -1)
+    _, nfev = chars._rk45_groups(rhs, t0, s1, y0, tol,
+                                 tol * np.maximum(1.0, np.abs(y0)))
+    for g in range(G):
+        # each group against scipy's stepper on that group alone
+        sol = solve_ivp(lambda s, y: rhs(np.array([s]), y[None])[0], (t0, s1),
+                        y0[g], method="RK45", rtol=tol,
+                        atol=tol * np.maximum(1.0, np.abs(y0[g])))
+        want = sol.y[:, -1].reshape(K, 2 * n)
+        got = np.concatenate([x[g], xi[g]], axis=-1)
+        assert sol.nfev == nfev[g]
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        # and against itself flowed alone, as a (K, n) batch
+        alone_x, alone_xi = chars.flow_batch(model, t0, s1, X[g], XI[g], tol)
+        assert np.array_equal(alone_x, x[g]) and np.array_equal(alone_xi, xi[g])
+
+
+def test_grouped_flow_names_the_failing_group():
+    # a is not finite for x > 5, where group 1 starts
+    model = pots.VectorPotentialModel(
+        "custom-sampled", 1,
+        custom_a=lambda t, x: np.where(x > 5.0, np.nan, 0.5 * np.tanh(x)))
+    X = np.array([[[0.0]], [[6.0]], [[-1.0]]])
+    with pytest.raises(errors.StepUnderflowError, match="group 1"):
+        chars.flow_batch(model, 1.0, 0.0, X, np.ones_like(X))
+    with pytest.raises(errors.InputError):
+        chars.flow_batch(model, 1.0, 0.0, X[None], np.ones_like(X)[None])

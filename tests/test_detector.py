@@ -332,7 +332,34 @@ def test_dynamic_scan_flows_each_cell_and_rung_once(monkeypatch):
     directions = det.direction_fan(1, 2)
     cells = _scan("dynamic", _multi_data(), directions)
     assert len(cells) == 3 * len(MULTI_POSITIONS) * len(directions)
-    assert len(calls) == len(MULTI_POSITIONS) * len(directions) * len(MULTI_LADDER)
+    # one grouped call: a group of S samples per (cell, rung), for all data
+    (args,) = calls
+    samples = len(det.ConicSample((0.0,), (1.0,)).phase_samples()[0])
+    groups = len(MULTI_POSITIONS) * len(directions) * len(MULTI_LADDER)
+    assert args[3].shape == args[4].shape == (groups, samples, 1)
+
+
+def test_dynamic_scan_records_a_failed_flow_in_its_cell_only():
+    # a is not finite for x > 5; with xi > 0 every backward flow moves to
+    # smaller x, so only the cell at x = 8 meets the bad region
+    model = pots.VectorPotentialModel(
+        "custom-sampled", 1,
+        custom_a=lambda t, x: np.where(x > 5.0, np.nan, 0.5 * np.tanh(x) * np.cos(t)))
+    data = _multi_data()[:2]
+
+    def scan(positions):
+        return det.wf_scan("dynamic", data, positions, [(1.0,)], MULTI_LADDER,
+                           model=model, t0=1.0, noise_rel=1e-7)
+
+    positions = [(-1.0,), (8.0,), (0.0,), (1.0,)]
+    cells = scan(positions)
+    good = scan([p for p in positions if p != (8.0,)])
+    assert [c.error is not None for c in cells] == [False, True, False, False] * 2
+    assert all("StepUnderflowError" in c.error for c in cells if c.x0 == (8.0,))
+    for got, want in zip([c for c in cells if c.x0 != (8.0,)], good):
+        assert (got.x0, got.verdict, got.report.flags) == \
+            (want.x0, want.verdict, want.report.flags)
+        assert np.array_equal(got.report.magnitudes, want.report.magnitudes)
 
 
 def test_single_field_tests_return_one_report():

@@ -89,10 +89,10 @@ def test_fundamental_solution_flows_each_point_once(tmp_path, monkeypatch):
     counting("flow_batch")
     exp.run_fundamental_solution(dict(FS_CFG, out_dir=str(tmp_path)))
     cells = len(FS_CFG["positions"]) * FS_CFG["directions"]
-    # one stacked flow per envelope rung, holding every cell once
+    # one grouped flow, a group per envelope rung holding every cell once
     assert calls["flow"] == []
-    assert len(calls["flow_batch"]) == len(FS_CFG["envelope_ladder"])
-    assert all(args[3].shape[0] == cells for args in calls["flow_batch"])
+    (args,) = calls["flow_batch"]
+    assert args[3].shape == (len(FS_CFG["envelope_ladder"]), cells, 1)
     # each envelope row carries the |x(0)| its cell's ratio was taken from
     # (t0 = 1 and |xi| = 1, so ratio = |x(0)| / lam)
     ratio = {(float(lam), int(i)): float(r) for lam, i, r in

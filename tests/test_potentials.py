@@ -182,3 +182,21 @@ def test_model_from_json_file(tmp_path):
                     '"modulation": "sin"}')
     model = pots.model_from_json(str(path))
     assert model.family == "rotational" and model.rho == 0.5
+
+
+@pytest.mark.parametrize("modulation", ["one", "sin", "cosbump"])
+@pytest.mark.parametrize("family,n", [("zero", 3), ("soft-power", 1), ("soft-power", 2),
+                                      ("soft-power", 3), ("rotational", 2),
+                                      ("constant-field", 2)])
+def test_time_array_equals_scalar_time_calls(family, n, modulation):
+    # one time per group of points, as the grouped flow evaluates them
+    model = pots.VectorPotentialModel(family, n, rho=0.4, amplitude=1.3,
+                                      modulation=modulation)
+    rng = np.random.default_rng(7)
+    t = rng.uniform(-3.0, 3.0, (4, 1))
+    x = rng.uniform(-5.0, 5.0, (4, 6, n))
+    for evaluate in (pots.eval_a, pots.jacobian_a, pots.divergence_a):
+        got = evaluate(model, t, x)
+        want = np.stack([evaluate(model, float(tg[0]), xg) for tg, xg in zip(t, x)])
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
