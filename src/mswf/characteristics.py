@@ -5,8 +5,9 @@ The flow solves
     dx/ds  = xi - a(s, x)
     dxi/ds = (grad_x a)^T (s, x) (xi - a(s, x))
 
-with an adaptive embedded Runge-Kutta 5(4) pair (scipy's RK45).  `flow`
-integrates one trajectory with dense output.  A complex phase density
+with the adaptive Dormand-Prince 5(4) pair and the step control of scipy's
+RK45, in one grouped stepper, `_rk45_groups`.  `flow` integrates one
+trajectory with dense output.  A complex phase density
 
     Psi = -h + grad_x(h) . x + (i/2) div a
 
@@ -14,15 +15,16 @@ is accumulated as two extra quadrature components sharing the stepper's
 error control, so phase integrals converge at the same rate as the state.
 
 `flow_batch` integrates groups of trajectories, `(K, n)` for one group or
-`(G, K, n)` for G, and returns terminal states only.  Its stepper,
-`_rk45_groups`, advances all groups in lockstep, one vectorised RK45
-attempt per pass, while each group keeps its own time, step size and
-accept/reject state.  Each group therefore takes the steps solve_ivp takes
-on it alone, and its result is the same bits alone or in a batch.
+`(G, K, n)` for G, and returns terminal states only.  The stepper advances
+all groups in lockstep, one vectorised attempt per pass, while each group
+keeps its own time, step size and accept/reject state.  Each group
+therefore takes the steps scipy's RK45 solver takes on it alone, and
+its result is the same bits alone or in a batch.
 
-The module also provides empirical sweeps for the ballistic sandwich
-bounds |x(s - t0)| ~ lambda |s - t0|, the momentum-over-position integral
-bound, and the linear growth rate of |x(0)| in lambda.
+The module also provides empirical sweeps, each one grouped call, for the
+ballistic sandwich bounds |x(s - t0)| ~ lambda |s - t0|, the
+momentum-over-position integral bound, and the linear growth rate of
+|x(0)| in lambda.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import RK45, solve_ivp
 
 from .errors import InputError, NumericError, StepUnderflowError
 from .potentials import (VectorPotentialModel, divergence_a, eval_a,
@@ -54,10 +55,18 @@ def _vector_field(model: VectorPotentialModel, s, x, xi):
     return v, np.einsum("...kj,...k->...j", jacobian_a(model, s, x), v)
 
 
-def _phase_rate(model: VectorPotentialModel, s: float, x, v, dxi) -> tuple:
-    """Real and imaginary parts of Psi, given the vector field (v, dxi) at (s, x)."""
+def _phase_rate(model: VectorPotentialModel, s, x, v, dxi) -> tuple:
+    """Real and imaginary parts of Psi, given the vector field (v, dxi) at (s, x).
+
+    `s` is a time, or one time per row of x; a custom-sampled callable is
+    handed scalar times, as in `_vector_field`.
+    """
+    if np.ndim(s) and model.family == "custom-sampled":
+        div = np.array([divergence_a(model, sg.item(), xg) for sg, xg in zip(s, x)])
+    else:
+        div = divergence_a(model, s, x)
     re = -0.5 * np.sum(v * v, axis=-1) - np.sum(dxi * x, axis=-1)
-    return re, 0.5 * divergence_a(model, s, x)
+    return re, 0.5 * div
 
 
 def _canonical_pair(x, xi) -> tuple:
@@ -72,11 +81,6 @@ def hamiltonian(model: VectorPotentialModel, t: float, x, xi) -> float:
     """Kinetic energy |xi - a(t, x)|^2 / 2 of the canonical pair."""
     v, _ = _vector_field(model, t, *_canonical_pair(x, xi))
     return 0.5 * np.sum(v * v, axis=-1)
-
-
-def grad_x_h(model: VectorPotentialModel, t: float, x, xi) -> np.ndarray:
-    """Spatial gradient of h; equals -(grad_x a)^T (xi - a)."""
-    return -_vector_field(model, t, *_canonical_pair(x, xi))[1]
 
 
 def phase_density(model: VectorPotentialModel, s: float, x, xi) -> complex:
@@ -100,16 +104,25 @@ class FlowResult:
     states: list
     psi_integral: complex
     stats: dict
-    _sol: object = field(default=None, repr=False)
+    _segments: list = field(default_factory=list, repr=False)
 
     def at(self, s: float) -> FlowState:
         """Dense-output evaluation at any time inside the integration span."""
-        if self._sol is None:
+        if not self._segments:
             return self.terminal
-        y = self._sol(s)
-        n = (len(y) - 2) // 2
-        return FlowState(float(s), tuple(map(float, y[:n])),
-                         tuple(map(float, y[n:2 * n])))
+        return _state(s, _dense(self._segments, s), len(self.terminal.x))
+
+
+def _state(s, y, n: int) -> FlowState:
+    return FlowState(float(s), tuple(map(float, y[:n])), tuple(map(float, y[n:2 * n])))
+
+
+def _points(model: VectorPotentialModel, vectors) -> list:
+    """Initial positions or momenta as float arrays of the model dimension."""
+    out = [np.atleast_1d(np.asarray(v, dtype=float)) for v in vectors]
+    if any(v.shape != (model.n,) for v in out):
+        raise InputError("initial x and xi must match the model dimension")
+    return out
 
 
 def _validate_tol(tol: float) -> float:
@@ -122,59 +135,83 @@ def flow(model: VectorPotentialModel, t0: float, s_target: float,
          x0, xi0, tol: float = 1e-10, max_step: float = np.inf) -> FlowResult:
     """Integrate the flow from data (x0, xi0) at time t0 to s_target.
 
-    Backward spans are integrated directly with negative steps (the
-    potential is time dependent, so no time-reversal trick is used).
-    `max_step` caps the step size, which pins the stepper to a fixed step
-    for convergence-order measurements.
+    The trajectory and its phase channels are one group of `_rk45_groups`
+    with rtol = tol and atol = tol * max(1, max |y0|), so it takes the steps
+    scipy's RK45 solver takes.  Backward spans are integrated directly
+    with negative steps (the potential is time dependent, so no
+    time-reversal trick is used).  `max_step` caps the step size, which pins
+    the stepper to a fixed step for convergence-order measurements.
     """
     tol = _validate_tol(tol)
     n = model.n
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    xi0 = np.atleast_1d(np.asarray(xi0, dtype=float))
-    if x0.shape != (n,) or xi0.shape != (n,):
-        raise InputError("initial x and xi must match the model dimension")
+    x0, xi0 = _points(model, (x0, xi0))
     if s_target == t0:
-        state = FlowState(t0, tuple(map(float, x0)), tuple(map(float, xi0)))
+        state = _state(t0, np.concatenate([x0, xi0]), n)
         return FlowResult(state, [state], 0.0 + 0.0j,
                           {"steps": 0, "rhs_evaluations": 0, "tol": tol})
+    end, nfev, (segments,) = _phase_flows(model, t0, s_target, x0[None], xi0[None], tol, max_step)
+    states = [_state(seg[0], seg[2], n) for seg in segments] + [_state(s_target, end[0], n)]
+    stats = {"steps": len(segments), "rhs_evaluations": int(nfev[0]), "tol": tol}
+    return FlowResult(states[-1], states, complex(*end[0, 2 * n:]), stats, segments)
+
+
+def _phase_flows(model: VectorPotentialModel, t0: float, s_target: float,
+                 x0: np.ndarray, xi0: np.ndarray, tol: float, max_step: float = np.inf):
+    """`_rk45_groups` on G trajectories, x0 and xi0 (G, n), each one group
+    with its phase channels and atol = tol * max(1, max |y0|)."""
+    n = model.n
 
     def rhs(s, y):
-        x = y[:n]
-        v, dxi = _vector_field(model, s, x, y[n:2 * n])
-        return np.concatenate([v, dxi, _phase_rate(model, s, x, v, dxi)])
+        x = y[:, :n]
+        v, dxi = _vector_field(model, s, x, y[:, n:2 * n])
+        return np.column_stack([v, dxi, *_phase_rate(model, s, x, v, dxi)])
 
-    y0 = np.concatenate([x0, xi0, [0.0, 0.0]])
-    scale = max(1.0, float(np.max(np.abs(y0))))
-    sol = solve_ivp(rhs, (t0, s_target), y0, method="RK45",
-                    rtol=tol, atol=tol * scale, dense_output=True,
-                    max_step=max_step)
-    if not sol.success:
-        raise StepUnderflowError(f"flow integration failed: {sol.message}")
-    if not np.all(np.isfinite(sol.y)):
-        raise NumericError("flow produced non-finite state")
-    states = [FlowState(float(s), tuple(map(float, y[:n])),
-                        tuple(map(float, y[n:2 * n])))
-              for s, y in zip(sol.t, sol.y.T)]
-    yT = sol.y[:, -1]
-    terminal = FlowState(float(sol.t[-1]), tuple(map(float, yT[:n])),
-                         tuple(map(float, yT[n:2 * n])))
-    psi = complex(yT[2 * n], yT[2 * n + 1])
-    stats = {"steps": len(sol.t) - 1, "rhs_evaluations": int(sol.nfev), "tol": tol}
-    return FlowResult(terminal, states, psi, stats, _sol=sol.sol)
+    y0 = np.concatenate([x0, xi0, np.zeros((len(x0), 2))], axis=-1)
+    atol = tol * np.maximum(1.0, np.max(np.abs(y0), axis=-1, keepdims=True))
+    segments = [[] for _ in y0]
+    end, nfev = _rk45_groups(rhs, float(t0), float(s_target), y0, tol, atol,
+                             max_step, segments)
+    return end, nfev, segments
 
 
-# the step control of solve_ivp's RK45
+def _dense(segments: list, s: float) -> np.ndarray:
+    """A group's dense output at time s, from the segment scipy's OdeSolution picks."""
+    sign = np.sign(segments[0][1] - segments[0][0])
+    ends = sign * np.array([seg[1] for seg in segments])
+    t_old, t_new, y_old, Q = segments[min(int(np.searchsorted(ends, sign * s)),
+                                          len(segments) - 1)]
+    h = t_new - t_old
+    return y_old + h * (Q @ np.cumprod(np.full(Q.shape[1], (s - t_old) / h)))
+
+
+# Dormand-Prince 5(4) with Shampine's dense output, and the step control of
+# scipy's RK45 solver
+_C = np.array([0, 1/5, 3/10, 4/5, 8/9, 1])
+_A = np.array([
+    [0, 0, 0, 0, 0], [1/5, 0, 0, 0, 0], [3/40, 9/40, 0, 0, 0], [44/45, -56/15, 32/9, 0, 0],
+    [19372/6561, -25360/2187, 64448/6561, -212/729, 0],
+    [9017/3168, -355/33, 46732/5247, 49/176, -5103/18656]])
+_B = np.array([35/384, 0, 500/1113, 125/192, -2187/6784, 11/84])
+_E = np.array([-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525, 1/40])
+_P = np.array([
+    [1, -8048581381/2820520608, 8663915743/2820520608, -12715105075/11282082432],
+    [0, 0, 0, 0],
+    [0, 131558114200/32700410799, -68118460800/10900136933, 87487479700/32700410799],
+    [0, -1754552775/470086768, 14199869525/1410260304, -10690763975/1880347072],
+    [0, 127303824393/49829197408, -318862633887/49829197408, 701980252875/199316789632],
+    [0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844],
+    [0, 40617522/29380423, -110615467/29380423, 69997945/29380423]])
+_STAGES, _ERROR_EXPONENT = 6, -1.0 / 5  # error estimator of order 4
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
-_ERROR_EXPONENT = -1.0 / (RK45.error_estimator_order + 1)
 
 
 def _rms(z):
-    """solve_ivp's RMS norm, one per group (row)."""
+    """scipy's RMS error norm, one per group (row)."""
     return np.sqrt(np.sum(z * z, axis=-1)) / z.shape[-1] ** 0.5
 
 
 def _initial_step(fun, t, y, f, direction, span, rtol, atol):
-    """solve_ivp's `select_initial_step`, one step size per group."""
+    """scipy's initial step rule (Hairer, Norsett, Wanner II.4), one per group."""
     scale = atol + np.abs(y) * rtol
     d0, d1 = _rms(y / scale), _rms(f / scale)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -188,19 +225,22 @@ def _initial_step(fun, t, y, f, direction, span, rtol, atol):
 
 
 def _rk45_groups(fun, t0: float, t_bound: float, y0: np.ndarray, rtol: float,
-                 atol: np.ndarray) -> tuple:
+                 atol: np.ndarray, max_step: float = np.inf, segments=None) -> tuple:
     """Integrate G independent systems from t0 to t_bound in lockstep.
 
-    y0 and atol have shape (G, N); fun maps times (G,) and states (G, N)
-    to derivatives (G, N).  Each group keeps its own time, step size and
-    accept/reject state, and each lockstep pass makes one RK45 attempt for
-    every unfinished group, so a group takes the steps solve_ivp(method=
-    "RK45") takes on it alone.  All arithmetic is elementwise or per group,
-    so a group's result is the same bits alone or in a batch.  Returns the
-    (G, N) end states and the per-group RHS evaluation counts; raises
-    StepUnderflowError naming the first group whose step underflows.
+    y0 has shape (G, N) and atol (G, N) or (G, 1); fun maps times (G,)
+    and states (G, N) to derivatives (G, N).  Each group keeps its own time,
+    step size and accept/reject state, and each lockstep pass makes one
+    RK45 attempt for every unfinished group, so a group takes the steps
+    scipy's RK45 solver (with the same max_step) takes on it alone.  All
+    arithmetic is elementwise or per group, so a group's result is the same
+    bits alone or in a batch.  If `segments` holds one list per group, each
+    accepted step appends its dense-output segment (t_old, t_new, y_old,
+    Q = K^T P) to its group's list.  Returns the (G, N) end states and the
+    per-group RHS evaluation counts; raises StepUnderflowError naming the
+    first group whose step underflows, and NumericError naming a group whose
+    end state is not finite.
     """
-    A, B, C, E = RK45.A, RK45.B, RK45.C, RK45.E
     direction = 1.0 if t_bound > t0 else -1.0
     G = y0.shape[0]
     end, nfev = np.empty_like(y0), np.full(G, 2)
@@ -209,7 +249,7 @@ def _rk45_groups(fun, t0: float, t_bound: float, y0: np.ndarray, rtol: float,
     f = fun(t, y)
     h_abs = _initial_step(fun, t, y, f, direction, abs(t_bound - t0), rtol, atol)
     rejected = np.zeros(G, dtype=bool)
-    K = [f] * (RK45.n_stages + 1)
+    K = [f] * (_STAGES + 1)
     while group.size:
         min_step = 10 * np.abs(np.nextafter(t, direction * np.inf) - t)
         stuck = rejected & ~(h_abs >= min_step)
@@ -217,21 +257,22 @@ def _rk45_groups(fun, t0: float, t_bound: float, y0: np.ndarray, rtol: float,
             raise StepUnderflowError(
                 f"step size underflow in group {group[np.argmax(stuck)]} at s = "
                 f"{t[np.argmax(stuck)]:.6g}")
-        h_abs = np.where(rejected, h_abs, np.maximum(h_abs, min_step))
+        # a fresh step, the first one included, is clamped as scipy clamps it
+        h_abs = np.where(rejected, h_abs, np.minimum(np.maximum(h_abs, min_step), max_step))
         t_new = t + h_abs * direction
         t_new = np.where(direction * (t_new - t_bound) > 0, t_bound, t_new)
         h = t_new - t
         hc = h[:, None]
         K[0] = f
-        for s in range(1, RK45.n_stages):
-            dy = K[0] * A[s, 0]
+        for s in range(1, _STAGES):
+            dy = K[0] * _A[s, 0]
             for j in range(1, s):
-                dy = dy + K[j] * A[s, j]
-            K[s] = fun(t + C[s] * h, y + dy * hc)
-        y_new = y + hc * sum(K[j] * B[j] for j in range(RK45.n_stages))
+                dy = dy + K[j] * _A[s, j]
+            K[s] = fun(t + _C[s] * h, y + dy * hc)
+        y_new = y + hc * sum(K[j] * _B[j] for j in range(_STAGES))
         K[-1] = fun(t + h, y_new)
         scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-        error = sum(K[j] * E[j] for j in range(RK45.n_stages + 1))
+        error = sum(K[j] * _E[j] for j in range(_STAGES + 1))
         error_norm = _rms(error * hc / scale)
         with np.errstate(divide="ignore", invalid="ignore"):
             grow = _SAFETY * error_norm ** _ERROR_EXPONENT
@@ -241,7 +282,12 @@ def _rk45_groups(fun, t0: float, t_bound: float, y0: np.ndarray, rtol: float,
         factor = np.where(accept & rejected, np.minimum(1.0, factor), factor)
         h_abs = np.abs(h) * factor
         rejected = ~accept
-        nfev[group] += RK45.n_stages
+        nfev[group] += _STAGES
+        if segments is not None and accept.any():
+            Q = np.stack(K, axis=-1)[accept] @ _P
+            for g, a, b, y_old, q in zip(group[accept], t[accept], t_new[accept],
+                                         y[accept], Q):
+                segments[g].append((float(a), float(b), y_old, q))
         t = np.where(accept, t_new, t)
         y = np.where(accept[:, None], y_new, y)
         f = np.where(accept[:, None], K[-1], f)
@@ -251,6 +297,9 @@ def _rk45_groups(fun, t0: float, t_bound: float, y0: np.ndarray, rtol: float,
             keep = ~done
             group, t, y, f, h_abs, rejected, atol = (
                 v[keep] for v in (group, t, y, f, h_abs, rejected, atol))
+    bad = ~np.all(np.isfinite(end), axis=-1)
+    if bad.any():
+        raise NumericError(f"flow produced a non-finite state in group {np.argmax(bad)}")
     return end, nfev
 
 
@@ -276,7 +325,7 @@ def flow_batch(model: VectorPotentialModel, t0: float, s_target: float,
     through `_rk45_groups`, each with its own step control (rtol = tol,
     atol = tol * max(1, |y0|) per component, RMS error over the group), so
     a group's terminal states are the same bits alone or in a batch and
-    match solve_ivp(method="RK45") on that group to round-off.  A group
+    match scipy's RK45 solver on that group to round-off.  A group
     whose step underflows or whose end state is not finite raises
     StepUnderflowError or NumericError naming it.
     """
@@ -291,10 +340,6 @@ def flow_batch(model: VectorPotentialModel, t0: float, s_target: float,
     y0 = np.concatenate([x0, xi0], axis=-1).reshape(-1, x0.shape[-2] * 2 * n)
     end, _ = _rk45_groups(_flow_rhs(model, x0.shape[-2]), float(t0), float(s_target),
                           y0, tol, tol * np.maximum(1.0, np.abs(y0)))
-    bad = ~np.all(np.isfinite(end), axis=-1)
-    if bad.any():
-        raise NumericError(f"batched flow produced a non-finite state in group "
-                           f"{np.argmax(bad)}")
     end = end.reshape(x0.shape[:-1] + (2 * n,))
     return end[..., :n].copy(), end[..., n:].copy()
 
@@ -305,12 +350,8 @@ def phase_integral(model: VectorPotentialModel, t0: float, t: float,
 
     The imaginary part equals half the accumulated divergence of a.
     """
-    def accumulated(s):
-        if s == t0:
-            return 0.0 + 0.0j
-        return flow(model, t0, s, x0, xi0, tol).psi_integral
-
-    return accumulated(t) - accumulated(0.0)
+    return (flow(model, t0, t, x0, xi0, tol).psi_integral
+            - flow(model, t0, 0.0, x0, xi0, tol).psi_integral)
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +382,9 @@ def check_flow_bounds(model: VectorPotentialModel, a_param: float, p: float,
 
     For each ladder rung the flow starts at (x, lam xi) at time t0 and the
     position/momentum ratios are recorded at offsets lam^(p-1) <= |s - t0|
-    <= t0.  Samples must satisfy 1/a <= |xi| <= a.
+    <= t0.  Samples must satisfy 1/a <= |xi| <= a.  All rung x position x
+    direction flows are one grouped call, each group flowed as `flow` flows
+    it, and read at the offsets through its dense output.
     """
     if a_param < 1.0:
         raise InputError("annulus parameter a must be >= 1")
@@ -349,42 +392,33 @@ def check_flow_bounds(model: VectorPotentialModel, a_param: float, p: float,
         raise InputError("window exponent p must lie in (0, 1)")
     if t0 <= 0.0:
         raise InputError("t0 must be positive")
-    k_samples = [np.atleast_1d(np.asarray(x, dtype=float)) for x in k_samples]
-    gamma_samples = [np.atleast_1d(np.asarray(v, dtype=float)) for v in gamma_samples]
+    n = model.n
+    k_samples, gamma_samples = _points(model, k_samples), _points(model, gamma_samples)
     for xi in gamma_samples:
         m = float(np.linalg.norm(xi))
         if not (1.0 / a_param - 1e-12 <= m <= a_param + 1e-12):
             raise InputError(f"|xi| = {m:.4g} outside the annulus [1/a, a]")
     ladder = tuple(sorted(float(l) for l in lam_ladder))
     lo, hi = 1.0 / (2.0 * a_param), 2.0 * a_param
+    pairs = [(x, xi) for x in k_samples for xi in gamma_samples]
+    _, _, segments = _phase_flows(
+        model, t0, 0.0, np.array([x for _ in ladder for x, _ in pairs]).reshape(-1, n),
+        np.array([lam * xi for lam in ladder for _, xi in pairs]).reshape(-1, n),
+        _validate_tol(tol))
     ratios = {}
     rung_ok = []
-    for lam in ladder:
-        offsets = np.geomspace(lam ** (p - 1.0), t0, s_count)
+    for i, lam in enumerate(ladder):
         entries = []
-        good = True
-        for x in k_samples:
-            for xi in gamma_samples:
-                res = flow(model, t0, 0.0, x, lam * xi, tol)
-                for off in offsets:
-                    st = res.at(t0 - off)
-                    rx = float(np.linalg.norm(st.x)) / (lam * off)
-                    rxi = float(np.linalg.norm(st.xi)) / lam
-                    entries.append((float(off), rx, rxi))
-                    if not (lo <= rx <= hi and lo <= rxi <= hi):
-                        good = False
+        for segs in segments[i * len(pairs):(i + 1) * len(pairs)]:
+            for off in np.geomspace(lam ** (p - 1.0), t0, s_count):
+                y = _dense(segs, t0 - off)
+                entries.append((float(off), float(np.linalg.norm(y[:n])) / (lam * off),
+                                float(np.linalg.norm(y[n:2 * n])) / lam))
         ratios[lam] = entries
-        rung_ok.append(good)
-    lambda_hat0 = np.inf
-    for i in range(len(ladder)):
-        if all(rung_ok[i:]):
-            lambda_hat0 = ladder[i]
-            break
-    violations = 0
-    if np.isfinite(lambda_hat0):
-        for lam, good in zip(ladder, rung_ok):
-            if lam >= 2.0 * lambda_hat0 and not good:
-                violations += 1
+        rung_ok.append(all(lo <= rx <= hi and lo <= rxi <= hi for _, rx, rxi in entries))
+    lambda_hat0 = next((lam for i, lam in enumerate(ladder) if all(rung_ok[i:])), np.inf)
+    violations = sum(lam >= 2.0 * lambda_hat0 and not good
+                     for lam, good in zip(ladder, rung_ok))
     return FlowBoundReport(a_param=a_param, ladder=ladder, ratios=ratios,
                            lambda_hat0=float(lambda_hat0),
                            violations_above_2hat=violations,
@@ -411,7 +445,9 @@ def check_integral_bound(model: VectorPotentialModel, delta: float, interval,
     The integrand rides the stepper as an extra component, so the sharp
     peak a fast trajectory sweeps through is resolved adaptively.  Samples
     are (x, xi_hat) pairs with data posed at the interval's left endpoint;
-    each ladder rung scales the momentum by lam.
+    each ladder rung scales the momentum by lam.  All rung x sample flows
+    are one grouped call, each group with atol = tol * max(1, |y0|) per
+    component.
     """
     if delta <= 0:
         raise InputError("delta must be positive")
@@ -421,33 +457,23 @@ def check_integral_bound(model: VectorPotentialModel, delta: float, interval,
     tol = _validate_tol(tol)
     n = model.n
     ladder = tuple(float(l) for l in lam_ladder)
-    denom = 1.0 + (b - a)
-    values = {}
-    sup_ratio = {}
 
     def rhs(s, y):
-        x, xi = y[:n], y[n:2 * n]
+        x, xi = y[:, :n], y[:, n:2 * n]
         v, dxi = _vector_field(model, s, x, xi)
-        weight = (1.0 + float(x @ x)) ** (0.5 * (1.0 + delta))
-        return np.concatenate([v, dxi, [float(np.linalg.norm(xi)) / weight]])
+        weight = (1.0 + np.sum(x * x, axis=-1)) ** (0.5 * (1.0 + delta))
+        return np.column_stack([v, dxi, np.linalg.norm(xi, axis=-1) / weight])
 
-    for lam in ladder:
-        vals = []
-        for x0, xi_hat in samples:
-            x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-            xi0 = lam * np.atleast_1d(np.asarray(xi_hat, dtype=float))
-            if b == a:
-                vals.append(0.0)
-                continue
-            y0 = np.concatenate([x0, xi0, [0.0]])
-            scale = np.maximum(1.0, np.abs(y0))
-            sol = solve_ivp(rhs, (a, b), y0, method="RK45",
-                            rtol=tol, atol=tol * scale)
-            if not sol.success:
-                raise StepUnderflowError(f"integral-bound flow failed: {sol.message}")
-            vals.append(float(sol.y[-1, -1]) / denom)
-        values[lam] = vals
-        sup_ratio[lam] = max(vals) if vals else 0.0
+    pairs = list(zip(_points(model, [x for x, _ in samples]),
+                     _points(model, [xi for _, xi in samples])))
+    y0 = np.array([np.concatenate([x, lam * xi, [0.0]])
+                   for lam in ladder for x, xi in pairs]).reshape(-1, 2 * n + 1)
+    quad = np.zeros(len(y0))
+    if b > a and len(y0):
+        quad = _rk45_groups(rhs, a, b, y0, tol, tol * np.maximum(1.0, np.abs(y0)))[0][:, -1]
+    per_rung = (quad / (1.0 + (b - a))).reshape(len(ladder), len(pairs))
+    values = {lam: [float(v) for v in rung] for lam, rung in zip(ladder, per_rung)}
+    sup_ratio = {lam: max(vals) if vals else 0.0 for lam, vals in values.items()}
     # boundedness is judged beyond the first rung: a unit-momentum flow
     # barely moves, so its small integral is not evidence about the limit
     tail = [sup_ratio[lam] for lam in ladder[1:] if sup_ratio[lam] > 0.0] \
@@ -477,10 +503,9 @@ def lower_bound_x0(model: VectorPotentialModel, t0: float, k_samples,
     if t0 <= 0:
         raise InputError("t0 must be positive")
     ladder = tuple(sorted(float(l) for l in lam_ladder))
-    xs = np.array([np.atleast_1d(np.asarray(x, dtype=float))
-                   for x in k_samples for _ in gamma_samples])
-    xi_hats = np.array([np.atleast_1d(np.asarray(xi, dtype=float))
-                        for _ in k_samples for xi in gamma_samples])
+    k_samples, gamma_samples = _points(model, k_samples), _points(model, gamma_samples)
+    xs = np.array([x for x in k_samples for _ in gamma_samples])
+    xi_hats = np.array([xi for _ in k_samples for xi in gamma_samples])
     xi_norms = np.linalg.norm(xi_hats, axis=-1)
     x_end, _ = flow_batch(model, t0, 0.0, np.array([xs] * len(ladder)),
                           np.array([lam * xi_hats for lam in ladder]), tol)

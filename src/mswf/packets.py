@@ -25,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import (DomainError, InputError, NyquistError, ResolutionError,
                      UndersampledError)
@@ -196,6 +195,7 @@ def make_scaled_packet(spec: GridSpec, base, lam: float, b: float) -> GridFuncti
             raise ResolutionError(
                 "dilated packet under-resolved (fewer than 8 samples across "
                 "the 1/e width)")
+        from scipy import ndimage  # its only use, so `import mswf` skips it
         # cubic interpolation of the base samples at the dilated coordinates
         coords = np.meshgrid(*[(scale * spec.axis(i) + base.spec.halfwidths[i])
                                / base.spec.dx[i] for i in range(spec.n)],

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.integrate import solve_ivp
+from scipy.integrate import RK45, solve_ivp
 
 from mswf import characteristics as chars, errors, potentials as pots
 
@@ -53,18 +53,6 @@ def test_landau_orbit_matches():
         worst = max(worst, float(np.max(np.abs(np.array(st.x) - x_ref))),
                     float(np.max(np.abs(np.array(st.xi) - xi_ref))))
     assert worst <= 1e-8
-
-
-@pytest.mark.parametrize("model", [
-    pots.soft_power_model(2, 0.5, amplitude=(0.8, 0.5), modulation="sin"),
-    pots.rotational_model(0.5, modulation="cosbump"),
-])
-def test_flow_reversibility(model):
-    x0, xi0 = (0.4, -0.2), (1.5, 0.7)
-    fwd = chars.flow(model, 1.0, 0.0, x0, xi0, 1e-10)
-    back = chars.flow(model, 0.0, 1.0, fwd.terminal.x, fwd.terminal.xi, 1e-10)
-    assert np.max(np.abs(np.array(back.terminal.x) - x0)) <= 1e-8
-    assert np.max(np.abs(np.array(back.terminal.xi) - xi0)) <= 1e-8
 
 
 def test_energy_conservation_time_independent():
@@ -211,9 +199,31 @@ def test_integral_bound_stability_soft_power():
     assert max(tail) / min(tail) < 2.0
 
 
+def test_integral_bound_matches_solve_ivp():
+    model = pots.soft_power_model(2, 0.5, amplitude=(0.8, 0.5), modulation="sin")
+    samples = [((0.0, 0.0), (1.0, 0.0)), ((0.3, -0.2), (0.6, 0.8))]
+    ladder = (1.0, 100.0)
+    report = chars.check_integral_bound(model, 0.5, (0.2, 1.1), samples, ladder, tol=1e-10)
+
+    def rhs(s, y):
+        v, dxi = chars._vector_field(model, s, y[:2], y[2:4])
+        weight = (1.0 + y[:2] @ y[:2]) ** 0.75
+        return np.concatenate([v, dxi, [np.linalg.norm(y[2:4]) / weight]])
+
+    for lam in ladder:
+        for (x, xi), got in zip(samples, report.values[lam]):
+            y0 = np.concatenate([x, lam * np.array(xi), [0.0]])
+            sol = solve_ivp(rhs, (0.2, 1.1), y0, method="RK45", rtol=1e-10,
+                            atol=1e-10 * np.maximum(1.0, np.abs(y0)))
+            want = sol.y[-1, -1] / 1.9
+            assert abs(got - want) <= 1e-12 * want
+
+
 def test_integral_bound_delta_guard():
     with pytest.raises(errors.InputError):
         chars.check_integral_bound(pots.zero_model(1), 0.0, (0.0, 1.0), [])
+    with pytest.raises(errors.InputError):  # samples of the wrong dimension
+        chars.check_integral_bound(pots.zero_model(2), 0.5, (0.0, 1.0), [((0.0,), (1.0,))])
 
 
 # ---------------------------------------------------------------------------
@@ -297,3 +307,79 @@ def test_grouped_flow_names_the_failing_group():
         chars.flow_batch(model, 1.0, 0.0, X, np.ones_like(X))
     with pytest.raises(errors.InputError):
         chars.flow_batch(model, 1.0, 0.0, X[None], np.ones_like(X)[None])
+
+
+@settings(max_examples=25, deadline=None)
+@given(grouped_flows(), st.sampled_from((np.inf, 0.05)))
+def test_flow_matches_solve_ivp(case, max_step):
+    model, t0, s1, X, XI, tol = case
+    n = model.n
+    x0, xi0 = X[0, 0], XI[0, 0]
+    res = chars.flow(model, t0, s1, x0, xi0, tol, max_step=max_step)
+
+    def rhs(s, y):
+        v, dxi = chars._vector_field(model, s, y[:n], y[n:2 * n])
+        return np.concatenate([v, dxi, chars._phase_rate(model, s, y[:n], v, dxi)])
+
+    y0 = np.concatenate([x0, xi0, [0.0, 0.0]])
+    sol = solve_ivp(rhs, (t0, s1), y0, method="RK45", rtol=tol, max_step=max_step,
+                    atol=tol * max(1.0, np.max(np.abs(y0))), dense_output=True)
+    assert res.stats["rhs_evaluations"] == sol.nfev
+    assert res.stats["steps"] == len(sol.t) - 1 == len(res.states) - 1
+    # A step whose local error is at round-off level gets an error estimate
+    # that depends on the summation order of the stage sums, which differs
+    # from scipy's; its successor's size may then move in the sixth digit.
+    times = np.array([state.s for state in res.states])
+    assert np.max(np.abs(times - sol.t)) <= 1e-4 * abs(s1 - t0)
+    want = sol.y[:2 * n, -1]
+    got = np.array(res.terminal.x + res.terminal.xi)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    psi = complex(*sol.y[2 * n:, -1])
+    assert abs(res.psi_integral - psi) <= 1e-12 * abs(psi)
+    for s in t0 + np.array([0.1, 0.5, 0.9]) * (s1 - t0):
+        state, want = res.at(s), sol.sol(s)[:2 * n]
+        got = np.array(state.x + state.xi)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@settings(max_examples=25, deadline=None)
+@given(grouped_flows())
+def test_flow_reversibility(case):
+    model, t0, s1, X, XI, _ = case
+    x0, xi0 = X[0, 0], XI[0, 0]
+    fwd = chars.flow(model, t0, s1, x0, xi0, 1e-10)
+    back = chars.flow(model, s1, t0, fwd.terminal.x, fwd.terminal.xi, 1e-10)
+    assert np.max(np.abs(np.array(back.terminal.x) - x0)) <= 1e-8
+    assert np.max(np.abs(np.array(back.terminal.xi) - xi0)) <= 1e-8
+
+
+def test_tableau_is_scipys_rk45():
+    for ours, theirs in ((chars._A, RK45.A), (chars._B, RK45.B), (chars._C, RK45.C),
+                         (chars._E, RK45.E), (chars._P, RK45.P)):
+        assert np.array_equal(ours, theirs)
+    assert chars._STAGES == RK45.n_stages
+    assert chars._ERROR_EXPONENT == -1.0 / (RK45.error_estimator_order + 1)
+
+
+def test_custom_model_with_scalar_times_flows():
+    # the callable takes float(t), so it must be handed scalar times
+    model = pots.VectorPotentialModel(
+        "custom-sampled", 1, custom_a=lambda t, x: 0.5 * np.tanh(x) * np.cos(float(t)))
+    res = chars.flow(model, 1.0, 0.0, (0.3,), (2.0,), 1e-10)
+    assert res.stats["steps"] == 24 and res.stats["rhs_evaluations"] == 146
+    assert res.terminal.x[0] == pytest.approx(-1.6458786100929266, rel=1e-12)
+    ladder = (16.0, 64.0)
+    report = chars.check_flow_bounds(model, 2.0, 0.5, ladder, 1.0, [np.zeros(1)],
+                                     [np.ones(1)], tol=1e-9)
+    # the grouped sweep reads each flow as `flow` integrates it alone
+    for lam in ladder:
+        alone = chars.flow(model, 1.0, 0.0, (0.0,), (lam,), 1e-9)
+        want = []
+        for off in np.geomspace(lam ** -0.5, 1.0, 4):
+            state = alone.at(1.0 - off)
+            want.append((off, np.linalg.norm(state.x) / (lam * off),
+                         np.linalg.norm(state.xi) / lam))
+        assert report.ratios[lam] == want
+    integral = chars.check_integral_bound(model, 0.5, (0.0, 1.0), [((0.3,), (1.0,))],
+                                          ladder, tol=1e-10)
+    assert integral.stable and all(v > 0.0 for v in integral.sup_ratio.values())

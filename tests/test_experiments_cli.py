@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -225,3 +227,11 @@ def test_cli_exit_codes(tmp_path):
     # malformed vector -> 2
     assert cli.main(["flow", "--t0", "0", "--target", "1",
                      "--x", "oops", "--xi", "1"]) == 2
+
+
+def test_cli_import_leaves_heavy_scipy_modules_unloaded():
+    probe = ("import sys, mswf.cli; print(sorted(m for m in ('scipy.integrate', "
+             "'scipy.optimize', 'scipy.ndimage') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "[]"
