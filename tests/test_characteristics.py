@@ -342,9 +342,21 @@ def test_flow_matches_solve_ivp(case, max_step):
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
+@pytest.mark.parametrize("model", [
+    pots.soft_power_model(2, 0.5, amplitude=(0.8, 0.5), modulation="sin"),
+    pots.rotational_model(0.5, modulation="cosbump"),
+])
+def test_flow_reversibility(model):
+    x0, xi0 = (0.4, -0.2), (1.5, 0.7)
+    fwd = chars.flow(model, 1.0, 0.0, x0, xi0, 1e-10)
+    back = chars.flow(model, 0.0, 1.0, fwd.terminal.x, fwd.terminal.xi, 1e-10)
+    assert np.max(np.abs(np.array(back.terminal.x) - x0)) <= 1e-8
+    assert np.max(np.abs(np.array(back.terminal.xi) - xi0)) <= 1e-8
+
+
 @settings(max_examples=25, deadline=None)
 @given(grouped_flows())
-def test_flow_reversibility(case):
+def test_flow_reversibility_property(case):
     model, t0, s1, X, XI, _ = case
     x0, xi0 = X[0, 0], XI[0, 0]
     fwd = chars.flow(model, t0, s1, x0, xi0, 1e-10)
