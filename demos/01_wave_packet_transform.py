@@ -7,11 +7,11 @@ import numpy as np
 
 import mswf
 from mswf import packets
-from mswf.packets import GaussianBase, GaussianWindow, GaussianSignal
+from mswf.packets import GaussianWindow, GaussianSignal
 
 spec = mswf.GridSpec(1, 256, 20.0)
 f = mswf.gaussian_data(spec)  # exp(-y^2/2)
-window = packets.make_scaled_packet(spec, GaussianBase(1.0), 1.0, 0.125)
+window = packets.make_scaled_packet(spec, 1.0, 1.0, 0.125)
 
 # At the phase-space origin the transform of a unit gaussian against itself
 # is the plain gaussian integral, sqrt(pi).
@@ -37,7 +37,7 @@ print(f"evolved window: quadrature vs oracle diff = {abs(quad - oracle):.2e}")
 # width shrinks like lam^(-b).
 fine = mswf.GridSpec(1, 512, 10.0)
 for lam in (1.0, 16.0, 256.0):
-    pk = packets.make_scaled_packet(fine, GaussianBase(1.0), lam, 0.125)
+    pk = packets.make_scaled_packet(fine, 1.0, lam, 0.125)
     print(f"lam = {lam:5.0f}: |phi_lam| = {pk.l2_norm():.8f}, "
           f"1/e half-width = {packets.measure_packet_width(pk):.4f}")
 

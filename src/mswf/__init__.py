@@ -20,10 +20,10 @@ from .errors import (BoundaryMassError, CflError, ConsistencyError,
 from .grid import (GridFunction, GridSpec, PhasePoint, builtin_data,
                    delta_spike, gaussian_data, jump_data, load_wfgf,
                    save_wfgf)
-from .packets import (DeltaSignal, GaussianBase, GaussianSignal,
-                      GaussianWindow, PacketSpec, commutator_check,
-                      free_evolve_packet, fundamental_solution_envelope,
-                      gaussian_wpt_oracle, inverse_wpt, make_scaled_packet,
+from .packets import (DeltaSignal, GaussianSignal, GaussianWindow,
+                      commutator_check, free_evolve_packet,
+                      fundamental_solution_envelope, gaussian_wpt_oracle,
+                      inverse_wpt, make_scaled_packet,
                       theorem_scaling_exponent, wpt, wpt_grid)
 from .potentials import (VectorPotentialModel, constant_field_model, eval_a,
                          jacobian_a, divergence_a, magnetic_field,

@@ -8,7 +8,6 @@ Exit codes: 0 success, 2 guard violation, 3 numeric failure,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -16,7 +15,7 @@ import numpy as np
 
 from . import characteristics as chars
 from . import detector, experiments, grid, packets, potentials, propagator
-from .errors import InputError, MswfError
+from .errors import InputError, MswfError, load_json
 
 
 def _parse_vector(text: str) -> np.ndarray:
@@ -33,49 +32,13 @@ def _parse_grid(text: str) -> grid.GridSpec:
     return grid.GridSpec(int(parts[0]), int(parts[1]), float(parts[2]))
 
 
-def _parse_ladder(text: str):
-    if ":" in text:
-        kmin, kmax = text.split(":")
-        return detector.default_ladder(int(kmin), int(kmax))
-    return tuple(float(v) for v in text.split(","))
-
-
-def _parse_thresholds(text: str) -> detector.Thresholds:
-    values = dict(experiments.DEFAULT_THRESHOLDS)
-    for item in text.split(","):
-        key, _, val = item.partition("=")
-        if key not in values:
-            raise InputError(f"unknown threshold '{key}' (have N, Nlow, R2)")
-        values[key] = float(val)
-    return detector.Thresholds(values["N"], values["Nlow"], values["R2"])
-
-
-def _load_potential(text: str | None, n: int) -> potentials.VectorPotentialModel:
-    if text is None:
-        return potentials.zero_model(n)
-    return potentials.model_from_json(text)
-
-
-def _load_scalar(text: str | None):
-    if text is None:
-        return None
-    return propagator.scalar_from_json(text)
-
-
-def _load_config(text: str) -> dict:
-    if text.lstrip().startswith("{"):
-        return json.loads(text)
-    return json.loads(Path(text).read_text())
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
 
 def _cmd_packet(args) -> int:
     spec = _parse_grid(args.grid)
-    packet = packets.make_scaled_packet(spec, packets.GaussianBase(args.width),
-                                        args.lam, args.b)
+    packet = packets.make_scaled_packet(spec, args.width, args.lam, args.b)
     if args.t != 0.0:
         packet = packets.free_evolve_packet(packet, args.t)
     if args.out:
@@ -128,7 +91,7 @@ def _cmd_iwpt(args) -> int:
 
 def _cmd_flow(args) -> int:
     x0 = _parse_vector(args.x)
-    model = _load_potential(args.potential, len(x0))
+    model = potentials.model_from_json(args.potential, len(x0))
     res = chars.flow(model, args.t0, args.target, x0, _parse_vector(args.xi),
                      args.tol)
     if args.dump_traj:
@@ -149,8 +112,8 @@ def _cmd_flow(args) -> int:
 
 def _cmd_evolve(args) -> int:
     u0 = grid.load_wfgf(args.infile)
-    model = _load_potential(args.potential, u0.spec.n)
-    scalar = _load_scalar(args.scalar_potential)
+    model = potentials.model_from_json(args.potential, u0.spec.n)
+    scalar = propagator.scalar_from_json(args.scalar_potential)
     cfg = propagator.EvolveConfig(dt=args.dt, method=args.method)
     probe_rows = []
     probe = None
@@ -167,22 +130,21 @@ def _cmd_evolve(args) -> int:
 
 def _cmd_detect(args) -> int:
     f = grid.load_wfgf(args.infile)
-    thresholds = _parse_thresholds(args.thresholds)
-    ladder = _parse_ladder(args.ladder)
+    pairs = (item.partition("=") for item in (args.thresholds or "").split(",") if item)
+    thresholds = detector.Thresholds.from_json({k: v for k, _, v in pairs})
+    ladder = detector.parse_ladder(args.ladder)
     sample = detector.ConicSample(_parse_vector(args.x0), _parse_vector(args.xi0),
                                   k_radius=args.k_radius,
                                   half_angle=args.cone_angle, a=args.a)
-    model = _load_potential(args.potential, f.spec.n)
-    b = packets.theorem_scaling_exponent(
-        model.rho if model.family in ("soft-power", "rotational") else 0.0) \
-        if args.b == "auto" else float(args.b)
+    model = potentials.model_from_json(args.potential, f.spec.n)
+    scalar = propagator.scalar_from_json(args.scalar_potential)
+    b = detector.resolve_b(args.b, model)
     if args.mode == "static":
         report = detector.wf_test_static(f, sample, ladder, thresholds,
                                          args.width, b)
     else:
         report = detector.wf_test_dynamic(f, model, args.t0, sample, ladder,
-                                          thresholds, args.width, b,
-                                          scalar=_load_scalar(args.scalar_potential))
+                                          thresholds, args.width, b, scalar=scalar)
     payload = report.to_json_dict()
     if args.out:
         experiments.write_json(Path(args.out), payload)
@@ -195,7 +157,7 @@ def _cmd_detect(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    cfg = _load_config(args.config)
+    cfg = load_json(args.config)
     if args.out_dir:
         cfg["out_dir"] = args.out_dir
     summary = experiments.run_experiment(cfg)
@@ -205,26 +167,27 @@ def _cmd_experiment(args) -> int:
     return 0
 
 
+def _window_args(p) -> None:
+    """--width, --lam, --b and --t, defaulting to GaussianWindow's fields."""
+    for name in ("width", "lam", "b", "t"):
+        p.add_argument(f"--{name}", type=float,
+                       default=getattr(packets.GaussianWindow, name))
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="mswf", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("packet", help="sample a scaled (optionally evolved) window")
     p.add_argument("--grid", required=True, help="n,points,halfwidth")
-    p.add_argument("--width", type=float, default=1.0)
-    p.add_argument("--lam", type=float, default=1.0)
-    p.add_argument("--b", type=float, default=0.125)
-    p.add_argument("--t", type=float, default=0.0)
+    _window_args(p)
     p.add_argument("--out")
     p.add_argument("--csv")
     p.set_defaults(func=_cmd_packet)
 
     p = sub.add_parser("wpt", help="wave packet transform of a field file")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--width", type=float, default=1.0)
-    p.add_argument("--lam", type=float, default=1.0)
-    p.add_argument("--b", type=float, default=0.125)
-    p.add_argument("--t", type=float, default=0.0)
+    _window_args(p)
     p.add_argument("--x", help="position, comma separated")
     p.add_argument("--xi", help="frequency, comma separated")
     p.add_argument("--table-out", help="npz output for the full lattice")
@@ -232,10 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("iwpt", help="inverse transform of a saved table")
     p.add_argument("--table", required=True)
-    p.add_argument("--width", type=float, default=1.0)
-    p.add_argument("--lam", type=float, default=1.0)
-    p.add_argument("--b", type=float, default=0.125)
-    p.add_argument("--t", type=float, default=0.0)
+    _window_args(p)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_iwpt)
 
@@ -270,13 +230,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t0", type=float, default=0.0)
     p.add_argument("--x0", required=True)
     p.add_argument("--xi0", required=True)
-    p.add_argument("--cone-angle", type=float, default=0.2)
-    p.add_argument("--k-radius", type=float, default=0.2)
-    p.add_argument("--a", type=float, default=1.0)
-    p.add_argument("--ladder", default="3:12", help="kmin:kmax or explicit list")
-    p.add_argument("--b", default="auto")
-    p.add_argument("--width", type=float, default=1.0)
-    p.add_argument("--thresholds", default="N=6,Nlow=1,R2=0.95")
+    scan = experiments.ScanConfig  # the defaults experiment configs use
+    p.add_argument("--cone-angle", type=float, default=scan.cone_angle)
+    p.add_argument("--k-radius", type=float, default=scan.k_radius)
+    p.add_argument("--a", type=float, default=scan.a)
+    p.add_argument("--ladder", default=scan.ladder,
+                   help="kmin:kmax or explicit list")
+    p.add_argument("--b", default=scan.b, help="a number or auto")
+    p.add_argument("--width", type=float, default=scan.width)
+    p.add_argument("--thresholds", default=scan.thresholds,
+                   help="N=..,Nlow=..,R2=..")
     p.add_argument("--out")
     p.add_argument("--csv")
     p.set_defaults(func=_cmd_detect)

@@ -35,17 +35,22 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .characteristics import flow_batch
-from .errors import InputError, MswfError
+from .errors import InputError, MswfError, integer, load_json, number
 from .grid import field_batch
+from .packets import GaussianWindow, pair_many, theorem_scaling_exponent
 # nothing here calls wpt; the name stays because perfbench/layers.py
 # wraps mswf.detector.wpt in its traced run
-from .packets import GaussianWindow, pair_many, wpt  # noqa: F401
-from .potentials import VectorPotentialModel
+from .packets import wpt  # noqa: F401
+from .potentials import VectorPotentialModel, shell_points
 
 FLOOR_REL = 1e-14
 STEEPEN_STEP = 0.5
 COLLAPSE_EXPONENT = 12.0  # implied exponent that counts as super-polynomial
 MIN_RUNGS = 5
+
+
+# JSON names of the Thresholds fields, in configs, reports and `mswf detect`
+_THRESHOLD_KEYS = {"N": "n_high", "Nlow": "n_low", "R2": "r2_min"}
 
 
 @dataclass(frozen=True)
@@ -55,6 +60,15 @@ class Thresholds:
     n_high: float = 6.0
     n_low: float = 1.0
     r2_min: float = 0.95
+
+    @classmethod
+    def from_json(cls, obj: dict) -> "Thresholds":
+        """Thresholds from {"N", "Nlow", "R2"}; a key left out keeps its default."""
+        obj = load_json(obj, _THRESHOLD_KEYS)
+        return cls(**{_THRESHOLD_KEYS[k]: number(v, k) for k, v in obj.items()})
+
+    def to_json(self) -> dict:
+        return {k: getattr(self, name) for k, name in _THRESHOLD_KEYS.items()}
 
 
 @dataclass(frozen=True)
@@ -252,9 +266,7 @@ class DecayReport:
             "flags": list(self.flags),
             "verdict": self.verdict,
             "censored": self.censored,
-            "thresholds": {"N": self.thresholds.n_high,
-                           "Nlow": self.thresholds.n_low,
-                           "R2": self.thresholds.r2_min},
+            "thresholds": self.thresholds.to_json(),
             "metadata": self.metadata,
         }
 
@@ -311,6 +323,30 @@ def default_ladder(kmin: int = 3, kmax: int = 12) -> tuple:
     return tuple(float(2 ** k) for k in range(kmin, kmax + 1))
 
 
+def parse_ladder(ladder=None) -> tuple:
+    """A ladder from None (the default one), {"kmin", "kmax"} or "kmin:kmax"
+    (the powers 2^kmin .. 2^kmax), or a list of dilations (or the same as
+    comma-separated text)."""
+    if ladder is None:
+        return default_ladder()
+    if isinstance(ladder, str):
+        ladder = (dict(zip(("kmin", "kmax"), ladder.split(":"))) if ":" in ladder
+                  else ladder.split(","))
+    if isinstance(ladder, dict):
+        ladder = load_json(ladder, ("kmin", "kmax"))
+        return default_ladder(*(integer(ladder.get(k), k) for k in ("kmin", "kmax")))
+    return tuple(number(l, "ladder") for l in ladder)
+
+
+def resolve_b(b, model: VectorPotentialModel) -> float:
+    """The window scaling exponent: a number, or "auto" for the theorem's
+    exponent under the model's growth rate rho."""
+    if b == "auto":
+        return theorem_scaling_exponent(
+            model.rho if model.family in ("soft-power", "rotational") else 0.0)
+    return number(b, "b")
+
+
 def _ladder_test(fields: list, xs, xis, ladder: tuple, points: list, t: float,
                  thresholds: Thresholds, width: float, b: float, noise_rel: float,
                  reason: str, metadata: dict) -> list:
@@ -360,7 +396,7 @@ def wf_test_static(f, sample: ConicSample, ladder=None,
     carries solver error.
     """
     fields, single = field_batch(f)
-    ladder = default_ladder() if ladder is None else tuple(float(l) for l in ladder)
+    ladder = parse_ladder(ladder)
     xs, xis = sample.phase_samples()
     metadata = {"mode": "static", "width": width, "b": b,
                 "a": sample.a, "n": sample.n, "noise_rel": noise_rel}
@@ -391,7 +427,7 @@ def wf_test_dynamic(u0, model: VectorPotentialModel, t0: float,
     fields, single = field_batch(u0)
     if model.n != fields[0].spec.n:
         raise InputError("model dimension does not match the datum")
-    ladder = default_ladder() if ladder is None else tuple(float(l) for l in ladder)
+    ladder = parse_ladder(ladder)
     if t0 == 0.0:
         reports = wf_test_static(fields, sample, ladder, thresholds, width, b,
                                  noise_rel)
@@ -457,8 +493,6 @@ def direction_fan(n: int, count: int) -> np.ndarray:
     if n == 2:
         angles = 2.0 * np.pi * np.arange(count) / count
         return np.stack([np.cos(angles), np.sin(angles)], axis=-1)
-    from .potentials import shell_points
-
     return shell_points(3, 1.0, count)
 
 
@@ -490,8 +524,9 @@ def wf_scan(mode: str, field_or_datum, positions, directions,
             ladder=None, thresholds: Thresholds = Thresholds(),
             width: float = 1.0, b: float = 1.0 / 8.0,
             model: VectorPotentialModel = None, t0: float = 0.0,
-            scalar=None, k_radius: float = 0.25, half_angle: float = 0.2,
-            a: float = 1.0, tol: float = 1e-9,
+            scalar=None, k_radius: float = ConicSample.k_radius,
+            half_angle: float = ConicSample.half_angle,
+            a: float = ConicSample.a, tol: float = 1e-9,
             noise_rel: float = 1e-12) -> list:
     """Run a membership test over a lattice of cells; errors stay in-row.
 
@@ -508,7 +543,7 @@ def wf_scan(mode: str, field_or_datum, positions, directions,
     if mode not in ("static", "dynamic"):
         raise InputError("mode must be 'static' or 'dynamic'")
     fields, _ = field_batch(field_or_datum)
-    ladder = default_ladder() if ladder is None else tuple(float(l) for l in ladder)
+    ladder = parse_ladder(ladder)
     lattice = [(tuple(float(v) for v in np.atleast_1d(pos)),
                 tuple(float(v) for v in np.atleast_1d(d)))
                for pos in positions for d in directions]

@@ -1,9 +1,12 @@
-"""Exception hierarchy shared by every module.
+"""Exception hierarchy and outside-input checks shared by every module.
 
 Exit-code mapping used by the command line front end:
-2 = guard/precondition violation (caught before heavy compute),
-3 = numeric failure during a run, 4 = consistency failure of an experiment.
+2 = guard/precondition violation or bad input (caught before heavy
+compute), 3 = numeric failure during a run, 4 = consistency failure.
 """
+
+import json
+from pathlib import Path
 
 
 class MswfError(Exception):
@@ -62,3 +65,38 @@ class ConsistencyError(MswfError):
     """An experiment's cross-validation fell below its configured bound."""
 
     exit_code = 4
+
+
+def load_json(source, keys=None) -> dict:
+    """A JSON object from a dict, inline JSON text or a file path; InputError
+    for malformed JSON, an unreadable file, a value that is not an object,
+    or a key outside `keys` (when given)."""
+    if isinstance(source, (str, Path)):
+        text = str(source)
+        try:
+            source = json.loads(text if text.lstrip().startswith("{")
+                                else Path(text).read_text())
+        except (OSError, ValueError) as exc:
+            raise InputError(f"cannot read JSON from {text!r}: {exc}") from None
+    if not isinstance(source, dict):
+        raise InputError(f"expected a JSON object, got {source!r}")
+    unknown = sorted(set(source) - set(keys or source))
+    if unknown:
+        raise InputError(f"unknown key(s) {unknown} (have {sorted(keys)})")
+    return dict(source)
+
+
+def number(value, key: str) -> float:
+    """A number (or numeric text) as a float; InputError naming `key` otherwise."""
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise InputError(f"'{key}' must be a number, got {value!r}") from None
+
+
+def integer(value, key: str) -> int:
+    """An integral number as an int; InputError naming `key` otherwise."""
+    v = number(value, key)
+    if not v.is_integer():
+        raise InputError(f"'{key}' must be an integer, got {value!r}")
+    return int(v)

@@ -1,32 +1,35 @@
 """Experiment runners: transport consistency, point-mass smoothing, bound suites.
 
-Every runner consumes a plain configuration dictionary, computes with the
-library modules, and (optionally) writes a JSON summary plus plot-ready
-long-format CSV tables.  Outputs are deterministic: identical configs and
-inputs produce byte-identical files, so no timestamps or machine info are
-embedded, only the resolved configuration and guard values.
+Every runner takes a plain configuration dictionary and first parses it
+into a frozen config class: `TransportConfig` or `PointMassConfig` (both
+extend `ScanConfig`, the keys every scanning experiment reads) or
+`LemmaConfig`.  Their fields are the reference for the keys and their
+defaults.  An unknown key, a missing required key or a value of the wrong
+type raises InputError (exit code 2) before anything is computed.  The
+runner then computes with the library modules and (optionally) writes a
+JSON summary plus plot-ready long-format CSV tables.  Outputs are
+deterministic: identical configs and inputs produce byte-identical files,
+so no timestamps or machine info are embedded, only the configuration and
+resolved values.
 """
 
 from __future__ import annotations
 
+import inspect
 import json
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import characteristics as chars
 from . import detector, grid, packets, potentials, propagator
-from .errors import ConsistencyError, GuardError, InputError
-
-DEFAULT_THRESHOLDS = {"N": 6.0, "Nlow": 1.0, "R2": 0.95}
-
-EXPERIMENTS = ("free-transport", "magnetic-transport", "fundamental-solution",
-               "lemma-suite", "scalar-potential")
+from .errors import (ConsistencyError, GuardError, InputError, integer,
+                     load_json, number)
 
 
 # ---------------------------------------------------------------------------
-# config plumbing
+# output
 
 
 def _jsonify(obj):
@@ -59,115 +62,201 @@ def write_csv(path: Path, header: list, rows: list) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def _grid_from_config(cfg: dict) -> grid.GridSpec:
-    g = cfg.get("grid")
-    if g is None:
-        raise InputError("config needs a 'grid' section")
-    return grid.GridSpec(int(g["n"]), g["points"], g["halfwidth"])
-
-
-def _model_from_config(cfg: dict) -> potentials.VectorPotentialModel:
-    spec = cfg.get("potential")
-    if spec is None:
-        n = int(cfg["grid"]["n"])
-        return potentials.zero_model(n)
-    return potentials.model_from_json(spec)
-
-
-def _scalar_from_config(cfg: dict):
-    spec = cfg.get("scalar_potential")
-    if spec is None:
-        return propagator.ZERO_SCALAR
-    return propagator.scalar_from_json(spec)
-
-
-def _thresholds_from_config(cfg: dict) -> detector.Thresholds:
-    t = {**DEFAULT_THRESHOLDS, **cfg.get("thresholds", {})}
-    return detector.Thresholds(n_high=float(t["N"]), n_low=float(t["Nlow"]),
-                               r2_min=float(t["R2"]))
-
-
-def _ladder_from_config(cfg: dict) -> tuple:
-    ladder = cfg.get("ladder")
-    if ladder is None:
-        return detector.default_ladder()
-    if isinstance(ladder, dict):
-        return detector.default_ladder(int(ladder["kmin"]), int(ladder["kmax"]))
-    return tuple(float(l) for l in ladder)
-
-
-def _b_from_config(cfg: dict, model: potentials.VectorPotentialModel) -> float:
-    b = cfg.get("b", "auto")
-    if b == "auto":
-        rho = model.rho if model.family in ("soft-power", "rotational") else 0.0
-        return packets.theorem_scaling_exponent(rho)
-    return float(b)
-
-
-def _datum_from_config(entry, spec: grid.GridSpec) -> grid.GridFunction:
-    if isinstance(entry, str):
-        entry = {"name": entry}
-    entry = dict(entry)
-    name = entry.pop("name")
-    label = entry.pop("label", name)
-    if name == "delta-like":
-        width = entry.pop("width", 0.15)
-        f = grid.gaussian_data(spec, width=width, **entry)
-    else:
-        f = grid.builtin_data(name, spec, **entry)
-    f.label = label
-    return f
-
-
-def _positions_from_config(cfg: dict, n: int) -> list:
-    positions = cfg.get("positions")
-    if positions is None:
-        raise InputError("config needs 'positions'")
-    return [np.resize(np.asarray(p, dtype=float), n) for p in positions]
-
-
-def _directions_from_config(cfg: dict, n: int) -> np.ndarray:
-    directions = cfg.get("directions", 4 if n > 1 else 2)
-    if isinstance(directions, int):
-        return detector.direction_fan(n, directions)
-    return np.asarray([np.resize(np.asarray(d, dtype=float), n)
-                       for d in directions])
-
-
-def _scan_settings(cfg: dict, spec: grid.GridSpec,
-                   model: potentials.VectorPotentialModel) -> dict:
-    """The `wf_scan` arguments a scanning experiment reads from its config."""
-    return {
-        "positions": _positions_from_config(cfg, spec.n),
-        "directions": _directions_from_config(cfg, spec.n),
-        "ladder": _ladder_from_config(cfg),
-        "thresholds": _thresholds_from_config(cfg),
-        "width": float(cfg.get("width", 1.0)),
-        "b": _b_from_config(cfg, model),
-        "k_radius": float(cfg.get("k_radius", 0.2)),
-        "half_angle": float(cfg.get("cone_angle", 0.2)),
-        "a": float(cfg.get("a", 1.0)),
-        "tol": float(cfg.get("tol", 1e-9)),
-    }
-
-
-def _out_dir(cfg: dict) -> Path | None:
-    out = cfg.get("out_dir")
-    if out is None:
-        return None
-    path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
-
-
 def _config_echo(cfg: dict) -> dict:
     """The computational part of the config; the destination does not
     influence results and must not break output byte-identity."""
     return {k: v for k, v in cfg.items() if k != "out_dir"}
 
 
+# ---------------------------------------------------------------------------
+# config schema
+
+
+def _key(parse, default=MISSING):
+    """A config key converted by `parse(value, key, done)`, where `done`
+    holds the keys declared before it, already converted."""
+    return field(default=default, metadata={"parse": parse})
+
+
+def _typed(value, key, kind, what: str):
+    if not isinstance(value, kind):
+        raise InputError(f"'{key}' must be {what}, got {value!r}")
+    return value
+
+
+# converters of the keys that name none, by their annotation
+_BY_TYPE = {
+    "float": lambda v, key, done: number(v, key),
+    "int": lambda v, key, done: integer(v, key),
+    "bool": lambda v, key, done: _typed(v, key, bool, "true or false"),
+    "str | None": lambda v, key, done: _typed(v, key, (str, type(None)), "a string or null"),
+    "tuple": lambda v, key, done: tuple(number(x, key) for x in v),
+}
+
+
+def _grid(value, key, done) -> grid.GridSpec:
+    g = load_json(value, ("n", "points", "halfwidth"))
+    return grid.GridSpec(integer(g.get("n"), "n"), g["points"], g["halfwidth"])
+
+
+def _vectors(value, key, done) -> list:
+    """Entries of numbers, each repeated or cut to the grid's dimension."""
+    return [np.resize(np.array([number(v, key) for v in np.atleast_1d(entry)]),
+                      done["grid"].n) for entry in value]
+
+
+def _directions(value, key, done) -> np.ndarray:
+    n = done["grid"].n
+    if isinstance(value, list):
+        return np.asarray(_vectors(value, key, done))
+    return detector.direction_fan(n, integer((4 if n > 1 else 2) if value is None
+                                             else value, key))
+
+
+def _data(value, key, done) -> tuple:
+    """(builder, label, keywords) per datum, the keywords checked against the
+    builder's; "delta-like" is a gaussian of width 0.15 unless given."""
+    entries = []
+    for entry in value:
+        entry = load_json({"name": entry} if isinstance(entry, str) else entry)
+        name = entry.pop("name", None)
+        label = entry.pop("label", name)
+        if name == "delta-like":
+            name, entry = "gaussian", {"width": 0.15, **entry}
+        inspect.signature(grid.BUILTIN_DATA[name]).bind(None, **entry)
+        entries.append((name, label, entry))
+    return tuple(entries)
+
+
+def _datum_from_config(entry: tuple, spec: grid.GridSpec) -> grid.GridFunction:
+    name, label, kwargs = entry
+    f = grid.builtin_data(name, spec, **kwargs)
+    f.label = label
+    return f
+
+
+@dataclass(frozen=True, kw_only=True)
+class _Config:
+    """The keys every experiment reads, and the one config parser."""
+
+    experiment: str | None = None
+    out_dir: str | None = None
+
+    @classmethod
+    def parse(cls, cfg: dict):
+        """Convert each key once, from its value or else its default; InputError
+        for an unknown or missing key or a value of the wrong type."""
+        obj = load_json(cfg, [f.name for f in fields(cls)])
+        done = {}
+        for f in fields(cls):
+            if f.default is MISSING and f.name not in obj:
+                raise InputError(f"config needs '{f.name}'")
+            parse = f.metadata.get("parse") or _BY_TYPE[f.type]
+            try:
+                done[f.name] = parse(obj.get(f.name, f.default), f.name, done)
+            except (KeyError, TypeError, ValueError) as exc:
+                raise InputError(f"config key '{f.name}': {exc!r}") from None
+        return cls(**done)
+
+    def write(self, summary: dict, tables: dict) -> None:
+        """summary.json and CSV tables {name: (header, rows)} into out_dir, if set."""
+        if self.out_dir is None:
+            return
+        out = Path(self.out_dir)
+        out.mkdir(parents=True, exist_ok=True)
+        write_json(out / "summary.json", summary)
+        for name, (header, rows) in tables.items():
+            write_csv(out / name, header, rows)
+
+
+@dataclass(frozen=True, kw_only=True)
+class ScanConfig(_Config):
+    """The keys every scanning experiment reads.  `directions` is a count
+    for `detector.direction_fan` (by default 4, or 2 in 1-d) or a list."""
+
+    grid: grid.GridSpec = _key(_grid)
+    potential: potentials.VectorPotentialModel = _key(
+        lambda v, key, done: potentials.model_from_json(v, done["grid"].n), None)
+    positions: list = _key(_vectors)
+    directions: np.ndarray = _key(_directions, None)
+    ladder: tuple = _key(lambda v, key, done: detector.parse_ladder(v), None)
+    thresholds: detector.Thresholds = _key(
+        lambda v, key, done: detector.Thresholds.from_json({} if v is None else v), None)
+    width: float = 1.0
+    b: float = _key(lambda v, key, done: detector.resolve_b(v, done["potential"]), "auto")
+    k_radius: float = detector.ConicSample.k_radius
+    cone_angle: float = detector.ConicSample.half_angle
+    a: float = detector.ConicSample.a
+    tol: float = 1e-9
+    t0: float = 1.0
+
+    def scan(self, mode: str, data, **kwargs) -> list:
+        """`detector.wf_scan` over this config's cells and settings."""
+        return detector.wf_scan(
+            mode, data, self.positions, self.directions, self.ladder,
+            self.thresholds, self.width, self.b, model=self.potential,
+            t0=self.t0, k_radius=self.k_radius, half_angle=self.cone_angle,
+            a=self.a, tol=self.tol, **kwargs)
+
+
+@dataclass(frozen=True, kw_only=True)
+class TransportConfig(ScanConfig):
+    """Keys of the free-transport, magnetic-transport and scalar-potential
+    experiments."""
+
+    experiment: str | None = "free-transport"
+    scalar_potential: propagator.ScalarPotentialModel = _key(
+        lambda v, key, done: propagator.scalar_from_json(v), None)
+    data: tuple = _key(_data, ("gaussian",))
+    dt: float = 1e-3
+    min_agreement: float = 0.9
+    max_inconclusive: float = 0.5
+    # the evolved field carries solver error; its transform floor sits there
+    static_noise_rel: float = 1e-7
+    dynamic_noise_rel: float = 1e-12
+
+
+@dataclass(frozen=True, kw_only=True)
+class PointMassConfig(ScanConfig):
+    """Keys of the fundamental-solution experiment."""
+
+    control: bool = False
+    envelope_ladder: tuple = (1.0, 10.0, 100.0, 1000.0, 10000.0)
+
+
+@dataclass(frozen=True, kw_only=True)
+class LemmaConfig(_Config):
+    """Keys of the lemma suite; `models` defaults to the zero model in
+    dimension `n`."""
+
+    n: int = 1
+    models: list = _key(lambda v, key, done: [
+        potentials.model_from_json(m, done["n"]) for m in ([None] if v is None else v)],
+        None)
+    t0: float = 1.0
+    a: float = 2.0
+    p: float = 0.5
+    tol: float = 1e-9
+    flow_ladder: tuple = tuple(2.0 ** k for k in range(4, 13))
+    integral_ladder: tuple = (1.0, 10.0, 100.0, 1000.0, 10000.0)
+    delta: float = 0.5
+    commutator_points: int = 512
+    commutator_halfwidth: float = 20.0
+    commutator_times: tuple = (0.5, 1.0)
+    commutator_tol: float = 1e-8
+
+
 def _cell_columns(n: int) -> list:
     return [f"x0_{i}" for i in range(n)] + [f"dir_{i}" for i in range(n)]
+
+
+def _ladder_rows(cell, *lead) -> list:
+    """One row per rung of the cell's binding sample, after `lead`."""
+    rep = cell.report
+    if rep is None or not rep.per_sample:
+        return []
+    return [[*lead, *cell.x0, *cell.xi0, lam, m, rep.n_hat, rep.verdict]
+            for lam, m in zip(rep.ladder, rep.magnitudes[rep.binding_index])]
 
 
 # ---------------------------------------------------------------------------
@@ -180,80 +269,54 @@ def run_transport_consistency(cfg: dict) -> dict:
     Also runs the scalar-potential experiment: a sub-quadratic scalar term
     enters the evolution only, since the flow never sees it.
     """
-    experiment = cfg.get("experiment", "free-transport")
-    spec = _grid_from_config(cfg)
-    model = _model_from_config(cfg)
-    scalar = _scalar_from_config(cfg)
+    config = TransportConfig.parse(cfg)
+    spec, model, scalar = config.grid, config.potential, config.scalar_potential
     if not model.conforming:
         raise GuardError(f"model family '{model.family}' violates the decay "
                          "hypothesis; transport experiments need a conforming model")
     if not scalar.conforming:
         raise GuardError("scalar potential must be sub-quadratic")
-    scan = _scan_settings(cfg, spec, model)
-    t0 = float(cfg.get("t0", 1.0))
-    dt = float(cfg.get("dt", 1e-3))
-    min_agreement = float(cfg.get("min_agreement", 0.9))
-    max_inconclusive = float(cfg.get("max_inconclusive", 0.5))
-    data_entries = cfg.get("data", ["gaussian"])
-
-    # the evolved field carries solver error; its transform floor sits there
-    static_noise = float(cfg.get("static_noise_rel", 1e-7))
-    dynamic_noise = float(cfg.get("dynamic_noise_rel", 1e-12))
-    evolve_cfg = propagator.EvolveConfig(dt=dt)
-    results = []
-    cell_rows = []
-    ladder_rows = []
-    agree_count = conclusive_count = total_cells = 0
-    data = [_datum_from_config(entry, spec) for entry in data_entries]
-    evolved = propagator.evolve(model, scalar, data, 0.0, t0, evolve_cfg)
+    evolve_cfg = propagator.EvolveConfig(dt=config.dt)
+    data = [_datum_from_config(entry, spec) for entry in config.data]
+    evolved = propagator.evolve(model, scalar, data, 0.0, config.t0, evolve_cfg)
     # one scan per mode over all data; results come back datum-major
-    static_cells = detector.wf_scan("static", evolved, **scan,
-                                    noise_rel=static_noise)
-    dynamic_cells = detector.wf_scan("dynamic", data, **scan, model=model,
-                                     t0=t0, scalar=scalar,
-                                     noise_rel=dynamic_noise)
+    static_cells = config.scan("static", evolved,
+                               noise_rel=config.static_noise_rel)
+    dynamic_cells = config.scan("dynamic", data, scalar=scalar,
+                                noise_rel=config.dynamic_noise_rel)
     per_datum = len(static_cells) // len(data)
-    for j, u0 in enumerate(data):
-        own = slice(j * per_datum, (j + 1) * per_datum)
-        datum_rows = []
-        for sc, dc in zip(static_cells[own], dynamic_cells[own]):
-            total_cells += 1
-            conclusive = (sc.verdict in ("in-WF", "not-in-WF")
-                          and dc.verdict in ("in-WF", "not-in-WF"))
-            agree = conclusive and sc.verdict == dc.verdict
-            conclusive_count += conclusive
-            agree_count += agree
-            row = {
-                "datum": u0.label, "x0": sc.x0, "direction": sc.xi0,
-                "static": sc.verdict, "dynamic": dc.verdict,
-                "static_nhat": sc.report.n_hat if sc.report else None,
-                "dynamic_nhat": dc.report.n_hat if dc.report else None,
-                "static_r2": sc.report.r2 if sc.report else None,
-                "dynamic_r2": dc.report.r2 if dc.report else None,
-                "conclusive": conclusive, "agree": agree,
-                "static_error": sc.error, "dynamic_error": dc.error,
-            }
-            datum_rows.append(row)
-            cell_rows.append(row)
-            for mode, cell in (("static", sc), ("dynamic", dc)):
-                if cell.report is None or not cell.report.per_sample:
-                    continue
-                rep = cell.report
-                mag = rep.magnitudes[rep.binding_index]
-                for lam, m in zip(rep.ladder, mag):
-                    ladder_rows.append([u0.label, mode, *cell.x0, *cell.xi0,
-                                        lam, m, rep.n_hat, rep.verdict])
-        results.append({"datum": u0.label, "cells": datum_rows})
+    cell_rows, ladder_rows = [], []
+    for k, (sc, dc) in enumerate(zip(static_cells, dynamic_cells)):
+        label = data[k // per_datum].label
+        conclusive = (sc.verdict in ("in-WF", "not-in-WF")
+                      and dc.verdict in ("in-WF", "not-in-WF"))
+        agree = conclusive and sc.verdict == dc.verdict
+        cell_rows.append({
+            "datum": label, "x0": sc.x0, "direction": sc.xi0,
+            "static": sc.verdict, "dynamic": dc.verdict,
+            "static_nhat": sc.report.n_hat if sc.report else None,
+            "dynamic_nhat": dc.report.n_hat if dc.report else None,
+            "static_r2": sc.report.r2 if sc.report else None,
+            "dynamic_r2": dc.report.r2 if dc.report else None,
+            "conclusive": conclusive, "agree": agree,
+            "static_error": sc.error, "dynamic_error": dc.error,
+        })
+        ladder_rows += _ladder_rows(sc, label, "static") + _ladder_rows(dc, label, "dynamic")
+    results = [{"datum": u0.label, "cells": cell_rows[j * per_datum:(j + 1) * per_datum]}
+               for j, u0 in enumerate(data)]
+    total_cells = len(cell_rows)
+    conclusive_count = sum(r["conclusive"] for r in cell_rows)
+    agree_count = sum(r["agree"] for r in cell_rows)
 
     agreement = agree_count / conclusive_count if conclusive_count else 0.0
     inconclusive_frac = 1.0 - (conclusive_count / total_cells if total_cells else 0.0)
     summary = {
-        "experiment": experiment,
+        "experiment": config.experiment,
         "config": _jsonify(_config_echo(cfg)),
         "resolved": {
-            "b": scan["b"], "ladder": list(scan["ladder"]), "t0": t0, "dt": dt,
-            "width": scan["width"], "thresholds": DEFAULT_THRESHOLDS
-            | cfg.get("thresholds", {}),
+            "b": config.b, "ladder": list(config.ladder), "t0": config.t0,
+            "dt": config.dt, "width": config.width,
+            "thresholds": config.thresholds.to_json(),
             "model": potentials.model_to_json(model),
             "scalar": scalar.family,
         },
@@ -264,29 +327,24 @@ def run_transport_consistency(cfg: dict) -> dict:
         "inconclusive_fraction": inconclusive_frac,
         "data": results,
     }
-    out = _out_dir(cfg)
-    if out is not None:
-        write_json(out / "summary.json", summary)
-        n = spec.n
-        header = ["datum"] + _cell_columns(n) + [
-            "static_verdict", "static_nhat", "static_r2",
-            "dynamic_verdict", "dynamic_nhat", "dynamic_r2", "conclusive", "agree"]
-        rows = [[r["datum"], *r["x0"], *r["direction"], r["static"],
-                 r["static_nhat"], r["static_r2"], r["dynamic"],
-                 r["dynamic_nhat"], r["dynamic_r2"],
-                 int(r["conclusive"]), int(r["agree"])] for r in cell_rows]
-        write_csv(out / "cells.csv", header, rows)
-        write_csv(out / "ladder.csv",
-                  ["datum", "mode"] + _cell_columns(n)
-                  + ["lambda", "mag", "nhat", "verdict"], ladder_rows)
-    if total_cells and inconclusive_frac > max_inconclusive:
+    columns = _cell_columns(spec.n)
+    config.write(summary, {
+        "cells.csv": (["datum"] + columns + [
+            "static_verdict", "static_nhat", "static_r2", "dynamic_verdict",
+            "dynamic_nhat", "dynamic_r2", "conclusive", "agree"],
+            [[r["datum"], *r["x0"], *r["direction"], r["static"], r["static_nhat"],
+              r["static_r2"], r["dynamic"], r["dynamic_nhat"], r["dynamic_r2"],
+              int(r["conclusive"]), int(r["agree"])] for r in cell_rows]),
+        "ladder.csv": (["datum", "mode"] + columns + ["lambda", "mag", "nhat", "verdict"],
+                       ladder_rows)})
+    if total_cells and inconclusive_frac > config.max_inconclusive:
         raise ConsistencyError(
             f"{inconclusive_frac:.0%} of cells inconclusive "
-            f"(limit {max_inconclusive:.0%})")
-    if conclusive_count and agreement < min_agreement:
+            f"(limit {config.max_inconclusive:.0%})")
+    if conclusive_count and agreement < config.min_agreement:
         raise ConsistencyError(
             f"verdict agreement {agreement:.1%} below the configured "
-            f"bound {min_agreement:.1%}")
+            f"bound {config.min_agreement:.1%}")
     return summary
 
 
@@ -300,33 +358,28 @@ def run_fundamental_solution(cfg: dict) -> dict:
     Refuses t0 = 0 unless 'control' is set (at time zero the point mass is
     its own singular field, which is exactly the control case).
     """
-    spec = _grid_from_config(cfg)
-    model = _model_from_config(cfg)
+    config = PointMassConfig.parse(cfg)
+    spec, model, t0, b = config.grid, config.potential, config.t0, config.b
     if not model.conforming:
         raise GuardError("fundamental-solution experiment needs a conforming model")
-    t0 = float(cfg.get("t0", 1.0))
-    control = bool(cfg.get("control", False))
-    if t0 == 0.0 and not control:
+    if t0 == 0.0 and not config.control:
         raise GuardError("t0 = 0 is the singular control case; pass control=true")
-    scan = _scan_settings(cfg, spec, model)
-    b = scan["b"]
     u0 = grid.delta_spike(spec)
 
-    cells = detector.wf_scan("dynamic", u0, **scan, model=model, t0=t0)
+    cells = config.scan("dynamic", u0)
     conclusive = [c for c in cells if c.verdict in ("in-WF", "not-in-WF")]
     smooth = [c for c in conclusive if c.verdict == "not-in-WF"]
     fraction_smooth = len(smooth) / len(conclusive) if conclusive else 0.0
 
     # analytic cross-plot: flowed |x(0)| against the magnitude envelope; the
     # ratio report flows each cell once per rung, in the cells' order
-    env_ladder = tuple(float(l) for l in cfg.get("envelope_ladder",
-                                                 (1.0, 10.0, 100.0, 1000.0, 10000.0)))
+    env_ladder = config.envelope_ladder
     envelope_rows = []
     ratio_report = None
     if t0 != 0.0:
         ratio_report = chars.lower_bound_x0(
-            model, t0, scan["positions"], scan["directions"], env_ladder,
-            tol=scan["tol"])
+            model, t0, config.positions, config.directions, env_ladder,
+            tol=config.tol)
         for i, c in enumerate(cells):
             for lam in env_ladder:
                 x0_norm = ratio_report.x0_norms[lam][i]
@@ -336,10 +389,10 @@ def run_fundamental_solution(cfg: dict) -> dict:
     summary = {
         "experiment": "fundamental-solution",
         "config": _jsonify(_config_echo(cfg)),
-        "resolved": {"b": b, "ladder": list(scan["ladder"]), "t0": t0,
-                     "width": scan["width"],
+        "resolved": {"b": b, "ladder": list(config.ladder), "t0": t0,
+                     "width": config.width,
                      "model": potentials.model_to_json(model),
-                     "control": control},
+                     "control": config.control},
         "cells_total": len(cells),
         "cells_conclusive": len(conclusive),
         "fraction_not_in_wf": fraction_smooth,
@@ -352,27 +405,17 @@ def run_fundamental_solution(cfg: dict) -> dict:
             "top_in_bracket": ratio_report.top_in_bracket,
         },
     }
-    out = _out_dir(cfg)
-    if out is not None:
-        write_json(out / "summary.json", summary)
-        n = spec.n
-        rows = []
-        for c in cells:
-            if c.report is None or not c.report.per_sample:
-                continue
-            rep = c.report
-            for lam, m in zip(rep.ladder, rep.magnitudes[rep.binding_index]):
-                rows.append([*c.x0, *c.xi0, lam, m, rep.n_hat, rep.verdict])
-        write_csv(out / "ladder.csv",
-                  _cell_columns(n) + ["lambda", "mag", "nhat", "verdict"], rows)
-        if envelope_rows:
-            write_csv(out / "envelope.csv",
-                      _cell_columns(n) + ["lambda", "x0_norm", "envelope"],
-                      envelope_rows)
-        if ratio_report is not None:
-            ratio_rows = [[lam, i, r] for lam in ratio_report.ladder
-                          for i, r in enumerate(ratio_report.ratios[lam])]
-            write_csv(out / "ratios.csv", ["lambda", "sample", "ratio"], ratio_rows)
+    columns = _cell_columns(spec.n)
+    tables = {"ladder.csv": (columns + ["lambda", "mag", "nhat", "verdict"],
+                             [row for c in cells for row in _ladder_rows(c)])}
+    if envelope_rows:
+        tables["envelope.csv"] = (columns + ["lambda", "x0_norm", "envelope"],
+                                  envelope_rows)
+    if ratio_report is not None:
+        tables["ratios.csv"] = (["lambda", "sample", "ratio"],
+                                [[lam, i, r] for lam in ratio_report.ladder
+                                 for i, r in enumerate(ratio_report.ratios[lam])])
+    config.write(summary, tables)
     return summary
 
 
@@ -382,27 +425,17 @@ def run_fundamental_solution(cfg: dict) -> dict:
 
 def run_lemma_suite(cfg: dict) -> dict:
     """Sandwich bounds, integral bound, and commutation checks in one run."""
-    n = int(cfg.get("grid", {}).get("n", cfg.get("n", 1)))
-    models_cfg = cfg.get("models")
-    if models_cfg is None:
-        models = [potentials.zero_model(n)]
-    else:
-        models = [potentials.model_from_json(m) for m in models_cfg]
-    for model in models:
+    config = LemmaConfig.parse(cfg)
+    for model in config.models:
         if not model.conforming:
             raise GuardError("bound sweeps need conforming models")
-    t0 = float(cfg.get("t0", 1.0))
-    a_param = float(cfg.get("a", 2.0))
-    p = float(cfg.get("p", 0.5))
-    tol = float(cfg.get("tol", 1e-9))
-    flow_ladder = tuple(float(l) for l in cfg.get(
-        "flow_ladder", [2.0 ** k for k in range(4, 13)]))
-    int_ladder = tuple(float(l) for l in cfg.get(
-        "integral_ladder", (1.0, 10.0, 100.0, 1000.0, 10000.0)))
-    delta = float(cfg.get("delta", 0.5))
+    t0, a_param, tol = config.t0, config.a, config.tol
+    # the commutator grid and packet are checked before the sweeps run
+    gspec = grid.GridSpec(1, config.commutator_points, config.commutator_halfwidth)
+    packet = packets.make_scaled_packet(gspec, 1.0, 1.0, 0.125)
 
     checks = []
-    for model in models:
+    for model in config.models:
         n_m = model.n
         k_samples = [np.zeros(n_m), 0.3 * np.eye(n_m)[0]]
         e1 = np.eye(n_m)[0]
@@ -410,12 +443,13 @@ def run_lemma_suite(cfg: dict) -> dict:
         gamma = [e1 / a_param, e1, a_param * e1]
         if n_m > 1:
             gamma.append(0.5 * (e1 + e_last) / np.linalg.norm(0.5 * (e1 + e_last)))
-        fb = chars.check_flow_bounds(model, a_param, p, flow_ladder, t0,
-                                     k_samples, gamma, tol=tol)
-        ib = chars.check_integral_bound(model, delta, (0.0, t0),
+        fb = chars.check_flow_bounds(model, a_param, config.p, config.flow_ladder,
+                                     t0, k_samples, gamma, tol=tol)
+        ib = chars.check_integral_bound(model, config.delta, (0.0, t0),
                                         [(np.zeros(n_m), e1),
                                          (0.3 * e1, e1)],
-                                        int_ladder, tol=max(tol, 1e-12))
+                                        config.integral_ladder,
+                                        tol=max(tol, 1e-12))
         checks.append({
             "model": potentials.model_to_json(model),
             "flow_bounds": {"lambda_hat0": fb.lambda_hat0, "ok": fb.ok,
@@ -426,34 +460,28 @@ def run_lemma_suite(cfg: dict) -> dict:
         })
 
     commutator = []
-    gspec = grid.GridSpec(1, int(cfg.get("commutator_points", 512)),
-                          float(cfg.get("commutator_halfwidth", 20.0)))
-    packet = packets.make_scaled_packet(gspec, packets.GaussianBase(1.0), 1.0, 0.125)
     worst = 0.0
-    for t in cfg.get("commutator_times", (0.5, 1.0)):
+    for t in config.commutator_times:
         for alpha, beta in (((0,), (0,)), ((1,), (0,)), ((0,), (1,)),
                             ((2,), (0,)), ((1,), (1,)), ((0,), (2,))):
-            d = packets.commutator_check(packet, float(t), alpha, beta)
+            d = packets.commutator_check(packet, t, alpha, beta)
             worst = max(worst, d)
-            commutator.append({"t": float(t), "alpha": list(alpha),
+            commutator.append({"t": t, "alpha": list(alpha),
                                "beta": list(beta), "discrepancy": d})
-    comm_tol = float(cfg.get("commutator_tol", 1e-8))
 
     all_ok = (all(c["flow_bounds"]["ok"] for c in checks)
               and all(c["integral_bound"]["stable"] for c in checks)
-              and worst <= comm_tol)
+              and worst <= config.commutator_tol)
     summary = {
         "experiment": "lemma-suite",
         "config": _jsonify(_config_echo(cfg)),
         "checks": checks,
         "commutator": commutator,
         "commutator_worst": worst,
-        "commutator_tol": comm_tol,
+        "commutator_tol": config.commutator_tol,
         "all_ok": all_ok,
     }
-    out = _out_dir(cfg)
-    if out is not None:
-        write_json(out / "summary.json", summary)
+    config.write(summary, {})
     if not all_ok:
         raise ConsistencyError("one or more bound checks failed; see summary")
     return summary
@@ -468,8 +496,8 @@ RUNNERS = {
 }
 
 
-def run_experiment(cfg: dict) -> dict:
-    name = cfg.get("experiment")
-    if name not in RUNNERS:
-        raise InputError(f"unknown experiment '{name}' (have {EXPERIMENTS})")
-    return RUNNERS[name](cfg)
+def run_experiment(config: dict) -> dict:
+    name = load_json(config).get("experiment")
+    if name not in tuple(RUNNERS):  # compared, not hashed: any JSON value
+        raise InputError(f"unknown experiment {name!r} (have {tuple(RUNNERS)})")
+    return RUNNERS[name](config)

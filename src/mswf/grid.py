@@ -94,11 +94,14 @@ class GridSpec:
         """|eta|^2 on the full frequency lattice, broadcast to grid shape."""
         out = np.zeros(self.shape)
         for i in range(self.n):
-            eta = self.freq_axis(i) ** 2
-            shape = [1] * self.n
-            shape[i] = self.points[i]
-            out = out + eta.reshape(shape)
+            out = out + self.along(i, self.freq_axis(i) ** 2)
         return out
+
+    def along(self, i: int, values) -> np.ndarray:
+        """A 1-d array shaped to broadcast along axis i of the grid."""
+        shape = [1] * self.n
+        shape[i] = -1
+        return np.reshape(values, shape)
 
     def meshgrid(self) -> list:
         return list(np.meshgrid(*self.axes(), indexing="ij"))
@@ -196,17 +199,13 @@ def spectral_shift(f: GridFunction, shift) -> GridFunction:
     fhat = np.fft.fftn(f.values)
     for i in range(f.spec.n):
         eta = f.spec.freq_axis(i)
-        shape = [1] * f.spec.n
-        shape[i] = f.spec.points[i]
-        fhat = fhat * np.exp(-1j * eta * shift[i]).reshape(shape)
+        fhat = fhat * f.spec.along(i, np.exp(-1j * eta * shift[i]))
     return f.with_values(np.fft.ifftn(fhat))
 
 
 def spectral_derivative(f: GridFunction, axis: int) -> GridFunction:
-    mult = 1j * f.spec.freq_axis(axis)
-    shape = [1] * f.spec.n
-    shape[axis] = f.spec.points[axis]
-    return f.with_values(np.fft.ifftn(mult.reshape(shape) * np.fft.fftn(f.values)))
+    mult = f.spec.along(axis, 1j * f.spec.freq_axis(axis))
+    return f.with_values(np.fft.ifftn(mult * np.fft.fftn(f.values)))
 
 
 def spectral_support_edge(f: GridFunction, rel_floor: float = 1e-10) -> tuple:
@@ -231,10 +230,7 @@ def _edge_mask(spec: GridSpec, margin: float) -> np.ndarray:
     mask = np.zeros(spec.shape, dtype=bool)
     for i in range(spec.n):
         x = np.abs(spec.axis(i))
-        edge = x >= (1.0 - margin) * spec.halfwidths[i]
-        shape = [1] * spec.n
-        shape[i] = spec.points[i]
-        mask |= edge.reshape(shape)
+        mask |= spec.along(i, x >= (1.0 - margin) * spec.halfwidths[i])
     mask.flags.writeable = False
     return mask
 
@@ -262,9 +258,7 @@ def gaussian_data(spec: GridSpec, width=1.0, center=0.0, momentum=0.0,
     for i in range(spec.n):
         y = spec.axis(i) - center[i]
         axis_vals = np.exp(-(y ** 2) / (2.0 * width[i] ** 2) + 1j * momentum[i] * spec.axis(i))
-        shape = [1] * spec.n
-        shape[i] = spec.points[i]
-        values = values * axis_vals.reshape(shape)
+        values = values * spec.along(i, axis_vals)
     return GridFunction(spec, values, label)
 
 
@@ -286,9 +280,7 @@ def jump_data(spec: GridSpec, width=1.0, axis: int = 0, steepness: float = 0.0,
     g = gaussian_data(spec, width=width)
     y = spec.axis(axis)
     flip = np.sign(y) if steepness == 0.0 else np.tanh(y / steepness)
-    shape = [1] * spec.n
-    shape[axis] = spec.points[axis]
-    return GridFunction(spec, g.values * flip.reshape(shape), label)
+    return GridFunction(spec, g.values * spec.along(axis, flip), label)
 
 
 BUILTIN_DATA = {

@@ -29,7 +29,7 @@ import numpy as np
 from .errors import (DomainError, InputError, NyquistError, ResolutionError,
                      UndersampledError)
 from .grid import (GridFunction, GridSpec, apply_kinetic, as_phase_point,
-                   spectral_shift, spectral_support_edge)
+                   spectral_derivative, spectral_shift, spectral_support_edge)
 
 NYQUIST_TOL = 1.0 + 1e-12
 
@@ -37,17 +37,6 @@ NYQUIST_TOL = 1.0 + 1e-12
 def theorem_scaling_exponent(rho: float) -> float:
     """Dilation exponent used for decay tests under a potential of growth rho."""
     return min(1.0 / 8.0, (1.0 - rho) / 8.0)
-
-
-@dataclass(frozen=True)
-class GaussianBase:
-    """Unit-amplitude Gaussian base window exp(-|y|^2 / (2 w^2))."""
-
-    width: float = 1.0
-
-    def __post_init__(self):
-        if self.width <= 0:
-            raise InputError("gaussian width must be positive")
 
 
 @dataclass(frozen=True)
@@ -105,49 +94,13 @@ class GaussianWindow:
         """Exact continuum norm, independent of lam and t."""
         return (np.sqrt(np.pi) * self.width) ** (self.n / 2.0)
 
-    def spectral_std(self) -> float:
-        """Standard deviation of the window's frequency content."""
-        return self.lam ** self.b / self.width
-
     def grid_function(self, spec: GridSpec) -> GridFunction:
         if spec.n != self.n:
             raise InputError("grid dimension does not match window dimension")
         values = np.full(spec.shape, self.amplitude, dtype=np.complex128)
         for i in range(spec.n):
-            y = spec.axis(i)
-            shape = [1] * spec.n
-            shape[i] = spec.points[i]
-            values = values * np.exp(-0.5 * self.beta * y ** 2).reshape(shape)
+            values = values * spec.along(i, np.exp(-0.5 * self.beta * spec.axis(i) ** 2))
         return GridFunction(spec, values, label="gaussian-window")
-
-
-@dataclass(frozen=True)
-class PacketSpec:
-    """Base window, scaling exponent b, dilation lam, free-evolution time t."""
-
-    base: object = GaussianBase()
-    b: float = 1.0 / 8.0
-    lam: float = 1.0
-    t: float = 0.0
-
-    def __post_init__(self):
-        if self.lam < 1.0:
-            raise InputError("dilation lambda must be >= 1")
-        if not 0.0 < self.b < 1.0:
-            raise InputError("scaling exponent b must lie in (0, 1)")
-        if not isinstance(self.base, (GaussianBase, GridFunction)):
-            raise InputError("base must be a GaussianBase or a GridFunction")
-
-    def window(self, n: int) -> GaussianWindow:
-        if not isinstance(self.base, GaussianBase):
-            raise InputError("analytic windows exist only for gaussian bases")
-        return GaussianWindow(n, self.base.width, self.lam, self.b, self.t)
-
-    def realize(self, spec: GridSpec) -> GridFunction:
-        packet = make_scaled_packet(spec, self.base, self.lam, self.b)
-        if self.t != 0.0:
-            packet = free_evolve_packet(packet, self.t)
-        return packet
 
 
 # ---------------------------------------------------------------------------
@@ -170,43 +123,18 @@ def measure_packet_width(packet: GridFunction, axis: int = 0) -> float:
     return float(x[right] + frac * (x[right + 1] - x[right]) - x[peak_idx])
 
 
-def make_scaled_packet(spec: GridSpec, base, lam: float, b: float) -> GridFunction:
-    """Dilated window lam^(n b / 2) phi(lam^b y) sampled on the grid."""
-    if lam < 1.0:
-        raise InputError("dilation lambda must be >= 1")
-    if not 0.0 < b < 1.0:
-        raise InputError("scaling exponent b must lie in (0, 1)")
+def make_scaled_packet(spec: GridSpec, width: float, lam: float,
+                       b: float) -> GridFunction:
+    """The Gaussian window of this width dilated by lam^b, sampled on the grid."""
+    window = GaussianWindow(spec.n, width, lam, b)
     scale = lam ** b
-    if isinstance(base, GaussianBase):
-        for d in spec.dx:
-            if scale * d > base.width / 4.0:
-                raise ResolutionError(
-                    f"dilated packet under-resolved: lam^b*dx = {scale * d:.3g} "
-                    f"> width/4 = {base.width / 4.0:.3g} "
-                    "(fewer than 8 samples across the 1/e width)")
-        return GaussianWindow(spec.n, base.width, lam, b, 0.0).grid_function(spec)
-    if isinstance(base, GridFunction):
-        if base.spec.n != spec.n:
-            raise InputError("base packet dimension does not match the grid")
-        if lam == 1.0:
-            return GridFunction(spec, base.values.copy(), base.label)
-        width = measure_packet_width(base)
-        if 2.0 * width / scale < 8.0 * max(spec.dx):
+    for d in spec.dx:
+        if scale * d > width / 4.0:
             raise ResolutionError(
-                "dilated packet under-resolved (fewer than 8 samples across "
-                "the 1/e width)")
-        from scipy import ndimage  # its only use, so `import mswf` skips it
-        # cubic interpolation of the base samples at the dilated coordinates
-        coords = np.meshgrid(*[(scale * spec.axis(i) + base.spec.halfwidths[i])
-                               / base.spec.dx[i] for i in range(spec.n)],
-                             indexing="ij")
-        coords = np.stack(coords)
-        re = ndimage.map_coordinates(base.values.real, coords, order=3,
-                                     mode="constant", cval=0.0)
-        im = ndimage.map_coordinates(base.values.imag, coords, order=3,
-                                     mode="constant", cval=0.0)
-        return GridFunction(spec, lam ** (spec.n * b / 2.0) * (re + 1j * im))
-    raise InputError("base must be a GaussianBase or a GridFunction")
+                f"dilated packet under-resolved: lam^b*dx = {scale * d:.3g} "
+                f"> width/4 = {width / 4.0:.3g} "
+                "(fewer than 8 samples across the 1/e width)")
+    return window.grid_function(spec)
 
 
 def free_evolve_packet(packet: GridFunction, t: float) -> GridFunction:
@@ -288,13 +216,6 @@ def pair_many(spec: GridSpec, values, window: GaussianWindow,
     return np.conj(window.amplitude) * spec.cell_volume * out
 
 
-def _contract(values: np.ndarray, axis_vectors: list) -> complex:
-    out = values
-    for vec in axis_vectors:
-        out = np.tensordot(vec, out, axes=(0, 0))
-    return complex(out)
-
-
 def wpt(f: GridFunction, packet, p) -> complex:
     """Wave packet transform of f at one phase-space point.
 
@@ -319,8 +240,9 @@ def wpt(f: GridFunction, packet, p) -> complex:
                     f"support {support:.3g} to the boundary")
         win = spectral_shift(packet, point.x)
         g = np.conj(win.values) * f.values
-        vecs = [np.exp(-1j * spec.axis(i) * point.xi[i]) for i in range(spec.n)]
-        return complex(spec.cell_volume * _contract(g, vecs))
+        for i in range(spec.n):
+            g = np.tensordot(np.exp(-1j * spec.axis(i) * point.xi[i]), g, axes=(0, 0))
+        return spec.cell_volume * complex(g)
     raise InputError("packet must be a GridFunction or a GaussianWindow")
 
 
@@ -387,9 +309,7 @@ def wpt_grid(f: GridFunction, packet, x_axes=None, xi_axes=None) -> WptTable:
         G = np.fft.fftn(win_conj * f.values) * dV
         block = G[np.ix_(*freq_idx)]
         for i in range(spec.n):
-            shape = [1] * spec.n
-            shape[i] = len(freq_idx[i])
-            block = block * phases[i].reshape(shape)
+            block = block * spec.along(i, phases[i])
         table[pos_idx] = block
     return WptTable(spec, x_axes, xi_axes, table)
 
@@ -427,8 +347,6 @@ def inverse_wpt(table: WptTable, packet) -> GridFunction:
         spacings.append(float(steps[0]))
     dy_volume = float(np.prod(spacings))
     freq_idx = _match_freq_indices(spec, table.xi_axes)
-    # reorder the xi block into native FFT order once
-    inv_order = [np.argsort(idx) for idx in freq_idx]
     phases = [np.exp(-1j * spec.halfwidths[i] * spec.freq_axis(i))
               for i in range(spec.n)]
     norm_sq = packet.l2_norm() ** 2
@@ -442,9 +360,7 @@ def inverse_wpt(table: WptTable, packet) -> GridFunction:
         F = np.zeros(spec.shape, dtype=np.complex128)
         F[np.ix_(*freq_idx)] = block
         for i in range(n):
-            shape = [1] * n
-            shape[i] = spec.points[i]
-            F = F * phases[i].reshape(shape)
+            F = F * spec.along(i, phases[i])
         inner = np.fft.ifftn(F) / dV
         y = np.array([table.x_axes[i][pos_idx[i]] for i in range(n)])
         win = spectral_shift(packet, y).values
@@ -522,8 +438,6 @@ def fundamental_solution_envelope(lam: float, b: float, t0: float,
 
 def _apply_position_derivative(f: GridFunction, alpha, beta, t: float) -> GridFunction:
     """(x - i t grad)^alpha d^beta f, all derivatives spectral."""
-    from .grid import spectral_derivative
-
     out = f
     for axis, count in enumerate(beta):
         for _ in range(int(count)):

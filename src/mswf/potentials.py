@@ -16,14 +16,12 @@ and reports whether the sampled bound stays flat as the shells grow.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations_with_replacement
-from pathlib import Path
 
 import numpy as np
 
-from .errors import InputError, NumericError
+from .errors import InputError, NumericError, integer, load_json, number
 
 FAMILIES = ("zero", "soft-power", "rotational", "constant-field", "custom-sampled")
 
@@ -147,28 +145,15 @@ def constant_field_model(b0: float = 1.0) -> VectorPotentialModel:
     return VectorPotentialModel("constant-field", 2, b0=b0)
 
 
-def model_from_json(source) -> VectorPotentialModel:
-    """Build a model from a JSON object, file path, or inline JSON string."""
-    if isinstance(source, (str, Path)):
-        text = str(source)
-        if text.lstrip().startswith("{"):
-            obj = json.loads(text)
-        else:
-            obj = json.loads(Path(text).read_text())
-    else:
-        obj = dict(source)
-    family = obj.get("family")
-    if family == "custom-sampled":
-        raise InputError("custom-sampled models cannot be built from JSON")
-    kwargs = {}
-    for key in ("rho", "b0"):
-        if key in obj:
-            kwargs[key] = float(obj[key])
-    if "modulation" in obj:
-        kwargs["modulation"] = obj["modulation"]
-    if "amplitude" in obj:
-        kwargs["amplitude"] = obj["amplitude"]
-    return VectorPotentialModel(family, int(obj["n"]), **kwargs)
+def model_from_json(source, n: int | None = None) -> VectorPotentialModel:
+    """Build a model from a JSON object, file path, or inline JSON string;
+    None gives the zero model in dimension n."""
+    if source is None:
+        return zero_model(n)
+    obj = load_json(source, ("family", "n", "rho", "amplitude", "modulation", "b0"))
+    obj.update({k: number(obj[k], k) for k in ("rho", "b0") if k in obj})
+    obj["n"] = integer(obj.get("n"), "n")
+    return VectorPotentialModel(obj.pop("family", None), **obj)
 
 
 def model_to_json(model: VectorPotentialModel) -> dict:

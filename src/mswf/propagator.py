@@ -39,10 +39,10 @@ from scipy import sparse
 
 from .characteristics import flow
 from .errors import (BoundaryMassError, CflError, GuardError, InputError,
-                     NumericError)
+                     NumericError, load_json, number)
 from .grid import GridFunction, GridSpec, as_phase_point, \
     boundary_mass_fraction, field_batch
-from .packets import GaussianBase, PacketSpec, wpt
+from .packets import GaussianWindow, wpt
 from .potentials import (MODULATIONS, VectorPotentialModel,
                          bracket_power_derivative, divergence_a, eval_a)
 
@@ -101,17 +101,12 @@ class ScalarPotentialModel:
 
 
 def scalar_from_json(source) -> ScalarPotentialModel:
-    import json
-    from pathlib import Path
-
-    if isinstance(source, (str, Path)):
-        text = str(source)
-        obj = json.loads(text) if text.lstrip().startswith("{") else \
-            json.loads(Path(text).read_text())
-    else:
-        obj = dict(source)
-    kwargs = {k: obj[k] for k in ("mu", "amplitude", "modulation") if k in obj}
-    return ScalarPotentialModel(obj.get("family", "zero"), **kwargs)
+    """Build a scalar term from a JSON object, file path, or inline JSON
+    string; None gives the zero term."""
+    obj = load_json({} if source is None else source,
+                    ("family", "mu", "amplitude", "modulation"))
+    obj.update({k: number(obj[k], k) for k in ("mu", "amplitude") if k in obj})
+    return ScalarPotentialModel(**obj)
 
 
 @dataclass(frozen=True)
@@ -147,10 +142,8 @@ def bspline_prefilter(spec: GridSpec) -> np.ndarray:
     """
     out = np.ones(spec.shape)
     for i in range(spec.n):
-        shape = [1] * spec.n
-        shape[i] = spec.points[i]
         symbol = 2.0 / 3.0 + np.cos(spec.freq_axis(i) * spec.dx[i]) / 3.0
-        out = out / symbol.reshape(shape)
+        out = out / spec.along(i, symbol)
     return out
 
 
@@ -417,13 +410,13 @@ def _evolve_reference(model, scalar, spec, u, t0, t1, cfg, probe):
 
 
 def evolved_wpt_leading(model: VectorPotentialModel, u0: GridFunction,
-                        packet: PacketSpec, t: float, p,
+                        window: GaussianWindow, t: float, p,
                         tol: float = 1e-10) -> complex:
     """Leading term of the packet transform of the solution at time t.
 
     Flows the phase point backward to time 0, accumulates the complex
     phase integral along the way, and pairs the initial datum with the
-    unevolved scaled window at the flowed point:
+    scaled Gaussian `window` at the flowed point:
 
         exp(i Int_0^t Psi ds) * W[u0](x(0), xi(0)).
 
@@ -434,9 +427,5 @@ def evolved_wpt_leading(model: VectorPotentialModel, u0: GridFunction,
     point = as_phase_point(p, u0.spec.n)
     res = flow(model, t, 0.0, point.x, point.xi, tol)
     int_0_t = -res.psi_integral  # flow accumulated t -> 0
-    if isinstance(packet.base, GaussianBase):
-        window = packet.window(u0.spec.n)
-    else:
-        window = packet.realize(u0.spec)
     value = wpt(u0, window, (res.terminal.x, res.terminal.xi))
     return complex(np.exp(1j * int_0_t) * value)

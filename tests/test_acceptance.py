@@ -14,7 +14,7 @@ import pytest
 from mswf import (characteristics as chars, detector as det,
                   experiments as exp, grid, packets, potentials as pots,
                   propagator as prop)
-from mswf.packets import GaussianBase, PacketSpec
+from mswf.packets import GaussianWindow
 
 
 def report(cid: str, ok: bool, desc: str, detail: str = "") -> bool:
@@ -40,7 +40,7 @@ def fine_grid():
 
 
 def test_c01_inversion_roundtrip(spec256):
-    pk = packets.make_scaled_packet(spec256, GaussianBase(1.0), 1.0, 0.125)
+    pk = packets.make_scaled_packet(spec256, 1.0, 1.0, 0.125)
     f = grid.gaussian_data(spec256)
     back = packets.inverse_wpt(packets.wpt_grid(f, pk), pk)
     err_g = np.sqrt(np.sum(np.abs(back.values - f.values) ** 2)
@@ -61,7 +61,7 @@ def test_c01_inversion_roundtrip(spec256):
 
 def test_c02_gaussian_oracle_agreement(spec256):
     f = grid.gaussian_data(spec256)
-    pk = packets.make_scaled_packet(spec256, GaussianBase(1.0), 1.0, 0.125)
+    pk = packets.make_scaled_packet(spec256, 1.0, 1.0, 0.125)
     worst = 0.0
     for x in np.linspace(-2.0, 2.0, 8):
         for xi in np.linspace(-2.0, 2.0, 8):
@@ -149,7 +149,7 @@ def test_c05_integral_bound():
 
 def test_c06_commutation_identity():
     spec = grid.GridSpec(1, 512, 20.0)
-    pk = packets.make_scaled_packet(spec, GaussianBase(1.0), 1.0, 0.125)
+    pk = packets.make_scaled_packet(spec, 1.0, 1.0, 0.125)
     worst = 0.0
     for t in (0.5, 1.0):
         for alpha, beta in (((0,), (0,)), ((1,), (0,)), ((0,), (1,)),
@@ -206,9 +206,9 @@ def test_c08_leading_term():
     t = 1.0
     u1 = prop.evolve(pots.zero_model(1), None, u0, 0.0, t,
                      prop.EvolveConfig(dt=1e-3))
-    ps = PacketSpec(GaussianBase(1.0), b=0.125, lam=4.0)
+    ps = GaussianWindow(1, 1.0, 4.0, 0.125)
     p = ((0.5,), (1.2,))
-    lhs = packets.wpt(u1, ps.window(1).evolved(t), p)
+    lhs = packets.wpt(u1, ps.evolved(t), p)
     rhs = prop.evolved_wpt_leading(pots.zero_model(1), u0, ps, t, p)
     err_free = abs(lhs - rhs)
 
@@ -220,9 +220,9 @@ def test_c08_leading_term():
     u1s = prop.evolve(model, None, ug, 0.0, ts, prop.EvolveConfig(dt=5e-4))
     disc = []
     for lam in (16.0, 64.0, 256.0):
-        psl = PacketSpec(GaussianBase(1.0), b=b, lam=lam)
+        psl = GaussianWindow(1, 1.0, lam, b)
         pl = ((0.0,), (lam * 0.1,))
-        lhs_l = packets.wpt(u1s, psl.window(1).evolved(ts), pl)
+        lhs_l = packets.wpt(u1s, psl.evolved(ts), pl)
         rhs_l = prop.evolved_wpt_leading(model, ug, psl, ts, pl, tol=1e-11)
         disc.append(abs(lhs_l - rhs_l))
     ok = err_free <= 1e-6 and disc[0] > disc[1] > disc[2]

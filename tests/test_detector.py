@@ -7,6 +7,24 @@ FINE = grid.GridSpec(1, 32768, 10.0)
 LADDER = det.default_ladder(3, 11)
 
 
+def test_parse_ladder_forms():
+    assert det.parse_ladder() == det.default_ladder()
+    assert det.parse_ladder("2:4") == det.parse_ladder({"kmin": 2, "kmax": 4}) \
+        == det.parse_ladder("4,8,16") == det.parse_ladder([4, 8, 16]) == (4.0, 8.0, 16.0)
+    for bad in ({"kmin": 2}, {"kmin": 2, "kmax": 4, "step": 2}, "2:x", [4, "x"]):
+        with pytest.raises(errors.InputError):
+            det.parse_ladder(bad)
+
+
+def test_thresholds_json_round_trip():
+    t = det.Thresholds.from_json({"N": 7, "R2": "0.9"})
+    assert t == det.Thresholds(n_high=7.0, r2_min=0.9)
+    assert det.Thresholds.from_json(t.to_json()) == t
+    for bad in ({"n": 7}, {"N": "high"}):
+        with pytest.raises(errors.InputError):
+            det.Thresholds.from_json(bad)
+
+
 # ---------------------------------------------------------------------------
 # exponent regression
 

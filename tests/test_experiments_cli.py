@@ -5,7 +5,8 @@ import sys
 import numpy as np
 import pytest
 
-from mswf import characteristics as chars, cli, errors, experiments as exp, grid
+from mswf import characteristics as chars, cli, detector, errors, experiments as exp, grid
+from mswf import propagator as prop
 
 FREE_CFG = {
     "experiment": "free-transport",
@@ -136,6 +137,91 @@ def test_lemma_suite_smoke(tmp_path):
 def test_run_experiment_dispatch():
     with pytest.raises(errors.InputError):
         exp.run_experiment({"experiment": "nope"})
+
+
+# ---------------------------------------------------------------------------
+# config schema
+
+LEMMA_CFG = {"experiment": "lemma-suite", "models": [{"family": "zero", "n": 1}]}
+
+BAD_CONFIGS = {
+    "misspelled-key": lambda cfg: dict(cfg, half_angle=0.2),
+    "no-grid": lambda cfg: {k: v for k, v in cfg.items() if k != "grid"},
+    "no-positions": lambda cfg: {k: v for k, v in cfg.items() if k != "positions"},
+    "grid-typo": lambda cfg: dict(cfg, grid={"n": 1, "points": 2048, "halfwdth": 30.0}),
+    "threshold-typo": lambda cfg: dict(cfg, thresholds={"n": 7}),
+    "t0-text": lambda cfg: dict(cfg, t0="soon"),
+    "datum-typo": lambda cfg: dict(cfg, data=[{"name": "gaussian", "widht": 1.0}]),
+}
+
+SCHEMA_CASES = (
+    [(exp.run_transport_consistency, FREE_CFG, bad) for bad in BAD_CONFIGS]
+    + [(exp.run_fundamental_solution, FS_CFG, bad)
+       for bad in BAD_CONFIGS if bad != "datum-typo"]
+    + [(exp.run_lemma_suite, LEMMA_CFG, bad) for bad in ("misspelled-key", "t0-text")])
+
+
+@pytest.fixture
+def no_compute(monkeypatch):
+    """Fail on any evolve, scan, flow, datum or packet a runner reaches."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("computed before the config was checked")
+
+    for owner, name in ((exp.propagator, "evolve"), (exp.detector, "wf_scan"),
+                        (exp.chars, "lower_bound_x0"), (exp.chars, "check_flow_bounds"),
+                        (exp.chars, "check_integral_bound"),
+                        (exp.packets, "make_scaled_packet"), (exp.grid, "gaussian_data"),
+                        (exp.grid, "builtin_data"), (exp.grid, "delta_spike")):
+        monkeypatch.setattr(owner, name, forbidden)
+
+
+@pytest.mark.parametrize("runner,base,bad", SCHEMA_CASES,
+                         ids=[f"{c[0].__name__}-{c[2]}" for c in SCHEMA_CASES])
+def test_bad_config_exits_2_before_compute(runner, base, bad, no_compute, capsys):
+    cfg = BAD_CONFIGS[bad](base)
+    with pytest.raises(errors.InputError):
+        runner(cfg)
+    assert cli.main(["experiment", "--config", json.dumps(cfg)]) == 2
+    assert "InputError" in capsys.readouterr().err
+
+
+def test_config_parse_converts_once():
+    config = exp.TransportConfig.parse(dict(FREE_CFG, thresholds={"N": 7}))
+    assert config.grid == grid.GridSpec(1, 2048, 30.0)
+    assert config.b == 0.125 and config.ladder == (4.0, 8.0, 16.0, 32.0, 64.0)
+    assert config.thresholds.to_json() == {"N": 7.0, "Nlow": 1.0, "R2": 0.95}
+    assert [list(p) for p in config.positions] == [[0.0], [1.0]]
+    assert config.directions.tolist() == [[1.0], [-1.0]]
+    assert config.data == (("gaussian", "gaussian", {}),) and config.dt == 2e-3
+
+
+def test_detect_defaults_are_the_scan_config_defaults():
+    args = cli.build_parser().parse_args(
+        ["detect", "--in", "f.wfgf", "--x0", "0", "--xi0", "1"])
+    for name in ("cone_angle", "k_radius", "a", "width", "b", "ladder", "thresholds"):
+        assert getattr(args, name) == getattr(exp.ScanConfig, name), name
+    config = exp.ScanConfig.parse({"grid": FREE_CFG["grid"], "positions": [[0.0]]})
+    assert detector.parse_ladder(args.ladder) == config.ladder
+    assert detector.resolve_b(args.b, config.potential) == config.b
+    assert detector.Thresholds.from_json({}) == config.thresholds
+
+
+@pytest.mark.parametrize("argv", [
+    ["experiment", "--config", '{"experiment": "free-transport",'],
+    ["experiment", "--config", "no-such-config.json"],
+    ["flow", "--potential", '{"family": "soft-power", "n": 2, "rh": 0.5}',
+     "--t0", "1.0", "--target", "0.0", "--x", "0.3,0.0", "--xi", "2.0,1.0"],
+    ["flow", "--potential", '{"family": "soft-power", "n": 2, "rho": "half"}',
+     "--t0", "1.0", "--target", "0.0", "--x", "0.3,0.0", "--xi", "2.0,1.0"],
+], ids=["malformed-json", "missing-file", "potential-typo", "potential-type"])
+def test_bad_outside_input_exits_2(argv, capsys):
+    assert cli.main(argv) == 2
+    assert "InputError" in capsys.readouterr().err
+
+
+def test_scalar_spec_rejects_unknown_keys():
+    with pytest.raises(errors.InputError):
+        prop.scalar_from_json('{"family": "soft-power", "mu": 1.0, "amp": 0.3}')
 
 
 # ---------------------------------------------------------------------------

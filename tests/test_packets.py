@@ -3,8 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mswf import errors, grid, packets
-from mswf.packets import (DeltaSignal, GaussianBase, GaussianSignal,
-                          GaussianWindow)
+from mswf.packets import DeltaSignal, GaussianSignal, GaussianWindow
 
 SPEC = grid.GridSpec(1, 256, 20.0)
 FINE = grid.GridSpec(1, 512, 10.0)
@@ -17,36 +16,26 @@ def test_theorem_scaling_exponent():
 
 
 def test_scaled_packet_lambda_one_is_base():
-    pk = packets.make_scaled_packet(SPEC, GaussianBase(1.0), 1.0, 0.125)
+    pk = packets.make_scaled_packet(SPEC, 1.0, 1.0, 0.125)
     expected = np.exp(-SPEC.axis(0) ** 2 / 2.0)
     assert np.max(np.abs(pk.values - expected)) < 1e-14
 
 
 def test_scaled_packet_norm_invariance():
-    base = GaussianBase(1.0)
-    norms = [packets.make_scaled_packet(FINE, base, lam, 0.125).l2_norm()
+    norms = [packets.make_scaled_packet(FINE, 1.0, lam, 0.125).l2_norm()
              for lam in (1.0, 4.0, 16.0, 64.0, 256.0, 1024.0, 4096.0)]
     assert max(abs(n - norms[0]) / norms[0] for n in norms) <= 1e-8
 
 
 def test_scaled_packet_width_shrinks():
-    base = GaussianBase(1.0)
-    w1 = packets.measure_packet_width(packets.make_scaled_packet(FINE, base, 1.0, 0.125))
-    w256 = packets.measure_packet_width(packets.make_scaled_packet(FINE, base, 256.0, 0.125))
+    w1 = packets.measure_packet_width(packets.make_scaled_packet(FINE, 1.0, 1.0, 0.125))
+    w256 = packets.measure_packet_width(packets.make_scaled_packet(FINE, 1.0, 256.0, 0.125))
     assert w1 / w256 == pytest.approx(256.0 ** 0.125, rel=0.01)  # factor 2
 
 
 def test_scaled_packet_resolution_guard():
     with pytest.raises(errors.ResolutionError):
-        packets.make_scaled_packet(SPEC, GaussianBase(1.0), 4096.0, 0.125)
-
-
-def test_scaled_packet_custom_base():
-    base = packets.make_scaled_packet(FINE, GaussianBase(1.0), 1.0, 0.125)
-    scaled = packets.make_scaled_packet(FINE, base, 16.0, 0.125)
-    analytic = packets.make_scaled_packet(FINE, GaussianBase(1.0), 16.0, 0.125)
-    assert np.max(np.abs(scaled.values - analytic.values)) < 1e-5
-    assert abs(scaled.l2_norm() - base.l2_norm()) / base.l2_norm() < 1e-5
+        packets.make_scaled_packet(SPEC, 1.0, 4096.0, 0.125)
 
 
 def test_free_evolution_closed_form():
@@ -91,14 +80,14 @@ def test_gaussian_window_matches_spectral_evolution():
 
 def test_wpt_gaussian_value():
     f = grid.gaussian_data(SPEC)
-    pk = packets.make_scaled_packet(SPEC, GaussianBase(1.0), 1.0, 0.125)
+    pk = packets.make_scaled_packet(SPEC, 1.0, 1.0, 0.125)
     value = packets.wpt(f, pk, ((0.0,), (0.0,)))
     assert value == pytest.approx(np.sqrt(np.pi), abs=1e-10)
 
 
 def test_wpt_closed_form_lattice():
     f = grid.gaussian_data(SPEC)
-    pk = packets.make_scaled_packet(SPEC, GaussianBase(1.0), 1.0, 0.125)
+    pk = packets.make_scaled_packet(SPEC, 1.0, 1.0, 0.125)
     for x in np.linspace(-2, 2, 8):
         for xi in np.linspace(-2, 2, 8):
             q = abs(packets.wpt(f, pk, ((x,), (xi,))))
@@ -110,7 +99,7 @@ def test_wpt_delta_pairing():
     # the spike reduces the quadrature to conj(packet(-x)); the grid window
     # is translated spectrally, so compare with the analytic dilated gaussian
     d = grid.delta_spike(SPEC)
-    pk = packets.make_scaled_packet(SPEC, GaussianBase(1.0), 4.0, 0.125)
+    pk = packets.make_scaled_packet(SPEC, 1.0, 4.0, 0.125)
     win = GaussianWindow(1, 1.0, 4.0, 0.125, 0.0)
     for x in (0.0, 0.7, -1.3):
         got = packets.wpt(d, pk, ((x,), (2.0,)))
@@ -124,7 +113,7 @@ def test_wpt_linearity():
     rng = np.random.default_rng(7)
     f = grid.GridFunction(SPEC, rng.standard_normal(256) + 1j * rng.standard_normal(256))
     g = grid.GridFunction(SPEC, rng.standard_normal(256) + 1j * rng.standard_normal(256))
-    pk = packets.make_scaled_packet(SPEC, GaussianBase(1.0), 2.0, 0.125)
+    pk = packets.make_scaled_packet(SPEC, 1.0, 2.0, 0.125)
     a, b = 1.7 - 0.3j, -0.4 + 2.2j
     combo = grid.GridFunction(SPEC, a * f.values + b * g.values)
     p = ((0.5,), (1.0,))
@@ -135,7 +124,7 @@ def test_wpt_linearity():
 
 def test_wpt_translation_covariance():
     f = grid.gaussian_data(SPEC, width=1.3)
-    pk = packets.make_scaled_packet(SPEC, GaussianBase(1.0), 1.0, 0.125)
+    pk = packets.make_scaled_packet(SPEC, 1.0, 1.0, 0.125)
     h, xi = 1.5, 0.8
     shifted = grid.spectral_shift(f, (h,))
     lhs = packets.wpt(shifted, pk, ((2.0,), (xi,)))
@@ -145,14 +134,14 @@ def test_wpt_translation_covariance():
 
 def test_wpt_nyquist_guard():
     f = grid.gaussian_data(SPEC)
-    pk = packets.make_scaled_packet(SPEC, GaussianBase(1.0), 1.0, 0.125)
+    pk = packets.make_scaled_packet(SPEC, 1.0, 1.0, 0.125)
     with pytest.raises(errors.NyquistError):
         packets.wpt(f, pk, ((0.0,), (100.0,)))
 
 
 def test_wpt_domain_guard_grid_window_only():
     f = grid.gaussian_data(SPEC)
-    pk = packets.make_scaled_packet(SPEC, GaussianBase(1.0), 1.0, 0.125)
+    pk = packets.make_scaled_packet(SPEC, 1.0, 1.0, 0.125)
     with pytest.raises(errors.DomainError):
         packets.wpt(f, pk, ((19.0,), (0.0,)))
     win = GaussianWindow(1)
@@ -241,7 +230,7 @@ def test_pair_many_input_checks():
 
 def test_wpt_grid_reduces_to_pointwise():
     f = grid.gaussian_data(SPEC, width=1.1, momentum=0.4)
-    pk = packets.make_scaled_packet(SPEC, GaussianBase(1.0), 2.0, 0.125)
+    pk = packets.make_scaled_packet(SPEC, 1.0, 2.0, 0.125)
     xs = SPEC.axis(0)[100:103]
     xis = SPEC.freq_axis(0)[4:7]
     table = packets.wpt_grid(f, pk, (xs,), (xis,))
@@ -253,7 +242,7 @@ def test_wpt_grid_reduces_to_pointwise():
 
 def test_wpt_grid_single_point():
     f = grid.gaussian_data(SPEC)
-    pk = packets.make_scaled_packet(SPEC, GaussianBase(1.0), 1.0, 0.125)
+    pk = packets.make_scaled_packet(SPEC, 1.0, 1.0, 0.125)
     xi = SPEC.freq_axis(0)[3]
     table = packets.wpt_grid(f, pk, (np.array([0.5]),), (np.array([xi]),))
     assert table.values.shape == (1, 1)
@@ -262,7 +251,7 @@ def test_wpt_grid_single_point():
 
 def test_wpt_grid_rejects_off_lattice_frequency():
     f = grid.gaussian_data(SPEC)
-    pk = packets.make_scaled_packet(SPEC, GaussianBase(1.0), 1.0, 0.125)
+    pk = packets.make_scaled_packet(SPEC, 1.0, 1.0, 0.125)
     with pytest.raises(errors.NyquistError):
         packets.wpt_grid(f, pk, None, (np.array([0.123456]),))
 
@@ -283,7 +272,7 @@ def test_wpt_grid_oracle_agreement():
 
 def test_parseval_mass_identity():
     f = grid.gaussian_data(SPEC, width=1.2, momentum=0.7)
-    pk = packets.make_scaled_packet(SPEC, GaussianBase(1.0), 1.0, 0.125)
+    pk = packets.make_scaled_packet(SPEC, 1.0, 1.0, 0.125)
     table = packets.wpt_grid(f, pk)
     dxi = np.pi / SPEC.halfwidths[0]
     mass = np.sum(np.abs(table.values) ** 2) * SPEC.cell_volume * dxi / (2 * np.pi)
@@ -296,7 +285,7 @@ def test_parseval_mass_identity():
 
 
 def test_inverse_wpt_zero_table():
-    pk = packets.make_scaled_packet(SPEC, GaussianBase(1.0), 1.0, 0.125)
+    pk = packets.make_scaled_packet(SPEC, 1.0, 1.0, 0.125)
     table = packets.wpt_grid(grid.GridFunction(SPEC, np.zeros(256)), pk)
     out = packets.inverse_wpt(table, pk)
     assert np.all(out.values == 0)
@@ -304,7 +293,7 @@ def test_inverse_wpt_zero_table():
 
 def test_inverse_wpt_roundtrip_gaussian():
     f = grid.gaussian_data(SPEC)
-    pk = packets.make_scaled_packet(SPEC, GaussianBase(1.0), 1.0, 0.125)
+    pk = packets.make_scaled_packet(SPEC, 1.0, 1.0, 0.125)
     back = packets.inverse_wpt(packets.wpt_grid(f, pk), pk)
     err = np.sqrt(np.sum(np.abs(back.values - f.values) ** 2) * SPEC.cell_volume)
     assert err / f.l2_norm() <= 1e-6
@@ -316,7 +305,7 @@ def test_inverse_wpt_roundtrip_band_limited():
     coef[:64] = rng.standard_normal(64) + 1j * rng.standard_normal(64)
     coef[-64:] = rng.standard_normal(64) + 1j * rng.standard_normal(64)
     f = grid.GridFunction(SPEC, np.fft.ifft(coef))
-    pk = packets.make_scaled_packet(SPEC, GaussianBase(1.0), 1.0, 0.125)
+    pk = packets.make_scaled_packet(SPEC, 1.0, 1.0, 0.125)
     back = packets.inverse_wpt(packets.wpt_grid(f, pk), pk)
     err = np.sqrt(np.sum(np.abs(back.values - f.values) ** 2) * SPEC.cell_volume)
     assert err / f.l2_norm() <= 1e-4
@@ -324,7 +313,7 @@ def test_inverse_wpt_roundtrip_band_limited():
 
 def test_inverse_wpt_guards():
     f = grid.gaussian_data(SPEC)
-    pk = packets.make_scaled_packet(SPEC, GaussianBase(1.0), 1.0, 0.125)
+    pk = packets.make_scaled_packet(SPEC, 1.0, 1.0, 0.125)
     full = packets.wpt_grid(f, pk)
     half_band = packets.WptTable(SPEC, full.x_axes,
                                  (SPEC.freq_axis(0)[:128],),
@@ -391,7 +380,7 @@ def test_oracle_rejects_unsupported_signal():
 
 
 COMM_SPEC = grid.GridSpec(1, 512, 20.0)
-COMM_PACKET = packets.make_scaled_packet(COMM_SPEC, GaussianBase(1.0), 1.0, 0.125)
+COMM_PACKET = packets.make_scaled_packet(COMM_SPEC, 1.0, 1.0, 0.125)
 
 
 def test_commutator_zero_time():
@@ -418,8 +407,8 @@ def test_commutator_order_guard():
 
 def test_packet_spec_validation():
     with pytest.raises(errors.InputError):
-        packets.PacketSpec(GaussianBase(1.0), b=1.5)
+        packets.make_scaled_packet(SPEC, 1.0, 1.0, 1.5)
     with pytest.raises(errors.InputError):
-        packets.PacketSpec(GaussianBase(1.0), lam=0.5)
+        packets.make_scaled_packet(SPEC, 1.0, 0.5, 0.125)
     with pytest.raises(errors.InputError):
         GaussianWindow(1, width=-1.0)

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import ndimage
 
 from mswf import errors, grid, packets, potentials as pots, propagator as prop
-from mswf.packets import GaussianBase, PacketSpec
+from mswf.packets import GaussianWindow
 
 SPEC = grid.GridSpec(1, 512, 20.0)
 
@@ -82,6 +83,26 @@ def test_l2_conservation(name, model, spec, dt):
     u0 = grid.gaussian_data(spec)
     u1 = prop.evolve(model, None, u0, 0.0, 1.0, prop.EvolveConfig(dt=dt))
     assert abs(u1.l2_norm() - u0.l2_norm()) / u0.l2_norm() <= 1e-6
+
+
+@st.composite
+def split_step_cases(draw):
+    family = draw(st.sampled_from(("zero", "soft-power", "rotational")))
+    n = 2 if family == "rotational" else draw(st.sampled_from((1, 2)))
+    model = pots.VectorPotentialModel(
+        family, n, rho=draw(st.floats(0.0, 0.75)),
+        modulation=draw(st.sampled_from(("one", "sin", "cosbump"))))
+    spec = SPEC if n == 1 else grid.GridSpec(2, 128, 6.0)
+    return model, spec, draw(st.sampled_from((1e-2, 5e-3)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(split_step_cases())
+def test_split_step_unitarity_property(case):
+    model, spec, dt = case
+    u0 = grid.gaussian_data(spec)
+    u1 = prop.evolve(model, None, u0, 0.0, 0.5, prop.EvolveConfig(dt=dt))
+    assert abs(u1.l2_norm() - u0.l2_norm()) / u0.l2_norm() <= 1e-5
 
 
 def test_l2_conservation_with_scalar():
@@ -282,10 +303,10 @@ def test_batch_probe_and_validation():
 
 def test_leading_term_time_zero_reduces_to_wpt():
     u0 = grid.gaussian_data(SPEC)
-    ps = PacketSpec(GaussianBase(1.0), b=0.125, lam=4.0)
+    ps = GaussianWindow(1, 1.0, 4.0, 0.125)
     p = ((0.5,), (1.2,))
     lhs = prop.evolved_wpt_leading(pots.zero_model(1), u0, ps, 0.0, p)
-    rhs = packets.wpt(u0, ps.window(1), p)
+    rhs = packets.wpt(u0, ps, p)
     assert abs(lhs - rhs) <= 1e-12
 
 
@@ -294,9 +315,9 @@ def test_leading_term_exact_for_free_motion():
     model = pots.zero_model(1)
     t = 1.0
     u1 = prop.evolve(model, None, u0, 0.0, t, prop.EvolveConfig(dt=1e-3))
-    ps = PacketSpec(GaussianBase(1.0), b=0.125, lam=4.0)
+    ps = GaussianWindow(1, 1.0, 4.0, 0.125)
     p = ((0.5,), (1.2,))
-    lhs = packets.wpt(u1, ps.window(1).evolved(t), p)
+    lhs = packets.wpt(u1, ps.evolved(t), p)
     rhs = prop.evolved_wpt_leading(model, u0, ps, t, p)
     assert abs(lhs - rhs) <= 1e-6
 
@@ -311,9 +332,9 @@ def test_leading_term_exact_for_gradient_free_potential():
     u0 = grid.gaussian_data(SPEC)
     t = 0.4
     u1 = prop.evolve(model, None, u0, 0.0, t, prop.EvolveConfig(dt=2.5e-4))
-    ps = PacketSpec(GaussianBase(1.0), b=0.125, lam=4.0)
+    ps = GaussianWindow(1, 1.0, 4.0, 0.125)
     p = ((0.3,), (1.1,))
-    lhs = packets.wpt(u1, ps.window(1).evolved(t), p)
+    lhs = packets.wpt(u1, ps.evolved(t), p)
     rhs = prop.evolved_wpt_leading(model, u0, ps, t, p, tol=1e-12)
     assert abs(lhs - rhs) <= 1e-6
 
@@ -328,9 +349,9 @@ def test_leading_term_discrepancy_shrinks_along_scaled_points():
     u1 = prop.evolve(model, None, u0, 0.0, t, prop.EvolveConfig(dt=5e-4))
     disc = []
     for lam in (16.0, 64.0, 256.0):
-        ps = PacketSpec(GaussianBase(1.0), b=b, lam=lam)
+        ps = GaussianWindow(1, 1.0, lam, b)
         p = ((0.0,), (lam * 0.1,))
-        lhs = packets.wpt(u1, ps.window(1).evolved(t), p)
+        lhs = packets.wpt(u1, ps.evolved(t), p)
         rhs = prop.evolved_wpt_leading(model, u0, ps, t, p, tol=1e-11)
         disc.append(abs(lhs - rhs))
     assert disc[0] > disc[1] > disc[2]
@@ -345,8 +366,8 @@ def test_leading_term_relative_remainder_bounded_at_fixed_frequency():
     t = 0.25
     u1 = prop.evolve(model, None, u0, 0.0, t, prop.EvolveConfig(dt=5e-4))
     for lam in (16.0, 256.0):
-        ps = PacketSpec(GaussianBase(1.0), b=0.0625, lam=lam)
+        ps = GaussianWindow(1, 1.0, lam, 0.0625)
         p = ((0.3,), (1.2,))
-        lhs = packets.wpt(u1, ps.window(1).evolved(t), p)
+        lhs = packets.wpt(u1, ps.evolved(t), p)
         rhs = prop.evolved_wpt_leading(model, u0, ps, t, p, tol=1e-11)
         assert abs(lhs - rhs) / abs(lhs) <= 0.02
