@@ -99,6 +99,15 @@ def _grid(value, key, done) -> grid.GridSpec:
     return grid.GridSpec(integer(g.get("n"), "n"), g["points"], g["halfwidth"])
 
 
+def _potential(value, key, done) -> potentials.VectorPotentialModel:
+    """A vector potential in the grid's dimension; the zero model if None."""
+    n = done["grid"].n
+    model = potentials.model_from_json(value, n)
+    if model.n != n:
+        raise InputError(f"'{key}' has n = {model.n}, the grid has n = {n}")
+    return model
+
+
 def _vectors(value, key, done) -> list:
     """Entries of numbers, each repeated or cut to the grid's dimension."""
     return [np.resize(np.array([number(v, key) for v in np.atleast_1d(entry)]),
@@ -175,8 +184,7 @@ class ScanConfig(_Config):
     for `detector.direction_fan` (by default 4, or 2 in 1-d) or a list."""
 
     grid: grid.GridSpec = _key(_grid)
-    potential: potentials.VectorPotentialModel = _key(
-        lambda v, key, done: potentials.model_from_json(v, done["grid"].n), None)
+    potential: potentials.VectorPotentialModel = _key(_potential, None)
     positions: list = _key(_vectors)
     directions: np.ndarray = _key(_directions, None)
     ladder: tuple = _key(lambda v, key, done: detector.parse_ladder(v), None)

@@ -22,7 +22,9 @@ coefficients are then sampled at the foot points by a blocked sparse
 kernel.  The spectrum after the trailing half step is carried into the
 next step, so a transport step costs three FFTs.  Without transport the
 FFT sequence is the plain one, and a batch reproduces single-field
-results bit for bit.
+results bit for bit.  That kernel is the package's only use of scipy:
+importing `mswf` loads no scipy module, and `scipy.sparse` is imported on
+the first transport step.
 
 A dense reference solver (Hermitian eigensolve of the full generator on
 small grids) provides an independent discretization for cross-checks, and
@@ -35,7 +37,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import sparse
 
 from .characteristics import flow
 from .errors import (BoundaryMassError, CflError, GuardError, InputError,
@@ -44,7 +45,8 @@ from .grid import GridFunction, GridSpec, as_phase_point, \
     boundary_mass_fraction, field_batch
 from .packets import GaussianWindow, wpt
 from .potentials import (MODULATIONS, VectorPotentialModel,
-                         bracket_power_derivative, divergence_a, eval_a)
+                         bracket_power_derivative, divergence_a, eval_a,
+                         squared_norm)
 
 SCALAR_FAMILIES = ("zero", "soft-power", "quadratic-test")
 
@@ -80,7 +82,8 @@ class ScalarPotentialModel:
             return np.zeros(x.shape[:-1])
         if self.family == "quadratic-test":
             return 0.5 * np.sum(x * x, axis=-1)
-        b2 = 1.0 + np.sum(x * x, axis=-1)
+        b2 = squared_norm(x)
+        b2 += 1.0
         return self.amplitude * self.g(t) * b2 ** (0.5 * self.mu)
 
     def derivative(self, t: float, x, alpha) -> np.ndarray:
@@ -160,6 +163,9 @@ def bspline_sample(coeffs: np.ndarray, points: np.ndarray, out: np.ndarray,
     if given.  Equals map_coordinates(order=3, mode="grid-wrap") on the
     prefiltered samples.
     """
+    # imported here, its only use: `import mswf` then loads no scipy module
+    from scipy import sparse
+
     # a strided view here would make every per-block array strided and slow
     points = np.ascontiguousarray(points, dtype=float)
     grid_shape = coeffs.shape[:-1]
@@ -201,15 +207,20 @@ def bspline_sample(coeffs: np.ndarray, points: np.ndarray, out: np.ndarray,
 
 
 def _grid_potential(model: VectorPotentialModel, coords: np.ndarray):
-    """t -> (a0, g) with a(t, .) = g * a0 on the grid.
+    """t -> (a0, g, peak) with a(t, .) = g * a0 on the grid, peak = max|a0|.
 
     The built-in families with a time factor are a = g(t) a0(x), so their
-    profile a0 is evaluated once; the others are evaluated at each t.
+    profile a0 and its peak are evaluated once; the others are evaluated at
+    each t.
     """
     if model.family not in ("soft-power", "rotational"):
-        return lambda t: (eval_a(model, t, coords), 1.0)
+        def at(t):
+            a0 = eval_a(model, t, coords)
+            return a0, 1.0, float(np.max(np.abs(a0)))
+        return at
     profile = eval_a(replace(model, modulation="one"), 0.0, coords)
-    return lambda t: (profile, float(model.g(t)))
+    peak = float(np.max(np.abs(profile)))
+    return lambda t: (profile, float(model.g(t)), peak)
 
 
 def evolve(model: VectorPotentialModel, scalar, u0, t0: float, t1: float,
@@ -268,8 +279,8 @@ def _evolve_split(model, scalar, spec, u, t0, t1, cfg, probe):
     elif has_scalar:
         coords = _coordinate_stack(spec)
 
-    def displacement(a0, g):
-        return abs(g) * float(np.max(np.abs(a0))) * abs(tau)
+    def displacement(g, peak):
+        return abs(g) * peak * abs(tau)
 
     def geometry(t):
         """Foot points (n, N) in grid-index units and the half-density times
@@ -278,8 +289,8 @@ def _evolve_split(model, scalar, spec, u, t0, t1, cfg, probe):
         # transport and phase form one non-commuting group; sampling the
         # phase at the characteristic midpoint keeps the step second order
         t_mid = t + 0.5 * tau
-        a0, g = a_grid(t_mid)
-        if displacement(a0, g) > reach:
+        a0, g, peak = a_grid(t_mid)
+        if displacement(g, peak) > reach:
             raise CflError(
                 f"transport displacement grew past the stencil reach at t = {t:.4g}")
         y_mid = a0 * (0.5 * tau * g)
@@ -321,7 +332,8 @@ def _evolve_split(model, scalar, spec, u, t0, t1, cfg, probe):
     if has_transport:
         # guard-first: check the displacement bound before any stepping
         for t_probe in (t0, 0.5 * (t0 + t1), t1):
-            shift = displacement(*a_grid(t_probe))
+            _, g, peak = a_grid(t_probe)
+            shift = displacement(g, peak)
             if shift > reach:
                 raise CflError(f"transport displacement max|a|*dt = {shift:.3g} "
                                f"exceeds 4*dx = {reach:.3g}")

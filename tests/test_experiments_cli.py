@@ -152,6 +152,8 @@ BAD_CONFIGS = {
     "threshold-typo": lambda cfg: dict(cfg, thresholds={"n": 7}),
     "t0-text": lambda cfg: dict(cfg, t0="soon"),
     "datum-typo": lambda cfg: dict(cfg, data=[{"name": "gaussian", "widht": 1.0}]),
+    "potential-dimension": lambda cfg: dict(
+        cfg, potential={"family": "soft-power", "n": 2, "rho": 0.5}),
 }
 
 SCHEMA_CASES = (
@@ -315,9 +317,42 @@ def test_cli_exit_codes(tmp_path):
                      "--x", "oops", "--xi", "1"]) == 2
 
 
+def _fresh_interpreter(code: str) -> str:
+    """stdout of `code` run in a new interpreter, which has imported nothing."""
+    return subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True).stdout.strip()
+
+
+SCIPY_LOADED = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+
+
 def test_cli_import_leaves_heavy_scipy_modules_unloaded():
-    probe = ("import sys, mswf.cli; print(sorted(m for m in ('scipy.integrate', "
-             "'scipy.optimize', 'scipy.ndimage') if m in sys.modules))")
-    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                         check=True)
-    assert out.stdout.strip() == "[]"
+    assert _fresh_interpreter("import sys, mswf.cli; " + SCIPY_LOADED) == "[]"
+
+
+def test_point_mass_and_scalar_evolve_load_no_scipy():
+    cfg = dict(FS_CFG, grid={"n": 1, "points": 512, "halfwidth": 20.0},
+               ladder={"kmin": 2, "kmax": 4}, envelope_ladder=[1.0, 10.0])
+    out = _fresh_interpreter(f"""
+import sys
+from mswf import experiments, grid, potentials, propagator
+summary = experiments.run_fundamental_solution({cfg!r})
+u0 = grid.gaussian_data(grid.GridSpec(1, 256, 20.0))
+scalar = propagator.ScalarPotentialModel("soft-power", mu=1.0, amplitude=0.3)
+u1 = propagator.evolve(potentials.zero_model(1), scalar, u0, 0.0, 0.1,
+                       propagator.EvolveConfig(dt=0.01))
+print(summary["experiment"], abs(u1.l2_norm() - u0.l2_norm()) < 1e-12)
+{SCIPY_LOADED}""")
+    assert out.splitlines() == ["fundamental-solution True", "[]"]
+
+
+def test_rotational_evolve_in_a_fresh_interpreter():
+    out = _fresh_interpreter("""
+import sys
+from mswf import grid, potentials, propagator
+u0 = grid.gaussian_data(grid.GridSpec(2, 32, 8.0))
+print('scipy.sparse' in sys.modules)
+u1 = propagator.evolve(potentials.rotational_model(0.5), None, u0, 0.0, 0.05,
+                       propagator.EvolveConfig(dt=0.01))
+print('scipy.sparse' in sys.modules, abs(u1.l2_norm() / u0.l2_norm() - 1.0) < 1e-4)""")
+    assert out.splitlines() == ["False", "True True"]

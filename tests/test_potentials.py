@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from mswf import errors, potentials as pots
 
@@ -13,6 +15,26 @@ def central_difference_jacobian(model, t, x, h=1e-5):
         e[k] = h
         J[:, k] = (pots.eval_a(model, t, x + e) - pots.eval_a(model, t, x - e)) / (2 * h)
     return J
+
+
+@st.composite
+def point_batches(draw):
+    """(..., n) float arrays, n in {1, 2, 3}, contiguous or strided."""
+    n = draw(st.sampled_from([1, 2, 3]))
+    batch = draw(hnp.array_shapes(min_dims=0, max_dims=3, min_side=1))
+    # axis-major storage gives the strided views the flows pass in
+    axis_major = draw(st.booleans())
+    shape = (n, *batch) if axis_major else (*batch, n)
+    x = draw(hnp.arrays(np.float64, shape, elements=st.floats(-1e150, 1e150)))
+    return np.moveaxis(x, 0, -1) if axis_major else x
+
+
+@settings(max_examples=60, deadline=None)
+@given(point_batches())
+@example(np.array([1e-8, 1e-8, 1.0]))  # (a + b) + c differs from a + (b + c)
+def test_squared_norm_is_the_axis_sum_bit_for_bit(x):
+    expected = np.sum(x * x, axis=-1)
+    assert np.asarray(pots.squared_norm(x)).tobytes() == np.asarray(expected).tobytes()
 
 
 def test_zero_family():
