@@ -11,20 +11,15 @@ of size tau applies them in Strang order (half kinetic, transport, phase,
 half kinetic), so the scheme is second order in tau and conserves the L2
 norm up to interpolation error of the semi-Lagrangian substep.
 
-`evolve` steps one field or a batch of fields on one grid, stored as
-(*grid, B).  The transport geometry of a step (foot points, half-density
-and phase) does not depend on the field, so it is computed once and shared
-by the batch.  The semi-Lagrangian substep interpolates with periodic cubic
-B-splines.  Their prefilter is the diagonal Fourier multiplier
-1 / (2/3 + cos(eta dx) / 3) per axis, folded into the leading half kinetic
-step, so that step's inverse FFT returns spline coefficients directly; the
-coefficients are then sampled at the foot points by a blocked sparse
-kernel.  The spectrum after the trailing half step is carried into the
-next step, so a transport step costs three FFTs.  Without transport the
-FFT sequence is the plain one, and a batch reproduces single-field
-results bit for bit.  That kernel is the package's only use of scipy:
-importing `mswf` loads no scipy module, and `scipy.sparse` is imported on
-the first transport step.
+`evolve` steps a batch of fields on one grid, stored as (B, *grid) so that
+FFTs run along contiguous lines, and computes a step's transport geometry
+(foot points, half-density, phase) once for the batch.  The periodic cubic
+B-spline prefilter 1 / (2/3 + cos(eta dx) / 3) per axis is folded into the
+leading half kinetic step, and a blocked tap-major sparse kernel samples
+the coefficients at the foot points.  The spectrum is carried from step to
+step, so a transport step costs three FFTs.  That kernel is the package's
+only use of scipy: importing `mswf` loads no scipy module, and
+`scipy.sparse` is imported on the first transport step.
 
 A dense reference solver (Hermitian eigensolve of the full generator on
 small grids) provides an independent discretization for cross-checks, and
@@ -150,17 +145,16 @@ def bspline_prefilter(spec: GridSpec) -> np.ndarray:
     return out
 
 
-def bspline_sample(coeffs: np.ndarray, points: np.ndarray, out: np.ndarray,
-                   factor: np.ndarray | None = None) -> np.ndarray:
+def bspline_sample(coeffs: np.ndarray, points: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Evaluate periodic cubic splines at grid-index coordinates, blockwise.
 
     `coeffs` holds the B-spline coefficients of B fields, shape (*grid, B),
     on a grid of power-of-two sizes; `points` has shape (n, P), in units of
     grid indices like the coordinates of map_coordinates.  Each block of
-    SPLINE_BLOCK points becomes one sparse row block holding the 4^n tensor
-    weights and wrapped column indices of its points.  It is applied to
-    all B fields at once and written into `out` (P, B), times `factor` (P,)
-    if given.  Equals map_coordinates(order=3, mode="grid-wrap") on the
+    m <= SPLINE_BLOCK points refills one tap-major COO matrix, whose entry
+    k m + p is tap k of point p: each point's 4^n taps are summed in tap
+    order, as in a point-major CSR matrix.  Samples of all B fields go to
+    `out` (P, B).  Equals map_coordinates(order=3, mode="grid-wrap") on the
     prefiltered samples.
     """
     # imported here, its only use: `import mswf` then loads no scipy module
@@ -180,10 +174,14 @@ def bspline_sample(coeffs: np.ndarray, points: np.ndarray, out: np.ndarray,
     strides = np.cumprod((1,) + grid_shape[:0:-1])[::-1].astype(np.int32)
     wrap = np.array(grid_shape, dtype=np.int32)[:, None, None] - 1
     shifts = np.arange(-1, 3, dtype=np.int32)[:, None]
-    indptr = np.arange(0, (SPLINE_BLOCK + 1) * taps, taps, dtype=np.int32)
+    blocks = {}  # points per block -> matrix; its row indices never change
     for start in range(0, points.shape[1], SPLINE_BLOCK):
         x = points[:, start:start + SPLINE_BLOCK]
         m = x.shape[1]
+        if m not in blocks:
+            point = np.tile(np.arange(m, dtype=np.int32), taps)
+            blocks[m] = sparse.coo_array((np.zeros(taps * m), (point, np.zeros_like(point))),
+                                         shape=(m, size))
         base = np.floor(x)
         t = x - base
         s = 1.0 - t
@@ -195,14 +193,14 @@ def bspline_sample(coeffs: np.ndarray, points: np.ndarray, out: np.ndarray,
         cols &= wrap  # periodic wrap: the sizes are powers of two
         cols *= strides[:, None, None]
         weights, flat = w[0], cols[0]
-        for k in range(1, n):
+        for k in range(1, n - 1):
             weights = (weights[:, None, :] * w[k]).reshape(-1, m)
             flat = (flat[:, None, :] + cols[k]).reshape(-1, m)
-        block = sparse.csr_array((weights.T.ravel(), flat.T.ravel(),
-                                  indptr[:m + 1]), shape=(m, size))
-        rows[start:start + m] = block @ columns
-        if factor is not None:
-            out[start:start + m] *= factor[start:start + m, None]
+        # the last axis writes straight into the matrix (n = 1: empty product)
+        head_w, head_c = (weights[:, None, :], flat[:, None, :]) if n > 1 else (1.0, 0)
+        np.multiply(head_w, w[-1], out=blocks[m].data.reshape(-1, 4, m))
+        np.add(head_c, cols[-1], out=blocks[m].col.reshape(-1, 4, m))
+        rows[start:start + m] = blocks[m] @ columns
     return out
 
 
@@ -229,11 +227,11 @@ def evolve(model: VectorPotentialModel, scalar, u0, t0: float, t1: float,
 
     `u0` is one GridFunction or a sequence of them on one grid; the result
     is a GridFunction or a list of them, with labels kept.  A sequence is
-    stepped as one batch, so the transport geometry of each step is
-    computed once for all of its fields.  `probe`, if given, is called as
-    probe(t, fields) after every accepted step, with `fields` in the form
-    of `u0` (used for norm monitoring and CSV probes).  Raises CflError when the transport
-    displacement would exceed the interpolation stencil reach, and
+    stepped as one batch, and each field gets the bits it would get alone.
+    `probe`, if given, is called as probe(t, fields) after every accepted
+    step, with `fields` in the form of `u0` (used for norm monitoring and
+    CSV probes).  Raises CflError when the transport displacement would
+    exceed the interpolation stencil reach, and
     BoundaryMassError when, for any field, more than `boundary_mass_limit`
     of the squared norm sits within 10 percent of the box edge.
     """
@@ -243,33 +241,32 @@ def evolve(model: VectorPotentialModel, scalar, u0, t0: float, t1: float,
         raise InputError("model dimension does not match the field")
 
     def unpack(values):
-        out = [GridFunction(spec, np.ascontiguousarray(values[..., b]), f.label)
-               for b, f in enumerate(fields)]
+        out = [GridFunction(spec, values[b], f.label) for b, f in enumerate(fields)]
         return out[0] if single else out
 
     step_probe = None if probe is None else \
         (lambda t, values: probe(t, unpack(values.copy())))
-    values = np.stack([f.values for f in fields], axis=-1)
+    values = np.stack([f.values for f in fields])
     if t1 != t0:
         scalar = scalar if scalar is not None else ZERO_SCALAR
         solver = _evolve_reference if cfg.method == "reference-midpoint" else _evolve_split
-        # rebinding frees the solver's second buffer before unpacking
+        # rebinding frees the input buffer when the result is in the other one
         values = solver(model, scalar, spec, values, t0, t1, cfg, step_probe)
     return unpack(values)
 
 
 def _evolve_split(model, scalar, spec, u, t0, t1, cfg, probe):
-    """Strang steps of the batch u (*grid, B), overwritten in place.
+    """Strang steps of the batch u (B, *grid), overwritten in place.
 
-    With transport, the leading half kinetic step also carries the spline
-    prefilter, so its inverse FFT yields B-spline coefficients, and the
-    spectrum after the trailing half step is carried into the next step:
-    three FFTs per step.  Without transport the FFT sequence is the plain
-    one, four per step.
+    With transport, the leading half kinetic step also applies the spline
+    prefilter, and the spectrum is carried into the next step: three FFTs
+    per step (four without transport).  The kernel works on rows of B
+    values: one transposed copy stages the coefficients in u, its samples
+    go to the other buffer, and the copy back into u applies the factor.
     """
     n_steps = max(1, int(np.ceil(abs(t1 - t0) / cfg.dt)))
     tau = (t1 - t0) / n_steps
-    axes = tuple(range(spec.n))
+    axes = tuple(range(1, spec.n + 1))
     grid_axes = np.meshgrid(*spec.axes(), indexing="ij", sparse=True)
     reach = 4.0 * min(spec.dx)
     has_transport = model.family != "zero"
@@ -278,6 +275,9 @@ def _evolve_split(model, scalar, spec, u, t0, t1, cfg, probe):
         a_grid = _grid_potential(model, _coordinate_stack(spec))
     elif has_scalar:
         coords = _coordinate_stack(spec)
+        # without a time factor V gives every step the same phase
+        fixed_phase = np.exp(-1j * tau * scalar(t0, coords)) \
+            if scalar.modulation == "one" else None
 
     def displacement(g, peak):
         return abs(g) * peak * abs(tau)
@@ -304,7 +304,8 @@ def _evolve_split(model, scalar, spec, u, t0, t1, cfg, probe):
         factor = np.empty(phase.shape, dtype=complex)
         np.cos(phase, out=factor.real)
         np.sin(phase, out=factor.imag)
-        factor *= np.exp(0.5 * tau * divergence_a(model, t_mid, y_mid))
+        if model.family not in ("rotational", "constant-field"):  # else div a = 0
+            factor *= np.exp(0.5 * tau * divergence_a(model, t_mid, y_mid))
         foot = np.empty((spec.n,) + spec.shape)
         for i, x in enumerate(grid_axes):
             np.multiply(a_y[..., i], tau, out=foot[i])
@@ -313,14 +314,7 @@ def _evolve_split(model, scalar, spec, u, t0, t1, cfg, probe):
             foot[i] /= spec.dx[i]
         return foot.reshape(spec.n, -1), factor.reshape(-1)
 
-    def transport(t, coeffs, out):
-        """Transport and phase of the step from t: spline coefficients -> out.
-
-        The geometry's temporaries are freed before the kernel runs."""
-        foot, factor = geometry(t)
-        bspline_sample(coeffs, foot, out.reshape(-1, out.shape[-1]), factor)
-
-    kinetic_half = np.exp(-0.25j * tau * spec.freq_squared())[..., None]
+    kinetic_half = np.exp(-0.25j * tau * spec.freq_squared())
 
     def half_kinetic(v):
         np.fft.fftn(v, axes=axes, out=v)
@@ -337,30 +331,37 @@ def _evolve_split(model, scalar, spec, u, t0, t1, cfg, probe):
             if shift > reach:
                 raise CflError(f"transport displacement max|a|*dt = {shift:.3g} "
                                f"exceeds 4*dx = {reach:.3g}")
-        prefiltered_half = kinetic_half * bspline_prefilter(spec)[..., None]
+        prefiltered_half = kinetic_half * bspline_prefilter(spec)
         other = np.empty_like(u)
+        coeffs = u.reshape(-1).reshape(spec.shape + (len(u),))  # kernel input in u
+        samples = other.reshape(-1).reshape(spec.size, len(u))  # its output
         np.fft.fftn(u, axes=axes, out=u)  # the carried spectrum
     t = t0
     for step in range(n_steps):
         if has_transport:
             np.multiply(u, prefiltered_half, out=other)
             np.fft.ifftn(other, axes=axes, out=other)  # spline coefficients
-            transport(t, other, u)
+            np.copyto(coeffs, np.moveaxis(other, 0, -1))  # into u, now free
+            foot, factor = geometry(t)
+            bspline_sample(coeffs, foot, samples)
+            # samples first: the complex product is not bit-symmetric
+            np.multiply(samples.T, factor, out=u.reshape(len(u), -1))
+            del foot, factor  # before the next step's geometry
             np.fft.fftn(u, axes=axes, out=u)
             np.multiply(kinetic_half, u, out=u)
             field = np.fft.ifftn(u, axes=axes, out=other)
         else:
             half_kinetic(u)
             if has_scalar:
-                t_mid = t + 0.5 * tau
-                u *= np.exp(-1j * tau * scalar(t_mid, coords))[..., None]
+                u *= fixed_phase if fixed_phase is not None else \
+                    np.exp(-1j * tau * scalar(t + 0.5 * tau, coords))
             half_kinetic(u)
             field = u
         t = t0 + (step + 1) * tau
         if not np.all(np.isfinite(field)):
             raise NumericError(f"field became non-finite at t = {t:.6g}")
-        for b in range(field.shape[-1]):
-            frac = boundary_mass_fraction(GridFunction(spec, field[..., b]))
+        for b, values in enumerate(field):
+            frac = boundary_mass_fraction(GridFunction(spec, values))
             if frac > cfg.boundary_mass_limit:
                 raise BoundaryMassError(
                     f"{frac:.2e} of the L2 mass of field {b} within 10% of the "
@@ -378,7 +379,6 @@ def _dense_generator(model, scalar, spec: GridSpec, t: float) -> np.ndarray:
     """Full matrix of the Hermitian generator H with u_t = -i H u."""
     N = spec.size
     eye = np.eye(N, dtype=np.complex128)
-    shape = spec.shape
     coords = _coordinate_stack(spec)
     a = eval_a(model, t, coords)
     div = divergence_a(model, t, coords)
@@ -386,12 +386,11 @@ def _dense_generator(model, scalar, spec: GridSpec, t: float) -> np.ndarray:
 
     cols = np.empty((N, N), dtype=np.complex128)
     for j in range(N):
-        f = eye[:, j].reshape(shape)
+        f = eye[:, j].reshape(spec.shape)
         fhat = np.fft.fftn(f)
         kin = np.fft.ifftn(0.5 * spec.freq_squared() * fhat)
-        grad = [np.fft.ifftn(1j * spec.freq_axis(i).reshape(
-            [spec.points[i] if k == i else 1 for k in range(spec.n)]) * fhat)
-            for i in range(spec.n)]
+        grad = [np.fft.ifftn(1j * spec.along(i, spec.freq_axis(i)) * fhat)
+                for i in range(spec.n)]
         adotgrad = sum(a[..., i] * grad[i] for i in range(spec.n))
         cols[:, j] = (kin + 1j * (adotgrad + 0.5 * div * f) + pot * f).reshape(-1)
     return 0.5 * (cols + cols.conj().T)
@@ -403,7 +402,7 @@ def _evolve_reference(model, scalar, spec, u, t0, t1, cfg, probe):
         raise GuardError("reference solver is limited to grids with <= 512 nodes")
     n_steps = max(1, int(np.ceil(abs(t1 - t0) / cfg.dt)))
     tau = (t1 - t0) / n_steps
-    u = u.reshape(spec.size, -1)
+    u = u.reshape(len(u), spec.size)
     time_dependent = model.modulation != "one" or scalar.modulation != "one"
     H = None
     for step in range(n_steps):
@@ -411,10 +410,11 @@ def _evolve_reference(model, scalar, spec, u, t0, t1, cfg, probe):
         if H is None or time_dependent:
             H = _dense_generator(model, scalar, spec, t_mid)
             w, Q = np.linalg.eigh(H)
-        u = Q @ (np.exp(-1j * tau * w)[:, None] * (Q.conj().T @ u))
+        # each field as a row: (Q diag(exp(-i tau w)) Q^H u)^T
+        u = ((u @ Q.conj()) * np.exp(-1j * tau * w)) @ Q.T
         if probe is not None:
-            probe(t0 + (step + 1) * tau, u.reshape(spec.shape + (-1,)))
-    return u.reshape(spec.shape + (-1,))
+            probe(t0 + (step + 1) * tau, u.reshape((-1,) + spec.shape))
+    return u.reshape((-1,) + spec.shape)
 
 
 # ---------------------------------------------------------------------------

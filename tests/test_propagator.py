@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy import ndimage
+from scipy import ndimage, sparse
 
 from mswf import errors, grid, packets, potentials as pots, propagator as prop
 from mswf.packets import GaussianWindow
@@ -112,6 +112,22 @@ def test_l2_conservation_with_scalar():
     assert abs(u1.l2_norm() - u0.l2_norm()) / u0.l2_norm() <= 1e-6
 
 
+@pytest.mark.parametrize("modulation", ["one", "sin"])
+def test_scalar_phase_is_taken_at_each_step_midpoint(modulation):
+    """Two steps in one call give the bits of two one-step calls, so each
+    step's phase is V at that step's midpoint, hoisted only when V has no
+    time factor."""
+    u0 = grid.gaussian_data(SPEC, width=0.5, momentum=2.0)
+    V = prop.ScalarPotentialModel("soft-power", mu=1.0, amplitude=0.3,
+                                  modulation=modulation)
+    cfg = prop.EvolveConfig(dt=0.125)
+    free = pots.zero_model(1)
+    both = prop.evolve(free, V, u0, 0.0, 0.25, cfg)
+    half = prop.evolve(free, V, u0, 0.0, 0.125, cfg)
+    np.testing.assert_array_equal(
+        both.values, prop.evolve(free, V, half, 0.125, 0.25, cfg).values)
+
+
 def test_order_two_selfconvergence():
     spec = grid.GridSpec(1, 1024, 20.0)
     u0 = grid.gaussian_data(spec)
@@ -213,8 +229,8 @@ def test_spline_kernel_matches_map_coordinates(shape):
         * np.array(shape)[:, None]
     factor = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, points.shape[1]))
     coeffs = np.stack([spline_filter_complex(fields[..., b]) for b in range(3)], -1)
-    out = prop.bspline_sample(coeffs, points, np.empty((points.shape[1], 3), complex),
-                              factor)
+    out = prop.bspline_sample(coeffs, points, np.empty((points.shape[1], 3), complex))
+    out *= factor[:, None]  # applied outside the kernel, as evolve does
     for b in range(3):
         f = fields[..., b]
         expected = (ndimage.map_coordinates(f.real, points, order=3, mode="grid-wrap")
@@ -222,6 +238,50 @@ def test_spline_kernel_matches_map_coordinates(shape):
                                                    mode="grid-wrap"))
         assert np.max(np.abs(out[:, b] - factor * expected)) \
             <= 1e-13 * np.max(np.abs(expected))
+
+
+def csr_spline_sample(coeffs, points):
+    """The kernel as one point-major CSR product per block, summing each
+    point's 4^n taps in tap order."""
+    shape = coeffs.shape[:-1]
+    n, size = len(shape), int(np.prod(shape))
+    columns = coeffs.reshape(size, -1).view(np.float64)
+    out = np.empty((points.shape[1], coeffs.shape[-1]), complex)
+    strides = np.cumprod((1,) + shape[:0:-1])[::-1].astype(np.int32)
+    for start in range(0, points.shape[1], prop.SPLINE_BLOCK):
+        x = points[:, start:start + prop.SPLINE_BLOCK]
+        m = x.shape[1]
+        base = np.floor(x)
+        t = x - base
+        s = 1.0 - t
+        w = np.stack([s * s * s, t * t * (t - 2.0) * 3.0 + 4.0,
+                      s * s * (s - 2.0) * 3.0 + 4.0, t * t * t], axis=1)
+        w /= 6.0
+        cols = base.astype(np.int32)[:, None, :] + np.arange(-1, 3, dtype=np.int32)[:, None]
+        cols &= np.array(shape, dtype=np.int32)[:, None, None] - 1
+        cols *= strides[:, None, None]
+        weights, flat = w[0], cols[0]
+        for k in range(1, n):
+            weights = (weights[:, None, :] * w[k]).reshape(-1, m)
+            flat = (flat[:, None, :] + cols[k]).reshape(-1, m)
+        block = sparse.csr_array((weights.T.ravel(), flat.T.ravel(),
+                                  np.arange(0, (m + 1) * 4 ** n, 4 ** n)),
+                                 shape=(m, size))
+        out.view(np.float64)[start:start + m] = block @ columns
+    return out
+
+
+@pytest.mark.parametrize("shape", [(64,), (64, 32)], ids=["1d", "2d"])
+def test_spline_kernel_matches_csr_order(shape):
+    """Same bits as a point-major CSR product: the benchmark's N_hat gate
+    rests on this summation order."""
+    rng = np.random.default_rng(2)
+    coeffs = random_field(rng, shape + (3,))
+    # two full blocks and a partial last one
+    points = rng.uniform(-0.5, 1.5, (len(shape), 2 * prop.SPLINE_BLOCK + 17)) \
+        * np.array(shape)[:, None]
+    out = prop.bspline_sample(coeffs, points, np.empty((points.shape[1], 3), complex))
+    assert np.array_equal(out, csr_spline_sample(coeffs, points))
 
 
 def test_spline_kernel_rejects_grids_it_cannot_wrap():
@@ -259,7 +319,7 @@ def test_batched_evolve_matches_single_with_transport():
     for u0, u1 in zip(data, batch):
         single = prop.evolve(model, None, u0, 0.0, 0.2, cfg)
         assert isinstance(single, grid.GridFunction)
-        assert rel_l2(u1, single) <= 1e-12
+        np.testing.assert_array_equal(u1.values, single.values)
         assert u1.label == u0.label
 
 
