@@ -38,6 +38,7 @@ from .potentials import (VectorPotentialModel, divergence_a, eval_a,
                          jacobian_a)
 
 TOL_RANGE = (1e-13, 1e-3)
+SWEEP_OFFSETS = 4  # offsets per flow at which check_flow_bounds reads the ratios
 
 
 def _vector_field(model: VectorPotentialModel, s, x, xi):
@@ -159,16 +160,10 @@ def _phase_flows(model: VectorPotentialModel, t0: float, s_target: float,
                  x0: np.ndarray, xi0: np.ndarray, tol: float, max_step: float = np.inf):
     """`_rk45_groups` on G trajectories, x0 and xi0 (G, n), each one group
     with its phase channels and atol = tol * max(1, max |y0|)."""
-    n = model.n
-
-    def rhs(s, y):
-        x = y[:, :n]
-        v, dxi = _vector_field(model, s, x, y[:, n:2 * n])
-        return np.column_stack([v, dxi, *_phase_rate(model, s, x, v, dxi)])
-
     y0 = np.concatenate([x0, xi0, np.zeros((len(x0), 2))], axis=-1)
     atol = tol * np.maximum(1.0, np.max(np.abs(y0), axis=-1, keepdims=True))
     segments = [[] for _ in y0]
+    rhs = _groups_rhs(model, 1, lambda s, x, xi, v, dxi: _phase_rate(model, s, x, v, dxi))
     end, nfev = _rk45_groups(rhs, float(t0), float(s_target), y0, tol, atol,
                              max_step, segments)
     return end, nfev, segments
@@ -303,15 +298,24 @@ def _rk45_groups(fun, t0: float, t_bound: float, y0: np.ndarray, rtol: float,
     return end, nfev
 
 
-def _flow_rhs(model: VectorPotentialModel, K: int):
-    """Right-hand side of groups of K trajectories, each group's state
-    flattened as (x_1, xi_1, ..., x_K, xi_K), for `_rk45_groups`."""
+def _groups_rhs(model: VectorPotentialModel, K: int,
+                extra=lambda s, x, xi, v, dxi: ()):
+    """Right-hand side of groups of K trajectories, for `_rk45_groups`.
+
+    Each group's state is flattened per trajectory as (x, xi, *channels),
+    (x_1, xi_1, ..., x_K, xi_K) without extra channels.  `extra(s, x, xi,
+    v, dxi)`, given the vector field (v, dxi), returns the rates of the
+    extra channels, one array of shape (G, K) each; by default there are
+    none.
+    """
     n = model.n
 
     def rhs(s, y):
-        state = y.reshape(len(y), K, 2 * n)
-        v, dxi = _vector_field(model, s[:, None], state[..., :n], state[..., n:])
-        return np.concatenate([v, dxi], axis=-1).reshape(len(y), -1)
+        state = y.reshape(len(y), K, -1)
+        x, xi, s = state[..., :n], state[..., n:2 * n], s[:, None]
+        v, dxi = _vector_field(model, s, x, xi)
+        rates = [c[..., None] for c in extra(s, x, xi, v, dxi)]
+        return np.concatenate([v, dxi, *rates], axis=-1).reshape(len(y), -1)
 
     return rhs
 
@@ -338,7 +342,7 @@ def flow_batch(model: VectorPotentialModel, t0: float, s_target: float,
     if s_target == t0 or x0.size == 0:
         return x0.copy(), xi0.copy()
     y0 = np.concatenate([x0, xi0], axis=-1).reshape(-1, x0.shape[-2] * 2 * n)
-    end, _ = _rk45_groups(_flow_rhs(model, x0.shape[-2]), float(t0), float(s_target),
+    end, _ = _rk45_groups(_groups_rhs(model, x0.shape[-2]), float(t0), float(s_target),
                           y0, tol, tol * np.maximum(1.0, np.abs(y0)))
     end = end.reshape(x0.shape[:-1] + (2 * n,))
     return end[..., :n].copy(), end[..., n:].copy()
@@ -377,14 +381,15 @@ class FlowBoundReport:
 
 def check_flow_bounds(model: VectorPotentialModel, a_param: float, p: float,
                       lam_ladder, t0: float, k_samples, gamma_samples,
-                      s_count: int = 4, tol: float = 1e-9) -> FlowBoundReport:
+                      tol: float = 1e-9) -> FlowBoundReport:
     """Sweep the two-sided ballistic bounds along backward flows from t0.
 
     For each ladder rung the flow starts at (x, lam xi) at time t0 and the
-    position/momentum ratios are recorded at offsets lam^(p-1) <= |s - t0|
-    <= t0.  Samples must satisfy 1/a <= |xi| <= a.  All rung x position x
-    direction flows are one grouped call, each group flowed as `flow` flows
-    it, and read at the offsets through its dense output.
+    position/momentum ratios are recorded at 4 geometric offsets
+    lam^(p-1) <= |s - t0| <= t0.  Samples must satisfy 1/a <= |xi| <= a.
+    All rung x position x direction flows are one grouped call, each group
+    flowed as `flow` flows it, and read at the offsets through its dense
+    output.
     """
     if a_param < 1.0:
         raise InputError("annulus parameter a must be >= 1")
@@ -410,7 +415,7 @@ def check_flow_bounds(model: VectorPotentialModel, a_param: float, p: float,
     for i, lam in enumerate(ladder):
         entries = []
         for segs in segments[i * len(pairs):(i + 1) * len(pairs)]:
-            for off in np.geomspace(lam ** (p - 1.0), t0, s_count):
+            for off in np.geomspace(lam ** (p - 1.0), t0, SWEEP_OFFSETS):
                 y = _dense(segs, t0 - off)
                 entries.append((float(off), float(np.linalg.norm(y[:n])) / (lam * off),
                                 float(np.linalg.norm(y[n:2 * n])) / lam))
@@ -458,11 +463,9 @@ def check_integral_bound(model: VectorPotentialModel, delta: float, interval,
     n = model.n
     ladder = tuple(float(l) for l in lam_ladder)
 
-    def rhs(s, y):
-        x, xi = y[:, :n], y[:, n:2 * n]
-        v, dxi = _vector_field(model, s, x, xi)
+    def integrand(s, x, xi, v, dxi):
         weight = (1.0 + np.sum(x * x, axis=-1)) ** (0.5 * (1.0 + delta))
-        return np.column_stack([v, dxi, np.linalg.norm(xi, axis=-1) / weight])
+        return (np.linalg.norm(xi, axis=-1) / weight,)
 
     pairs = list(zip(_points(model, [x for x, _ in samples]),
                      _points(model, [xi for _, xi in samples])))
@@ -470,7 +473,8 @@ def check_integral_bound(model: VectorPotentialModel, delta: float, interval,
                    for lam in ladder for x, xi in pairs]).reshape(-1, 2 * n + 1)
     quad = np.zeros(len(y0))
     if b > a and len(y0):
-        quad = _rk45_groups(rhs, a, b, y0, tol, tol * np.maximum(1.0, np.abs(y0)))[0][:, -1]
+        quad = _rk45_groups(_groups_rhs(model, 1, integrand), a, b, y0, tol,
+                            tol * np.maximum(1.0, np.abs(y0)))[0][:, -1]
     per_rung = (quad / (1.0 + (b - a))).reshape(len(ladder), len(pairs))
     values = {lam: [float(v) for v in rung] for lam, rung in zip(ladder, per_rung)}
     sup_ratio = {lam: max(vals) if vals else 0.0 for lam, vals in values.items()}

@@ -18,14 +18,15 @@ bicharacteristics, evolves the window freely by -t0 in closed form, and
 pairs it with the initial datum at the flowed point.
 
 The probe is batched.  Both tests and `wf_scan` take one field or a
-sequence of fields on one grid.  Each rung pairs all conic samples with
-all fields in one `packets.pair_many` call.  The backward flows depend on
-the model, t0, the samples and tol, never on the datum, so each
-(cell, rung) is flowed once for every datum.  A dynamic test flows all its
-rungs, and a dynamic scan all its cells' rungs, in one `flow_batch` call,
-one group per (cell, rung).  Each group keeps its own RK45 step control,
-so a flowed point is the same bits whether its (cell, rung) is flowed
-alone or with others.
+sequence of fields on one grid, and all three run one core, `_probe`,
+over their cells: a test is a scan of one cell that raises its error, a
+scan records each cell's error in its row.  Each rung pairs all conic
+samples with all fields in one `packets.pair_many` call.  The backward
+flows depend on the model, t0, the samples and tol, never on the datum,
+so each (cell, rung) is flowed once for every datum, all cells' rungs in
+one `flow_batch` call, one group per (cell, rung).  Each group keeps its
+own RK45 step control, so a flowed point is the same bits whether its
+(cell, rung) is flowed alone or with others.
 """
 
 from __future__ import annotations
@@ -47,6 +48,8 @@ FLOOR_REL = 1e-14
 STEEPEN_STEP = 0.5
 COLLAPSE_EXPONENT = 12.0  # implied exponent that counts as super-polynomial
 MIN_RUNGS = 5
+# conic sampling: offsets per position axis, fan directions, moduli
+POSITIONS_PER_AXIS, N_DIRECTIONS, N_MODULI = 3, 5, 3
 
 
 # JSON names of the Thresholds fields, in configs, reports and `mswf detect`
@@ -76,7 +79,7 @@ class ConicSample:
     """Sampling pattern around a phase-space point (x0, xi0 != 0).
 
     Positions form a per-axis lattice of 3 offsets inside a ball of radius
-    k_radius; directions fan out to half_angle around xi0; moduli run
+    k_radius; 5 directions fan out to half_angle around xi0; 3 moduli run
     geometrically through [1/a, a].  The verdict of a test is the worst
     case over all combinations.
     """
@@ -86,9 +89,6 @@ class ConicSample:
     k_radius: float = 0.25
     half_angle: float = 0.2
     a: float = 1.0
-    positions_per_axis: int = 3
-    n_directions: int = 5
-    n_moduli: int = 3
 
     def __post_init__(self):
         x0 = tuple(float(v) for v in np.atleast_1d(self.x0))
@@ -110,7 +110,7 @@ class ConicSample:
 
     def positions(self) -> np.ndarray:
         offs = [np.array([0.0]) if self.k_radius == 0.0 else
-                np.linspace(-self.k_radius, self.k_radius, self.positions_per_axis)
+                np.linspace(-self.k_radius, self.k_radius, POSITIONS_PER_AXIS)
                 for _ in range(self.n)]
         mesh = np.meshgrid(*offs, indexing="ij")
         pts = np.stack([m.reshape(-1) for m in mesh], axis=-1)
@@ -122,8 +122,7 @@ class ConicSample:
             return unit[None, :]
         if self.n == 2:
             base = np.arctan2(unit[1], unit[0])
-            angles = base + np.linspace(-self.half_angle, self.half_angle,
-                                        self.n_directions)
+            angles = base + np.linspace(-self.half_angle, self.half_angle, N_DIRECTIONS)
             dirs = np.stack([np.cos(angles), np.sin(angles)], axis=-1)
         else:
             # axis direction plus a rim of directions at the half angle
@@ -134,8 +133,8 @@ class ConicSample:
             v /= np.linalg.norm(v)
             w = np.cross(unit, v)
             rim = []
-            for j in range(max(self.n_directions - 1, 0)):
-                phi = 2.0 * np.pi * j / max(self.n_directions - 1, 1)
+            for j in range(N_DIRECTIONS - 1):
+                phi = 2.0 * np.pi * j / (N_DIRECTIONS - 1)
                 rim.append(np.cos(self.half_angle) * unit
                            + np.sin(self.half_angle) * (np.cos(phi) * v + np.sin(phi) * w))
             dirs = np.stack([unit] + rim, axis=0)
@@ -149,7 +148,7 @@ class ConicSample:
     def moduli(self) -> np.ndarray:
         if self.a == 1.0:
             return np.array([1.0])
-        return np.geomspace(1.0 / self.a, self.a, self.n_moduli)
+        return np.geomspace(1.0 / self.a, self.a, N_MODULI)
 
     def phase_samples(self):
         """All (position, xi) pairs as arrays of shape (S, n)."""
@@ -381,6 +380,10 @@ def _ladder_test(fields: list, xs, xis, ladder: tuple, points: list, t: float,
             for f, m in zip(fields, mags)]
 
 
+def _raise(c, exc):
+    raise exc
+
+
 def wf_test_static(f, sample: ConicSample, ladder=None,
                    thresholds: Thresholds = Thresholds(),
                    width: float = 1.0, b: float = 1.0 / 8.0,
@@ -396,13 +399,8 @@ def wf_test_static(f, sample: ConicSample, ladder=None,
     carries solver error.
     """
     fields, single = field_batch(f)
-    ladder = parse_ladder(ladder)
-    xs, xis = sample.phase_samples()
-    metadata = {"mode": "static", "width": width, "b": b,
-                "a": sample.a, "n": sample.n, "noise_rel": noise_rel}
-    reports = _ladder_test(fields, xs, xis, ladder,
-                           [(xs, lam * xis) for lam in ladder], 0.0, thresholds,
-                           width, b, noise_rel, "nyquist-guard", metadata)
+    reports = _probe("static", fields, {0: sample}, parse_ladder(ladder), thresholds,
+                     width, b, noise_rel, _raise)[0]
     return reports[0] if single else reports
 
 
@@ -420,54 +418,91 @@ def wf_test_dynamic(u0, model: VectorPotentialModel, t0: float,
     at the flowed phase point.  `u0` is one GridFunction or a sequence of
     them on one grid, and the result a DecayReport or a list of them; the
     rungs are flowed once, as one grouped `flow_batch`, and paired with
-    every datum.  A scalar potential never enters the flow, so it is
+    every datum.  At t0 = 0 nothing is flowed and the pairings are the
+    static test's.  A scalar potential never enters the flow, so it is
     accepted only to be recorded.  Rungs whose flowed frequency leaves the
     band of u0's grid are dropped.
     """
     fields, single = field_batch(u0)
-    if model.n != fields[0].spec.n:
-        raise InputError("model dimension does not match the datum")
-    ladder = parse_ladder(ladder)
-    if t0 == 0.0:
-        reports = wf_test_static(fields, sample, ladder, thresholds, width, b,
-                                 noise_rel)
-        for report in reports:
-            report.metadata.update({"mode": "dynamic", "t0": 0.0})
-    else:
-        phase = sample.phase_samples()
-        reports = _flowed_test(fields, t0, sample, phase, ladder,
-                               _flow_rungs(model, t0, [phase], ladder, tol)[0],
-                               thresholds, width, b, scalar, noise_rel)
+    reports = _probe("dynamic", fields, {0: sample}, parse_ladder(ladder), thresholds,
+                     width, b, noise_rel, _raise, model, t0, scalar, tol)[0]
     return reports[0] if single else reports
 
 
-def _flow_rungs(model: VectorPotentialModel, t0: float, phases: list,
-                ladder: tuple, tol: float) -> list:
-    """Backward flows of every cell's rungs as one grouped `flow_batch`.
+def _rung_points(model: VectorPotentialModel, t0: float, phases: dict,
+                 ladder: tuple, tol: float, record) -> dict:
+    """Every cell's pairing points, {c: [(X, XI) per rung]}.
 
-    phases[c] holds cell c's (S, n) samples (xs, xis); cells built with
-    the same sampling settings share S.  Group c * R + r is cell c at rung
-    r.  Returns, per cell, the list of flowed (X, XI) per rung.
+    phases[c] holds cell c's (S, n) samples (xs, xis).  At t0 = 0 rung
+    lambda pairs at (xs, lambda xis).  Otherwise the points are flowed
+    backward from t0 to 0 in one grouped `flow_batch` call, group i * R + r
+    for the i-th cell at rung r.  If that call fails, the cells are flowed
+    one by one, so only a failing cell records its error (through
+    `record`) and the others get the same bits as in the grouped call; a
+    single cell is flowed once.
     """
-    X, XI = flow_batch(model, t0, 0.0,
-                       np.array([xs for xs, _ in phases for _ in ladder]),
-                       np.array([lam * xis for _, xis in phases for lam in ladder]),
-                       tol)
-    R = len(ladder)
-    return [list(zip(X[c * R:(c + 1) * R], XI[c * R:(c + 1) * R]))
-            for c in range(len(phases))]
+    if t0 == 0.0:
+        return {c: [(xs, lam * xis) for lam in ladder] for c, (xs, xis) in phases.items()}
+
+    def flow(cells):
+        X, XI = flow_batch(model, t0, 0.0,
+                           np.array([phases[c][0] for c in cells for _ in ladder]),
+                           np.array([lam * phases[c][1] for c in cells for lam in ladder]),
+                           tol)
+        R = len(ladder)
+        return {c: list(zip(X[i * R:(i + 1) * R], XI[i * R:(i + 1) * R]))
+                for i, c in enumerate(cells)}
+
+    if len(phases) > 1:
+        try:
+            return flow(list(phases))
+        except MswfError:
+            pass
+    points = {}
+    for c in phases:
+        try:
+            points.update(flow([c]))
+        except MswfError as exc:
+            record(c, exc)
+    return points
 
 
-def _flowed_test(fields: list, t0: float, sample: ConicSample, phase: tuple,
-                 ladder: tuple, flowed: list, thresholds: Thresholds,
-                 width: float, b: float, scalar, noise_rel: float) -> list:
-    """Dynamic reports of one cell, given its flowed points per rung."""
-    xs, xis = phase
-    metadata = {"mode": "dynamic", "t0": t0, "width": width, "b": b,
-                "a": sample.a, "n": sample.n, "noise_rel": noise_rel,
-                "scalar": getattr(scalar, "family", None)}
-    return _ladder_test(fields, xs, xis, ladder, flowed, -t0, thresholds,
-                        width, b, noise_rel, "flowed-nyquist-guard", metadata)
+def _probe(mode: str, fields: list, samples: dict, ladder: tuple,
+           thresholds: Thresholds, width: float, b: float, noise_rel: float,
+           record, model: VectorPotentialModel = None, t0: float = 0.0,
+           scalar=None, tol: float = 1e-9) -> dict:
+    """Reports of every cell, {c: [one DecayReport per field]}.
+
+    samples[c] is cell c's ConicSample.  A static probe, or a dynamic one
+    at t0 = 0, pairs the fields at the samples themselves; a dynamic one at
+    t0 != 0 pairs windows evolved freely by -t0 at the backward-flowed
+    samples.  A package error (MswfError) of a cell goes to
+    `record(c, exc)`, and that cell has no reports.
+    """
+    dynamic = mode == "dynamic"
+    if dynamic and model.n != fields[0].spec.n:
+        for c in samples:
+            record(c, InputError("model dimension does not match the datum"))
+        return {}
+    flowed = dynamic and t0 != 0.0
+    phases = {c: sample.phase_samples() for c, sample in samples.items()}
+    points = _rung_points(model, t0 if flowed else 0.0, phases, ladder, tol, record)
+    reports = {}
+    for c, rungs in points.items():
+        sample = samples[c]
+        metadata = {"mode": mode, "t0": t0, "width": width, "b": b, "a": sample.a,
+                    "n": sample.n, "noise_rel": noise_rel,
+                    "scalar": getattr(scalar, "family", None)}
+        if not dynamic:
+            del metadata["t0"], metadata["scalar"]
+        try:
+            reports[c] = _ladder_test(
+                fields, *phases[c], ladder, rungs, -t0 if flowed else 0.0, thresholds,
+                width, b, noise_rel, "flowed-nyquist-guard" if flowed else "nyquist-guard",
+                metadata)
+        except MswfError as exc:
+            record(c, exc)
+    return reports
 
 
 # ---------------------------------------------------------------------------
@@ -488,36 +523,7 @@ class ScanCell:
 
 def direction_fan(n: int, count: int) -> np.ndarray:
     """Deterministic unit directions: signs (n=1), a circle (n=2), a spiral (n=3)."""
-    if n == 1:
-        return np.array([[1.0], [-1.0]])[:min(count, 2)]
-    if n == 2:
-        angles = 2.0 * np.pi * np.arange(count) / count
-        return np.stack([np.cos(angles), np.sin(angles)], axis=-1)
-    return shell_points(3, 1.0, count)
-
-
-def _scan_flows(model: VectorPotentialModel, t0: float, phases: dict,
-                ladder: tuple, tol: float, record) -> dict:
-    """Flowed rungs per cell of a dynamic scan, all in one `flow_batch` call.
-
-    If the grouped call fails, the cells are flowed one by one, so only a
-    failing cell records the error (through `record`); the others get the
-    same bits as in the grouped call.
-    """
-    if not phases:
-        return {}
-    try:
-        return dict(zip(phases, _flow_rungs(model, t0, list(phases.values()),
-                                            ladder, tol)))
-    except MswfError:
-        pass
-    flowed = {}
-    for c, phase in phases.items():
-        try:
-            flowed[c] = _flow_rungs(model, t0, [phase], ladder, tol)[0]
-        except MswfError as exc:
-            record(c, exc)
-    return flowed
+    return shell_points(n, 1.0, count)[:count]
 
 
 def wf_scan(mode: str, field_or_datum, positions, directions,
@@ -560,29 +566,9 @@ def wf_scan(mode: str, field_or_datum, positions, directions,
                                      half_angle=half_angle, a=a)
         except MswfError as exc:
             record(c, exc)
-    flowed = None
-    # a model of the wrong dimension reaches wf_test_dynamic, whose
-    # InputError each cell records
-    if mode == "dynamic" and t0 != 0.0 and model.n == fields[0].spec.n:
-        phases = {c: sample.phase_samples() for c, sample in samples.items()}
-        flowed = _scan_flows(model, t0, phases, ladder, tol, record)
-        samples = {c: sample for c, sample in samples.items() if c in flowed}
-    for c, sample in samples.items():
-        try:
-            if mode == "static":
-                reports = wf_test_static(fields, sample, ladder, thresholds,
-                                         width, b, noise_rel)
-            elif flowed is None:
-                reports = wf_test_dynamic(fields, model, t0, sample, ladder,
-                                          thresholds, width, b, scalar=scalar,
-                                          tol=tol, noise_rel=noise_rel)
-            else:
-                reports = _flowed_test(fields, t0, sample, phases[c], ladder,
-                                       flowed[c], thresholds, width, b, scalar,
-                                       noise_rel)
-        except MswfError as exc:
-            record(c, exc)
-            continue
-        for row, report in zip(rows, reports):
+    reports = _probe(mode, fields, samples, ladder, thresholds, width, b, noise_rel,
+                     record, model, t0, scalar, tol)
+    for c, cell_reports in reports.items():
+        for row, report in zip(rows, cell_reports):
             row[c].report = report
     return [cell for row in rows for cell in row]

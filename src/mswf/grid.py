@@ -20,6 +20,8 @@ from .errors import InputError
 
 WFGF_MAGIC = b"WFGF"
 WFGF_VERSION = 1
+SUPPORT_FLOOR = 1e-10  # spectral mass that counts as support, relative to the peak
+EDGE_MARGIN = 0.1  # the edge band, as a fraction of each half-width
 
 
 def _per_axis(value, n: int, name: str) -> tuple:
@@ -208,13 +210,13 @@ def spectral_derivative(f: GridFunction, axis: int) -> GridFunction:
     return f.with_values(np.fft.ifftn(mult * np.fft.fftn(f.values)))
 
 
-def spectral_support_edge(f: GridFunction, rel_floor: float = 1e-10) -> tuple:
-    """Per-axis largest |frequency| carrying spectral mass above rel_floor."""
+def spectral_support_edge(f: GridFunction) -> tuple:
+    """Per-axis largest |frequency| carrying spectral mass above SUPPORT_FLOOR."""
     fhat = np.abs(np.fft.fftn(f.values))
     top = fhat.max()
     if top == 0.0:
         return (0.0,) * f.spec.n
-    mask = fhat >= rel_floor * top
+    mask = fhat >= SUPPORT_FLOOR * top
     edges = []
     for i in range(f.spec.n):
         eta = np.abs(f.spec.freq_axis(i))
@@ -225,23 +227,23 @@ def spectral_support_edge(f: GridFunction, rel_floor: float = 1e-10) -> tuple:
 
 
 @lru_cache(maxsize=16)
-def _edge_mask(spec: GridSpec, margin: float) -> np.ndarray:
-    """Read-only mask of the nodes within `margin` of the box edge."""
+def _edge_mask(spec: GridSpec) -> np.ndarray:
+    """Read-only mask of the nodes within EDGE_MARGIN of the box edge."""
     mask = np.zeros(spec.shape, dtype=bool)
     for i in range(spec.n):
         x = np.abs(spec.axis(i))
-        mask |= spec.along(i, x >= (1.0 - margin) * spec.halfwidths[i])
+        mask |= spec.along(i, x >= (1.0 - EDGE_MARGIN) * spec.halfwidths[i])
     mask.flags.writeable = False
     return mask
 
 
-def boundary_mass_fraction(f: GridFunction, margin: float = 0.1) -> float:
-    """Fraction of squared L2 mass within `margin` of the box edge."""
+def boundary_mass_fraction(f: GridFunction) -> float:
+    """Fraction of squared L2 mass within EDGE_MARGIN of the box edge."""
     w = np.abs(f.values) ** 2
     total = w.sum()
     if total == 0.0:
         return 0.0
-    return float(w[_edge_mask(f.spec, margin)].sum() / total)
+    return float(w[_edge_mask(f.spec)].sum() / total)
 
 
 # ---------------------------------------------------------------------------

@@ -113,7 +113,6 @@ class EvolveConfig:
 
     dt: float
     method: str = "strang-split"
-    boundary_mass_limit: float = 1e-6
 
     def __post_init__(self):
         if self.dt <= 0:
@@ -125,6 +124,7 @@ class EvolveConfig:
 ZERO_SCALAR = ScalarPotentialModel("zero")
 
 SPLINE_BLOCK = 4096  # grid points per block of interpolation weights
+BOUNDARY_MASS_LIMIT = 1e-6  # largest share of |u|^2 allowed in the edge band
 
 
 def _coordinate_stack(spec: GridSpec) -> np.ndarray:
@@ -232,7 +232,7 @@ def evolve(model: VectorPotentialModel, scalar, u0, t0: float, t1: float,
     step, with `fields` in the form of `u0` (used for norm monitoring and
     CSV probes).  Raises CflError when the transport displacement would
     exceed the interpolation stencil reach, and
-    BoundaryMassError when, for any field, more than `boundary_mass_limit`
+    BoundaryMassError when, for any field, more than BOUNDARY_MASS_LIMIT
     of the squared norm sits within 10 percent of the box edge.
     """
     fields, single = field_batch(u0)
@@ -362,7 +362,7 @@ def _evolve_split(model, scalar, spec, u, t0, t1, cfg, probe):
             raise NumericError(f"field became non-finite at t = {t:.6g}")
         for b, values in enumerate(field):
             frac = boundary_mass_fraction(GridFunction(spec, values))
-            if frac > cfg.boundary_mass_limit:
+            if frac > BOUNDARY_MASS_LIMIT:
                 raise BoundaryMassError(
                     f"{frac:.2e} of the L2 mass of field {b} within 10% of the "
                     f"edge at t = {t:.6g}")

@@ -279,7 +279,7 @@ def test_grouped_flow_matches_solve_ivp_per_group(case):
     G, K, n = X.shape
     x, xi = chars.flow_batch(model, t0, s1, X, XI, tol)
     assert x.shape == xi.shape == (G, K, n)
-    rhs = chars._flow_rhs(model, K)
+    rhs = chars._groups_rhs(model, K)
     y0 = np.concatenate([X, XI], axis=-1).reshape(G, -1)
     _, nfev = chars._rk45_groups(rhs, t0, s1, y0, tol,
                                  tol * np.maximum(1.0, np.abs(y0)))

@@ -200,7 +200,7 @@ def test_dynamic_time_zero_reduces_to_static():
     dyn = det.wf_test_dynamic(d, pots.zero_model(1), 0.0, s, LADDER,
                               width=1.0, b=0.125)
     assert dyn.verdict == stat.verdict
-    np.testing.assert_allclose(dyn.magnitudes, stat.magnitudes)
+    assert np.array_equal(dyn.magnitudes, stat.magnitudes)
 
 
 def test_dynamic_free_point_mass_smooths():
@@ -288,7 +288,7 @@ def test_scan_propagates_programming_errors(monkeypatch):
     def broken(*args, **kwargs):
         raise TypeError("not a package error")
 
-    monkeypatch.setattr(det, "wf_test_static", broken)
+    monkeypatch.setattr(det, "_ladder_test", broken)
     g = grid.gaussian_data(FINE)
     with pytest.raises(TypeError, match="not a package error"):
         det.wf_scan("static", g, [(0.0,)], det.direction_fan(1, 2), LADDER)
@@ -378,6 +378,27 @@ def test_dynamic_scan_records_a_failed_flow_in_its_cell_only():
         assert (got.x0, got.verdict, got.report.flags) == \
             (want.x0, want.verdict, want.report.flags)
         assert np.array_equal(got.report.magnitudes, want.report.magnitudes)
+
+
+@pytest.mark.parametrize("mode,t0", [("static", 0.0), ("dynamic", 0.0),
+                                     ("dynamic", 1.0)])
+def test_single_cell_tests_match_their_scan_cell(mode, t0):
+    # a test is the scan's core run on one cell, so it gets the same bits
+    data = _multi_data()
+    model = pots.soft_power_model(1, 0.5, 0.7)
+    sample = det.ConicSample((0.0,), (-1.0,))
+    if mode == "static":
+        reports = det.wf_test_static(data, sample, MULTI_LADDER, noise_rel=1e-7)
+    else:
+        reports = det.wf_test_dynamic(data, model, t0, sample, MULTI_LADDER,
+                                      noise_rel=1e-7)
+    cells = det.wf_scan(mode, data, MULTI_POSITIONS, det.direction_fan(1, 2),
+                        MULTI_LADDER, model=model, t0=t0, noise_rel=1e-7)
+    cells = [c for c in cells if (c.x0, c.xi0) == (sample.x0, sample.xi0)]
+    assert len(cells) == len(reports) == len(data)
+    for cell, report in zip(cells, reports):
+        assert np.array_equal(cell.report.magnitudes, report.magnitudes)
+        assert (cell.report.flags, cell.verdict) == (report.flags, report.verdict)
 
 
 def test_single_field_tests_return_one_report():
