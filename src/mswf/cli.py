@@ -114,7 +114,7 @@ def _cmd_evolve(args) -> int:
     u0 = grid.load_wfgf(args.infile)
     model = potentials.model_from_json(args.potential, u0.spec.n)
     scalar = propagator.scalar_from_json(args.scalar_potential)
-    cfg = propagator.EvolveConfig(dt=args.dt, method=args.method)
+    cfg = propagator.EvolveConfig(dt=args.dt)
     probe_rows = []
     probe = None
     if args.probe_l2:
@@ -213,8 +213,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dt", type=float, required=True)
     p.add_argument("--t0", type=float, default=0.0)
     p.add_argument("--t1", type=float, required=True)
-    p.add_argument("--method", default="strang-split",
-                   choices=["strang-split", "reference-midpoint"])
     p.add_argument("--potential")
     p.add_argument("--scalar-potential")
     p.add_argument("--in", dest="infile", required=True)

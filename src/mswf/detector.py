@@ -480,9 +480,9 @@ def _probe(mode: str, fields: list, samples: dict, ladder: tuple,
     `record(c, exc)`, and that cell has no reports.
     """
     dynamic = mode == "dynamic"
-    if dynamic and model.n != fields[0].spec.n:
+    if dynamic and (model is None or model.n != fields[0].spec.n):
         for c in samples:
-            record(c, InputError("model dimension does not match the datum"))
+            record(c, InputError("a dynamic probe needs a model of the datum's dimension"))
         return {}
     flowed = dynamic and t0 != 0.0
     phases = {c: sample.phase_samples() for c, sample in samples.items()}
@@ -542,9 +542,9 @@ def wf_scan(mode: str, field_or_datum, positions, directions,
     next), each field's cells in input order.  Every cell is tested once
     for all fields together.  A dynamic scan with t0 != 0 flows every
     (cell, rung) once, all in one grouped `flow_batch` call.  A package
-    error (MswfError: a guard, input or numeric failure) is recorded in its
-    cell, for every field, and the scan goes on; any other exception is a
-    programming error and propagates.
+    error (MswfError: a guard, input or numeric failure, such as a dynamic
+    scan without `model`) is recorded in its cell, for every field, and the
+    scan goes on; any other exception is a programming error and propagates.
     """
     if mode not in ("static", "dynamic"):
         raise InputError("mode must be 'static' or 'dynamic'")

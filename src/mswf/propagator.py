@@ -21,8 +21,6 @@ step, so a transport step costs three FFTs.  That kernel is the package's
 only use of scipy: importing `mswf` loads no scipy module, and
 `scipy.sparse` is imported on the first transport step.
 
-A dense reference solver (Hermitian eigensolve of the full generator on
-small grids) provides an independent discretization for cross-checks, and
 `evolved_wpt_leading` evaluates the transport identity that moves a wave
 packet transform backward along the flow with the accumulated phase.
 """
@@ -34,14 +32,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .characteristics import flow
-from .errors import (BoundaryMassError, CflError, GuardError, InputError,
-                     NumericError, load_json, number)
+from .errors import (BoundaryMassError, CflError, InputError, NumericError,
+                     load_json, number)
 from .grid import GridFunction, GridSpec, as_phase_point, \
     boundary_mass_fraction, field_batch
 from .packets import GaussianWindow, wpt
-from .potentials import (MODULATIONS, VectorPotentialModel,
-                         bracket_power_derivative, divergence_a, eval_a,
-                         squared_norm)
+from .potentials import (MODULATIONS, VectorPotentialModel, divergence_a,
+                         eval_a, squared_norm)
 
 SCALAR_FAMILIES = ("zero", "soft-power", "quadratic-test")
 
@@ -81,22 +78,6 @@ class ScalarPotentialModel:
         b2 += 1.0
         return self.amplitude * self.g(t) * b2 ** (0.5 * self.mu)
 
-    def derivative(self, t: float, x, alpha) -> np.ndarray:
-        """d^alpha V for |alpha| <= 3 (used by decay verification)."""
-        x = np.asarray(x, dtype=float)
-        order = sum(alpha)
-        if self.family == "zero":
-            return np.zeros(x.shape[:-1])
-        if self.family == "quadratic-test":
-            if order == 0:
-                return 0.5 * np.sum(x * x, axis=-1)
-            if order == 1:
-                return x[..., alpha.index(1)]
-            if order == 2 and max(alpha) == 2:  # d^2/dx_i^2 = 1, mixed = 0
-                return np.ones(x.shape[:-1])
-            return np.zeros(x.shape[:-1])
-        return self.amplitude * self.g(t) * bracket_power_derivative(self.mu, x, alpha)
-
 
 def scalar_from_json(source) -> ScalarPotentialModel:
     """Build a scalar term from a JSON object, file path, or inline JSON
@@ -109,16 +90,13 @@ def scalar_from_json(source) -> ScalarPotentialModel:
 
 @dataclass(frozen=True)
 class EvolveConfig:
-    """Step size and method for the time stepper."""
+    """Step size of the time stepper."""
 
     dt: float
-    method: str = "strang-split"
 
     def __post_init__(self):
         if self.dt <= 0:
             raise InputError("dt must be positive")
-        if self.method not in ("strang-split", "reference-midpoint"):
-            raise InputError(f"unknown method '{self.method}'")
 
 
 ZERO_SCALAR = ScalarPotentialModel("zero")
@@ -185,9 +163,17 @@ def bspline_sample(coeffs: np.ndarray, points: np.ndarray, out: np.ndarray) -> n
         base = np.floor(x)
         t = x - base
         s = 1.0 - t
-        # per-axis weights (n, 4, m), tap-major so every product runs along m
-        w = np.stack([s * s * s, t * t * (t - 2.0) * 3.0 + 4.0,
-                      s * s * (s - 2.0) * 3.0 + 4.0, t * t * t], axis=1)
+        # per-axis weights (n, 4, m), tap-major so every product runs along m:
+        # s^3, 3 t^2 (t - 2) + 4, 3 s^2 (s - 2) + 4, t^3, written in place
+        w = np.empty((n, 4, m))
+        for k, v in ((0, s), (3, t)):
+            np.multiply(v, v, out=w[:, k])
+            w[:, k] *= v
+        for k, v in ((1, t), (2, s)):
+            np.multiply(v, v, out=w[:, k])
+            w[:, k] *= v - 2.0
+            w[:, k] *= 3.0
+            w[:, k] += 4.0
         w /= 6.0
         cols = base.astype(np.int32)[:, None, :] + shifts
         cols &= wrap  # periodic wrap: the sizes are powers of two
@@ -249,9 +235,8 @@ def evolve(model: VectorPotentialModel, scalar, u0, t0: float, t1: float,
     values = np.stack([f.values for f in fields])
     if t1 != t0:
         scalar = scalar if scalar is not None else ZERO_SCALAR
-        solver = _evolve_reference if cfg.method == "reference-midpoint" else _evolve_split
         # rebinding frees the input buffer when the result is in the other one
-        values = solver(model, scalar, spec, values, t0, t1, cfg, step_probe)
+        values = _evolve_split(model, scalar, spec, values, t0, t1, cfg, step_probe)
     return unpack(values)
 
 
@@ -369,52 +354,6 @@ def _evolve_split(model, scalar, spec, u, t0, t1, cfg, probe):
         if probe is not None:
             probe(t, field)
     return field
-
-
-# ---------------------------------------------------------------------------
-# dense reference solver
-
-
-def _dense_generator(model, scalar, spec: GridSpec, t: float) -> np.ndarray:
-    """Full matrix of the Hermitian generator H with u_t = -i H u."""
-    N = spec.size
-    eye = np.eye(N, dtype=np.complex128)
-    coords = _coordinate_stack(spec)
-    a = eval_a(model, t, coords)
-    div = divergence_a(model, t, coords)
-    pot = scalar(t, coords) + 0.5 * np.sum(a * a, axis=-1)
-
-    cols = np.empty((N, N), dtype=np.complex128)
-    for j in range(N):
-        f = eye[:, j].reshape(spec.shape)
-        fhat = np.fft.fftn(f)
-        kin = np.fft.ifftn(0.5 * spec.freq_squared() * fhat)
-        grad = [np.fft.ifftn(1j * spec.along(i, spec.freq_axis(i)) * fhat)
-                for i in range(spec.n)]
-        adotgrad = sum(a[..., i] * grad[i] for i in range(spec.n))
-        cols[:, j] = (kin + 1j * (adotgrad + 0.5 * div * f) + pot * f).reshape(-1)
-    return 0.5 * (cols + cols.conj().T)
-
-
-def _evolve_reference(model, scalar, spec, u, t0, t1, cfg, probe):
-    """Exponential midpoint with a dense Hermitian eigensolve per step."""
-    if spec.size > 512:
-        raise GuardError("reference solver is limited to grids with <= 512 nodes")
-    n_steps = max(1, int(np.ceil(abs(t1 - t0) / cfg.dt)))
-    tau = (t1 - t0) / n_steps
-    u = u.reshape(len(u), spec.size)
-    time_dependent = model.modulation != "one" or scalar.modulation != "one"
-    H = None
-    for step in range(n_steps):
-        t_mid = t0 + (step + 0.5) * tau
-        if H is None or time_dependent:
-            H = _dense_generator(model, scalar, spec, t_mid)
-            w, Q = np.linalg.eigh(H)
-        # each field as a row: (Q diag(exp(-i tau w)) Q^H u)^T
-        u = ((u @ Q.conj()) * np.exp(-1j * tau * w)) @ Q.T
-        if probe is not None:
-            probe(t0 + (step + 1) * tau, u.reshape((-1,) + spec.shape))
-    return u.reshape((-1,) + spec.shape)
 
 
 # ---------------------------------------------------------------------------

@@ -411,6 +411,23 @@ def test_single_field_tests_return_one_report():
     assert [r.verdict for r in both] == ["not-in-WF"] * 2
 
 
+def test_dynamic_test_without_a_model_raises_input_error():
+    g = grid.gaussian_data(MULTI_SPEC)
+    for t0 in (0.0, 1.0):
+        with pytest.raises(errors.InputError, match="needs a model"):
+            det.wf_test_dynamic(g, None, t0, det.ConicSample((0.0,), (1.0,)),
+                                MULTI_LADDER)
+
+
+def test_dynamic_scan_without_a_model_records_input_error_in_every_cell():
+    data = _multi_data()[:2]
+    cells = det.wf_scan("dynamic", data, MULTI_POSITIONS, det.direction_fan(1, 2),
+                        MULTI_LADDER, t0=1.0)
+    assert len(cells) == 2 * len(MULTI_POSITIONS) * 2
+    assert all(c.report is None and c.error.startswith("InputError: a dynamic probe")
+               for c in cells)
+
+
 def test_scan_rejects_data_on_different_grids():
     other = grid.gaussian_data(grid.GridSpec(1, 2048, 30.0))
     with pytest.raises(errors.InputError):

@@ -2,16 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import ndimage, sparse
+from scipy.special import hyp2f1
 
 from mswf import errors, grid, packets, potentials as pots, propagator as prop
 from mswf.packets import GaussianWindow
 
+from dense_reference import dense_evolve
+
 SPEC = grid.GridSpec(1, 512, 20.0)
-
-
-def rel_l2(a, b):
-    num = np.sqrt(np.sum(np.abs(a.values - b.values) ** 2) * a.spec.cell_volume)
-    return num / b.l2_norm()
 
 
 def test_scalar_potential_families():
@@ -23,17 +21,6 @@ def test_scalar_potential_families():
     assert V.conforming and not q.conforming
     with pytest.raises(errors.InputError):
         prop.ScalarPotentialModel("soft-power", mu=2.0)
-
-
-def test_scalar_derivatives():
-    V = prop.ScalarPotentialModel("soft-power", mu=1.0, amplitude=0.3)
-    x = np.array([[0.7]])
-    h = 1e-6
-    fd = (V(0.0, x + h) - V(0.0, x - h)) / (2 * h)
-    assert V.derivative(0.0, x, (1,))[0] == pytest.approx(fd[0], abs=1e-8)
-    q = prop.ScalarPotentialModel("quadratic-test")
-    assert q.derivative(0.0, x, (2,))[0] == 1.0
-    assert q.derivative(0.0, x, (3,))[0] == 0.0
 
 
 def test_free_gaussian_closed_form():
@@ -68,6 +55,48 @@ def test_uniform_potential_gauge_identity():
     w0 = grid.GridFunction(SPEC, u0.values * np.exp(-1j * c * x))
     exact = np.exp(1j * c * x) * packets.free_evolve_packet(w0, t).values
     assert np.max(np.abs(u1.values - exact)) <= 1e-6
+
+
+def gauge_solution(u0, A0, t):
+    """exp(i A0) exp(i t Lap / 2) (exp(-i A0) u0), the exact solution for a
+    = grad A0 with no time factor and no scalar term.  The free multiplier
+    is applied directly: packets.free_evolve_packet's aliasing guard is
+    meant for wave packets and refuses the 2-d case."""
+    gauge = np.exp(1j * A0)
+    return gauge * grid.apply_kinetic(u0.with_values(u0.values / gauge), t).values
+
+
+def test_gauge_solution_1d_soft_power():
+    # in 1-d every potential is a gradient: A0 = int_0^x <s>^rho ds
+    spec = grid.GridSpec(1, 1024, 20.0)
+    rho, t = 0.5, 0.5
+    model = pots.soft_power_model(1, rho, amplitude=1.0)
+    x = spec.axis(0)
+    A0 = x * hyp2f1(-0.5 * rho, 0.5, 1.5, -x * x)
+    u0 = grid.gaussian_data(spec)
+    u1 = prop.evolve(model, None, u0, 0.0, t, prop.EvolveConfig(dt=5e-3))
+    assert np.max(np.abs(u1.values - gauge_solution(u0, A0, t))) <= 1e-5
+
+
+def test_gauge_solution_2d_radial():
+    # a = c <x>^(rho - 1) x = grad A0 with A0 = c <x>^(rho + 1) / (rho + 1)
+    spec = grid.GridSpec(2, 128, 5.0)
+    c, rho, t = 0.7, 0.5, 0.5
+
+    def a(t, x):
+        return c * pots.bracket(x)[..., None] ** (rho - 1.0) * x
+
+    def jacobian(t, x):
+        b = pots.bracket(x)[..., None, None]
+        return c * (b ** (rho - 1.0) * np.eye(2)
+                    + (rho - 1.0) * b ** (rho - 3.0) * x[..., :, None] * x[..., None, :])
+
+    model = pots.VectorPotentialModel("custom-sampled", 2, custom_a=a,
+                                      custom_jacobian=jacobian, custom_conforming=True)
+    A0 = c * pots.bracket(np.stack(spec.meshgrid(), axis=-1)) ** (rho + 1.0) / (rho + 1.0)
+    u0 = grid.gaussian_data(spec, width=0.7)
+    u1 = prop.evolve(model, None, u0, 0.0, t, prop.EvolveConfig(dt=1e-2))
+    assert np.max(np.abs(u1.values - gauge_solution(u0, A0, t))) <= 5e-5
 
 
 L2_CASES = [
@@ -148,17 +177,9 @@ def test_reference_solver_agrees():
     u0 = grid.gaussian_data(spec)
     model = pots.soft_power_model(1, 0.5, amplitude=0.5, modulation="sin")
     split = prop.evolve(model, None, u0, 0.0, 0.4, prop.EvolveConfig(dt=1e-3))
-    dense = prop.evolve(model, None, u0, 0.0, 0.4,
-                        prop.EvolveConfig(dt=1e-3, method="reference-midpoint"))
+    dense = dense_evolve(model, None, u0, 0.0, 0.4, 1e-3)
     assert np.max(np.abs(split.values - dense.values)) <= 1e-4
     assert abs(dense.l2_norm() - u0.l2_norm()) <= 1e-10
-
-
-def test_reference_solver_size_guard():
-    u0 = grid.gaussian_data(grid.GridSpec(1, 1024, 20.0))
-    with pytest.raises(errors.GuardError):
-        prop.evolve(pots.zero_model(1), None, u0, 0.0, 0.1,
-                    prop.EvolveConfig(dt=1e-2, method="reference-midpoint"))
 
 
 def test_harmonic_coherent_state_returns():
@@ -321,16 +342,6 @@ def test_batched_evolve_matches_single_with_transport():
         assert isinstance(single, grid.GridFunction)
         np.testing.assert_array_equal(u1.values, single.values)
         assert u1.label == u0.label
-
-
-def test_batched_reference_solver_matches_single():
-    spec = grid.GridSpec(1, 64, 8.0)
-    data = [grid.gaussian_data(spec), grid.gaussian_data(spec, center=1.0)]
-    model = pots.soft_power_model(1, 0.5, amplitude=0.5, modulation="sin")
-    cfg = prop.EvolveConfig(dt=5e-2, method="reference-midpoint")
-    batch = prop.evolve(model, None, data, 0.0, 0.2, cfg)
-    for u0, u1 in zip(data, batch):
-        assert rel_l2(u1, prop.evolve(model, None, u0, 0.0, 0.2, cfg)) <= 1e-12
 
 
 @pytest.mark.parametrize("model", [pots.zero_model(1), pots.soft_power_model(1, 0.5)],
