@@ -35,7 +35,15 @@ i = origin.binding_index
 for lam, mag in zip(origin.ladder, origin.magnitudes[i]):
     print(f"  lam = {lam:6.0f}   |W| = {mag:.6f}")
 
-# The raw regression utility is usable on any ladder of magnitudes.
-mags = [lam ** -3.0 for lam in ladder]
-n_hat, r2, flags = det.decay_exponent(ladder, mags)
-print(f"\npure power law lam^-3: fitted N_hat = {n_hat:.6f}, R^2 = {r2:.6f}")
+print(f"per-sample N_hat there: {np.round(origin.fit.n_hat, 4)}")
+
+# The raw regression utility fits many rows of magnitudes on one ladder at
+# once, and returns per row N_hat, R^2, the kept-rung count and the
+# super-polynomial flag.
+lam = np.asarray(ladder)
+fit = det.decay_exponent(ladder, np.stack([lam ** -3.0, np.exp(-lam / 16)]))
+print()
+rows = ("pure power law lam^-3", "collapse exp(-lam/16)")
+for name, n_hat, r2, kept, superp in zip(rows, *fit):
+    print(f"{name}: N_hat = {n_hat:.6f}, R^2 = {r2:.6f}, {kept} rungs kept, "
+          f"super-polynomial = {superp}")

@@ -5,7 +5,8 @@ windows over a geometric ladder of dilations lambda and reading off how
 fast |W(x, lambda xi)| falls.  A log-log least-squares fit produces the
 exponent estimate N_hat; super-polynomial collapse (steepening local
 slopes, or magnitudes crashing through the relative floor) is flagged
-separately.  Verdicts:
+separately.  One masked, closed-form pass fits all conic samples of a
+report at once, and the verdict reduces the per-sample arrays.  Verdicts:
 
   not-in-WF     every sample decays at least like lambda^(-N_threshold)
                 with a trustworthy fit, or super-polynomially;
@@ -32,13 +33,15 @@ own RK45 step control, so a flowed point is the same bits whether its
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .characteristics import flow_batch
 from .errors import InputError, MswfError, integer, load_json, number
 from .grid import field_batch
-from .packets import GaussianWindow, pair_many, theorem_scaling_exponent
+from .packets import GaussianWindow, in_band, pair_many, theorem_scaling_exponent
 # nothing here calls wpt; the name stays because perfbench/layers.py
 # wraps mswf.detector.wpt in its traced run
 from .packets import wpt  # noqa: F401
@@ -151,79 +154,84 @@ class ConicSample:
         return np.geomspace(1.0 / self.a, self.a, N_MODULI)
 
     def phase_samples(self):
-        """All (position, xi) pairs as arrays of shape (S, n)."""
-        pos = self.positions()
-        dirs = self.directions()
-        mods = self.moduli()
-        xs, xis = [], []
-        for p in pos:
-            for d in dirs:
-                for m in mods:
-                    xs.append(p)
-                    xis.append(m * d)
-        return np.asarray(xs), np.asarray(xis)
+        """All (position, xi) pairs as arrays of shape (S, n), position-,
+        then direction-, then modulus-major."""
+        pos, dirs, mods = self.positions(), self.directions(), self.moduli()
+        xis = (mods[None, :, None] * dirs[:, None, :]).reshape(-1, self.n)
+        return np.repeat(pos, len(xis), axis=0), np.tile(xis, (len(pos), 1))
 
 
 # ---------------------------------------------------------------------------
 # exponent regression
 
 
-def decay_exponent(ladder, magnitudes, floor_abs: float = 0.0):
-    """Fitted decay exponent of magnitudes over a geometric ladder.
+class DecayFit(NamedTuple):
+    """Per-sample fit results, arrays over the leading axes of the magnitudes."""
 
-    Returns (n_hat, r_squared, flags).  Entries at or below the censoring
-    floor, the larger of 1e-14 * max and `floor_abs` (the caller's estimate
-    of quadrature/solver noise), are dropped from the fit; if everything is
-    censored the sentinel n_hat = +inf with a super-polynomial flag is
-    returned.  The super-polynomial flag is also set when successive
-    3-point local slopes steepen by more than 0.5 per rung, or when the
-    magnitudes collapse through the relative floor fast enough that the
-    implied exponent exceeds 12.
+    n_hat: np.ndarray             # decay exponent; +inf when fewer than 2 rungs are kept
+    r2: np.ndarray
+    kept: np.ndarray              # rungs above the censoring floor
+    super_polynomial: np.ndarray
+
+    def flags(self, rungs: int) -> list:
+        """Sorted union of the samples' flags on a ladder of `rungs` rungs."""
+        hits = {"all-censored": self.kept == 0, "censored": self.kept < rungs,
+                "censored-to-one": self.kept == 1,
+                "super-polynomial": self.super_polynomial}
+        return sorted(f for f, hit in hits.items() if np.any(hit))
+
+
+def decay_exponent(ladder, magnitudes, floor_abs: float = 0.0) -> DecayFit:
+    """Decay fits of magnitudes (..., R) over a geometric ladder of R rungs.
+
+    Every sample, one row along the last axis, is fitted in one masked,
+    closed-form least-squares pass of log|W| against log lambda, and the
+    result holds arrays over the leading axes (0-d for a 1-d input).
+    Entries at or below the censoring floor, the larger of 1e-14 * max
+    and `floor_abs` (the caller's estimate of quadrature/solver noise),
+    are dropped from a sample's fit; with fewer than 2 kept rungs it gets
+    the sentinel n_hat = +inf, R^2 = 1 and the super-polynomial flag.
+    R^2 is 1 when the kept magnitudes are constant.  The super-polynomial
+    flag is also set when the local slopes of consecutive kept triples
+    steepen by more than 0.5 per rung, or when the magnitudes collapse
+    through the relative floor fast enough that the implied exponent
+    exceeds 12.
     """
     lam = np.asarray(ladder, dtype=float)
     mag = np.asarray(magnitudes, dtype=float)
-    if lam.ndim != 1 or lam.shape != mag.shape:
-        raise InputError("ladder and magnitudes must be 1-d and equal length")
+    if lam.ndim != 1 or mag.ndim < 1 or mag.shape[-1] != len(lam):
+        raise InputError("ladder must be 1-d and as long as the magnitudes' last axis")
     if len(lam) < MIN_RUNGS:
         raise InputError(f"ladder must have at least {MIN_RUNGS} rungs")
     if np.any(np.diff(lam) <= 0):
         raise InputError("ladder must be strictly increasing")
     if np.any(mag < 0):
         raise InputError("magnitudes must be nonnegative")
-    flags: list = []
-    top = mag.max()
-    floor = max(FLOOR_REL * top, floor_abs)
-    keep = mag > floor
-    n_keep = int(np.count_nonzero(keep))
-    if n_keep < len(lam):
-        flags.append("censored")
-    if top == 0.0 or n_keep < 2:
-        flags.append("all-censored" if n_keep == 0 else "censored-to-one")
-        flags.append("super-polynomial")
-        return float("inf"), 1.0, flags
-    x = np.log(lam[keep])
-    y = np.log(mag[keep])
-    slope, intercept = np.polyfit(x, y, 1)
-    resid = y - (slope * x + intercept)
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
-    r2 = 1.0 if ss_tot < 1e-28 else 1.0 - float(np.sum(resid ** 2)) / ss_tot
-    n_hat = -float(slope)
-    # steepening local slopes over consecutive uncensored triples
-    if n_keep >= 4:
-        local = []
-        for i in range(n_keep - 2):
-            s, _ = np.polyfit(x[i:i + 3], y[i:i + 3], 1)
-            local.append(s)
-        if all(b - a < -STEEPEN_STEP for a, b in zip(local, local[1:])):
-            flags.append("super-polynomial")
-    # collapse through the floor inside the ladder
-    if n_keep < len(lam) and keep[0]:
-        first_censored = int(np.argmin(keep))
-        span = np.log10(lam[first_censored]) - np.log10(lam[0])
-        if span > 0 and (-np.log10(FLOOR_REL)) / span >= COLLAPSE_EXPONENT:
-            if "super-polynomial" not in flags:
-                flags.append("super-polynomial")
-    return n_hat, r2, flags
+    keep = mag > np.maximum(FLOOR_REL * mag.max(-1, keepdims=True), floor_abs)
+    kept = np.count_nonzero(keep, axis=-1)
+    x, y = np.log(lam), np.log(np.where(keep, mag, 1.0))
+    order = np.argsort(~keep, axis=-1, kind="stable")  # kept rungs first, in order
+    xw = sliding_window_view(x[order], 3, axis=-1)
+    yw = sliding_window_view(np.take_along_axis(y, order, -1), 3, axis=-1)
+    xw, yw = xw - xw.mean(-1, keepdims=True), yw - yw.mean(-1, keepdims=True)
+    local = np.sum(xw * yw, -1) / np.sum(xw * xw, -1)
+    # a triple pair j is real when its second triple ends on a kept rung
+    real = np.arange(len(lam) - 3) < (kept - 3)[..., None]
+    steepening = (kept >= 4) & np.all((np.diff(local, axis=-1) < -STEEPEN_STEP) | ~real, -1)
+    span = np.log10(lam)[np.argmin(keep, axis=-1)] - np.log10(lam[0])
+    with np.errstate(divide="ignore", invalid="ignore"):  # fewer than 2 kept rungs
+        # deviations from the means over the kept rungs, 0 where censored
+        dx, dy = (np.where(keep, v - np.sum(keep * v, -1, keepdims=True) / kept[..., None], 0)
+                  for v in (x, y))
+        slope = np.sum(dx * dy, -1) / np.sum(dx * dx, -1)
+        ss_tot = np.sum(dy * dy, -1)
+        r2 = np.where(ss_tot < 1e-28, 1.0,
+                      1.0 - np.sum((dy - slope[..., None] * dx) ** 2, -1) / ss_tot)
+        collapse = ((kept < len(lam)) & keep[..., 0] & (span > 0)
+                    & (-np.log10(FLOOR_REL) / span >= COLLAPSE_EXPONENT))
+    sentinel = kept < 2
+    return DecayFit(np.where(sentinel, np.inf, -slope), np.where(sentinel, 1.0, r2),
+                    kept, sentinel | steepening | collapse)
 
 
 @dataclass
@@ -235,23 +243,18 @@ class DecayReport:
     sample_x: np.ndarray          # (S, n)
     sample_xi: np.ndarray         # (S, n)
     magnitudes: np.ndarray        # (S, R)
-    per_sample: list              # dicts with n_hat, r2, flags
-    n_hat: float                  # min over samples (super-polynomial = +inf)
+    fit: DecayFit                 # per-sample arrays of shape (S,)
+    binding_index: int            # the sample of least n_hat (0 without samples)
+    n_hat: float                  # the binding sample's (super-polynomial = +inf)
     r2: float
     flags: list
     verdict: str
-    censored: int
+    censored: int                 # samples with a censored rung
     thresholds: Thresholds
     metadata: dict = field(default_factory=dict)
 
-    @property
-    def binding_index(self) -> int:
-        vals = [s["n_hat"] for s in self.per_sample]
-        return int(np.argmin(vals)) if vals else 0
-
     def to_json_dict(self) -> dict:
-        i = self.binding_index if self.per_sample else 0
-        mag = self.magnitudes[i].tolist() if self.magnitudes.size else []
+        mag = self.magnitudes[self.binding_index].tolist() if self.magnitudes.size else []
 
         def _f(v):
             return None if not np.isfinite(v) else float(v)
@@ -271,47 +274,31 @@ class DecayReport:
 
 
 def _aggregate(ladder, ladder_requested, xs, xis, mags, thresholds,
-               metadata, floor_abs: float = 0.0) -> DecayReport:
-    per_sample = []
-    censored_total = 0
-    for s in range(mags.shape[0]):
-        n_hat, r2, flags = decay_exponent(ladder, mags[s], floor_abs)
-        censored_total += flags.count("censored")
-        per_sample.append({"n_hat": n_hat, "r2": r2, "flags": flags})
-    ok_decay = []
-    has_slow = False
-    for entry in per_sample:
-        superp = "super-polynomial" in entry["flags"]
-        ok_decay.append(superp or (entry["n_hat"] >= thresholds.n_high
-                                   and entry["r2"] >= thresholds.r2_min))
-        if not superp and entry["n_hat"] <= thresholds.n_low:
-            has_slow = True
-    if per_sample and all(ok_decay):
+               metadata, floor_abs: float = 0.0, truncated: str | None = None) -> DecayReport:
+    """The report of one field's (S, R) magnitudes.  A ladder that the
+    guard `truncated` cut below 5 rungs is not fitted: its report has no
+    samples and is inconclusive."""
+    if truncated is None:
+        fit = decay_exponent(ladder, mags, floor_abs)
+        flags = fit.flags(len(ladder))
+    else:
+        fit = DecayFit(np.empty(0), np.empty(0), np.empty(0, int), np.empty(0, bool))
+        flags = ["ladder-truncated", truncated]
+    superp = fit.super_polynomial
+    ok = superp | ((fit.n_hat >= thresholds.n_high) & (fit.r2 >= thresholds.r2_min))
+    if ok.size and ok.all():
         verdict = "not-in-WF"
-    elif has_slow:
+    elif np.any(~superp & (fit.n_hat <= thresholds.n_low)):
         verdict = "in-WF"
     else:
         verdict = "inconclusive"
-    finite = [e["n_hat"] for e in per_sample]
-    n_hat = float(np.min(finite)) if finite else float("nan")
-    i_min = int(np.argmin(finite)) if finite else 0
-    r2 = per_sample[i_min]["r2"] if per_sample else float("nan")
-    flags = sorted({f for e in per_sample for f in e["flags"]})
+    i = int(np.argmin(fit.n_hat)) if len(mags) else 0
+    n_hat, r2 = (float(fit.n_hat[i]), float(fit.r2[i])) if len(mags) else (np.nan, np.nan)
     return DecayReport(ladder=tuple(ladder), ladder_requested=tuple(ladder_requested),
-                       sample_x=xs, sample_xi=xis, magnitudes=mags,
-                       per_sample=per_sample, n_hat=n_hat, r2=r2, flags=flags,
-                       verdict=verdict, censored=censored_total,
+                       sample_x=xs, sample_xi=xis, magnitudes=mags, fit=fit,
+                       binding_index=i, n_hat=n_hat, r2=r2, flags=flags, verdict=verdict,
+                       censored=int(np.count_nonzero(fit.kept < len(ladder))),
                        thresholds=thresholds, metadata=metadata)
-
-
-def _truncated_report(ladder_used, ladder_requested, xs, xis, thresholds,
-                      metadata, reason) -> DecayReport:
-    return DecayReport(ladder=tuple(ladder_used), ladder_requested=tuple(ladder_requested),
-                       sample_x=xs, sample_xi=xis,
-                       magnitudes=np.zeros((0, len(ladder_used))),
-                       per_sample=[], n_hat=float("nan"), r2=float("nan"),
-                       flags=["ladder-truncated", reason], verdict="inconclusive",
-                       censored=0, thresholds=thresholds, metadata=metadata)
 
 
 # ---------------------------------------------------------------------------
@@ -358,23 +345,18 @@ def _ladder_test(fields: list, xs, xis, ladder: tuple, points: list, t: float,
     yield inconclusive reports flagged with `reason`.  Returns one report
     per field.
     """
-    n = xs.shape[1]
     spec = fields[0].spec
-    nyq = spec.nyquist()
-    used, pairs = [], []
-    for lam, (X, XI) in zip(ladder, points):
-        if all(np.max(np.abs(XI[:, i])) <= nyq[i] * (1 + 1e-12) for i in range(n)):
-            used.append(lam)
-            pairs.append((X, XI))
+    rungs = [(lam, X, XI) for lam, (X, XI) in zip(ladder, points) if in_band(spec, XI).all()]
+    used = [lam for lam, _, _ in rungs]
     if len(used) < MIN_RUNGS:
-        return [_truncated_report(used, ladder, xs, xis, thresholds, dict(metadata),
-                                  reason) for _ in fields]
+        return [_aggregate(used, ladder, xs, xis, np.zeros((0, len(used))), thresholds,
+                           dict(metadata), truncated=reason) for _ in fields]
     values = [f.values for f in fields]
     mags = np.empty((len(fields), len(xs), len(used)))
-    for r, (lam, (X, XI)) in enumerate(zip(used, pairs)):
-        window = GaussianWindow(n, width, lam, b, t)
+    for r, (lam, X, XI) in enumerate(rungs):
+        window = GaussianWindow(spec.n, width, lam, b, t)
         mags[..., r] = np.abs(pair_many(spec, values, window, X, XI)).T
-    window_norm = GaussianWindow(n, width, 1.0, b, 0.0).l2_norm()
+    window_norm = GaussianWindow(spec.n, width, 1.0, b, 0.0).l2_norm()
     return [_aggregate(used, ladder, xs, xis, m, thresholds, dict(metadata),
                        noise_rel * f.l2_norm() * window_norm)
             for f, m in zip(fields, mags)]

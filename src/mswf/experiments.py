@@ -261,7 +261,7 @@ def _cell_columns(n: int) -> list:
 def _ladder_rows(cell, *lead) -> list:
     """One row per rung of the cell's binding sample, after `lead`."""
     rep = cell.report
-    if rep is None or not rep.per_sample:
+    if rep is None or not len(rep.magnitudes):
         return []
     return [[*lead, *cell.x0, *cell.xi0, lam, m, rep.n_hat, rep.verdict]
             for lam, m in zip(rep.ladder, rep.magnitudes[rep.binding_index])]

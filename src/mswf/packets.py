@@ -160,10 +160,15 @@ def free_evolve_packet(packet: GridFunction, t: float) -> GridFunction:
 # the transform
 
 
+def in_band(spec: GridSpec, XI) -> np.ndarray:
+    """Which entries of the (S, n) frequencies XI lie in the grid band |xi| dx <= pi."""
+    return np.abs(XI) * np.asarray(spec.dx) <= np.pi * NYQUIST_TOL
+
+
 def _check_nyquist(spec: GridSpec, XI) -> None:
     """Raise NyquistError if any frequency row of XI leaves the grid band."""
     XI = np.atleast_2d(XI)
-    over = np.abs(XI) * np.asarray(spec.dx) > np.pi * NYQUIST_TOL
+    over = ~in_band(spec, XI)
     if over.any():
         s, i = np.argwhere(over)[0]
         raise NyquistError(

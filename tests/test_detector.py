@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mswf import detector as det, errors, grid, potentials as pots
 
@@ -32,30 +33,32 @@ def test_thresholds_json_round_trip():
 def test_decay_exponent_pure_power_law():
     ladder = [2.0 ** k for k in range(1, 11)]
     mags = [lam ** -3.0 for lam in ladder]
-    n_hat, r2, flags = det.decay_exponent(ladder, mags)
-    assert n_hat == pytest.approx(3.0, abs=1e-9)
-    assert r2 == pytest.approx(1.0, abs=1e-12)
-    assert "super-polynomial" not in flags
+    fit = det.decay_exponent(ladder, mags)
+    assert fit.n_hat.shape == ()
+    assert fit.n_hat == pytest.approx(3.0, abs=1e-9)
+    assert fit.r2 == pytest.approx(1.0, abs=1e-12)
+    assert not fit.super_polynomial
 
 
 def test_decay_exponent_constant():
     ladder = [2.0 ** k for k in range(1, 8)]
-    n_hat, r2, flags = det.decay_exponent(ladder, [0.7] * len(ladder))
-    assert n_hat == pytest.approx(0.0, abs=1e-12)
-    assert r2 == 1.0
+    fit = det.decay_exponent(ladder, [0.7] * len(ladder))
+    assert fit.n_hat == pytest.approx(0.0, abs=1e-12)
+    assert fit.r2 == 1.0
 
 
 def test_decay_exponent_exponential_collapse():
     ladder = [2.0 ** k for k in range(1, 11)]
     mags = [np.exp(-lam) for lam in ladder]
-    n_hat, r2, flags = det.decay_exponent(ladder, mags)
-    assert "super-polynomial" in flags
+    fit = det.decay_exponent(ladder, mags)
+    assert fit.super_polynomial
 
 
 def test_decay_exponent_all_censored():
     ladder = [2.0 ** k for k in range(1, 7)]
-    n_hat, r2, flags = det.decay_exponent(ladder, [0.0] * len(ladder))
-    assert n_hat == np.inf
+    fit = det.decay_exponent(ladder, [0.0] * len(ladder))
+    assert fit.n_hat == np.inf
+    flags = fit.flags(len(ladder))
     assert "all-censored" in flags and "super-polynomial" in flags
 
 
@@ -63,8 +66,8 @@ def test_decay_exponent_absolute_floor():
     # a noise plateau below the caller's floor must not pollute the fit
     ladder = [2.0 ** k for k in range(1, 9)]
     mags = [1e-2, 1e-6, 3e-16, 1e-16, 2e-16, 1.5e-16, 2.5e-16, 1e-16]
-    n_hat, _, flags = det.decay_exponent(ladder, mags, floor_abs=1e-13)
-    assert "super-polynomial" in flags
+    fit = det.decay_exponent(ladder, mags, floor_abs=1e-13)
+    assert fit.super_polynomial
 
 
 def test_decay_exponent_validation():
@@ -74,15 +77,87 @@ def test_decay_exponent_validation():
         det.decay_exponent([1, 2, 3, 2, 5], [1] * 5)  # not increasing
     with pytest.raises(errors.InputError):
         det.decay_exponent([1, 2, 4, 8, 16], [1, 1, -1, 1, 1])
+    with pytest.raises(errors.InputError):
+        det.decay_exponent([1, 2, 4, 8, 16], np.ones((3, 6)))  # rung count
 
 
 def test_decay_exponent_scaling_invariance():
     ladder = [2.0 ** k for k in range(1, 9)]
     rng = np.random.default_rng(3)
     mags = np.exp(-1.7 * np.log(ladder)) * np.exp(0.05 * rng.standard_normal(8))
-    base = det.decay_exponent(ladder, mags)[0]
-    scaled = det.decay_exponent(ladder, 137.0 * mags)[0]
+    base = det.decay_exponent(ladder, mags).n_hat
+    scaled = det.decay_exponent(ladder, 137.0 * mags).n_hat
     assert scaled == pytest.approx(base, abs=1e-12)
+
+
+def _polyfit_reference(lam, mag, floor_abs):
+    """One sample's (n_hat, r2, flags) by per-sample np.polyfit fits."""
+    flags = set()
+    keep = mag > max(det.FLOOR_REL * mag.max(), floor_abs)
+    n_keep = int(np.count_nonzero(keep))
+    if n_keep < len(lam):
+        flags.add("censored")
+    if n_keep < 2:
+        flags |= {"all-censored" if n_keep == 0 else "censored-to-one", "super-polynomial"}
+        return np.inf, 1.0, flags
+    x, y = np.log(lam[keep]), np.log(mag[keep])
+    slope, intercept = np.polyfit(x, y, 1)
+    ss_tot = np.sum((y - y.mean()) ** 2)
+    ss_res = np.sum((y - (slope * x + intercept)) ** 2)
+    r2 = 1.0 if ss_tot < 1e-28 else 1.0 - ss_res / ss_tot
+    local = [np.polyfit(x[i:i + 3], y[i:i + 3], 1)[0] for i in range(n_keep - 2)]
+    if n_keep >= 4 and all(b - a < -det.STEEPEN_STEP for a, b in zip(local, local[1:])):
+        flags.add("super-polynomial")
+    if n_keep < len(lam) and keep[0]:
+        span = np.log10(lam[np.argmin(keep)]) - np.log10(lam[0])
+        if span > 0 and -np.log10(det.FLOOR_REL) / span >= det.COLLAPSE_EXPONENT:
+            flags.add("super-polynomial")
+    return -slope, r2, flags
+
+
+def _random_rows(rng, samples, lam):
+    """Rows of every kind the fit treats apart: all zero, one rung kept,
+    constant, pure power law, exponential collapse, a power law with a dip
+    below the floor mid-ladder, and log-normal noise."""
+    rows = []
+    for _ in range(samples):
+        kind = rng.integers(7)
+        scale = 10.0 ** rng.uniform(-6, 3)
+        if kind == 0:
+            row = np.zeros(len(lam))
+        elif kind == 1:
+            row = np.zeros(len(lam))
+            row[rng.integers(len(lam))] = scale
+        elif kind == 2:
+            row = np.full(len(lam), scale)
+        elif kind == 3:
+            row = scale * lam ** -rng.choice([rng.uniform(-1, 12), rng.integers(0, 12)])
+        elif kind == 4:
+            row = scale * np.exp(-rng.uniform(0.05, 2.0) * lam)
+        elif kind == 5:
+            row = scale * lam ** -rng.uniform(0, 6)
+            row[rng.integers(1, len(lam) - 1)] = 0.0
+        else:
+            row = scale * np.exp(rng.normal(-2.0 * np.log(lam), rng.uniform(0, 3)))
+        rows.append(row)
+    return np.array(rows)
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), rungs=st.integers(5, 10),
+       samples=st.integers(1, 12), floor_exp=st.one_of(st.none(), st.floats(-16, 0)))
+@settings(max_examples=150, deadline=None)
+def test_decay_exponent_matches_per_sample_polyfit(seed, rungs, samples, floor_exp):
+    rng = np.random.default_rng(seed)
+    lam = np.geomspace(1.0, 10.0 ** rng.uniform(1, 4), rungs)
+    mags = _random_rows(rng, samples, lam)
+    floor_abs = 0.0 if floor_exp is None else 10.0 ** floor_exp
+    fit = det.decay_exponent(lam, mags, floor_abs)
+    assert fit.n_hat.shape == fit.r2.shape == fit.kept.shape == (samples,)
+    for s in range(samples):
+        n_hat, r2, flags = _polyfit_reference(lam, mags[s], floor_abs)
+        assert det.DecayFit(*(v[s] for v in fit)).flags(rungs) == sorted(flags)
+        assert fit.n_hat[s] == pytest.approx(n_hat, abs=1e-12, rel=0)
+        assert fit.r2[s] == pytest.approx(r2, abs=1e-12, rel=0)
 
 
 # ---------------------------------------------------------------------------
@@ -119,6 +194,24 @@ def test_conic_sample_3d_directions():
     assert dirs.shape[1] == 3
     np.testing.assert_allclose(np.linalg.norm(dirs, axis=-1), 1.0, atol=1e-12)
     assert np.min(dirs @ np.array([0, 0, 1.0])) >= np.cos(0.3) - 1e-12
+
+
+@pytest.mark.parametrize("sample", [
+    det.ConicSample((0.5,), (-2.0,), a=1.5),
+    det.ConicSample((1.0, -1.0), (0.3, 1.0), k_radius=0.3, a=2.0),
+    det.ConicSample((0.0, 1.0, 2.0), (1.0, 2.0, 0.5), half_angle=0.3, a=1.7),
+])
+def test_conic_sample_phase_samples_order(sample):
+    # position-major, then direction, then modulus
+    xs, xis = [], []
+    for p in sample.positions():
+        for d in sample.directions():
+            for m in sample.moduli():
+                xs.append(p)
+                xis.append(m * d)
+    got_xs, got_xis = sample.phase_samples()
+    assert np.array_equal(got_xs, np.asarray(xs))
+    assert np.array_equal(got_xis, np.asarray(xis))
 
 
 def test_conic_sample_rejects_zero_direction():
