@@ -26,10 +26,11 @@ def _parse_vector(text: str) -> np.ndarray:
 
 
 def _parse_grid(text: str) -> grid.GridSpec:
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise InputError("grid must be 'n,points,halfwidth'")
-    return grid.GridSpec(int(parts[0]), int(parts[1]), float(parts[2]))
+    try:
+        n, points, halfwidth = text.split(",")
+        return grid.GridSpec(int(n), int(points), float(halfwidth))
+    except ValueError:
+        raise InputError(f"grid must be 'n,points,halfwidth', got '{text}'") from None
 
 
 # ---------------------------------------------------------------------------
@@ -72,7 +73,10 @@ def _cmd_wpt(args) -> int:
 
 
 def _cmd_iwpt(args) -> int:
-    data = np.load(args.table)
+    try:
+        data = np.load(args.table)
+    except (OSError, ValueError) as exc:
+        raise InputError(f"cannot read table {args.table!r}: {exc}") from None
     points = tuple(int(m) for m in data["grid_points"])
     halfwidths = tuple(float(w) for w in data["grid_halfwidths"])
     spec = grid.GridSpec(len(points), points, halfwidths)

@@ -23,11 +23,11 @@ sequence of fields on one grid, and all three run one core, `_probe`,
 over their cells: a test is a scan of one cell that raises its error, a
 scan records each cell's error in its row.  Each rung pairs all conic
 samples with all fields in one `packets.pair_many` call.  The backward
-flows depend on the model, t0, the samples and tol, never on the datum,
-so each (cell, rung) is flowed once for every datum, all cells' rungs in
-one `flow_batch` call, one group per (cell, rung).  Each group keeps its
-own RK45 step control, so a flowed point is the same bits whether its
-(cell, rung) is flowed alone or with others.
+flows depend on the model, t0 and the samples, never on the datum, so
+each (cell, rung) is flowed once for every datum at FLOW_TOL = 1e-9, all
+cells' rungs in one `flow_batch` call, one group per (cell, rung).  Each
+group keeps its own RK45 step control, so a flowed point is the same bits
+whether its (cell, rung) is flowed alone or with others.
 """
 
 from __future__ import annotations
@@ -51,6 +51,7 @@ FLOOR_REL = 1e-14
 STEEPEN_STEP = 0.5
 COLLAPSE_EXPONENT = 12.0  # implied exponent that counts as super-polynomial
 MIN_RUNGS = 5
+FLOW_TOL = 1e-9  # RK45 tolerance of the scans', point-mass ratio and lemma flows
 # conic sampling: offsets per position axis, fan directions, moduli
 POSITIONS_PER_AXIS, N_DIRECTIONS, N_MODULI = 3, 5, 3
 
@@ -390,8 +391,7 @@ def wf_test_dynamic(u0, model: VectorPotentialModel, t0: float,
                     sample: ConicSample, ladder=None,
                     thresholds: Thresholds = Thresholds(),
                     width: float = 1.0, b: float = 1.0 / 8.0,
-                    scalar=None, tol: float = 1e-9,
-                    noise_rel: float = 1e-12):
+                    scalar=None, noise_rel: float = 1e-12):
     """Probe membership of (x0, xi0) relative to the solution at time t0,
     using only the initial datum.
 
@@ -407,12 +407,12 @@ def wf_test_dynamic(u0, model: VectorPotentialModel, t0: float,
     """
     fields, single = field_batch(u0)
     reports = _probe("dynamic", fields, {0: sample}, parse_ladder(ladder), thresholds,
-                     width, b, noise_rel, _raise, model, t0, scalar, tol)[0]
+                     width, b, noise_rel, _raise, model, t0, scalar)[0]
     return reports[0] if single else reports
 
 
 def _rung_points(model: VectorPotentialModel, t0: float, phases: dict,
-                 ladder: tuple, tol: float, record) -> dict:
+                 ladder: tuple, record) -> dict:
     """Every cell's pairing points, {c: [(X, XI) per rung]}.
 
     phases[c] holds cell c's (S, n) samples (xs, xis).  At t0 = 0 rung
@@ -430,7 +430,7 @@ def _rung_points(model: VectorPotentialModel, t0: float, phases: dict,
         X, XI = flow_batch(model, t0, 0.0,
                            np.array([phases[c][0] for c in cells for _ in ladder]),
                            np.array([lam * phases[c][1] for c in cells for lam in ladder]),
-                           tol)
+                           FLOW_TOL)
         R = len(ladder)
         return {c: list(zip(X[i * R:(i + 1) * R], XI[i * R:(i + 1) * R]))
                 for i, c in enumerate(cells)}
@@ -452,7 +452,7 @@ def _rung_points(model: VectorPotentialModel, t0: float, phases: dict,
 def _probe(mode: str, fields: list, samples: dict, ladder: tuple,
            thresholds: Thresholds, width: float, b: float, noise_rel: float,
            record, model: VectorPotentialModel = None, t0: float = 0.0,
-           scalar=None, tol: float = 1e-9) -> dict:
+           scalar=None) -> dict:
     """Reports of every cell, {c: [one DecayReport per field]}.
 
     samples[c] is cell c's ConicSample.  A static probe, or a dynamic one
@@ -468,7 +468,7 @@ def _probe(mode: str, fields: list, samples: dict, ladder: tuple,
         return {}
     flowed = dynamic and t0 != 0.0
     phases = {c: sample.phase_samples() for c, sample in samples.items()}
-    points = _rung_points(model, t0 if flowed else 0.0, phases, ladder, tol, record)
+    points = _rung_points(model, t0 if flowed else 0.0, phases, ladder, record)
     reports = {}
     for c, rungs in points.items():
         sample = samples[c]
@@ -514,8 +514,7 @@ def wf_scan(mode: str, field_or_datum, positions, directions,
             model: VectorPotentialModel = None, t0: float = 0.0,
             scalar=None, k_radius: float = ConicSample.k_radius,
             half_angle: float = ConicSample.half_angle,
-            a: float = ConicSample.a, tol: float = 1e-9,
-            noise_rel: float = 1e-12) -> list:
+            a: float = ConicSample.a, noise_rel: float = 1e-12) -> list:
     """Run a membership test over a lattice of cells; errors stay in-row.
 
     Each cell is (position, direction).  `field_or_datum` is one
@@ -549,7 +548,7 @@ def wf_scan(mode: str, field_or_datum, positions, directions,
         except MswfError as exc:
             record(c, exc)
     reports = _probe(mode, fields, samples, ladder, thresholds, width, b, noise_rel,
-                     record, model, t0, scalar, tol)
+                     record, model, t0, scalar)
     for c, cell_reports in reports.items():
         for row, report in zip(rows, cell_reports):
             row[c].report = report

@@ -5,8 +5,11 @@ into a frozen config class: `TransportConfig` or `PointMassConfig` (both
 extend `ScanConfig`, the keys every scanning experiment reads) or
 `LemmaConfig`.  Their fields are the reference for the keys and their
 defaults.  An unknown key, a missing required key or a value of the wrong
-type raises InputError (exit code 2) before anything is computed.  The
-runner then computes with the library modules and (optionally) writes a
+type raises InputError (exit code 2) before anything is computed.  What no
+config varies is fixed, and setting it is an unknown key: the noise floors
+(1e-7 static, 1e-12 dynamic), the commutator check (512 points on [-20, 20),
+t = 0.5 and 1, bound 1e-8) and the flow tolerance `detector.FLOW_TOL` = 1e-9.
+The runner then computes with the library modules and (optionally) writes a
 JSON summary plus plot-ready long-format CSV tables.  Outputs are
 deterministic: identical configs and inputs produce byte-identical files,
 so no timestamps or machine info are embedded, only the configuration and
@@ -26,6 +29,11 @@ from . import characteristics as chars
 from . import detector, grid, packets, potentials, propagator
 from .errors import (ConsistencyError, GuardError, InputError, integer,
                      load_json, number)
+
+# the evolved field carries solver error; its transform floor sits there
+STATIC_NOISE_REL, DYNAMIC_NOISE_REL = 1e-7, 1e-12
+COMMUTATOR_GRID = grid.GridSpec(1, 512, 20.0)
+COMMUTATOR_TIMES, COMMUTATOR_TOL = (0.5, 1.0), 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -87,7 +95,6 @@ def _typed(value, key, kind, what: str):
 # converters of the keys that name none, by their annotation
 _BY_TYPE = {
     "float": lambda v, key, done: number(v, key),
-    "int": lambda v, key, done: integer(v, key),
     "bool": lambda v, key, done: _typed(v, key, bool, "true or false"),
     "str | None": lambda v, key, done: _typed(v, key, (str, type(None)), "a string or null"),
     "tuple": lambda v, key, done: tuple(number(x, key) for x in v),
@@ -109,9 +116,14 @@ def _potential(value, key, done) -> potentials.VectorPotentialModel:
 
 
 def _vectors(value, key, done) -> list:
-    """Entries of numbers, each repeated or cut to the grid's dimension."""
-    return [np.resize(np.array([number(v, key) for v in np.atleast_1d(entry)]),
-                      done["grid"].n) for entry in value]
+    """Entries of the grid's dimension n, or of one number repeated n times."""
+    n = done["grid"].n
+    entries = [np.array([number(v, key) for v in np.atleast_1d(entry)]) for entry in value]
+    for entry in entries:
+        if len(entry) not in (1, n):
+            raise InputError(f"'{key}' entry {entry.tolist()} has {len(entry)} numbers, "
+                             f"the grid has n = {n}")
+    return [np.resize(entry, n) for entry in entries]
 
 
 def _directions(value, key, done) -> np.ndarray:
@@ -195,7 +207,6 @@ class ScanConfig(_Config):
     k_radius: float = detector.ConicSample.k_radius
     cone_angle: float = detector.ConicSample.half_angle
     a: float = detector.ConicSample.a
-    tol: float = 1e-9
     t0: float = 1.0
 
     def scan(self, mode: str, data, **kwargs) -> list:
@@ -204,7 +215,7 @@ class ScanConfig(_Config):
             mode, data, self.positions, self.directions, self.ladder,
             self.thresholds, self.width, self.b, model=self.potential,
             t0=self.t0, k_radius=self.k_radius, half_angle=self.cone_angle,
-            a=self.a, tol=self.tol, **kwargs)
+            a=self.a, **kwargs)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -219,9 +230,6 @@ class TransportConfig(ScanConfig):
     dt: float = 1e-3
     min_agreement: float = 0.9
     max_inconclusive: float = 0.5
-    # the evolved field carries solver error; its transform floor sits there
-    static_noise_rel: float = 1e-7
-    dynamic_noise_rel: float = 1e-12
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -234,24 +242,15 @@ class PointMassConfig(ScanConfig):
 
 @dataclass(frozen=True, kw_only=True)
 class LemmaConfig(_Config):
-    """Keys of the lemma suite; `models` defaults to the zero model in
-    dimension `n`."""
+    """Keys of the lemma suite; `models` defaults to the 1-d zero model."""
 
-    n: int = 1
     models: list = _key(lambda v, key, done: [
-        potentials.model_from_json(m, done["n"]) for m in ([None] if v is None else v)],
-        None)
+        potentials.model_from_json(m, 1) for m in ([None] if v is None else v)], None)
     t0: float = 1.0
     a: float = 2.0
     p: float = 0.5
-    tol: float = 1e-9
     flow_ladder: tuple = tuple(2.0 ** k for k in range(4, 13))
-    integral_ladder: tuple = (1.0, 10.0, 100.0, 1000.0, 10000.0)
     delta: float = 0.5
-    commutator_points: int = 512
-    commutator_halfwidth: float = 20.0
-    commutator_times: tuple = (0.5, 1.0)
-    commutator_tol: float = 1e-8
 
 
 def _cell_columns(n: int) -> list:
@@ -288,10 +287,9 @@ def run_transport_consistency(cfg: dict) -> dict:
     data = [_datum_from_config(entry, spec) for entry in config.data]
     evolved = propagator.evolve(model, scalar, data, 0.0, config.t0, evolve_cfg)
     # one scan per mode over all data; results come back datum-major
-    static_cells = config.scan("static", evolved,
-                               noise_rel=config.static_noise_rel)
+    static_cells = config.scan("static", evolved, noise_rel=STATIC_NOISE_REL)
     dynamic_cells = config.scan("dynamic", data, scalar=scalar,
-                                noise_rel=config.dynamic_noise_rel)
+                                noise_rel=DYNAMIC_NOISE_REL)
     per_datum = len(static_cells) // len(data)
     cell_rows, ladder_rows = [], []
     for k, (sc, dc) in enumerate(zip(static_cells, dynamic_cells)):
@@ -387,7 +385,7 @@ def run_fundamental_solution(cfg: dict) -> dict:
     if t0 != 0.0:
         ratio_report = chars.lower_bound_x0(
             model, t0, config.positions, config.directions, env_ladder,
-            tol=config.tol)
+            tol=detector.FLOW_TOL)
         for i, c in enumerate(cells):
             for lam in env_ladder:
                 x0_norm = ratio_report.x0_norms[lam][i]
@@ -437,11 +435,7 @@ def run_lemma_suite(cfg: dict) -> dict:
     for model in config.models:
         if not model.conforming:
             raise GuardError("bound sweeps need conforming models")
-    t0, a_param, tol = config.t0, config.a, config.tol
-    # the commutator grid and packet are checked before the sweeps run
-    gspec = grid.GridSpec(1, config.commutator_points, config.commutator_halfwidth)
-    packet = packets.make_scaled_packet(gspec, 1.0, 1.0, 0.125)
-
+    t0, a_param = config.t0, config.a
     checks = []
     for model in config.models:
         n_m = model.n
@@ -452,12 +446,11 @@ def run_lemma_suite(cfg: dict) -> dict:
         if n_m > 1:
             gamma.append(0.5 * (e1 + e_last) / np.linalg.norm(0.5 * (e1 + e_last)))
         fb = chars.check_flow_bounds(model, a_param, config.p, config.flow_ladder,
-                                     t0, k_samples, gamma, tol=tol)
+                                     t0, k_samples, gamma, tol=detector.FLOW_TOL)
         ib = chars.check_integral_bound(model, config.delta, (0.0, t0),
                                         [(np.zeros(n_m), e1),
                                          (0.3 * e1, e1)],
-                                        config.integral_ladder,
-                                        tol=max(tol, 1e-12))
+                                        tol=detector.FLOW_TOL)
         checks.append({
             "model": potentials.model_to_json(model),
             "flow_bounds": {"lambda_hat0": fb.lambda_hat0, "ok": fb.ok,
@@ -467,9 +460,10 @@ def run_lemma_suite(cfg: dict) -> dict:
                                "stable": ib.stable},
         })
 
+    packet = packets.make_scaled_packet(COMMUTATOR_GRID, 1.0, 1.0, 0.125)
     commutator = []
     worst = 0.0
-    for t in config.commutator_times:
+    for t in COMMUTATOR_TIMES:
         for alpha, beta in (((0,), (0,)), ((1,), (0,)), ((0,), (1,)),
                             ((2,), (0,)), ((1,), (1,)), ((0,), (2,))):
             d = packets.commutator_check(packet, t, alpha, beta)
@@ -479,14 +473,14 @@ def run_lemma_suite(cfg: dict) -> dict:
 
     all_ok = (all(c["flow_bounds"]["ok"] for c in checks)
               and all(c["integral_bound"]["stable"] for c in checks)
-              and worst <= config.commutator_tol)
+              and worst <= COMMUTATOR_TOL)
     summary = {
         "experiment": "lemma-suite",
         "config": _jsonify(_config_echo(cfg)),
         "checks": checks,
         "commutator": commutator,
         "commutator_worst": worst,
-        "commutator_tol": config.commutator_tol,
+        "commutator_tol": COMMUTATOR_TOL,
         "all_ok": all_ok,
     }
     config.write(summary, {})

@@ -318,21 +318,27 @@ def save_wfgf(f: GridFunction, path) -> None:
 
 
 def load_wfgf(path) -> GridFunction:
+    """A field file of `save_wfgf`; InputError for a file that cannot be
+    read, is not WFGF, has another version or is shorter than its header says."""
     path = Path(path)
-    raw = path.read_bytes()
+    try:
+        raw = path.read_bytes()
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc}") from None
     if raw[:4] != WFGF_MAGIC:
         raise InputError(f"{path}: not a WFGF file")
-    version, n = struct.unpack_from("<HH", raw, 4)
+    try:
+        version, n = struct.unpack_from("<HH", raw, 4)
+        axes = [struct.unpack_from("<Qd", raw, 8 + 16 * i) for i in range(n)]
+    except struct.error:
+        raise InputError(f"{path}: WFGF header is truncated") from None
     if version != WFGF_VERSION:
         raise InputError(f"{path}: unsupported WFGF version {version}")
-    offset = 8
-    points, halfwidths = [], []
-    for _ in range(n):
-        M, L = struct.unpack_from("<Qd", raw, offset)
-        offset += 16
-        points.append(int(M))
-        halfwidths.append(float(L))
-    spec = GridSpec(n, tuple(points), tuple(halfwidths))
+    spec = GridSpec(n, tuple(int(M) for M, _ in axes), tuple(float(L) for _, L in axes))
+    offset = 8 + 16 * n
+    if len(raw) < offset + 16 * spec.size:
+        raise InputError(f"{path}: payload of {len(raw) - offset} bytes, "
+                         f"the header's grid {spec.shape} needs {16 * spec.size}")
     flat = np.frombuffer(raw, dtype="<f8", count=spec.size * 2, offset=offset)
     values = (flat[0::2] + 1j * flat[1::2]).reshape(spec.shape)
     return GridFunction(spec, values)

@@ -6,7 +6,9 @@ tests always agree.  Shared heavyweight objects (fine grids, evolved
 fields, experiment summaries) are module-scoped fixtures.
 """
 
+import importlib
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -302,33 +304,38 @@ def test_c10_transport_consistency():
                   f"{elapsed:.0f}s <= 20min")
 
 
+POINT_MASS_ZERO = {
+    "experiment": "fundamental-solution",
+    "grid": {"n": 1, "points": 4096, "halfwidth": 30.0},
+    "t0": 1.0,
+    "positions": [[-2.0], [-1.0], [0.0], [1.0], [2.0]],
+    "directions": 2,
+    "ladder": {"kmin": 2, "kmax": 6},
+    "b": "auto", "width": 1.0, "k_radius": 0.2, "a": 1.0,
+}
+
+POINT_MASS_SOFT = {
+    "experiment": "fundamental-solution",
+    "potential": {"family": "soft-power", "n": 2, "rho": 0.5,
+                  "amplitude": [0.7, 0.7]},
+    "grid": {"n": 2, "points": 256, "halfwidth": 5.0},
+    "t0": 1.0,
+    "positions": [[-0.5, -0.5], [0.5, 0.0], [0.0, 0.5], [0.5, 0.5]],
+    "directions": 4,
+    "ladder": {"kmin": 2, "kmax": 6},
+    "b": "auto", "width": 0.5, "k_radius": 0.15, "a": 1.0,
+}
+
+POINT_MASS_CONTROL = dict(
+    POINT_MASS_ZERO, t0=0.0, control=True, positions=[[0.0]],
+    ladder={"kmin": 3, "kmax": 11}, k_radius=0.25,
+    grid={"n": 1, "points": 32768, "halfwidth": 10.0})
+
+
 def test_c11_fundamental_solution():
-    zero_cfg = {
-        "experiment": "fundamental-solution",
-        "grid": {"n": 1, "points": 4096, "halfwidth": 30.0},
-        "t0": 1.0,
-        "positions": [[-2.0], [-1.0], [0.0], [1.0], [2.0]],
-        "directions": 2,
-        "ladder": {"kmin": 2, "kmax": 6},
-        "b": "auto", "width": 1.0, "k_radius": 0.2, "a": 1.0,
-    }
-    soft_cfg = {
-        "experiment": "fundamental-solution",
-        "potential": {"family": "soft-power", "n": 2, "rho": 0.5,
-                      "amplitude": [0.7, 0.7]},
-        "grid": {"n": 2, "points": 256, "halfwidth": 5.0},
-        "t0": 1.0,
-        "positions": [[-0.5, -0.5], [0.5, 0.0], [0.0, 0.5], [0.5, 0.5]],
-        "directions": 4,
-        "ladder": {"kmin": 2, "kmax": 6},
-        "b": "auto", "width": 0.5, "k_radius": 0.15, "a": 1.0,
-    }
-    s_zero = exp.run_fundamental_solution(zero_cfg)
-    s_soft = exp.run_fundamental_solution(soft_cfg)
-    control = exp.run_fundamental_solution(dict(
-        zero_cfg, t0=0.0, control=True, positions=[[0.0]],
-        ladder={"kmin": 3, "kmax": 11}, k_radius=0.25,
-        grid={"n": 1, "points": 32768, "halfwidth": 10.0}))
+    s_zero = exp.run_fundamental_solution(dict(POINT_MASS_ZERO))
+    s_soft = exp.run_fundamental_solution(dict(POINT_MASS_SOFT))
+    control = exp.run_fundamental_solution(dict(POINT_MASS_CONTROL))
     ratios_ok = (s_zero["ballistic_ratios"]["top_in_bracket"]
                  and s_soft["ballistic_ratios"]["top_in_bracket"])
     ok = (s_zero["fraction_not_in_wf"] == 1.0 and s_zero["cells_conclusive"] > 0
@@ -352,3 +359,19 @@ def test_c12_scalar_potential():
           and rot["agreement"] >= 0.9 and rot["cells_conclusive"] > 0)
     assert report("C12", ok, "equivalence persists under a sub-quadratic scalar term",
                   f"free+V {free['agreement']:.0%}, rotational+V {rot['agreement']:.0%}")
+
+
+def test_benchmark_seed_0_configs_are_the_acceptance_configs(monkeypatch):
+    """perfbench/workloads.py writes the C10, C11 and C12 configs a second
+    time; its seed-0 configs must stay equal to the ones tested here."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    expected = {
+        "magnetic-transport": [ROTATIONAL_TRANSPORT],
+        "point-mass": [POINT_MASS_ZERO, POINT_MASS_SOFT, POINT_MASS_CONTROL],
+        "free-transport": [FREE_TRANSPORT, dict(FREE_TRANSPORT, experiment="scalar-potential",
+                                                scalar_potential=SCALAR)],
+    }
+    assert set(workloads.WORKLOADS) == set(expected)
+    for name, configs in expected.items():
+        assert workloads.configs(name, 0) == configs, name

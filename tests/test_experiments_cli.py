@@ -154,13 +154,23 @@ BAD_CONFIGS = {
     "datum-typo": lambda cfg: dict(cfg, data=[{"name": "gaussian", "widht": 1.0}]),
     "potential-dimension": lambda cfg: dict(
         cfg, potential={"family": "soft-power", "n": 2, "rho": 0.5}),
+    "position-length": lambda cfg: dict(cfg, positions=[[0.0], [0.5, 0.0]]),
+    "direction-length": lambda cfg: dict(cfg, directions=[[1.0, 0.0, 7.0]]),
+    # settings that are constants now, not keys
+    "tol": lambda cfg: dict(cfg, tol=1e-9),
+    "noise-floor": lambda cfg: dict(cfg, static_noise_rel=1e-7),
+    "commutator-tol": lambda cfg: dict(cfg, commutator_tol=1e-8),
+    "lemma-n": lambda cfg: dict(cfg, n=1),
 }
 
+LEMMA_ONLY = ("commutator-tol", "lemma-n")
 SCHEMA_CASES = (
-    [(exp.run_transport_consistency, FREE_CFG, bad) for bad in BAD_CONFIGS]
-    + [(exp.run_fundamental_solution, FS_CFG, bad)
-       for bad in BAD_CONFIGS if bad != "datum-typo"]
-    + [(exp.run_lemma_suite, LEMMA_CFG, bad) for bad in ("misspelled-key", "t0-text")])
+    [(exp.run_transport_consistency, FREE_CFG, bad)
+     for bad in BAD_CONFIGS if bad not in LEMMA_ONLY]
+    + [(exp.run_fundamental_solution, FS_CFG, bad) for bad in BAD_CONFIGS
+       if bad not in ("datum-typo", "noise-floor") + LEMMA_ONLY]
+    + [(exp.run_lemma_suite, LEMMA_CFG, bad)
+       for bad in ("misspelled-key", "t0-text", "tol") + LEMMA_ONLY])
 
 
 @pytest.fixture
@@ -195,6 +205,11 @@ def test_config_parse_converts_once():
     assert [list(p) for p in config.positions] == [[0.0], [1.0]]
     assert config.directions.tolist() == [[1.0], [-1.0]]
     assert config.data == (("gaussian", "gaussian", {}),) and config.dt == 2e-3
+    # a one-number entry stands for every axis
+    plane = exp.ScanConfig.parse({"grid": {"n": 2, "points": 64, "halfwidth": 6.0},
+                                  "positions": [[0.5], [0.5, -1.0]], "directions": [[1.0]]})
+    assert [list(p) for p in plane.positions] == [[0.5, 0.5], [0.5, -1.0]]
+    assert plane.directions.tolist() == [[1.0, 1.0]]
 
 
 def test_detect_defaults_are_the_scan_config_defaults():
@@ -208,6 +223,9 @@ def test_detect_defaults_are_the_scan_config_defaults():
     assert detector.Thresholds.from_json({}) == config.thresholds
 
 
+SHORT_WFGF = "<a WFGF file whose payload is shorter than its header says>"
+
+
 @pytest.mark.parametrize("argv", [
     ["experiment", "--config", '{"experiment": "free-transport",'],
     ["experiment", "--config", "no-such-config.json"],
@@ -215,9 +233,21 @@ def test_detect_defaults_are_the_scan_config_defaults():
      "--t0", "1.0", "--target", "0.0", "--x", "0.3,0.0", "--xi", "2.0,1.0"],
     ["flow", "--potential", '{"family": "soft-power", "n": 2, "rho": "half"}',
      "--t0", "1.0", "--target", "0.0", "--x", "0.3,0.0", "--xi", "2.0,1.0"],
-], ids=["malformed-json", "missing-file", "potential-typo", "potential-type"])
-def test_bad_outside_input_exits_2(argv, capsys):
-    assert cli.main(argv) == 2
+    ["packet", "--grid", "1,abc,20"],
+    ["wpt", "--in", "no-such-field.wfgf", "--x", "0", "--xi", "1"],
+    ["iwpt", "--table", "no-such-table.npz", "--out", "no-such-out.wfgf"],
+    ["wpt", "--in", SHORT_WFGF, "--x", "0", "--xi", "1"],
+    ["detect", "--in", SHORT_WFGF, "--x0", "0", "--xi0", "1"],
+    ["evolve", "--dt", "0.01", "--t1", "0.1", "--in", SHORT_WFGF,
+     "--out", "no-such-out.wfgf"],
+], ids=["malformed-json", "missing-file", "potential-typo", "potential-type",
+        "grid-text", "missing-field-file", "missing-table-file", "short-field-wpt",
+        "short-field-detect", "short-field-evolve"])
+def test_bad_outside_input_exits_2(argv, tmp_path, capsys):
+    short = tmp_path / "short.wfgf"
+    grid.save_wfgf(grid.gaussian_data(grid.GridSpec(1, 64, 5.0)), short)
+    short.write_bytes(short.read_bytes()[:-8])
+    assert cli.main([str(short) if a == SHORT_WFGF else a for a in argv]) == 2
     assert "InputError" in capsys.readouterr().err
 
 
