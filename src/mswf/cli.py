@@ -77,15 +77,21 @@ def _cmd_iwpt(args) -> int:
         data = np.load(args.table)
     except (OSError, ValueError) as exc:
         raise InputError(f"cannot read table {args.table!r}: {exc}") from None
-    points = tuple(int(m) for m in data["grid_points"])
-    halfwidths = tuple(float(w) for w in data["grid_halfwidths"])
+
+    def array(name):
+        if name not in getattr(data, "files", ()):  # a bare .npy has none
+            raise InputError(f"table {args.table!r} has no array {name!r}")
+        return data[name]
+
+    points = tuple(int(m) for m in array("grid_points"))
+    halfwidths = tuple(float(w) for w in array("grid_halfwidths"))
     spec = grid.GridSpec(len(points), points, halfwidths)
     n = spec.n
     table = packets.WptTable(
         spec,
-        tuple(data[f"x_axis_{i}"] for i in range(n)),
-        tuple(data[f"xi_axis_{i}"] for i in range(n)),
-        data["values"])
+        tuple(array(f"x_axis_{i}") for i in range(n)),
+        tuple(array(f"xi_axis_{i}") for i in range(n)),
+        array("values"))
     window = packets.GaussianWindow(n, args.width, args.lam, args.b, args.t)
     out = packets.inverse_wpt(table, window)
     grid.save_wfgf(out, args.out)

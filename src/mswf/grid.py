@@ -237,13 +237,22 @@ def _edge_mask(spec: GridSpec) -> np.ndarray:
     return mask
 
 
-def boundary_mass_fraction(f: GridFunction) -> float:
-    """Fraction of squared L2 mass within EDGE_MARGIN of the box edge."""
-    w = np.abs(f.values) ** 2
-    total = w.sum()
-    if total == 0.0:
-        return 0.0
-    return float(w[_edge_mask(f.spec)].sum() / total)
+def boundary_mass_fraction(spec: GridSpec, batch: np.ndarray) -> np.ndarray:
+    """Per-field fraction of squared L2 mass within EDGE_MARGIN of the box
+    edge, for a batch (B, *grid) of values: 0 where a field's mass is 0,
+    nan where it is not finite.  One grid of scratch serves every field."""
+    mask = _edge_mask(spec)
+    w = np.empty(spec.shape)
+    out = np.zeros(len(batch))
+    for b, values in enumerate(batch):
+        np.abs(values, out=w)
+        w *= w
+        total = w.sum()
+        if not np.isfinite(total):
+            out[b] = np.nan
+        elif total != 0.0:
+            out[b] = w[mask].sum() / total
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,8 @@ FFTs run along contiguous lines, and computes a step's transport geometry
 B-spline prefilter 1 / (2/3 + cos(eta dx) / 3) per axis is folded into the
 leading half kinetic step, and a blocked tap-major sparse kernel samples
 the coefficients at the foot points.  The spectrum is carried from step to
-step, so a transport step costs three FFTs.  That kernel is the package's
+step, and the guards check the physical field that the transport substep
+leaves, so a transport step costs two FFTs.  That kernel is the package's
 only use of scipy: importing `mswf` loads no scipy module, and
 `scipy.sparse` is imported on the first transport step.
 
@@ -217,9 +218,10 @@ def evolve(model: VectorPotentialModel, scalar, u0, t0: float, t1: float,
     `probe`, if given, is called as probe(t, fields) after every accepted
     step, with `fields` in the form of `u0` (used for norm monitoring and
     CSV probes).  Raises CflError when the transport displacement would
-    exceed the interpolation stencil reach, and
-    BoundaryMassError when, for any field, more than BOUNDARY_MASS_LIMIT
-    of the squared norm sits within 10 percent of the box edge.
+    exceed the interpolation stencil reach, NumericError when a field
+    stops being finite, and BoundaryMassError when, for any field, more
+    than BOUNDARY_MASS_LIMIT of the squared norm sits within 10 percent of
+    the box edge.  Both are checked in every step and on the result.
     """
     fields, single = field_batch(u0)
     spec = fields[0].spec
@@ -244,10 +246,13 @@ def _evolve_split(model, scalar, spec, u, t0, t1, cfg, probe):
     """Strang steps of the batch u (B, *grid), overwritten in place.
 
     With transport, the leading half kinetic step also applies the spline
-    prefilter, and the spectrum is carried into the next step: three FFTs
-    per step (four without transport).  The kernel works on rows of B
-    values: one transposed copy stages the coefficients in u, its samples
-    go to the other buffer, and the copy back into u applies the factor.
+    prefilter, and the spectrum is carried into the next step: two FFTs
+    per step, one before the first and one for the result (four per step
+    without transport).  The inverse FFT writes the coefficients into u as
+    rows of B values, their samples go to the other buffer, and the
+    product back into u applies the factor.  The guards check the physical
+    field in hand: after the transport substep, at the end of a free step,
+    and the result.  A probe costs a transport step one more inverse FFT.
     """
     n_steps = max(1, int(np.ceil(abs(t1 - t0) / cfg.dt)))
     tau = (t1 - t0) / n_steps
@@ -321,20 +326,34 @@ def _evolve_split(model, scalar, spec, u, t0, t1, cfg, probe):
         coeffs = u.reshape(-1).reshape(spec.shape + (len(u),))  # kernel input in u
         samples = other.reshape(-1).reshape(spec.size, len(u))  # its output
         np.fft.fftn(u, axes=axes, out=u)  # the carried spectrum
-    t = t0
+
+    def guard(field, t):
+        frac = boundary_mass_fraction(spec, field)
+        if np.isnan(frac).any():
+            raise NumericError(f"field became non-finite at t = {t:.6g}")
+        over = np.flatnonzero(frac > BOUNDARY_MASS_LIMIT)
+        if over.size:
+            raise BoundaryMassError(
+                f"{frac[over[0]]:.2e} of the L2 mass of field {over[0]} within 10% "
+                f"of the edge at t = {t:.6g}")
+
     for step in range(n_steps):
+        t, t_end = t0 + step * tau, t0 + (step + 1) * tau
+        last = step == n_steps - 1
         if has_transport:
             np.multiply(u, prefiltered_half, out=other)
-            np.fft.ifftn(other, axes=axes, out=other)  # spline coefficients
-            np.copyto(coeffs, np.moveaxis(other, 0, -1))  # into u, now free
+            # spline coefficients, written into u (now free) as rows of B values
+            np.fft.ifftn(other, axes=axes, out=np.moveaxis(coeffs, -1, 0))
             foot, factor = geometry(t)
             bspline_sample(coeffs, foot, samples)
             # samples first: the complex product is not bit-symmetric
             np.multiply(samples.T, factor, out=u.reshape(len(u), -1))
             del foot, factor  # before the next step's geometry
+            guard(u, t_end)
             np.fft.fftn(u, axes=axes, out=u)
             np.multiply(kinetic_half, u, out=u)
-            field = np.fft.ifftn(u, axes=axes, out=other)
+            if last or probe is not None:
+                field = np.fft.ifftn(u, axes=axes, out=other)
         else:
             half_kinetic(u)
             if has_scalar:
@@ -342,17 +361,10 @@ def _evolve_split(model, scalar, spec, u, t0, t1, cfg, probe):
                     np.exp(-1j * tau * scalar(t + 0.5 * tau, coords))
             half_kinetic(u)
             field = u
-        t = t0 + (step + 1) * tau
-        if not np.all(np.isfinite(field)):
-            raise NumericError(f"field became non-finite at t = {t:.6g}")
-        for b, values in enumerate(field):
-            frac = boundary_mass_fraction(GridFunction(spec, values))
-            if frac > BOUNDARY_MASS_LIMIT:
-                raise BoundaryMassError(
-                    f"{frac:.2e} of the L2 mass of field {b} within 10% of the "
-                    f"edge at t = {t:.6g}")
+        if last or not has_transport:
+            guard(field, t_end)
         if probe is not None:
-            probe(t, field)
+            probe(t_end, field)
     return field
 
 

@@ -224,6 +224,7 @@ def test_detect_defaults_are_the_scan_config_defaults():
 
 
 SHORT_WFGF = "<a WFGF file whose payload is shorter than its header says>"
+FOREIGN_NPZ = "<an npz archive that holds no grid_points array>"
 
 
 @pytest.mark.parametrize("argv", [
@@ -236,18 +237,22 @@ SHORT_WFGF = "<a WFGF file whose payload is shorter than its header says>"
     ["packet", "--grid", "1,abc,20"],
     ["wpt", "--in", "no-such-field.wfgf", "--x", "0", "--xi", "1"],
     ["iwpt", "--table", "no-such-table.npz", "--out", "no-such-out.wfgf"],
+    ["iwpt", "--table", FOREIGN_NPZ, "--out", "no-such-out.wfgf"],
     ["wpt", "--in", SHORT_WFGF, "--x", "0", "--xi", "1"],
     ["detect", "--in", SHORT_WFGF, "--x0", "0", "--xi0", "1"],
     ["evolve", "--dt", "0.01", "--t1", "0.1", "--in", SHORT_WFGF,
      "--out", "no-such-out.wfgf"],
 ], ids=["malformed-json", "missing-file", "potential-typo", "potential-type",
-        "grid-text", "missing-field-file", "missing-table-file", "short-field-wpt",
-        "short-field-detect", "short-field-evolve"])
+        "grid-text", "missing-field-file", "missing-table-file", "foreign-table",
+        "short-field-wpt", "short-field-detect", "short-field-evolve"])
 def test_bad_outside_input_exits_2(argv, tmp_path, capsys):
     short = tmp_path / "short.wfgf"
     grid.save_wfgf(grid.gaussian_data(grid.GridSpec(1, 64, 5.0)), short)
     short.write_bytes(short.read_bytes()[:-8])
-    assert cli.main([str(short) if a == SHORT_WFGF else a for a in argv]) == 2
+    foreign = tmp_path / "foreign.npz"
+    np.savez(foreign, values=np.zeros(4))
+    files = {SHORT_WFGF: str(short), FOREIGN_NPZ: str(foreign)}
+    assert cli.main([files.get(a, a) for a in argv]) == 2
     assert "InputError" in capsys.readouterr().err
 
 

@@ -70,10 +70,17 @@ def test_kinetic_is_unitary():
 
 def test_boundary_mass_fraction():
     spec = grid.GridSpec(1, 256, 10.0)
-    narrow = grid.gaussian_data(spec, width=0.5)
-    assert grid.boundary_mass_fraction(narrow) < 1e-12
-    edge = grid.gaussian_data(spec, width=0.5, center=9.5)
-    assert grid.boundary_mass_fraction(edge) > 0.5
+    narrow = grid.gaussian_data(spec, width=0.5).values
+    edge = grid.gaussian_data(spec, width=0.5, center=9.5).values
+    blown_up = narrow.copy()
+    blown_up[7] = np.inf
+    frac = grid.boundary_mass_fraction(
+        spec, np.stack([narrow, edge, np.zeros_like(narrow), blown_up]))
+    assert frac.shape == (4,)
+    assert frac[0] < 1e-12
+    assert frac[1] > 0.5
+    assert frac[2] == 0.0  # no mass, none of it at the edge
+    assert np.isnan(frac[3])  # a non-finite field has no fraction
 
 
 def test_builtin_data_rejects_unknown_name():

@@ -51,4 +51,6 @@ def test_traced_transport_run_reports_steps_and_cells(monkeypatch):
         experiments.run_experiment(TINY_TRANSPORT)
     values = layers.layer_values(tr, 1)
     assert values["propagator.steps"] == 4
+    # two FFTs per transport step, one before the first and one for the result
+    assert values["propagator.fft.calls"] == 2 * 4 + 2
     assert values["detector.cells"] > 0

@@ -209,6 +209,45 @@ def test_boundary_mass_guard():
                     prop.EvolveConfig(dt=1e-2))
 
 
+def guard_time(exc_info):
+    return float(str(exc_info.value).rsplit("t = ", 1)[1])
+
+
+def test_boundary_mass_guard_fires_during_a_transport_run():
+    # the narrow packet reaches the edge band long before t1: a guard that
+    # only looked at the result would report t1
+    spec = grid.GridSpec(1, 256, 5.0)
+    u0 = grid.gaussian_data(spec, width=0.1)
+    with pytest.raises(errors.BoundaryMassError) as exc_info:
+        prop.evolve(pots.soft_power_model(1, 0.5), None, u0, 0.0, 2.0,
+                    prop.EvolveConfig(dt=1e-2))
+    assert guard_time(exc_info) < 1.0
+
+
+def test_boundary_mass_guard_checks_the_result_of_a_transport_run():
+    # one step: after the transport substep 2e-8 of the mass sits in the
+    # edge band, after the closing half kinetic step 7e-3
+    spec = grid.GridSpec(1, 256, 5.0)
+    u0 = grid.gaussian_data(spec, width=0.2, center=3.0, momentum=6.0)
+    with pytest.raises(errors.BoundaryMassError):
+        prop.evolve(pots.soft_power_model(1, 0.5, amplitude=0.1), None, u0,
+                    0.0, 0.1, prop.EvolveConfig(dt=0.1))
+
+
+def test_numeric_guard_fires_during_a_transport_run():
+    # a uniform a whose sampled divergence turns NaN after t = 0.05
+    def jacobian(t, x):
+        return np.full(x.shape[:-1] + (1, 1), np.nan if t > 0.05 else 0.0)
+
+    model = pots.VectorPotentialModel(
+        "custom-sampled", 1, custom_a=lambda t, x: np.full_like(x, 0.8),
+        custom_jacobian=jacobian, custom_conforming=True)
+    with pytest.raises(errors.NumericError, match="non-finite") as exc_info:
+        prop.evolve(model, None, grid.gaussian_data(SPEC), 0.0, 0.2,
+                    prop.EvolveConfig(dt=1e-2))
+    assert guard_time(exc_info) < 0.2
+
+
 def test_probe_callback_sees_each_step():
     u0 = grid.gaussian_data(SPEC)
     seen = []
@@ -351,6 +390,24 @@ def test_boundary_mass_guard_checks_every_field_of_a_batch(model):
     data = [grid.gaussian_data(spec), grid.gaussian_data(spec, width=0.1)]
     with pytest.raises(errors.BoundaryMassError, match="field 1"):
         prop.evolve(model, None, data, 0.0, 2.0, prop.EvolveConfig(dt=1e-2))
+
+
+def test_transport_probe_sees_end_of_step_fields_and_keeps_the_bits():
+    _, data = rotational_batch()
+    model = pots.rotational_model(0.5, modulation="sin")
+    cfg = prop.EvolveConfig(dt=1e-2)
+    seen = []
+    probed = prop.evolve(model, None, data, 0.0, 0.05, cfg,
+                         probe=lambda t, f: seen.append((t, f)))
+    plain = prop.evolve(model, None, data, 0.0, 0.05, cfg)
+    assert len(seen) == 5
+    for with_probe, without, last in zip(probed, plain, seen[-1][1]):
+        np.testing.assert_array_equal(with_probe.values, without.values)
+        np.testing.assert_array_equal(last.values, without.values)
+    # each probed field is the end-of-step field, not the mid-step one
+    step = prop.evolve(model, None, data, 0.0, seen[0][0], cfg)
+    for first, one_step in zip(seen[0][1], step):
+        np.testing.assert_array_equal(first.values, one_step.values)
 
 
 def test_batch_probe_and_validation():
