@@ -11,7 +11,7 @@ from mswf.packets import GaussianWindow, GaussianSignal
 
 spec = mswf.GridSpec(1, 256, 20.0)
 f = mswf.gaussian_data(spec)  # exp(-y^2/2)
-window = packets.make_scaled_packet(spec, 1.0, 1.0, 0.125)
+window = GaussianWindow(1, 1.0, lam=1.0, b=0.125)
 
 # At the phase-space origin the transform of a unit gaussian against itself
 # is the plain gaussian integral, sqrt(pi).
@@ -24,8 +24,7 @@ for x, xi in ((1.0, 0.0), (1.0, 2.0), (-2.0, 1.0)):
     closed = np.sqrt(np.pi) * np.exp(-x**2 / 4 - xi**2 / 4)
     print(f"|W[f]({x:+.0f}, {xi:+.0f})|      = {q:.10f}   closed form {closed:.10f}")
 
-# The analytic window object evaluates the same quadrature without a grid
-# window; both paths agree to round-off, and the closed-form oracle covers
+# The window evolves freely in closed form, and the closed-form oracle covers
 # gaussian and point-mass signals at any dilation and evolution time.
 win = GaussianWindow(1, 1.0, lam=16.0, b=0.125, t=-0.5)
 p = ((0.3,), (1.0,))
@@ -34,15 +33,17 @@ oracle = packets.gaussian_wpt_oracle(GaussianSignal(), win, p)
 print(f"evolved window: quadrature vs oracle diff = {abs(quad - oracle):.2e}")
 
 # Dilation lam^(nb/2) phi(lam^b y) preserves the L2 norm while the 1/e
-# width shrinks like lam^(-b).
+# half-width sqrt(2 / Re beta) shrinks like lam^(-b).
 fine = mswf.GridSpec(1, 512, 10.0)
 for lam in (1.0, 16.0, 256.0):
-    pk = packets.make_scaled_packet(fine, 1.0, lam, 0.125)
-    print(f"lam = {lam:5.0f}: |phi_lam| = {pk.l2_norm():.8f}, "
-          f"1/e half-width = {packets.measure_packet_width(pk):.4f}")
+    win = GaussianWindow(1, 1.0, lam=lam, b=0.125)
+    print(f"lam = {lam:5.0f}: |phi_lam| on the grid = "
+          f"{win.grid_function(fine).l2_norm():.8f}, "
+          f"1/e half-width = {np.sqrt(2.0 / win.beta.real):.4f}")
 
-# Full-lattice transform plus the adjoint is exactly the identity on the
-# periodic grid.
+# The full-lattice transform samples the window periodically about every
+# grid node; with the adjoint it is exactly the identity on the periodic
+# grid.
 table = packets.wpt_grid(f, window)
 back = packets.inverse_wpt(table, window)
 err = np.sqrt(np.sum(np.abs(back.values - f.values) ** 2) * spec.cell_volume)

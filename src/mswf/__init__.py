@@ -14,9 +14,9 @@ from .detector import (ConicSample, DecayReport, Thresholds, decay_exponent,
                        default_ladder, wf_scan, wf_test_dynamic,
                        wf_test_static)
 from .errors import (BoundaryMassError, CflError, ConsistencyError,
-                     DomainError, GuardError, InputError, MswfError,
-                     NumericError, NyquistError, ResolutionError,
-                     StepUnderflowError, UndersampledError)
+                     GuardError, InputError, MswfError, NumericError,
+                     NyquistError, ResolutionError, StepUnderflowError,
+                     UndersampledError)
 from .grid import (GridFunction, GridSpec, PhasePoint, builtin_data,
                    delta_spike, gaussian_data, jump_data, load_wfgf,
                    save_wfgf)

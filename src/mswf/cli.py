@@ -52,15 +52,17 @@ def _cmd_packet(args) -> int:
 
 
 def _cmd_wpt(args) -> int:
+    if (args.x is None) != (args.xi is None):
+        raise InputError("a pointwise transform needs both --x and --xi")
+    if args.x is None and not args.table_out:
+        raise InputError("full-lattice transform needs --table-out <npz>")
     f = grid.load_wfgf(args.infile)
     window = packets.GaussianWindow(f.spec.n, args.width, args.lam, args.b, args.t)
-    if args.x is not None and args.xi is not None:
+    if args.x is not None:
         value = packets.wpt(f, window, (_parse_vector(args.x), _parse_vector(args.xi)))
         print(f"wpt: re={value.real!r} im={value.imag!r} abs={abs(value)!r}")
         return 0
     table = packets.wpt_grid(f, window)
-    if not args.table_out:
-        raise InputError("full-lattice transform needs --table-out <npz>")
     payload = {"values": table.values,
                "grid_points": np.array(f.spec.points),
                "grid_halfwidths": np.array(f.spec.halfwidths)}

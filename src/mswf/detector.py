@@ -101,6 +101,8 @@ class ConicSample:
         object.__setattr__(self, "xi0", xi0)
         if len(x0) != len(xi0):
             raise InputError("x0 and xi0 must have the same dimension")
+        if not np.all(np.isfinite(x0 + xi0)):
+            raise InputError("x0 and xi0 must be finite")
         if float(np.linalg.norm(xi0)) == 0.0:
             raise InputError("xi0 must be nonzero")
         if self.a < 1.0:
@@ -206,8 +208,8 @@ def decay_exponent(ladder, magnitudes, floor_abs: float = 0.0) -> DecayFit:
         raise InputError(f"ladder must have at least {MIN_RUNGS} rungs")
     if np.any(np.diff(lam) <= 0):
         raise InputError("ladder must be strictly increasing")
-    if np.any(mag < 0):
-        raise InputError("magnitudes must be nonnegative")
+    if not np.all(np.isfinite(mag) & (mag >= 0)):
+        raise InputError("magnitudes must be finite and nonnegative")
     keep = mag > np.maximum(FLOOR_REL * mag.max(-1, keepdims=True), floor_abs)
     kept = np.count_nonzero(keep, axis=-1)
     x, y = np.log(lam), np.log(np.where(keep, mag, 1.0))

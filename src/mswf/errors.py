@@ -35,10 +35,6 @@ class ResolutionError(GuardError):
     """Field or packet is under-resolved on the grid."""
 
 
-class DomainError(GuardError):
-    """Evaluation point too close to (or outside) the domain boundary."""
-
-
 class UndersampledError(GuardError):
     """Phase-space lattice too coarse for a stable inverse transform."""
 

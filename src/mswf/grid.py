@@ -193,18 +193,6 @@ def apply_kinetic(f: GridFunction, t: float) -> GridFunction:
     return f.with_values(np.fft.ifftn(mult * np.fft.fftn(f.values)))
 
 
-def spectral_shift(f: GridFunction, shift) -> GridFunction:
-    """Band-limited translate: returns g with g(y) = f(y - shift), periodic."""
-    shift = np.atleast_1d(np.asarray(shift, dtype=float))
-    if shift.shape != (f.spec.n,):
-        raise InputError("shift must have one entry per axis")
-    fhat = np.fft.fftn(f.values)
-    for i in range(f.spec.n):
-        eta = f.spec.freq_axis(i)
-        fhat = fhat * f.spec.along(i, np.exp(-1j * eta * shift[i]))
-    return f.with_values(np.fft.ifftn(fhat))
-
-
 def spectral_derivative(f: GridFunction, axis: int) -> GridFunction:
     mult = f.spec.along(axis, 1j * f.spec.freq_axis(axis))
     return f.with_values(np.fft.ifftn(mult * np.fft.fftn(f.values)))

@@ -2,19 +2,19 @@
 
 The transform of a field f against a window phi at a phase-space point
 (x, xi) is the quadrature of conj(phi(y - x)) f(y) exp(-i y.xi) over the
-grid.  Windows come in two flavors:
-
-* a `GridFunction` window, translated by band-limited (spectral phase
-  shift) interpolation, which makes the discrete forward/inverse pair an
-  exact frame identity on the periodic grid; or
-* an analytic `GaussianWindow` (dilated by lambda^b and freely evolved in
-  closed form), which can be centered arbitrarily far outside the box and
-  is what the wave-front detector uses along flowed phase points.
+grid.  There is one window type, the analytic `GaussianWindow` (dilated by
+lambda^b and freely evolved in closed form).  The pointwise transform
+evaluates it anywhere, so its center may sit far outside the box, which
+is what the wave-front detector needs along flowed phase points.  The
+lattice transform and its inverse sample it periodically on the grid
+about each lattice position, with the nearest-image displacement on each
+axis, which makes the discrete forward/inverse pair an exact frame
+identity on the periodic grid.
 
 The Gaussian quadrature is written once, in `pair_many`: it pairs B
 fields with one window at S phase points through one (S, M_i) vector per
-axis, shared by every field, and `wpt` with a Gaussian window is its
-one-point case.  The detector makes one such call per ladder rung.
+axis, shared by every field, and `wpt` is its one-point case.  The
+detector makes one such call per ladder rung.
 
 Scaled packets follow phi_lam(y) = lam^(n b / 2) phi(lam^b y), which keeps
 the L2 norm independent of lam.
@@ -26,10 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DomainError, InputError, NyquistError, ResolutionError,
-                     UndersampledError)
+from .errors import InputError, NyquistError, ResolutionError, UndersampledError
 from .grid import (GridFunction, GridSpec, apply_kinetic, as_phase_point,
-                   spectral_derivative, spectral_shift, spectral_support_edge)
+                   spectral_derivative, spectral_support_edge)
 
 NYQUIST_TOL = 1.0 + 1e-12
 
@@ -94,33 +93,28 @@ class GaussianWindow:
         """Exact continuum norm, independent of lam and t."""
         return (np.sqrt(np.pi) * self.width) ** (self.n / 2.0)
 
-    def grid_function(self, spec: GridSpec) -> GridFunction:
-        if spec.n != self.n:
-            raise InputError("grid dimension does not match window dimension")
+    def grid_function(self, spec: GridSpec, center=None) -> GridFunction:
+        """The window about `center` (default the origin) sampled on the
+        periodic grid, at the nearest-image displacement on each axis."""
+        _check_window(self, spec.n)
         values = np.full(spec.shape, self.amplitude, dtype=np.complex128)
         for i in range(spec.n):
-            values = values * spec.along(i, np.exp(-0.5 * self.beta * spec.axis(i) ** 2))
+            y = spec.axis(i)
+            if center is not None:
+                L = spec.halfwidths[i]
+                y = (y - center[i] + L) % (2.0 * L) - L
+            values = values * spec.along(i, np.exp(-0.5 * self.beta * y ** 2))
         return GridFunction(spec, values, label="gaussian-window")
+
+
+def _check_window(window, n: int) -> None:
+    """Raise InputError unless `window` is a GaussianWindow of dimension n."""
+    if not isinstance(window, GaussianWindow) or window.n != n:
+        raise InputError("window must be a GaussianWindow of the field's dimension")
 
 
 # ---------------------------------------------------------------------------
 # packet construction and evolution
-
-
-def measure_packet_width(packet: GridFunction, axis: int = 0) -> float:
-    """1/e half-width of |packet| along an axis line through the origin node."""
-    idx = list(packet.spec.origin_index)
-    sl = tuple(slice(None) if i == axis else idx[i] for i in range(packet.spec.n))
-    profile = np.abs(packet.values[sl])
-    x = packet.spec.axis(axis)
-    peak_idx = int(np.argmax(profile))
-    thr = profile[peak_idx] / np.e
-    above = np.nonzero(profile >= thr)[0]
-    right = int(above.max())
-    if right >= len(profile) - 1:
-        return float(packet.spec.halfwidths[axis])
-    frac = (profile[right] - thr) / (profile[right] - profile[right + 1])
-    return float(x[right] + frac * (x[right + 1] - x[right]) - x[peak_idx])
 
 
 def make_scaled_packet(spec: GridSpec, width: float, lam: float,
@@ -191,8 +185,7 @@ def pair_many(spec: GridSpec, values, window: GaussianWindow,
     matrix-vector path) and no field is copied.  Raises NyquistError if
     any frequency leaves the grid band.
     """
-    if window.n != spec.n:
-        raise InputError("window dimension does not match the field")
+    _check_window(window, spec.n)
     X = np.atleast_2d(np.asarray(X, dtype=float))
     XI = np.atleast_2d(np.asarray(XI, dtype=float))
     if X.shape != XI.shape or X.shape[1] != spec.n:
@@ -221,34 +214,10 @@ def pair_many(spec: GridSpec, values, window: GaussianWindow,
     return np.conj(window.amplitude) * spec.cell_volume * out
 
 
-def wpt(f: GridFunction, packet, p) -> complex:
-    """Wave packet transform of f at one phase-space point.
-
-    `packet` is either a GridFunction window (translated spectrally, so the
-    center x must stay inside the box by the window's effective support) or
-    a GaussianWindow (evaluated analytically, any center allowed).
-    """
+def wpt(f: GridFunction, window: GaussianWindow, p) -> complex:
+    """Wave packet transform of f at one phase-space point, any center."""
     point = as_phase_point(p, f.spec.n)
-    _check_nyquist(f.spec, point.xi)
-    spec = f.spec
-    if isinstance(packet, GaussianWindow):
-        return complex(pair_many(spec, [f.values], packet, point.x,
-                                 point.xi)[0, 0])
-    if isinstance(packet, GridFunction):
-        if packet.spec != spec:
-            raise InputError("packet and field must live on the same grid")
-        support = 3.0 * measure_packet_width(packet)
-        for i in range(spec.n):
-            if abs(point.x[i]) + support > spec.halfwidths[i]:
-                raise DomainError(
-                    f"center x_{i} = {point.x[i]:.4g} closer than the packet "
-                    f"support {support:.3g} to the boundary")
-        win = spectral_shift(packet, point.x)
-        g = np.conj(win.values) * f.values
-        for i in range(spec.n):
-            g = np.tensordot(np.exp(-1j * spec.axis(i) * point.xi[i]), g, axes=(0, 0))
-        return spec.cell_volume * complex(g)
-    raise InputError("packet must be a GridFunction or a GaussianWindow")
+    return complex(pair_many(f.spec, [f.values], window, point.x, point.xi)[0, 0])
 
 
 @dataclass
@@ -261,9 +230,12 @@ class WptTable:
     values: np.ndarray
 
 
-def _match_freq_indices(spec: GridSpec, xi_axes) -> list:
-    """Indices of requested frequencies inside the FFT lattice, or raise."""
-    out = []
+def _lattice_frequencies(spec: GridSpec, xi_axes) -> tuple:
+    """Indices of the requested frequencies inside the FFT lattice, or raise,
+    and exp(i L.xi) on their tensor lattice, the phase that corrects the
+    FFT for the grid origin at -L."""
+    freq_idx = []
+    phase = np.ones(tuple(len(a) for a in xi_axes), dtype=np.complex128)
     for i, requested in enumerate(xi_axes):
         lattice = spec.freq_axis(i)
         tol = 1e-9 * np.pi / spec.dx[i]
@@ -274,17 +246,22 @@ def _match_freq_indices(spec: GridSpec, xi_axes) -> list:
                 raise NyquistError(
                     f"frequency {xi:.6g} on axis {i} is not grid-representable")
             idx.append(int(hits[0]))
-        out.append(np.asarray(idx))
-    return out
+        freq_idx.append(np.asarray(idx))
+        phase = phase * spec.along(i, np.exp(1j * spec.halfwidths[i] * lattice[idx]))
+    return freq_idx, phase
 
 
-def wpt_grid(f: GridFunction, packet, x_axes=None, xi_axes=None) -> WptTable:
+def wpt_grid(f: GridFunction, window: GaussianWindow, x_axes=None,
+             xi_axes=None) -> WptTable:
     """Batched transform via one FFT per window position.
 
-    Positions may sit anywhere (periodic translation); frequencies must lie
-    on the FFT lattice of the grid.  Agrees with `wpt` pointwise.
+    At each position the window is sampled periodically on the grid
+    (`GaussianWindow.grid_function`), so positions may sit anywhere;
+    frequencies must lie on the FFT lattice of the grid.  Agrees with
+    `wpt` pointwise wherever the window is negligible half a box away.
     """
     spec = f.spec
+    _check_window(window, spec.n)
     if x_axes is None:
         x_axes = tuple(spec.axes())
     else:
@@ -295,51 +272,40 @@ def wpt_grid(f: GridFunction, packet, x_axes=None, xi_axes=None) -> WptTable:
         xi_axes = tuple(np.atleast_1d(np.asarray(a, dtype=float)) for a in xi_axes)
     if len(x_axes) != spec.n or len(xi_axes) != spec.n:
         raise InputError("x_axes and xi_axes need one array per grid axis")
-    freq_idx = _match_freq_indices(spec, xi_axes)
-    # phase factor exp(+i L xi) per axis corrects for the grid origin at -L
-    phases = [np.exp(1j * spec.halfwidths[i] * spec.freq_axis(i)[freq_idx[i]])
-              for i in range(spec.n)]
+    freq_idx, phase = _lattice_frequencies(spec, xi_axes)
+    phase = phase * spec.cell_volume
     x_shape = tuple(len(a) for a in x_axes)
-    xi_shape = tuple(len(a) for a in xi_axes)
-    table = np.empty(x_shape + xi_shape, dtype=np.complex128)
-    dV = spec.cell_volume
+    table = np.empty(x_shape + phase.shape, dtype=np.complex128)
     for pos_idx in np.ndindex(x_shape):
         x = [x_axes[i][pos_idx[i]] for i in range(spec.n)]
-        if isinstance(packet, GaussianWindow):
-            win_conj = np.conj(packet(np.stack(
-                np.meshgrid(*[spec.axis(i) - x[i] for i in range(spec.n)],
-                            indexing="ij"), axis=-1)))
-        else:
-            win_conj = np.conj(spectral_shift(packet, x).values)
-        G = np.fft.fftn(win_conj * f.values) * dV
-        block = G[np.ix_(*freq_idx)]
-        for i in range(spec.n):
-            block = block * spec.along(i, phases[i])
-        table[pos_idx] = block
+        win_conj = np.conj(window.grid_function(spec, x).values)
+        table[pos_idx] = np.fft.fftn(win_conj * f.values)[np.ix_(*freq_idx)] * phase
     return WptTable(spec, x_axes, xi_axes, table)
 
 
-def inverse_wpt(table: WptTable, packet) -> GridFunction:
+def inverse_wpt(table: WptTable, window: GaussianWindow) -> GridFunction:
     """Adjoint transform divided by the window's squared norm.
 
-    Needs the full FFT frequency band and a position lattice no coarser than
-    a quarter of the window width; with the full grid as position lattice the
-    discrete round trip is an identity up to round-off.
+    The window is sampled periodically about each lattice position, as in
+    `wpt_grid`, and its squared norm is that of its sample at the origin.
+    Needs the full FFT frequency band and a position lattice no coarser
+    than a quarter of the window's 1/e half-width sqrt(2 / Re beta); with
+    the full grid as position lattice the discrete round trip is an
+    identity up to round-off.
     """
     spec = table.spec
-    if isinstance(packet, GaussianWindow):
-        packet = packet.grid_function(spec)
-    if not isinstance(packet, GridFunction) or packet.spec != spec:
-        raise InputError("packet must live on the table's grid")
-    for i in range(spec.n):
-        lattice = np.sort(spec.freq_axis(i))
-        requested = np.sort(np.asarray(table.xi_axes[i]))
-        if len(requested) != len(lattice) or not np.allclose(requested, lattice):
-            raise UndersampledError(
-                "inverse transform needs the full frequency band per axis")
-    width = measure_packet_width(packet)
+    _check_window(window, spec.n)
+    freq_idx, phase = _lattice_frequencies(spec, table.xi_axes)
+    x_shape = tuple(len(a) for a in table.x_axes)
+    if np.shape(table.values) != x_shape + phase.shape:
+        raise InputError(f"table values have shape {np.shape(table.values)}, "
+                         f"its axes give {x_shape + phase.shape}")
+    if not all(np.array_equal(np.sort(idx), np.arange(m))
+               for idx, m in zip(freq_idx, spec.points)):
+        raise UndersampledError("inverse transform needs the full frequency band per axis")
+    width = np.sqrt(2.0 / window.beta.real)
     spacings = []
-    for i, ax in enumerate(table.x_axes):
+    for ax in table.x_axes:
         if len(ax) < 2:
             raise UndersampledError("position lattice needs at least 2 points per axis")
         steps = np.diff(ax)
@@ -350,27 +316,15 @@ def inverse_wpt(table: WptTable, packet) -> GridFunction:
                 f"position spacing {steps[0]:.3g} coarser than width/4 = "
                 f"{width / 4.0:.3g}")
         spacings.append(float(steps[0]))
-    dy_volume = float(np.prod(spacings))
-    freq_idx = _match_freq_indices(spec, table.xi_axes)
-    phases = [np.exp(-1j * spec.halfwidths[i] * spec.freq_axis(i))
-              for i in range(spec.n)]
-    norm_sq = packet.l2_norm() ** 2
-    x_shape = tuple(len(a) for a in table.x_axes)
-    n = spec.n
+    phase = np.conj(phase)
     out = np.zeros(spec.shape, dtype=np.complex128)
-    dV = spec.cell_volume
     for pos_idx in np.ndindex(x_shape):
-        block = table.values[pos_idx]
-        # scatter the block onto the full fft lattice
-        F = np.zeros(spec.shape, dtype=np.complex128)
-        F[np.ix_(*freq_idx)] = block
-        for i in range(n):
-            F = F * spec.along(i, phases[i])
-        inner = np.fft.ifftn(F) / dV
-        y = np.array([table.x_axes[i][pos_idx[i]] for i in range(n)])
-        win = spectral_shift(packet, y).values
-        out += win * inner * dy_volume
-    return GridFunction(spec, out / norm_sq, label="inverse-wpt")
+        F = np.zeros(spec.shape, dtype=np.complex128)  # the block on the full lattice
+        F[np.ix_(*freq_idx)] = table.values[pos_idx] * phase
+        y = [table.x_axes[i][pos_idx[i]] for i in range(spec.n)]
+        out += window.grid_function(spec, y).values * np.fft.ifftn(F)
+    scale = np.prod(spacings) / (spec.cell_volume * window.grid_function(spec).l2_norm() ** 2)
+    return GridFunction(spec, out * scale, label="inverse-wpt")
 
 
 # ---------------------------------------------------------------------------

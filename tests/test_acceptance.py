@@ -42,7 +42,7 @@ def fine_grid():
 
 
 def test_c01_inversion_roundtrip(spec256):
-    pk = packets.make_scaled_packet(spec256, 1.0, 1.0, 0.125)
+    pk = GaussianWindow(1, 1.0, 1.0, 0.125)
     f = grid.gaussian_data(spec256)
     back = packets.inverse_wpt(packets.wpt_grid(f, pk), pk)
     err_g = np.sqrt(np.sum(np.abs(back.values - f.values) ** 2)
@@ -63,7 +63,7 @@ def test_c01_inversion_roundtrip(spec256):
 
 def test_c02_gaussian_oracle_agreement(spec256):
     f = grid.gaussian_data(spec256)
-    pk = packets.make_scaled_packet(spec256, 1.0, 1.0, 0.125)
+    pk = GaussianWindow(1, 1.0, 1.0, 0.125)
     worst = 0.0
     for x in np.linspace(-2.0, 2.0, 8):
         for xi in np.linspace(-2.0, 2.0, 8):

@@ -77,6 +77,9 @@ def test_decay_exponent_validation():
         det.decay_exponent([1, 2, 3, 2, 5], [1] * 5)  # not increasing
     with pytest.raises(errors.InputError):
         det.decay_exponent([1, 2, 4, 8, 16], [1, 1, -1, 1, 1])
+    for bad in (np.nan, np.inf):  # not censored, as a tiny magnitude would be
+        with pytest.raises(errors.InputError):
+            det.decay_exponent([1, 2, 4, 8, 16], [1, 1, bad, 1, 1])
     with pytest.raises(errors.InputError):
         det.decay_exponent([1, 2, 4, 8, 16], np.ones((3, 6)))  # rung count
 
@@ -217,6 +220,13 @@ def test_conic_sample_phase_samples_order(sample):
 def test_conic_sample_rejects_zero_direction():
     with pytest.raises(errors.InputError):
         det.ConicSample((0.0,), (0.0,))
+
+
+@pytest.mark.parametrize("x0, xi0", [((np.nan,), (1.0,)), ((0.0,), (np.inf,)),
+                                     ((0.0, np.inf), (1.0, 0.0))])
+def test_conic_sample_rejects_non_finite_points(x0, xi0):
+    with pytest.raises(errors.InputError):
+        det.ConicSample(x0, xi0)
 
 
 # ---------------------------------------------------------------------------
@@ -375,6 +385,23 @@ def test_scan_records_errors_in_row():
     cells = det.wf_scan("static", g, [(0.0,)], [(0.0,)], LADDER)  # zero direction
     assert cells[0].verdict == "error"
     assert "InputError" in cells[0].error
+
+
+def test_non_finite_input_gets_no_verdict():
+    # a NaN node makes NaN magnitudes, which must not pass as censored ones
+    spec = grid.GridSpec(1, 4096, 30.0)
+    values = grid.gaussian_data(spec).values
+    values[10] = np.nan
+    f = grid.GridFunction(spec, values)
+    ladder = det.default_ladder(2, 6)
+    with pytest.raises(errors.InputError):
+        det.wf_test_static(f, det.ConicSample((0.0,), (1.0,)), ladder)
+    cells = det.wf_scan("static", grid.gaussian_data(spec), [(0.0,), (np.nan,)],
+                        [(1.0,)], ladder)
+    assert cells[0].verdict == "not-in-WF"
+    assert cells[1].verdict == "error" and "InputError" in cells[1].error
+    nan_cell, = det.wf_scan("static", f, [(0.0,)], [(1.0,)], ladder)
+    assert nan_cell.verdict == "error" and "InputError" in nan_cell.error
 
 
 def test_scan_propagates_programming_errors(monkeypatch):

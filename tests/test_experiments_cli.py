@@ -225,6 +225,7 @@ def test_detect_defaults_are_the_scan_config_defaults():
 
 SHORT_WFGF = "<a WFGF file whose payload is shorter than its header says>"
 FOREIGN_NPZ = "<an npz archive that holds no grid_points array>"
+MISSHAPED_NPZ = "<a table archive whose values do not match its axes>"
 
 
 @pytest.mark.parametrize("argv", [
@@ -238,20 +239,27 @@ FOREIGN_NPZ = "<an npz archive that holds no grid_points array>"
     ["wpt", "--in", "no-such-field.wfgf", "--x", "0", "--xi", "1"],
     ["iwpt", "--table", "no-such-table.npz", "--out", "no-such-out.wfgf"],
     ["iwpt", "--table", FOREIGN_NPZ, "--out", "no-such-out.wfgf"],
+    ["iwpt", "--table", MISSHAPED_NPZ, "--out", "no-such-out.wfgf"],
     ["wpt", "--in", SHORT_WFGF, "--x", "0", "--xi", "1"],
     ["detect", "--in", SHORT_WFGF, "--x0", "0", "--xi0", "1"],
     ["evolve", "--dt", "0.01", "--t1", "0.1", "--in", SHORT_WFGF,
      "--out", "no-such-out.wfgf"],
 ], ids=["malformed-json", "missing-file", "potential-typo", "potential-type",
         "grid-text", "missing-field-file", "missing-table-file", "foreign-table",
-        "short-field-wpt", "short-field-detect", "short-field-evolve"])
+        "misshaped-table", "short-field-wpt", "short-field-detect", "short-field-evolve"])
 def test_bad_outside_input_exits_2(argv, tmp_path, capsys):
     short = tmp_path / "short.wfgf"
     grid.save_wfgf(grid.gaussian_data(grid.GridSpec(1, 64, 5.0)), short)
     short.write_bytes(short.read_bytes()[:-8])
     foreign = tmp_path / "foreign.npz"
     np.savez(foreign, values=np.zeros(4))
-    files = {SHORT_WFGF: str(short), FOREIGN_NPZ: str(foreign)}
+    misshaped = tmp_path / "misshaped.npz"
+    spec = grid.GridSpec(1, 16, 2.0)
+    np.savez(misshaped, values=np.zeros((15, 16)), grid_points=np.array(spec.points),
+             grid_halfwidths=np.array(spec.halfwidths), x_axis_0=spec.axis(0),
+             xi_axis_0=spec.freq_axis(0))
+    files = {SHORT_WFGF: str(short), FOREIGN_NPZ: str(foreign),
+             MISSHAPED_NPZ: str(misshaped)}
     assert cli.main([files.get(a, a) for a in argv]) == 2
     assert "InputError" in capsys.readouterr().err
 
@@ -279,6 +287,37 @@ def test_cli_packet_wpt_iwpt_roundtrip(tmp_path):
     err = np.sqrt(np.sum(np.abs(recovered.values - original.values) ** 2)
                   * original.spec.cell_volume)
     assert err / original.l2_norm() <= 1e-6
+
+
+def test_cli_wpt_iwpt_roundtrip_band_limited(tmp_path):
+    # C01's band-limited field fills the box, so the forward table and the
+    # inverse must sample the window the same periodic way
+    spec = grid.GridSpec(1, 256, 20.0)
+    rng = np.random.default_rng(0)
+    coef = np.zeros(256, dtype=complex)
+    coef[:64] = rng.standard_normal(64) + 1j * rng.standard_normal(64)
+    coef[-64:] = rng.standard_normal(64) + 1j * rng.standard_normal(64)
+    original = grid.GridFunction(spec, np.fft.ifft(coef))
+    field, tab, back = tmp_path / "f.wfgf", tmp_path / "tab.npz", tmp_path / "back.wfgf"
+    grid.save_wfgf(original, field)
+    assert cli.main(["wpt", "--in", str(field), "--table-out", str(tab)]) == 0
+    assert cli.main(["iwpt", "--table", str(tab), "--out", str(back)]) == 0
+    recovered = grid.load_wfgf(back)
+    err = np.sqrt(np.sum(np.abs(recovered.values - original.values) ** 2)
+                  * spec.cell_volume)
+    assert err / original.l2_norm() <= 1e-4
+
+
+@pytest.mark.parametrize("flags", [["--x", "0.5"], ["--xi", "1.0"], []],
+                         ids=["lone-x", "lone-xi", "no-table-out"])
+def test_cli_wpt_checks_arguments_before_computing(flags, tmp_path, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("wpt_grid ran before the arguments were checked")
+
+    monkeypatch.setattr(cli.packets, "wpt_grid", never)
+    field = tmp_path / "f.wfgf"
+    grid.save_wfgf(grid.gaussian_data(grid.GridSpec(2, 64, 8.0)), field)
+    assert cli.main(["wpt", "--in", str(field), *flags]) == 2
 
 
 def test_cli_flow_dump(tmp_path):

@@ -45,14 +45,6 @@ def test_delta_spike_pairing():
     assert paired == pytest.approx(1.0, abs=1e-14)
 
 
-def test_spectral_shift_translates():
-    spec = grid.GridSpec(1, 256, 10.0)
-    f = grid.gaussian_data(spec)
-    shifted = grid.spectral_shift(f, (2.0,))
-    expected = np.exp(-((spec.axis(0) - 2.0) ** 2) / 2.0)
-    assert np.max(np.abs(shifted.values - expected)) < 1e-12
-
-
 def test_spectral_derivative():
     spec = grid.GridSpec(1, 256, 10.0)
     f = grid.gaussian_data(spec)

@@ -28,9 +28,10 @@ def test_scaled_packet_norm_invariance():
 
 
 def test_scaled_packet_width_shrinks():
-    w1 = packets.measure_packet_width(packets.make_scaled_packet(FINE, 1.0, 1.0, 0.125))
-    w256 = packets.measure_packet_width(packets.make_scaled_packet(FINE, 1.0, 256.0, 0.125))
-    assert w1 / w256 == pytest.approx(256.0 ** 0.125, rel=0.01)  # factor 2
+    # lam^b = 2 halves the width; lam^(nb/2) = 2^0.5 keeps the norm
+    pk = packets.make_scaled_packet(FINE, 1.0, 256.0, 0.125)
+    expected = 2.0 ** 0.5 * np.exp(-(2.0 * FINE.axis(0)) ** 2 / 2.0)
+    assert np.max(np.abs(pk.values - expected)) < 1e-14
 
 
 def test_scaled_packet_resolution_guard():
@@ -80,14 +81,14 @@ def test_gaussian_window_matches_spectral_evolution():
 
 def test_wpt_gaussian_value():
     f = grid.gaussian_data(SPEC)
-    pk = packets.make_scaled_packet(SPEC, 1.0, 1.0, 0.125)
+    pk = GaussianWindow(1, 1.0, 1.0, 0.125)
     value = packets.wpt(f, pk, ((0.0,), (0.0,)))
     assert value == pytest.approx(np.sqrt(np.pi), abs=1e-10)
 
 
 def test_wpt_closed_form_lattice():
     f = grid.gaussian_data(SPEC)
-    pk = packets.make_scaled_packet(SPEC, 1.0, 1.0, 0.125)
+    pk = GaussianWindow(1, 1.0, 1.0, 0.125)
     for x in np.linspace(-2, 2, 8):
         for xi in np.linspace(-2, 2, 8):
             q = abs(packets.wpt(f, pk, ((x,), (xi,))))
@@ -96,24 +97,19 @@ def test_wpt_closed_form_lattice():
 
 
 def test_wpt_delta_pairing():
-    # the spike reduces the quadrature to conj(packet(-x)); the grid window
-    # is translated spectrally, so compare with the analytic dilated gaussian
+    # the spike reduces the quadrature to conj(window(-x))
     d = grid.delta_spike(SPEC)
-    pk = packets.make_scaled_packet(SPEC, 1.0, 4.0, 0.125)
-    win = GaussianWindow(1, 1.0, 4.0, 0.125, 0.0)
+    win = GaussianWindow(1, 1.0, 4.0, 0.125)
     for x in (0.0, 0.7, -1.3):
-        got = packets.wpt(d, pk, ((x,), (2.0,)))
-        want = complex(np.conj(win(np.array([-x]))))
-        assert got == pytest.approx(want, abs=1e-10)
-    got = packets.wpt(d, win, ((0.7,), (2.0,)))
-    assert got == pytest.approx(complex(np.conj(win(np.array([-0.7])))), abs=1e-12)
+        got = packets.wpt(d, win, ((x,), (2.0,)))
+        assert got == pytest.approx(complex(np.conj(win(np.array([-x])))), abs=1e-12)
 
 
 def test_wpt_linearity():
     rng = np.random.default_rng(7)
     f = grid.GridFunction(SPEC, rng.standard_normal(256) + 1j * rng.standard_normal(256))
     g = grid.GridFunction(SPEC, rng.standard_normal(256) + 1j * rng.standard_normal(256))
-    pk = packets.make_scaled_packet(SPEC, 1.0, 2.0, 0.125)
+    pk = GaussianWindow(1, 1.0, 2.0, 0.125)
     a, b = 1.7 - 0.3j, -0.4 + 2.2j
     combo = grid.GridFunction(SPEC, a * f.values + b * g.values)
     p = ((0.5,), (1.0,))
@@ -124,9 +120,9 @@ def test_wpt_linearity():
 
 def test_wpt_translation_covariance():
     f = grid.gaussian_data(SPEC, width=1.3)
-    pk = packets.make_scaled_packet(SPEC, 1.0, 1.0, 0.125)
+    pk = GaussianWindow(1, 1.0, 1.0, 0.125)
     h, xi = 1.5, 0.8
-    shifted = grid.spectral_shift(f, (h,))
+    shifted = grid.gaussian_data(SPEC, width=1.3, center=h)
     lhs = packets.wpt(shifted, pk, ((2.0,), (xi,)))
     rhs = np.exp(-1j * h * xi) * packets.wpt(f, pk, ((2.0 - h,), (xi,)))
     assert abs(lhs - rhs) <= 1e-10
@@ -134,18 +130,29 @@ def test_wpt_translation_covariance():
 
 def test_wpt_nyquist_guard():
     f = grid.gaussian_data(SPEC)
-    pk = packets.make_scaled_packet(SPEC, 1.0, 1.0, 0.125)
+    pk = GaussianWindow(1, 1.0, 1.0, 0.125)
     with pytest.raises(errors.NyquistError):
         packets.wpt(f, pk, ((0.0,), (100.0,)))
 
 
-def test_wpt_domain_guard_grid_window_only():
+def test_wpt_window_centers_anywhere():
     f = grid.gaussian_data(SPEC)
-    pk = packets.make_scaled_packet(SPEC, 1.0, 1.0, 0.125)
-    with pytest.raises(errors.DomainError):
-        packets.wpt(f, pk, ((19.0,), (0.0,)))
     win = GaussianWindow(1)
     packets.wpt(f, win, ((50.0,), (0.0,)))  # analytic windows go anywhere
+
+
+def test_transforms_take_only_a_gaussian_window():
+    f = grid.gaussian_data(SPEC)
+    sample = packets.make_scaled_packet(SPEC, 1.0, 1.0, 0.125)
+    with pytest.raises(errors.InputError):
+        packets.wpt(f, sample, ((0.0,), (0.0,)))
+    with pytest.raises(errors.InputError):
+        packets.wpt_grid(f, sample)
+    table = packets.wpt_grid(f, GaussianWindow(1))
+    with pytest.raises(errors.InputError):
+        packets.inverse_wpt(table, sample)
+    with pytest.raises(errors.InputError):
+        packets.inverse_wpt(table, GaussianWindow(2))
 
 
 # one grid per dimension, fine enough that a unit Gaussian product is
@@ -230,7 +237,7 @@ def test_pair_many_input_checks():
 
 def test_wpt_grid_reduces_to_pointwise():
     f = grid.gaussian_data(SPEC, width=1.1, momentum=0.4)
-    pk = packets.make_scaled_packet(SPEC, 1.0, 2.0, 0.125)
+    pk = GaussianWindow(1, 1.0, 2.0, 0.125)
     xs = SPEC.axis(0)[100:103]
     xis = SPEC.freq_axis(0)[4:7]
     table = packets.wpt_grid(f, pk, (xs,), (xis,))
@@ -242,7 +249,7 @@ def test_wpt_grid_reduces_to_pointwise():
 
 def test_wpt_grid_single_point():
     f = grid.gaussian_data(SPEC)
-    pk = packets.make_scaled_packet(SPEC, 1.0, 1.0, 0.125)
+    pk = GaussianWindow(1, 1.0, 1.0, 0.125)
     xi = SPEC.freq_axis(0)[3]
     table = packets.wpt_grid(f, pk, (np.array([0.5]),), (np.array([xi]),))
     assert table.values.shape == (1, 1)
@@ -251,7 +258,7 @@ def test_wpt_grid_single_point():
 
 def test_wpt_grid_rejects_off_lattice_frequency():
     f = grid.gaussian_data(SPEC)
-    pk = packets.make_scaled_packet(SPEC, 1.0, 1.0, 0.125)
+    pk = GaussianWindow(1, 1.0, 1.0, 0.125)
     with pytest.raises(errors.NyquistError):
         packets.wpt_grid(f, pk, None, (np.array([0.123456]),))
 
@@ -272,7 +279,7 @@ def test_wpt_grid_oracle_agreement():
 
 def test_parseval_mass_identity():
     f = grid.gaussian_data(SPEC, width=1.2, momentum=0.7)
-    pk = packets.make_scaled_packet(SPEC, 1.0, 1.0, 0.125)
+    pk = GaussianWindow(1, 1.0, 1.0, 0.125)
     table = packets.wpt_grid(f, pk)
     dxi = np.pi / SPEC.halfwidths[0]
     mass = np.sum(np.abs(table.values) ** 2) * SPEC.cell_volume * dxi / (2 * np.pi)
@@ -285,7 +292,7 @@ def test_parseval_mass_identity():
 
 
 def test_inverse_wpt_zero_table():
-    pk = packets.make_scaled_packet(SPEC, 1.0, 1.0, 0.125)
+    pk = GaussianWindow(1, 1.0, 1.0, 0.125)
     table = packets.wpt_grid(grid.GridFunction(SPEC, np.zeros(256)), pk)
     out = packets.inverse_wpt(table, pk)
     assert np.all(out.values == 0)
@@ -293,7 +300,7 @@ def test_inverse_wpt_zero_table():
 
 def test_inverse_wpt_roundtrip_gaussian():
     f = grid.gaussian_data(SPEC)
-    pk = packets.make_scaled_packet(SPEC, 1.0, 1.0, 0.125)
+    pk = GaussianWindow(1, 1.0, 1.0, 0.125)
     back = packets.inverse_wpt(packets.wpt_grid(f, pk), pk)
     err = np.sqrt(np.sum(np.abs(back.values - f.values) ** 2) * SPEC.cell_volume)
     assert err / f.l2_norm() <= 1e-6
@@ -305,15 +312,27 @@ def test_inverse_wpt_roundtrip_band_limited():
     coef[:64] = rng.standard_normal(64) + 1j * rng.standard_normal(64)
     coef[-64:] = rng.standard_normal(64) + 1j * rng.standard_normal(64)
     f = grid.GridFunction(SPEC, np.fft.ifft(coef))
-    pk = packets.make_scaled_packet(SPEC, 1.0, 1.0, 0.125)
+    pk = GaussianWindow(1, 1.0, 1.0, 0.125)
     back = packets.inverse_wpt(packets.wpt_grid(f, pk), pk)
     err = np.sqrt(np.sum(np.abs(back.values - f.values) ** 2) * SPEC.cell_volume)
     assert err / f.l2_norm() <= 1e-4
 
 
+def test_inverse_wpt_roundtrip_2d():
+    # every lattice position samples the window at its nearest image on
+    # each axis, so the full-lattice round trip is an identity near the
+    # edges of the box as well
+    spec = grid.GridSpec(2, 32, 4.0)
+    f = grid.gaussian_data(spec)
+    pk = GaussianWindow(2, 1.0, 1.0, 0.125)
+    back = packets.inverse_wpt(packets.wpt_grid(f, pk), pk)
+    err = np.sqrt(np.sum(np.abs(back.values - f.values) ** 2) * spec.cell_volume)
+    assert err / f.l2_norm() <= 1e-12
+
+
 def test_inverse_wpt_guards():
     f = grid.gaussian_data(SPEC)
-    pk = packets.make_scaled_packet(SPEC, 1.0, 1.0, 0.125)
+    pk = GaussianWindow(1, 1.0, 1.0, 0.125)
     full = packets.wpt_grid(f, pk)
     half_band = packets.WptTable(SPEC, full.x_axes,
                                  (SPEC.freq_axis(0)[:128],),
