@@ -28,7 +28,7 @@ from .packets import (DeltaSignal, GaussianSignal, GaussianWindow,
 from .potentials import (VectorPotentialModel, constant_field_model, eval_a,
                          jacobian_a, divergence_a, magnetic_field,
                          model_from_json, rotational_model, soft_power_model,
-                         verify_decay, zero_model)
+                         zero_model)
 from .propagator import (EvolveConfig, ScalarPotentialModel, evolve,
                          evolved_wpt_leading)
 

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputError, NumericError, StepUnderflowError
+from .errors import InputError, NumericError, StepUnderflowError, number
 from .potentials import (VectorPotentialModel, divergence_a, eval_a,
                          jacobian_a)
 
@@ -119,10 +119,12 @@ def _state(s, y, n: int) -> FlowState:
 
 
 def _points(model: VectorPotentialModel, vectors) -> list:
-    """Initial positions or momenta as float arrays of the model dimension."""
+    """Initial positions or momenta as finite float arrays of the model dimension."""
     out = [np.atleast_1d(np.asarray(v, dtype=float)) for v in vectors]
     if any(v.shape != (model.n,) for v in out):
         raise InputError("initial x and xi must match the model dimension")
+    if not all(np.isfinite(v).all() for v in out):
+        raise InputError("initial x and xi must be finite")
     return out
 
 
@@ -144,6 +146,7 @@ def flow(model: VectorPotentialModel, t0: float, s_target: float,
     the stepper to a fixed step for convergence-order measurements.
     """
     tol = _validate_tol(tol)
+    t0, s_target = number(t0, "t0"), number(s_target, "s_target")
     n = model.n
     x0, xi0 = _points(model, (x0, xi0))
     if s_target == t0:
@@ -334,11 +337,14 @@ def flow_batch(model: VectorPotentialModel, t0: float, s_target: float,
     StepUnderflowError or NumericError naming it.
     """
     tol = _validate_tol(tol)
+    t0, s_target = number(t0, "t0"), number(s_target, "s_target")
     n = model.n
     x0 = np.atleast_2d(np.asarray(x0, dtype=float))
     xi0 = np.atleast_2d(np.asarray(xi0, dtype=float))
     if x0.shape != xi0.shape or x0.ndim > 3 or x0.shape[-1] != n:
         raise InputError("batch shapes must be (K, n) or (G, K, n) for both x and xi")
+    if not (np.isfinite(x0).all() and np.isfinite(xi0).all()):
+        raise InputError("initial x and xi must be finite")
     if s_target == t0 or x0.size == 0:
         return x0.copy(), xi0.copy()
     y0 = np.concatenate([x0, xi0], axis=-1).reshape(-1, x0.shape[-2] * 2 * n)

@@ -45,7 +45,7 @@ from .packets import GaussianWindow, in_band, pair_many, theorem_scaling_exponen
 # nothing here calls wpt; the name stays because perfbench/layers.py
 # wraps mswf.detector.wpt in its traced run
 from .packets import wpt  # noqa: F401
-from .potentials import VectorPotentialModel, shell_points
+from .potentials import VectorPotentialModel
 
 FLOOR_REL = 1e-14
 STEEPEN_STEP = 0.5
@@ -105,6 +105,8 @@ class ConicSample:
             raise InputError("x0 and xi0 must be finite")
         if float(np.linalg.norm(xi0)) == 0.0:
             raise InputError("xi0 must be nonzero")
+        for key in ("k_radius", "half_angle", "a"):
+            number(getattr(self, key), key)
         if self.a < 1.0:
             raise InputError("annulus parameter a must be >= 1")
         if self.k_radius < 0 or self.half_angle < 0:
@@ -315,16 +317,22 @@ def default_ladder(kmin: int = 3, kmax: int = 12) -> tuple:
 def parse_ladder(ladder=None) -> tuple:
     """A ladder from None (the default one), {"kmin", "kmax"} or "kmin:kmax"
     (the powers 2^kmin .. 2^kmax), or a list of dilations (or the same as
-    comma-separated text)."""
+    comma-separated text).  The rungs must be at least 1 and strictly
+    increasing."""
     if ladder is None:
         return default_ladder()
     if isinstance(ladder, str):
-        ladder = (dict(zip(("kmin", "kmax"), ladder.split(":"))) if ":" in ladder
-                  else ladder.split(","))
+        powers = ladder.split(":")
+        if len(powers) > 2:
+            raise InputError(f"ladder text must be 'kmin:kmax', got {ladder!r}")
+        ladder = dict(zip(("kmin", "kmax"), powers)) if ":" in ladder else ladder.split(",")
     if isinstance(ladder, dict):
         ladder = load_json(ladder, ("kmin", "kmax"))
-        return default_ladder(*(integer(ladder.get(k), k) for k in ("kmin", "kmax")))
-    return tuple(number(l, "ladder") for l in ladder)
+        ladder = default_ladder(*(integer(ladder.get(k), k) for k in ("kmin", "kmax")))
+    ladder = tuple(number(l, "ladder") for l in ladder)
+    if any(l < 1.0 for l in ladder) or any(b <= a for a, b in zip(ladder, ladder[1:])):
+        raise InputError(f"ladder rungs must be >= 1 and strictly increasing, got {ladder}")
+    return ladder
 
 
 def resolve_b(b, model: VectorPotentialModel) -> float:
@@ -507,7 +515,17 @@ class ScanCell:
 
 def direction_fan(n: int, count: int) -> np.ndarray:
     """Deterministic unit directions: signs (n=1), a circle (n=2), a spiral (n=3)."""
-    return shell_points(n, 1.0, count)[:count]
+    if n == 1:
+        return np.array([[1.0], [-1.0]])[:count]
+    if n == 2:
+        angles = 2.0 * np.pi * np.arange(count) / count
+        return np.stack([np.cos(angles), np.sin(angles)], axis=-1)
+    k = np.arange(count)
+    golden = np.pi * (3.0 - np.sqrt(5.0))
+    z = 1.0 - 2.0 * (k + 0.5) / count
+    r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
+    phi = golden * k
+    return np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=-1)
 
 
 def wf_scan(mode: str, field_or_datum, positions, directions,
@@ -523,11 +541,13 @@ def wf_scan(mode: str, field_or_datum, positions, directions,
     GridFunction or a sequence of them on one grid; the result is one flat
     list of ScanCell, datum-major (all cells of the first field, then the
     next), each field's cells in input order.  Every cell is tested once
-    for all fields together.  A dynamic scan with t0 != 0 flows every
-    (cell, rung) once, all in one grouped `flow_batch` call.  A package
-    error (MswfError: a guard, input or numeric failure, such as a dynamic
-    scan without `model`) is recorded in its cell, for every field, and the
-    scan goes on; any other exception is a programming error and propagates.
+    for all finite fields together.  A field that is not finite gets an
+    InputError in each of its cells and is not paired, so the others keep
+    their bits.  A dynamic scan with t0 != 0 flows every (cell, rung) once,
+    all in one grouped `flow_batch` call.  A package error (MswfError: a
+    guard, input or numeric failure, such as a dynamic scan without
+    `model`) is recorded in its cell, for every finite field, and the scan
+    goes on; any other exception is a programming error and propagates.
     """
     if mode not in ("static", "dynamic"):
         raise InputError("mode must be 'static' or 'dynamic'")
@@ -537,9 +557,16 @@ def wf_scan(mode: str, field_or_datum, positions, directions,
                 tuple(float(v) for v in np.atleast_1d(d)))
                for pos in positions for d in directions]
     rows = [[ScanCell(x0, xi0) for x0, xi0 in lattice] for _ in fields]
+    finite = [bool(np.isfinite(f.values).all()) for f in fields]
+    for row, ok in zip(rows, finite):
+        if not ok:
+            for cell in row:
+                cell.error = "InputError: field values must be finite"
+    fields = [f for f, ok in zip(fields, finite) if ok]
+    probed = [row for row, ok in zip(rows, finite) if ok]
 
     def record(c, exc):  # recorded per cell, scan continues; bugs propagate
-        for row in rows:
+        for row in probed:
             row[c].error = f"{type(exc).__name__}: {exc}"
 
     samples = {}
@@ -550,8 +577,8 @@ def wf_scan(mode: str, field_or_datum, positions, directions,
         except MswfError as exc:
             record(c, exc)
     reports = _probe(mode, fields, samples, ladder, thresholds, width, b, noise_rel,
-                     record, model, t0, scalar)
+                     record, model, t0, scalar) if fields else {}
     for c, cell_reports in reports.items():
-        for row, report in zip(rows, cell_reports):
+        for row, report in zip(probed, cell_reports):
             row[c].report = report
     return [cell for row in rows for cell in row]

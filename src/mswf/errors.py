@@ -6,6 +6,7 @@ compute), 3 = numeric failure during a run, 4 = consistency failure.
 """
 
 import json
+import math
 from pathlib import Path
 
 
@@ -83,11 +84,15 @@ def load_json(source, keys=None) -> dict:
 
 
 def number(value, key: str) -> float:
-    """A number (or numeric text) as a float; InputError naming `key` otherwise."""
+    """A finite number (or numeric text) as a float; InputError naming `key`
+    otherwise, for nan and +-inf too."""
     try:
-        return float(value)
+        v = float(value)
     except (TypeError, ValueError):
-        raise InputError(f"'{key}' must be a number, got {value!r}") from None
+        v = math.nan
+    if not math.isfinite(v):
+        raise InputError(f"'{key}' must be a finite number, got {value!r}")
+    return v
 
 
 def integer(value, key: str) -> int:

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, number
 
 WFGF_MAGIC = b"WFGF"
 WFGF_VERSION = 1
@@ -46,7 +46,7 @@ class GridSpec:
         if n not in (1, 2, 3):
             raise InputError(f"grid dimension must be 1, 2 or 3, got {n}")
         points = tuple(int(m) for m in _per_axis(points, n, "points"))
-        halfwidths = tuple(float(w) for w in _per_axis(halfwidths, n, "halfwidths"))
+        halfwidths = tuple(number(w, "halfwidth") for w in _per_axis(halfwidths, n, "halfwidths"))
         for m in points:
             if m < 8 or (m & (m - 1)) != 0:
                 raise InputError(f"point count must be a power of two >= 8, got {m}")

@@ -26,7 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, NyquistError, ResolutionError, UndersampledError
+from .errors import (InputError, NyquistError, ResolutionError, UndersampledError,
+                     number)
 from .grid import (GridFunction, GridSpec, apply_kinetic, as_phase_point,
                    spectral_derivative, spectral_support_edge)
 
@@ -57,6 +58,8 @@ class GaussianWindow:
     t: float = 0.0
 
     def __post_init__(self):
+        for key in ("width", "lam", "t"):
+            number(getattr(self, key), key)
         if self.lam < 1.0:
             raise InputError("dilation lambda must be >= 1")
         if not 0.0 < self.b < 1.0:
@@ -138,7 +141,7 @@ def free_evolve_packet(packet: GridFunction, t: float) -> GridFunction:
     packet's spectral support the multiplier phase must change by less than pi,
     which also keeps the spatially spreading packet inside the box.
     """
-    if t == 0.0:
+    if number(t, "t") == 0.0:
         return packet.with_values(packet.values.copy())
     edges = spectral_support_edge(packet)
     for i, edge in enumerate(edges):

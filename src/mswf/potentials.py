@@ -1,4 +1,4 @@
-"""Vector-potential families with analytic derivatives and decay checks.
+"""Vector-potential families with analytic first derivatives.
 
 Built-in families are chosen so that growth of every spatial derivative is
 controlled by a power of the regularized distance <x> = sqrt(1 + |x|^2):
@@ -10,14 +10,15 @@ controlled by a power of the regularized distance <x> = sqrt(1 + |x|^2):
                                                            deliberately non-conforming)
   custom-sampled  user callable, finite-difference derivatives
 
-`verify_decay` measures sup |d^alpha a_j| <x>^(|alpha|-rho) on radius shells
-and reports whether the sampled bound stays flat as the shells grow.
+The decay hypothesis |d^alpha a| <= C <x>^(rho-|alpha|) is asserted by
+family: `VectorPotentialModel.conforming` holds it for the conforming
+families, a custom model states it with `custom_conforming`, and nothing
+samples it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
 
 import numpy as np
 
@@ -49,47 +50,6 @@ def bracket(x: np.ndarray) -> np.ndarray:
     b2 = squared_norm(np.asarray(x, dtype=float))
     b2 += 1.0
     return np.sqrt(b2)
-
-
-def bracket_power_derivative(sigma: float, x: np.ndarray, alpha) -> np.ndarray:
-    """d^alpha <x>^sigma for |alpha| <= 3, vectorized over batch points.
-
-    x has shape (..., n); alpha is a per-axis multi-index.
-    """
-    x = np.asarray(x, dtype=float)
-    idx = []
-    for axis, count in enumerate(alpha):
-        idx.extend([axis] * int(count))
-    order = len(idx)
-    if order > 3:
-        raise InputError("analytic derivatives implemented for |alpha| <= 3")
-    b2 = squared_norm(x)
-    b2 += 1.0
-
-    def P(s):
-        return b2 ** (s / 2.0)
-
-    if order == 0:
-        return P(sigma)
-    if order == 1:
-        (i,) = idx
-        return sigma * x[..., i] * P(sigma - 2)
-    if order == 2:
-        i, j = idx
-        out = sigma * (sigma - 2) * x[..., i] * x[..., j] * P(sigma - 4)
-        if i == j:
-            out = out + sigma * P(sigma - 2)
-        return out
-    i, j, k = idx
-    out = sigma * (sigma - 2) * (sigma - 4) * x[..., i] * x[..., j] * x[..., k] * P(sigma - 6)
-    sym = 0.0
-    if i == j:
-        sym = sym + x[..., k]
-    if i == k:
-        sym = sym + x[..., j]
-    if j == k:
-        sym = sym + x[..., i]
-    return out + sigma * (sigma - 2) * sym * P(sigma - 4)
 
 
 @dataclass(frozen=True)
@@ -296,143 +256,3 @@ def magnetic_field(model: VectorPotentialModel, t: float, x) -> np.ndarray:
     """Antisymmetrized Jacobian B_jk = d_j a_k - d_k a_j, exact by construction."""
     J = jacobian_a(model, t, x)
     return np.swapaxes(J, -1, -2) - J
-
-
-def derivative_a(model: VectorPotentialModel, t: float, x, j: int, alpha) -> np.ndarray:
-    """d^alpha a_j for |alpha| <= 3; analytic for built-in families."""
-    x = _check_point(model, x)
-    alpha = tuple(int(c) for c in alpha)
-    if len(alpha) != model.n:
-        raise InputError("multi-index length must equal the dimension")
-    order = sum(alpha)
-    g = model.g(t)
-    if model.family == "zero":
-        return np.zeros(x.shape[:-1])
-    if model.family == "soft-power":
-        return model.amplitude[j] * g * bracket_power_derivative(model.rho, x, alpha)
-    if model.family == "rotational":
-        # a_0 = c <x>^(rho-1) x_1 ; a_1 = -c <x>^(rho-1) x_0  (0-based axes)
-        c = model.amplitude[0] * g
-        lin_axis = 1 if j == 0 else 0
-        sgn = 1.0 if j == 0 else -1.0
-        term = x[..., lin_axis] * bracket_power_derivative(model.rho - 1.0, x, alpha)
-        if alpha[lin_axis] > 0:
-            lowered = list(alpha)
-            lowered[lin_axis] -= 1
-            term = term + alpha[lin_axis] * bracket_power_derivative(
-                model.rho - 1.0, x, tuple(lowered))
-        return sgn * c * term
-    if model.family == "constant-field":
-        if order == 0:
-            return eval_a(model, t, x)[..., j]
-        if order == 1:
-            J = jacobian_a(model, t, x)
-            k = alpha.index(1)
-            return J[..., j, k]
-        return np.zeros(x.shape[:-1])
-    return _fd_derivative(model, t, x, j, alpha)
-
-
-def _fd_derivative(model, t, x, j, alpha) -> np.ndarray:
-    """Nested central differences for custom models (noisy beyond order 2)."""
-    order = sum(alpha)
-    if order == 0:
-        return eval_a(model, t, x)[..., j]
-    axis = next(i for i, c in enumerate(alpha) if c > 0)
-    lowered = list(alpha)
-    lowered[axis] -= 1
-    h = 1e-3 * np.maximum(1.0, np.sqrt(np.sum(x * x, axis=-1)))[..., None]
-    e = np.zeros(model.n)
-    e[axis] = 1.0
-    fp = _fd_derivative(model, t, x + h * e, j, tuple(lowered))
-    fm = _fd_derivative(model, t, x - h * e, j, tuple(lowered))
-    return (fp - fm) / (2.0 * h[..., 0])
-
-
-# ---------------------------------------------------------------------------
-# decay verification
-
-
-def multi_indices(n: int, max_order: int):
-    """All per-axis multi-indices with 0 <= |alpha| <= max_order."""
-    out = [(0,) * n]
-    for order in range(1, max_order + 1):
-        for combo in combinations_with_replacement(range(n), order):
-            alpha = [0] * n
-            for axis in combo:
-                alpha[axis] += 1
-            out.append(tuple(alpha))
-    return out
-
-
-def shell_points(n: int, radius: float, count: int) -> np.ndarray:
-    """Deterministic points on the sphere |x| = radius."""
-    if n == 1:
-        return np.array([[radius], [-radius]])
-    if n == 2:
-        angles = 2.0 * np.pi * np.arange(count) / count
-        return radius * np.stack([np.cos(angles), np.sin(angles)], axis=-1)
-    k = np.arange(count)
-    golden = np.pi * (3.0 - np.sqrt(5.0))
-    z = 1.0 - 2.0 * (k + 0.5) / count
-    r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-    phi = golden * k
-    return radius * np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=-1)
-
-
-@dataclass
-class DecayVerification:
-    """Sampled sup of |d^alpha a_j| <x>^(|alpha|-rho) per shell and multi-index."""
-
-    rho: float
-    radii: tuple
-    shell_sups: dict        # alpha -> list of per-shell sups
-    conforming: bool
-    worst_ratio: float      # largest shell-to-shell growth factor observed
-    slack: float = 1.1
-
-
-def verify_decay(model: VectorPotentialModel, rho: float, max_order: int,
-                 radii, samples_per_radius: int = 16,
-                 times=(0.0, 0.5, 1.3, 2.7)) -> DecayVerification:
-    """Empirical check of the derivative decay bounds at exponent rho.
-
-    Conforming verdict: beyond the first shell, the per-shell sup of the
-    weighted derivative magnitude never grows by more than 10 percent.
-    """
-    if max_order > 3:
-        raise InputError("verify_decay supports max_order <= 3")
-    radii = [float(r) for r in radii]
-    if any(r <= 0 for r in radii) or any(b <= a for a, b in zip(radii, radii[1:])):
-        raise InputError("radii must be positive and increasing")
-    sups: dict = {}
-    for alpha in multi_indices(model.n, max_order):
-        weight_power = sum(alpha) - rho
-        per_shell = []
-        for r in radii:
-            pts = shell_points(model.n, r, samples_per_radius)
-            w = bracket(pts) ** weight_power
-            worst = 0.0
-            for t in times:
-                for j in range(model.n):
-                    vals = derivative_a(model, t, pts, j, alpha)
-                    if not np.all(np.isfinite(vals)):
-                        bad = pts[~np.isfinite(vals)][0]
-                        raise NumericError(
-                            f"non-finite derivative d^{alpha} a_{j} at t={t}, x={bad}")
-                    worst = max(worst, float(np.max(np.abs(vals) * w)))
-            per_shell.append(worst)
-        sups[alpha] = per_shell
-    slack = 1.1
-    worst_ratio = 0.0
-    conforming = True
-    for per_shell in sups.values():
-        for a, b in zip(per_shell, per_shell[1:]):
-            if a == 0.0 and b == 0.0:
-                continue
-            ratio = np.inf if a == 0.0 else b / a
-            worst_ratio = max(worst_ratio, ratio)
-            if ratio > slack:
-                conforming = False
-    return DecayVerification(rho=rho, radii=tuple(radii), shell_sups=sups,
-                             conforming=conforming, worst_ratio=worst_ratio, slack=slack)

@@ -96,7 +96,7 @@ class EvolveConfig:
     dt: float
 
     def __post_init__(self):
-        if self.dt <= 0:
+        if number(self.dt, "dt") <= 0:
             raise InputError("dt must be positive")
 
 
@@ -227,6 +227,7 @@ def evolve(model: VectorPotentialModel, scalar, u0, t0: float, t1: float,
     spec = fields[0].spec
     if model.n != spec.n:
         raise InputError("model dimension does not match the field")
+    t0, t1 = number(t0, "t0"), number(t1, "t1")
 
     def unpack(values):
         out = [GridFunction(spec, values[b], f.label) for b, f in enumerate(fields)]

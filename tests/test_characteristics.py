@@ -89,6 +89,17 @@ def test_flow_tol_range_guard():
         chars.flow(pots.zero_model(1), 0.0, 1.0, (0.0,), (1.0,), 1e-2)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_flows_reject_non_finite_times_and_points(bad):
+    model = pots.zero_model(1)
+    for t0, s, x, xi in ((0.0, bad, 0.0, 1.0), (bad, 0.0, 0.0, 1.0),
+                         (0.0, 1.0, bad, 1.0), (0.0, 1.0, 0.0, bad)):
+        with pytest.raises(errors.InputError):
+            chars.flow(model, t0, s, (x,), (xi,))
+        with pytest.raises(errors.InputError):
+            chars.flow_batch(model, t0, s, [[x]], [[xi]])
+
+
 def test_batch_flow_matches_single():
     model = pots.rotational_model(0.5, modulation="sin")
     X = np.array([[0.1, 0.0], [0.0, 0.2]])

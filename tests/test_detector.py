@@ -12,7 +12,9 @@ def test_parse_ladder_forms():
     assert det.parse_ladder() == det.default_ladder()
     assert det.parse_ladder("2:4") == det.parse_ladder({"kmin": 2, "kmax": 4}) \
         == det.parse_ladder("4,8,16") == det.parse_ladder([4, 8, 16]) == (4.0, 8.0, 16.0)
-    for bad in ({"kmin": 2}, {"kmin": 2, "kmax": 4, "step": 2}, "2:x", [4, "x"]):
+    for bad in ({"kmin": 2}, {"kmin": 2, "kmax": 4, "step": 2}, "2:x", [4, "x"],
+                "2:6:9", [32, 16, 8, 4, 2], [0.5, 1, 2, 4, 8], [4, 4, 8], "-1:4",
+                [4, "nan"], [4, float("inf")]):
         with pytest.raises(errors.InputError):
             det.parse_ladder(bad)
 
@@ -167,6 +169,21 @@ def test_decay_exponent_matches_per_sample_polyfit(seed, rungs, samples, floor_e
 # sampling geometry
 
 
+@pytest.mark.parametrize("count", [1, 2, 3, 5, 8])
+def test_direction_fan(count):
+    k = np.arange(count)
+    signs = det.direction_fan(1, count)
+    assert signs.tolist() == [[1.0], [-1.0]][:count]
+    circle = det.direction_fan(2, count)
+    spiral = det.direction_fan(3, count)
+    assert circle.shape == (count, 2) and spiral.shape == (count, 3)
+    for fan in (circle, spiral):
+        np.testing.assert_allclose(np.linalg.norm(fan, axis=-1), 1.0, rtol=0, atol=1e-15)
+    angles = np.mod(np.arctan2(circle[:, 1], circle[:, 0]), 2.0 * np.pi)
+    np.testing.assert_allclose(angles, 2.0 * np.pi * k / count, rtol=0, atol=1e-14)
+    assert np.array_equal(spiral[:, 2], 1.0 - 2.0 * (k + 0.5) / count)
+
+
 def test_conic_sample_annulus():
     s = det.ConicSample((0.0, 0.0), (1.0, 0.0), a=2.0)
     xs, xis = s.phase_samples()
@@ -227,6 +244,13 @@ def test_conic_sample_rejects_zero_direction():
 def test_conic_sample_rejects_non_finite_points(x0, xi0):
     with pytest.raises(errors.InputError):
         det.ConicSample(x0, xi0)
+
+
+@pytest.mark.parametrize("key", ["k_radius", "half_angle", "a"])
+def test_conic_sample_rejects_non_finite_pattern(key):
+    for bad in (np.nan, np.inf):
+        with pytest.raises(errors.InputError, match=key):
+            det.ConicSample((0.0,), (1.0,), **{key: bad})
 
 
 # ---------------------------------------------------------------------------
@@ -402,6 +426,27 @@ def test_non_finite_input_gets_no_verdict():
     assert cells[1].verdict == "error" and "InputError" in cells[1].error
     nan_cell, = det.wf_scan("static", f, [(0.0,)], [(1.0,)], ladder)
     assert nan_cell.verdict == "error" and "InputError" in nan_cell.error
+
+
+@pytest.mark.parametrize("mode", ["static", "dynamic"])
+def test_non_finite_datum_voids_only_its_own_cells(mode):
+    spec = grid.GridSpec(1, 4096, 20.0)
+    g = grid.gaussian_data(spec)
+    values = g.values.copy()
+    values[10] = np.nan
+    g_nan = grid.GridFunction(spec, values)
+
+    def scan(data):
+        return det.wf_scan(mode, data, [(0.0,), (1.0,)], [(1.0,)],
+                           det.default_ladder(2, 6), model=pots.zero_model(1),
+                           t0=1.0 if mode == "dynamic" else 0.0)
+
+    cells, alone = scan([g, g_nan]), scan(g)
+    assert [c.verdict for c in cells] == ["not-in-WF"] * 2 + ["error"] * 2
+    assert all(c.error == "InputError: field values must be finite" for c in cells[2:])
+    for got, want in zip(cells[:2], alone):
+        assert got.report.n_hat == want.report.n_hat
+        assert np.array_equal(got.report.magnitudes, want.report.magnitudes)
 
 
 def test_scan_propagates_programming_errors(monkeypatch):

@@ -151,6 +151,9 @@ BAD_CONFIGS = {
     "grid-typo": lambda cfg: dict(cfg, grid={"n": 1, "points": 2048, "halfwdth": 30.0}),
     "threshold-typo": lambda cfg: dict(cfg, thresholds={"n": 7}),
     "t0-text": lambda cfg: dict(cfg, t0="soon"),
+    "t0-nan": lambda cfg: dict(cfg, t0=float("nan")),
+    "ladder-decreasing": lambda cfg: dict(cfg, ladder=[32, 16, 8, 4, 2]),
+    "ladder-below-one": lambda cfg: dict(cfg, ladder=[0.5, 1, 2, 4, 8]),
     "datum-typo": lambda cfg: dict(cfg, data=[{"name": "gaussian", "widht": 1.0}]),
     "potential-dimension": lambda cfg: dict(
         cfg, potential={"family": "soft-power", "n": 2, "rho": 0.5}),
@@ -170,7 +173,7 @@ SCHEMA_CASES = (
     + [(exp.run_fundamental_solution, FS_CFG, bad) for bad in BAD_CONFIGS
        if bad not in ("datum-typo", "noise-floor") + LEMMA_ONLY]
     + [(exp.run_lemma_suite, LEMMA_CFG, bad)
-       for bad in ("misspelled-key", "t0-text", "tol") + LEMMA_ONLY])
+       for bad in ("misspelled-key", "t0-text", "t0-nan", "tol") + LEMMA_ONLY])
 
 
 @pytest.fixture
@@ -224,6 +227,7 @@ def test_detect_defaults_are_the_scan_config_defaults():
 
 
 SHORT_WFGF = "<a WFGF file whose payload is shorter than its header says>"
+GAUSSIAN_WFGF = "<a WFGF file of a gaussian datum>"
 FOREIGN_NPZ = "<an npz archive that holds no grid_points array>"
 MISSHAPED_NPZ = "<a table archive whose values do not match its axes>"
 
@@ -244,13 +248,29 @@ MISSHAPED_NPZ = "<a table archive whose values do not match its axes>"
     ["detect", "--in", SHORT_WFGF, "--x0", "0", "--xi0", "1"],
     ["evolve", "--dt", "0.01", "--t1", "0.1", "--in", SHORT_WFGF,
      "--out", "no-such-out.wfgf"],
+    ["detect", "--in", GAUSSIAN_WFGF, "--x0", "0", "--xi0", "1", "--ladder", "2:6:9"],
+    ["flow", "--t0", "0", "--target", "inf", "--x", "0", "--xi", "1"],
+    ["flow", "--t0", "0", "--target", "nan", "--x", "0", "--xi", "1"],
+    ["flow", "--t0", "0", "--target", "1", "--x", "nan", "--xi", "1"],
+    ["detect", "--in", GAUSSIAN_WFGF, "--x0", "0", "--xi0", "1", "--a", "inf"],
+    ["evolve", "--dt", "0.01", "--t1", "nan", "--in", GAUSSIAN_WFGF,
+     "--out", "no-such-out.wfgf"],
+    ["evolve", "--dt", "nan", "--t1", "0.1", "--in", GAUSSIAN_WFGF,
+     "--out", "no-such-out.wfgf"],
+    ["packet", "--grid", "1,256,20", "--width", "nan"],
+    ["packet", "--grid", "1,256,20", "--t", "nan"],
+    ["packet", "--grid", "1,256,nan"],
 ], ids=["malformed-json", "missing-file", "potential-typo", "potential-type",
         "grid-text", "missing-field-file", "missing-table-file", "foreign-table",
-        "misshaped-table", "short-field-wpt", "short-field-detect", "short-field-evolve"])
+        "misshaped-table", "short-field-wpt", "short-field-detect", "short-field-evolve",
+        "ladder-text", "flow-target-inf", "flow-target-nan", "flow-x-nan", "detect-a-inf",
+        "evolve-t1-nan", "evolve-dt-nan", "packet-width-nan", "packet-t-nan",
+        "grid-halfwidth-nan"])
 def test_bad_outside_input_exits_2(argv, tmp_path, capsys):
     short = tmp_path / "short.wfgf"
-    grid.save_wfgf(grid.gaussian_data(grid.GridSpec(1, 64, 5.0)), short)
-    short.write_bytes(short.read_bytes()[:-8])
+    gaussian = tmp_path / "gaussian.wfgf"
+    grid.save_wfgf(grid.gaussian_data(grid.GridSpec(1, 64, 5.0)), gaussian)
+    short.write_bytes(gaussian.read_bytes()[:-8])
     foreign = tmp_path / "foreign.npz"
     np.savez(foreign, values=np.zeros(4))
     misshaped = tmp_path / "misshaped.npz"
@@ -258,8 +278,8 @@ def test_bad_outside_input_exits_2(argv, tmp_path, capsys):
     np.savez(misshaped, values=np.zeros((15, 16)), grid_points=np.array(spec.points),
              grid_halfwidths=np.array(spec.halfwidths), x_axis_0=spec.axis(0),
              xi_axis_0=spec.freq_axis(0))
-    files = {SHORT_WFGF: str(short), FOREIGN_NPZ: str(foreign),
-             MISSHAPED_NPZ: str(misshaped)}
+    files = {SHORT_WFGF: str(short), GAUSSIAN_WFGF: str(gaussian),
+             FOREIGN_NPZ: str(foreign), MISSHAPED_NPZ: str(misshaped)}
     assert cli.main([files.get(a, a) for a in argv]) == 2
     assert "InputError" in capsys.readouterr().err
 

@@ -431,3 +431,7 @@ def test_packet_spec_validation():
         packets.make_scaled_packet(SPEC, 1.0, 0.5, 0.125)
     with pytest.raises(errors.InputError):
         GaussianWindow(1, width=-1.0)
+    for key in ("width", "lam", "t"):
+        for value in (np.nan, np.inf, -np.inf):
+            with pytest.raises(errors.InputError, match=key):
+                GaussianWindow(1, **{key: value})

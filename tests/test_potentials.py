@@ -115,47 +115,6 @@ def test_divergence_closed_forms():
     assert pots.divergence_a(pots.constant_field_model(1.0), 0.0, x) == 0.0
 
 
-def test_derivative_a_against_nested_differences():
-    model = pots.soft_power_model(2, 0.5)
-    x = np.array([[1.0, 2.0]])
-    h = 1e-4
-    for alpha in ((1, 0), (0, 2), (1, 1), (2, 1)):
-        val = pots.derivative_a(model, 0.0, x, 0, alpha)[0]
-        # reduce one order by a central difference of the analytic lower order
-        axis = next(i for i, c in enumerate(alpha) if c > 0)
-        lower = list(alpha)
-        lower[axis] -= 1
-        e = np.zeros(2)
-        e[axis] = h
-        fd = (pots.derivative_a(model, 0.0, x + e, 0, tuple(lower))[0]
-              - pots.derivative_a(model, 0.0, x - e, 0, tuple(lower))[0]) / (2 * h)
-        assert val == pytest.approx(fd, rel=1e-6, abs=1e-8)
-
-
-def test_verify_decay_soft_power_conforms():
-    model = pots.soft_power_model(2, 0.5)
-    report = pots.verify_decay(model, 0.5, 3, (10.0, 100.0, 1000.0))
-    assert report.conforming
-    # bounded by twice the first-shell value
-    for per_shell in report.shell_sups.values():
-        assert all(v <= 2.0 * per_shell[0] + 1e-15 for v in per_shell[1:])
-
-
-def test_verify_decay_constant_field_fails():
-    model = pots.constant_field_model(1.0)
-    report = pots.verify_decay(model, 0.9, 1, (10.0, 100.0, 1000.0))
-    assert not report.conforming
-    # the order-0 ratio grows roughly like <x>^0.1 between shells
-    order0 = report.shell_sups[(0, 0)]
-    assert order0[1] / order0[0] > 1.2
-
-
-def test_verify_decay_zero_trivial():
-    report = pots.verify_decay(pots.zero_model(1), 0.5, 3, (10.0, 100.0))
-    assert report.conforming
-    assert all(v == 0.0 for vals in report.shell_sups.values() for v in vals)
-
-
 def test_conforming_flags():
     assert pots.soft_power_model(1, 0.5).conforming
     assert pots.rotational_model(0.0).conforming
@@ -186,16 +145,6 @@ def test_custom_model_finite_difference_fallback():
 def test_dimension_mismatch_rejected():
     with pytest.raises(errors.InputError):
         pots.eval_a(pots.zero_model(2), 0.0, np.zeros(3))
-
-
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_verify_decay_reports_nonfinite_point():
-    model = pots.VectorPotentialModel(
-        "custom-sampled", 1,
-        custom_a=lambda t, x: 1.0 / (x - 10.0),  # pole on the sample shell
-        custom_conforming=True)
-    with pytest.raises(errors.NumericError):
-        pots.verify_decay(model, 0.5, 0, (10.0, 100.0), samples_per_radius=2)
 
 
 def test_model_from_json_file(tmp_path):

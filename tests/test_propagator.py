@@ -12,6 +12,17 @@ from dense_reference import dense_evolve
 SPEC = grid.GridSpec(1, 512, 20.0)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_evolve_rejects_non_finite_times_and_step(value):
+    u0 = grid.gaussian_data(SPEC)
+    model, cfg = pots.zero_model(1), prop.EvolveConfig(dt=1e-2)
+    with pytest.raises(errors.InputError):
+        prop.EvolveConfig(dt=value)
+    for t0, t1 in ((0.0, value), (value, 0.1)):
+        with pytest.raises(errors.InputError):
+            prop.evolve(model, None, u0, t0, t1, cfg)
+
+
 def test_scalar_potential_families():
     x = np.array([[1.0], [3.0]])
     V = prop.ScalarPotentialModel("soft-power", mu=1.0, amplitude=0.3)
