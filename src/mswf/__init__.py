@@ -17,9 +17,8 @@ from .errors import (BoundaryMassError, CflError, ConsistencyError,
                      GuardError, InputError, MswfError, NumericError,
                      NyquistError, ResolutionError, StepUnderflowError,
                      UndersampledError)
-from .grid import (GridFunction, GridSpec, PhasePoint, builtin_data,
-                   delta_spike, gaussian_data, jump_data, load_wfgf,
-                   save_wfgf)
+from .grid import (GridFunction, GridSpec, builtin_data, delta_spike,
+                   gaussian_data, jump_data, load_wfgf, save_wfgf)
 from .packets import (DeltaSignal, GaussianSignal, GaussianWindow,
                       commutator_check, free_evolve_packet,
                       fundamental_solution_envelope, gaussian_wpt_oracle,

@@ -34,6 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError, NumericError, StepUnderflowError, number
+from .grid import phase_points, point_array
 from .potentials import (VectorPotentialModel, divergence_a, eval_a,
                          jacobian_a)
 
@@ -70,23 +71,15 @@ def _phase_rate(model: VectorPotentialModel, s, x, v, dxi) -> tuple:
     return re, 0.5 * div
 
 
-def _canonical_pair(x, xi) -> tuple:
-    x = np.asarray(x, dtype=float)
-    xi = np.asarray(xi, dtype=float)
-    if x.shape != xi.shape:
-        raise InputError("x and xi must have matching shapes")
-    return x, xi
-
-
 def hamiltonian(model: VectorPotentialModel, t: float, x, xi) -> float:
     """Kinetic energy |xi - a(t, x)|^2 / 2 of the canonical pair."""
-    v, _ = _vector_field(model, t, *_canonical_pair(x, xi))
+    v, _ = _vector_field(model, t, *phase_points(x, xi, model.n))
     return 0.5 * np.sum(v * v, axis=-1)
 
 
 def phase_density(model: VectorPotentialModel, s: float, x, xi) -> complex:
     """Complex integrand accumulated along the flow."""
-    x, xi = _canonical_pair(x, xi)
+    x, xi = phase_points(x, xi, model.n)
     return complex(*_phase_rate(model, s, x, *_vector_field(model, s, x, xi)))
 
 
@@ -118,16 +111,6 @@ def _state(s, y, n: int) -> FlowState:
     return FlowState(float(s), tuple(map(float, y[:n])), tuple(map(float, y[n:2 * n])))
 
 
-def _points(model: VectorPotentialModel, vectors) -> list:
-    """Initial positions or momenta as finite float arrays of the model dimension."""
-    out = [np.atleast_1d(np.asarray(v, dtype=float)) for v in vectors]
-    if any(v.shape != (model.n,) for v in out):
-        raise InputError("initial x and xi must match the model dimension")
-    if not all(np.isfinite(v).all() for v in out):
-        raise InputError("initial x and xi must be finite")
-    return out
-
-
 def _validate_tol(tol: float) -> float:
     if not TOL_RANGE[0] <= tol <= TOL_RANGE[1]:
         raise InputError(f"tolerance must lie in [{TOL_RANGE[0]}, {TOL_RANGE[1]}]")
@@ -148,7 +131,7 @@ def flow(model: VectorPotentialModel, t0: float, s_target: float,
     tol = _validate_tol(tol)
     t0, s_target = number(t0, "t0"), number(s_target, "s_target")
     n = model.n
-    x0, xi0 = _points(model, (x0, xi0))
+    x0, xi0 = phase_points(x0, xi0, n, ndim=(1, 1))  # one start point, not a batch of one
     if s_target == t0:
         state = _state(t0, np.concatenate([x0, xi0]), n)
         return FlowResult(state, [state], 0.0 + 0.0j,
@@ -339,12 +322,7 @@ def flow_batch(model: VectorPotentialModel, t0: float, s_target: float,
     tol = _validate_tol(tol)
     t0, s_target = number(t0, "t0"), number(s_target, "s_target")
     n = model.n
-    x0 = np.atleast_2d(np.asarray(x0, dtype=float))
-    xi0 = np.atleast_2d(np.asarray(xi0, dtype=float))
-    if x0.shape != xi0.shape or x0.ndim > 3 or x0.shape[-1] != n:
-        raise InputError("batch shapes must be (K, n) or (G, K, n) for both x and xi")
-    if not (np.isfinite(x0).all() and np.isfinite(xi0).all()):
-        raise InputError("initial x and xi must be finite")
+    x0, xi0 = phase_points(x0, xi0, n, ndim=(2, 3))
     if s_target == t0 or x0.size == 0:
         return x0.copy(), xi0.copy()
     y0 = np.concatenate([x0, xi0], axis=-1).reshape(-1, x0.shape[-2] * 2 * n)
@@ -404,7 +382,8 @@ def check_flow_bounds(model: VectorPotentialModel, a_param: float, p: float,
     if t0 <= 0.0:
         raise InputError("t0 must be positive")
     n = model.n
-    k_samples, gamma_samples = _points(model, k_samples), _points(model, gamma_samples)
+    k_samples = point_array(k_samples, n, (2, 2), "k_samples")
+    gamma_samples = point_array(gamma_samples, n, (2, 2), "gamma_samples")
     for xi in gamma_samples:
         m = float(np.linalg.norm(xi))
         if not (1.0 / a_param - 1e-12 <= m <= a_param + 1e-12):
@@ -473,8 +452,8 @@ def check_integral_bound(model: VectorPotentialModel, delta: float, interval,
         weight = (1.0 + np.sum(x * x, axis=-1)) ** (0.5 * (1.0 + delta))
         return (np.linalg.norm(xi, axis=-1) / weight,)
 
-    pairs = list(zip(_points(model, [x for x, _ in samples]),
-                     _points(model, [xi for _, xi in samples])))
+    pairs = list(zip(*phase_points([x for x, _ in samples], [xi for _, xi in samples],
+                                   n, ndim=(2, 2))))
     y0 = np.array([np.concatenate([x, lam * xi, [0.0]])
                    for lam in ladder for x, xi in pairs]).reshape(-1, 2 * n + 1)
     quad = np.zeros(len(y0))
@@ -513,9 +492,10 @@ def lower_bound_x0(model: VectorPotentialModel, t0: float, k_samples,
     if t0 <= 0:
         raise InputError("t0 must be positive")
     ladder = tuple(sorted(float(l) for l in lam_ladder))
-    k_samples, gamma_samples = _points(model, k_samples), _points(model, gamma_samples)
-    xs = np.array([x for x in k_samples for _ in gamma_samples])
-    xi_hats = np.array([xi for _ in k_samples for xi in gamma_samples])
+    k_samples = point_array(k_samples, model.n, (2, 2), "k_samples")
+    gamma_samples = point_array(gamma_samples, model.n, (2, 2), "gamma_samples")
+    xs = np.repeat(k_samples, len(gamma_samples), axis=0)
+    xi_hats = np.tile(gamma_samples, (len(k_samples), 1))
     xi_norms = np.linalg.norm(xi_hats, axis=-1)
     x_end, _ = flow_batch(model, t0, 0.0, np.array([xs] * len(ladder)),
                           np.array([lam * xi_hats for lam in ladder]), tol)

@@ -149,14 +149,13 @@ def _cmd_detect(args) -> int:
                                   k_radius=args.k_radius,
                                   half_angle=args.cone_angle, a=args.a)
     model = potentials.model_from_json(args.potential, f.spec.n)
-    scalar = propagator.scalar_from_json(args.scalar_potential)
     b = detector.resolve_b(args.b, model)
     if args.mode == "static":
         report = detector.wf_test_static(f, sample, ladder, thresholds,
                                          args.width, b)
     else:
         report = detector.wf_test_dynamic(f, model, args.t0, sample, ladder,
-                                          thresholds, args.width, b, scalar=scalar)
+                                          thresholds, args.width, b)
     payload = report.to_json_dict()
     if args.out:
         experiments.write_json(Path(args.out), payload)
@@ -236,7 +235,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["static", "dynamic"], default="static")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--potential")
-    p.add_argument("--scalar-potential")
     p.add_argument("--t0", type=float, default=0.0)
     p.add_argument("--x0", required=True)
     p.add_argument("--xi0", required=True)

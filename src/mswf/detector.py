@@ -39,8 +39,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .characteristics import flow_batch
-from .errors import InputError, MswfError, integer, load_json, number
-from .grid import field_batch
+from .errors import InputError, MswfError, integer, load_json, number, one_of
+from .grid import field_batch, phase_points
 from .packets import GaussianWindow, in_band, pair_many, theorem_scaling_exponent
 # nothing here calls wpt; the name stays because perfbench/layers.py
 # wraps mswf.detector.wpt in its traced run
@@ -95,14 +95,9 @@ class ConicSample:
     a: float = 1.0
 
     def __post_init__(self):
-        x0 = tuple(float(v) for v in np.atleast_1d(self.x0))
-        xi0 = tuple(float(v) for v in np.atleast_1d(self.xi0))
-        object.__setattr__(self, "x0", x0)
-        object.__setattr__(self, "xi0", xi0)
-        if len(x0) != len(xi0):
-            raise InputError("x0 and xi0 must have the same dimension")
-        if not np.all(np.isfinite(x0 + xi0)):
-            raise InputError("x0 and xi0 must be finite")
+        x0, xi0 = phase_points(self.x0, self.xi0, ndim=(1, 1))
+        object.__setattr__(self, "x0", tuple(x0.tolist()))
+        object.__setattr__(self, "xi0", tuple(xi0.tolist()))
         if float(np.linalg.norm(xi0)) == 0.0:
             raise InputError("xi0 must be nonzero")
         for key in ("k_radius", "half_angle", "a"):
@@ -401,7 +396,7 @@ def wf_test_dynamic(u0, model: VectorPotentialModel, t0: float,
                     sample: ConicSample, ladder=None,
                     thresholds: Thresholds = Thresholds(),
                     width: float = 1.0, b: float = 1.0 / 8.0,
-                    scalar=None, noise_rel: float = 1e-12):
+                    noise_rel: float = 1e-12):
     """Probe membership of (x0, xi0) relative to the solution at time t0,
     using only the initial datum.
 
@@ -411,13 +406,12 @@ def wf_test_dynamic(u0, model: VectorPotentialModel, t0: float,
     them on one grid, and the result a DecayReport or a list of them; the
     rungs are flowed once, as one grouped `flow_batch`, and paired with
     every datum.  At t0 = 0 nothing is flowed and the pairings are the
-    static test's.  A scalar potential never enters the flow, so it is
-    accepted only to be recorded.  Rungs whose flowed frequency leaves the
-    band of u0's grid are dropped.
+    static test's.  Rungs whose flowed frequency leaves the band of u0's
+    grid are dropped.
     """
     fields, single = field_batch(u0)
     reports = _probe("dynamic", fields, {0: sample}, parse_ladder(ladder), thresholds,
-                     width, b, noise_rel, _raise, model, t0, scalar)[0]
+                     width, b, noise_rel, _raise, model, t0)[0]
     return reports[0] if single else reports
 
 
@@ -461,8 +455,7 @@ def _rung_points(model: VectorPotentialModel, t0: float, phases: dict,
 
 def _probe(mode: str, fields: list, samples: dict, ladder: tuple,
            thresholds: Thresholds, width: float, b: float, noise_rel: float,
-           record, model: VectorPotentialModel = None, t0: float = 0.0,
-           scalar=None) -> dict:
+           record, model: VectorPotentialModel = None, t0: float = 0.0) -> dict:
     """Reports of every cell, {c: [one DecayReport per field]}.
 
     samples[c] is cell c's ConicSample.  A static probe, or a dynamic one
@@ -483,10 +476,9 @@ def _probe(mode: str, fields: list, samples: dict, ladder: tuple,
     for c, rungs in points.items():
         sample = samples[c]
         metadata = {"mode": mode, "t0": t0, "width": width, "b": b, "a": sample.a,
-                    "n": sample.n, "noise_rel": noise_rel,
-                    "scalar": getattr(scalar, "family", None)}
+                    "n": sample.n, "noise_rel": noise_rel}
         if not dynamic:
-            del metadata["t0"], metadata["scalar"]
+            del metadata["t0"]
         try:
             reports[c] = _ladder_test(
                 fields, *phases[c], ladder, rungs, -t0 if flowed else 0.0, thresholds,
@@ -532,7 +524,7 @@ def wf_scan(mode: str, field_or_datum, positions, directions,
             ladder=None, thresholds: Thresholds = Thresholds(),
             width: float = 1.0, b: float = 1.0 / 8.0,
             model: VectorPotentialModel = None, t0: float = 0.0,
-            scalar=None, k_radius: float = ConicSample.k_radius,
+            k_radius: float = ConicSample.k_radius,
             half_angle: float = ConicSample.half_angle,
             a: float = ConicSample.a, noise_rel: float = 1e-12) -> list:
     """Run a membership test over a lattice of cells; errors stay in-row.
@@ -549,8 +541,7 @@ def wf_scan(mode: str, field_or_datum, positions, directions,
     `model`) is recorded in its cell, for every finite field, and the scan
     goes on; any other exception is a programming error and propagates.
     """
-    if mode not in ("static", "dynamic"):
-        raise InputError("mode must be 'static' or 'dynamic'")
+    one_of(mode, ("static", "dynamic"), "mode")
     fields, _ = field_batch(field_or_datum)
     ladder = parse_ladder(ladder)
     lattice = [(tuple(float(v) for v in np.atleast_1d(pos)),
@@ -577,7 +568,7 @@ def wf_scan(mode: str, field_or_datum, positions, directions,
         except MswfError as exc:
             record(c, exc)
     reports = _probe(mode, fields, samples, ladder, thresholds, width, b, noise_rel,
-                     record, model, t0, scalar) if fields else {}
+                     record, model, t0) if fields else {}
     for c, cell_reports in reports.items():
         for row, report in zip(probed, cell_reports):
             row[c].report = report

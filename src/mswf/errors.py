@@ -95,6 +95,14 @@ def number(value, key: str) -> float:
     return v
 
 
+def one_of(value, table, key: str) -> str:
+    """`value` if it is one of the names in `table`; InputError naming `key`
+    otherwise, for a value that is not a string too."""
+    if not (isinstance(value, str) and value in table):
+        raise InputError(f"unknown {key} {value!r} (have {tuple(table)})")
+    return value
+
+
 def integer(value, key: str) -> int:
     """An integral number as an int; InputError naming `key` otherwise."""
     v = number(value, key)

@@ -28,7 +28,7 @@ import numpy as np
 from . import characteristics as chars
 from . import detector, grid, packets, potentials, propagator
 from .errors import (ConsistencyError, GuardError, InputError, integer,
-                     load_json, number)
+                     load_json, number, one_of)
 
 # the evolved field carries solver error; its transform floor sits there
 STATIC_NOISE_REL, DYNAMIC_NOISE_REL = 1e-7, 1e-12
@@ -150,8 +150,11 @@ def _data(value, key, done) -> tuple:
 
 
 def _datum_from_config(entry: tuple, spec: grid.GridSpec) -> grid.GridFunction:
+    """The datum built on the grid; InputError naming its label unless finite."""
     name, label, kwargs = entry
     f = grid.builtin_data(name, spec, **kwargs)
+    if not np.isfinite(f.values).all():
+        raise InputError(f"datum '{label}' has non-finite values, from {kwargs}")
     f.label = label
     return f
 
@@ -288,8 +291,7 @@ def run_transport_consistency(cfg: dict) -> dict:
     evolved = propagator.evolve(model, scalar, data, 0.0, config.t0, evolve_cfg)
     # one scan per mode over all data; results come back datum-major
     static_cells = config.scan("static", evolved, noise_rel=STATIC_NOISE_REL)
-    dynamic_cells = config.scan("dynamic", data, scalar=scalar,
-                                noise_rel=DYNAMIC_NOISE_REL)
+    dynamic_cells = config.scan("dynamic", data, noise_rel=DYNAMIC_NOISE_REL)
     per_datum = len(static_cells) // len(data)
     cell_rows, ladder_rows = [], []
     for k, (sc, dc) in enumerate(zip(static_cells, dynamic_cells)):
@@ -499,7 +501,4 @@ RUNNERS = {
 
 
 def run_experiment(config: dict) -> dict:
-    name = load_json(config).get("experiment")
-    if name not in tuple(RUNNERS):  # compared, not hashed: any JSON value
-        raise InputError(f"unknown experiment {name!r} (have {tuple(RUNNERS)})")
-    return RUNNERS[name](config)
+    return RUNNERS[one_of(load_json(config).get("experiment"), RUNNERS, "experiment")](config)

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InputError, number
+from .errors import InputError, number, one_of
 
 WFGF_MAGIC = b"WFGF"
 WFGF_VERSION = 1
@@ -151,36 +151,29 @@ def field_batch(f) -> tuple:
     return fields, single
 
 
-@dataclass(frozen=True)
-class PhasePoint:
-    """A position/frequency pair (x, xi) in phase space."""
-
-    x: tuple
-    xi: tuple
-
-    def __init__(self, x, xi):
-        x = tuple(float(v) for v in np.atleast_1d(x))
-        xi = tuple(float(v) for v in np.atleast_1d(xi))
-        if len(x) != len(xi):
-            raise InputError("x and xi must have the same dimension")
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(xi))):
-            raise InputError("phase point entries must be finite")
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "xi", xi)
-
-    @property
-    def n(self) -> int:
-        return len(self.x)
+def point_array(v, n: int | None = None, ndim=(1, np.inf), key: str = "x") -> np.ndarray:
+    """v as a finite float array of shape (..., n) with ndim[0] to ndim[1]
+    axes; InputError naming `key` otherwise.  n defaults to the length of
+    the last axis, and missing axes are leading ones of length 1 (a number
+    is one point of dimension 1)."""
+    try:
+        v = np.array(v, dtype=float, ndmin=ndim[0])
+    except (TypeError, ValueError):
+        raise InputError(f"{key} must be an array of numbers, got {v!r}") from None
+    if v.ndim > ndim[1] or v.shape[-1] != (n or v.shape[-1]):
+        raise InputError(f"{key} has shape {v.shape}, not (..., {n or 'n'}) "
+                         f"with {ndim[0]} to {ndim[1]} axes")
+    if not np.isfinite(v).all():
+        raise InputError(f"{key} must be finite")
+    return v
 
 
-def as_phase_point(p, n: int) -> PhasePoint:
-    if isinstance(p, PhasePoint):
-        pt = p
-    else:
-        pt = PhasePoint(*p)
-    if pt.n != n:
-        raise InputError(f"phase point has dimension {pt.n}, expected {n}")
-    return pt
+def phase_points(x, xi, n: int | None = None, ndim=(1, np.inf)) -> tuple:
+    """Phase-space points (x, xi) of one shape, each checked by `point_array`."""
+    x, xi = point_array(x, n, ndim, "x"), point_array(xi, n, ndim, "xi")
+    if x.shape != xi.shape:
+        raise InputError(f"x and xi must have one shape, got {x.shape} and {xi.shape}")
+    return x, xi
 
 
 # ---------------------------------------------------------------------------
@@ -289,10 +282,8 @@ BUILTIN_DATA = {
 }
 
 
-def builtin_data(name: str, spec: GridSpec, **kwargs) -> GridFunction:
-    if name not in BUILTIN_DATA:
-        raise InputError(f"unknown built-in datum '{name}' (have {sorted(BUILTIN_DATA)})")
-    return BUILTIN_DATA[name](spec, **kwargs)
+def builtin_data(datum: str, spec: GridSpec, **kwargs) -> GridFunction:
+    return BUILTIN_DATA[one_of(datum, BUILTIN_DATA, "built-in datum")](spec, **kwargs)
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import (InputError, NyquistError, ResolutionError, UndersampledError,
                      number)
-from .grid import (GridFunction, GridSpec, apply_kinetic, as_phase_point,
+from .grid import (GridFunction, GridSpec, apply_kinetic, phase_points,
                    spectral_derivative, spectral_support_edge)
 
 NYQUIST_TOL = 1.0 + 1e-12
@@ -189,10 +189,7 @@ def pair_many(spec: GridSpec, values, window: GaussianWindow,
     any frequency leaves the grid band.
     """
     _check_window(window, spec.n)
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    XI = np.atleast_2d(np.asarray(XI, dtype=float))
-    if X.shape != XI.shape or X.shape[1] != spec.n:
-        raise InputError("phase points must be (S, n) for both x and xi")
+    X, XI = phase_points(X, XI, spec.n, ndim=(2, 2))
     if any(np.shape(v) != spec.shape for v in values):
         raise InputError("each field must have the grid's shape")
     _check_nyquist(spec, XI)
@@ -219,8 +216,8 @@ def pair_many(spec: GridSpec, values, window: GaussianWindow,
 
 def wpt(f: GridFunction, window: GaussianWindow, p) -> complex:
     """Wave packet transform of f at one phase-space point, any center."""
-    point = as_phase_point(p, f.spec.n)
-    return complex(pair_many(f.spec, [f.values], window, point.x, point.xi)[0, 0])
+    x, xi = phase_points(*p, f.spec.n, ndim=(1, 1))
+    return complex(pair_many(f.spec, [f.values], window, x, xi)[0, 0])
 
 
 @dataclass
@@ -358,12 +355,12 @@ def gaussian_wpt_oracle(signal, window: GaussianWindow, p) -> complex:
     Independent of any grid: a complete-the-square evaluation used to
     cross-check every quadrature path.
     """
-    point = as_phase_point(p, window.n)
     n = window.n
+    x, xi = phase_points(*p, n, ndim=(1, 1))
     if isinstance(signal, DeltaSignal):
         c = np.resize(np.asarray(signal.center, dtype=float), n)
-        value = np.conj(window(c - np.asarray(point.x)))
-        return complex(signal.amplitude * value * np.exp(-1j * np.dot(c, point.xi)))
+        value = np.conj(window(c - x))
+        return complex(signal.amplitude * value * np.exp(-1j * np.dot(c, xi)))
     if not isinstance(signal, GaussianSignal):
         raise InputError("oracle supports GaussianSignal and DeltaSignal only")
     gamma = 1.0 / signal.width ** 2
@@ -373,9 +370,9 @@ def gaussian_wpt_oracle(signal, window: GaussianWindow, p) -> complex:
     k = np.resize(np.asarray(signal.momentum, dtype=float), n)
     out = np.conj(window.amplitude) * signal.amplitude
     for i in range(n):
-        B = betabar * point.x[i] + gamma * c[i] + 1j * (k[i] - point.xi[i])
+        B = betabar * x[i] + gamma * c[i] + 1j * (k[i] - xi[i])
         out = out * np.sqrt(2.0 * np.pi / A) * np.exp(
-            B * B / (2.0 * A) - 0.5 * (betabar * point.x[i] ** 2 + gamma * c[i] ** 2))
+            B * B / (2.0 * A) - 0.5 * (betabar * x[i] ** 2 + gamma * c[i] ** 2))
     return complex(out)
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, NumericError, integer, load_json, number
+from .errors import InputError, NumericError, integer, load_json, number, one_of
 
 FAMILIES = ("zero", "soft-power", "rotational", "constant-field", "custom-sampled")
 
@@ -67,25 +67,26 @@ class VectorPotentialModel:
     custom_conforming: bool = False
 
     def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise InputError(f"unknown family '{self.family}' (have {FAMILIES})")
+        one_of(self.family, FAMILIES, "family")
         if self.n < 1:
             raise InputError("dimension must be >= 1")
         if self.family in ("rotational", "constant-field") and self.n != 2:
             raise InputError(f"family '{self.family}' is two-dimensional")
-        if self.modulation not in MODULATIONS:
-            raise InputError(f"unknown modulation '{self.modulation}'")
+        one_of(self.modulation, MODULATIONS, "modulation")
+        for key in ("rho", "b0"):
+            object.__setattr__(self, key, number(getattr(self, key), key))
         if self.family in ("soft-power", "rotational") and not self.rho < 1.0:
             raise InputError("soft-power/rotational families require rho < 1")
         if self.family == "custom-sampled" and self.custom_a is None:
             raise InputError("custom-sampled family needs a callable")
+        count = 1 if self.family == "rotational" else self.n
         amp = self.amplitude
-        if not amp:
-            amp = (1.0,) * (1 if self.family == "rotational" else self.n)
-        elif np.isscalar(amp):
-            amp = (float(amp),) * (1 if self.family == "rotational" else self.n)
-        else:
-            amp = tuple(float(v) for v in amp)
+        if not isinstance(amp, (tuple, list, np.ndarray)):  # one for every component
+            amp = (amp,) * count
+        amp = tuple(number(v, "amplitude") for v in amp) or (1.0,) * count
+        if len(amp) != count:
+            raise InputError(f"family '{self.family}' in n = {self.n} takes {count} "
+                             f"amplitude(s), got {len(amp)}")
         object.__setattr__(self, "amplitude", amp)
 
     @property
@@ -125,7 +126,6 @@ def model_from_json(source, n: int | None = None) -> VectorPotentialModel:
     if source is None:
         return zero_model(n)
     obj = load_json(source, ("family", "n", "rho", "amplitude", "modulation", "b0"))
-    obj.update({k: number(obj[k], k) for k in ("rho", "b0") if k in obj})
     obj["n"] = integer(obj.get("n"), "n")
     return VectorPotentialModel(obj.pop("family", None), **obj)
 

@@ -34,9 +34,8 @@ import numpy as np
 
 from .characteristics import flow
 from .errors import (BoundaryMassError, CflError, InputError, NumericError,
-                     load_json, number)
-from .grid import GridFunction, GridSpec, as_phase_point, \
-    boundary_mass_fraction, field_batch
+                     load_json, number, one_of)
+from .grid import GridFunction, GridSpec, boundary_mass_fraction, field_batch
 from .packets import GaussianWindow, wpt
 from .potentials import (MODULATIONS, VectorPotentialModel, divergence_a,
                          eval_a, squared_norm)
@@ -54,12 +53,12 @@ class ScalarPotentialModel:
     modulation: str = "one"
 
     def __post_init__(self):
-        if self.family not in SCALAR_FAMILIES:
-            raise InputError(f"unknown scalar family '{self.family}'")
+        one_of(self.family, SCALAR_FAMILIES, "scalar family")
+        one_of(self.modulation, MODULATIONS, "modulation")
+        for key in ("mu", "amplitude"):
+            object.__setattr__(self, key, number(getattr(self, key), key))
         if self.family == "soft-power" and not self.mu < 2.0:
             raise InputError("soft-power scalar potentials require mu < 2")
-        if self.modulation not in MODULATIONS:
-            raise InputError(f"unknown modulation '{self.modulation}'")
 
     @property
     def conforming(self) -> bool:
@@ -83,10 +82,8 @@ class ScalarPotentialModel:
 def scalar_from_json(source) -> ScalarPotentialModel:
     """Build a scalar term from a JSON object, file path, or inline JSON
     string; None gives the zero term."""
-    obj = load_json({} if source is None else source,
-                    ("family", "mu", "amplitude", "modulation"))
-    obj.update({k: number(obj[k], k) for k in ("mu", "amplitude") if k in obj})
-    return ScalarPotentialModel(**obj)
+    return ScalarPotentialModel(**load_json({} if source is None else source,
+                                            ("family", "mu", "amplitude", "modulation")))
 
 
 @dataclass(frozen=True)
@@ -388,8 +385,7 @@ def evolved_wpt_leading(model: VectorPotentialModel, u0: GridFunction,
     potential vanishes; otherwise correct to a remainder that is lower
     order in the dilation.
     """
-    point = as_phase_point(p, u0.spec.n)
-    res = flow(model, t, 0.0, point.x, point.xi, tol)
+    res = flow(model, t, 0.0, *p, tol)
     int_0_t = -res.psi_integral  # flow accumulated t -> 0
     value = wpt(u0, window, (res.terminal.x, res.terminal.xi))
     return complex(np.exp(1j * int_0_t) * value)

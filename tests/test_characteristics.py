@@ -100,6 +100,21 @@ def test_flows_reject_non_finite_times_and_points(bad):
             chars.flow_batch(model, t0, s, [[x]], [[xi]])
 
 
+def test_flow_takes_one_start_point():
+    # a batch of one is flow_batch's input, not flow's
+    model = pots.zero_model(2)
+    for x, xi in (([[0.0, 0.0]], [[1.0, 0.0]]), ([0.0, 0.0], [[1.0, 0.0]]),
+                  ([0.0], [1.0]), ([0.0, 0.0, 0.0], [1.0, 0.0, 0.0])):
+        with pytest.raises(errors.InputError):
+            chars.flow(model, 0.0, 1.0, x, xi)
+    end = chars.flow(model, 0.0, 1.0, [0.0, 0.0], [1.0, 0.0]).terminal
+    assert end.x == pytest.approx((1.0, 0.0))
+    bx, _ = chars.flow_batch(model, 0.0, 1.0, [0.0, 0.0], [1.0, 0.0])
+    assert bx.shape == (1, 2)
+    with pytest.raises(errors.InputError):  # four axes
+        chars.flow_batch(model, 0.0, 1.0, np.zeros((1, 1, 1, 2)), np.ones((1, 1, 1, 2)))
+
+
 def test_batch_flow_matches_single():
     model = pots.rotational_model(0.5, modulation="sin")
     X = np.array([[0.1, 0.0], [0.0, 0.2]])

@@ -232,6 +232,35 @@ FOREIGN_NPZ = "<an npz archive that holds no grid_points array>"
 MISSHAPED_NPZ = "<a table archive whose values do not match its axes>"
 
 
+def _flow_argv(potential: dict) -> list:
+    n = potential["n"]
+    return ["flow", "--potential", json.dumps(potential), "--t0", "1.0", "--target", "0.0",
+            "--x", ",".join(["0.3"] * n), "--xi", ",".join(["1.0"] * n)]
+
+
+SOFT_1D = {"family": "soft-power", "n": 1, "rho": 0.5}
+# bad values inside a model or a datum; unchecked, each exits 1 or 3 mid-run
+BAD_VALUE_ARGV = {
+    "potential-amplitude-text": _flow_argv(dict(SOFT_1D, amplitude="x")),
+    "potential-modulation-list": _flow_argv(dict(SOFT_1D, modulation=["one"])),
+    "potential-amplitude-nan": _flow_argv(dict(SOFT_1D, amplitude=float("nan"))),
+    "potential-amplitude-count": _flow_argv(
+        {"family": "soft-power", "n": 2, "rho": 0.5, "amplitude": [1, 2, 3]}),
+    "scalar-modulation-list": [
+        "evolve", "--dt", "0.01", "--t1", "0.1", "--in", GAUSSIAN_WFGF,
+        "--out", "no-such-out.wfgf", "--scalar-potential",
+        json.dumps({"family": "soft-power", "mu": 1.0, "modulation": ["one"]})],
+    "config-amplitude-nan": ["experiment", "--config", json.dumps(dict(
+        FREE_CFG, experiment="magnetic-transport",
+        potential=dict(SOFT_1D, amplitude=float("nan"))))],
+    "config-amplitude-count": ["experiment", "--config", json.dumps(dict(
+        FS_CFG, grid={"n": 2, "points": 64, "halfwidth": 6.0}, positions=[[0.0, 0.0]],
+        potential={"family": "soft-power", "n": 2, "rho": 0.5, "amplitude": [1, 2, 3]}))],
+    "datum-width-nan": ["experiment", "--config", json.dumps(dict(
+        FREE_CFG, data=[{"name": "gaussian", "width": float("nan")}]))],
+}
+
+
 @pytest.mark.parametrize("argv", [
     ["experiment", "--config", '{"experiment": "free-transport",'],
     ["experiment", "--config", "no-such-config.json"],
@@ -260,12 +289,13 @@ MISSHAPED_NPZ = "<a table archive whose values do not match its axes>"
     ["packet", "--grid", "1,256,20", "--width", "nan"],
     ["packet", "--grid", "1,256,20", "--t", "nan"],
     ["packet", "--grid", "1,256,nan"],
+    *BAD_VALUE_ARGV.values(),
 ], ids=["malformed-json", "missing-file", "potential-typo", "potential-type",
         "grid-text", "missing-field-file", "missing-table-file", "foreign-table",
         "misshaped-table", "short-field-wpt", "short-field-detect", "short-field-evolve",
         "ladder-text", "flow-target-inf", "flow-target-nan", "flow-x-nan", "detect-a-inf",
         "evolve-t1-nan", "evolve-dt-nan", "packet-width-nan", "packet-t-nan",
-        "grid-halfwidth-nan"])
+        "grid-halfwidth-nan", *BAD_VALUE_ARGV])
 def test_bad_outside_input_exits_2(argv, tmp_path, capsys):
     short = tmp_path / "short.wfgf"
     gaussian = tmp_path / "gaussian.wfgf"

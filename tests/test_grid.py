@@ -28,12 +28,23 @@ def test_gridfunction_shape_and_norm():
 
 
 def test_phase_point():
-    p = grid.PhasePoint((1.0, 2.0), (0.0, -1.0))
-    assert p.n == 2
-    with pytest.raises(errors.InputError):
-        grid.PhasePoint((1.0,), (1.0, 2.0))
-    with pytest.raises(errors.InputError):
-        grid.PhasePoint((np.nan,), (1.0,))
+    x, xi = grid.phase_points((1.0, 2.0), (0, -1))
+    assert x.dtype == xi.dtype == float and x.shape == xi.shape == (2,)
+    assert xi.tolist() == [0.0, -1.0]
+    # a number is a point of dimension 1; missing axes are leading ones
+    assert grid.phase_points(0.5, 1.0, n=1)[0].shape == (1,)
+    assert grid.phase_points((0.0, 1.0), (1.0, 0.0), 2, ndim=(2, 2))[1].shape == (1, 2)
+    bad = [((1.0,), (1.0, 2.0), {}),                      # shapes differ
+           ([(0.0, 0.0)], [(1.0, 0.0), (0.0, 1.0)], {}),  # point counts differ
+           ((1.0, 2.0), (0.0, 1.0), {"n": 3}),            # wrong n
+           ([(1.0, 2.0)], [(0.0, 1.0)], {"ndim": (1, 1)}),  # a batch where one point is due
+           ((np.nan,), (1.0,), {}),
+           ((0.0,), (np.inf,), {}),
+           (("x",), (1.0,), {}),
+           ([(0.0,), (0.0, 1.0)], [(1.0,), (1.0, 0.0)], {})]  # ragged
+    for x, xi, kwargs in bad:
+        with pytest.raises(errors.InputError):
+            grid.phase_points(x, xi, **kwargs)
 
 
 def test_delta_spike_pairing():

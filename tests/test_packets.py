@@ -235,6 +235,15 @@ def test_pair_many_input_checks():
         packets.pair_many(spec, [values[0][0]], win, [(0.0, 0.0)], [(1.0, 0.0)])
 
 
+@pytest.mark.parametrize("X, XI", [([[np.nan]], [[1.0]]), ([[0.0]], [[np.nan]]),
+                                   ([[np.inf]], [[1.0]])], ids=["x-nan", "xi-nan", "x-inf"])
+def test_pair_many_rejects_non_finite_points(X, XI):
+    # unchecked, a nan x pairs to nan+nanj and a nan xi fails the Nyquist guard
+    g = grid.gaussian_data(SPEC)
+    with pytest.raises(errors.InputError, match="finite"):
+        packets.pair_many(SPEC, [g.values], GaussianWindow(1), X, XI)
+
+
 def test_wpt_grid_reduces_to_pointwise():
     f = grid.gaussian_data(SPEC, width=1.1, momentum=0.4)
     pk = GaussianWindow(1, 1.0, 2.0, 0.125)
