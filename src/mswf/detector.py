@@ -537,16 +537,23 @@ def wf_scan(mode: str, field_or_datum, positions, directions,
     InputError in each of its cells and is not paired, so the others keep
     their bits.  A dynamic scan with t0 != 0 flows every (cell, rung) once,
     all in one grouped `flow_batch` call.  A package error (MswfError: a
-    guard, input or numeric failure, such as a dynamic scan without
-    `model`) is recorded in its cell, for every finite field, and the scan
-    goes on; any other exception is a programming error and propagates.
+    guard, input or numeric failure, such as a position or direction that
+    is not a phase point, or a dynamic scan without `model`) is recorded in
+    its cell, for every finite field, and the scan goes on; any other
+    exception is a programming error and propagates.
     """
     one_of(mode, ("static", "dynamic"), "mode")
     fields, _ = field_batch(field_or_datum)
     ladder = parse_ladder(ladder)
-    lattice = [(tuple(float(v) for v in np.atleast_1d(pos)),
-                tuple(float(v) for v in np.atleast_1d(d)))
-               for pos in positions for d in directions]
+    lattice, invalid = [], {}  # a cell that is not a phase point keeps its input
+    for pos in positions:
+        for d in directions:
+            try:
+                x0, xi0 = phase_points(pos, d, ndim=(1, 1))
+                lattice.append((tuple(x0.tolist()), tuple(xi0.tolist())))
+            except InputError as exc:
+                invalid[len(lattice)] = exc
+                lattice.append((pos, d))
     rows = [[ScanCell(x0, xi0) for x0, xi0 in lattice] for _ in fields]
     finite = [bool(np.isfinite(f.values).all()) for f in fields]
     for row, ok in zip(rows, finite):
@@ -562,6 +569,9 @@ def wf_scan(mode: str, field_or_datum, positions, directions,
 
     samples = {}
     for c, (x0, xi0) in enumerate(lattice):
+        if c in invalid:
+            record(c, invalid[c])
+            continue
         try:
             samples[c] = ConicSample(x0, xi0, k_radius=k_radius,
                                      half_angle=half_angle, a=a)

@@ -13,8 +13,11 @@ identity on the periodic grid.
 
 The Gaussian quadrature is written once, in `pair_many`: it pairs B
 fields with one window at S phase points through one (S, M_i) vector per
-axis, shared by every field, and `wpt` is its one-point case.  The
-detector makes one such call per ladder rung.
+axis, shared by every field, and `wpt` is its one-point case.  Each field
+is contracted only over the box that bounds its nonzero nodes, which
+keeps the bits of the full-grid sum for a field that fills the grid or
+has one nonzero node, and pairs a point mass in O(S).  The detector
+makes one such call per ladder rung.
 
 Scaled packets follow phi_lam(y) = lam^(n b / 2) phi(lam^b y), which keeps
 the L2 norm independent of lam.
@@ -173,6 +176,24 @@ def _check_nyquist(spec: GridSpec, XI) -> None:
             f"{np.pi / spec.dx[i]:.4g}")
 
 
+def _nonzero_box(g: np.ndarray):
+    """Per-axis slices that bound the nonzero nodes of g, or None if it has none.
+
+    A field with a nonzero node on both end planes of every axis, as every
+    evolved field and Gaussian datum has, keeps the full grid without a scan."""
+    full = tuple(slice(0, m) for m in g.shape)
+    if all(g[full[:i] + (end,)].any() for i in range(g.ndim) for end in (0, -1)):
+        return full
+    nonzero = g != 0
+    box = []
+    for i in range(g.ndim):
+        line = np.flatnonzero(nonzero.any(axis=tuple(j for j in range(g.ndim) if j != i)))
+        if not line.size:
+            return None
+        box.append(slice(int(line[0]), int(line[-1]) + 1))
+    return tuple(box)
+
+
 def pair_many(spec: GridSpec, values, window: GaussianWindow,
               X, XI) -> np.ndarray:
     """Transforms of B fields against a Gaussian window at S phase points.
@@ -183,20 +204,36 @@ def pair_many(spec: GridSpec, values, window: GaussianWindow,
     - i y xi_i), built in place in the real and imaginary parts of one
     complex buffer, and every field shares them.  Each field is contracted
     on its own, the first axis with a matrix product and each later one
-    with a per-sample einsum, so a field's transforms do not depend on the
-    rest of the batch (a one-column product would take BLAS's
-    matrix-vector path) and no field is copied.  Raises NyquistError if
-    any frequency leaves the grid band.
+    with a per-sample einsum, and only over the box that bounds its
+    nonzero nodes, since every product outside it is an exact zero.  The
+    vectors are elementwise, so built once on the union of the boxes they
+    give each field its own columns with the bits it would get alone: a
+    field's transforms do not depend on the rest of the batch (a
+    one-column product would take BLAS's matrix-vector path) and no field
+    is copied.  A field that fills the grid keeps the bits of the
+    full-grid sum, and so does a point mass, which costs O(S): its
+    transform is the conjugate window sample at its node.  Any other box
+    sums in another order, within round-off, and a zero field pairs to
+    exact zeros.  Raises NyquistError if any frequency leaves the grid
+    band.
     """
     _check_window(window, spec.n)
     X, XI = phase_points(X, XI, spec.n, ndim=(2, 2))
     if any(np.shape(v) != spec.shape for v in values):
         raise InputError("each field must have the grid's shape")
     _check_nyquist(spec, XI)
+    values = [np.asarray(g) for g in values]
+    boxes = [_nonzero_box(g) for g in values]
+    live = [box for box in boxes if box is not None]
+    out = np.zeros((len(X), len(values)), dtype=np.complex128)
+    if not live:
+        return out
+    union = [slice(min(box[i].start for box in live), max(box[i].stop for box in live))
+             for i in range(spec.n)]
     half_betabar = -0.5 * np.conj(window.beta)
     vecs = []
-    for i in range(spec.n):
-        y = spec.axis(i)
+    for i, cols in enumerate(union):
+        y = spec.axis(i)[cols]
         vec = np.empty((len(X), len(y)), dtype=np.complex128)
         np.subtract(y, X[:, i, None], out=vec.real)
         np.square(vec.real, out=vec.real)
@@ -205,10 +242,13 @@ def pair_many(spec: GridSpec, values, window: GaussianWindow,
         for row, xi in zip(vec.imag, XI[:, i]):
             row -= xi * y
         vecs.append(np.exp(vec, out=vec))
-    out = np.empty((len(X), len(values)), dtype=np.complex128)
-    for j, g in enumerate(values):
-        g = np.tensordot(vecs[0], g, axes=(1, 0))
-        for vec in vecs[1:]:
+    for j, (g, box) in enumerate(zip(values, boxes)):
+        if box is None:
+            continue
+        own = [vec[:, b.start - u.start:b.stop - u.start]
+               for vec, b, u in zip(vecs, box, union)]
+        g = np.tensordot(own[0], g[box], axes=(1, 0))
+        for vec in own[1:]:
             g = np.einsum("sk,sk...->s...", vec, g)
         out[:, j] = g
     return np.conj(window.amplitude) * spec.cell_volume * out

@@ -348,6 +348,33 @@ def test_c11_fundamental_solution():
                   f"|x(0)|/(lam t0 |xi|) in [0.9, 1.1] at lam=1e4")
 
 
+def test_c11_negative_control_constant_field(monkeypatch):
+    """The constant field B0 = 2 pi is outside the decay hypothesis.  Its
+    Landau levels give e^{-itH} = -Id at the cyclotron period t = 1, so the
+    point mass is singular again at x = 0 there, and smooth at half the
+    period.  Only the x0 = 0 cells are asserted: the freely evolved windows
+    of the dynamic test are too wide on this ladder to place a singularity
+    that the flow brings back to where it started (see README)."""
+    spec = grid.GridSpec(2, 256, 5.0)
+    model = pots.constant_field_model(2.0 * np.pi)
+
+    def verdicts(t0):
+        cells = det.wf_scan("dynamic", grid.delta_spike(spec), [(0.0, 0.0)],
+                            det.direction_fan(2, 4), det.default_ladder(2, 6),
+                            width=0.5, b=1.0 / 8.0, model=model, t0=t0, k_radius=0.15)
+        return {c.verdict for c in cells}
+
+    period, half = verdicts(1.0), verdicts(0.5)
+    # the same scan with the magnetic part of the flow left out
+    free_flow = det.flow_batch
+    monkeypatch.setattr(det, "flow_batch", lambda model, *args: free_flow(
+        pots.zero_model(model.n), *args))
+    unflowed = verdicts(1.0)
+    ok = period == {"in-WF"} and half == {"not-in-WF"} and unflowed == {"not-in-WF"}
+    assert report("C11 control", ok, "constant field refocuses the point mass at its period",
+                  f"t0 = 1: {period}, t0 = 1/2: {half}, a = 0 flow at t0 = 1: {unflowed}")
+
+
 def test_c12_scalar_potential():
     free = exp.run_transport_consistency(dict(FREE_TRANSPORT,
                                               experiment="scalar-potential",

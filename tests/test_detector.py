@@ -411,6 +411,19 @@ def test_scan_records_errors_in_row():
     assert "InputError" in cells[0].error
 
 
+def test_scan_records_a_malformed_cell_in_its_row():
+    # a position with two axes, or one whose dimension differs from its
+    # direction's, is not a phase point: an InputError in that cell only
+    g = grid.gaussian_data(FINE)
+    ladder = det.default_ladder(2, 6)
+    cells = det.wf_scan("static", g, [(0.0,), [[0.0, 1.0]], (0.0, 1.0)], [(1.0,)], ladder)
+    assert cells[0].verdict == "not-in-WF" and cells[0].x0 == (0.0,)
+    for cell in cells[1:]:
+        assert cell.verdict == "error" and cell.error.startswith("InputError")
+    alone, = det.wf_scan("static", g, [(0.0,)], [(1.0,)], ladder)
+    assert np.array_equal(cells[0].report.magnitudes, alone.report.magnitudes)
+
+
 def test_non_finite_input_gets_no_verdict():
     # a NaN node makes NaN magnitudes, which must not pass as censored ones
     spec = grid.GridSpec(1, 4096, 30.0)

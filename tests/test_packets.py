@@ -244,6 +244,128 @@ def test_pair_many_rejects_non_finite_points(X, XI):
         packets.pair_many(SPEC, [g.values], GaussianWindow(1), X, XI)
 
 
+# small grids for the pairing over a field's nonzero box
+BOX_GRIDS = {1: grid.GridSpec(1, 64, 4.0), 2: grid.GridSpec(2, 32, 4.0)}
+
+
+def _full_grid_pairing(spec, values, window, X, XI):
+    """The kernel's contraction written over the whole grid: the same
+    per-axis vectors, tensordot over the first axis, einsum over each later
+    one.  Also returns the Cauchy-Schwarz bound |window| |field| of each
+    (point, field)."""
+    half_betabar = -0.5 * np.conj(window.beta)
+    vecs = []
+    for i in range(spec.n):
+        y = spec.axis(i)
+        d2 = (y - X[:, i, None]) ** 2
+        vec = np.empty(d2.shape, dtype=complex)
+        vec.real = d2 * half_betabar.real
+        vec.imag = d2 * half_betabar.imag - XI[:, i, None] * y
+        vecs.append(np.exp(vec))
+    out = np.empty((len(X), len(values)), dtype=complex)
+    for j, g in enumerate(values):
+        g = np.tensordot(vecs[0], g, axes=(1, 0))
+        for vec in vecs[1:]:
+            g = np.einsum("sk,sk...->s...", vec, g)
+        out[:, j] = g
+    scale = abs(window.amplitude) * spec.cell_volume
+    window_norms = np.prod([np.linalg.norm(v, axis=1) for v in vecs], axis=0)
+    field_norms = np.array([np.linalg.norm(g) for g in values])
+    return (np.conj(window.amplitude) * spec.cell_volume * out,
+            scale * window_norms[:, None] * field_norms[None, :])
+
+
+def _box_points(spec, S, seed):
+    rng = np.random.default_rng(seed)
+    return rng.uniform(-2.0, 2.0, (S, spec.n)), rng.uniform(-3.0, 3.0, (S, spec.n))
+
+
+@pytest.mark.parametrize("spec", [grid.GridSpec(1, 4096, 20.0), grid.GridSpec(2, 256, 5.0)],
+                         ids=["1d", "2d"])
+def test_pair_many_point_mass_closed_form(spec):
+    # one node y0 of height 1/dV: conj(amp) dV (1/dV) exp(-conj(beta) |y0 - x|^2 / 2 - i y0.xi)
+    X, XI = _box_points(spec, 45, 3)
+    y0 = np.array([spec.axis(i)[k] for i, k in enumerate(spec.origin_index)])
+    window = GaussianWindow(spec.n, 0.5, 16.0, 0.125, -1.0)
+    got = packets.pair_many(spec, [grid.delta_spike(spec).values], window, X, XI)[:, 0]
+    closed = (np.conj(window.amplitude) * spec.cell_volume * (1.0 / spec.cell_volume)
+              * np.exp(-0.5 * np.conj(window.beta) * np.sum((y0 - X) ** 2, axis=1)
+                       - 1j * XI @ y0))
+    assert np.max(np.abs(got - closed) / np.abs(closed)) <= 1e-14
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_pair_many_box_keeps_the_full_grid_bits(n):
+    # a point mass pairs over its one node, a dense field over the full
+    # grid; both give the full-grid contraction's bits
+    spec = BOX_GRIDS[n]
+    X, XI = _box_points(spec, 7, 4)
+    window = GaussianWindow(n, 1.0, 4.0, 0.125, 0.5)
+    fields = [grid.delta_spike(spec).values, grid.gaussian_data(spec, momentum=1.0).values]
+    want, _ = _full_grid_pairing(spec, fields, window, X, XI)
+    assert np.array_equal(packets.pair_many(spec, fields, window, X, XI), want)
+
+
+@st.composite
+def sparse_fields(draw, spec):
+    """A field that is zero outside a box: one node, a box inside the grid,
+    a box that touches the grid's edges, or no nonzero node at all."""
+    kind = draw(st.sampled_from(("one", "box", "edge", "zero")))
+    values = np.zeros(spec.shape, dtype=complex)
+    if kind == "zero":
+        return values
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    box = []
+    for m in spec.shape:
+        if kind == "one":
+            lo = draw(st.integers(0, m - 1))
+            hi = lo + 1
+        else:
+            lo, hi = sorted(draw(st.lists(st.integers(0, m), min_size=2, max_size=2,
+                                          unique=True)))
+            if kind == "edge":
+                lo, hi = draw(st.sampled_from(((0, hi), (lo, m), (0, m))))
+        box.append(slice(lo, hi))
+    shape = values[tuple(box)].shape
+    block = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    values[tuple(box)] = block * (rng.random(shape) < 0.6)
+    return values
+
+
+@st.composite
+def sparse_batches(draw):
+    spec = BOX_GRIDS[draw(st.sampled_from((1, 2)))]
+    fields = draw(st.lists(sparse_fields(spec), min_size=1, max_size=3))
+    window = GaussianWindow(spec.n, lam=draw(st.floats(1.0, 20.0)),
+                            t=draw(st.floats(-1.0, 1.0)))
+    return spec, fields, window, draw(st.integers(1, 5)), draw(st.integers(0, 2 ** 32 - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(sparse_batches())
+def test_pair_many_sparse_fields_match_the_full_grid(case):
+    spec, fields, window, S, seed = case
+    X, XI = _box_points(spec, S, seed)
+    got = packets.pair_many(spec, fields, window, X, XI)
+    want, bound = _full_grid_pairing(spec, fields, window, X, XI)
+    assert np.all(np.abs(got - want) <= 1e-13 * bound)
+
+
+def test_pair_many_sparse_field_same_bits_alone_and_in_a_batch():
+    spec = BOX_GRIDS[2]
+    X, XI = _box_points(spec, 9, 5)
+    window = GaussianWindow(2, 1.0, 8.0, 0.125, -0.5)
+    rng = np.random.default_rng(6)
+    sparse = np.zeros(spec.shape, dtype=complex)
+    sparse[5:9, 20:22] = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
+    other = np.zeros(spec.shape, dtype=complex)
+    other[12, 3] = 2.0
+    dense = grid.gaussian_data(spec, momentum=(1.0, -0.5)).values
+    alone = packets.pair_many(spec, [sparse], window, X, XI)[:, 0]
+    for batch, j in (([dense, sparse], 1), ([sparse, other], 0), ([other, dense, sparse], 2)):
+        assert np.array_equal(packets.pair_many(spec, batch, window, X, XI)[:, j], alone)
+
+
 def test_wpt_grid_reduces_to_pointwise():
     f = grid.gaussian_data(SPEC, width=1.1, momentum=0.4)
     pk = GaussianWindow(1, 1.0, 2.0, 0.125)
