@@ -20,9 +20,10 @@ pairs it with the initial datum at the flowed point.
 
 The probe is batched.  Both tests and `wf_scan` take one field or a
 sequence of fields on one grid, and all three run one core, `_probe`,
-over their cells: a test is a scan of one cell that raises its error, a
-scan records each cell's error in its row.  Each rung pairs all conic
-samples with all fields in one `packets.pair_many` call.  The backward
+over their cells and get back each cell's reports or its package error
+as a value: a test raises the error of its one cell, a scan writes each
+cell's error into that cell.  Each rung pairs all conic samples with all
+fields in one `packets.pair_many` call.  The backward
 flows depend on the model, t0 and the samples, never on the datum, so
 each (cell, rung) is flowed once for every datum at FLOW_TOL = 1e-9, all
 cells' rungs in one `flow_batch` call, one group per (cell, rung).  Each
@@ -313,7 +314,8 @@ def parse_ladder(ladder=None) -> tuple:
     """A ladder from None (the default one), {"kmin", "kmax"} or "kmin:kmax"
     (the powers 2^kmin .. 2^kmax), or a list of dilations (or the same as
     comma-separated text).  The rungs must be at least 1 and strictly
-    increasing."""
+    increasing, and there must be at least 5 of them, as many as a fit
+    needs."""
     if ladder is None:
         return default_ladder()
     if isinstance(ladder, str):
@@ -327,6 +329,8 @@ def parse_ladder(ladder=None) -> tuple:
     ladder = tuple(number(l, "ladder") for l in ladder)
     if any(l < 1.0 for l in ladder) or any(b <= a for a, b in zip(ladder, ladder[1:])):
         raise InputError(f"ladder rungs must be >= 1 and strictly increasing, got {ladder}")
+    if len(ladder) < MIN_RUNGS:
+        raise InputError(f"ladder must have at least {MIN_RUNGS} rungs, got {ladder}")
     return ladder
 
 
@@ -368,10 +372,6 @@ def _ladder_test(fields: list, xs, xis, ladder: tuple, points: list, t: float,
             for f, m in zip(fields, mags)]
 
 
-def _raise(c, exc):
-    raise exc
-
-
 def wf_test_static(f, sample: ConicSample, ladder=None,
                    thresholds: Thresholds = Thresholds(),
                    width: float = 1.0, b: float = 1.0 / 8.0,
@@ -386,10 +386,7 @@ def wf_test_static(f, sample: ConicSample, ladder=None,
     noise_rel * |f|_L2 * |window|_L2 of each field; raise it when f itself
     carries solver error.
     """
-    fields, single = field_batch(f)
-    reports = _probe("static", fields, {0: sample}, parse_ladder(ladder), thresholds,
-                     width, b, noise_rel, _raise)[0]
-    return reports[0] if single else reports
+    return _test_one("static", f, sample, ladder, thresholds, width, b, noise_rel)
 
 
 def wf_test_dynamic(u0, model: VectorPotentialModel, t0: float,
@@ -409,23 +406,29 @@ def wf_test_dynamic(u0, model: VectorPotentialModel, t0: float,
     static test's.  Rungs whose flowed frequency leaves the band of u0's
     grid are dropped.
     """
-    fields, single = field_batch(u0)
-    reports = _probe("dynamic", fields, {0: sample}, parse_ladder(ladder), thresholds,
-                     width, b, noise_rel, _raise, model, t0)[0]
+    return _test_one("dynamic", u0, sample, ladder, thresholds, width, b, noise_rel,
+                     model, t0)
+
+
+def _test_one(mode: str, f, sample: ConicSample, ladder, *settings):
+    """Both tests: `_probe` on the one cell `sample`, raising its error."""
+    fields, single = field_batch(f)
+    reports = _probe(mode, fields, {0: sample}, parse_ladder(ladder), *settings)[0]
+    if isinstance(reports, MswfError):
+        raise reports
     return reports[0] if single else reports
 
 
 def _rung_points(model: VectorPotentialModel, t0: float, phases: dict,
-                 ladder: tuple, record) -> dict:
-    """Every cell's pairing points, {c: [(X, XI) per rung]}.
+                 ladder: tuple) -> dict:
+    """Every cell's pairing points or error, {c: [(X, XI) per rung] or MswfError}.
 
     phases[c] holds cell c's (S, n) samples (xs, xis).  At t0 = 0 rung
     lambda pairs at (xs, lambda xis).  Otherwise the points are flowed
     backward from t0 to 0 in one grouped `flow_batch` call, group i * R + r
     for the i-th cell at rung r.  If that call fails, the cells are flowed
-    one by one, so only a failing cell records its error (through
-    `record`) and the others get the same bits as in the grouped call; a
-    single cell is flowed once.
+    one by one, so a failing cell gets its own error and the others get
+    the same bits as in the grouped call; a single cell is flowed once.
     """
     if t0 == 0.0:
         return {c: [(xs, lam * xis) for lam in ladder] for c, (xs, xis) in phases.items()}
@@ -449,44 +452,44 @@ def _rung_points(model: VectorPotentialModel, t0: float, phases: dict,
         try:
             points.update(flow([c]))
         except MswfError as exc:
-            record(c, exc)
+            points[c] = exc
     return points
 
 
 def _probe(mode: str, fields: list, samples: dict, ladder: tuple,
            thresholds: Thresholds, width: float, b: float, noise_rel: float,
-           record, model: VectorPotentialModel = None, t0: float = 0.0) -> dict:
-    """Reports of every cell, {c: [one DecayReport per field]}.
+           model: VectorPotentialModel = None, t0: float = 0.0) -> dict:
+    """Every cell's reports or error, {c: [one DecayReport per field] or MswfError}.
 
     samples[c] is cell c's ConicSample.  A static probe, or a dynamic one
     at t0 = 0, pairs the fields at the samples themselves; a dynamic one at
     t0 != 0 pairs windows evolved freely by -t0 at the backward-flowed
-    samples.  A package error (MswfError) of a cell goes to
-    `record(c, exc)`, and that cell has no reports.
+    samples.  A package error (MswfError) of a cell is that cell's value;
+    any other exception propagates.
     """
     dynamic = mode == "dynamic"
     if dynamic and (model is None or model.n != fields[0].spec.n):
-        for c in samples:
-            record(c, InputError("a dynamic probe needs a model of the datum's dimension"))
-        return {}
+        return dict.fromkeys(samples, InputError(
+            "a dynamic probe needs a model of the datum's dimension"))
     flowed = dynamic and t0 != 0.0
     phases = {c: sample.phase_samples() for c, sample in samples.items()}
-    points = _rung_points(model, t0 if flowed else 0.0, phases, ladder, record)
-    reports = {}
-    for c, rungs in points.items():
+    results = _rung_points(model, t0 if flowed else 0.0, phases, ladder)
+    for c, rungs in results.items():
+        if isinstance(rungs, MswfError):  # its flow failed
+            continue
         sample = samples[c]
         metadata = {"mode": mode, "t0": t0, "width": width, "b": b, "a": sample.a,
                     "n": sample.n, "noise_rel": noise_rel}
         if not dynamic:
             del metadata["t0"]
         try:
-            reports[c] = _ladder_test(
+            results[c] = _ladder_test(
                 fields, *phases[c], ladder, rungs, -t0 if flowed else 0.0, thresholds,
                 width, b, noise_rel, "flowed-nyquist-guard" if flowed else "nyquist-guard",
                 metadata)
         except MswfError as exc:
-            record(c, exc)
-    return reports
+            results[c] = exc
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -506,7 +509,10 @@ class ScanCell:
 
 
 def direction_fan(n: int, count: int) -> np.ndarray:
-    """Deterministic unit directions: signs (n=1), a circle (n=2), a spiral (n=3)."""
+    """`count` >= 1 deterministic unit directions: the signs +1, -1 (n=1,
+    at most 2), a circle (n=2), a spiral (n=3)."""
+    if count < 1:
+        raise InputError(f"a direction fan needs at least 1 direction, got {count}")
     if n == 1:
         return np.array([[1.0], [-1.0]])[:count]
     if n == 2:
@@ -529,57 +535,46 @@ def wf_scan(mode: str, field_or_datum, positions, directions,
             a: float = ConicSample.a, noise_rel: float = 1e-12) -> list:
     """Run a membership test over a lattice of cells; errors stay in-row.
 
-    Each cell is (position, direction).  `field_or_datum` is one
-    GridFunction or a sequence of them on one grid; the result is one flat
-    list of ScanCell, datum-major (all cells of the first field, then the
-    next), each field's cells in input order.  Every cell is tested once
-    for all finite fields together.  A field that is not finite gets an
-    InputError in each of its cells and is not paired, so the others keep
-    their bits.  A dynamic scan with t0 != 0 flows every (cell, rung) once,
-    all in one grouped `flow_batch` call.  A package error (MswfError: a
-    guard, input or numeric failure, such as a position or direction that
-    is not a phase point, or a dynamic scan without `model`) is recorded in
-    its cell, for every finite field, and the scan goes on; any other
-    exception is a programming error and propagates.
+    Each cell is (position, direction), checked once, by its ConicSample.
+    `field_or_datum` is one GridFunction or a sequence of them on one grid;
+    the result is one flat list of ScanCell, datum-major (all cells of the
+    first field, then the next), each field's cells in input order.  The
+    cells are probed once for all finite fields together.  A field that is
+    not finite gets an InputError in each of its cells and is not paired,
+    so the others keep their bits.  A dynamic scan with t0 != 0 flows every
+    (cell, rung) once, all in one grouped `flow_batch` call.  A package
+    error (MswfError: a guard, input or numeric failure, such as a position
+    or direction that is not a phase point, or a dynamic scan without
+    `model`) is written into its cell, for every finite field, and a
+    refused cell keeps its input as (x0, xi0); any other exception is a
+    programming error and propagates.
     """
     one_of(mode, ("static", "dynamic"), "mode")
     fields, _ = field_batch(field_or_datum)
     ladder = parse_ladder(ladder)
-    lattice, invalid = [], {}  # a cell that is not a phase point keeps its input
+    lattice, samples, results = [], {}, {}
     for pos in positions:
         for d in directions:
+            c = len(lattice)
             try:
-                x0, xi0 = phase_points(pos, d, ndim=(1, 1))
-                lattice.append((tuple(x0.tolist()), tuple(xi0.tolist())))
-            except InputError as exc:
-                invalid[len(lattice)] = exc
+                samples[c] = ConicSample(pos, d, k_radius=k_radius,
+                                         half_angle=half_angle, a=a)
+                lattice.append((samples[c].x0, samples[c].xi0))
+            except MswfError as exc:
+                results[c] = exc
                 lattice.append((pos, d))
-    rows = [[ScanCell(x0, xi0) for x0, xi0 in lattice] for _ in fields]
     finite = [bool(np.isfinite(f.values).all()) for f in fields]
-    for row, ok in zip(rows, finite):
-        if not ok:
-            for cell in row:
-                cell.error = "InputError: field values must be finite"
-    fields = [f for f, ok in zip(fields, finite) if ok]
-    probed = [row for row, ok in zip(rows, finite) if ok]
-
-    def record(c, exc):  # recorded per cell, scan continues; bugs propagate
-        for row in probed:
-            row[c].error = f"{type(exc).__name__}: {exc}"
-
-    samples = {}
-    for c, (x0, xi0) in enumerate(lattice):
-        if c in invalid:
-            record(c, invalid[c])
-            continue
-        try:
-            samples[c] = ConicSample(x0, xi0, k_radius=k_radius,
-                                     half_angle=half_angle, a=a)
-        except MswfError as exc:
-            record(c, exc)
-    reports = _probe(mode, fields, samples, ladder, thresholds, width, b, noise_rel,
-                     record, model, t0) if fields else {}
-    for c, cell_reports in reports.items():
-        for row, report in zip(probed, cell_reports):
-            row[c].report = report
-    return [cell for row in rows for cell in row]
+    probed = [f for f, ok in zip(fields, finite) if ok]
+    if probed:
+        results.update(_probe(mode, probed, samples, ladder, thresholds, width, b,
+                              noise_rel, model, t0))
+    cells, j = [], 0  # j indexes the probed fields
+    for ok in finite:
+        for c, (x0, xi0) in enumerate(lattice):
+            result = results[c] if ok else InputError("field values must be finite")
+            if isinstance(result, MswfError):
+                cells.append(ScanCell(x0, xi0, error=f"{type(result).__name__}: {result}"))
+            else:
+                cells.append(ScanCell(x0, xi0, report=result[j]))
+        j += ok
+    return cells

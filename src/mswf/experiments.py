@@ -116,9 +116,12 @@ def _potential(value, key, done) -> potentials.VectorPotentialModel:
 
 
 def _vectors(value, key, done) -> list:
-    """Entries of the grid's dimension n, or of one number repeated n times."""
+    """At least one entry, each of the grid's dimension n or one number
+    repeated n times."""
     n = done["grid"].n
     entries = [np.array([number(v, key) for v in np.atleast_1d(entry)]) for entry in value]
+    if not entries:
+        raise InputError(f"'{key}' needs at least one entry")
     for entry in entries:
         if len(entry) not in (1, n):
             raise InputError(f"'{key}' entry {entry.tolist()} has {len(entry)} numbers, "

@@ -10,11 +10,12 @@ LADDER = det.default_ladder(3, 11)
 
 def test_parse_ladder_forms():
     assert det.parse_ladder() == det.default_ladder()
-    assert det.parse_ladder("2:4") == det.parse_ladder({"kmin": 2, "kmax": 4}) \
-        == det.parse_ladder("4,8,16") == det.parse_ladder([4, 8, 16]) == (4.0, 8.0, 16.0)
+    assert det.parse_ladder("2:6") == det.parse_ladder({"kmin": 2, "kmax": 6}) \
+        == det.parse_ladder("4,8,16,32,64") == det.parse_ladder([4, 8, 16, 32, 64]) \
+        == (4.0, 8.0, 16.0, 32.0, 64.0)
     for bad in ({"kmin": 2}, {"kmin": 2, "kmax": 4, "step": 2}, "2:x", [4, "x"],
                 "2:6:9", [32, 16, 8, 4, 2], [0.5, 1, 2, 4, 8], [4, 4, 8], "-1:4",
-                [4, "nan"], [4, float("inf")]):
+                [4, "nan"], [4, float("inf")], "2:4", [4, 8, 16], []):
         with pytest.raises(errors.InputError):
             det.parse_ladder(bad)
 
@@ -462,14 +463,39 @@ def test_non_finite_datum_voids_only_its_own_cells(mode):
         assert np.array_equal(got.report.magnitudes, want.report.magnitudes)
 
 
-def test_scan_propagates_programming_errors(monkeypatch):
-    def broken(*args, **kwargs):
-        raise TypeError("not a package error")
+@pytest.mark.parametrize("name,failures", [
+    ("ConicSample", [TypeError]),
+    ("_ladder_test", [TypeError]),
+    ("flow_batch", [TypeError]),                       # in the grouped flow
+    ("flow_batch", [errors.NumericError, TypeError]),  # in the first lone cell's
+], ids=["conic-sample", "ladder-test", "grouped-flow", "lone-flow"])
+def test_scan_propagates_programming_errors(monkeypatch, name, failures):
+    # a call past the listed failures raises StopIteration, not TypeError
+    calls = iter(failures)
 
-    monkeypatch.setattr(det, "_ladder_test", broken)
-    g = grid.gaussian_data(FINE)
+    def broken(*args, **kwargs):
+        raise next(calls)("not a package error")
+
+    monkeypatch.setattr(det, name, broken)
+    g = grid.gaussian_data(MULTI_SPEC)
     with pytest.raises(TypeError, match="not a package error"):
-        det.wf_scan("static", g, [(0.0,)], det.direction_fan(1, 2), LADDER)
+        det.wf_scan("dynamic", g, MULTI_POSITIONS, det.direction_fan(1, 2), MULTI_LADDER,
+                    model=pots.zero_model(1), t0=1.0)
+
+
+def test_non_finite_field_and_malformed_cell_keep_their_own_errors():
+    # the field error covers every cell of its field; in the finite field
+    # the malformed cell reads its own error and keeps its input
+    g = grid.gaussian_data(MULTI_SPEC)
+    values = g.values.copy()
+    values[10] = np.nan
+    bad = [[0.0, 1.0]]
+    cells = det.wf_scan("static", [g, grid.GridFunction(MULTI_SPEC, values)],
+                        [(0.0,), bad], [(1.0,)], MULTI_LADDER)
+    assert [c.verdict for c in cells] == ["not-in-WF"] + ["error"] * 3
+    assert cells[1].x0 is bad and cells[1].xi0 == (1.0,)
+    assert cells[1].error.startswith("InputError") and "finite" not in cells[1].error
+    assert all(c.error == "InputError: field values must be finite" for c in cells[2:])
 
 
 # ---------------------------------------------------------------------------
@@ -552,6 +578,9 @@ def test_dynamic_scan_records_a_failed_flow_in_its_cell_only():
     good = scan([p for p in positions if p != (8.0,)])
     assert [c.error is not None for c in cells] == [False, True, False, False] * 2
     assert all("StepUnderflowError" in c.error for c in cells if c.x0 == (8.0,))
+    with pytest.raises(errors.StepUnderflowError):
+        det.wf_test_dynamic(data, model, 1.0, det.ConicSample((8.0,), (1.0,)),
+                            MULTI_LADDER, noise_rel=1e-7)
     for got, want in zip([c for c in cells if c.x0 != (8.0,)], good):
         assert (got.x0, got.verdict, got.report.flags) == \
             (want.x0, want.verdict, want.report.flags)

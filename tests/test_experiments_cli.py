@@ -159,6 +159,12 @@ BAD_CONFIGS = {
         cfg, potential={"family": "soft-power", "n": 2, "rho": 0.5}),
     "position-length": lambda cfg: dict(cfg, positions=[[0.0], [0.5, 0.0]]),
     "direction-length": lambda cfg: dict(cfg, directions=[[1.0, 0.0, 7.0]]),
+    # a scan names at least one cell, and a ladder has the 5 rungs of a fit
+    "directions-negative": lambda cfg: dict(cfg, directions=-1),
+    "directions-zero": lambda cfg: dict(cfg, directions=0),
+    "directions-empty": lambda cfg: dict(cfg, directions=[]),
+    "positions-empty": lambda cfg: dict(cfg, positions=[]),
+    "ladder-short": lambda cfg: dict(cfg, ladder={"kmin": 2, "kmax": 4}),
     # settings that are constants now, not keys
     "tol": lambda cfg: dict(cfg, tol=1e-9),
     "noise-floor": lambda cfg: dict(cfg, static_noise_rel=1e-7),
@@ -456,7 +462,7 @@ def test_cli_import_leaves_heavy_scipy_modules_unloaded():
 
 def test_point_mass_and_scalar_evolve_load_no_scipy():
     cfg = dict(FS_CFG, grid={"n": 1, "points": 512, "halfwidth": 20.0},
-               ladder={"kmin": 2, "kmax": 4}, envelope_ladder=[1.0, 10.0])
+               ladder={"kmin": 2, "kmax": 6}, envelope_ladder=[1.0, 10.0])
     out = _fresh_interpreter(f"""
 import sys
 from mswf import experiments, grid, potentials, propagator
