@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -17,12 +18,8 @@ from . import characteristics as chars
 from . import detector, experiments, grid, packets, potentials, propagator
 from .errors import InputError, MswfError, load_json
 
-
-def _parse_vector(text: str) -> np.ndarray:
-    try:
-        return np.array([float(v) for v in text.split(",")])
-    except ValueError:
-        raise InputError(f"cannot parse vector '{text}'")
+# the keys `mswf detect` reads from flags of the same name
+_SCAN_KEYS = {f.name for f in fields(experiments.ScanConfig)}
 
 
 def _parse_grid(text: str) -> grid.GridSpec:
@@ -59,7 +56,7 @@ def _cmd_wpt(args) -> int:
     f = grid.load_wfgf(args.infile)
     window = packets.GaussianWindow(f.spec.n, args.width, args.lam, args.b, args.t)
     if args.x is not None:
-        value = packets.wpt(f, window, (_parse_vector(args.x), _parse_vector(args.xi)))
+        value = packets.wpt(f, window, (args.x.split(","), args.xi.split(",")))
         print(f"wpt: re={value.real!r} im={value.imag!r} abs={abs(value)!r}")
         return 0
     table = packets.wpt_grid(f, window)
@@ -102,10 +99,9 @@ def _cmd_iwpt(args) -> int:
 
 
 def _cmd_flow(args) -> int:
-    x0 = _parse_vector(args.x)
+    x0, xi0 = grid.phase_points(args.x.split(","), args.xi.split(","), ndim=(1, 1))
     model = potentials.model_from_json(args.potential, len(x0))
-    res = chars.flow(model, args.t0, args.target, x0, _parse_vector(args.xi),
-                     args.tol)
+    res = chars.flow(model, args.t0, args.target, x0, xi0, args.tol)
     if args.dump_traj:
         n = model.n
         header = (["s"] + [f"x{i}" for i in range(n)] + [f"xi{i}" for i in range(n)]
@@ -142,20 +138,18 @@ def _cmd_evolve(args) -> int:
 
 def _cmd_detect(args) -> int:
     f = grid.load_wfgf(args.infile)
-    pairs = (item.partition("=") for item in (args.thresholds or "").split(",") if item)
-    thresholds = detector.Thresholds.from_json({k: v for k, _, v in pairs})
-    ladder = detector.parse_ladder(args.ladder)
-    sample = detector.ConicSample(_parse_vector(args.x0), _parse_vector(args.xi0),
-                                  k_radius=args.k_radius,
-                                  half_angle=args.cone_angle, a=args.a)
-    model = potentials.model_from_json(args.potential, f.spec.n)
-    b = detector.resolve_b(args.b, model)
+    config = experiments.ScanConfig.parse({
+        **{k: v for k, v in vars(args).items() if k in _SCAN_KEYS and v is not None},
+        "grid": {"n": f.spec.n, "points": f.spec.points, "halfwidth": f.spec.halfwidths},
+        "positions": [args.x0.split(",")], "directions": [args.xi0.split(",")]})
+    sample = detector.ConicSample(config.positions[0], config.directions[0],
+                                  k_radius=config.k_radius,
+                                  half_angle=config.cone_angle, a=config.a)
+    settings = (sample, config.ladder, config.thresholds, config.width, config.b)
     if args.mode == "static":
-        report = detector.wf_test_static(f, sample, ladder, thresholds,
-                                         args.width, b)
+        report = detector.wf_test_static(f, *settings)
     else:
-        report = detector.wf_test_dynamic(f, model, args.t0, sample, ladder,
-                                          thresholds, args.width, b)
+        report = detector.wf_test_dynamic(f, config.potential, config.t0, *settings)
     payload = report.to_json_dict()
     if args.out:
         experiments.write_json(Path(args.out), payload)
@@ -234,20 +228,18 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("detect", help="wave-front membership test at one cell")
     p.add_argument("--mode", choices=["static", "dynamic"], default="static")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--potential")
-    p.add_argument("--t0", type=float, default=0.0)
     p.add_argument("--x0", required=True)
     p.add_argument("--xi0", required=True)
-    scan = experiments.ScanConfig  # the defaults experiment configs use
-    p.add_argument("--cone-angle", type=float, default=scan.cone_angle)
-    p.add_argument("--k-radius", type=float, default=scan.k_radius)
-    p.add_argument("--a", type=float, default=scan.a)
-    p.add_argument("--ladder", default=scan.ladder,
-                   help="kmin:kmax or explicit list")
-    p.add_argument("--b", default=scan.b, help="a number or auto")
-    p.add_argument("--width", type=float, default=scan.width)
-    p.add_argument("--thresholds", default=scan.thresholds,
-                   help="N=..,Nlow=..,R2=..")
+    # each flag below is the ScanConfig key of its name, as text the config
+    # converts; one left out keeps the config's default, except t0
+    p.add_argument("--potential")
+    p.add_argument("--t0", default=0.0)
+    for name in ("cone-angle", "k-radius", "a", "width"):
+        p.add_argument(f"--{name}")
+    p.add_argument("--ladder", help="kmin:kmax or explicit list")
+    p.add_argument("--b", help="a number or auto")
+    p.add_argument("--thresholds", help="N=..,Nlow=..,R2=..", type=lambda text: dict(
+        item.partition("=")[::2] for item in text.split(",") if item))
     p.add_argument("--out")
     p.add_argument("--csv")
     p.set_defaults(func=_cmd_detect)

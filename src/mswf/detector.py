@@ -464,18 +464,22 @@ def _probe(mode: str, fields: list, samples: dict, ladder: tuple,
     samples[c] is cell c's ConicSample.  A static probe, or a dynamic one
     at t0 = 0, pairs the fields at the samples themselves; a dynamic one at
     t0 != 0 pairs windows evolved freely by -t0 at the backward-flowed
-    samples.  A package error (MswfError) of a cell is that cell's value;
-    any other exception propagates.
+    samples.  A package error (MswfError) of a cell is that cell's value,
+    such as a sample of another dimension than the grid's; any other
+    exception propagates.
     """
+    n = fields[0].spec.n
     dynamic = mode == "dynamic"
-    if dynamic and (model is None or model.n != fields[0].spec.n):
+    if dynamic and (model is None or model.n != n):
         return dict.fromkeys(samples, InputError(
             "a dynamic probe needs a model of the datum's dimension"))
     flowed = dynamic and t0 != 0.0
-    phases = {c: sample.phase_samples() for c, sample in samples.items()}
-    results = _rung_points(model, t0 if flowed else 0.0, phases, ladder)
+    results = {c: InputError(f"cell has n = {sample.n}, the grid has n = {n}")
+               for c, sample in samples.items() if sample.n != n}
+    phases = {c: sample.phase_samples() for c, sample in samples.items() if sample.n == n}
+    results.update(_rung_points(model, t0 if flowed else 0.0, phases, ladder))
     for c, rungs in results.items():
-        if isinstance(rungs, MswfError):  # its flow failed
+        if isinstance(rungs, MswfError):  # refused, or its flow failed
             continue
         sample = samples[c]
         metadata = {"mode": mode, "t0": t0, "width": width, "b": b, "a": sample.a,

@@ -92,12 +92,20 @@ def _typed(value, key, kind, what: str):
     return value
 
 
+def _dilations(value, key, done) -> tuple:
+    """A dilation ladder: at least one rung, each a number >= 1."""
+    ladder = tuple(number(x, key) for x in value)
+    if not ladder or min(ladder) < 1.0:
+        raise InputError(f"'{key}' needs at least one rung, each >= 1, got {value!r}")
+    return ladder
+
+
 # converters of the keys that name none, by their annotation
 _BY_TYPE = {
     "float": lambda v, key, done: number(v, key),
     "bool": lambda v, key, done: _typed(v, key, bool, "true or false"),
     "str | None": lambda v, key, done: _typed(v, key, (str, type(None)), "a string or null"),
-    "tuple": lambda v, key, done: tuple(number(x, key) for x in v),
+    "tuple": _dilations,
 }
 
 
@@ -153,9 +161,13 @@ def _data(value, key, done) -> tuple:
 
 
 def _datum_from_config(entry: tuple, spec: grid.GridSpec) -> grid.GridFunction:
-    """The datum built on the grid; InputError naming its label unless finite."""
+    """The datum built on the grid; InputError naming its label if a keyword
+    value does not build or the values are not finite."""
     name, label, kwargs = entry
-    f = grid.builtin_data(name, spec, **kwargs)
+    try:
+        f = grid.builtin_data(name, spec, **kwargs)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"datum '{label}' cannot be built from {kwargs}: {exc}") from None
     if not np.isfinite(f.values).all():
         raise InputError(f"datum '{label}' has non-finite values, from {kwargs}")
     f.label = label

@@ -269,6 +269,8 @@ def jump_data(spec: GridSpec, width=1.0, axis: int = 0, steepness: float = 0.0,
     radiates mass at all frequencies and cannot be propagated on a finite
     box without tripping the boundary monitor.
     """
+    if axis not in range(spec.n):
+        raise InputError(f"jump axis must be one of {list(range(spec.n))}, got {axis!r}")
     g = gaussian_data(spec, width=width)
     y = spec.axis(axis)
     flip = np.sign(y) if steepness == 0.0 else np.tanh(y / steepness)

@@ -3,10 +3,12 @@
 Each test prints one [PASS]/[FAIL] line (visible with `pytest -s`); the
 assertion that follows carries the same condition, so red output and red
 tests always agree.  Shared heavyweight objects (fine grids, evolved
-fields, experiment summaries) are module-scoped fixtures.
+fields, experiment summaries) are module-scoped fixtures.  The C10, C11
+and C12 configs are the benchmark's seed-0 workloads, read from
+perfbench/workloads.py, their one source.
 """
 
-import importlib
+import importlib.util
 import time
 from pathlib import Path
 
@@ -17,6 +19,12 @@ from mswf import (characteristics as chars, detector as det,
                   experiments as exp, grid, packets, potentials as pots,
                   propagator as prop)
 from mswf.packets import GaussianWindow
+
+# perfbench is not a package, so its workloads module is loaded by path
+_spec = importlib.util.spec_from_file_location(
+    "workloads", Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py")
+workloads = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(workloads)
 
 
 def report(cid: str, ok: bool, desc: str, detail: str = "") -> bool:
@@ -255,44 +263,10 @@ def test_c09_static_ground_truth(fine_grid):
                   f"Nhat={origin.n_hat:.4f} (-1/16 +- 0.05), smooth elsewhere")
 
 
-SCALAR = {"family": "soft-power", "mu": 1.0, "amplitude": 0.3}
-
-FREE_TRANSPORT = {
-    "experiment": "free-transport",
-    "grid": {"n": 1, "points": 4096, "halfwidth": 30.0},
-    "t0": 1.0, "dt": 1e-3,
-    "data": ["gaussian", {"name": "delta-like", "width": 0.15},
-             {"name": "jump", "steepness": 0.25}],
-    "positions": [[-1.0], [0.0], [1.0]],
-    "directions": 2,
-    "ladder": {"kmin": 2, "kmax": 6},
-    "b": "auto", "width": 1.0,
-    "k_radius": 0.2, "cone_angle": 0.2, "a": 1.0,
-    "min_agreement": 1.0,
-}
-
-ROTATIONAL_TRANSPORT = {
-    "experiment": "magnetic-transport",
-    "potential": {"family": "rotational", "n": 2, "rho": 0.5, "modulation": "sin"},
-    "grid": {"n": 2, "points": 256, "halfwidth": 5.0},
-    "t0": 0.5, "dt": 2.5e-3,
-    "data": [{"name": "gaussian", "width": 0.7},
-             {"name": "delta-like", "width": 0.5},
-             {"name": "gaussian", "label": "moving-packet", "width": 0.6,
-              "center": [-0.5, 0.0], "momentum": [2.0, 0.0]}],
-    "positions": [[0.0, 0.0], [0.6, 0.0], [0.0, -0.6]],
-    "directions": 4,
-    "ladder": {"kmin": 2, "kmax": 6},
-    "b": "auto", "width": 0.5,
-    "k_radius": 0.15, "cone_angle": 0.2, "a": 1.0,
-    "min_agreement": 0.9,
-}
-
-
 def test_c10_transport_consistency():
     start = time.time()
-    free = exp.run_transport_consistency(dict(FREE_TRANSPORT))
-    rot = exp.run_transport_consistency(dict(ROTATIONAL_TRANSPORT))
+    free = exp.run_transport_consistency(dict(workloads.FREE_TRANSPORT))
+    rot = exp.run_transport_consistency(dict(workloads.ROTATIONAL_TRANSPORT))
     elapsed = time.time() - start
     ok = (free["agreement"] == 1.0 and free["cells_conclusive"] > 0
           and rot["agreement"] >= 0.9 and rot["cells_conclusive"] > 0
@@ -304,38 +278,10 @@ def test_c10_transport_consistency():
                   f"{elapsed:.0f}s <= 20min")
 
 
-POINT_MASS_ZERO = {
-    "experiment": "fundamental-solution",
-    "grid": {"n": 1, "points": 4096, "halfwidth": 30.0},
-    "t0": 1.0,
-    "positions": [[-2.0], [-1.0], [0.0], [1.0], [2.0]],
-    "directions": 2,
-    "ladder": {"kmin": 2, "kmax": 6},
-    "b": "auto", "width": 1.0, "k_radius": 0.2, "a": 1.0,
-}
-
-POINT_MASS_SOFT = {
-    "experiment": "fundamental-solution",
-    "potential": {"family": "soft-power", "n": 2, "rho": 0.5,
-                  "amplitude": [0.7, 0.7]},
-    "grid": {"n": 2, "points": 256, "halfwidth": 5.0},
-    "t0": 1.0,
-    "positions": [[-0.5, -0.5], [0.5, 0.0], [0.0, 0.5], [0.5, 0.5]],
-    "directions": 4,
-    "ladder": {"kmin": 2, "kmax": 6},
-    "b": "auto", "width": 0.5, "k_radius": 0.15, "a": 1.0,
-}
-
-POINT_MASS_CONTROL = dict(
-    POINT_MASS_ZERO, t0=0.0, control=True, positions=[[0.0]],
-    ladder={"kmin": 3, "kmax": 11}, k_radius=0.25,
-    grid={"n": 1, "points": 32768, "halfwidth": 10.0})
-
-
 def test_c11_fundamental_solution():
-    s_zero = exp.run_fundamental_solution(dict(POINT_MASS_ZERO))
-    s_soft = exp.run_fundamental_solution(dict(POINT_MASS_SOFT))
-    control = exp.run_fundamental_solution(dict(POINT_MASS_CONTROL))
+    s_zero = exp.run_fundamental_solution(dict(workloads.POINT_MASS_ZERO))
+    s_soft = exp.run_fundamental_solution(dict(workloads.POINT_MASS_SOFT))
+    control = exp.run_fundamental_solution(dict(workloads.POINT_MASS_CONTROL))
     ratios_ok = (s_zero["ballistic_ratios"]["top_in_bracket"]
                  and s_soft["ballistic_ratios"]["top_in_bracket"])
     ok = (s_zero["fraction_not_in_wf"] == 1.0 and s_zero["cells_conclusive"] > 0
@@ -376,29 +322,12 @@ def test_c11_negative_control_constant_field(monkeypatch):
 
 
 def test_c12_scalar_potential():
-    free = exp.run_transport_consistency(dict(FREE_TRANSPORT,
-                                              experiment="scalar-potential",
-                                              scalar_potential=dict(SCALAR)))
-    rot = exp.run_transport_consistency(dict(ROTATIONAL_TRANSPORT,
+    free = exp.run_transport_consistency(workloads.configs("free-transport", 0)[1])
+    rot = exp.run_transport_consistency(dict(workloads.ROTATIONAL_TRANSPORT,
                                              experiment="scalar-potential",
-                                             scalar_potential=dict(SCALAR)))
+                                             scalar_potential=dict(workloads.SCALAR)))
     ok = (free["agreement"] == 1.0 and free["cells_conclusive"] > 0
           and rot["agreement"] >= 0.9 and rot["cells_conclusive"] > 0)
     assert report("C12", ok, "equivalence persists under a sub-quadratic scalar term",
                   f"free+V {free['agreement']:.0%}, rotational+V {rot['agreement']:.0%}")
 
-
-def test_benchmark_seed_0_configs_are_the_acceptance_configs(monkeypatch):
-    """perfbench/workloads.py writes the C10, C11 and C12 configs a second
-    time; its seed-0 configs must stay equal to the ones tested here."""
-    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
-    workloads = importlib.import_module("workloads")
-    expected = {
-        "magnetic-transport": [ROTATIONAL_TRANSPORT],
-        "point-mass": [POINT_MASS_ZERO, POINT_MASS_SOFT, POINT_MASS_CONTROL],
-        "free-transport": [FREE_TRANSPORT, dict(FREE_TRANSPORT, experiment="scalar-potential",
-                                                scalar_potential=SCALAR)],
-    }
-    assert set(workloads.WORKLOADS) == set(expected)
-    for name, configs in expected.items():
-        assert workloads.configs(name, 0) == configs, name

@@ -425,6 +425,21 @@ def test_scan_records_a_malformed_cell_in_its_row():
     assert np.array_equal(cells[0].report.magnitudes, alone.report.magnitudes)
 
 
+def test_a_cell_of_another_dimension_gets_no_verdict():
+    # a 1-d cell on a 2-d grid is refused, in its own row, before any pairing
+    g = grid.gaussian_data(grid.GridSpec(2, 128, 5.0))
+    ladder, sample = det.default_ladder(2, 6), det.ConicSample((0.0,), (1.0,))
+    with pytest.raises(errors.InputError, match="the grid has n = 2"):
+        det.wf_test_static(g, sample, ladder)
+    with pytest.raises(errors.InputError, match="the grid has n = 2"):
+        det.wf_test_dynamic(g, pots.zero_model(2), 1.0, sample, ladder)
+    cells = det.wf_scan("static", g, [(0.0,), (0.0, 0.0)], [(1.0,), (1.0, 0.0)], ladder)
+    assert cells[0].error == "InputError: cell has n = 1, the grid has n = 2"
+    assert [c.verdict == "error" for c in cells] == [True, True, True, False]
+    alone, = det.wf_scan("static", g, [(0.0, 0.0)], [(1.0, 0.0)], ladder)
+    assert np.array_equal(cells[3].report.magnitudes, alone.report.magnitudes)
+
+
 def test_non_finite_input_gets_no_verdict():
     # a NaN node makes NaN magnitudes, which must not pass as censored ones
     spec = grid.GridSpec(1, 4096, 30.0)

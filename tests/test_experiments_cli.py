@@ -1,12 +1,14 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from mswf import characteristics as chars, cli, detector, errors, experiments as exp, grid
-from mswf import propagator as prop
+from mswf import potentials, propagator as prop
 
 FREE_CFG = {
     "experiment": "free-transport",
@@ -170,12 +172,19 @@ BAD_CONFIGS = {
     "noise-floor": lambda cfg: dict(cfg, static_noise_rel=1e-7),
     "commutator-tol": lambda cfg: dict(cfg, commutator_tol=1e-8),
     "lemma-n": lambda cfg: dict(cfg, n=1),
+    # a dilation ladder has at least one rung, each >= 1
+    "envelope-ladder-zero": lambda cfg: dict(cfg, envelope_ladder=[0]),
+    "envelope-ladder-negative": lambda cfg: dict(cfg, envelope_ladder=[-1]),
+    "envelope-ladder-empty": lambda cfg: dict(cfg, envelope_ladder=[]),
+    "flow-ladder-empty": lambda cfg: dict(cfg, flow_ladder=[]),
+    "flow-ladder-below-one": lambda cfg: dict(cfg, flow_ladder=[0.5, 2.0, 4.0]),
 }
 
-LEMMA_ONLY = ("commutator-tol", "lemma-n")
+POINT_MASS_ONLY = ("envelope-ladder-zero", "envelope-ladder-negative", "envelope-ladder-empty")
+LEMMA_ONLY = ("commutator-tol", "lemma-n", "flow-ladder-empty", "flow-ladder-below-one")
 SCHEMA_CASES = (
     [(exp.run_transport_consistency, FREE_CFG, bad)
-     for bad in BAD_CONFIGS if bad not in LEMMA_ONLY]
+     for bad in BAD_CONFIGS if bad not in LEMMA_ONLY + POINT_MASS_ONLY]
     + [(exp.run_fundamental_solution, FS_CFG, bad) for bad in BAD_CONFIGS
        if bad not in ("datum-typo", "noise-floor") + LEMMA_ONLY]
     + [(exp.run_lemma_suite, LEMMA_CFG, bad)
@@ -221,17 +230,6 @@ def test_config_parse_converts_once():
     assert plane.directions.tolist() == [[1.0, 1.0]]
 
 
-def test_detect_defaults_are_the_scan_config_defaults():
-    args = cli.build_parser().parse_args(
-        ["detect", "--in", "f.wfgf", "--x0", "0", "--xi0", "1"])
-    for name in ("cone_angle", "k_radius", "a", "width", "b", "ladder", "thresholds"):
-        assert getattr(args, name) == getattr(exp.ScanConfig, name), name
-    config = exp.ScanConfig.parse({"grid": FREE_CFG["grid"], "positions": [[0.0]]})
-    assert detector.parse_ladder(args.ladder) == config.ladder
-    assert detector.resolve_b(args.b, config.potential) == config.b
-    assert detector.Thresholds.from_json({}) == config.thresholds
-
-
 SHORT_WFGF = "<a WFGF file whose payload is shorter than its header says>"
 GAUSSIAN_WFGF = "<a WFGF file of a gaussian datum>"
 FOREIGN_NPZ = "<an npz archive that holds no grid_points array>"
@@ -264,6 +262,14 @@ BAD_VALUE_ARGV = {
         potential={"family": "soft-power", "n": 2, "rho": 0.5, "amplitude": [1, 2, 3]}))],
     "datum-width-nan": ["experiment", "--config", json.dumps(dict(
         FREE_CFG, data=[{"name": "gaussian", "width": float("nan")}]))],
+    **{f"datum-{name}": ["experiment", "--config", json.dumps(dict(FREE_CFG, data=[datum]))]
+       for name, datum in (
+           ("width-text", {"name": "gaussian", "width": "abc"}),
+           ("amplitude-text", {"name": "gaussian", "amplitude": "z"}),
+           ("center-null", {"name": "gaussian", "center": None}),
+           ("steepness-text", {"name": "jump", "steepness": "a"}),
+           ("jump-axis-out-of-range", {"name": "jump", "axis": 5}),
+           ("jump-axis-fraction", {"name": "jump", "axis": 1.5}))},
 }
 
 
@@ -288,6 +294,8 @@ BAD_VALUE_ARGV = {
     ["flow", "--t0", "0", "--target", "nan", "--x", "0", "--xi", "1"],
     ["flow", "--t0", "0", "--target", "1", "--x", "nan", "--xi", "1"],
     ["detect", "--in", GAUSSIAN_WFGF, "--x0", "0", "--xi0", "1", "--a", "inf"],
+    ["detect", "--in", GAUSSIAN_WFGF, "--x0", "0", "--xi0", "1", "--potential",
+     json.dumps({"family": "soft-power", "n": 2, "rho": 0.5})],
     ["evolve", "--dt", "0.01", "--t1", "nan", "--in", GAUSSIAN_WFGF,
      "--out", "no-such-out.wfgf"],
     ["evolve", "--dt", "nan", "--t1", "0.1", "--in", GAUSSIAN_WFGF,
@@ -300,6 +308,7 @@ BAD_VALUE_ARGV = {
         "grid-text", "missing-field-file", "missing-table-file", "foreign-table",
         "misshaped-table", "short-field-wpt", "short-field-detect", "short-field-evolve",
         "ladder-text", "flow-target-inf", "flow-target-nan", "flow-x-nan", "detect-a-inf",
+        "detect-potential-dimension",
         "evolve-t1-nan", "evolve-dt-nan", "packet-width-nan", "packet-t-nan",
         "grid-halfwidth-nan", *BAD_VALUE_ARGV])
 def test_bad_outside_input_exits_2(argv, tmp_path, capsys):
@@ -417,12 +426,43 @@ def test_cli_detect(tmp_path):
     assert payload["Nhat"] == pytest.approx(-0.0625, abs=0.05)
 
 
+@pytest.mark.parametrize("mode,spec,x0,xi0", [
+    ("static", grid.GridSpec(1, 2048, 30.0), (0.5,), (1.0,)),
+    ("dynamic", grid.GridSpec(1, 2048, 30.0), (0.5,), (-1.0,)),
+    # one number stands for every axis, as in a config
+    ("static", grid.GridSpec(2, 64, 8.0), (0.5,), (1.0, 0.0)),
+], ids=["static", "dynamic", "one-number-x0"])
+def test_cli_detect_writes_the_report_of_the_library_test(mode, spec, x0, xi0, tmp_path):
+    field, out, direct = tmp_path / "u.wfgf", tmp_path / "cli.json", tmp_path / "direct.json"
+    u = grid.gaussian_data(spec)
+    grid.save_wfgf(u, field)
+    potential = {"family": "soft-power", "n": spec.n, "rho": 0.5}
+    assert cli.main(["detect", "--mode", mode, "--in", str(field), "--potential",
+                     json.dumps(potential), "--t0", "1.0", "--ladder", "2:6",
+                     "--x0", ",".join(map(str, x0)), "--xi0", ",".join(map(str, xi0)),
+                     "--out", str(out)]) == 0
+    model = potentials.model_from_json(potential)
+    sample = detector.ConicSample(np.resize(x0, spec.n), xi0)
+    settings = (sample, detector.default_ladder(2, 6), detector.Thresholds(), 1.0,
+                detector.resolve_b("auto", model))
+    report = (detector.wf_test_static(u, *settings) if mode == "static"
+              else detector.wf_test_dynamic(u, model, 1.0, *settings))
+    exp.write_json(direct, report.to_json_dict())
+    assert out.read_bytes() == direct.read_bytes()
+
+
 def test_cli_experiment(tmp_path):
+    # the --out-dir flag writes what the out_dir key writes, byte for byte
     cfg = dict(FREE_CFG, out_dir=str(tmp_path / "out"))
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
     assert cli.main(["experiment", "--config", str(cfg_path)]) == 0
-    assert (tmp_path / "out" / "summary.json").exists()
+    assert cli.main(["experiment", "--config", json.dumps(FREE_CFG),
+                     "--out-dir", str(tmp_path / "flag")]) == 0
+    names = sorted(p.name for p in (tmp_path / "out").iterdir())
+    assert names == ["cells.csv", "ladder.csv", "summary.json"]
+    for name in names:
+        assert (tmp_path / "flag" / name).read_bytes() == (tmp_path / "out" / name).read_bytes()
 
 
 def test_cli_exit_codes(tmp_path):
@@ -448,8 +488,13 @@ def test_cli_exit_codes(tmp_path):
 
 
 def _fresh_interpreter(code: str) -> str:
-    """stdout of `code` run in a new interpreter, which has imported nothing."""
-    return subprocess.run([sys.executable, "-c", code], capture_output=True,
+    """stdout of `code` run in a new interpreter, which has imported nothing
+    and finds mswf in this checkout's src."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(__file__).resolve().parents[1] / "src")]
+        + [p for p in [env.get("PYTHONPATH")] if p])
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, env=env,
                           text=True, check=True).stdout.strip()
 
 
