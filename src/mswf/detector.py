@@ -23,7 +23,8 @@ sequence of fields on one grid, and all three run one core, `_probe`,
 over their cells and get back each cell's reports or its package error
 as a value: a test raises the error of its one cell, a scan writes each
 cell's error into that cell.  Each rung pairs all conic samples with all
-fields in one `packets.pair_many` call.  The backward
+fields in one call of `packets.pair_many`'s kernel, on nonzero boxes
+that the probe finds once per field.  The backward
 flows depend on the model, t0 and the samples, never on the datum, so
 each (cell, rung) is flowed once for every datum at FLOW_TOL = 1e-9, all
 cells' rungs in one `flow_batch` call, one group per (cell, rung).  Each
@@ -41,8 +42,9 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .characteristics import flow_batch
 from .errors import InputError, MswfError, integer, load_json, number, one_of
-from .grid import field_batch, phase_points
-from .packets import GaussianWindow, in_band, pair_many, theorem_scaling_exponent
+from .grid import GridSpec, field_batch, phase_points
+from .packets import (GaussianWindow, _nonzero_box, _pair_in_boxes, in_band,
+                      theorem_scaling_exponent)
 # nothing here calls wpt; the name stays because perfbench/layers.py
 # wraps mswf.detector.wpt in its traced run
 from .packets import wpt  # noqa: F401
@@ -121,33 +123,41 @@ class ConicSample:
         return np.asarray(self.x0) + pts
 
     def directions(self) -> np.ndarray:
+        """The fan's distinct directions, in fan order.  A direction is
+        dropped when it is np.allclose (atol=1e-12) to one kept before it,
+        so a zero half angle collapses the fan to xi0's direction.  The
+        pairs are compared in one vectorised pass; the rule is not
+        transitive, so the kept rows are then picked in order."""
+        dirs = self._fan()
+        close = np.isclose(dirs[:, None], dirs[None, :], atol=1e-12).all(-1)
+        keep = []
+        for i, row in enumerate(close):
+            if not row[keep].any():
+                keep.append(i)
+        return dirs[keep]
+
+    def _fan(self) -> np.ndarray:
+        """xi0's unit direction and the fan around it, before the dedupe."""
         unit = np.asarray(self.xi0) / np.linalg.norm(self.xi0)
         if self.n == 1:
             return unit[None, :]
         if self.n == 2:
             base = np.arctan2(unit[1], unit[0])
             angles = base + np.linspace(-self.half_angle, self.half_angle, N_DIRECTIONS)
-            dirs = np.stack([np.cos(angles), np.sin(angles)], axis=-1)
-        else:
-            # axis direction plus a rim of directions at the half angle
-            helper = np.array([1.0, 0.0, 0.0])
-            if abs(np.dot(helper, unit)) > 0.9:
-                helper = np.array([0.0, 1.0, 0.0])
-            v = np.cross(unit, helper)
-            v /= np.linalg.norm(v)
-            w = np.cross(unit, v)
-            rim = []
-            for j in range(N_DIRECTIONS - 1):
-                phi = 2.0 * np.pi * j / (N_DIRECTIONS - 1)
-                rim.append(np.cos(self.half_angle) * unit
-                           + np.sin(self.half_angle) * (np.cos(phi) * v + np.sin(phi) * w))
-            dirs = np.stack([unit] + rim, axis=0)
-        # dedupe (a zero half angle collapses the fan)
-        keep = []
-        for d in dirs:
-            if not any(np.allclose(d, k, atol=1e-12) for k in keep):
-                keep.append(d)
-        return np.stack(keep, axis=0)
+            return np.stack([np.cos(angles), np.sin(angles)], axis=-1)
+        # axis direction plus a rim of directions at the half angle
+        helper = np.array([1.0, 0.0, 0.0])
+        if abs(np.dot(helper, unit)) > 0.9:
+            helper = np.array([0.0, 1.0, 0.0])
+        v = np.cross(unit, helper)
+        v /= np.linalg.norm(v)
+        w = np.cross(unit, v)
+        rim = []
+        for j in range(N_DIRECTIONS - 1):
+            phi = 2.0 * np.pi * j / (N_DIRECTIONS - 1)
+            rim.append(np.cos(self.half_angle) * unit
+                       + np.sin(self.half_angle) * (np.cos(phi) * v + np.sin(phi) * w))
+        return np.stack([unit] + rim, axis=0)
 
     def moduli(self) -> np.ndarray:
         if self.a == 1.0:
@@ -343,33 +353,49 @@ def resolve_b(b, model: VectorPotentialModel) -> float:
     return number(b, "b")
 
 
-def _ladder_test(fields: list, xs, xis, ladder: tuple, points: list, t: float,
+class _Data(NamedTuple):
+    """What the pairings need of a probe's fields, found once per probe."""
+
+    spec: GridSpec
+    values: list
+    boxes: list   # each field's nonzero box, `packets._nonzero_box`
+    norms: list   # each field's L2 norm, which scales its censoring floor
+
+    @classmethod
+    def of(cls, fields: list) -> "_Data":
+        values = [f.values for f in fields]
+        return cls(fields[0].spec, values, [_nonzero_box(v) for v in values],
+                   [f.l2_norm() for f in fields])
+
+
+def _ladder_test(data: _Data, xs, xis, ladder: tuple, points: list, t: float,
                  thresholds: Thresholds, width: float, b: float, noise_rel: float,
                  reason: str, metadata: dict) -> list:
     """Pair every field with windows evolved freely by t over the ladder.
 
     (xs, xis) are the conic samples; points[r] holds the (S, n) pairing
     positions and frequencies of rung r, shared by all fields.  Each rung
-    is one `pair_many` call over all samples and fields.  Rungs whose
-    frequencies leave the band are dropped; fewer than 5 surviving rungs
-    yield inconclusive reports flagged with `reason`.  Returns one report
-    per field.
+    is one pairing of all samples with all fields, `pair_many`'s kernel
+    on the boxes `data` holds, so no rung of any cell scans a field for
+    its box again.  Rungs whose frequencies leave the band are dropped;
+    fewer than 5 surviving rungs yield inconclusive reports flagged with
+    `reason`.  Returns one report per field.
     """
-    spec = fields[0].spec
+    spec = data.spec
     rungs = [(lam, X, XI) for lam, (X, XI) in zip(ladder, points) if in_band(spec, XI).all()]
     used = [lam for lam, _, _ in rungs]
     if len(used) < MIN_RUNGS:
         return [_aggregate(used, ladder, xs, xis, np.zeros((0, len(used))), thresholds,
-                           dict(metadata), truncated=reason) for _ in fields]
-    values = [f.values for f in fields]
-    mags = np.empty((len(fields), len(xs), len(used)))
+                           dict(metadata), truncated=reason) for _ in data.values]
+    mags = np.empty((len(data.values), len(xs), len(used)))
     for r, (lam, X, XI) in enumerate(rungs):
         window = GaussianWindow(spec.n, width, lam, b, t)
-        mags[..., r] = np.abs(pair_many(spec, values, window, X, XI)).T
+        mags[..., r] = np.abs(_pair_in_boxes(spec, data.values, data.boxes, window,
+                                             X, XI)).T
     window_norm = GaussianWindow(spec.n, width, 1.0, b, 0.0).l2_norm()
     return [_aggregate(used, ladder, xs, xis, m, thresholds, dict(metadata),
-                       noise_rel * f.l2_norm() * window_norm)
-            for f, m in zip(fields, mags)]
+                       noise_rel * norm * window_norm)
+            for norm, m in zip(data.norms, mags)]
 
 
 def wf_test_static(f, sample: ConicSample, ladder=None,
@@ -474,6 +500,7 @@ def _probe(mode: str, fields: list, samples: dict, ladder: tuple,
         return dict.fromkeys(samples, InputError(
             "a dynamic probe needs a model of the datum's dimension"))
     flowed = dynamic and t0 != 0.0
+    data = _Data.of(fields)
     results = {c: InputError(f"cell has n = {sample.n}, the grid has n = {n}")
                for c, sample in samples.items() if sample.n != n}
     phases = {c: sample.phase_samples() for c, sample in samples.items() if sample.n == n}
@@ -488,7 +515,7 @@ def _probe(mode: str, fields: list, samples: dict, ladder: tuple,
             del metadata["t0"]
         try:
             results[c] = _ladder_test(
-                fields, *phases[c], ladder, rungs, -t0 if flowed else 0.0, thresholds,
+                data, *phases[c], ladder, rungs, -t0 if flowed else 0.0, thresholds,
                 width, b, noise_rel, "flowed-nyquist-guard" if flowed else "nyquist-guard",
                 metadata)
         except MswfError as exc:

@@ -269,7 +269,7 @@ def jump_data(spec: GridSpec, width=1.0, axis: int = 0, steepness: float = 0.0,
     radiates mass at all frequencies and cannot be propagated on a finite
     box without tripping the boundary monitor.
     """
-    if axis not in range(spec.n):
+    if not isinstance(axis, (int, np.integer)) or axis not in range(spec.n):
         raise InputError(f"jump axis must be one of {list(range(spec.n))}, got {axis!r}")
     g = gaussian_data(spec, width=width)
     y = spec.axis(axis)

@@ -180,7 +180,10 @@ def _nonzero_box(g: np.ndarray):
     """Per-axis slices that bound the nonzero nodes of g, or None if it has none.
 
     A field with a nonzero node on both end planes of every axis, as every
-    evolved field and Gaussian datum has, keeps the full grid without a scan."""
+    evolved field and Gaussian datum has, keeps the full grid without a
+    scan; any other field is compared with zero node by node, so a caller
+    that pairs one field many times (the detector, once per rung of each
+    cell) finds its box once and hands it to `_pair_in_boxes`."""
     full = tuple(slice(0, m) for m in g.shape)
     if all(g[full[:i] + (end,)].any() for i in range(g.ndim) for end in (0, -1)):
         return full
@@ -214,7 +217,9 @@ def pair_many(spec: GridSpec, values, window: GaussianWindow,
     full-grid sum, and so does a point mass, which costs O(S): its
     transform is the conjugate window sample at its node.  Any other box
     sums in another order, within round-off, and a zero field pairs to
-    exact zeros.  Raises NyquistError if any frequency leaves the grid
+    exact zeros.  Each call finds the boxes anew (`_nonzero_box`); the
+    detector finds them once per scan and calls `_pair_in_boxes`, with
+    the same bits.  Raises NyquistError if any frequency leaves the grid
     band.
     """
     _check_window(window, spec.n)
@@ -223,7 +228,14 @@ def pair_many(spec: GridSpec, values, window: GaussianWindow,
         raise InputError("each field must have the grid's shape")
     _check_nyquist(spec, XI)
     values = [np.asarray(g) for g in values]
-    boxes = [_nonzero_box(g) for g in values]
+    return _pair_in_boxes(spec, values, [_nonzero_box(g) for g in values], window, X, XI)
+
+
+def _pair_in_boxes(spec: GridSpec, values: list, boxes: list, window: GaussianWindow,
+                   X: np.ndarray, XI: np.ndarray) -> np.ndarray:
+    """The kernel of `pair_many`, on checked inputs: the (S, n) arrays X
+    and XI inside the grid band, arrays `values` of the grid's shape, and
+    boxes[j] = _nonzero_box(values[j])."""
     live = [box for box in boxes if box is not None]
     out = np.zeros((len(X), len(values)), dtype=np.complex128)
     if not live:

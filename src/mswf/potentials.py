@@ -152,25 +152,37 @@ def _check_point(model: VectorPotentialModel, x) -> np.ndarray:
     return x
 
 
+def _modulated(model: VectorPotentialModel, t, c, axes=None):
+    """c g(t), with g(t) given the new `axes` (if any) to broadcast against c.
+
+    Under modulation "one" this is c itself, with no array of ones: a
+    product with 1.0 is exact, so the bits are those of c * g(t).
+    """
+    if model.modulation == "one":
+        return c
+    g = model.g(t)
+    return c * (g if axes is None else np.expand_dims(g, axes))
+
+
 def eval_a(model: VectorPotentialModel, t, x) -> np.ndarray:
     """Vector potential values; batched over leading axes of x.
 
-    `t` is a time, or an array of times that broadcasts against
-    x.shape[:-1], such as one time per group of points.  Built-in families
-    give the same bits as scalar-t calls; a custom-sampled callable gets `t`
-    as passed.
+    `t` is a time, or an array of times that broadcasts to x.shape[:-1],
+    such as one time per group of points of shape (G, 1) for x of shape
+    (G, K, n).  Built-in families give each point the same bits as a
+    scalar-t call at its time, which the grouped flow relies on; a
+    custom-sampled callable gets `t` as passed.
     """
     x = _check_point(model, x)
-    g = np.expand_dims(model.g(t), -1)
     if model.family == "zero":
         return np.zeros_like(x)
     if model.family == "soft-power":
         p = bracket(x) ** model.rho
-        return np.asarray(model.amplitude) * g * p[..., None]
+        return _modulated(model, t, np.asarray(model.amplitude), -1) * p[..., None]
     if model.family == "rotational":
         p = bracket(x) ** (model.rho - 1.0)
         perp = np.stack([x[..., 1], -x[..., 0]], axis=-1)
-        return model.amplitude[0] * g * p[..., None] * perp
+        return _modulated(model, t, model.amplitude[0], -1) * p[..., None] * perp
     if model.family == "constant-field":
         return 0.5 * model.b0 * np.stack([-x[..., 1], x[..., 0]], axis=-1)
     out = np.asarray(model.custom_a(t, x), dtype=float)
@@ -182,10 +194,9 @@ def eval_a(model: VectorPotentialModel, t, x) -> np.ndarray:
 def jacobian_a(model: VectorPotentialModel, t, x) -> np.ndarray:
     """Matrix with entry (j, k) = d a_j / d x_k; batched over leading axes.
 
-    `t` broadcasts against x.shape[:-1], as in `eval_a`.
+    `t` broadcasts to x.shape[:-1], as in `eval_a`.
     """
     x = _check_point(model, x)
-    g = model.g(t)
     batch = x.shape[:-1]
     n = model.n
     if model.family == "zero":
@@ -193,14 +204,14 @@ def jacobian_a(model: VectorPotentialModel, t, x) -> np.ndarray:
     if model.family == "soft-power":
         pm2 = bracket(x) ** (model.rho - 2.0)
         amp = np.asarray(model.amplitude)
-        g = np.expand_dims(g, (-2, -1))
-        return model.rho * g * amp[..., :, None] * x[..., None, :] * pm2[..., None, None]
+        return (_modulated(model, t, model.rho, (-2, -1)) * amp[..., :, None]
+                * x[..., None, :] * pm2[..., None, None])
     if model.family == "rotational":
         x1, x2 = x[..., 0], x[..., 1]
         b = bracket(x)
         pm1 = b ** (model.rho - 1.0)
         pm3 = b ** (model.rho - 3.0)
-        c = model.amplitude[0] * g
+        c = _modulated(model, t, model.amplitude[0])
         J = np.empty(batch + (2, 2))
         J[..., 0, 0] = c * (model.rho - 1.0) * x1 * x2 * pm3
         J[..., 0, 1] = c * ((model.rho - 1.0) * x2 * x2 * pm3 + pm1)
@@ -238,7 +249,7 @@ def _fd_jacobian(model: VectorPotentialModel, t: float, x: np.ndarray) -> np.nda
 def divergence_a(model: VectorPotentialModel, t, x) -> np.ndarray:
     """div a; closed forms where available (rotational and constant-field are 0).
 
-    `t` broadcasts against x.shape[:-1], as in `eval_a`.
+    `t` broadcasts to x.shape[:-1], as in `eval_a`.
     """
     x = _check_point(model, x)
     batch = x.shape[:-1]
@@ -247,7 +258,7 @@ def divergence_a(model: VectorPotentialModel, t, x) -> np.ndarray:
     if model.family == "soft-power":
         pm2 = bracket(x) ** (model.rho - 2.0)
         amp = np.asarray(model.amplitude)
-        return model.rho * model.g(t) * np.sum(amp * x, axis=-1) * pm2
+        return _modulated(model, t, model.rho) * np.sum(amp * x, axis=-1) * pm2
     J = jacobian_a(model, t, x)
     return np.trace(J, axis1=-2, axis2=-1)
 

@@ -5,10 +5,12 @@ assertion that follows carries the same condition, so red output and red
 tests always agree.  Shared heavyweight objects (fine grids, evolved
 fields, experiment summaries) are module-scoped fixtures.  The C10, C11
 and C12 configs are the benchmark's seed-0 workloads, read from
-perfbench/workloads.py, their one source.
+perfbench/workloads.py, their one source; the C11 cells are also held to
+the benchmark's reference (perfbench/reference.json, by check.py's rule).
 """
 
 import importlib.util
+import json
 import time
 from pathlib import Path
 
@@ -20,11 +22,19 @@ from mswf import (characteristics as chars, detector as det,
                   propagator as prop)
 from mswf.packets import GaussianWindow
 
-# perfbench is not a package, so its workloads module is loaded by path
-_spec = importlib.util.spec_from_file_location(
-    "workloads", Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py")
-workloads = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(workloads)
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _perfbench_module(name: str):
+    """perfbench is not a package, so its modules are loaded by path."""
+    spec = importlib.util.spec_from_file_location(name, PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+workloads = _perfbench_module("workloads")
+check = _perfbench_module("check")
 
 
 def report(cid: str, ok: bool, desc: str, detail: str = "") -> bool:
@@ -47,6 +57,13 @@ def spec256():
 @pytest.fixture(scope="module")
 def fine_grid():
     return grid.GridSpec(1, 32768, 10.0)
+
+
+@pytest.fixture(scope="module")
+def c11():
+    """The seed-0 C11 summaries (zero, soft-power, control) as summary.json holds them."""
+    return [json.loads(json.dumps(exp._jsonify(exp.run_fundamental_solution(cfg))))
+            for cfg in workloads.configs("point-mass", 0)]
 
 
 def test_c01_inversion_roundtrip(spec256):
@@ -278,10 +295,8 @@ def test_c10_transport_consistency():
                   f"{elapsed:.0f}s <= 20min")
 
 
-def test_c11_fundamental_solution():
-    s_zero = exp.run_fundamental_solution(dict(workloads.POINT_MASS_ZERO))
-    s_soft = exp.run_fundamental_solution(dict(workloads.POINT_MASS_SOFT))
-    control = exp.run_fundamental_solution(dict(workloads.POINT_MASS_CONTROL))
+def test_c11_fundamental_solution(c11):
+    s_zero, s_soft, control = c11
     ratios_ok = (s_zero["ballistic_ratios"]["top_in_bracket"]
                  and s_soft["ballistic_ratios"]["top_in_bracket"])
     ok = (s_zero["fraction_not_in_wf"] == 1.0 and s_zero["cells_conclusive"] > 0
@@ -292,6 +307,24 @@ def test_c11_fundamental_solution():
                   f"zero {s_zero['fraction_not_in_wf']:.0%}, soft-power "
                   f"{s_soft['fraction_not_in_wf']:.0%} not-in-WF; control in-WF; "
                   f"|x(0)|/(lam t0 |xi|) in [0.9, 1.1] at lam=1e4")
+
+
+def test_c11_cells_keep_their_reference_bits(c11):
+    """Every seed-0 C11 cell keeps the verdict the benchmark's reference
+    records and an N_hat within 1e-9 of it, so a speed-up that moves these
+    bits fails here, not only in the benchmark."""
+    refs = json.loads((PERFBENCH / "reference.json").read_text())["point-mass"]
+    cfgs = workloads.configs("point-mass", 0)
+    problems, worst, cells = [], 0.0, 0
+    for cfg, summary, ref in zip(cfgs, c11, refs):
+        problems += check.score(cfg, workloads.expected_cells(cfg), 0, summary, ref)[1]
+        for cell, want in zip(check.cells_of(summary), ref["cells"]):
+            cells += 1
+            worst = max([worst] + [abs(a - b) for a, b in zip(cell[2], want[2])
+                                   if a is not None and b is not None])
+    assert report("C11 bits", not problems, "point-mass cells keep their reference verdicts and N_hat",
+                  f"{cells} cells, largest |N_hat - reference| {worst:.1e} <= "
+                  f"{check.NHAT_TOL:g}; {problems[:3]}"), problems
 
 
 def test_c11_negative_control_constant_field(monkeypatch):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mswf import detector as det, errors, grid, potentials as pots
+from mswf import detector as det, errors, grid, packets, potentials as pots
 
 FINE = grid.GridSpec(1, 32768, 10.0)
 LADDER = det.default_ladder(3, 11)
@@ -215,6 +215,52 @@ def test_conic_sample_3d_directions():
     assert dirs.shape[1] == 3
     np.testing.assert_allclose(np.linalg.norm(dirs, axis=-1), 1.0, atol=1e-12)
     assert np.min(dirs @ np.array([0, 0, 1.0])) >= np.cos(0.3) - 1e-12
+
+
+def _allclose_loop(dirs):
+    """The fan's dedupe rule as a loop: a direction is kept unless it is
+    np.allclose(atol=1e-12) to one kept before it."""
+    keep = []
+    for d in dirs:
+        if not any(np.allclose(d, k, atol=1e-12) for k in keep):
+            keep.append(d)
+    return np.stack(keep)
+
+
+@pytest.mark.parametrize("xi0", [(1.0, 0.0), (0.3, -2.0), (0.0, 0.0, 1.0), (1.0, 2.0, 0.5)])
+def test_fan_collapses_at_a_zero_half_angle_and_keeps_its_rim(xi0):
+    x0 = (0.0,) * len(xi0)
+    assert det.ConicSample(x0, xi0, half_angle=0.0).directions().shape == (1, len(xi0))
+    dirs = det.ConicSample(x0, xi0, half_angle=0.2).directions()
+    assert dirs.shape == (det.N_DIRECTIONS, len(xi0))
+    if len(xi0) == 3:  # the axis direction, then the rim at the half angle
+        unit = np.asarray(xi0) / np.linalg.norm(xi0)
+        np.testing.assert_allclose(dirs[1:] @ unit, np.cos(0.2), rtol=0, atol=1e-15)
+
+
+def test_fan_dedupe_is_the_allclose_loop():
+    # tiny half angles, where the rule's rtol = 1e-5 merges some directions
+    counts = set()
+    for xi0 in [(1.0, 0.0), (0.3, -2.0), (0.0, 0.0, 1.0), (1.0, 2.0, 0.5)]:
+        for half_angle in np.geomspace(1e-14, 1e-3, 200):
+            sample = det.ConicSample((0.0,) * len(xi0), xi0, half_angle=half_angle)
+            dirs = sample.directions()
+            assert np.array_equal(dirs, _allclose_loop(sample._fan()))
+            counts.add(len(dirs))
+    assert counts == {1, 2, 3, det.N_DIRECTIONS}  # the sweep merges some, not all
+
+
+@pytest.mark.parametrize("fan, kept", [
+    # np.allclose(d, k) scales rtol by the kept |k|, not by |d|
+    ([[1.0, 0.0], [1.0 + 1.00001e-5, 0.0]], 2),
+    # not transitive: the middle one goes, the last one is only held to the kept
+    ([[1.0, 0.0], [1.0 + 0.8e-5, 0.0], [1.0 + 1.6e-5, 0.0]], 2),
+])
+def test_fan_dedupe_keeps_the_allclose_order_and_asymmetry(monkeypatch, fan, kept):
+    fan = np.array(fan)
+    monkeypatch.setattr(det.ConicSample, "_fan", lambda self: fan)
+    dirs = det.ConicSample((0.0, 0.0), (1.0, 0.0)).directions()
+    assert len(dirs) == kept and np.array_equal(dirs, _allclose_loop(fan))
 
 
 @pytest.mark.parametrize("sample", [
@@ -574,6 +620,29 @@ def test_dynamic_scan_flows_each_cell_and_rung_once(monkeypatch):
     samples = len(det.ConicSample((0.0,), (1.0,)).phase_samples()[0])
     groups = len(MULTI_POSITIONS) * len(directions) * len(MULTI_LADDER)
     assert args[3].shape == args[4].shape == (groups, samples, 1)
+
+
+def test_dynamic_scan_finds_each_box_once_and_pairs_with_pair_many_bits(monkeypatch):
+    boxed, pairings = [], []
+    find, kernel = det._nonzero_box, det._pair_in_boxes
+
+    def counted(g):
+        boxed.append(g)
+        return find(g)
+
+    def checked(spec, values, boxes, window, X, XI):
+        got = kernel(spec, values, boxes, window, X, XI)
+        pairings.append(np.array_equal(got, packets.pair_many(spec, values, window, X, XI)))
+        return got
+
+    monkeypatch.setattr(det, "_nonzero_box", counted)
+    monkeypatch.setattr(det, "_pair_in_boxes", checked)
+    data = _multi_data()  # a point mass first
+    cells = _scan("dynamic", data, det.direction_fan(1, 2))
+    assert all(c.report is not None for c in cells)
+    assert len(boxed) == len(data) and all(g is f.values for g, f in zip(boxed, data))
+    # one pairing per rung of each cell, each the bits of pair_many's
+    assert len(pairings) == len(MULTI_POSITIONS) * 2 * len(MULTI_LADDER) and all(pairings)
 
 
 def test_dynamic_scan_records_a_failed_flow_in_its_cell_only():

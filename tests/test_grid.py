@@ -91,6 +91,18 @@ def test_builtin_data_rejects_unknown_name():
         grid.builtin_data("chirp", grid.GridSpec(1, 64, 5.0))
 
 
+@pytest.mark.parametrize("axis", [1.0, 0.5, "1", None, 2, -1])
+def test_jump_data_refuses_an_axis_that_is_not_a_grid_axis(axis):
+    with pytest.raises(errors.InputError, match="jump axis"):
+        grid.jump_data(grid.GridSpec(2, 16, 5.0), axis=axis)
+
+
+def test_jump_data_takes_a_numpy_integer_axis():
+    spec = grid.GridSpec(2, 16, 5.0)
+    assert np.array_equal(grid.jump_data(spec, axis=np.int64(1)).values,
+                          grid.jump_data(spec, axis=1).values)
+
+
 def test_jump_data_mollified():
     spec = grid.GridSpec(1, 256, 10.0)
     hard = grid.jump_data(spec)

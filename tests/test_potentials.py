@@ -155,6 +155,32 @@ def test_model_from_json_file(tmp_path):
     assert model.family == "rotational" and model.rho == 0.5
 
 
+@st.composite
+def builtin_models(draw):
+    """A model of any built-in family under any modulation."""
+    family = draw(st.sampled_from(["zero", "soft-power", "rotational", "constant-field"]))
+    n = 2 if family in ("rotational", "constant-field") else draw(st.sampled_from([1, 2, 3]))
+    count = 1 if family == "rotational" else n
+    return pots.VectorPotentialModel(
+        family, n, rho=draw(st.floats(-3.0, 0.99)),
+        amplitude=draw(st.lists(st.floats(-5.0, 5.0), min_size=count, max_size=count)),
+        modulation=draw(st.sampled_from(sorted(pots.MODULATIONS))),
+        b0=draw(st.floats(-5.0, 5.0)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(builtin_models(), st.integers(1, 4), st.integers(1, 5), st.data())
+def test_per_group_times_equal_scalar_time_calls_bit_for_bit(model, groups, points, data):
+    # the grouped flow evaluates its (G, K, n) points at times of shape (G, 1)
+    t = data.draw(hnp.arrays(np.float64, (groups, 1), elements=st.floats(-10.0, 10.0)))
+    x = data.draw(hnp.arrays(np.float64, (groups, points, model.n),
+                             elements=st.floats(-1e3, 1e3)))
+    for evaluate in (pots.eval_a, pots.jacobian_a, pots.divergence_a):
+        got = evaluate(model, t, x)
+        want = np.stack([evaluate(model, float(tg[0]), xg) for tg, xg in zip(t, x)])
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("modulation", ["one", "sin", "cosbump"])
 @pytest.mark.parametrize("family,n", [("zero", 3), ("soft-power", 1), ("soft-power", 2),
                                       ("soft-power", 3), ("rotational", 2),
