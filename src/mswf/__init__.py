@@ -21,8 +21,7 @@ from .grid import (GridFunction, GridSpec, builtin_data, delta_spike,
                    gaussian_data, jump_data, load_wfgf, save_wfgf)
 from .packets import (DeltaSignal, GaussianSignal, GaussianWindow,
                       commutator_check, free_evolve_packet,
-                      fundamental_solution_envelope, gaussian_wpt_oracle,
-                      inverse_wpt, make_scaled_packet,
+                      gaussian_wpt_oracle, inverse_wpt, make_scaled_packet,
                       theorem_scaling_exponent, wpt, wpt_grid)
 from .potentials import (VectorPotentialModel, constant_field_model, eval_a,
                          jacobian_a, divergence_a, magnetic_field,

@@ -478,7 +478,6 @@ class LowerBoundReport:
 
     ladder: tuple
     ratios: dict             # lam -> list over samples
-    x0_norms: dict           # lam -> flowed |x(0)| per sample
     top_in_bracket: bool     # all top-rung ratios within 10 percent of 1
 
 
@@ -499,12 +498,8 @@ def lower_bound_x0(model: VectorPotentialModel, t0: float, k_samples,
     xi_norms = np.linalg.norm(xi_hats, axis=-1)
     x_end, _ = flow_batch(model, t0, 0.0, np.array([xs] * len(ladder)),
                           np.array([lam * xi_hats for lam in ladder]), tol)
-    ratios, x0_norms = {}, {}
-    for lam, x_rung in zip(ladder, x_end):
-        norms = np.linalg.norm(x_rung, axis=-1)
-        x0_norms[lam] = [float(v) for v in norms]
-        ratios[lam] = [float(v) for v in norms / (lam * t0 * xi_norms)]
-    top = ratios[ladder[-1]]
-    top_in_bracket = all(0.9 <= r <= 1.1 for r in top)
-    return LowerBoundReport(ladder=ladder, ratios=ratios, x0_norms=x0_norms,
-                            top_in_bracket=top_in_bracket)
+    ratios = {lam: [float(v) for v in np.linalg.norm(x_rung, axis=-1)
+                    / (lam * t0 * xi_norms)]
+              for lam, x_rung in zip(ladder, x_end)}
+    return LowerBoundReport(ladder=ladder, ratios=ratios, top_in_bracket=all(
+        0.9 <= r <= 1.1 for r in ratios[ladder[-1]]))

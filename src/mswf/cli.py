@@ -166,7 +166,7 @@ def _cmd_experiment(args) -> int:
     if args.out_dir:
         cfg["out_dir"] = args.out_dir
     summary = experiments.run_experiment(cfg)
-    keys = [k for k in ("agreement", "fraction_not_in_wf", "all_ok") if k in summary]
+    keys = [k for k in ("agreement", "fraction_not_in_wf") if k in summary]
     note = " ".join(f"{k}={summary[k]!r}" for k in keys)
     print(f"experiment {summary['experiment']}: {note}")
     return 0

@@ -54,7 +54,7 @@ FLOOR_REL = 1e-14
 STEEPEN_STEP = 0.5
 COLLAPSE_EXPONENT = 12.0  # implied exponent that counts as super-polynomial
 MIN_RUNGS = 5
-FLOW_TOL = 1e-9  # RK45 tolerance of the scans', point-mass ratio and lemma flows
+FLOW_TOL = 1e-9  # RK45 tolerance of the scans' and the point-mass ratio flows
 # conic sampling: offsets per position axis, fan directions, moduli
 POSITIONS_PER_AXIS, N_DIRECTIONS, N_MODULI = 3, 5, 3
 

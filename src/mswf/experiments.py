@@ -1,14 +1,14 @@
-"""Experiment runners: transport consistency, point-mass smoothing, bound suites.
+"""Experiment runners: transport consistency and point-mass smoothing.
 
 Every runner takes a plain configuration dictionary and first parses it
-into a frozen config class: `TransportConfig` or `PointMassConfig` (both
-extend `ScanConfig`, the keys every scanning experiment reads) or
-`LemmaConfig`.  Their fields are the reference for the keys and their
-defaults.  An unknown key, a missing required key or a value of the wrong
-type raises InputError (exit code 2) before anything is computed.  What no
-config varies is fixed, and setting it is an unknown key: the noise floors
-(1e-7 static, 1e-12 dynamic), the commutator check (512 points on [-20, 20),
-t = 0.5 and 1, bound 1e-8) and the flow tolerance `detector.FLOW_TOL` = 1e-9.
+into a frozen config class, `TransportConfig` or `PointMassConfig`; both
+extend `ScanConfig`, the keys every scanning experiment reads.  Their
+fields are the reference for the keys and their defaults.  An unknown key,
+a missing required key, a value of the wrong type or a scan setting out of
+range raises InputError (exit code 2) before anything is computed.  What
+no config varies is fixed, and setting it is an unknown key: the noise
+floors (1e-7 static, 1e-12 dynamic) and the flow tolerance
+`detector.FLOW_TOL` = 1e-9.
 The runner then computes with the library modules and (optionally) writes a
 JSON summary plus plot-ready long-format CSV tables.  Outputs are
 deterministic: identical configs and inputs produce byte-identical files,
@@ -32,8 +32,6 @@ from .errors import (ConsistencyError, GuardError, InputError, integer,
 
 # the evolved field carries solver error; its transform floor sits there
 STATIC_NOISE_REL, DYNAMIC_NOISE_REL = 1e-7, 1e-12
-COMMUTATOR_GRID = grid.GridSpec(1, 512, 20.0)
-COMMUTATOR_TIMES, COMMUTATOR_TOL = (0.5, 1.0), 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -109,6 +107,14 @@ _BY_TYPE = {
 }
 
 
+def _fraction(value, key, done) -> float:
+    """A number in [0, 1]."""
+    value = number(value, key)
+    if not 0.0 <= value <= 1.0:
+        raise InputError(f"'{key}' must lie in [0, 1], got {value!r}")
+    return value
+
+
 def _grid(value, key, done) -> grid.GridSpec:
     g = load_json(value, ("n", "points", "halfwidth"))
     return grid.GridSpec(integer(g.get("n"), "n"), g["points"], g["halfwidth"])
@@ -175,44 +181,13 @@ def _datum_from_config(entry: tuple, spec: grid.GridSpec) -> grid.GridFunction:
 
 
 @dataclass(frozen=True, kw_only=True)
-class _Config:
-    """The keys every experiment reads, and the one config parser."""
+class ScanConfig:
+    """The keys every scanning experiment reads, and the one config parser.
+    `directions` is a count for `detector.direction_fan` (by default 4, or
+    2 in 1-d) or a list."""
 
     experiment: str | None = None
     out_dir: str | None = None
-
-    @classmethod
-    def parse(cls, cfg: dict):
-        """Convert each key once, from its value or else its default; InputError
-        for an unknown or missing key or a value of the wrong type."""
-        obj = load_json(cfg, [f.name for f in fields(cls)])
-        done = {}
-        for f in fields(cls):
-            if f.default is MISSING and f.name not in obj:
-                raise InputError(f"config needs '{f.name}'")
-            parse = f.metadata.get("parse") or _BY_TYPE[f.type]
-            try:
-                done[f.name] = parse(obj.get(f.name, f.default), f.name, done)
-            except (KeyError, TypeError, ValueError) as exc:
-                raise InputError(f"config key '{f.name}': {exc!r}") from None
-        return cls(**done)
-
-    def write(self, summary: dict, tables: dict) -> None:
-        """summary.json and CSV tables {name: (header, rows)} into out_dir, if set."""
-        if self.out_dir is None:
-            return
-        out = Path(self.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        write_json(out / "summary.json", summary)
-        for name, (header, rows) in tables.items():
-            write_csv(out / name, header, rows)
-
-
-@dataclass(frozen=True, kw_only=True)
-class ScanConfig(_Config):
-    """The keys every scanning experiment reads.  `directions` is a count
-    for `detector.direction_fan` (by default 4, or 2 in 1-d) or a list."""
-
     grid: grid.GridSpec = _key(_grid)
     potential: potentials.VectorPotentialModel = _key(_potential, None)
     positions: list = _key(_vectors)
@@ -226,6 +201,39 @@ class ScanConfig(_Config):
     cone_angle: float = detector.ConicSample.half_angle
     a: float = detector.ConicSample.a
     t0: float = 1.0
+
+    @classmethod
+    def parse(cls, cfg: dict):
+        """Convert each key once, from its value or else its default; InputError
+        for an unknown or missing key, a value of the wrong type or a scan
+        setting that the conic sample or the window refuses."""
+        obj = load_json(cfg, [f.name for f in fields(cls)])
+        done = {}
+        for f in fields(cls):
+            if f.default is MISSING and f.name not in obj:
+                raise InputError(f"config needs '{f.name}'")
+            parse = f.metadata.get("parse") or _BY_TYPE[f.type]
+            try:
+                done[f.name] = parse(obj.get(f.name, f.default), f.name, done)
+            except (KeyError, TypeError, ValueError) as exc:
+                raise InputError(f"config key '{f.name}': {exc!r}") from None
+        config = cls(**done)
+        # the sample and the window own the ranges of these settings
+        n = config.grid.n
+        detector.ConicSample(np.zeros(n), np.ones(n), k_radius=config.k_radius,
+                             half_angle=config.cone_angle, a=config.a)
+        packets.GaussianWindow(n, config.width, b=config.b)
+        return config
+
+    def write(self, summary: dict, tables: dict) -> None:
+        """summary.json and CSV tables {name: (header, rows)} into out_dir, if set."""
+        if self.out_dir is None:
+            return
+        out = Path(self.out_dir)
+        out.mkdir(parents=True, exist_ok=True)
+        write_json(out / "summary.json", summary)
+        for name, (header, rows) in tables.items():
+            write_csv(out / name, header, rows)
 
     def scan(self, mode: str, data, **kwargs) -> list:
         """`detector.wf_scan` over this config's cells and settings."""
@@ -246,8 +254,8 @@ class TransportConfig(ScanConfig):
         lambda v, key, done: propagator.scalar_from_json(v), None)
     data: tuple = _key(_data, ("gaussian",))
     dt: float = 1e-3
-    min_agreement: float = 0.9
-    max_inconclusive: float = 0.5
+    min_agreement: float = _key(_fraction, 0.9)
+    max_inconclusive: float = _key(_fraction, 0.5)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -255,20 +263,8 @@ class PointMassConfig(ScanConfig):
     """Keys of the fundamental-solution experiment."""
 
     control: bool = False
+    # the ladder of the ballistic ratios |x(0)| / (lam t0 |xi|)
     envelope_ladder: tuple = (1.0, 10.0, 100.0, 1000.0, 10000.0)
-
-
-@dataclass(frozen=True, kw_only=True)
-class LemmaConfig(_Config):
-    """Keys of the lemma suite; `models` defaults to the 1-d zero model."""
-
-    models: list = _key(lambda v, key, done: [
-        potentials.model_from_json(m, 1) for m in ([None] if v is None else v)], None)
-    t0: float = 1.0
-    a: float = 2.0
-    p: float = 0.5
-    flow_ladder: tuple = tuple(2.0 ** k for k in range(4, 13))
-    delta: float = 0.5
 
 
 def _cell_columns(n: int) -> list:
@@ -376,15 +372,18 @@ def run_transport_consistency(cfg: dict) -> dict:
 
 
 def run_fundamental_solution(cfg: dict) -> dict:
-    """Dynamic membership scan for a point-mass datum, plus analytic tables.
+    """Dynamic membership scan for a point-mass datum, plus the ballistic
+    ratios of its backward flows.
 
-    Refuses t0 = 0 unless 'control' is set (at time zero the point mass is
-    its own singular field, which is exactly the control case).
+    Refuses t0 < 0, and t0 = 0 unless 'control' is set (at time zero the
+    point mass is its own singular field, which is exactly the control case).
     """
     config = PointMassConfig.parse(cfg)
     spec, model, t0, b = config.grid, config.potential, config.t0, config.b
     if not model.conforming:
         raise GuardError("fundamental-solution experiment needs a conforming model")
+    if t0 < 0.0:
+        raise InputError(f"t0 must be nonnegative, got {t0!r}")
     if t0 == 0.0 and not config.control:
         raise GuardError("t0 = 0 is the singular control case; pass control=true")
     u0 = grid.delta_spike(spec)
@@ -394,20 +393,9 @@ def run_fundamental_solution(cfg: dict) -> dict:
     smooth = [c for c in conclusive if c.verdict == "not-in-WF"]
     fraction_smooth = len(smooth) / len(conclusive) if conclusive else 0.0
 
-    # analytic cross-plot: flowed |x(0)| against the magnitude envelope; the
-    # ratio report flows each cell once per rung, in the cells' order
-    env_ladder = config.envelope_ladder
-    envelope_rows = []
-    ratio_report = None
-    if t0 != 0.0:
-        ratio_report = chars.lower_bound_x0(
-            model, t0, config.positions, config.directions, env_ladder,
-            tol=detector.FLOW_TOL)
-        for i, c in enumerate(cells):
-            for lam in env_ladder:
-                x0_norm = ratio_report.x0_norms[lam][i]
-                env = packets.fundamental_solution_envelope(lam, b, t0, x0_norm, spec.n)
-                envelope_rows.append([*c.x0, *c.xi0, lam, x0_norm, env])
+    ratio_report = None if t0 == 0.0 else chars.lower_bound_x0(
+        model, t0, config.positions, config.directions, config.envelope_ladder,
+        tol=detector.FLOW_TOL)
 
     summary = {
         "experiment": "fundamental-solution",
@@ -431,9 +419,6 @@ def run_fundamental_solution(cfg: dict) -> dict:
     columns = _cell_columns(spec.n)
     tables = {"ladder.csv": (columns + ["lambda", "mag", "nhat", "verdict"],
                              [row for c in cells for row in _ladder_rows(c)])}
-    if envelope_rows:
-        tables["envelope.csv"] = (columns + ["lambda", "x0_norm", "envelope"],
-                                  envelope_rows)
     if ratio_report is not None:
         tables["ratios.csv"] = (["lambda", "sample", "ratio"],
                                 [[lam, i, r] for lam in ratio_report.ladder
@@ -442,75 +427,10 @@ def run_fundamental_solution(cfg: dict) -> dict:
     return summary
 
 
-# ---------------------------------------------------------------------------
-# bound suites
-
-
-def run_lemma_suite(cfg: dict) -> dict:
-    """Sandwich bounds, integral bound, and commutation checks in one run."""
-    config = LemmaConfig.parse(cfg)
-    for model in config.models:
-        if not model.conforming:
-            raise GuardError("bound sweeps need conforming models")
-    t0, a_param = config.t0, config.a
-    checks = []
-    for model in config.models:
-        n_m = model.n
-        k_samples = [np.zeros(n_m), 0.3 * np.eye(n_m)[0]]
-        e1 = np.eye(n_m)[0]
-        e_last = np.eye(n_m)[-1]
-        gamma = [e1 / a_param, e1, a_param * e1]
-        if n_m > 1:
-            gamma.append(0.5 * (e1 + e_last) / np.linalg.norm(0.5 * (e1 + e_last)))
-        fb = chars.check_flow_bounds(model, a_param, config.p, config.flow_ladder,
-                                     t0, k_samples, gamma, tol=detector.FLOW_TOL)
-        ib = chars.check_integral_bound(model, config.delta, (0.0, t0),
-                                        [(np.zeros(n_m), e1),
-                                         (0.3 * e1, e1)],
-                                        tol=detector.FLOW_TOL)
-        checks.append({
-            "model": potentials.model_to_json(model),
-            "flow_bounds": {"lambda_hat0": fb.lambda_hat0, "ok": fb.ok,
-                            "violations_above_2hat": fb.violations_above_2hat},
-            "integral_bound": {"sup_ratio": {repr(k): v for k, v in
-                                             ib.sup_ratio.items()},
-                               "stable": ib.stable},
-        })
-
-    packet = packets.make_scaled_packet(COMMUTATOR_GRID, 1.0, 1.0, 0.125)
-    commutator = []
-    worst = 0.0
-    for t in COMMUTATOR_TIMES:
-        for alpha, beta in (((0,), (0,)), ((1,), (0,)), ((0,), (1,)),
-                            ((2,), (0,)), ((1,), (1,)), ((0,), (2,))):
-            d = packets.commutator_check(packet, t, alpha, beta)
-            worst = max(worst, d)
-            commutator.append({"t": t, "alpha": list(alpha),
-                               "beta": list(beta), "discrepancy": d})
-
-    all_ok = (all(c["flow_bounds"]["ok"] for c in checks)
-              and all(c["integral_bound"]["stable"] for c in checks)
-              and worst <= COMMUTATOR_TOL)
-    summary = {
-        "experiment": "lemma-suite",
-        "config": _jsonify(_config_echo(cfg)),
-        "checks": checks,
-        "commutator": commutator,
-        "commutator_worst": worst,
-        "commutator_tol": COMMUTATOR_TOL,
-        "all_ok": all_ok,
-    }
-    config.write(summary, {})
-    if not all_ok:
-        raise ConsistencyError("one or more bound checks failed; see summary")
-    return summary
-
-
 RUNNERS = {
     "free-transport": run_transport_consistency,
     "magnetic-transport": run_transport_consistency,
     "fundamental-solution": run_fundamental_solution,
-    "lemma-suite": run_lemma_suite,
     "scalar-potential": run_transport_consistency,
 }
 

@@ -263,7 +263,7 @@ def delta_spike(spec: GridSpec, label="delta") -> GridFunction:
 
 def jump_data(spec: GridSpec, width=1.0, axis: int = 0, steepness: float = 0.0,
               label="jump") -> GridFunction:
-    """Gaussian envelope with a sign flip across the hyperplane y_axis = 0.
+    """A Gaussian with a sign flip across the hyperplane y_axis = 0.
 
     steepness > 0 mollifies the flip to tanh(y/steepness); a hard sign
     radiates mass at all frequencies and cannot be propagated on a finite

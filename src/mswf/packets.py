@@ -428,21 +428,6 @@ def gaussian_wpt_oracle(signal, window: GaussianWindow, p) -> complex:
     return complex(out)
 
 
-def fundamental_solution_envelope(lam: float, b: float, t0: float,
-                                  x_norm: float, n: int) -> float:
-    """Qualitative magnitude envelope for the evolved point-mass transform.
-
-    Shape C_n lam^(-n b / 2) |Lam|^(n/2) exp(-|x|^2 / (2 |Lam|)) with
-    Lam = lam^(-2b) - i t0, normalized so the lam = 1, x = 0 value matches
-    the exact window magnitude.  Used for cross-plotting only; the exact
-    closed form lives in `gaussian_wpt_oracle`.
-    """
-    Lam = lam ** (-2.0 * b) - 1j * t0
-    cn = (1.0 + t0 ** 2) ** (-n / 2.0)
-    return float(cn * lam ** (-n * b / 2.0) * abs(Lam) ** (n / 2.0)
-                 * np.exp(-x_norm ** 2 / (2.0 * abs(Lam))))
-
-
 # ---------------------------------------------------------------------------
 # free-evolution commutation check
 

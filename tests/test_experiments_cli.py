@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -46,9 +47,13 @@ def test_transport_consistency_deterministic_outputs(tmp_path):
         assert a == b, f"{name} not byte-identical"
 
 
-def test_transport_consistency_agreement_gate():
-    with pytest.raises(errors.ConsistencyError):
-        exp.run_transport_consistency(dict(FREE_CFG, min_agreement=1.01))
+def test_transport_consistency_agreement_gate(monkeypatch):
+    # an evolve that does nothing leaves the point mass singular for the
+    # static test, while the dynamic test flows away from it
+    monkeypatch.setattr(exp.propagator, "evolve", lambda model, scalar, data, *rest: data)
+    with pytest.raises(errors.ConsistencyError, match="verdict agreement"):
+        exp.run_transport_consistency(dict(FREE_CFG, data=["delta"], positions=[[0.0]],
+                                           min_agreement=1.0))
 
 
 def test_transport_rejects_nonconforming_model():
@@ -73,9 +78,8 @@ FS_CFG = {
 def test_fundamental_solution_smoke(tmp_path):
     summary = exp.run_fundamental_solution(dict(FS_CFG, out_dir=str(tmp_path)))
     assert summary["fraction_not_in_wf"] == 1.0
-    assert (tmp_path / "ladder.csv").exists()
-    assert (tmp_path / "envelope.csv").exists()
-    assert (tmp_path / "ratios.csv").exists()
+    names = sorted(p.name for p in tmp_path.iterdir())
+    assert names == ["ladder.csv", "ratios.csv", "summary.json"]
 
 
 def test_fundamental_solution_flows_each_point_once(tmp_path, monkeypatch):
@@ -94,21 +98,10 @@ def test_fundamental_solution_flows_each_point_once(tmp_path, monkeypatch):
     counting("flow_batch")
     exp.run_fundamental_solution(dict(FS_CFG, out_dir=str(tmp_path)))
     cells = len(FS_CFG["positions"]) * FS_CFG["directions"]
-    # one grouped flow, a group per envelope rung holding every cell once
+    # one grouped flow, a group per ratio rung holding every cell once
     assert calls["flow"] == []
     (args,) = calls["flow_batch"]
     assert args[3].shape == (len(FS_CFG["envelope_ladder"]), cells, 1)
-    # each envelope row carries the |x(0)| its cell's ratio was taken from
-    # (t0 = 1 and |xi| = 1, so ratio = |x(0)| / lam)
-    ratio = {(float(lam), int(i)): float(r) for lam, i, r in
-             (line.split(",") for line in
-              (tmp_path / "ratios.csv").read_text().splitlines()[1:])}
-    rows = [[float(v) for v in line.split(",")] for line in
-            (tmp_path / "envelope.csv").read_text().splitlines()[1:]]
-    assert len(rows) == cells * len(FS_CFG["envelope_ladder"])
-    for k, (_, _, lam, x0_norm, _) in enumerate(rows):
-        cell = k // len(FS_CFG["envelope_ladder"])
-        assert ratio[(lam, cell)] == x0_norm / lam
 
 
 def test_fundamental_solution_rejects_t0_zero():
@@ -124,27 +117,25 @@ def test_fundamental_solution_control_case():
     assert all(c["verdict"] == "in-WF" for c in summary["cells"])
 
 
-def test_lemma_suite_smoke(tmp_path):
-    summary = exp.run_lemma_suite({
-        "models": [{"family": "zero", "n": 1}],
-        "t0": 1.0, "a": 2.0, "p": 0.5, "delta": 1.0,
-        "flow_ladder": [2.0 ** k for k in range(4, 10)],
-        "out_dir": str(tmp_path),
-    })
-    assert summary["all_ok"]
-    assert summary["commutator_worst"] <= 1e-8
-    assert (tmp_path / "summary.json").exists()
-
-
-def test_run_experiment_dispatch():
+@pytest.mark.parametrize("name", ["nope", "lemma-suite"])
+def test_unknown_experiment_exits_2(name, capsys):
     with pytest.raises(errors.InputError):
-        exp.run_experiment({"experiment": "nope"})
+        exp.run_experiment({"experiment": name})
+    assert cli.main(["experiment", "--config", json.dumps({"experiment": name})]) == 2
+    assert "InputError" in capsys.readouterr().err
+
+
+def test_readme_names_every_experiment_once():
+    # the `mswf experiment` comment and the list of config classes
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    comment = readme.split("# configured experiment (")[1].split(")")[0]
+    assert sorted(re.findall(r"[a-z]+(?:-[a-z]+)+", comment)) == sorted(exp.RUNNERS)
+    listed = readme.split("into a frozen class in `mswf.experiments`")[1].split("\n\n")[1]
+    assert sorted(re.findall(r"`([a-z-]+)`", listed)) == sorted(exp.RUNNERS)
 
 
 # ---------------------------------------------------------------------------
 # config schema
-
-LEMMA_CFG = {"experiment": "lemma-suite", "models": [{"family": "zero", "n": 1}]}
 
 BAD_CONFIGS = {
     "misspelled-key": lambda cfg: dict(cfg, half_angle=0.2),
@@ -167,40 +158,48 @@ BAD_CONFIGS = {
     "directions-empty": lambda cfg: dict(cfg, directions=[]),
     "positions-empty": lambda cfg: dict(cfg, positions=[]),
     "ladder-short": lambda cfg: dict(cfg, ladder={"kmin": 2, "kmax": 4}),
-    # settings that are constants now, not keys
+    # the ranges the conic sample and the window own, and the point mass's time
+    "k-radius-negative": lambda cfg: dict(cfg, k_radius=-0.1),
+    "cone-angle-negative": lambda cfg: dict(cfg, cone_angle=-0.2),
+    "a-below-one": lambda cfg: dict(cfg, a=0.5),
+    "width-zero": lambda cfg: dict(cfg, width=0.0),
+    "b-one": lambda cfg: dict(cfg, b=1.0),
+    "t0-negative": lambda cfg: dict(cfg, t0=-1.0),
+    # the transport gates are fractions
+    "min-agreement-above-one": lambda cfg: dict(cfg, min_agreement=1.01),
+    "max-inconclusive-negative": lambda cfg: dict(cfg, max_inconclusive=-0.1),
+    # settings that are constants now, and keys of the removed lemma suite
     "tol": lambda cfg: dict(cfg, tol=1e-9),
     "noise-floor": lambda cfg: dict(cfg, static_noise_rel=1e-7),
     "commutator-tol": lambda cfg: dict(cfg, commutator_tol=1e-8),
     "lemma-n": lambda cfg: dict(cfg, n=1),
+    "flow-ladder-empty": lambda cfg: dict(cfg, flow_ladder=[]),
+    "flow-ladder-below-one": lambda cfg: dict(cfg, flow_ladder=[0.5, 2.0, 4.0]),
     # a dilation ladder has at least one rung, each >= 1
     "envelope-ladder-zero": lambda cfg: dict(cfg, envelope_ladder=[0]),
     "envelope-ladder-negative": lambda cfg: dict(cfg, envelope_ladder=[-1]),
     "envelope-ladder-empty": lambda cfg: dict(cfg, envelope_ladder=[]),
-    "flow-ladder-empty": lambda cfg: dict(cfg, flow_ladder=[]),
-    "flow-ladder-below-one": lambda cfg: dict(cfg, flow_ladder=[0.5, 2.0, 4.0]),
 }
 
-POINT_MASS_ONLY = ("envelope-ladder-zero", "envelope-ladder-negative", "envelope-ladder-empty")
-LEMMA_ONLY = ("commutator-tol", "lemma-n", "flow-ladder-empty", "flow-ladder-below-one")
+POINT_MASS_ONLY = ("envelope-ladder-zero", "envelope-ladder-negative", "envelope-ladder-empty",
+                   "t0-negative")
+TRANSPORT_ONLY = ("datum-typo", "noise-floor", "min-agreement-above-one",
+                  "max-inconclusive-negative")
 SCHEMA_CASES = (
     [(exp.run_transport_consistency, FREE_CFG, bad)
-     for bad in BAD_CONFIGS if bad not in LEMMA_ONLY + POINT_MASS_ONLY]
-    + [(exp.run_fundamental_solution, FS_CFG, bad) for bad in BAD_CONFIGS
-       if bad not in ("datum-typo", "noise-floor") + LEMMA_ONLY]
-    + [(exp.run_lemma_suite, LEMMA_CFG, bad)
-       for bad in ("misspelled-key", "t0-text", "t0-nan", "tol") + LEMMA_ONLY])
+     for bad in BAD_CONFIGS if bad not in POINT_MASS_ONLY]
+    + [(exp.run_fundamental_solution, FS_CFG, bad)
+       for bad in BAD_CONFIGS if bad not in TRANSPORT_ONLY])
 
 
 @pytest.fixture
 def no_compute(monkeypatch):
-    """Fail on any evolve, scan, flow, datum or packet a runner reaches."""
+    """Fail on any evolve, scan, flow or datum a runner reaches."""
     def forbidden(*args, **kwargs):
         raise AssertionError("computed before the config was checked")
 
     for owner, name in ((exp.propagator, "evolve"), (exp.detector, "wf_scan"),
-                        (exp.chars, "lower_bound_x0"), (exp.chars, "check_flow_bounds"),
-                        (exp.chars, "check_integral_bound"),
-                        (exp.packets, "make_scaled_packet"), (exp.grid, "gaussian_data"),
+                        (exp.chars, "lower_bound_x0"), (exp.grid, "gaussian_data"),
                         (exp.grid, "builtin_data"), (exp.grid, "delta_spike")):
         monkeypatch.setattr(owner, name, forbidden)
 
@@ -477,8 +476,8 @@ def test_cli_exit_codes(tmp_path):
     rc = cli.main(["evolve", "--dt", "0.01", "--t1", "2.0", "--in", str(u0),
                    "--out", str(tmp_path / "x.wfgf")])
     assert rc == 3
-    # consistency failure -> 4
-    cfg = dict(FREE_CFG, min_agreement=1.01)
+    # consistency failure -> 4 (every rung leaves the band: all inconclusive)
+    cfg = dict(FREE_CFG, ladder={"kmin": 7, "kmax": 11})
     cfg_path2 = tmp_path / "strict.json"
     cfg_path2.write_text(json.dumps(cfg))
     assert cli.main(["experiment", "--config", str(cfg_path2)]) == 4

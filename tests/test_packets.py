@@ -496,21 +496,6 @@ def test_oracle_evolved_delta_magnitude():
     assert val == pytest.approx(lam ** (-b / 2) * abs(Lam) ** (-0.5), rel=1e-12)
 
 
-def test_envelope_shape_and_normalization():
-    # the cross-plot envelope C_n lam^(-nb/2) |Lam|^(n/2) exp(-x^2/(2|Lam|))
-    lam, b, t0 = 16.0, 0.125, 1.0
-    Lam = lam ** (-2 * b) - 1j * t0
-    c1 = (1 + t0 ** 2) ** (-0.5)
-    want = c1 * lam ** (-b / 2) * abs(Lam) ** 0.5
-    assert packets.fundamental_solution_envelope(lam, b, t0, 0.0, 1) == \
-        pytest.approx(want, rel=1e-12)
-    # normalized to the exact magnitude at lam = 1
-    exact_at_one = abs(packets.gaussian_wpt_oracle(
-        DeltaSignal(), GaussianWindow(1, 1.0, 1.0, b, -t0), ((0.0,), (1.0,))))
-    assert packets.fundamental_solution_envelope(1.0, b, t0, 0.0, 1) == \
-        pytest.approx(exact_at_one, rel=1e-12)
-
-
 def test_oracle_agrees_with_quadrature_when_evolved():
     f = grid.gaussian_data(SPEC, width=0.8)
     win = GaussianWindow(1, 1.0, 4.0, 0.125, -0.5)
