@@ -46,13 +46,8 @@ def _vector_field(model: VectorPotentialModel, s, x, xi):
     """(dx/ds, dxi/ds) = (xi - a, (grad_x a)^T (xi - a)), batched over leading axes.
 
     `s` is a time, or one time per group of shape (G, 1) with x of shape
-    (G, K, n).  A custom-sampled callable is handed scalar times, one group
-    at a time.
+    (G, K, n), which every family evaluates in one call.
     """
-    if np.ndim(s) and model.family == "custom-sampled":
-        v, dxi = zip(*(_vector_field(model, sg.item(), xg, xig)
-                       for sg, xg, xig in zip(s, x, xi)))
-        return np.stack(v), np.stack(dxi)
     v = xi - eval_a(model, s, x)
     return v, np.einsum("...kj,...k->...j", jacobian_a(model, s, x), v)
 
@@ -60,15 +55,10 @@ def _vector_field(model: VectorPotentialModel, s, x, xi):
 def _phase_rate(model: VectorPotentialModel, s, x, v, dxi) -> tuple:
     """Real and imaginary parts of Psi, given the vector field (v, dxi) at (s, x).
 
-    `s` is a time, or one time per row of x; a custom-sampled callable is
-    handed scalar times, as in `_vector_field`.
+    `s` is a time, or one time per row of x, as in `_vector_field`.
     """
-    if np.ndim(s) and model.family == "custom-sampled":
-        div = np.array([divergence_a(model, sg.item(), xg) for sg, xg in zip(s, x)])
-    else:
-        div = divergence_a(model, s, x)
     re = -0.5 * np.sum(v * v, axis=-1) - np.sum(dxi * x, axis=-1)
-    return re, 0.5 * div
+    return re, 0.5 * divergence_a(model, s, x)
 
 
 def hamiltonian(model: VectorPotentialModel, t: float, x, xi) -> float:

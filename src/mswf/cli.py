@@ -25,7 +25,7 @@ _SCAN_KEYS = {f.name for f in fields(experiments.ScanConfig)}
 def _parse_grid(text: str) -> grid.GridSpec:
     try:
         n, points, halfwidth = text.split(",")
-        return grid.GridSpec(int(n), int(points), float(halfwidth))
+        return grid.GridSpec(n, points, halfwidth)
     except ValueError:
         raise InputError(f"grid must be 'n,points,halfwidth', got '{text}'") from None
 

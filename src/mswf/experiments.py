@@ -91,10 +91,12 @@ def _typed(value, key, kind, what: str):
 
 
 def _dilations(value, key, done) -> tuple:
-    """A dilation ladder: at least one rung, each a number >= 1."""
+    """A dilation ladder: at least one rung, each a number >= 1, strictly
+    increasing (the rule `detector.parse_ladder` has)."""
     ladder = tuple(number(x, key) for x in value)
-    if not ladder or min(ladder) < 1.0:
-        raise InputError(f"'{key}' needs at least one rung, each >= 1, got {value!r}")
+    if not ladder or min(ladder) < 1.0 or any(b <= a for a, b in zip(ladder, ladder[1:])):
+        raise InputError(f"'{key}' needs at least one rung, each >= 1 and strictly "
+                         f"increasing, got {value!r}")
     return ladder
 
 
@@ -117,7 +119,7 @@ def _fraction(value, key, done) -> float:
 
 def _grid(value, key, done) -> grid.GridSpec:
     g = load_json(value, ("n", "points", "halfwidth"))
-    return grid.GridSpec(integer(g.get("n"), "n"), g["points"], g["halfwidth"])
+    return grid.GridSpec(g.get("n"), g["points"], g["halfwidth"])
 
 
 def _potential(value, key, done) -> potentials.VectorPotentialModel:

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InputError, number, one_of
+from .errors import InputError, integer, number, one_of
 
 WFGF_MAGIC = b"WFGF"
 WFGF_VERSION = 1
@@ -43,9 +43,10 @@ class GridSpec:
     halfwidths: tuple
 
     def __init__(self, n: int, points, halfwidths):
+        n = integer(n, "n")
         if n not in (1, 2, 3):
             raise InputError(f"grid dimension must be 1, 2 or 3, got {n}")
-        points = tuple(int(m) for m in _per_axis(points, n, "points"))
+        points = tuple(integer(m, "points") for m in _per_axis(points, n, "points"))
         halfwidths = tuple(number(w, "halfwidth") for w in _per_axis(halfwidths, n, "halfwidths"))
         for m in points:
             if m < 8 or (m & (m - 1)) != 0:

@@ -8,12 +8,11 @@ controlled by a power of the regularized distance <x> = sqrt(1 + |x|^2):
   rotational      a = amp g(t) <x>^(rho-1) (x2, -x1)      (n = 2, rho < 1)
   constant-field  a = (B0/2) (-x2, x1)                    (n = 2, grows linearly,
                                                            deliberately non-conforming)
-  custom-sampled  user callable, finite-difference derivatives
 
-The decay hypothesis |d^alpha a| <= C <x>^(rho-|alpha|) is asserted by
-family: `VectorPotentialModel.conforming` holds it for the conforming
-families, a custom model states it with `custom_conforming`, and nothing
-samples it.
+Every family is a = g(t) a0(x) with g one of MODULATIONS; the constant
+field takes only g = 1.  The decay hypothesis |d^alpha a| <= C <x>^(rho-|alpha|)
+is asserted by family: `VectorPotentialModel.conforming` holds it for the
+conforming families, and nothing samples it.
 """
 
 from __future__ import annotations
@@ -22,9 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, NumericError, integer, load_json, number, one_of
+from .errors import InputError, integer, load_json, number, one_of
 
-FAMILIES = ("zero", "soft-power", "rotational", "constant-field", "custom-sampled")
+FAMILIES = ("zero", "soft-power", "rotational", "constant-field")
 
 MODULATIONS = {
     "one": lambda t: np.ones_like(np.asarray(t, dtype=float)) if np.ndim(t) else 1.0,
@@ -62,9 +61,6 @@ class VectorPotentialModel:
     amplitude: tuple = ()
     modulation: str = "one"
     b0: float = 1.0
-    custom_a: object = None
-    custom_jacobian: object = None
-    custom_conforming: bool = False
 
     def __post_init__(self):
         one_of(self.family, FAMILIES, "family")
@@ -73,12 +69,12 @@ class VectorPotentialModel:
         if self.family in ("rotational", "constant-field") and self.n != 2:
             raise InputError(f"family '{self.family}' is two-dimensional")
         one_of(self.modulation, MODULATIONS, "modulation")
+        if self.family == "constant-field" and self.modulation != "one":
+            raise InputError("family 'constant-field' takes no modulation but 'one'")
         for key in ("rho", "b0"):
             object.__setattr__(self, key, number(getattr(self, key), key))
         if self.family in ("soft-power", "rotational") and not self.rho < 1.0:
             raise InputError("soft-power/rotational families require rho < 1")
-        if self.family == "custom-sampled" and self.custom_a is None:
-            raise InputError("custom-sampled family needs a callable")
         count = 1 if self.family == "rotational" else self.n
         amp = self.amplitude
         if not isinstance(amp, (tuple, list, np.ndarray)):  # one for every component
@@ -92,11 +88,7 @@ class VectorPotentialModel:
     @property
     def conforming(self) -> bool:
         """Whether the family satisfies the <x>^(rho-|alpha|) derivative bounds."""
-        if self.family in ("zero", "soft-power", "rotational"):
-            return True
-        if self.family == "custom-sampled":
-            return bool(self.custom_conforming)
-        return False  # constant-field grows linearly
+        return self.family != "constant-field"  # which grows linearly
 
     def g(self, t):
         return MODULATIONS[self.modulation](t)
@@ -169,9 +161,8 @@ def eval_a(model: VectorPotentialModel, t, x) -> np.ndarray:
 
     `t` is a time, or an array of times that broadcasts to x.shape[:-1],
     such as one time per group of points of shape (G, 1) for x of shape
-    (G, K, n).  Built-in families give each point the same bits as a
-    scalar-t call at its time, which the grouped flow relies on; a
-    custom-sampled callable gets `t` as passed.
+    (G, K, n).  Each point gets the same bits as a scalar-t call at its
+    time, which the grouped flow relies on.
     """
     x = _check_point(model, x)
     if model.family == "zero":
@@ -183,12 +174,7 @@ def eval_a(model: VectorPotentialModel, t, x) -> np.ndarray:
         p = bracket(x) ** (model.rho - 1.0)
         perp = np.stack([x[..., 1], -x[..., 0]], axis=-1)
         return _modulated(model, t, model.amplitude[0], -1) * p[..., None] * perp
-    if model.family == "constant-field":
-        return 0.5 * model.b0 * np.stack([-x[..., 1], x[..., 0]], axis=-1)
-    out = np.asarray(model.custom_a(t, x), dtype=float)
-    if out.shape != x.shape:
-        raise NumericError("custom potential returned wrong shape")
-    return out
+    return 0.5 * model.b0 * np.stack([-x[..., 1], x[..., 0]], axis=-1)  # constant-field
 
 
 def jacobian_a(model: VectorPotentialModel, t, x) -> np.ndarray:
@@ -218,36 +204,14 @@ def jacobian_a(model: VectorPotentialModel, t, x) -> np.ndarray:
         J[..., 1, 0] = -c * ((model.rho - 1.0) * x1 * x1 * pm3 + pm1)
         J[..., 1, 1] = -c * (model.rho - 1.0) * x1 * x2 * pm3
         return J
-    if model.family == "constant-field":
-        J = np.zeros(batch + (2, 2))
-        J[..., 0, 1] = -0.5 * model.b0
-        J[..., 1, 0] = 0.5 * model.b0
-        return J
-    if model.custom_jacobian is not None:
-        return np.asarray(model.custom_jacobian(t, x), dtype=float)
-    return _fd_jacobian(model, t, x)
-
-
-def _fd_jacobian(model: VectorPotentialModel, t: float, x: np.ndarray) -> np.ndarray:
-    """4th-order central differences, step scaled with |x| to keep relative accuracy."""
-    n = model.n
-    batch = x.shape[:-1]
-    h = 1e-4 * np.maximum(1.0, np.sqrt(np.sum(x * x, axis=-1)))
-    J = np.empty(batch + (n, n))
-    for k in range(n):
-        e = np.zeros(n)
-        e[k] = 1.0
-        hk = h[..., None]
-        fp2 = eval_a(model, t, x + 2 * hk * e)
-        fp1 = eval_a(model, t, x + hk * e)
-        fm1 = eval_a(model, t, x - hk * e)
-        fm2 = eval_a(model, t, x - 2 * hk * e)
-        J[..., :, k] = (-fp2 + 8 * fp1 - 8 * fm1 + fm2) / (12.0 * hk)
+    J = np.zeros(batch + (2, 2))  # constant-field
+    J[..., 0, 1] = -0.5 * model.b0
+    J[..., 1, 0] = 0.5 * model.b0
     return J
 
 
 def divergence_a(model: VectorPotentialModel, t, x) -> np.ndarray:
-    """div a; closed forms where available (rotational and constant-field are 0).
+    """div a, in closed form (rotational and constant-field are 0).
 
     `t` broadcasts to x.shape[:-1], as in `eval_a`.
     """
@@ -255,12 +219,9 @@ def divergence_a(model: VectorPotentialModel, t, x) -> np.ndarray:
     batch = x.shape[:-1]
     if model.family in ("zero", "rotational", "constant-field"):
         return np.zeros(batch)
-    if model.family == "soft-power":
-        pm2 = bracket(x) ** (model.rho - 2.0)
-        amp = np.asarray(model.amplitude)
-        return _modulated(model, t, model.rho) * np.sum(amp * x, axis=-1) * pm2
-    J = jacobian_a(model, t, x)
-    return np.trace(J, axis1=-2, axis2=-1)
+    pm2 = bracket(x) ** (model.rho - 2.0)  # soft-power
+    amp = np.asarray(model.amplitude)
+    return _modulated(model, t, model.rho) * np.sum(amp * x, axis=-1) * pm2
 
 
 def magnetic_field(model: VectorPotentialModel, t: float, x) -> np.ndarray:

@@ -191,15 +191,9 @@ def bspline_sample(coeffs: np.ndarray, points: np.ndarray, out: np.ndarray) -> n
 def _grid_potential(model: VectorPotentialModel, coords: np.ndarray):
     """t -> (a0, g, peak) with a(t, .) = g * a0 on the grid, peak = max|a0|.
 
-    The built-in families with a time factor are a = g(t) a0(x), so their
-    profile a0 and its peak are evaluated once; the others are evaluated at
-    each t.
+    Every family is a = g(t) a0(x), so the profile a0 and its peak are
+    evaluated once.
     """
-    if model.family not in ("soft-power", "rotational"):
-        def at(t):
-            a0 = eval_a(model, t, coords)
-            return a0, 1.0, float(np.max(np.abs(a0)))
-        return at
     profile = eval_a(replace(model, modulation="one"), 0.0, coords)
     peak = float(np.max(np.abs(profile)))
     return lambda t: (profile, float(model.g(t)), peak)

@@ -286,9 +286,10 @@ def test_lower_bound_conforming_models(model):
 def grouped_flows(draw):
     family = draw(st.sampled_from(("zero", "soft-power", "rotational", "constant-field")))
     n = 2 if family in ("rotational", "constant-field") else draw(st.integers(1, 3))
+    modulations = ("one",) if family == "constant-field" else ("one", "sin", "cosbump")
     model = pots.VectorPotentialModel(
         family, n, rho=0.5, amplitude=draw(st.floats(0.3, 2.0)),
-        modulation=draw(st.sampled_from(("one", "sin", "cosbump"))))
+        modulation=draw(st.sampled_from(modulations)))
     G, K = draw(st.integers(1, 4)), draw(st.integers(1, 5))
     t0 = draw(st.floats(0.0, 1.0))
     span = draw(st.floats(0.2, 1.5)) * draw(st.sampled_from((-1.0, 1.0)))
@@ -323,11 +324,12 @@ def test_grouped_flow_matches_solve_ivp_per_group(case):
         assert np.array_equal(alone_x, x[g]) and np.array_equal(alone_xi, xi[g])
 
 
-def test_grouped_flow_names_the_failing_group():
+def test_grouped_flow_names_the_failing_group(monkeypatch):
     # a is not finite for x > 5, where group 1 starts
-    model = pots.VectorPotentialModel(
-        "custom-sampled", 1,
-        custom_a=lambda t, x: np.where(x > 5.0, np.nan, 0.5 * np.tanh(x)))
+    model = pots.soft_power_model(1, 0.5, 0.5)
+    eval_a = chars.eval_a
+    monkeypatch.setattr(chars, "eval_a", lambda m, t, x: np.where(
+        x > 5.0, np.nan, eval_a(m, t, x)) if m is model else eval_a(m, t, x))
     X = np.array([[[0.0]], [[6.0]], [[-1.0]]])
     with pytest.raises(errors.StepUnderflowError, match="group 1"):
         chars.flow_batch(model, 1.0, 0.0, X, np.ones_like(X))
@@ -399,13 +401,8 @@ def test_tableau_is_scipys_rk45():
     assert chars._ERROR_EXPONENT == -1.0 / (RK45.error_estimator_order + 1)
 
 
-def test_custom_model_with_scalar_times_flows():
-    # the callable takes float(t), so it must be handed scalar times
-    model = pots.VectorPotentialModel(
-        "custom-sampled", 1, custom_a=lambda t, x: 0.5 * np.tanh(x) * np.cos(float(t)))
-    res = chars.flow(model, 1.0, 0.0, (0.3,), (2.0,), 1e-10)
-    assert res.stats["steps"] == 24 and res.stats["rhs_evaluations"] == 146
-    assert res.terminal.x[0] == pytest.approx(-1.6458786100929266, rel=1e-12)
+def test_flow_bounds_read_each_flow_alone():
+    model = pots.soft_power_model(1, 0.5, 0.5, "cosbump")
     ladder = (16.0, 64.0)
     report = chars.check_flow_bounds(model, 2.0, 0.5, ladder, 1.0, [np.zeros(1)],
                                      [np.ones(1)], tol=1e-9)

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mswf import detector as det, errors, grid, packets, potentials as pots
+from mswf import (characteristics as chars, detector as det, errors, grid, packets,
+                  potentials as pots)
 
 FINE = grid.GridSpec(1, 32768, 10.0)
 LADDER = det.default_ladder(3, 11)
@@ -645,12 +646,14 @@ def test_dynamic_scan_finds_each_box_once_and_pairs_with_pair_many_bits(monkeypa
     assert len(pairings) == len(MULTI_POSITIONS) * 2 * len(MULTI_LADDER) and all(pairings)
 
 
-def test_dynamic_scan_records_a_failed_flow_in_its_cell_only():
+def test_dynamic_scan_records_a_failed_flow_in_its_cell_only(monkeypatch):
     # a is not finite for x > 5; with xi > 0 every backward flow moves to
-    # smaller x, so only the cell at x = 8 meets the bad region
-    model = pots.VectorPotentialModel(
-        "custom-sampled", 1,
-        custom_a=lambda t, x: np.where(x > 5.0, np.nan, 0.5 * np.tanh(x) * np.cos(t)))
+    # smaller x, so only the cell at x = 8 meets the bad region.  Only this
+    # model is made to fail, so a scan that flows with a = 0 passes the cell
+    model = pots.soft_power_model(1, 0.5, 0.5, "cosbump")
+    eval_a = chars.eval_a
+    monkeypatch.setattr(chars, "eval_a", lambda m, t, x: np.where(
+        x > 5.0, np.nan, eval_a(m, t, x)) if m is model else eval_a(m, t, x))
     data = _multi_data()[:2]
 
     def scan(positions):

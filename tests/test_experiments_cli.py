@@ -134,6 +134,12 @@ def test_readme_names_every_experiment_once():
     assert sorted(re.findall(r"`([a-z-]+)`", listed)) == sorted(exp.RUNNERS)
 
 
+def test_readme_names_every_potential_family_once():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    listed = readme.split('`{"family": ')[1].split(",")[0]
+    assert sorted(re.findall(r'"([a-z-]+)"', listed)) == sorted(potentials.FAMILIES)
+
+
 # ---------------------------------------------------------------------------
 # config schema
 
@@ -179,10 +185,16 @@ BAD_CONFIGS = {
     "envelope-ladder-zero": lambda cfg: dict(cfg, envelope_ladder=[0]),
     "envelope-ladder-negative": lambda cfg: dict(cfg, envelope_ladder=[-1]),
     "envelope-ladder-empty": lambda cfg: dict(cfg, envelope_ladder=[]),
+    # and its rungs are strictly increasing, like the scan ladder's
+    "envelope-ladder-repeated": lambda cfg: dict(cfg, envelope_ladder=[1, 10, 10]),
+    "envelope-ladder-decreasing": lambda cfg: dict(cfg, envelope_ladder=[10, 1]),
+    # a point count is an integer, not truncated to one
+    "grid-points-fractional": lambda cfg: dict(
+        cfg, grid=dict(cfg["grid"], points=cfg["grid"]["points"] + 0.5)),
 }
 
 POINT_MASS_ONLY = ("envelope-ladder-zero", "envelope-ladder-negative", "envelope-ladder-empty",
-                   "t0-negative")
+                   "envelope-ladder-repeated", "envelope-ladder-decreasing", "t0-negative")
 TRANSPORT_ONLY = ("datum-typo", "noise-floor", "min-agreement-above-one",
                   "max-inconclusive-negative")
 SCHEMA_CASES = (
@@ -249,6 +261,8 @@ BAD_VALUE_ARGV = {
     "potential-amplitude-nan": _flow_argv(dict(SOFT_1D, amplitude=float("nan"))),
     "potential-amplitude-count": _flow_argv(
         {"family": "soft-power", "n": 2, "rho": 0.5, "amplitude": [1, 2, 3]}),
+    "constant-field-modulation": _flow_argv(
+        {"family": "constant-field", "n": 2, "modulation": "sin"}),
     "scalar-modulation-list": [
         "evolve", "--dt", "0.01", "--t1", "0.1", "--in", GAUSSIAN_WFGF,
         "--out", "no-such-out.wfgf", "--scalar-potential",

@@ -16,6 +16,13 @@ def test_gridspec_validation():
         grid.GridSpec(1, 256, -1.0)
     with pytest.raises(errors.InputError):
         grid.GridSpec(4, 256, 1.0)
+    for points in (4096.5, "abc"):  # refused, not truncated
+        with pytest.raises(errors.InputError, match="points"):
+            grid.GridSpec(1, points, 10.0)
+    assert grid.GridSpec(1, 256.0, 10.0).points == (256,)
+    with pytest.raises(errors.InputError, match="'n'"):
+        grid.GridSpec(1.5, 256, 10.0)
+    assert grid.GridSpec(2.0, 16, 5.0).shape == (16, 16)
 
 
 def test_gridfunction_shape_and_norm():

@@ -54,11 +54,7 @@ def test_free_evolution_equals_packet_evolution():
 def test_uniform_potential_gauge_identity():
     # a = const c: u(t) = exp(icx) * free_evolve(exp(-icy) u0)
     c = 0.8
-    model = pots.VectorPotentialModel(
-        "custom-sampled", 1,
-        custom_a=lambda t, x: np.full_like(x, c),
-        custom_jacobian=lambda t, x: np.zeros(x.shape[:-1] + (1, 1)),
-        custom_conforming=True)
+    model = pots.soft_power_model(1, 0.0, amplitude=c)  # <x>^0 = 1 exactly
     u0 = grid.gaussian_data(SPEC)
     t = 0.5
     u1 = prop.evolve(model, None, u0, 0.0, t, prop.EvolveConfig(dt=1e-3))
@@ -89,21 +85,22 @@ def test_gauge_solution_1d_soft_power():
     assert np.max(np.abs(u1.values - gauge_solution(u0, A0, t))) <= 1e-5
 
 
-def test_gauge_solution_2d_radial():
-    # a = c <x>^(rho - 1) x = grad A0 with A0 = c <x>^(rho + 1) / (rho + 1)
+def test_gauge_solution_2d_radial(monkeypatch):
+    # a = c <x>^(rho - 1) x = grad A0 with A0 = c <x>^(rho + 1) / (rho + 1),
+    # put in place of a static soft-power model's a and div a
     spec = grid.GridSpec(2, 128, 5.0)
     c, rho, t = 0.7, 0.5, 0.5
+    model = pots.soft_power_model(2, rho, amplitude=c)
 
-    def a(t, x):
+    def eval_a(m, t, x):
         return c * pots.bracket(x)[..., None] ** (rho - 1.0) * x
 
-    def jacobian(t, x):
-        b = pots.bracket(x)[..., None, None]
-        return c * (b ** (rho - 1.0) * np.eye(2)
-                    + (rho - 1.0) * b ** (rho - 3.0) * x[..., :, None] * x[..., None, :])
+    def divergence_a(m, t, x):
+        b = pots.bracket(x)
+        return c * (2.0 * b ** (rho - 1.0) + (rho - 1.0) * b ** (rho - 3.0) * pots.squared_norm(x))
 
-    model = pots.VectorPotentialModel("custom-sampled", 2, custom_a=a,
-                                      custom_jacobian=jacobian, custom_conforming=True)
+    monkeypatch.setattr(prop, "eval_a", eval_a)
+    monkeypatch.setattr(prop, "divergence_a", divergence_a)
     A0 = c * pots.bracket(np.stack(spec.meshgrid(), axis=-1)) ** (rho + 1.0) / (rho + 1.0)
     u0 = grid.gaussian_data(spec, width=0.7)
     u1 = prop.evolve(model, None, u0, 0.0, t, prop.EvolveConfig(dt=1e-2))
@@ -245,14 +242,12 @@ def test_boundary_mass_guard_checks_the_result_of_a_transport_run():
                     0.0, 0.1, prop.EvolveConfig(dt=0.1))
 
 
-def test_numeric_guard_fires_during_a_transport_run():
-    # a uniform a whose sampled divergence turns NaN after t = 0.05
-    def jacobian(t, x):
-        return np.full(x.shape[:-1] + (1, 1), np.nan if t > 0.05 else 0.0)
-
-    model = pots.VectorPotentialModel(
-        "custom-sampled", 1, custom_a=lambda t, x: np.full_like(x, 0.8),
-        custom_jacobian=jacobian, custom_conforming=True)
+def test_numeric_guard_fires_during_a_transport_run(monkeypatch):
+    # a uniform a whose divergence turns NaN after t = 0.05
+    model = pots.soft_power_model(1, 0.0, amplitude=0.8)
+    divergence_a = prop.divergence_a
+    monkeypatch.setattr(prop, "divergence_a", lambda m, t, x: divergence_a(m, t, x)
+                        + (np.nan if m is model and t > 0.05 else 0.0))
     with pytest.raises(errors.NumericError, match="non-finite") as exc_info:
         prop.evolve(model, None, grid.gaussian_data(SPEC), 0.0, 0.2,
                     prop.EvolveConfig(dt=1e-2))
@@ -463,11 +458,7 @@ def test_leading_term_exact_for_free_motion():
 
 def test_leading_term_exact_for_gradient_free_potential():
     # remainder carries potential derivatives, so a uniform a(t) is exact
-    model = pots.VectorPotentialModel(
-        "custom-sampled", 1,
-        custom_a=lambda t, x: np.full_like(x, 0.8 * np.sin(t) + 0.3),
-        custom_jacobian=lambda t, x: np.zeros(x.shape[:-1] + (1, 1)),
-        custom_conforming=True)
+    model = pots.soft_power_model(1, 0.0, 0.8, "sin")  # a = 0.8 sin(t)
     u0 = grid.gaussian_data(SPEC)
     t = 0.4
     u1 = prop.evolve(model, None, u0, 0.0, t, prop.EvolveConfig(dt=2.5e-4))
