@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputError, NumericError, StepUnderflowError, number
+from .errors import InputError, NumericError, StepUnderflowError, dilations, number
 from .grid import phase_points, point_array
 from .potentials import (VectorPotentialModel, divergence_a, eval_a,
                          jacobian_a)
@@ -378,7 +378,7 @@ def check_flow_bounds(model: VectorPotentialModel, a_param: float, p: float,
         m = float(np.linalg.norm(xi))
         if not (1.0 / a_param - 1e-12 <= m <= a_param + 1e-12):
             raise InputError(f"|xi| = {m:.4g} outside the annulus [1/a, a]")
-    ladder = tuple(sorted(float(l) for l in lam_ladder))
+    ladder = dilations(lam_ladder, "lam_ladder")
     lo, hi = 1.0 / (2.0 * a_param), 2.0 * a_param
     pairs = [(x, xi) for x in k_samples for xi in gamma_samples]
     _, _, segments = _phase_flows(
@@ -436,7 +436,7 @@ def check_integral_bound(model: VectorPotentialModel, delta: float, interval,
         raise InputError("interval must satisfy a <= b")
     tol = _validate_tol(tol)
     n = model.n
-    ladder = tuple(float(l) for l in lam_ladder)
+    ladder = dilations(lam_ladder, "lam_ladder")
 
     def integrand(s, x, xi, v, dxi):
         weight = (1.0 + np.sum(x * x, axis=-1)) ** (0.5 * (1.0 + delta))
@@ -480,7 +480,7 @@ def lower_bound_x0(model: VectorPotentialModel, t0: float, k_samples,
     """
     if t0 <= 0:
         raise InputError("t0 must be positive")
-    ladder = tuple(sorted(float(l) for l in lam_ladder))
+    ladder = dilations(lam_ladder, "lam_ladder")
     k_samples = point_array(k_samples, model.n, (2, 2), "k_samples")
     gamma_samples = point_array(gamma_samples, model.n, (2, 2), "gamma_samples")
     xs = np.repeat(k_samples, len(gamma_samples), axis=0)

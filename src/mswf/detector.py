@@ -41,7 +41,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .characteristics import flow_batch
-from .errors import InputError, MswfError, integer, load_json, number, one_of
+from .errors import InputError, MswfError, dilations, integer, load_json, number, one_of
 from .grid import GridSpec, field_batch, phase_points
 from .packets import (GaussianWindow, _nonzero_box, _pair_in_boxes, in_band,
                       theorem_scaling_exponent)
@@ -85,8 +85,9 @@ class Thresholds:
 class ConicSample:
     """Sampling pattern around a phase-space point (x0, xi0 != 0).
 
-    Positions form a per-axis lattice of 3 offsets inside a ball of radius
-    k_radius; 5 directions fan out to half_angle around xi0; 3 moduli run
+    Positions form a cube lattice about x0 with offsets -k_radius, 0,
+    k_radius per axis: 3^n points, the corners k_radius sqrt(n) away; 5
+    directions fan out to half_angle around xi0; 3 moduli run
     geometrically through [1/a, a].  The verdict of a test is the worst
     case over all combinations.
     """
@@ -123,23 +124,10 @@ class ConicSample:
         return np.asarray(self.x0) + pts
 
     def directions(self) -> np.ndarray:
-        """The fan's distinct directions, in fan order.  A direction is
-        dropped when it is np.allclose (atol=1e-12) to one kept before it,
-        so a zero half angle collapses the fan to xi0's direction.  The
-        pairs are compared in one vectorised pass; the rule is not
-        transitive, so the kept rows are then picked in order."""
-        dirs = self._fan()
-        close = np.isclose(dirs[:, None], dirs[None, :], atol=1e-12).all(-1)
-        keep = []
-        for i, row in enumerate(close):
-            if not row[keep].any():
-                keep.append(i)
-        return dirs[keep]
-
-    def _fan(self) -> np.ndarray:
-        """xi0's unit direction and the fan around it, before the dedupe."""
+        """xi0's unit direction and the fan around it; a zero half angle
+        leaves xi0's direction alone, as a = 1 leaves one modulus."""
         unit = np.asarray(self.xi0) / np.linalg.norm(self.xi0)
-        if self.n == 1:
+        if self.n == 1 or self.half_angle == 0.0:
             return unit[None, :]
         if self.n == 2:
             base = np.arctan2(unit[1], unit[0])
@@ -208,14 +196,10 @@ def decay_exponent(ladder, magnitudes, floor_abs: float = 0.0) -> DecayFit:
     through the relative floor fast enough that the implied exponent
     exceeds 12.
     """
-    lam = np.asarray(ladder, dtype=float)
+    lam = np.array(dilations(ladder, "ladder", MIN_RUNGS))
     mag = np.asarray(magnitudes, dtype=float)
-    if lam.ndim != 1 or mag.ndim < 1 or mag.shape[-1] != len(lam):
-        raise InputError("ladder must be 1-d and as long as the magnitudes' last axis")
-    if len(lam) < MIN_RUNGS:
-        raise InputError(f"ladder must have at least {MIN_RUNGS} rungs")
-    if np.any(np.diff(lam) <= 0):
-        raise InputError("ladder must be strictly increasing")
+    if mag.ndim < 1 or mag.shape[-1] != len(lam):
+        raise InputError("the magnitudes' last axis must be as long as the ladder")
     if not np.all(np.isfinite(mag) & (mag >= 0)):
         raise InputError("magnitudes must be finite and nonnegative")
     keep = mag > np.maximum(FLOOR_REL * mag.max(-1, keepdims=True), floor_abs)
@@ -323,9 +307,8 @@ def default_ladder(kmin: int = 3, kmax: int = 12) -> tuple:
 def parse_ladder(ladder=None) -> tuple:
     """A ladder from None (the default one), {"kmin", "kmax"} or "kmin:kmax"
     (the powers 2^kmin .. 2^kmax), or a list of dilations (or the same as
-    comma-separated text).  The rungs must be at least 1 and strictly
-    increasing, and there must be at least 5 of them, as many as a fit
-    needs."""
+    comma-separated text).  It must pass `errors.dilations` with MIN_RUNGS
+    rungs, as many as a fit needs."""
     if ladder is None:
         return default_ladder()
     if isinstance(ladder, str):
@@ -336,12 +319,7 @@ def parse_ladder(ladder=None) -> tuple:
     if isinstance(ladder, dict):
         ladder = load_json(ladder, ("kmin", "kmax"))
         ladder = default_ladder(*(integer(ladder.get(k), k) for k in ("kmin", "kmax")))
-    ladder = tuple(number(l, "ladder") for l in ladder)
-    if any(l < 1.0 for l in ladder) or any(b <= a for a, b in zip(ladder, ladder[1:])):
-        raise InputError(f"ladder rungs must be >= 1 and strictly increasing, got {ladder}")
-    if len(ladder) < MIN_RUNGS:
-        raise InputError(f"ladder must have at least {MIN_RUNGS} rungs, got {ladder}")
-    return ladder
+    return dilations(ladder, "ladder", MIN_RUNGS)
 
 
 def resolve_b(b, model: VectorPotentialModel) -> float:

@@ -109,3 +109,18 @@ def integer(value, key: str) -> int:
     if not v.is_integer():
         raise InputError(f"'{key}' must be an integer, got {value!r}")
     return int(v)
+
+
+def dilations(values, key: str, min_rungs: int = 1) -> tuple:
+    """A dilation ladder as a tuple of floats: finite numbers, each >= 1,
+    strictly increasing, at least `min_rungs` of them; InputError naming
+    `key` otherwise."""
+    try:
+        ladder = tuple(number(v, key) for v in values)
+    except TypeError:  # not a sequence
+        ladder = ()
+    if len(ladder) < min_rungs or any(l < 1.0 for l in ladder) \
+            or any(b <= a for a, b in zip(ladder, ladder[1:])):
+        raise InputError(f"'{key}' needs at least {min_rungs} rung(s), each >= 1 and "
+                         f"strictly increasing, got {values!r}")
+    return ladder

@@ -27,8 +27,8 @@ import numpy as np
 
 from . import characteristics as chars
 from . import detector, grid, packets, potentials, propagator
-from .errors import (ConsistencyError, GuardError, InputError, integer,
-                     load_json, number, one_of)
+from .errors import (ConsistencyError, GuardError, InputError, dilations,
+                     integer, load_json, number, one_of)
 
 # the evolved field carries solver error; its transform floor sits there
 STATIC_NOISE_REL, DYNAMIC_NOISE_REL = 1e-7, 1e-12
@@ -90,22 +90,12 @@ def _typed(value, key, kind, what: str):
     return value
 
 
-def _dilations(value, key, done) -> tuple:
-    """A dilation ladder: at least one rung, each a number >= 1, strictly
-    increasing (the rule `detector.parse_ladder` has)."""
-    ladder = tuple(number(x, key) for x in value)
-    if not ladder or min(ladder) < 1.0 or any(b <= a for a, b in zip(ladder, ladder[1:])):
-        raise InputError(f"'{key}' needs at least one rung, each >= 1 and strictly "
-                         f"increasing, got {value!r}")
-    return ladder
-
-
 # converters of the keys that name none, by their annotation
 _BY_TYPE = {
     "float": lambda v, key, done: number(v, key),
     "bool": lambda v, key, done: _typed(v, key, bool, "true or false"),
     "str | None": lambda v, key, done: _typed(v, key, (str, type(None)), "a string or null"),
-    "tuple": _dilations,
+    "tuple": lambda v, key, done: dilations(v, key),
 }
 
 

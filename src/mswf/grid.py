@@ -28,9 +28,9 @@ def _per_axis(value, n: int, name: str) -> tuple:
     """Broadcast a scalar to an n-tuple, or validate an n-sequence."""
     if np.isscalar(value):
         return (value,) * n
-    out = tuple(value)
+    out = tuple(value) if np.iterable(value) else ()
     if len(out) != n:
-        raise InputError(f"{name} must be a scalar or length-{n} sequence")
+        raise InputError(f"{name} must be a scalar or length-{n} sequence, got {value!r}")
     return out
 
 

@@ -188,17 +188,6 @@ def bspline_sample(coeffs: np.ndarray, points: np.ndarray, out: np.ndarray) -> n
     return out
 
 
-def _grid_potential(model: VectorPotentialModel, coords: np.ndarray):
-    """t -> (a0, g, peak) with a(t, .) = g * a0 on the grid, peak = max|a0|.
-
-    Every family is a = g(t) a0(x), so the profile a0 and its peak are
-    evaluated once.
-    """
-    profile = eval_a(replace(model, modulation="one"), 0.0, coords)
-    peak = float(np.max(np.abs(profile)))
-    return lambda t: (profile, float(model.g(t)), peak)
-
-
 def evolve(model: VectorPotentialModel, scalar, u0, t0: float, t1: float,
            cfg: EvolveConfig, probe=None):
     """Propagate u0 from t0 to t1.
@@ -208,11 +197,12 @@ def evolve(model: VectorPotentialModel, scalar, u0, t0: float, t1: float,
     stepped as one batch, and each field gets the bits it would get alone.
     `probe`, if given, is called as probe(t, fields) after every accepted
     step, with `fields` in the form of `u0` (used for norm monitoring and
-    CSV probes).  Raises CflError when the transport displacement would
-    exceed the interpolation stencil reach, NumericError when a field
-    stops being finite, and BoundaryMassError when, for any field, more
-    than BOUNDARY_MASS_LIMIT of the squared norm sits within 10 percent of
-    the box edge.  Both are checked in every step and on the result.
+    CSV probes).  Raises CflError before the first step when, at some
+    step's midpoint, the transport displacement max|a| dt would exceed the
+    stencil reach 4 dx.  Raises NumericError when a field stops being
+    finite, and BoundaryMassError when, for any field, more than
+    BOUNDARY_MASS_LIMIT of the squared norm sits within 10 percent of the
+    box edge; these two are checked in every step and on the result.
     """
     fields, single = field_batch(u0)
     spec = fields[0].spec
@@ -242,9 +232,11 @@ def _evolve_split(model, scalar, spec, u, t0, t1, cfg, probe):
     per step, one before the first and one for the result (four per step
     without transport).  The inverse FFT writes the coefficients into u as
     rows of B values, their samples go to the other buffer, and the
-    product back into u applies the factor.  The guards check the physical
-    field in hand: after the transport substep, at the end of a free step,
-    and the result.  A probe costs a transport step one more inverse FFT.
+    product back into u applies the factor.  The CFL guard checks every
+    step's midpoint once, before the first step; the field guards check
+    the physical field in hand: after the transport substep, at the end of
+    a free step, and the result.  A probe costs a transport step one more
+    inverse FFT.
     """
     n_steps = max(1, int(np.ceil(abs(t1 - t0) / cfg.dt)))
     tau = (t1 - t0) / n_steps
@@ -254,15 +246,22 @@ def _evolve_split(model, scalar, spec, u, t0, t1, cfg, probe):
     has_transport = model.family != "zero"
     has_scalar = scalar.family != "zero"
     if has_transport:
-        a_grid = _grid_potential(model, _coordinate_stack(spec))
+        # every family is a = g(t) a0(x), so the profile a0 is evaluated once
+        profile = eval_a(replace(model, modulation="one"), 0.0, _coordinate_stack(spec))
+        # guard-first: the displacement at every step's midpoint, as the loop
+        # takes it, against the stencil reach before the first step
+        mids = t0 + np.arange(n_steps) * tau + 0.5 * tau
+        shift = np.abs(model.g(mids)) * float(np.max(np.abs(profile))) * abs(tau)
+        over = np.flatnonzero(shift > reach)
+        if over.size:
+            raise CflError(f"transport displacement max|a|*dt = {shift[over[0]]:.3g} "
+                           f"exceeds 4*dx = {reach:.3g} in step {over[0]} of {n_steps} "
+                           f"(t = {t0 + over[0] * tau:.4g})")
     elif has_scalar:
         coords = _coordinate_stack(spec)
         # without a time factor V gives every step the same phase
         fixed_phase = np.exp(-1j * tau * scalar(t0, coords)) \
             if scalar.modulation == "one" else None
-
-    def displacement(g, peak):
-        return abs(g) * peak * abs(tau)
 
     def geometry(t):
         """Foot points (n, N) in grid-index units and the half-density times
@@ -271,11 +270,7 @@ def _evolve_split(model, scalar, spec, u, t0, t1, cfg, probe):
         # transport and phase form one non-commuting group; sampling the
         # phase at the characteristic midpoint keeps the step second order
         t_mid = t + 0.5 * tau
-        a0, g, peak = a_grid(t_mid)
-        if displacement(g, peak) > reach:
-            raise CflError(
-                f"transport displacement grew past the stencil reach at t = {t:.4g}")
-        y_mid = a0 * (0.5 * tau * g)
+        y_mid = profile * (0.5 * tau * float(model.g(t_mid)))
         for i, x in enumerate(grid_axes):
             y_mid[..., i] += x
         a_y = eval_a(model, t_mid, y_mid)
@@ -306,13 +301,6 @@ def _evolve_split(model, scalar, spec, u, t0, t1, cfg, probe):
         np.fft.ifftn(v, axes=axes, out=v)
 
     if has_transport:
-        # guard-first: check the displacement bound before any stepping
-        for t_probe in (t0, 0.5 * (t0 + t1), t1):
-            _, g, peak = a_grid(t_probe)
-            shift = displacement(g, peak)
-            if shift > reach:
-                raise CflError(f"transport displacement max|a|*dt = {shift:.3g} "
-                               f"exceeds 4*dx = {reach:.3g}")
         prefiltered_half = kinetic_half * bspline_prefilter(spec)
         other = np.empty_like(u)
         coeffs = u.reshape(-1).reshape(spec.shape + (len(u),))  # kernel input in u

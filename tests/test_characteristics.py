@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import RK45, solve_ivp
 
-from mswf import characteristics as chars, errors, potentials as pots
+from mswf import characteristics as chars, detector as det, errors, potentials as pots
 
 
 def landau_orbit(b0, x0, xi0, s):
@@ -250,6 +250,32 @@ def test_integral_bound_delta_guard():
         chars.check_integral_bound(pots.zero_model(1), 0.0, (0.0, 1.0), [])
     with pytest.raises(errors.InputError):  # samples of the wrong dimension
         chars.check_integral_bound(pots.zero_model(2), 0.5, (0.0, 1.0), [((0.0,), (1.0,))])
+
+
+# ---------------------------------------------------------------------------
+# one dilation-ladder rule
+
+
+# repeated, decreasing, below one, not a number
+BAD_LADDERS = [[1, 10, 10], [10, 1], [0.5, 1], ["a"]]
+# every entry point that takes a ladder, called with one; the fit gets four
+# more good rungs on top, so its rung count is not what refuses the ladder
+LADDER_TAKERS = [
+    lambda lam: det.decay_exponent([*lam, 1e5, 1e6, 1e7, 1e8], np.ones(len(lam) + 4)),
+    lambda lam: chars.check_flow_bounds(pots.zero_model(1), 2.0, 0.5, lam, 1.0,
+                                        [np.zeros(1)], [np.ones(1)]),
+    lambda lam: chars.check_integral_bound(pots.zero_model(1), 0.5, (0.0, 1.0),
+                                           [((0.0,), (1.0,))], lam),
+    lambda lam: chars.lower_bound_x0(pots.zero_model(1), 1.0, [np.zeros(1)],
+                                     [np.ones(1)], lam),
+]
+
+
+@pytest.mark.parametrize("take", LADDER_TAKERS)
+@pytest.mark.parametrize("ladder", BAD_LADDERS)
+def test_every_ladder_taker_refuses_a_bad_ladder(take, ladder):
+    with pytest.raises(errors.InputError, match="ladder"):
+        take(ladder)
 
 
 # ---------------------------------------------------------------------------

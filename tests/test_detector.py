@@ -218,16 +218,6 @@ def test_conic_sample_3d_directions():
     assert np.min(dirs @ np.array([0, 0, 1.0])) >= np.cos(0.3) - 1e-12
 
 
-def _allclose_loop(dirs):
-    """The fan's dedupe rule as a loop: a direction is kept unless it is
-    np.allclose(atol=1e-12) to one kept before it."""
-    keep = []
-    for d in dirs:
-        if not any(np.allclose(d, k, atol=1e-12) for k in keep):
-            keep.append(d)
-    return np.stack(keep)
-
-
 @pytest.mark.parametrize("xi0", [(1.0, 0.0), (0.3, -2.0), (0.0, 0.0, 1.0), (1.0, 2.0, 0.5)])
 def test_fan_collapses_at_a_zero_half_angle_and_keeps_its_rim(xi0):
     x0 = (0.0,) * len(xi0)
@@ -237,31 +227,6 @@ def test_fan_collapses_at_a_zero_half_angle_and_keeps_its_rim(xi0):
     if len(xi0) == 3:  # the axis direction, then the rim at the half angle
         unit = np.asarray(xi0) / np.linalg.norm(xi0)
         np.testing.assert_allclose(dirs[1:] @ unit, np.cos(0.2), rtol=0, atol=1e-15)
-
-
-def test_fan_dedupe_is_the_allclose_loop():
-    # tiny half angles, where the rule's rtol = 1e-5 merges some directions
-    counts = set()
-    for xi0 in [(1.0, 0.0), (0.3, -2.0), (0.0, 0.0, 1.0), (1.0, 2.0, 0.5)]:
-        for half_angle in np.geomspace(1e-14, 1e-3, 200):
-            sample = det.ConicSample((0.0,) * len(xi0), xi0, half_angle=half_angle)
-            dirs = sample.directions()
-            assert np.array_equal(dirs, _allclose_loop(sample._fan()))
-            counts.add(len(dirs))
-    assert counts == {1, 2, 3, det.N_DIRECTIONS}  # the sweep merges some, not all
-
-
-@pytest.mark.parametrize("fan, kept", [
-    # np.allclose(d, k) scales rtol by the kept |k|, not by |d|
-    ([[1.0, 0.0], [1.0 + 1.00001e-5, 0.0]], 2),
-    # not transitive: the middle one goes, the last one is only held to the kept
-    ([[1.0, 0.0], [1.0 + 0.8e-5, 0.0], [1.0 + 1.6e-5, 0.0]], 2),
-])
-def test_fan_dedupe_keeps_the_allclose_order_and_asymmetry(monkeypatch, fan, kept):
-    fan = np.array(fan)
-    monkeypatch.setattr(det.ConicSample, "_fan", lambda self: fan)
-    dirs = det.ConicSample((0.0, 0.0), (1.0, 0.0)).directions()
-    assert len(dirs) == kept and np.array_equal(dirs, _allclose_loop(fan))
 
 
 @pytest.mark.parametrize("sample", [

@@ -23,6 +23,9 @@ def test_gridspec_validation():
     with pytest.raises(errors.InputError, match="'n'"):
         grid.GridSpec(1.5, 256, 10.0)
     assert grid.GridSpec(2.0, 16, 5.0).shape == (16, 16)
+    for points, halfwidths, key in ((None, 5.0, "points"), (64, None, "halfwidths")):
+        with pytest.raises(errors.InputError, match=key):  # no bare TypeError
+            grid.GridSpec(1, points, halfwidths)
 
 
 def test_gridfunction_shape_and_norm():

@@ -209,6 +209,19 @@ def test_cfl_guard():
         prop.evolve(model, None, u0, 0.0, 0.5, prop.EvolveConfig(dt=0.1))
 
 
+def test_cfl_guard_checks_every_step_before_the_first(monkeypatch):
+    # sin is about 0 at t0, (t0 + t1) / 2 and t1, but the displacement
+    # 0.63 |sin t| passes 4 dx = 0.31 from step 52 on
+    model = pots.soft_power_model(1, 0.5, 10.0, "sin")
+    u0 = grid.gaussian_data(grid.GridSpec(1, 1024, 40.0))
+    calls = []
+    monkeypatch.setattr(prop, "bspline_sample", lambda *args: calls.append("sample"))
+    with pytest.raises(errors.CflError, match="in step 52 of 629"):
+        prop.evolve(model, None, u0, 0.0, 2 * np.pi, prop.EvolveConfig(dt=0.01),
+                    probe=lambda t, fields: calls.append("probe"))
+    assert calls == []
+
+
 def test_boundary_mass_guard():
     spec = grid.GridSpec(1, 256, 5.0)
     u0 = grid.gaussian_data(spec, width=0.1)  # spreads past the box quickly
