@@ -100,12 +100,14 @@ class ConicSample:
 
     def __post_init__(self):
         x0, xi0 = phase_points(self.x0, self.xi0, ndim=(1, 1))
+        if len(x0) not in (1, 2):
+            raise InputError(f"conic samples have dimension 1 or 2, got {len(x0)}")
         object.__setattr__(self, "x0", tuple(x0.tolist()))
         object.__setattr__(self, "xi0", tuple(xi0.tolist()))
         if float(np.linalg.norm(xi0)) == 0.0:
             raise InputError("xi0 must be nonzero")
         for key in ("k_radius", "half_angle", "a"):
-            number(getattr(self, key), key)
+            object.__setattr__(self, key, number(getattr(self, key), key))
         if self.a < 1.0:
             raise InputError("annulus parameter a must be >= 1")
         if self.k_radius < 0 or self.half_angle < 0:
@@ -129,23 +131,9 @@ class ConicSample:
         unit = np.asarray(self.xi0) / np.linalg.norm(self.xi0)
         if self.n == 1 or self.half_angle == 0.0:
             return unit[None, :]
-        if self.n == 2:
-            base = np.arctan2(unit[1], unit[0])
-            angles = base + np.linspace(-self.half_angle, self.half_angle, N_DIRECTIONS)
-            return np.stack([np.cos(angles), np.sin(angles)], axis=-1)
-        # axis direction plus a rim of directions at the half angle
-        helper = np.array([1.0, 0.0, 0.0])
-        if abs(np.dot(helper, unit)) > 0.9:
-            helper = np.array([0.0, 1.0, 0.0])
-        v = np.cross(unit, helper)
-        v /= np.linalg.norm(v)
-        w = np.cross(unit, v)
-        rim = []
-        for j in range(N_DIRECTIONS - 1):
-            phi = 2.0 * np.pi * j / (N_DIRECTIONS - 1)
-            rim.append(np.cos(self.half_angle) * unit
-                       + np.sin(self.half_angle) * (np.cos(phi) * v + np.sin(phi) * w))
-        return np.stack([unit] + rim, axis=0)
+        base = np.arctan2(unit[1], unit[0])
+        angles = base + np.linspace(-self.half_angle, self.half_angle, N_DIRECTIONS)
+        return np.stack([np.cos(angles), np.sin(angles)], axis=-1)
 
     def moduli(self) -> np.ndarray:
         if self.a == 1.0:
@@ -519,20 +507,13 @@ class ScanCell:
 
 def direction_fan(n: int, count: int) -> np.ndarray:
     """`count` >= 1 deterministic unit directions: the signs +1, -1 (n=1,
-    at most 2), a circle (n=2), a spiral (n=3)."""
+    at most 2), a circle (n=2)."""
     if count < 1:
         raise InputError(f"a direction fan needs at least 1 direction, got {count}")
     if n == 1:
         return np.array([[1.0], [-1.0]])[:count]
-    if n == 2:
-        angles = 2.0 * np.pi * np.arange(count) / count
-        return np.stack([np.cos(angles), np.sin(angles)], axis=-1)
-    k = np.arange(count)
-    golden = np.pi * (3.0 - np.sqrt(5.0))
-    z = 1.0 - 2.0 * (k + 0.5) / count
-    r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-    phi = golden * k
-    return np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=-1)
+    angles = 2.0 * np.pi * np.arange(count) / count
+    return np.stack([np.cos(angles), np.sin(angles)], axis=-1)
 
 
 def wf_scan(mode: str, field_or_datum, positions, directions,

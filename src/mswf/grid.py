@@ -44,8 +44,8 @@ class GridSpec:
 
     def __init__(self, n: int, points, halfwidths):
         n = integer(n, "n")
-        if n not in (1, 2, 3):
-            raise InputError(f"grid dimension must be 1, 2 or 3, got {n}")
+        if n not in (1, 2):
+            raise InputError(f"grid dimension must be 1 or 2, got {n}")
         points = tuple(integer(m, "points") for m in _per_axis(points, n, "points"))
         halfwidths = tuple(number(w, "halfwidth") for w in _per_axis(halfwidths, n, "halfwidths"))
         for m in points:

@@ -61,8 +61,8 @@ class GaussianWindow:
     t: float = 0.0
 
     def __post_init__(self):
-        for key in ("width", "lam", "t"):
-            number(getattr(self, key), key)
+        for key in ("width", "lam", "b", "t"):
+            object.__setattr__(self, key, number(getattr(self, key), key))
         if self.lam < 1.0:
             raise InputError("dilation lambda must be >= 1")
         if not 0.0 < self.b < 1.0:

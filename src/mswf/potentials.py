@@ -9,10 +9,10 @@ controlled by a power of the regularized distance <x> = sqrt(1 + |x|^2):
   constant-field  a = (B0/2) (-x2, x1)                    (n = 2, grows linearly,
                                                            deliberately non-conforming)
 
-Every family is a = g(t) a0(x) with g one of MODULATIONS; the constant
-field takes only g = 1.  The decay hypothesis |d^alpha a| <= C <x>^(rho-|alpha|)
-is asserted by family: `VectorPotentialModel.conforming` holds it for the
-conforming families, and nothing samples it.
+Every family is a = g(t) a0(x) in n = 1 or 2, with g in MODULATIONS (1 or
+sin t); the constant field takes only g = 1.  The decay hypothesis
+|d^alpha a| <= C <x>^(rho-|alpha|) is asserted by family: the model's
+`conforming` holds it for the conforming families, and nothing samples it.
 """
 
 from __future__ import annotations
@@ -28,14 +28,13 @@ FAMILIES = ("zero", "soft-power", "rotational", "constant-field")
 MODULATIONS = {
     "one": lambda t: np.ones_like(np.asarray(t, dtype=float)) if np.ndim(t) else 1.0,
     "sin": np.sin,
-    "cosbump": lambda t: 0.5 * (1.0 + np.cos(t)),
 }
 
 
 def squared_norm(x: np.ndarray) -> np.ndarray:
     """|x|^2 over the last axis, the same bits as np.sum(x * x, axis=-1).
 
-    For the model dimensions (n <= 3) numpy's reduction adds the squares
+    For the model dimensions (n <= 2) numpy's reduction adds the squares
     one by one in axis order, as this loop does, but at a per-point cost.
     """
     out = x[..., 0] * x[..., 0]
@@ -64,8 +63,9 @@ class VectorPotentialModel:
 
     def __post_init__(self):
         one_of(self.family, FAMILIES, "family")
-        if self.n < 1:
-            raise InputError("dimension must be >= 1")
+        object.__setattr__(self, "n", integer(self.n, "n"))
+        if self.n not in (1, 2):
+            raise InputError(f"dimension must be 1 or 2, got {self.n}")
         if self.family in ("rotational", "constant-field") and self.n != 2:
             raise InputError(f"family '{self.family}' is two-dimensional")
         one_of(self.modulation, MODULATIONS, "modulation")
@@ -118,8 +118,7 @@ def model_from_json(source, n: int | None = None) -> VectorPotentialModel:
     if source is None:
         return zero_model(n)
     obj = load_json(source, ("family", "n", "rho", "amplitude", "modulation", "b0"))
-    obj["n"] = integer(obj.get("n"), "n")
-    return VectorPotentialModel(obj.pop("family", None), **obj)
+    return VectorPotentialModel(obj.pop("family", None), obj.pop("n", None), **obj)
 
 
 def model_to_json(model: VectorPotentialModel) -> dict:

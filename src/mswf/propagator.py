@@ -37,24 +37,21 @@ from .errors import (BoundaryMassError, CflError, InputError, NumericError,
                      load_json, number, one_of)
 from .grid import GridFunction, GridSpec, boundary_mass_fraction, field_batch
 from .packets import GaussianWindow, wpt
-from .potentials import (MODULATIONS, VectorPotentialModel, divergence_a,
-                         eval_a, squared_norm)
+from .potentials import VectorPotentialModel, divergence_a, eval_a, squared_norm
 
 SCALAR_FAMILIES = ("zero", "soft-power", "quadratic-test")
 
 
 @dataclass(frozen=True)
 class ScalarPotentialModel:
-    """Scalar term V(t, x): zero, amp * g(t) <x>^mu (mu < 2), or |x|^2 / 2."""
+    """Scalar term V(x), constant in time: zero, amp <x>^mu (mu < 2), or |x|^2 / 2."""
 
     family: str = "zero"
     mu: float = 0.0
     amplitude: float = 1.0
-    modulation: str = "one"
 
     def __post_init__(self):
         one_of(self.family, SCALAR_FAMILIES, "scalar family")
-        one_of(self.modulation, MODULATIONS, "modulation")
         for key in ("mu", "amplitude"):
             object.__setattr__(self, key, number(getattr(self, key), key))
         if self.family == "soft-power" and not self.mu < 2.0:
@@ -65,10 +62,7 @@ class ScalarPotentialModel:
         """Sub-quadratic growth; the quadratic test family is solver-only."""
         return self.family in ("zero", "soft-power")
 
-    def g(self, t):
-        return MODULATIONS[self.modulation](t)
-
-    def __call__(self, t: float, x) -> np.ndarray:
+    def __call__(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if self.family == "zero":
             return np.zeros(x.shape[:-1])
@@ -76,14 +70,14 @@ class ScalarPotentialModel:
             return 0.5 * np.sum(x * x, axis=-1)
         b2 = squared_norm(x)
         b2 += 1.0
-        return self.amplitude * self.g(t) * b2 ** (0.5 * self.mu)
+        return self.amplitude * b2 ** (0.5 * self.mu)
 
 
 def scalar_from_json(source) -> ScalarPotentialModel:
     """Build a scalar term from a JSON object, file path, or inline JSON
     string; None gives the zero term."""
     return ScalarPotentialModel(**load_json({} if source is None else source,
-                                            ("family", "mu", "amplitude", "modulation")))
+                                            ("family", "mu", "amplitude")))
 
 
 @dataclass(frozen=True)
@@ -257,11 +251,8 @@ def _evolve_split(model, scalar, spec, u, t0, t1, cfg, probe):
             raise CflError(f"transport displacement max|a|*dt = {shift[over[0]]:.3g} "
                            f"exceeds 4*dx = {reach:.3g} in step {over[0]} of {n_steps} "
                            f"(t = {t0 + over[0] * tau:.4g})")
-    elif has_scalar:
-        coords = _coordinate_stack(spec)
-        # without a time factor V gives every step the same phase
-        fixed_phase = np.exp(-1j * tau * scalar(t0, coords)) \
-            if scalar.modulation == "one" else None
+    elif has_scalar:  # V has no time factor: every free step takes one phase
+        fixed_phase = np.exp(-1j * tau * scalar(_coordinate_stack(spec)))
 
     def geometry(t):
         """Foot points (n, N) in grid-index units and the half-density times
@@ -276,7 +267,7 @@ def _evolve_split(model, scalar, spec, u, t0, t1, cfg, probe):
         a_y = eval_a(model, t_mid, y_mid)
         phase = 0.5 * np.einsum("...i,...i->...", a_y, a_y)
         if has_scalar:
-            phase += scalar(t_mid, y_mid)
+            phase += scalar(y_mid)
         phase *= -tau
         factor = np.empty(phase.shape, dtype=complex)
         np.cos(phase, out=factor.real)
@@ -337,8 +328,7 @@ def _evolve_split(model, scalar, spec, u, t0, t1, cfg, probe):
         else:
             half_kinetic(u)
             if has_scalar:
-                u *= fixed_phase if fixed_phase is not None else \
-                    np.exp(-1j * tau * scalar(t + 0.5 * tau, coords))
+                u *= fixed_phase
             half_kinetic(u)
             field = u
         if last or not has_transport:

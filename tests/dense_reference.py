@@ -17,11 +17,11 @@ from mswf.propagator import ZERO_SCALAR
 
 
 def dense_parts(model, spec) -> tuple:
-    """Matrices (K, T, P) of the generator H(t) = K + g T + g^2 P + V(t).
+    """Matrices (K, T, P) of the generator H(t) = K + g T + g^2 P + V.
 
     The potential is a(t) = g(t) a0(x), as in the built-in families with a
     time factor: K is the kinetic term, T = i (a0 . grad + div a0 / 2) and
-    P = |a0|^2 / 2, all built once.  The scalar term V(t) is diagonal.
+    P = |a0|^2 / 2, all built once.  The scalar term V(x) is diagonal.
     """
     N = spec.size
     coords = np.stack(spec.meshgrid(), axis=-1)
@@ -48,18 +48,16 @@ def dense_evolve(model, scalar, u0: GridFunction, t0: float, t1: float,
     so keep grids to a few hundred points."""
     spec = u0.spec
     scalar = ZERO_SCALAR if scalar is None else scalar
-    coords = np.stack(spec.meshgrid(), axis=-1)
+    V = np.diag(scalar(np.stack(spec.meshgrid(), axis=-1)).reshape(-1))
     K, T, P = dense_parts(model, spec)
     n_steps = max(1, int(np.ceil(abs(t1 - t0) / dt)))
     tau = (t1 - t0) / n_steps
     u = u0.values.reshape(-1)
-    time_dependent = model.modulation != "one" or scalar.modulation != "one"
     w = None
     for step in range(n_steps):
-        if w is None or time_dependent:
-            t = t0 + (step + 0.5) * tau
-            g = float(model.g(t))
-            H = K + g * T + g * g * P + np.diag(scalar(t, coords).reshape(-1))
+        if w is None or model.modulation != "one":
+            g = float(model.g(t0 + (step + 0.5) * tau))
+            H = K + g * T + g * g * P + V
             w, Q = np.linalg.eigh(0.5 * (H + H.conj().T))
         u = Q @ (np.exp(-1j * tau * w) * (Q.conj().T @ u))
     return GridFunction(spec, u.reshape(spec.shape), u0.label)

@@ -177,13 +177,10 @@ def test_direction_fan(count):
     signs = det.direction_fan(1, count)
     assert signs.tolist() == [[1.0], [-1.0]][:count]
     circle = det.direction_fan(2, count)
-    spiral = det.direction_fan(3, count)
-    assert circle.shape == (count, 2) and spiral.shape == (count, 3)
-    for fan in (circle, spiral):
-        np.testing.assert_allclose(np.linalg.norm(fan, axis=-1), 1.0, rtol=0, atol=1e-15)
+    assert circle.shape == (count, 2)
+    np.testing.assert_allclose(np.linalg.norm(circle, axis=-1), 1.0, rtol=0, atol=1e-15)
     angles = np.mod(np.arctan2(circle[:, 1], circle[:, 0]), 2.0 * np.pi)
     np.testing.assert_allclose(angles, 2.0 * np.pi * k / count, rtol=0, atol=1e-14)
-    assert np.array_equal(spiral[:, 2], 1.0 - 2.0 * (k + 0.5) / count)
 
 
 def test_conic_sample_annulus():
@@ -210,29 +207,17 @@ def test_conic_sample_one_dimensional_degeneracy():
     assert list(s.moduli()) == [1.0]
 
 
-def test_conic_sample_3d_directions():
-    s = det.ConicSample((0.0,) * 3, (0.0, 0.0, 1.0), half_angle=0.3)
-    dirs = s.directions()
-    assert dirs.shape[1] == 3
-    np.testing.assert_allclose(np.linalg.norm(dirs, axis=-1), 1.0, atol=1e-12)
-    assert np.min(dirs @ np.array([0, 0, 1.0])) >= np.cos(0.3) - 1e-12
-
-
-@pytest.mark.parametrize("xi0", [(1.0, 0.0), (0.3, -2.0), (0.0, 0.0, 1.0), (1.0, 2.0, 0.5)])
+@pytest.mark.parametrize("xi0", [(1.0, 0.0), (0.3, -2.0)])
 def test_fan_collapses_at_a_zero_half_angle_and_keeps_its_rim(xi0):
     x0 = (0.0,) * len(xi0)
     assert det.ConicSample(x0, xi0, half_angle=0.0).directions().shape == (1, len(xi0))
     dirs = det.ConicSample(x0, xi0, half_angle=0.2).directions()
     assert dirs.shape == (det.N_DIRECTIONS, len(xi0))
-    if len(xi0) == 3:  # the axis direction, then the rim at the half angle
-        unit = np.asarray(xi0) / np.linalg.norm(xi0)
-        np.testing.assert_allclose(dirs[1:] @ unit, np.cos(0.2), rtol=0, atol=1e-15)
 
 
 @pytest.mark.parametrize("sample", [
     det.ConicSample((0.5,), (-2.0,), a=1.5),
     det.ConicSample((1.0, -1.0), (0.3, 1.0), k_radius=0.3, a=2.0),
-    det.ConicSample((0.0, 1.0, 2.0), (1.0, 2.0, 0.5), half_angle=0.3, a=1.7),
 ])
 def test_conic_sample_phase_samples_order(sample):
     # position-major, then direction, then modulus
@@ -257,6 +242,31 @@ def test_conic_sample_rejects_zero_direction():
 def test_conic_sample_rejects_non_finite_points(x0, xi0):
     with pytest.raises(errors.InputError):
         det.ConicSample(x0, xi0)
+
+
+@pytest.mark.parametrize("make, key, value", [
+    (lambda: det.ConicSample((0.0,), (1.0,), k_radius="0.5"), "k_radius", 0.5),
+    (lambda: det.ConicSample((0.0,), (1.0,), a="2"), "a", 2.0),
+    (lambda: packets.GaussianWindow(1, width="1"), "width", 1.0),
+    (lambda: packets.GaussianWindow(1, lam="2"), "lam", 2.0),
+    (lambda: packets.GaussianWindow(1, b="x"), "b", None),
+    (lambda: packets.GaussianWindow(1, b=None), "b", None),
+], ids=["conic-k-radius-text", "conic-a-text", "window-width-text", "window-lam-text",
+        "window-b-text", "window-b-none"])
+def test_sample_and_window_keep_the_numbers_they_checked(make, key, value):
+    # numeric text is kept as the float it reads as, so the range checks
+    # compare numbers; anything else is an InputError, not a bare TypeError
+    if value is None:
+        with pytest.raises(errors.InputError, match=f"'{key}'"):
+            make()
+    else:
+        got = getattr(make(), key)
+        assert type(got) is float and got == value
+
+
+def test_conic_sample_has_dimension_one_or_two():
+    with pytest.raises(errors.InputError, match="dimension 1 or 2, got 3"):
+        det.ConicSample((0.0,) * 3, (1.0, 0.0, 0.0))
 
 
 @pytest.mark.parametrize("key", ["k_radius", "half_angle", "a"])
@@ -615,7 +625,7 @@ def test_dynamic_scan_records_a_failed_flow_in_its_cell_only(monkeypatch):
     # a is not finite for x > 5; with xi > 0 every backward flow moves to
     # smaller x, so only the cell at x = 8 meets the bad region.  Only this
     # model is made to fail, so a scan that flows with a = 0 passes the cell
-    model = pots.soft_power_model(1, 0.5, 0.5, "cosbump")
+    model = pots.soft_power_model(1, 0.5, 0.5, "sin")
     eval_a = chars.eval_a
     monkeypatch.setattr(chars, "eval_a", lambda m, t, x: np.where(
         x > 5.0, np.nan, eval_a(m, t, x)) if m is model else eval_a(m, t, x))

@@ -143,6 +143,7 @@ def test_readme_names_every_potential_family_once():
 # ---------------------------------------------------------------------------
 # config schema
 
+SOFT_1D = {"family": "soft-power", "n": 1, "rho": 0.5}
 BAD_CONFIGS = {
     "misspelled-key": lambda cfg: dict(cfg, half_angle=0.2),
     "no-grid": lambda cfg: {k: v for k, v in cfg.items() if k != "grid"},
@@ -191,12 +192,17 @@ BAD_CONFIGS = {
     # a point count is an integer, not truncated to one
     "grid-points-fractional": lambda cfg: dict(
         cfg, grid=dict(cfg["grid"], points=cfg["grid"]["points"] + 0.5)),
+    # grids have 1 or 2 axes, time factors are 1 and sin t, and V has none
+    "grid-dimension-3": lambda cfg: dict(cfg, grid={"n": 3, "points": 64, "halfwidth": 8.0}),
+    "potential-cosbump": lambda cfg: dict(cfg, potential=dict(SOFT_1D, modulation="cosbump")),
+    "scalar-modulation": lambda cfg: dict(cfg, scalar_potential={
+        "family": "soft-power", "mu": 1.0, "amplitude": 0.3, "modulation": "sin"}),
 }
 
 POINT_MASS_ONLY = ("envelope-ladder-zero", "envelope-ladder-negative", "envelope-ladder-empty",
                    "envelope-ladder-repeated", "envelope-ladder-decreasing", "t0-negative")
 TRANSPORT_ONLY = ("datum-typo", "noise-floor", "min-agreement-above-one",
-                  "max-inconclusive-negative")
+                  "max-inconclusive-negative", "scalar-modulation")
 SCHEMA_CASES = (
     [(exp.run_transport_consistency, FREE_CFG, bad)
      for bad in BAD_CONFIGS if bad not in POINT_MASS_ONLY]
@@ -252,8 +258,6 @@ def _flow_argv(potential: dict) -> list:
     return ["flow", "--potential", json.dumps(potential), "--t0", "1.0", "--target", "0.0",
             "--x", ",".join(["0.3"] * n), "--xi", ",".join(["1.0"] * n)]
 
-
-SOFT_1D = {"family": "soft-power", "n": 1, "rho": 0.5}
 # bad values inside a model or a datum; unchecked, each exits 1 or 3 mid-run
 BAD_VALUE_ARGV = {
     "potential-amplitude-text": _flow_argv(dict(SOFT_1D, amplitude="x")),

@@ -14,8 +14,9 @@ def test_gridspec_validation():
         grid.GridSpec(1, 4, 10.0)  # too small
     with pytest.raises(errors.InputError):
         grid.GridSpec(1, 256, -1.0)
-    with pytest.raises(errors.InputError):
-        grid.GridSpec(4, 256, 1.0)
+    for n in (3, 4):
+        with pytest.raises(errors.InputError, match=f"dimension must be 1 or 2, got {n}"):
+            grid.GridSpec(n, 64, 8.0)
     for points in (4096.5, "abc"):  # refused, not truncated
         with pytest.raises(errors.InputError, match="points"):
             grid.GridSpec(1, points, 10.0)

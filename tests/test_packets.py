@@ -157,13 +157,12 @@ def test_transforms_take_only_a_gaussian_window():
 
 # one grid per dimension, fine enough that a unit Gaussian product is
 # resolved and decays to round-off before the box edge
-PAIR_GRIDS = {1: grid.GridSpec(1, 256, 8.0), 2: grid.GridSpec(2, 128, 8.0),
-              3: grid.GridSpec(3, 64, 8.0)}
+PAIR_GRIDS = {1: grid.GridSpec(1, 256, 8.0), 2: grid.GridSpec(2, 128, 8.0)}
 
 
 @st.composite
 def pairing_cases(draw):
-    n = draw(st.sampled_from((1, 2, 3)))
+    n = draw(st.sampled_from((1, 2)))
     window = GaussianWindow(n, width=draw(st.floats(0.8, 1.5)),
                             lam=draw(st.floats(1.0, 20.0)),
                             b=draw(st.floats(0.05, 0.13)),

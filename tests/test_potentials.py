@@ -19,8 +19,8 @@ def central_difference_jacobian(model, t, x, h=1e-5):
 
 @st.composite
 def point_batches(draw):
-    """(..., n) float arrays, n in {1, 2, 3}, contiguous or strided."""
-    n = draw(st.sampled_from([1, 2, 3]))
+    """(..., n) float arrays, n in {1, 2}, contiguous or strided."""
+    n = draw(st.sampled_from([1, 2]))
     batch = draw(hnp.array_shapes(min_dims=0, max_dims=3, min_side=1))
     # axis-major storage gives the strided views the flows pass in
     axis_major = draw(st.booleans())
@@ -38,8 +38,8 @@ def test_squared_norm_is_the_axis_sum_bit_for_bit(x):
 
 
 def test_zero_family():
-    model = pots.zero_model(3)
-    x = np.array([1.0, -2.0, 0.5])
+    model = pots.zero_model(2)
+    x = np.array([1.0, -2.0])
     assert np.all(pots.eval_a(model, 0.3, x) == 0)
     assert np.all(pots.jacobian_a(model, 0.3, x) == 0)
     assert np.all(pots.magnetic_field(model, 0.3, x) == 0)
@@ -64,7 +64,7 @@ def test_constant_field_gauge():
 @pytest.mark.parametrize("model", [
     pots.soft_power_model(2, 0.5),
     pots.soft_power_model(2, 0.5, amplitude=(0.7, 1.3), modulation="sin"),
-    pots.rotational_model(0.5, modulation="cosbump"),
+    pots.rotational_model(0.5, modulation="sin"),
     pots.constant_field_model(2.0),
 ])
 def test_jacobian_matches_central_difference(model):
@@ -138,6 +138,25 @@ def test_dimension_mismatch_rejected():
         pots.eval_a(pots.zero_model(2), 0.0, np.zeros(3))
 
 
+@pytest.mark.parametrize("make", [lambda n: pots.soft_power_model(n, 0.5), pots.zero_model],
+                         ids=["soft-power", "zero"])
+def test_models_have_dimension_one_or_two(make):
+    for n in (0, 3):
+        with pytest.raises(errors.InputError, match=f"dimension must be 1 or 2, got {n}"):
+            make(n)
+    # an integral number is the integer, as in GridSpec; anything else names 'n'
+    assert make(2.0).n == 2 and type(make(2.0).n) is int
+    for bad in (1.5, "x", None):
+        with pytest.raises(errors.InputError, match="'n'"):
+            make(bad)
+
+
+def test_time_factors_are_one_and_sin():
+    assert sorted(pots.MODULATIONS) == ["one", "sin"]
+    with pytest.raises(errors.InputError, match="modulation"):
+        pots.soft_power_model(1, 0.5, modulation="cosbump")
+
+
 def test_model_from_json_file(tmp_path):
     path = tmp_path / "model.json"
     path.write_text('{"family": "rotational", "n": 2, "rho": 0.5, '
@@ -150,7 +169,7 @@ def test_model_from_json_file(tmp_path):
 def builtin_models(draw):
     """A model of any family under any modulation it takes."""
     family = draw(st.sampled_from(pots.FAMILIES))
-    n = 2 if family in ("rotational", "constant-field") else draw(st.sampled_from([1, 2, 3]))
+    n = 2 if family in ("rotational", "constant-field") else draw(st.sampled_from([1, 2]))
     count = 1 if family == "rotational" else n
     modulations = ["one"] if family == "constant-field" else sorted(pots.MODULATIONS)
     return pots.VectorPotentialModel(
@@ -175,8 +194,8 @@ def test_per_group_times_equal_scalar_time_calls_bit_for_bit(model, groups, poin
 
 @pytest.mark.parametrize("family,n,modulation", [
     (family, n, modulation)
-    for modulation in ("one", "sin", "cosbump")
-    for family, n in (("zero", 3), ("soft-power", 1), ("soft-power", 2), ("soft-power", 3),
+    for modulation in ("one", "sin")
+    for family, n in (("zero", 2), ("soft-power", 1), ("soft-power", 2),
                       ("rotational", 2), ("constant-field", 2))
     if family != "constant-field" or modulation == "one"])
 def test_time_array_equals_scalar_time_calls(family, n, modulation):
