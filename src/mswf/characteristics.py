@@ -46,10 +46,15 @@ def _vector_field(model: VectorPotentialModel, s, x, xi):
     """(dx/ds, dxi/ds) = (xi - a, (grad_x a)^T (xi - a)), batched over leading axes.
 
     `s` is a time, or one time per group of shape (G, 1) with x of shape
-    (G, K, n), which every family evaluates in one call.
+    (G, K, n), which every family evaluates in one call.  The contraction
+    sum_k J[..., k, :] v_k runs on the transposes, batch axes last.
     """
     v = xi - eval_a(model, s, x)
-    return v, np.einsum("...kj,...k->...j", jacobian_a(model, s, x), v)
+    JT, vT = jacobian_a(model, s, x).T, v.T
+    dxi = JT[:, 0] * vT[0]
+    for k in range(1, model.n):
+        dxi += JT[:, k] * vT[k]
+    return v, dxi.T
 
 
 def _phase_rate(model: VectorPotentialModel, s, x, v, dxi) -> tuple:

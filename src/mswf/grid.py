@@ -244,7 +244,9 @@ def boundary_mass_fraction(spec: GridSpec, batch: np.ndarray) -> np.ndarray:
 def gaussian_data(spec: GridSpec, width=1.0, center=0.0, momentum=0.0,
                   amplitude: complex = 1.0, label="gaussian") -> GridFunction:
     """amplitude * exp(-|y-c|^2/(2 w^2)) * exp(i y.k), axis-wise widths allowed."""
-    width = _per_axis(width, spec.n, "width")
+    width = tuple(number(w, "width") for w in _per_axis(width, spec.n, "width"))
+    if min(width) <= 0:
+        raise InputError(f"'width' must be positive, got {min(width)}")
     center = _per_axis(center, spec.n, "center")
     momentum = _per_axis(momentum, spec.n, "momentum")
     values = np.full(spec.shape, complex(amplitude), dtype=np.complex128)

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (InputError, NyquistError, ResolutionError, UndersampledError,
-                     number)
+                     integer, number)
 from .grid import (GridFunction, GridSpec, apply_kinetic, phase_points,
                    spectral_derivative, spectral_support_edge)
 
@@ -61,6 +61,9 @@ class GaussianWindow:
     t: float = 0.0
 
     def __post_init__(self):
+        object.__setattr__(self, "n", integer(self.n, "n"))
+        if self.n not in (1, 2):
+            raise InputError(f"dimension must be 1 or 2, got {self.n}")
         for key in ("width", "lam", "b", "t"):
             object.__setattr__(self, key, number(getattr(self, key), key))
         if self.lam < 1.0:
@@ -251,8 +254,7 @@ def _pair_in_boxes(spec: GridSpec, values: list, boxes: list, window: GaussianWi
         np.square(vec.real, out=vec.real)
         np.multiply(vec.real, half_betabar.imag, out=vec.imag)
         vec.real *= half_betabar.real
-        for row, xi in zip(vec.imag, XI[:, i]):
-            row -= xi * y
+        vec.imag -= XI[:, i, None] * y
         vecs.append(np.exp(vec, out=vec))
     for j, (g, box) in enumerate(zip(values, boxes)):
         if box is None:

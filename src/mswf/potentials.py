@@ -143,16 +143,10 @@ def _check_point(model: VectorPotentialModel, x) -> np.ndarray:
     return x
 
 
-def _modulated(model: VectorPotentialModel, t, c, axes=None):
-    """c g(t), with g(t) given the new `axes` (if any) to broadcast against c.
-
-    Under modulation "one" this is c itself, with no array of ones: a
-    product with 1.0 is exact, so the bits are those of c * g(t).
-    """
-    if model.modulation == "one":
-        return c
-    g = model.g(t)
-    return c * (g if axes is None else np.expand_dims(g, axes))
+def _modulated(model: VectorPotentialModel, t, c):
+    """c g(t); under modulation "one" this is c itself, with no array of
+    ones: a product with 1.0 is exact, so the bits are those of c * g(t)."""
+    return c if model.modulation == "one" else c * model.g(t)
 
 
 def eval_a(model: VectorPotentialModel, t, x) -> np.ndarray:
@@ -166,45 +160,51 @@ def eval_a(model: VectorPotentialModel, t, x) -> np.ndarray:
     x = _check_point(model, x)
     if model.family == "zero":
         return np.zeros_like(x)
+    if model.family == "constant-field":
+        return 0.5 * model.b0 * np.stack([-x[..., 1], x[..., 0]], axis=-1)
+    # one component at a time over the whole batch; each element is (c g(t)) p
+    # in this order, as a scalar-time call computes it
+    a = np.empty(x.shape)
     if model.family == "soft-power":
         p = bracket(x) ** model.rho
-        return _modulated(model, t, np.asarray(model.amplitude), -1) * p[..., None]
-    if model.family == "rotational":
-        p = bracket(x) ** (model.rho - 1.0)
-        perp = np.stack([x[..., 1], -x[..., 0]], axis=-1)
-        return _modulated(model, t, model.amplitude[0], -1) * p[..., None] * perp
-    return 0.5 * model.b0 * np.stack([-x[..., 1], x[..., 0]], axis=-1)  # constant-field
+        for j, amp in enumerate(model.amplitude):
+            np.multiply(_modulated(model, t, amp), p, out=a[..., j])
+        return a
+    p = _modulated(model, t, model.amplitude[0]) * bracket(x) ** (model.rho - 1.0)
+    np.multiply(p, x[..., 1], out=a[..., 0])  # rotational: p (x2, -x1)
+    np.multiply(p, -x[..., 0], out=a[..., 1])
+    return a
 
 
 def jacobian_a(model: VectorPotentialModel, t, x) -> np.ndarray:
     """Matrix with entry (j, k) = d a_j / d x_k; batched over leading axes.
 
-    `t` broadcasts to x.shape[:-1], as in `eval_a`.
+    `t` broadcasts to x.shape[:-1], as in `eval_a`.  The batch axes are
+    stored last, so that each entry is one contiguous run over the batch.
     """
     x = _check_point(model, x)
-    batch = x.shape[:-1]
     n = model.n
+    shape = (n, n) + x.shape[-2::-1]  # the transpose's shape
     if model.family == "zero":
-        return np.zeros(batch + (n, n))
-    if model.family == "soft-power":
-        pm2 = bracket(x) ** (model.rho - 2.0)
-        amp = np.asarray(model.amplitude)
-        return (_modulated(model, t, model.rho, (-2, -1)) * amp[..., :, None]
-                * x[..., None, :] * pm2[..., None, None])
+        return np.zeros(shape).T
+    if model.family == "soft-power":  # entry (j, k) is ((c amp_j) x_k) <x>^(rho-2)
+        amp = np.reshape(model.amplitude, (n,) + (1,) * (x.ndim - 1))
+        J = x.T[:, None] * (_modulated(model, np.transpose(t), model.rho) * amp)
+        J *= (bracket(x) ** (model.rho - 2.0)).T
+        return J.T
+    J = np.zeros(shape).T
     if model.family == "rotational":
         x1, x2 = x[..., 0], x[..., 1]
         b = bracket(x)
         pm1 = b ** (model.rho - 1.0)
         pm3 = b ** (model.rho - 3.0)
         c = _modulated(model, t, model.amplitude[0])
-        J = np.empty(batch + (2, 2))
         J[..., 0, 0] = c * (model.rho - 1.0) * x1 * x2 * pm3
         J[..., 0, 1] = c * ((model.rho - 1.0) * x2 * x2 * pm3 + pm1)
         J[..., 1, 0] = -c * ((model.rho - 1.0) * x1 * x1 * pm3 + pm1)
         J[..., 1, 1] = -c * (model.rho - 1.0) * x1 * x2 * pm3
         return J
-    J = np.zeros(batch + (2, 2))  # constant-field
-    J[..., 0, 1] = -0.5 * model.b0
+    J[..., 0, 1] = -0.5 * model.b0  # constant-field
     J[..., 1, 0] = 0.5 * model.b0
     return J
 

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import RK45, solve_ivp
 
+import broadcast_reference as ref
 from mswf import characteristics as chars, detector as det, errors, potentials as pots
 
 
@@ -24,6 +25,16 @@ def test_hamiltonian_values():
     assert chars.hamiltonian(model, 0.7, (1.0, 2.0), tuple(a)) == pytest.approx(0.0, abs=1e-15)
     # a(0) = (1, 1) for the unit soft-power family
     assert chars.hamiltonian(model, 0.0, (0.0, 0.0), (2.0, 0.0)) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("case", ref.cases(), ids=lambda c: "-".join(map(str, c)))
+def test_vector_field_keeps_the_einsum_bits(case):
+    # sum_k J[..., k, :] v_k, component-wise, against the einsum contraction
+    model, s, x, xi = ref.draw(*case)
+    for got, want in zip(chars._vector_field(model, s, x, xi),
+                         ref.vector_field(model, s, x, xi)):
+        assert got.shape == want.shape
+        np.testing.assert_array_equal(got, want)
 
 
 def test_free_flow_exact():

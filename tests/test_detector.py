@@ -251,8 +251,13 @@ def test_conic_sample_rejects_non_finite_points(x0, xi0):
     (lambda: packets.GaussianWindow(1, lam="2"), "lam", 2.0),
     (lambda: packets.GaussianWindow(1, b="x"), "b", None),
     (lambda: packets.GaussianWindow(1, b=None), "b", None),
+    (lambda: packets.GaussianWindow("1"), "n", 1),
+    (lambda: packets.GaussianWindow(2.0), "n", 2),
+    (lambda: packets.GaussianWindow(None), "n", None),
+    (lambda: packets.GaussianWindow(1.5), "n", None),
 ], ids=["conic-k-radius-text", "conic-a-text", "window-width-text", "window-lam-text",
-        "window-b-text", "window-b-none"])
+        "window-b-text", "window-b-none", "window-n-text", "window-n-float",
+        "window-n-none", "window-n-fraction"])
 def test_sample_and_window_keep_the_numbers_they_checked(make, key, value):
     # numeric text is kept as the float it reads as, so the range checks
     # compare numbers; anything else is an InputError, not a bare TypeError
@@ -261,12 +266,18 @@ def test_sample_and_window_keep_the_numbers_they_checked(make, key, value):
             make()
     else:
         got = getattr(make(), key)
-        assert type(got) is float and got == value
+        assert type(got) is type(value) and got == value
 
 
 def test_conic_sample_has_dimension_one_or_two():
     with pytest.raises(errors.InputError, match="dimension 1 or 2, got 3"):
         det.ConicSample((0.0,) * 3, (1.0, 0.0, 0.0))
+
+
+def test_window_has_dimension_one_or_two():
+    for n in (0, 3):
+        with pytest.raises(errors.InputError, match=f"dimension must be 1 or 2, got {n}"):
+            packets.GaussianWindow(n)
 
 
 @pytest.mark.parametrize("key", ["k_radius", "half_angle", "a"])

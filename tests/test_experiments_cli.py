@@ -282,6 +282,7 @@ BAD_VALUE_ARGV = {
     **{f"datum-{name}": ["experiment", "--config", json.dumps(dict(FREE_CFG, data=[datum]))]
        for name, datum in (
            ("width-text", {"name": "gaussian", "width": "abc"}),
+           ("width-negative", {"name": "gaussian", "width": -1}),
            ("amplitude-text", {"name": "gaussian", "amplitude": "z"}),
            ("center-null", {"name": "gaussian", "center": None}),
            ("steepness-text", {"name": "jump", "steepness": "a"}),

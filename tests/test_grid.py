@@ -102,6 +102,16 @@ def test_builtin_data_rejects_unknown_name():
         grid.builtin_data("chirp", grid.GridSpec(1, 64, 5.0))
 
 
+@pytest.mark.parametrize("build, n, width", [
+    (grid.gaussian_data, 1, -1.0), (grid.gaussian_data, 1, 0.0),
+    (grid.gaussian_data, 2, (1.0, -1.0)), (grid.jump_data, 1, -1.0)],
+    ids=["negative", "zero", "2d-one-axis", "jump"])
+def test_gaussian_width_must_be_positive(build, n, width):
+    # w and -w give the same exp(-y^2 / (2 w^2)), so a sign slip would pass unseen
+    with pytest.raises(errors.InputError, match="'width' must be positive"):
+        build(grid.GridSpec(n, 64, 5.0), width=width)
+
+
 @pytest.mark.parametrize("axis", [1.0, 0.5, "1", None, 2, -1])
 def test_jump_data_refuses_an_axis_that_is_not_a_grid_axis(axis):
     with pytest.raises(errors.InputError, match="jump axis"):

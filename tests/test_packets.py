@@ -365,6 +365,53 @@ def test_pair_many_sparse_field_same_bits_alone_and_in_a_batch():
         assert np.array_equal(packets.pair_many(spec, batch, window, X, XI)[:, j], alone)
 
 
+def _per_row_pairing(spec, values, window, X, XI):
+    """The kernel with its frequency phase subtracted one sample row at a
+    time; otherwise the same boxes, vectors and contraction."""
+    boxes = [packets._nonzero_box(g) for g in values]
+    live = [box for box in boxes if box is not None]
+    union = [slice(min(box[i].start for box in live), max(box[i].stop for box in live))
+             for i in range(spec.n)]
+    half_betabar = -0.5 * np.conj(window.beta)
+    vecs = []
+    for i, cols in enumerate(union):
+        y = spec.axis(i)[cols]
+        vec = np.empty((len(X), len(y)), dtype=complex)
+        np.subtract(y, X[:, i, None], out=vec.real)
+        np.square(vec.real, out=vec.real)
+        np.multiply(vec.real, half_betabar.imag, out=vec.imag)
+        vec.real *= half_betabar.real
+        for row, xi in zip(vec.imag, XI[:, i]):
+            row -= xi * y
+        vecs.append(np.exp(vec))
+    out = np.zeros((len(X), len(values)), dtype=complex)
+    for j, (g, box) in enumerate(zip(values, boxes)):
+        own = [vec[:, b.start - u.start:b.stop - u.start] for vec, b, u in zip(vecs, box, union)]
+        g = np.tensordot(own[0], g[box], axes=(1, 0))
+        for vec in own[1:]:
+            g = np.einsum("sk,sk...->s...", vec, g)
+        out[:, j] = g
+    return np.conj(window.amplitude) * spec.cell_volume * out
+
+
+@pytest.mark.parametrize("S", [1, 45])
+@pytest.mark.parametrize("spec", [grid.GridSpec(1, 4096, 20.0), grid.GridSpec(2, 256, 5.0)],
+                         ids=["1d", "2d"])
+def test_pair_many_keeps_the_per_row_phase_bits(spec, S):
+    # a point mass, a Gaussian and a sparse field, alone and in one batch
+    X, XI = _box_points(spec, S, 8)
+    window = GaussianWindow(spec.n, 0.5, 16.0, 0.125, -1.0)
+    sparse = np.zeros(spec.shape, dtype=complex)
+    sparse[(slice(100, 140),) * spec.n] = 1.5 - 0.5j
+    fields = [grid.delta_spike(spec).values,
+              grid.gaussian_data(spec, width=0.7, momentum=1.0).values, sparse]
+    for batch in ([g] for g in fields):
+        np.testing.assert_array_equal(packets.pair_many(spec, batch, window, X, XI),
+                                      _per_row_pairing(spec, batch, window, X, XI))
+    np.testing.assert_array_equal(packets.pair_many(spec, fields, window, X, XI),
+                                  _per_row_pairing(spec, fields, window, X, XI))
+
+
 def test_wpt_grid_reduces_to_pointwise():
     f = grid.gaussian_data(SPEC, width=1.1, momentum=0.4)
     pk = GaussianWindow(1, 1.0, 2.0, 0.125)

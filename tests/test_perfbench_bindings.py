@@ -54,3 +54,6 @@ def test_traced_transport_run_reports_steps_and_cells(monkeypatch):
     # two FFTs per transport step, one before the first and one for the result
     assert values["propagator.fft.calls"] == 2 * 4 + 2
     assert values["detector.cells"] > 0
+    # the dynamic scan's flows: one eval_a call per right-hand side evaluation
+    assert values["characteristics.rhs_evals"] > 0
+    assert values["characteristics.rhs_evals"] == values["potentials.eval_a.calls.characteristics"]

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+import broadcast_reference as ref
 from mswf import errors, potentials as pots
 
 
@@ -83,6 +84,16 @@ def test_jacobian_rows_are_component_gradients():
         J_fd = central_difference_jacobian(model, 0.2, x, h=1e-5 * max(1.0, r))
         scale = max(np.max(np.abs(J)), 1e-12)
         assert np.max(np.abs(J - J_fd)) / scale <= 1e-6
+
+
+@pytest.mark.parametrize("case", ref.cases(), ids=lambda c: "-".join(map(str, c)))
+def test_values_and_jacobians_keep_the_broadcast_bits(case):
+    # each component and entry over the whole batch, as the broadcasts give it
+    model, t, x, _ = ref.draw(*case)
+    for evaluate, reference in ((pots.eval_a, ref.eval_a), (pots.jacobian_a, ref.jacobian_a)):
+        got, want = evaluate(model, t, x), reference(model, t, x)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes(order="C") == want.tobytes(order="C")
 
 
 def test_magnetic_field_antisymmetry():
