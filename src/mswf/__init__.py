@@ -8,8 +8,7 @@ potential families), packets (wave packet transform), characteristics
 
 from .characteristics import (FlowResult, FlowState, check_flow_bounds,
                               check_integral_bound, flow, flow_batch,
-                              hamiltonian, lower_bound_x0, phase_density,
-                              phase_integral)
+                              hamiltonian, lower_bound_x0, phase_integral)
 from .detector import (ConicSample, DecayReport, Thresholds, decay_exponent,
                        default_ladder, wf_scan, wf_test_dynamic,
                        wf_test_static)
@@ -18,7 +17,7 @@ from .errors import (BoundaryMassError, CflError, ConsistencyError,
                      NyquistError, ResolutionError, StepUnderflowError,
                      UndersampledError)
 from .grid import (GridFunction, GridSpec, builtin_data, delta_spike,
-                   gaussian_data, jump_data, load_wfgf, save_wfgf)
+                   gaussian_data, jump_data)
 from .packets import (DeltaSignal, GaussianSignal, GaussianWindow,
                       commutator_check, free_evolve_packet,
                       gaussian_wpt_oracle, inverse_wpt, make_scaled_packet,

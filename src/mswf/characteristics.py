@@ -72,12 +72,6 @@ def hamiltonian(model: VectorPotentialModel, t: float, x, xi) -> float:
     return 0.5 * np.sum(v * v, axis=-1)
 
 
-def phase_density(model: VectorPotentialModel, s: float, x, xi) -> complex:
-    """Complex integrand accumulated along the flow."""
-    x, xi = phase_points(x, xi, model.n)
-    return complex(*_phase_rate(model, s, x, *_vector_field(model, s, x, xi)))
-
-
 @dataclass(frozen=True)
 class FlowState:
     s: float

@@ -34,7 +34,7 @@ whether its (cell, rung) is flowed alone or with others.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -234,30 +234,10 @@ class DecayReport:
     verdict: str
     censored: int                 # samples with a censored rung
     thresholds: Thresholds
-    metadata: dict = field(default_factory=dict)
-
-    def to_json_dict(self) -> dict:
-        mag = self.magnitudes[self.binding_index].tolist() if self.magnitudes.size else []
-
-        def _f(v):
-            return None if not np.isfinite(v) else float(v)
-
-        return {
-            "lambda": list(self.ladder),
-            "lambda_requested": list(self.ladder_requested),
-            "mag": mag,
-            "Nhat": _f(self.n_hat),
-            "R2": _f(self.r2),
-            "flags": list(self.flags),
-            "verdict": self.verdict,
-            "censored": self.censored,
-            "thresholds": self.thresholds.to_json(),
-            "metadata": self.metadata,
-        }
 
 
 def _aggregate(ladder, ladder_requested, xs, xis, mags, thresholds,
-               metadata, floor_abs: float = 0.0, truncated: str | None = None) -> DecayReport:
+               floor_abs: float = 0.0, truncated: str | None = None) -> DecayReport:
     """The report of one field's (S, R) magnitudes.  A ladder that the
     guard `truncated` cut below 5 rungs is not fitted: its report has no
     samples and is inconclusive."""
@@ -281,7 +261,7 @@ def _aggregate(ladder, ladder_requested, xs, xis, mags, thresholds,
                        sample_x=xs, sample_xi=xis, magnitudes=mags, fit=fit,
                        binding_index=i, n_hat=n_hat, r2=r2, flags=flags, verdict=verdict,
                        censored=int(np.count_nonzero(fit.kept < len(ladder))),
-                       thresholds=thresholds, metadata=metadata)
+                       thresholds=thresholds)
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +316,7 @@ class _Data(NamedTuple):
 
 def _ladder_test(data: _Data, xs, xis, ladder: tuple, points: list, t: float,
                  thresholds: Thresholds, width: float, b: float, noise_rel: float,
-                 reason: str, metadata: dict) -> list:
+                 reason: str) -> list:
     """Pair every field with windows evolved freely by t over the ladder.
 
     (xs, xis) are the conic samples; points[r] holds the (S, n) pairing
@@ -352,15 +332,14 @@ def _ladder_test(data: _Data, xs, xis, ladder: tuple, points: list, t: float,
     used = [lam for lam, _, _ in rungs]
     if len(used) < MIN_RUNGS:
         return [_aggregate(used, ladder, xs, xis, np.zeros((0, len(used))), thresholds,
-                           dict(metadata), truncated=reason) for _ in data.values]
+                           truncated=reason) for _ in data.values]
     mags = np.empty((len(data.values), len(xs), len(used)))
     for r, (lam, X, XI) in enumerate(rungs):
         window = GaussianWindow(spec.n, width, lam, b, t)
         mags[..., r] = np.abs(_pair_in_boxes(spec, data.values, data.boxes, window,
                                              X, XI)).T
     window_norm = GaussianWindow(spec.n, width, 1.0, b, 0.0).l2_norm()
-    return [_aggregate(used, ladder, xs, xis, m, thresholds, dict(metadata),
-                       noise_rel * norm * window_norm)
+    return [_aggregate(used, ladder, xs, xis, m, thresholds, noise_rel * norm * window_norm)
             for norm, m in zip(data.norms, mags)]
 
 
@@ -474,16 +453,10 @@ def _probe(mode: str, fields: list, samples: dict, ladder: tuple,
     for c, rungs in results.items():
         if isinstance(rungs, MswfError):  # refused, or its flow failed
             continue
-        sample = samples[c]
-        metadata = {"mode": mode, "t0": t0, "width": width, "b": b, "a": sample.a,
-                    "n": sample.n, "noise_rel": noise_rel}
-        if not dynamic:
-            del metadata["t0"]
         try:
             results[c] = _ladder_test(
                 data, *phases[c], ladder, rungs, -t0 if flowed else 0.0, thresholds,
-                width, b, noise_rel, "flowed-nyquist-guard" if flowed else "nyquist-guard",
-                metadata)
+                width, b, noise_rel, "flowed-nyquist-guard" if flowed else "nyquist-guard")
         except MswfError as exc:
             results[c] = exc
     return results

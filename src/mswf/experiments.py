@@ -197,8 +197,10 @@ class ScanConfig:
     @classmethod
     def parse(cls, cfg: dict):
         """Convert each key once, from its value or else its default; InputError
-        for an unknown or missing key, a value of the wrong type or a scan
-        setting that the conic sample or the window refuses."""
+        for an unknown or missing key, a value of the wrong type, a scan
+        setting that the conic sample or the window refuses, or an out_dir
+        that cannot be created.  out_dir is created here, before anything
+        is computed."""
         obj = load_json(cfg, [f.name for f in fields(cls)])
         done = {}
         for f in fields(cls):
@@ -214,7 +216,13 @@ class ScanConfig:
         n = config.grid.n
         detector.ConicSample(np.zeros(n), np.ones(n), k_radius=config.k_radius,
                              half_angle=config.cone_angle, a=config.a)
-        packets.GaussianWindow(n, config.width, b=config.b)
+        packets.GaussianWindow(n, config.width, config.ladder[-1], config.b)
+        if config.out_dir is not None:
+            try:
+                Path(config.out_dir).mkdir(parents=True, exist_ok=True)
+            except OSError as exc:
+                raise InputError(f"'out_dir' {config.out_dir!r} cannot be created: "
+                                 f"{exc.strerror}") from None
         return config
 
     def write(self, summary: dict, tables: dict) -> None:
@@ -222,7 +230,6 @@ class ScanConfig:
         if self.out_dir is None:
             return
         out = Path(self.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
         write_json(out / "summary.json", summary)
         for name, (header, rows) in tables.items():
             write_csv(out / name, header, rows)
@@ -290,6 +297,7 @@ def run_transport_consistency(cfg: dict) -> dict:
     if not scalar.conforming:
         raise GuardError("scalar potential must be sub-quadratic")
     evolve_cfg = propagator.EvolveConfig(dt=config.dt)
+    propagator._step_count(0.0, config.t0, evolve_cfg)  # refused before any datum
     data = [_datum_from_config(entry, spec) for entry in config.data]
     evolved = propagator.evolve(model, scalar, data, 0.0, config.t0, evolve_cfg)
     # one scan per mode over all data; results come back datum-major

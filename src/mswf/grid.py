@@ -9,17 +9,13 @@ which is what every quadrature here uses.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from functools import lru_cache
-from pathlib import Path
 
 import numpy as np
 
 from .errors import InputError, integer, number, one_of
 
-WFGF_MAGIC = b"WFGF"
-WFGF_VERSION = 1
 SUPPORT_FLOOR = 1e-10  # spectral mass that counts as support, relative to the peak
 EDGE_MARGIN = 0.1  # the edge band, as a fraction of each half-width
 
@@ -290,63 +286,3 @@ BUILTIN_DATA = {
 def builtin_data(datum: str, spec: GridSpec, **kwargs) -> GridFunction:
     return BUILTIN_DATA[one_of(datum, BUILTIN_DATA, "built-in datum")](spec, **kwargs)
 
-
-# ---------------------------------------------------------------------------
-# file formats
-
-
-def save_wfgf(f: GridFunction, path) -> None:
-    """Binary field file: magic, version, n, per-axis (M, L), then re/im pairs."""
-    path = Path(path)
-    with path.open("wb") as fh:
-        fh.write(WFGF_MAGIC)
-        fh.write(struct.pack("<HH", WFGF_VERSION, f.spec.n))
-        for M, L in zip(f.spec.points, f.spec.halfwidths):
-            fh.write(struct.pack("<Qd", M, L))
-        interleaved = np.empty(f.spec.size * 2, dtype="<f8")
-        flat = f.values.reshape(-1)
-        interleaved[0::2] = flat.real
-        interleaved[1::2] = flat.imag
-        fh.write(interleaved.tobytes())
-
-
-def load_wfgf(path) -> GridFunction:
-    """A field file of `save_wfgf`; InputError for a file that cannot be
-    read, is not WFGF, has another version or is shorter than its header says."""
-    path = Path(path)
-    try:
-        raw = path.read_bytes()
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from None
-    if raw[:4] != WFGF_MAGIC:
-        raise InputError(f"{path}: not a WFGF file")
-    try:
-        version, n = struct.unpack_from("<HH", raw, 4)
-        axes = [struct.unpack_from("<Qd", raw, 8 + 16 * i) for i in range(n)]
-    except struct.error:
-        raise InputError(f"{path}: WFGF header is truncated") from None
-    if version != WFGF_VERSION:
-        raise InputError(f"{path}: unsupported WFGF version {version}")
-    spec = GridSpec(n, tuple(int(M) for M, _ in axes), tuple(float(L) for _, L in axes))
-    offset = 8 + 16 * n
-    if len(raw) < offset + 16 * spec.size:
-        raise InputError(f"{path}: payload of {len(raw) - offset} bytes, "
-                         f"the header's grid {spec.shape} needs {16 * spec.size}")
-    flat = np.frombuffer(raw, dtype="<f8", count=spec.size * 2, offset=offset)
-    values = (flat[0::2] + 1j * flat[1::2]).reshape(spec.shape)
-    return GridFunction(spec, values)
-
-
-def gridfunction_to_csv(f: GridFunction, path) -> None:
-    """Plain-text export with one row per node: indices, coordinates, re, im."""
-    path = Path(path)
-    axes = f.spec.axes()
-    idx_cols = ",".join(f"i{k}" for k in range(f.spec.n))
-    x_cols = ",".join(f"x{k}" for k in range(f.spec.n))
-    lines = [f"{idx_cols},{x_cols},re,im"]
-    for idx in np.ndindex(f.spec.shape):
-        coords = ",".join(repr(float(axes[k][idx[k]])) for k in range(f.spec.n))
-        v = f.values[idx]
-        lines.append(f"{','.join(str(i) for i in idx)},{coords},"
-                     f"{float(v.real)!r},{float(v.imag)!r}")
-    path.write_text("\n".join(lines) + "\n")

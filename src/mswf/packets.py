@@ -72,6 +72,13 @@ class GaussianWindow:
             raise InputError("scaling exponent b must lie in (0, 1)")
         if self.width <= 0:
             raise InputError("width must be positive")
+        try:
+            alpha = self.alpha
+        except (OverflowError, ZeroDivisionError):
+            alpha = np.inf
+        if not 0.0 < alpha < np.inf:
+            raise InputError(f"width {self.width!r} at lam = {self.lam!r} gives a window "
+                             "curvature lam^(2b) / width^2 that is not a finite positive float")
 
     @property
     def alpha(self) -> float:

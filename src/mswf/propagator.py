@@ -91,6 +91,16 @@ class EvolveConfig:
             raise InputError("dt must be positive")
 
 
+def _step_count(t0: float, t1: float, cfg: EvolveConfig) -> int:
+    """Steps of at most cfg.dt from t0 to t1, at least one; InputError when
+    that count is not finite."""
+    steps = np.ceil(abs(t1 - t0) / cfg.dt)
+    if not np.isfinite(steps):
+        raise InputError(f"{t1 - t0!r} in steps of dt = {cfg.dt!r} is not a finite "
+                         "step count")
+    return max(1, int(steps))
+
+
 ZERO_SCALAR = ScalarPotentialModel("zero")
 
 SPLINE_BLOCK = 4096  # grid points per block of interpolation weights
@@ -183,16 +193,15 @@ def bspline_sample(coeffs: np.ndarray, points: np.ndarray, out: np.ndarray) -> n
 
 
 def evolve(model: VectorPotentialModel, scalar, u0, t0: float, t1: float,
-           cfg: EvolveConfig, probe=None):
+           cfg: EvolveConfig):
     """Propagate u0 from t0 to t1.
 
     `u0` is one GridFunction or a sequence of them on one grid; the result
     is a GridFunction or a list of them, with labels kept.  A sequence is
     stepped as one batch, and each field gets the bits it would get alone.
-    `probe`, if given, is called as probe(t, fields) after every accepted
-    step, with `fields` in the form of `u0` (used for norm monitoring and
-    CSV probes).  Raises CflError before the first step when, at some
-    step's midpoint, the transport displacement max|a| dt would exceed the
+    Raises InputError before the first step when the step count
+    (t1 - t0) / dt is not finite, and CflError when, at some step's
+    midpoint, the transport displacement max|a| dt would exceed the
     stencil reach 4 dx.  Raises NumericError when a field stops being
     finite, and BoundaryMassError when, for any field, more than
     BOUNDARY_MASS_LIMIT of the squared norm sits within 10 percent of the
@@ -204,21 +213,16 @@ def evolve(model: VectorPotentialModel, scalar, u0, t0: float, t1: float,
         raise InputError("model dimension does not match the field")
     t0, t1 = number(t0, "t0"), number(t1, "t1")
 
-    def unpack(values):
-        out = [GridFunction(spec, values[b], f.label) for b, f in enumerate(fields)]
-        return out[0] if single else out
-
-    step_probe = None if probe is None else \
-        (lambda t, values: probe(t, unpack(values.copy())))
     values = np.stack([f.values for f in fields])
     if t1 != t0:
         scalar = scalar if scalar is not None else ZERO_SCALAR
         # rebinding frees the input buffer when the result is in the other one
-        values = _evolve_split(model, scalar, spec, values, t0, t1, cfg, step_probe)
-    return unpack(values)
+        values = _evolve_split(model, scalar, spec, values, t0, t1, cfg)
+    out = [GridFunction(spec, values[b], f.label) for b, f in enumerate(fields)]
+    return out[0] if single else out
 
 
-def _evolve_split(model, scalar, spec, u, t0, t1, cfg, probe):
+def _evolve_split(model, scalar, spec, u, t0, t1, cfg):
     """Strang steps of the batch u (B, *grid), overwritten in place.
 
     With transport, the leading half kinetic step also applies the spline
@@ -229,10 +233,9 @@ def _evolve_split(model, scalar, spec, u, t0, t1, cfg, probe):
     product back into u applies the factor.  The CFL guard checks every
     step's midpoint once, before the first step; the field guards check
     the physical field in hand: after the transport substep, at the end of
-    a free step, and the result.  A probe costs a transport step one more
-    inverse FFT.
+    a free step, and the result.
     """
-    n_steps = max(1, int(np.ceil(abs(t1 - t0) / cfg.dt)))
+    n_steps = _step_count(t0, t1, cfg)
     tau = (t1 - t0) / n_steps
     axes = tuple(range(1, spec.n + 1))
     grid_axes = np.meshgrid(*spec.axes(), indexing="ij", sparse=True)
@@ -323,7 +326,7 @@ def _evolve_split(model, scalar, spec, u, t0, t1, cfg, probe):
             guard(u, t_end)
             np.fft.fftn(u, axes=axes, out=u)
             np.multiply(kinetic_half, u, out=u)
-            if last or probe is not None:
+            if last:
                 field = np.fft.ifftn(u, axes=axes, out=other)
         else:
             half_kinetic(u)
@@ -333,8 +336,6 @@ def _evolve_split(model, scalar, spec, u, t0, t1, cfg, probe):
             field = u
         if last or not has_transport:
             guard(field, t_end)
-        if probe is not None:
-            probe(t_end, field)
     return field
 
 

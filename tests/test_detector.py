@@ -280,6 +280,14 @@ def test_window_has_dimension_one_or_two():
             packets.GaussianWindow(n)
 
 
+@pytest.mark.parametrize("width,lam", [(1e308, 1.0), (1e-300, 1.0), (1e-154, 2.0 ** 40)],
+                         ids=["overflow", "zero-division", "infinite-quotient"])
+def test_window_refuses_a_curvature_that_is_not_finite(width, lam):
+    # alpha = lam^(2b) / width^2 is the curvature every pairing takes
+    with pytest.raises(errors.InputError, match="curvature"):
+        packets.GaussianWindow(1, width, lam)
+
+
 @pytest.mark.parametrize("key", ["k_radius", "half_angle", "a"])
 def test_conic_sample_rejects_non_finite_pattern(key):
     for bad in (np.nan, np.inf):
@@ -403,14 +411,6 @@ def test_dynamic_flowed_band_guard():
                               det.default_ladder(3, 12))
     assert rep.verdict == "inconclusive"
     assert "ladder-truncated" in rep.flags
-
-
-def test_report_json_shape():
-    d = grid.delta_spike(FINE)
-    rep = det.wf_test_static(d, det.ConicSample((0.0,), (1.0,)), LADDER)
-    payload = rep.to_json_dict()
-    assert set(payload) >= {"lambda", "mag", "Nhat", "R2", "flags", "verdict"}
-    assert len(payload["mag"]) == len(payload["lambda"])
 
 
 # ---------------------------------------------------------------------------

@@ -5,10 +5,9 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
-from mswf import characteristics as chars, cli, detector, errors, experiments as exp, grid
+from mswf import characteristics as chars, cli, errors, experiments as exp, grid
 from mswf import potentials, propagator as prop
 
 FREE_CFG = {
@@ -197,12 +196,41 @@ BAD_CONFIGS = {
     "potential-cosbump": lambda cfg: dict(cfg, potential=dict(SOFT_1D, modulation="cosbump")),
     "scalar-modulation": lambda cfg: dict(cfg, scalar_potential={
         "family": "soft-power", "mu": 1.0, "amplitude": 0.3, "modulation": "sin"}),
+    # bad values inside a model; unchecked, each exits 1 or 3 mid-run
+    "potential-typo": lambda cfg: dict(
+        cfg, potential={"family": "soft-power", "n": 1, "rh": 0.5}),
+    "potential-rho-text": lambda cfg: dict(cfg, potential=dict(SOFT_1D, rho="half")),
+    "potential-amplitude-text": lambda cfg: dict(cfg, potential=dict(SOFT_1D, amplitude="x")),
+    "potential-amplitude-nan": lambda cfg: dict(
+        cfg, potential=dict(SOFT_1D, amplitude=float("nan"))),
+    "potential-amplitude-count": lambda cfg: dict(
+        cfg, potential=dict(SOFT_1D, amplitude=[1, 2])),
+    "potential-modulation-list": lambda cfg: dict(
+        cfg, potential=dict(SOFT_1D, modulation=["one"])),
+    "constant-field-modulation": lambda cfg: dict(
+        cfg, grid={"n": 2, "points": 64, "halfwidth": 6.0},
+        potential={"family": "constant-field", "n": 2, "modulation": "sin"}),
+    # text and non-finite values where a number or a ladder belongs
+    "grid-points-text": lambda cfg: dict(cfg, grid=dict(cfg["grid"], points="abc")),
+    "grid-halfwidth-nan": lambda cfg: dict(cfg, grid=dict(cfg["grid"], halfwidth=float("nan"))),
+    "ladder-text": lambda cfg: dict(cfg, ladder="2:6:9"),
+    "a-inf": lambda cfg: dict(cfg, a=float("inf")),
+    "width-nan": lambda cfg: dict(cfg, width=float("nan")),
+    "dt-nan": lambda cfg: dict(cfg, dt=float("nan")),
+    # finite values whose window curvature or step count overflows
+    "width-huge": lambda cfg: dict(cfg, width=1e308),
+    "width-tiny": lambda cfg: dict(cfg, width=1e-300),
+    # finite at lam = 1, infinite at the top rung 64
+    "width-tiny-at-top-rung": lambda cfg: dict(cfg, width=1e-154),
+    "t0-huge": lambda cfg: dict(cfg, t0=1e308),
+    # an output directory under a regular file cannot be created
+    "out-dir-under-file": lambda cfg: dict(cfg, out_dir=str(Path(__file__) / "out")),
 }
 
 POINT_MASS_ONLY = ("envelope-ladder-zero", "envelope-ladder-negative", "envelope-ladder-empty",
                    "envelope-ladder-repeated", "envelope-ladder-decreasing", "t0-negative")
 TRANSPORT_ONLY = ("datum-typo", "noise-floor", "min-agreement-above-one",
-                  "max-inconclusive-negative", "scalar-modulation")
+                  "max-inconclusive-negative", "scalar-modulation", "dt-nan", "t0-huge")
 SCHEMA_CASES = (
     [(exp.run_transport_consistency, FREE_CFG, bad)
      for bad in BAD_CONFIGS if bad not in POINT_MASS_ONLY]
@@ -247,30 +275,8 @@ def test_config_parse_converts_once():
     assert plane.directions.tolist() == [[1.0, 1.0]]
 
 
-SHORT_WFGF = "<a WFGF file whose payload is shorter than its header says>"
-GAUSSIAN_WFGF = "<a WFGF file of a gaussian datum>"
-FOREIGN_NPZ = "<an npz archive that holds no grid_points array>"
-MISSHAPED_NPZ = "<a table archive whose values do not match its axes>"
-
-
-def _flow_argv(potential: dict) -> list:
-    n = potential["n"]
-    return ["flow", "--potential", json.dumps(potential), "--t0", "1.0", "--target", "0.0",
-            "--x", ",".join(["0.3"] * n), "--xi", ",".join(["1.0"] * n)]
-
 # bad values inside a model or a datum; unchecked, each exits 1 or 3 mid-run
 BAD_VALUE_ARGV = {
-    "potential-amplitude-text": _flow_argv(dict(SOFT_1D, amplitude="x")),
-    "potential-modulation-list": _flow_argv(dict(SOFT_1D, modulation=["one"])),
-    "potential-amplitude-nan": _flow_argv(dict(SOFT_1D, amplitude=float("nan"))),
-    "potential-amplitude-count": _flow_argv(
-        {"family": "soft-power", "n": 2, "rho": 0.5, "amplitude": [1, 2, 3]}),
-    "constant-field-modulation": _flow_argv(
-        {"family": "constant-field", "n": 2, "modulation": "sin"}),
-    "scalar-modulation-list": [
-        "evolve", "--dt", "0.01", "--t1", "0.1", "--in", GAUSSIAN_WFGF,
-        "--out", "no-such-out.wfgf", "--scalar-potential",
-        json.dumps({"family": "soft-power", "mu": 1.0, "modulation": ["one"]})],
     "config-amplitude-nan": ["experiment", "--config", json.dumps(dict(
         FREE_CFG, experiment="magnetic-transport",
         potential=dict(SOFT_1D, amplitude=float("nan"))))],
@@ -294,56 +300,10 @@ BAD_VALUE_ARGV = {
 @pytest.mark.parametrize("argv", [
     ["experiment", "--config", '{"experiment": "free-transport",'],
     ["experiment", "--config", "no-such-config.json"],
-    ["flow", "--potential", '{"family": "soft-power", "n": 2, "rh": 0.5}',
-     "--t0", "1.0", "--target", "0.0", "--x", "0.3,0.0", "--xi", "2.0,1.0"],
-    ["flow", "--potential", '{"family": "soft-power", "n": 2, "rho": "half"}',
-     "--t0", "1.0", "--target", "0.0", "--x", "0.3,0.0", "--xi", "2.0,1.0"],
-    ["packet", "--grid", "1,abc,20"],
-    ["wpt", "--in", "no-such-field.wfgf", "--x", "0", "--xi", "1"],
-    ["iwpt", "--table", "no-such-table.npz", "--out", "no-such-out.wfgf"],
-    ["iwpt", "--table", FOREIGN_NPZ, "--out", "no-such-out.wfgf"],
-    ["iwpt", "--table", MISSHAPED_NPZ, "--out", "no-such-out.wfgf"],
-    ["wpt", "--in", SHORT_WFGF, "--x", "0", "--xi", "1"],
-    ["detect", "--in", SHORT_WFGF, "--x0", "0", "--xi0", "1"],
-    ["evolve", "--dt", "0.01", "--t1", "0.1", "--in", SHORT_WFGF,
-     "--out", "no-such-out.wfgf"],
-    ["detect", "--in", GAUSSIAN_WFGF, "--x0", "0", "--xi0", "1", "--ladder", "2:6:9"],
-    ["flow", "--t0", "0", "--target", "inf", "--x", "0", "--xi", "1"],
-    ["flow", "--t0", "0", "--target", "nan", "--x", "0", "--xi", "1"],
-    ["flow", "--t0", "0", "--target", "1", "--x", "nan", "--xi", "1"],
-    ["detect", "--in", GAUSSIAN_WFGF, "--x0", "0", "--xi0", "1", "--a", "inf"],
-    ["detect", "--in", GAUSSIAN_WFGF, "--x0", "0", "--xi0", "1", "--potential",
-     json.dumps({"family": "soft-power", "n": 2, "rho": 0.5})],
-    ["evolve", "--dt", "0.01", "--t1", "nan", "--in", GAUSSIAN_WFGF,
-     "--out", "no-such-out.wfgf"],
-    ["evolve", "--dt", "nan", "--t1", "0.1", "--in", GAUSSIAN_WFGF,
-     "--out", "no-such-out.wfgf"],
-    ["packet", "--grid", "1,256,20", "--width", "nan"],
-    ["packet", "--grid", "1,256,20", "--t", "nan"],
-    ["packet", "--grid", "1,256,nan"],
     *BAD_VALUE_ARGV.values(),
-], ids=["malformed-json", "missing-file", "potential-typo", "potential-type",
-        "grid-text", "missing-field-file", "missing-table-file", "foreign-table",
-        "misshaped-table", "short-field-wpt", "short-field-detect", "short-field-evolve",
-        "ladder-text", "flow-target-inf", "flow-target-nan", "flow-x-nan", "detect-a-inf",
-        "detect-potential-dimension",
-        "evolve-t1-nan", "evolve-dt-nan", "packet-width-nan", "packet-t-nan",
-        "grid-halfwidth-nan", *BAD_VALUE_ARGV])
-def test_bad_outside_input_exits_2(argv, tmp_path, capsys):
-    short = tmp_path / "short.wfgf"
-    gaussian = tmp_path / "gaussian.wfgf"
-    grid.save_wfgf(grid.gaussian_data(grid.GridSpec(1, 64, 5.0)), gaussian)
-    short.write_bytes(gaussian.read_bytes()[:-8])
-    foreign = tmp_path / "foreign.npz"
-    np.savez(foreign, values=np.zeros(4))
-    misshaped = tmp_path / "misshaped.npz"
-    spec = grid.GridSpec(1, 16, 2.0)
-    np.savez(misshaped, values=np.zeros((15, 16)), grid_points=np.array(spec.points),
-             grid_halfwidths=np.array(spec.halfwidths), x_axis_0=spec.axis(0),
-             xi_axis_0=spec.freq_axis(0))
-    files = {SHORT_WFGF: str(short), GAUSSIAN_WFGF: str(gaussian),
-             FOREIGN_NPZ: str(foreign), MISSHAPED_NPZ: str(misshaped)}
-    assert cli.main([files.get(a, a) for a in argv]) == 2
+], ids=["malformed-json", "missing-file", *BAD_VALUE_ARGV])
+def test_bad_outside_input_exits_2(argv, capsys):
+    assert cli.main(argv) == 2
     assert "InputError" in capsys.readouterr().err
 
 
@@ -354,119 +314,6 @@ def test_scalar_spec_rejects_unknown_keys():
 
 # ---------------------------------------------------------------------------
 # command line
-
-
-def test_cli_packet_wpt_iwpt_roundtrip(tmp_path):
-    pk = tmp_path / "pk.wfgf"
-    tab = tmp_path / "tab.npz"
-    back = tmp_path / "back.wfgf"
-    assert cli.main(["packet", "--grid", "1,256,20", "--lam", "4",
-                     "--out", str(pk), "--csv", str(tmp_path / "pk.csv")]) == 0
-    assert cli.main(["wpt", "--in", str(pk), "--x", "0.5", "--xi", "1.0"]) == 0
-    assert cli.main(["wpt", "--in", str(pk), "--table-out", str(tab)]) == 0
-    assert cli.main(["iwpt", "--table", str(tab), "--out", str(back)]) == 0
-    original = grid.load_wfgf(pk)
-    recovered = grid.load_wfgf(back)
-    err = np.sqrt(np.sum(np.abs(recovered.values - original.values) ** 2)
-                  * original.spec.cell_volume)
-    assert err / original.l2_norm() <= 1e-6
-
-
-def test_cli_wpt_iwpt_roundtrip_band_limited(tmp_path):
-    # C01's band-limited field fills the box, so the forward table and the
-    # inverse must sample the window the same periodic way
-    spec = grid.GridSpec(1, 256, 20.0)
-    rng = np.random.default_rng(0)
-    coef = np.zeros(256, dtype=complex)
-    coef[:64] = rng.standard_normal(64) + 1j * rng.standard_normal(64)
-    coef[-64:] = rng.standard_normal(64) + 1j * rng.standard_normal(64)
-    original = grid.GridFunction(spec, np.fft.ifft(coef))
-    field, tab, back = tmp_path / "f.wfgf", tmp_path / "tab.npz", tmp_path / "back.wfgf"
-    grid.save_wfgf(original, field)
-    assert cli.main(["wpt", "--in", str(field), "--table-out", str(tab)]) == 0
-    assert cli.main(["iwpt", "--table", str(tab), "--out", str(back)]) == 0
-    recovered = grid.load_wfgf(back)
-    err = np.sqrt(np.sum(np.abs(recovered.values - original.values) ** 2)
-                  * spec.cell_volume)
-    assert err / original.l2_norm() <= 1e-4
-
-
-@pytest.mark.parametrize("flags", [["--x", "0.5"], ["--xi", "1.0"], []],
-                         ids=["lone-x", "lone-xi", "no-table-out"])
-def test_cli_wpt_checks_arguments_before_computing(flags, tmp_path, monkeypatch):
-    def never(*args, **kwargs):
-        raise AssertionError("wpt_grid ran before the arguments were checked")
-
-    monkeypatch.setattr(cli.packets, "wpt_grid", never)
-    field = tmp_path / "f.wfgf"
-    grid.save_wfgf(grid.gaussian_data(grid.GridSpec(2, 64, 8.0)), field)
-    assert cli.main(["wpt", "--in", str(field), *flags]) == 2
-
-
-def test_cli_flow_dump(tmp_path):
-    traj = tmp_path / "traj.csv"
-    rc = cli.main(["flow", "--potential",
-                   '{"family": "soft-power", "n": 2, "rho": 0.5}',
-                   "--t0", "1.0", "--target", "0.0",
-                   "--x", "0.3,0.0", "--xi", "2.0,1.0",
-                   "--dump-traj", str(traj)])
-    assert rc == 0
-    lines = traj.read_text().splitlines()
-    assert lines[0] == "s,x0,x1,xi0,xi1,h,RePsi,ImPsi"
-    assert float(lines[1].split(",")[0]) == 1.0
-    assert float(lines[-1].split(",")[0]) == 0.0
-
-
-def test_cli_evolve_probe(tmp_path):
-    pk = tmp_path / "u0.wfgf"
-    out = tmp_path / "u1.wfgf"
-    probe = tmp_path / "l2.csv"
-    grid.save_wfgf(grid.gaussian_data(grid.GridSpec(1, 256, 20.0)), pk)
-    rc = cli.main(["evolve", "--dt", "0.001", "--t1", "0.5", "--in", str(pk),
-                   "--out", str(out), "--probe-l2", str(probe)])
-    assert rc == 0
-    rows = probe.read_text().splitlines()
-    assert rows[0] == "t,l2"
-    assert len(rows) == 501
-
-
-def test_cli_detect(tmp_path):
-    field = tmp_path / "d.wfgf"
-    report = tmp_path / "report.json"
-    grid.save_wfgf(grid.delta_spike(grid.GridSpec(1, 32768, 10.0)), field)
-    rc = cli.main(["detect", "--mode", "static", "--in", str(field),
-                   "--x0", "0.0", "--xi0", "1.0", "--ladder", "3:11",
-                   "--a", "1.5", "--out", str(report),
-                   "--csv", str(tmp_path / "ladder.csv")])
-    assert rc == 0
-    payload = json.loads(report.read_text())
-    assert payload["verdict"] == "in-WF"
-    assert payload["Nhat"] == pytest.approx(-0.0625, abs=0.05)
-
-
-@pytest.mark.parametrize("mode,spec,x0,xi0", [
-    ("static", grid.GridSpec(1, 2048, 30.0), (0.5,), (1.0,)),
-    ("dynamic", grid.GridSpec(1, 2048, 30.0), (0.5,), (-1.0,)),
-    # one number stands for every axis, as in a config
-    ("static", grid.GridSpec(2, 64, 8.0), (0.5,), (1.0, 0.0)),
-], ids=["static", "dynamic", "one-number-x0"])
-def test_cli_detect_writes_the_report_of_the_library_test(mode, spec, x0, xi0, tmp_path):
-    field, out, direct = tmp_path / "u.wfgf", tmp_path / "cli.json", tmp_path / "direct.json"
-    u = grid.gaussian_data(spec)
-    grid.save_wfgf(u, field)
-    potential = {"family": "soft-power", "n": spec.n, "rho": 0.5}
-    assert cli.main(["detect", "--mode", mode, "--in", str(field), "--potential",
-                     json.dumps(potential), "--t0", "1.0", "--ladder", "2:6",
-                     "--x0", ",".join(map(str, x0)), "--xi0", ",".join(map(str, xi0)),
-                     "--out", str(out)]) == 0
-    model = potentials.model_from_json(potential)
-    sample = detector.ConicSample(np.resize(x0, spec.n), xi0)
-    settings = (sample, detector.default_ladder(2, 6), detector.Thresholds(), 1.0,
-                detector.resolve_b("auto", model))
-    report = (detector.wf_test_static(u, *settings) if mode == "static"
-              else detector.wf_test_dynamic(u, model, 1.0, *settings))
-    exp.write_json(direct, report.to_json_dict())
-    assert out.read_bytes() == direct.read_bytes()
 
 
 def test_cli_experiment(tmp_path):
@@ -489,20 +336,18 @@ def test_cli_exit_codes(tmp_path):
     cfg_path = tmp_path / "bad.json"
     cfg_path.write_text(json.dumps(cfg))
     assert cli.main(["experiment", "--config", str(cfg_path)]) == 2
-    # numeric failure -> 3 (mass reaches the box edge)
-    u0 = tmp_path / "narrow.wfgf"
-    grid.save_wfgf(grid.gaussian_data(grid.GridSpec(1, 256, 5.0), width=0.1), u0)
-    rc = cli.main(["evolve", "--dt", "0.01", "--t1", "2.0", "--in", str(u0),
-                   "--out", str(tmp_path / "x.wfgf")])
-    assert rc == 3
+    # numeric failure -> 3 (the narrow datum's mass reaches the box edge)
+    cfg = dict(FREE_CFG, grid={"n": 1, "points": 256, "halfwidth": 5.0}, t0=2.0, dt=0.01,
+               data=[{"name": "gaussian", "width": 0.1}])
+    assert cli.main(["experiment", "--config", json.dumps(cfg)]) == 3
     # consistency failure -> 4 (every rung leaves the band: all inconclusive)
     cfg = dict(FREE_CFG, ladder={"kmin": 7, "kmax": 11})
     cfg_path2 = tmp_path / "strict.json"
     cfg_path2.write_text(json.dumps(cfg))
     assert cli.main(["experiment", "--config", str(cfg_path2)]) == 4
     # malformed vector -> 2
-    assert cli.main(["flow", "--t0", "0", "--target", "1",
-                     "--x", "oops", "--xi", "1"]) == 2
+    cfg = dict(FREE_CFG, positions=[["oops"]])
+    assert cli.main(["experiment", "--config", json.dumps(cfg)]) == 2
 
 
 def _fresh_interpreter(code: str) -> str:

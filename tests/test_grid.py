@@ -135,34 +135,3 @@ def test_jump_data_mollified():
     assert soft.values[i].real == pytest.approx(
         np.tanh(x[i] / 0.25) * envelope, rel=1e-9)
     assert hard.values[np.argmin(np.abs(x + 3.0))].real < 0
-
-
-@pytest.mark.parametrize("n,points,halfwidth", [(1, 256, 10.0), (2, 16, 3.0)])
-def test_wfgf_roundtrip(tmp_path, n, points, halfwidth):
-    spec = grid.GridSpec(n, points, halfwidth)
-    f = grid.gaussian_data(spec, width=1.0, momentum=0.5)
-    path = tmp_path / "field.wfgf"
-    grid.save_wfgf(f, path)
-    g = grid.load_wfgf(path)
-    assert g.spec == spec
-    np.testing.assert_array_equal(g.values, f.values)
-
-
-def test_wfgf_rejects_garbage(tmp_path):
-    path = tmp_path / "bad.wfgf"
-    path.write_bytes(b"NOPE" + b"\0" * 64)
-    with pytest.raises(errors.InputError):
-        grid.load_wfgf(path)
-
-
-def test_csv_export(tmp_path):
-    spec = grid.GridSpec(1, 8, 1.0)
-    f = grid.gaussian_data(spec)
-    path = tmp_path / "f.csv"
-    grid.gridfunction_to_csv(f, path)
-    lines = path.read_text().strip().split("\n")
-    assert lines[0] == "i0,x0,re,im"
-    assert len(lines) == 9
-    first = lines[1].split(",")
-    assert first[0] == "0"
-    assert float(first[1]) == -1.0

@@ -4,13 +4,15 @@
 them names imported into a caller's module only so that the probe can
 find them there.  A refactor that drops one makes every traced run fail,
 so each listed binding must exist, and a small traced run must report
-the work it did.
+the work it did.  Every benchmark run, and its set-up probe, goes
+through `mswf experiment`, the one command of `mswf.cli`.
 """
 
+import argparse
 import importlib
 from pathlib import Path
 
-from mswf import experiments
+from mswf import cli, experiments
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -57,3 +59,12 @@ def test_traced_transport_run_reports_steps_and_cells(monkeypatch):
     # the dynamic scan's flows: one eval_a call per right-hand side evaluation
     assert values["characteristics.rhs_evals"] > 0
     assert values["characteristics.rhs_evals"] == values["potentials.eval_a.calls.characteristics"]
+
+
+def test_the_command_line_is_the_one_experiment_command():
+    # perfbench/setup_probe.py times this parse, and run.py runs cli.main on it
+    parser = cli.build_parser()
+    args = parser.parse_args(["experiment", "--config", "C", "--out-dir", "D"])
+    assert (args.config, args.out_dir, args.func) == ("C", "D", cli._cmd_experiment)
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert list(sub.choices) == ["experiment"]

@@ -23,6 +23,18 @@ def test_evolve_rejects_non_finite_times_and_step(value):
             prop.evolve(model, None, u0, t0, t1, cfg)
 
 
+@pytest.mark.parametrize("model", [pots.zero_model(1), pots.soft_power_model(1, 0.5)],
+                         ids=["free", "transport"])
+def test_evolve_refuses_a_step_count_that_is_not_finite(model, monkeypatch):
+    # (t1 - t0) / dt overflows to inf: refused before the first step
+    calls = []
+    monkeypatch.setattr(prop, "boundary_mass_fraction", lambda *args: calls.append("guard"))
+    with pytest.raises(errors.InputError, match="finite step count"):
+        prop.evolve(model, None, grid.gaussian_data(SPEC), 0.0, 1e308,
+                    prop.EvolveConfig(dt=1e-3))
+    assert calls == []
+
+
 def test_scalar_potential_families():
     x = np.array([[1.0], [3.0]])
     V = prop.ScalarPotentialModel("soft-power", mu=1.0, amplitude=0.3)
@@ -213,9 +225,9 @@ def test_cfl_guard_checks_every_step_before_the_first(monkeypatch):
     u0 = grid.gaussian_data(grid.GridSpec(1, 1024, 40.0))
     calls = []
     monkeypatch.setattr(prop, "bspline_sample", lambda *args: calls.append("sample"))
+    monkeypatch.setattr(prop, "boundary_mass_fraction", lambda *args: calls.append("guard"))
     with pytest.raises(errors.CflError, match="in step 52 of 629"):
-        prop.evolve(model, None, u0, 0.0, 2 * np.pi, prop.EvolveConfig(dt=0.01),
-                    probe=lambda t, fields: calls.append("probe"))
+        prop.evolve(model, None, u0, 0.0, 2 * np.pi, prop.EvolveConfig(dt=0.01))
     assert calls == []
 
 
@@ -262,15 +274,6 @@ def test_numeric_guard_fires_during_a_transport_run(monkeypatch):
         prop.evolve(model, None, grid.gaussian_data(SPEC), 0.0, 0.2,
                     prop.EvolveConfig(dt=1e-2))
     assert guard_time(exc_info) < 0.2
-
-
-def test_probe_callback_sees_each_step():
-    u0 = grid.gaussian_data(SPEC)
-    seen = []
-    prop.evolve(pots.zero_model(1), None, u0, 0.0, 0.1,
-                prop.EvolveConfig(dt=0.025), probe=lambda t, f: seen.append(t))
-    assert len(seen) == 4
-    assert seen[-1] == pytest.approx(0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -408,31 +411,8 @@ def test_boundary_mass_guard_checks_every_field_of_a_batch(model):
         prop.evolve(model, None, data, 0.0, 2.0, prop.EvolveConfig(dt=1e-2))
 
 
-def test_transport_probe_sees_end_of_step_fields_and_keeps_the_bits():
+def test_batch_validation():
     _, data = rotational_batch()
-    model = pots.rotational_model(0.5, modulation="sin")
-    cfg = prop.EvolveConfig(dt=1e-2)
-    seen = []
-    probed = prop.evolve(model, None, data, 0.0, 0.05, cfg,
-                         probe=lambda t, f: seen.append((t, f)))
-    plain = prop.evolve(model, None, data, 0.0, 0.05, cfg)
-    assert len(seen) == 5
-    for with_probe, without, last in zip(probed, plain, seen[-1][1]):
-        np.testing.assert_array_equal(with_probe.values, without.values)
-        np.testing.assert_array_equal(last.values, without.values)
-    # each probed field is the end-of-step field, not the mid-step one
-    step = prop.evolve(model, None, data, 0.0, seen[0][0], cfg)
-    for first, one_step in zip(seen[0][1], step):
-        np.testing.assert_array_equal(first.values, one_step.values)
-
-
-def test_batch_probe_and_validation():
-    spec, data = rotational_batch()
-    seen = []
-    out = prop.evolve(pots.zero_model(2), None, data, 0.0, 0.1,
-                      prop.EvolveConfig(dt=0.05), probe=lambda t, f: seen.append(f))
-    assert len(seen) == 2 and all(len(f) == 3 for f in seen)
-    np.testing.assert_array_equal(seen[-1][2].values, out[2].values)
     with pytest.raises(errors.InputError):
         prop.evolve(pots.zero_model(2), None, [], 0.0, 0.1, prop.EvolveConfig(dt=0.05))
     other = grid.gaussian_data(grid.GridSpec(2, 32, 5.0))
