@@ -91,13 +91,19 @@ class EvolveConfig:
             raise InputError("dt must be positive")
 
 
+_MAX_STEPS = 10 ** 7  # the CFL guard holds every step's midpoint in one array
+
+
 def _step_count(t0: float, t1: float, cfg: EvolveConfig) -> int:
     """Steps of at most cfg.dt from t0 to t1, at least one; InputError when
-    that count is not finite."""
+    that count is not finite or exceeds _MAX_STEPS."""
     steps = np.ceil(abs(t1 - t0) / cfg.dt)
     if not np.isfinite(steps):
         raise InputError(f"{t1 - t0!r} in steps of dt = {cfg.dt!r} is not a finite "
                          "step count")
+    if steps > _MAX_STEPS:
+        raise InputError(f"{t1 - t0!r} in steps of dt = {cfg.dt!r} takes {steps:.3g} "
+                         f"steps, more than {_MAX_STEPS}")
     return max(1, int(steps))
 
 
@@ -200,10 +206,10 @@ def evolve(model: VectorPotentialModel, scalar, u0, t0: float, t1: float,
     is a GridFunction or a list of them, with labels kept.  A sequence is
     stepped as one batch, and each field gets the bits it would get alone.
     Raises InputError before the first step when the step count
-    (t1 - t0) / dt is not finite, and CflError when, at some step's
-    midpoint, the transport displacement max|a| dt would exceed the
-    stencil reach 4 dx.  Raises NumericError when a field stops being
-    finite, and BoundaryMassError when, for any field, more than
+    (t1 - t0) / dt is not finite or above ten million, and CflError when,
+    at some step's midpoint, the transport displacement max|a| dt would
+    exceed the stencil reach 4 dx.  Raises NumericError when a field stops
+    being finite, and BoundaryMassError when, for any field, more than
     BOUNDARY_MASS_LIMIT of the squared norm sits within 10 percent of the
     box edge; these two are checked in every step and on the result.
     """

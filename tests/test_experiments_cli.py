@@ -223,6 +223,9 @@ BAD_CONFIGS = {
     # finite at lam = 1, infinite at the top rung 64
     "width-tiny-at-top-rung": lambda cfg: dict(cfg, width=1e-154),
     "t0-huge": lambda cfg: dict(cfg, t0=1e308),
+    # finite step counts above the stepper's limit
+    "t0-steps-over-limit": lambda cfg: dict(cfg, t0=1e300),
+    "dt-tiny": lambda cfg: dict(cfg, dt=1e-300),
     # an output directory under a regular file cannot be created
     "out-dir-under-file": lambda cfg: dict(cfg, out_dir=str(Path(__file__) / "out")),
 }
@@ -230,7 +233,8 @@ BAD_CONFIGS = {
 POINT_MASS_ONLY = ("envelope-ladder-zero", "envelope-ladder-negative", "envelope-ladder-empty",
                    "envelope-ladder-repeated", "envelope-ladder-decreasing", "t0-negative")
 TRANSPORT_ONLY = ("datum-typo", "noise-floor", "min-agreement-above-one",
-                  "max-inconclusive-negative", "scalar-modulation", "dt-nan", "t0-huge")
+                  "max-inconclusive-negative", "scalar-modulation", "dt-nan", "t0-huge",
+                  "t0-steps-over-limit", "dt-tiny")
 SCHEMA_CASES = (
     [(exp.run_transport_consistency, FREE_CFG, bad)
      for bad in BAD_CONFIGS if bad not in POINT_MASS_ONLY]
@@ -283,6 +287,10 @@ BAD_VALUE_ARGV = {
     "config-amplitude-count": ["experiment", "--config", json.dumps(dict(
         FS_CFG, grid={"n": 2, "points": 64, "halfwidth": 6.0}, positions=[[0.0, 0.0]],
         potential={"family": "soft-power", "n": 2, "rho": 0.5, "amplitude": [1, 2, 3]}))],
+    # a finite step count above the limit; unchecked, the CFL guard's
+    # midpoint array raises a bare ValueError
+    "config-magnetic-steps-over-limit": ["experiment", "--config", json.dumps(dict(
+        FREE_CFG, experiment="magnetic-transport", potential=SOFT_1D, t0=1e300, dt=1e-3))],
     "datum-width-nan": ["experiment", "--config", json.dumps(dict(
         FREE_CFG, data=[{"name": "gaussian", "width": float("nan")}]))],
     **{f"datum-{name}": ["experiment", "--config", json.dumps(dict(FREE_CFG, data=[datum]))]

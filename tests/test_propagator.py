@@ -35,6 +35,27 @@ def test_evolve_refuses_a_step_count_that_is_not_finite(model, monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("model", [pots.zero_model(1), pots.soft_power_model(1, 0.5)],
+                         ids=["free", "transport"])
+def test_evolve_refuses_a_finite_step_count_above_the_limit(model, monkeypatch):
+    # 1e300 / 1e-3 is finite, but the guard's midpoint array cannot hold it
+    # and the free loop would not end: refused before the first step
+    calls = []
+    monkeypatch.setattr(prop, "boundary_mass_fraction", lambda *args: calls.append("guard"))
+    with pytest.raises(errors.InputError, match="steps, more than"):
+        prop.evolve(model, None, grid.gaussian_data(SPEC), 0.0, 1e300,
+                    prop.EvolveConfig(dt=1e-3))
+    assert calls == []
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["forward", "backward"])
+def test_step_count_limit_is_inclusive_in_either_direction(sign):
+    cfg = prop.EvolveConfig(dt=1.0)
+    assert prop._step_count(0.0, sign * prop._MAX_STEPS, cfg) == prop._MAX_STEPS
+    with pytest.raises(errors.InputError, match="steps, more than"):
+        prop._step_count(0.0, sign * (prop._MAX_STEPS + 1), cfg)
+
+
 def test_scalar_potential_families():
     x = np.array([[1.0], [3.0]])
     V = prop.ScalarPotentialModel("soft-power", mu=1.0, amplitude=0.3)
