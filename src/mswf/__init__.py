@@ -24,8 +24,7 @@ from .packets import (DeltaSignal, GaussianSignal, GaussianWindow,
                       theorem_scaling_exponent, wpt, wpt_grid)
 from .potentials import (VectorPotentialModel, constant_field_model, eval_a,
                          jacobian_a, divergence_a, magnetic_field,
-                         model_from_json, rotational_model, soft_power_model,
-                         zero_model)
+                         rotational_model, soft_power_model, zero_model)
 from .propagator import (EvolveConfig, ScalarPotentialModel, evolve,
                          evolved_wpt_leading)
 

@@ -482,6 +482,8 @@ def lower_bound_x0(model: VectorPotentialModel, t0: float, k_samples,
     ladder = dilations(lam_ladder, "lam_ladder")
     k_samples = point_array(k_samples, model.n, (2, 2), "k_samples")
     gamma_samples = point_array(gamma_samples, model.n, (2, 2), "gamma_samples")
+    if not np.linalg.norm(gamma_samples, axis=-1).all():  # a ratio divides by |xi|
+        raise InputError("every gamma sample must be nonzero")
     xs = np.repeat(k_samples, len(gamma_samples), axis=0)
     xi_hats = np.tile(gamma_samples, (len(k_samples), 1))
     xi_norms = np.linalg.norm(xi_hats, axis=-1)

@@ -1,20 +1,30 @@
 """Command line front end: mswf experiment --config <json> [--out-dir <dir>].
 
-Exit codes: 0 success, 2 guard violation, 3 numeric failure,
+`--config` is a file path or inline JSON; this module is the package's one
+reader of outside text, and `mswf.experiments` owns the config's keys.
+
+Exit codes: 0 success, 2 guard violation or bad input, 3 numeric failure,
 4 consistency failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import sys
+from pathlib import Path
 
 from . import experiments
-from .errors import MswfError, load_json
+from .errors import InputError, MswfError, json_object
 
 
 def _cmd_experiment(args) -> int:
-    cfg = load_json(args.config)
+    config = args.config
+    try:
+        text = config if config.lstrip().startswith("{") else Path(config).read_text()
+        cfg = json_object(json.loads(text))
+    except (OSError, ValueError) as exc:
+        raise InputError(f"cannot read JSON from {config!r}: {exc}") from None
     if args.out_dir:
         cfg["out_dir"] = args.out_dir
     summary = experiments.run_experiment(cfg)

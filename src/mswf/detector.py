@@ -41,10 +41,9 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .characteristics import flow_batch
-from .errors import InputError, MswfError, dilations, integer, load_json, number, one_of
+from .errors import InputError, MswfError, dilations, number, one_of
 from .grid import GridSpec, field_batch, phase_points
-from .packets import (GaussianWindow, _nonzero_box, _pair_in_boxes, in_band,
-                      theorem_scaling_exponent)
+from .packets import GaussianWindow, _nonzero_box, _pair_in_boxes, in_band
 # nothing here calls wpt; the name stays because perfbench/layers.py
 # wraps mswf.detector.wpt in its traced run
 from .packets import wpt  # noqa: F401
@@ -59,26 +58,13 @@ FLOW_TOL = 1e-9  # RK45 tolerance of the scans' and the point-mass ratio flows
 POSITIONS_PER_AXIS, N_DIRECTIONS, N_MODULI = 3, 5, 3
 
 
-# JSON names of the Thresholds fields, in configs, reports and `mswf detect`
-_THRESHOLD_KEYS = {"N": "n_high", "Nlow": "n_low", "R2": "r2_min"}
-
-
 @dataclass(frozen=True)
 class Thresholds:
-    """Decision constants, reported alongside every verdict."""
+    """Decision constants of the verdicts; a transport summary reports them."""
 
     n_high: float = 6.0
     n_low: float = 1.0
     r2_min: float = 0.95
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "Thresholds":
-        """Thresholds from {"N", "Nlow", "R2"}; a key left out keeps its default."""
-        obj = load_json(obj, _THRESHOLD_KEYS)
-        return cls(**{_THRESHOLD_KEYS[k]: number(v, k) for k, v in obj.items()})
-
-    def to_json(self) -> dict:
-        return {k: getattr(self, name) for k, name in _THRESHOLD_KEYS.items()}
 
 
 @dataclass(frozen=True)
@@ -232,8 +218,6 @@ class DecayReport:
     r2: float
     flags: list
     verdict: str
-    censored: int                 # samples with a censored rung
-    thresholds: Thresholds
 
 
 def _aggregate(ladder, ladder_requested, xs, xis, mags, thresholds,
@@ -259,9 +243,7 @@ def _aggregate(ladder, ladder_requested, xs, xis, mags, thresholds,
     n_hat, r2 = (float(fit.n_hat[i]), float(fit.r2[i])) if len(mags) else (np.nan, np.nan)
     return DecayReport(ladder=tuple(ladder), ladder_requested=tuple(ladder_requested),
                        sample_x=xs, sample_xi=xis, magnitudes=mags, fit=fit,
-                       binding_index=i, n_hat=n_hat, r2=r2, flags=flags, verdict=verdict,
-                       censored=int(np.count_nonzero(fit.kept < len(ladder))),
-                       thresholds=thresholds)
+                       binding_index=i, n_hat=n_hat, r2=r2, flags=flags, verdict=verdict)
 
 
 # ---------------------------------------------------------------------------
@@ -273,30 +255,9 @@ def default_ladder(kmin: int = 3, kmax: int = 12) -> tuple:
 
 
 def parse_ladder(ladder=None) -> tuple:
-    """A ladder from None (the default one), {"kmin", "kmax"} or "kmin:kmax"
-    (the powers 2^kmin .. 2^kmax), or a list of dilations (or the same as
-    comma-separated text).  It must pass `errors.dilations` with MIN_RUNGS
-    rungs, as many as a fit needs."""
-    if ladder is None:
-        return default_ladder()
-    if isinstance(ladder, str):
-        powers = ladder.split(":")
-        if len(powers) > 2:
-            raise InputError(f"ladder text must be 'kmin:kmax', got {ladder!r}")
-        ladder = dict(zip(("kmin", "kmax"), powers)) if ":" in ladder else ladder.split(",")
-    if isinstance(ladder, dict):
-        ladder = load_json(ladder, ("kmin", "kmax"))
-        ladder = default_ladder(*(integer(ladder.get(k), k) for k in ("kmin", "kmax")))
-    return dilations(ladder, "ladder", MIN_RUNGS)
-
-
-def resolve_b(b, model: VectorPotentialModel) -> float:
-    """The window scaling exponent: a number, or "auto" for the theorem's
-    exponent under the model's growth rate rho."""
-    if b == "auto":
-        return theorem_scaling_exponent(
-            model.rho if model.family in ("soft-power", "rotational") else 0.0)
-    return number(b, "b")
+    """The default ladder for None, else a sequence of dilations that passes
+    `errors.dilations` with MIN_RUNGS rungs, as many as a fit needs."""
+    return default_ladder() if ladder is None else dilations(ladder, "ladder", MIN_RUNGS)
 
 
 class _Data(NamedTuple):

@@ -5,9 +5,7 @@ Exit-code mapping used by the command line front end:
 compute), 3 = numeric failure during a run, 4 = consistency failure.
 """
 
-import json
 import math
-from pathlib import Path
 
 
 class MswfError(Exception):
@@ -64,23 +62,15 @@ class ConsistencyError(MswfError):
     exit_code = 4
 
 
-def load_json(source, keys=None) -> dict:
-    """A JSON object from a dict, inline JSON text or a file path; InputError
-    for malformed JSON, an unreadable file, a value that is not an object,
-    or a key outside `keys` (when given)."""
-    if isinstance(source, (str, Path)):
-        text = str(source)
-        try:
-            source = json.loads(text if text.lstrip().startswith("{")
-                                else Path(text).read_text())
-        except (OSError, ValueError) as exc:
-            raise InputError(f"cannot read JSON from {text!r}: {exc}") from None
-    if not isinstance(source, dict):
-        raise InputError(f"expected a JSON object, got {source!r}")
-    unknown = sorted(set(source) - set(keys or source))
+def json_object(value, keys=None) -> dict:
+    """A copy of `value` if it is a dict; InputError for any other value,
+    or for a key outside `keys` (when given)."""
+    if not isinstance(value, dict):
+        raise InputError(f"expected a JSON object, got {value!r}")
+    unknown = sorted(set(value) - set(keys or value))
     if unknown:
         raise InputError(f"unknown key(s) {unknown} (have {sorted(keys)})")
-    return dict(source)
+    return dict(value)
 
 
 def number(value, key: str) -> float:
@@ -114,7 +104,9 @@ def integer(value, key: str) -> int:
 def dilations(values, key: str, min_rungs: int = 1) -> tuple:
     """A dilation ladder as a tuple of floats: finite numbers, each >= 1,
     strictly increasing, at least `min_rungs` of them; InputError naming
-    `key` otherwise."""
+    `key` otherwise, for text too (it is not read digit by digit)."""
+    if isinstance(values, (str, bytes)):
+        raise InputError(f"'{key}' must be a list of numbers, got the text {values!r}")
     try:
         ladder = tuple(number(v, key) for v in values)
     except TypeError:  # not a sequence

@@ -3,12 +3,14 @@
 Every runner takes a plain configuration dictionary and first parses it
 into a frozen config class, `TransportConfig` or `PointMassConfig`; both
 extend `ScanConfig`, the keys every scanning experiment reads.  Their
-fields are the reference for the keys and their defaults.  An unknown key,
-a missing required key, a value of the wrong type or a scan setting out of
+fields are the reference for the keys and their defaults, and this module
+alone knows the config's JSON: nested specs are JSON objects, and the
+library types built from them take Python values.  An unknown key, a
+missing required key, a value of the wrong type or a scan setting out of
 range raises InputError (exit code 2) before anything is computed.  What
-no config varies is fixed, and setting it is an unknown key: the noise
-floors (1e-7 static, 1e-12 dynamic) and the flow tolerance
-`detector.FLOW_TOL` = 1e-9.
+no config varies is fixed, and setting it is an unknown key: the detector
+thresholds, the noise floors (1e-7 static, 1e-12 dynamic) and the flow
+tolerance `detector.FLOW_TOL` = 1e-9.
 The runner then computes with the library modules and (optionally) writes a
 JSON summary plus plot-ready long-format CSV tables.  Outputs are
 deterministic: identical configs and inputs produce byte-identical files,
@@ -20,7 +22,7 @@ from __future__ import annotations
 
 import inspect
 import json
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, asdict, astuple, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +30,7 @@ import numpy as np
 from . import characteristics as chars
 from . import detector, grid, packets, potentials, propagator
 from .errors import (ConsistencyError, GuardError, InputError, dilations,
-                     integer, load_json, number, one_of)
+                     integer, json_object, number, one_of)
 
 # the evolved field carries solver error; its transform floor sits there
 STATIC_NOISE_REL, DYNAMIC_NOISE_REL = 1e-7, 1e-12
@@ -108,17 +110,41 @@ def _fraction(value, key, done) -> float:
 
 
 def _grid(value, key, done) -> grid.GridSpec:
-    g = load_json(value, ("n", "points", "halfwidth"))
+    g = json_object(value, ("n", "points", "halfwidth"))
     return grid.GridSpec(g.get("n"), g["points"], g["halfwidth"])
+
+
+def _model(cls, value):
+    """`cls` built from a JSON object of its fields' keys, {} if None."""
+    return cls(**json_object({} if value is None else value, [f.name for f in fields(cls)]))
 
 
 def _potential(value, key, done) -> potentials.VectorPotentialModel:
     """A vector potential in the grid's dimension; the zero model if None."""
     n = done["grid"].n
-    model = potentials.model_from_json(value, n)
+    model = potentials.zero_model(n) if value is None \
+        else _model(potentials.VectorPotentialModel, value)
     if model.n != n:
         raise InputError(f"'{key}' has n = {model.n}, the grid has n = {n}")
     return model
+
+
+def _ladder(value, key, done) -> tuple:
+    """Dilations, {"kmin", "kmax"} for 2^kmin .. 2^kmax, or None for the default."""
+    if isinstance(value, dict):
+        value = json_object(value, ("kmin", "kmax"))
+        value = detector.default_ladder(*(integer(value.get(k), k) for k in ("kmin", "kmax")))
+    return detector.parse_ladder(value)
+
+
+def _b(value, key, done) -> float:
+    """The window scaling exponent: a number, or "auto" for the theorem's
+    exponent under the potential's growth rate rho."""
+    if value != "auto":
+        return number(value, key)
+    model = done["potential"]
+    return packets.theorem_scaling_exponent(
+        model.rho if model.family in ("soft-power", "rotational") else 0.0)
 
 
 def _vectors(value, key, done) -> list:
@@ -126,8 +152,8 @@ def _vectors(value, key, done) -> list:
     repeated n times."""
     n = done["grid"].n
     entries = [np.array([number(v, key) for v in np.atleast_1d(entry)]) for entry in value]
-    if not entries:
-        raise InputError(f"'{key}' needs at least one entry")
+    if not entries or isinstance(value, str):  # text is not read digit by digit
+        raise InputError(f"'{key}' needs a list of at least one entry, got {value!r}")
     for entry in entries:
         if len(entry) not in (1, n):
             raise InputError(f"'{key}' entry {entry.tolist()} has {len(entry)} numbers, "
@@ -148,9 +174,12 @@ def _data(value, key, done) -> tuple:
     builder's; "delta-like" is a gaussian of width 0.15 unless given."""
     entries = []
     for entry in value:
-        entry = load_json({"name": entry} if isinstance(entry, str) else entry)
+        entry = json_object({"name": entry} if isinstance(entry, str) else entry)
         name = entry.pop("name", None)
         label = entry.pop("label", name)
+        if not (isinstance(label, str) and label) or any(c in label for c in ',"\r\n'):
+            raise InputError(f"datum label {label!r} must be a nonempty string "
+                             "without a comma, a quote or a line break")
         if name == "delta-like":
             name, entry = "gaussian", {"width": 0.15, **entry}
         inspect.signature(grid.BUILTIN_DATA[name]).bind(None, **entry)
@@ -184,11 +213,9 @@ class ScanConfig:
     potential: potentials.VectorPotentialModel = _key(_potential, None)
     positions: list = _key(_vectors)
     directions: np.ndarray = _key(_directions, None)
-    ladder: tuple = _key(lambda v, key, done: detector.parse_ladder(v), None)
-    thresholds: detector.Thresholds = _key(
-        lambda v, key, done: detector.Thresholds.from_json({} if v is None else v), None)
+    ladder: tuple = _key(_ladder, None)
     width: float = 1.0
-    b: float = _key(lambda v, key, done: detector.resolve_b(v, done["potential"]), "auto")
+    b: float = _key(_b, "auto")
     k_radius: float = detector.ConicSample.k_radius
     cone_angle: float = detector.ConicSample.half_angle
     a: float = detector.ConicSample.a
@@ -198,10 +225,10 @@ class ScanConfig:
     def parse(cls, cfg: dict):
         """Convert each key once, from its value or else its default; InputError
         for an unknown or missing key, a value of the wrong type, a scan
-        setting that the conic sample or the window refuses, or an out_dir
-        that cannot be created.  out_dir is created here, before anything
-        is computed."""
-        obj = load_json(cfg, [f.name for f in fields(cls)])
+        setting that a cell's conic sample or the window refuses, or an
+        out_dir that cannot be created.  out_dir is created here, before
+        anything is computed."""
+        obj = json_object(cfg, [f.name for f in fields(cls)])
         done = {}
         for f in fields(cls):
             if f.default is MISSING and f.name not in obj:
@@ -212,11 +239,12 @@ class ScanConfig:
             except (KeyError, TypeError, ValueError) as exc:
                 raise InputError(f"config key '{f.name}': {exc!r}") from None
         config = cls(**done)
-        # the sample and the window own the ranges of these settings
-        n = config.grid.n
-        detector.ConicSample(np.zeros(n), np.ones(n), k_radius=config.k_radius,
-                             half_angle=config.cone_angle, a=config.a)
-        packets.GaussianWindow(n, config.width, config.ladder[-1], config.b)
+        # the cells' samples and the window own the ranges of these settings
+        for x0 in config.positions:
+            for xi0 in config.directions:
+                detector.ConicSample(x0, xi0, k_radius=config.k_radius,
+                                     half_angle=config.cone_angle, a=config.a)
+        packets.GaussianWindow(config.grid.n, config.width, config.ladder[-1], config.b)
         if config.out_dir is not None:
             try:
                 Path(config.out_dir).mkdir(parents=True, exist_ok=True)
@@ -238,7 +266,7 @@ class ScanConfig:
         """`detector.wf_scan` over this config's cells and settings."""
         return detector.wf_scan(
             mode, data, self.positions, self.directions, self.ladder,
-            self.thresholds, self.width, self.b, model=self.potential,
+            width=self.width, b=self.b, model=self.potential,
             t0=self.t0, k_radius=self.k_radius, half_angle=self.cone_angle,
             a=self.a, **kwargs)
 
@@ -250,7 +278,7 @@ class TransportConfig(ScanConfig):
 
     experiment: str | None = "free-transport"
     scalar_potential: propagator.ScalarPotentialModel = _key(
-        lambda v, key, done: propagator.scalar_from_json(v), None)
+        lambda v, key, done: _model(propagator.ScalarPotentialModel, v), None)
     data: tuple = _key(_data, ("gaussian",))
     dt: float = 1e-3
     min_agreement: float = _key(_fraction, 0.9)
@@ -335,8 +363,8 @@ def run_transport_consistency(cfg: dict) -> dict:
         "resolved": {
             "b": config.b, "ladder": list(config.ladder), "t0": config.t0,
             "dt": config.dt, "width": config.width,
-            "thresholds": config.thresholds.to_json(),
-            "model": potentials.model_to_json(model),
+            "thresholds": dict(zip(("N", "Nlow", "R2"), astuple(detector.Thresholds()))),
+            "model": asdict(model),
             "scalar": scalar.family,
         },
         "cells_total": total_cells,
@@ -402,7 +430,7 @@ def run_fundamental_solution(cfg: dict) -> dict:
         "config": _jsonify(_config_echo(cfg)),
         "resolved": {"b": b, "ladder": list(config.ladder), "t0": t0,
                      "width": config.width,
-                     "model": potentials.model_to_json(model),
+                     "model": asdict(model),
                      "control": config.control},
         "cells_total": len(cells),
         "cells_conclusive": len(conclusive),
@@ -436,4 +464,4 @@ RUNNERS = {
 
 
 def run_experiment(config: dict) -> dict:
-    return RUNNERS[one_of(load_json(config).get("experiment"), RUNNERS, "experiment")](config)
+    return RUNNERS[one_of(json_object(config).get("experiment"), RUNNERS, "experiment")](config)

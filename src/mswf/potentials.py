@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, integer, load_json, number, one_of
+from .errors import InputError, integer, number, one_of
 
 FAMILIES = ("zero", "soft-power", "rotational", "constant-field")
 
@@ -110,26 +110,6 @@ def rotational_model(rho: float, amplitude=1.0, modulation="one") -> VectorPoten
 
 def constant_field_model(b0: float = 1.0) -> VectorPotentialModel:
     return VectorPotentialModel("constant-field", 2, b0=b0)
-
-
-def model_from_json(source, n: int | None = None) -> VectorPotentialModel:
-    """Build a model from a JSON object, file path, or inline JSON string;
-    None gives the zero model in dimension n."""
-    if source is None:
-        return zero_model(n)
-    obj = load_json(source, ("family", "n", "rho", "amplitude", "modulation", "b0"))
-    return VectorPotentialModel(obj.pop("family", None), obj.pop("n", None), **obj)
-
-
-def model_to_json(model: VectorPotentialModel) -> dict:
-    return {
-        "family": model.family,
-        "n": model.n,
-        "rho": model.rho,
-        "modulation": model.modulation,
-        "amplitude": list(model.amplitude),
-        "b0": model.b0,
-    }
 
 
 # ---------------------------------------------------------------------------

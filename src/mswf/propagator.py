@@ -34,7 +34,7 @@ import numpy as np
 
 from .characteristics import flow
 from .errors import (BoundaryMassError, CflError, InputError, NumericError,
-                     load_json, number, one_of)
+                     number, one_of)
 from .grid import GridFunction, GridSpec, boundary_mass_fraction, field_batch
 from .packets import GaussianWindow, wpt
 from .potentials import VectorPotentialModel, divergence_a, eval_a, squared_norm
@@ -71,13 +71,6 @@ class ScalarPotentialModel:
         b2 = squared_norm(x)
         b2 += 1.0
         return self.amplitude * b2 ** (0.5 * self.mu)
-
-
-def scalar_from_json(source) -> ScalarPotentialModel:
-    """Build a scalar term from a JSON object, file path, or inline JSON
-    string; None gives the zero term."""
-    return ScalarPotentialModel(**load_json({} if source is None else source,
-                                            ("family", "mu", "amplitude")))
 
 
 @dataclass(frozen=True)

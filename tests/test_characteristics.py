@@ -267,12 +267,13 @@ def test_integral_bound_delta_guard():
 # one dilation-ladder rule
 
 
-# repeated, decreasing, below one, not a number
-BAD_LADDERS = [[1, 10, 10], [10, 1], [0.5, 1], ["a"]]
+# repeated, decreasing, below one, not a number, text (not read digit by digit)
+BAD_LADDERS = [[1, 10, 10], [10, 1], [0.5, 1], ["a"], "19"]
 # every entry point that takes a ladder, called with one; the fit gets four
-# more good rungs on top, so its rung count is not what refuses the ladder
+# more good rungs on top of a list, so its rung count is not what refuses it
 LADDER_TAKERS = [
-    lambda lam: det.decay_exponent([*lam, 1e5, 1e6, 1e7, 1e8], np.ones(len(lam) + 4)),
+    lambda lam: det.decay_exponent(lam if isinstance(lam, str) else [*lam, 1e5, 1e6, 1e7, 1e8],
+                                   np.ones(len(lam) + 4)),
     lambda lam: chars.check_flow_bounds(pots.zero_model(1), 2.0, 0.5, lam, 1.0,
                                         [np.zeros(1)], [np.ones(1)]),
     lambda lam: chars.check_integral_bound(pots.zero_model(1), 0.5, (0.0, 1.0),
@@ -291,6 +292,13 @@ def test_every_ladder_taker_refuses_a_bad_ladder(take, ladder):
 
 # ---------------------------------------------------------------------------
 # linear growth of the backward-flowed position
+
+
+def test_lower_bound_refuses_a_zero_gamma_sample():
+    # each ratio divides by |xi|
+    with pytest.raises(errors.InputError, match="nonzero"):
+        chars.lower_bound_x0(pots.zero_model(1), 1.0, [np.zeros(1)],
+                             [np.ones(1), np.zeros(1)], (1.0, 10.0))
 
 
 def test_lower_bound_zero_model():

@@ -1,8 +1,11 @@
+import ast
+import importlib
 import json
 import os
 import re
 import subprocess
 import sys
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import pytest
@@ -148,21 +151,35 @@ BAD_CONFIGS = {
     "no-grid": lambda cfg: {k: v for k, v in cfg.items() if k != "grid"},
     "no-positions": lambda cfg: {k: v for k, v in cfg.items() if k != "positions"},
     "grid-typo": lambda cfg: dict(cfg, grid={"n": 1, "points": 2048, "halfwdth": 30.0}),
-    "threshold-typo": lambda cfg: dict(cfg, thresholds={"n": 7}),
+    # the detector thresholds are constants, not a key
+    "thresholds": lambda cfg: dict(cfg, thresholds={"N": 7}),
+    # a nested spec is a JSON object inside the config, not JSON text
+    "grid-json-text": lambda cfg: dict(cfg, grid=json.dumps(cfg["grid"])),
+    "potential-json-text": lambda cfg: dict(cfg, potential=json.dumps(SOFT_1D)),
+    "scalar-json-text": lambda cfg: dict(cfg, scalar_potential=json.dumps(
+        {"family": "soft-power", "mu": 1.0, "amplitude": 0.3})),
     "t0-text": lambda cfg: dict(cfg, t0="soon"),
     "t0-nan": lambda cfg: dict(cfg, t0=float("nan")),
     "ladder-decreasing": lambda cfg: dict(cfg, ladder=[32, 16, 8, 4, 2]),
     "ladder-below-one": lambda cfg: dict(cfg, ladder=[0.5, 1, 2, 4, 8]),
+    "ladder-kmax-missing": lambda cfg: dict(cfg, ladder={"kmin": 2}),
+    "ladder-kmin-kmax-step": lambda cfg: dict(cfg, ladder={"kmin": 2, "kmax": 6, "step": 2}),
+    "ladder-kmin-negative": lambda cfg: dict(cfg, ladder={"kmin": -1, "kmax": 4}),
     "datum-typo": lambda cfg: dict(cfg, data=[{"name": "gaussian", "widht": 1.0}]),
+    # a label is one CSV field
+    "datum-label-comma": lambda cfg: dict(cfg, data=[{"name": "gaussian", "label": "a,b"}]),
+    "datum-label-number": lambda cfg: dict(cfg, data=[{"name": "gaussian", "label": 7}]),
     "potential-dimension": lambda cfg: dict(
         cfg, potential={"family": "soft-power", "n": 2, "rho": 0.5}),
     "position-length": lambda cfg: dict(cfg, positions=[[0.0], [0.5, 0.0]]),
     "direction-length": lambda cfg: dict(cfg, directions=[[1.0, 0.0, 7.0]]),
+    "direction-zero": lambda cfg: dict(cfg, directions=[[0.0]]),
     # a scan names at least one cell, and a ladder has the 5 rungs of a fit
     "directions-negative": lambda cfg: dict(cfg, directions=-1),
     "directions-zero": lambda cfg: dict(cfg, directions=0),
     "directions-empty": lambda cfg: dict(cfg, directions=[]),
     "positions-empty": lambda cfg: dict(cfg, positions=[]),
+    "positions-digit-text": lambda cfg: dict(cfg, positions="12"),
     "ladder-short": lambda cfg: dict(cfg, ladder={"kmin": 2, "kmax": 4}),
     # the ranges the conic sample and the window own, and the point mass's time
     "k-radius-negative": lambda cfg: dict(cfg, k_radius=-0.1),
@@ -188,6 +205,9 @@ BAD_CONFIGS = {
     # and its rungs are strictly increasing, like the scan ladder's
     "envelope-ladder-repeated": lambda cfg: dict(cfg, envelope_ladder=[1, 10, 10]),
     "envelope-ladder-decreasing": lambda cfg: dict(cfg, envelope_ladder=[10, 1]),
+    # text is not read digit by digit
+    "envelope-ladder-text": lambda cfg: dict(cfg, envelope_ladder="159"),
+    "ladder-digit-text": lambda cfg: dict(cfg, ladder="12345"),
     # a point count is an integer, not truncated to one
     "grid-points-fractional": lambda cfg: dict(
         cfg, grid=dict(cfg["grid"], points=cfg["grid"]["points"] + 0.5)),
@@ -231,10 +251,11 @@ BAD_CONFIGS = {
 }
 
 POINT_MASS_ONLY = ("envelope-ladder-zero", "envelope-ladder-negative", "envelope-ladder-empty",
-                   "envelope-ladder-repeated", "envelope-ladder-decreasing", "t0-negative")
-TRANSPORT_ONLY = ("datum-typo", "noise-floor", "min-agreement-above-one",
-                  "max-inconclusive-negative", "scalar-modulation", "dt-nan", "t0-huge",
-                  "t0-steps-over-limit", "dt-tiny")
+                   "envelope-ladder-repeated", "envelope-ladder-decreasing",
+                   "envelope-ladder-text", "t0-negative")
+TRANSPORT_ONLY = ("datum-typo", "datum-label-comma", "datum-label-number", "noise-floor",
+                  "min-agreement-above-one", "max-inconclusive-negative", "scalar-modulation",
+                  "scalar-json-text", "dt-nan", "t0-huge", "t0-steps-over-limit", "dt-tiny")
 SCHEMA_CASES = (
     [(exp.run_transport_consistency, FREE_CFG, bad)
      for bad in BAD_CONFIGS if bad not in POINT_MASS_ONLY]
@@ -264,11 +285,28 @@ def test_bad_config_exits_2_before_compute(runner, base, bad, no_compute, capsys
     assert "InputError" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key,spec", [
+    ("grid", FREE_CFG["grid"]), ("potential", SOFT_1D),
+    ("scalar_potential", {"family": "soft-power", "mu": 1.0, "amplitude": 0.3})],
+    ids=["grid", "potential", "scalar_potential"])
+def test_nested_spec_in_a_file_exits_2(key, spec, tmp_path, no_compute, capsys):
+    # only --config names a file; a path inside the config is not read
+    path = tmp_path / f"{key}.json"
+    path.write_text(json.dumps(spec))
+    cfg = dict(FREE_CFG, **{key: str(path)})
+    assert cli.main(["experiment", "--config", json.dumps(cfg)]) == 2
+    assert "InputError" in capsys.readouterr().err
+
+
 def test_config_parse_converts_once():
-    config = exp.TransportConfig.parse(dict(FREE_CFG, thresholds={"N": 7}))
+    config = exp.TransportConfig.parse(FREE_CFG)
     assert config.grid == grid.GridSpec(1, 2048, 30.0)
+    assert config.potential == potentials.zero_model(1)
+    assert config.scalar_potential == prop.ScalarPotentialModel()
+    # "auto" is the theorem's exponent, {"kmin", "kmax"} the powers of two
     assert config.b == 0.125 and config.ladder == (4.0, 8.0, 16.0, 32.0, 64.0)
-    assert config.thresholds.to_json() == {"N": 7.0, "Nlow": 1.0, "R2": 0.95}
+    assert exp.TransportConfig.parse(dict(FREE_CFG, ladder=None)).ladder \
+        == exp.detector.default_ladder()
     assert [list(p) for p in config.positions] == [[0.0], [1.0]]
     assert config.directions.tolist() == [[1.0], [-1.0]]
     assert config.data == (("gaussian", "gaussian", {}),) and config.dt == 2e-3
@@ -315,9 +353,41 @@ def test_bad_outside_input_exits_2(argv, capsys):
     assert "InputError" in capsys.readouterr().err
 
 
-def test_scalar_spec_rejects_unknown_keys():
-    with pytest.raises(errors.InputError):
-        prop.scalar_from_json('{"family": "soft-power", "mu": 1.0, "amp": 0.3}')
+@pytest.mark.parametrize("model", [
+    potentials.zero_model(1), potentials.soft_power_model(1, 0.25, modulation="sin"),
+    potentials.soft_power_model(2, 0.5, amplitude=(0.7, -0.2)),
+    potentials.rotational_model(0.5, amplitude=0.7, modulation="sin"),
+    potentials.constant_field_model(2.0)], ids=lambda m: f"{m.family}-{m.n}")
+def test_potential_round_trips_through_the_config(model):
+    # summary.json's resolved model, read back as a config's potential
+    base = {"grid": {"n": model.n, "points": 64, "halfwidth": 6.0}, "positions": [[0.0]]}
+    resolved = json.loads(json.dumps(asdict(model)))
+    assert exp.ScanConfig.parse(dict(base, potential=resolved)).potential == model
+    scalar = prop.ScalarPotentialModel("soft-power", mu=1.0, amplitude=0.3)
+    again = exp.TransportConfig.parse(dict(base, scalar_potential=asdict(scalar)))
+    assert again.scalar_potential == scalar
+
+
+# a key that no config sets becomes a constant; these stay keys on purpose
+UNSET_KEYS = {"max_inconclusive": "the transport pass rule is not settled (ROADMAP item 2)"}
+
+
+def _demo_config_keys() -> set:
+    """Top-level keys of the config dicts that demo 05 runs."""
+    demo = Path(__file__).resolve().parents[1] / "demos" / "05_fundamental_solution.py"
+    return {key.value for node in ast.walk(ast.parse(demo.read_text()))
+            if isinstance(node, ast.Call) for arg in node.args if isinstance(arg, ast.Dict)
+            for key in arg.keys}
+
+
+def test_every_config_key_has_a_caller(monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    set_keys = {"out_dir"} | _demo_config_keys() | {
+        key for name in workloads.WORKLOADS for cfg in workloads.configs(name, 0) for key in cfg}
+    keys = {f.name for cls in (exp.TransportConfig, exp.PointMassConfig) for f in fields(cls)}
+    assert not keys & set(UNSET_KEYS) & set_keys, "an allowlisted key has a caller now"
+    assert sorted(keys - set_keys - set(UNSET_KEYS)) == []
 
 
 # ---------------------------------------------------------------------------

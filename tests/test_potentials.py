@@ -134,16 +134,6 @@ def test_conforming_flags():
         pots.soft_power_model(1, 1.0)  # rho < 1 required
 
 
-def test_json_roundtrip():
-    model = pots.rotational_model(0.5, amplitude=0.7, modulation="sin")
-    again = pots.model_from_json(pots.model_to_json(model))
-    assert again.family == model.family
-    assert again.rho == model.rho
-    assert again.amplitude == model.amplitude
-    inline = pots.model_from_json('{"family": "soft-power", "n": 1, "rho": 0.25}')
-    assert inline.rho == 0.25
-
-
 def test_dimension_mismatch_rejected():
     with pytest.raises(errors.InputError):
         pots.eval_a(pots.zero_model(2), 0.0, np.zeros(3))
@@ -166,14 +156,6 @@ def test_time_factors_are_one_and_sin():
     assert sorted(pots.MODULATIONS) == ["one", "sin"]
     with pytest.raises(errors.InputError, match="modulation"):
         pots.soft_power_model(1, 0.5, modulation="cosbump")
-
-
-def test_model_from_json_file(tmp_path):
-    path = tmp_path / "model.json"
-    path.write_text('{"family": "rotational", "n": 2, "rho": 0.5, '
-                    '"modulation": "sin"}')
-    model = pots.model_from_json(str(path))
-    assert model.family == "rotational" and model.rho == 0.5
 
 
 @st.composite
