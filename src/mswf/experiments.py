@@ -172,6 +172,8 @@ def _directions(value, key, done) -> np.ndarray:
 def _data(value, key, done) -> tuple:
     """(builder, label, keywords) per datum, the keywords checked against the
     builder's; "delta-like" is a gaussian of width 0.15 unless given."""
+    if not _typed(value, key, (list, tuple), "a nonempty list of data"):
+        raise InputError(f"'{key}' must be a nonempty list of data, got {value!r}")
     entries = []
     for entry in value:
         entry = json_object({"name": entry} if isinstance(entry, str) else entry)

@@ -236,7 +236,7 @@ def _evolve_split(model, scalar, spec, u, t0, t1, cfg):
     """
     n_steps = _step_count(t0, t1, cfg)
     tau = (t1 - t0) / n_steps
-    axes = tuple(range(1, spec.n + 1))
+    shape, axes = spec.shape, tuple(range(1, spec.n + 1))  # FFTs skip a shape lookup
     grid_axes = np.meshgrid(*spec.axes(), indexing="ij", sparse=True)
     reach = 4.0 * min(spec.dx)
     has_transport = model.family != "zero"
@@ -287,21 +287,23 @@ def _evolve_split(model, scalar, spec, u, t0, t1, cfg):
     kinetic_half = np.exp(-0.25j * tau * spec.freq_squared())
 
     def half_kinetic(v):
-        np.fft.fftn(v, axes=axes, out=v)
+        np.fft.fftn(v, shape, axes, out=v)
         # multiplier first, as in kinetic_half * fftn(v): numpy's complex
         # product is not bit-symmetric in its operands
         np.multiply(kinetic_half, v, out=v)
-        np.fft.ifftn(v, axes=axes, out=v)
+        np.fft.ifftn(v, shape, axes, out=v)
 
     if has_transport:
         prefiltered_half = kinetic_half * bspline_prefilter(spec)
         other = np.empty_like(u)
         coeffs = u.reshape(-1).reshape(spec.shape + (len(u),))  # kernel input in u
         samples = other.reshape(-1).reshape(spec.size, len(u))  # its output
-        np.fft.fftn(u, axes=axes, out=u)  # the carried spectrum
+        np.fft.fftn(u, shape, axes, out=u)  # the carried spectrum
 
     def guard(field, t):
         frac = boundary_mass_fraction(spec, field)
+        if (frac <= BOUNDARY_MASS_LIMIT).all():  # nan fails this test
+            return
         if np.isnan(frac).any():
             raise NumericError(f"field became non-finite at t = {t:.6g}")
         over = np.flatnonzero(frac > BOUNDARY_MASS_LIMIT)
@@ -316,17 +318,17 @@ def _evolve_split(model, scalar, spec, u, t0, t1, cfg):
         if has_transport:
             np.multiply(u, prefiltered_half, out=other)
             # spline coefficients, written into u (now free) as rows of B values
-            np.fft.ifftn(other, axes=axes, out=np.moveaxis(coeffs, -1, 0))
+            np.fft.ifftn(other, shape, axes, out=np.moveaxis(coeffs, -1, 0))
             foot, factor = geometry(t)
             bspline_sample(coeffs, foot, samples)
             # samples first: the complex product is not bit-symmetric
             np.multiply(samples.T, factor, out=u.reshape(len(u), -1))
             del foot, factor  # before the next step's geometry
             guard(u, t_end)
-            np.fft.fftn(u, axes=axes, out=u)
+            np.fft.fftn(u, shape, axes, out=u)
             np.multiply(kinetic_half, u, out=u)
             if last:
-                field = np.fft.ifftn(u, axes=axes, out=other)
+                field = np.fft.ifftn(u, shape, axes, out=other)
         else:
             half_kinetic(u)
             if has_scalar:

@@ -5,8 +5,9 @@ assertion that follows carries the same condition, so red output and red
 tests always agree.  Shared heavyweight objects (fine grids, evolved
 fields, experiment summaries) are module-scoped fixtures.  The C10, C11
 and C12 configs are the benchmark's seed-0 workloads, read from
-perfbench/workloads.py, their one source; the C11 cells are also held to
-the benchmark's reference (perfbench/reference.json, by check.py's rule).
+perfbench/workloads.py, their one source, and run once per module; their
+cells are also held to the benchmark's reference (perfbench/reference.json,
+by check.py's rule).
 """
 
 import importlib.util
@@ -59,11 +60,53 @@ def fine_grid():
     return grid.GridSpec(1, 32768, 10.0)
 
 
+def _saved(summary: dict) -> dict:
+    """A summary as summary.json holds it."""
+    return json.loads(json.dumps(exp._jsonify(summary)))
+
+
 @pytest.fixture(scope="module")
 def c11():
-    """The seed-0 C11 summaries (zero, soft-power, control) as summary.json holds them."""
-    return [json.loads(json.dumps(exp._jsonify(exp.run_fundamental_solution(cfg))))
+    """The seed-0 C11 summaries (zero, soft-power, control)."""
+    return [_saved(exp.run_fundamental_solution(cfg))
             for cfg in workloads.configs("point-mass", 0)]
+
+
+def _timed_transport(workload: str) -> list:
+    """(summary, seconds) of each seed-0 config of a transport workload."""
+    runs = []
+    for cfg in workloads.configs(workload, 0):
+        start = time.time()
+        summary = exp.run_transport_consistency(cfg)
+        runs.append((_saved(summary), time.time() - start))
+    return runs
+
+
+@pytest.fixture(scope="module")
+def free_transport():
+    """The seed-0 C10 free and C12 free+V runs."""
+    return _timed_transport("free-transport")
+
+
+@pytest.fixture(scope="module")
+def rotational_transport():
+    """The seed-0 C10 rotational run."""
+    return _timed_transport("magnetic-transport")
+
+
+def _reference_bits(workload: str, summaries: list) -> tuple:
+    """(problems, cells, largest |N_hat - reference|) of a workload's seed-0
+    summaries against the benchmark's reference, by check.py's rule."""
+    refs = json.loads((PERFBENCH / "reference.json").read_text())[workload]
+    cfgs = workloads.configs(workload, 0)
+    problems, worst, cells = [], 0.0, 0
+    for cfg, summary, ref in zip(cfgs, summaries, refs, strict=True):
+        problems += check.score(cfg, workloads.expected_cells(cfg), 0, summary, ref)[1]
+        for cell, want in zip(check.cells_of(summary), ref["cells"]):
+            cells += 1
+            worst = max([worst] + [abs(a - b) for a, b in zip(cell[2], want[2])
+                                   if a is not None and b is not None])
+    return problems, cells, worst
 
 
 def test_c01_inversion_roundtrip(spec256):
@@ -280,11 +323,9 @@ def test_c09_static_ground_truth(fine_grid):
                   f"Nhat={origin.n_hat:.4f} (-1/16 +- 0.05), smooth elsewhere")
 
 
-def test_c10_transport_consistency():
-    start = time.time()
-    free = exp.run_transport_consistency(dict(workloads.FREE_TRANSPORT))
-    rot = exp.run_transport_consistency(dict(workloads.ROTATIONAL_TRANSPORT))
-    elapsed = time.time() - start
+def test_c10_transport_consistency(free_transport, rotational_transport):
+    ((free, free_s), _), ((rot, rot_s),) = free_transport, rotational_transport
+    elapsed = free_s + rot_s
     ok = (free["agreement"] == 1.0 and free["cells_conclusive"] > 0
           and rot["agreement"] >= 0.9 and rot["cells_conclusive"] > 0
           and elapsed <= 1200.0)
@@ -293,6 +334,19 @@ def test_c10_transport_consistency():
                   f"({free['cells_conclusive']} cells), rotational "
                   f"{rot['agreement']:.0%} ({rot['cells_conclusive']} cells), "
                   f"{elapsed:.0f}s <= 20min")
+
+
+@pytest.mark.parametrize("workload", ["free-transport", "magnetic-transport"])
+def test_transport_cells_keep_their_reference_bits(workload, free_transport,
+                                                   rotational_transport):
+    """Every seed-0 C10 free, C12 free+V and C10 rotational cell keeps the
+    verdict the benchmark's reference records and an N_hat within 1e-9 of
+    it, so a change to the evolve that moves these bits fails here."""
+    runs = free_transport if workload == "free-transport" else rotational_transport
+    problems, cells, worst = _reference_bits(workload, [summary for summary, _ in runs])
+    assert report("C10/C12 bits", not problems, f"{workload} cells keep their reference "
+                  "verdicts and N_hat", f"{cells} cells, largest |N_hat - reference| "
+                  f"{worst:.1e} <= {check.NHAT_TOL:g}; {problems[:3]}"), problems
 
 
 def test_c11_fundamental_solution(c11):
@@ -313,15 +367,7 @@ def test_c11_cells_keep_their_reference_bits(c11):
     """Every seed-0 C11 cell keeps the verdict the benchmark's reference
     records and an N_hat within 1e-9 of it, so a speed-up that moves these
     bits fails here, not only in the benchmark."""
-    refs = json.loads((PERFBENCH / "reference.json").read_text())["point-mass"]
-    cfgs = workloads.configs("point-mass", 0)
-    problems, worst, cells = [], 0.0, 0
-    for cfg, summary, ref in zip(cfgs, c11, refs):
-        problems += check.score(cfg, workloads.expected_cells(cfg), 0, summary, ref)[1]
-        for cell, want in zip(check.cells_of(summary), ref["cells"]):
-            cells += 1
-            worst = max([worst] + [abs(a - b) for a, b in zip(cell[2], want[2])
-                                   if a is not None and b is not None])
+    problems, cells, worst = _reference_bits("point-mass", c11)
     assert report("C11 bits", not problems, "point-mass cells keep their reference verdicts and N_hat",
                   f"{cells} cells, largest |N_hat - reference| {worst:.1e} <= "
                   f"{check.NHAT_TOL:g}; {problems[:3]}"), problems
@@ -354,8 +400,8 @@ def test_c11_negative_control_constant_field(monkeypatch):
                   f"t0 = 1: {period}, t0 = 1/2: {half}, a = 0 flow at t0 = 1: {unflowed}")
 
 
-def test_c12_scalar_potential():
-    free = exp.run_transport_consistency(workloads.configs("free-transport", 0)[1])
+def test_c12_scalar_potential(free_transport):
+    free = free_transport[1][0]
     rot = exp.run_transport_consistency(dict(workloads.ROTATIONAL_TRANSPORT,
                                              experiment="scalar-potential",
                                              scalar_potential=dict(workloads.SCALAR)))

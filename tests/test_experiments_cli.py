@@ -166,6 +166,10 @@ BAD_CONFIGS = {
     "ladder-kmin-kmax-step": lambda cfg: dict(cfg, ladder={"kmin": 2, "kmax": 6, "step": 2}),
     "ladder-kmin-negative": lambda cfg: dict(cfg, ladder={"kmin": -1, "kmax": 4}),
     "datum-typo": lambda cfg: dict(cfg, data=[{"name": "gaussian", "widht": 1.0}]),
+    # the data are a nonempty list, not one datum's name or object
+    "data-text": lambda cfg: dict(cfg, data="delta"),
+    "data-object": lambda cfg: dict(cfg, data={"name": "gaussian"}),
+    "data-empty": lambda cfg: dict(cfg, data=[]),
     # a label is one CSV field
     "datum-label-comma": lambda cfg: dict(cfg, data=[{"name": "gaussian", "label": "a,b"}]),
     "datum-label-number": lambda cfg: dict(cfg, data=[{"name": "gaussian", "label": 7}]),
@@ -253,9 +257,10 @@ BAD_CONFIGS = {
 POINT_MASS_ONLY = ("envelope-ladder-zero", "envelope-ladder-negative", "envelope-ladder-empty",
                    "envelope-ladder-repeated", "envelope-ladder-decreasing",
                    "envelope-ladder-text", "t0-negative")
-TRANSPORT_ONLY = ("datum-typo", "datum-label-comma", "datum-label-number", "noise-floor",
-                  "min-agreement-above-one", "max-inconclusive-negative", "scalar-modulation",
-                  "scalar-json-text", "dt-nan", "t0-huge", "t0-steps-over-limit", "dt-tiny")
+TRANSPORT_ONLY = ("datum-typo", "data-text", "data-object", "data-empty", "datum-label-comma",
+                  "datum-label-number", "noise-floor", "min-agreement-above-one",
+                  "max-inconclusive-negative", "scalar-modulation", "scalar-json-text", "dt-nan",
+                  "t0-huge", "t0-steps-over-limit", "dt-tiny")
 SCHEMA_CASES = (
     [(exp.run_transport_consistency, FREE_CFG, bad)
      for bad in BAD_CONFIGS if bad not in POINT_MASS_ONLY]
@@ -283,6 +288,14 @@ def test_bad_config_exits_2_before_compute(runner, base, bad, no_compute, capsys
         runner(cfg)
     assert cli.main(["experiment", "--config", json.dumps(cfg)]) == 2
     assert "InputError" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("data", ["delta", {"name": "gaussian"}, 5, None, []],
+                         ids=["text", "object", "number", "null", "empty"])
+def test_data_must_be_a_nonempty_list(data, no_compute):
+    # the refusal names the key, not a KeyError or TypeError from inside the parse
+    with pytest.raises(errors.InputError, match="'data' must be a nonempty list"):
+        exp.run_transport_consistency(dict(FREE_CFG, data=data))
 
 
 @pytest.mark.parametrize("key,spec", [

@@ -82,19 +82,30 @@ def test_kinetic_is_unitary():
     assert abs(ev.l2_norm() - f.l2_norm()) < 1e-12
 
 
-def test_boundary_mass_fraction():
-    spec = grid.GridSpec(1, 256, 10.0)
-    narrow = grid.gaussian_data(spec, width=0.5).values
-    edge = grid.gaussian_data(spec, width=0.5, center=9.5).values
+@pytest.mark.parametrize("spec", [
+    grid.GridSpec(1, 256, 10.0), grid.GridSpec(2, 64, 5.0),
+    grid.GridSpec(2, (64, 128), (3.0, 7.0))], ids=["1d", "2d-square", "2d-anisotropic"])
+def test_boundary_mass_fraction(spec):
+    width = [0.05 * L for L in spec.halfwidths]
+    narrow = grid.gaussian_data(spec, width=width).values
+    edge = grid.gaussian_data(spec, width=width, center=[0.95 * L for L in spec.halfwidths]).values
+    rng = np.random.default_rng(0)
+    noise = rng.standard_normal(spec.shape) + 1j * rng.standard_normal(spec.shape)
     blown_up = narrow.copy()
-    blown_up[7] = np.inf
-    frac = grid.boundary_mass_fraction(
-        spec, np.stack([narrow, edge, np.zeros_like(narrow), blown_up]))
-    assert frac.shape == (4,)
-    assert frac[0] < 1e-12
+    blown_up[(7,) * spec.n] = np.inf
+    batch = np.stack([narrow, edge, noise, np.zeros_like(narrow), blown_up])
+    frac = grid.boundary_mass_fraction(spec, batch)
+    # the band as defined: nodes with |x_i| >= (1 - EDGE_MARGIN) L_i on some axis
+    band = np.zeros(spec.shape, dtype=bool)
+    for x, L in zip(spec.meshgrid(), spec.halfwidths):
+        band |= np.abs(x) >= (1.0 - grid.EDGE_MARGIN) * L
+    mass = np.abs(batch[:3]) ** 2
+    np.testing.assert_allclose(frac[:3], [m[band].sum() / m.sum() for m in mass], rtol=1e-12)
+    assert frac.shape == (5,)
+    assert 0.0 < frac[0] < 1e-12  # a small fraction keeps its digits
     assert frac[1] > 0.5
-    assert frac[2] == 0.0  # no mass, none of it at the edge
-    assert np.isnan(frac[3])  # a non-finite field has no fraction
+    assert frac[3] == 0.0  # no mass, none of it at the edge
+    assert np.isnan(frac[4])  # a non-finite field has no fraction
 
 
 def test_builtin_data_rejects_unknown_name():
