@@ -42,14 +42,3 @@ exact = gauge * grid.apply_kinetic(ug.with_values(ug.values / gauge), 0.5).value
 split = prop.evolve(soft, None, ug, 0.0, 0.5, prop.EvolveConfig(dt=5e-3))
 print(f"splitting vs exact gauge solution: max diff = "
       f"{np.max(np.abs(split.values - exact)):.2e}")
-
-# Solver validation against classical mechanics: a coherent state in the
-# quadratic test potential returns to its starting center after one period.
-spec_h = mswf.GridSpec(1, 512, 12.0)
-coherent = mswf.gaussian_data(spec_h, center=2.0)
-V = prop.ScalarPotentialModel("quadratic-test")
-out = prop.evolve(pots.zero_model(1), V, coherent, 0.0, 2 * np.pi,
-                  prop.EvolveConfig(dt=2e-3))
-xs = spec_h.axis(0)
-center = float(np.sum(xs * np.abs(out.values) ** 2) / np.sum(np.abs(out.values) ** 2))
-print(f"coherent state after t = 2 pi: center = {center:.6f}  (started at 2)")

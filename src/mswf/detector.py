@@ -53,18 +53,11 @@ FLOOR_REL = 1e-14
 STEEPEN_STEP = 0.5
 COLLAPSE_EXPONENT = 12.0  # implied exponent that counts as super-polynomial
 MIN_RUNGS = 5
+# the verdicts' decision constants; a transport summary reports them
+N_HIGH, N_LOW, R2_MIN = 6.0, 1.0, 0.95
 FLOW_TOL = 1e-9  # RK45 tolerance of the scans' and the point-mass ratio flows
 # conic sampling: offsets per position axis, fan directions, moduli
 POSITIONS_PER_AXIS, N_DIRECTIONS, N_MODULI = 3, 5, 3
-
-
-@dataclass(frozen=True)
-class Thresholds:
-    """Decision constants of the verdicts; a transport summary reports them."""
-
-    n_high: float = 6.0
-    n_low: float = 1.0
-    r2_min: float = 0.95
 
 
 @dataclass(frozen=True)
@@ -220,8 +213,8 @@ class DecayReport:
     verdict: str
 
 
-def _aggregate(ladder, ladder_requested, xs, xis, mags, thresholds,
-               floor_abs: float = 0.0, truncated: str | None = None) -> DecayReport:
+def _aggregate(ladder, ladder_requested, xs, xis, mags, floor_abs: float = 0.0,
+               truncated: str | None = None) -> DecayReport:
     """The report of one field's (S, R) magnitudes.  A ladder that the
     guard `truncated` cut below 5 rungs is not fitted: its report has no
     samples and is inconclusive."""
@@ -232,10 +225,10 @@ def _aggregate(ladder, ladder_requested, xs, xis, mags, thresholds,
         fit = DecayFit(np.empty(0), np.empty(0), np.empty(0, int), np.empty(0, bool))
         flags = ["ladder-truncated", truncated]
     superp = fit.super_polynomial
-    ok = superp | ((fit.n_hat >= thresholds.n_high) & (fit.r2 >= thresholds.r2_min))
+    ok = superp | ((fit.n_hat >= N_HIGH) & (fit.r2 >= R2_MIN))
     if ok.size and ok.all():
         verdict = "not-in-WF"
-    elif np.any(~superp & (fit.n_hat <= thresholds.n_low)):
+    elif np.any(~superp & (fit.n_hat <= N_LOW)):
         verdict = "in-WF"
     else:
         verdict = "inconclusive"
@@ -276,8 +269,7 @@ class _Data(NamedTuple):
 
 
 def _ladder_test(data: _Data, xs, xis, ladder: tuple, points: list, t: float,
-                 thresholds: Thresholds, width: float, b: float, noise_rel: float,
-                 reason: str) -> list:
+                 width: float, b: float, noise_rel: float, reason: str) -> list:
     """Pair every field with windows evolved freely by t over the ladder.
 
     (xs, xis) are the conic samples; points[r] holds the (S, n) pairing
@@ -292,7 +284,7 @@ def _ladder_test(data: _Data, xs, xis, ladder: tuple, points: list, t: float,
     rungs = [(lam, X, XI) for lam, (X, XI) in zip(ladder, points) if in_band(spec, XI).all()]
     used = [lam for lam, _, _ in rungs]
     if len(used) < MIN_RUNGS:
-        return [_aggregate(used, ladder, xs, xis, np.zeros((0, len(used))), thresholds,
+        return [_aggregate(used, ladder, xs, xis, np.zeros((0, len(used))),
                            truncated=reason) for _ in data.values]
     mags = np.empty((len(data.values), len(xs), len(used)))
     for r, (lam, X, XI) in enumerate(rungs):
@@ -300,12 +292,11 @@ def _ladder_test(data: _Data, xs, xis, ladder: tuple, points: list, t: float,
         mags[..., r] = np.abs(_pair_in_boxes(spec, data.values, data.boxes, window,
                                              X, XI)).T
     window_norm = GaussianWindow(spec.n, width, 1.0, b, 0.0).l2_norm()
-    return [_aggregate(used, ladder, xs, xis, m, thresholds, noise_rel * norm * window_norm)
+    return [_aggregate(used, ladder, xs, xis, m, noise_rel * norm * window_norm)
             for norm, m in zip(data.norms, mags)]
 
 
 def wf_test_static(f, sample: ConicSample, ladder=None,
-                   thresholds: Thresholds = Thresholds(),
                    width: float = 1.0, b: float = 1.0 / 8.0,
                    noise_rel: float = 1e-12):
     """Probe membership of (x0, xi0) relative to the field f itself.
@@ -318,12 +309,11 @@ def wf_test_static(f, sample: ConicSample, ladder=None,
     noise_rel * |f|_L2 * |window|_L2 of each field; raise it when f itself
     carries solver error.
     """
-    return _test_one("static", f, sample, ladder, thresholds, width, b, noise_rel)
+    return _test_one("static", f, sample, ladder, width, b, noise_rel)
 
 
 def wf_test_dynamic(u0, model: VectorPotentialModel, t0: float,
                     sample: ConicSample, ladder=None,
-                    thresholds: Thresholds = Thresholds(),
                     width: float = 1.0, b: float = 1.0 / 8.0,
                     noise_rel: float = 1e-12):
     """Probe membership of (x0, xi0) relative to the solution at time t0,
@@ -338,8 +328,7 @@ def wf_test_dynamic(u0, model: VectorPotentialModel, t0: float,
     static test's.  Rungs whose flowed frequency leaves the band of u0's
     grid are dropped.
     """
-    return _test_one("dynamic", u0, sample, ladder, thresholds, width, b, noise_rel,
-                     model, t0)
+    return _test_one("dynamic", u0, sample, ladder, width, b, noise_rel, model, t0)
 
 
 def _test_one(mode: str, f, sample: ConicSample, ladder, *settings):
@@ -388,9 +377,9 @@ def _rung_points(model: VectorPotentialModel, t0: float, phases: dict,
     return points
 
 
-def _probe(mode: str, fields: list, samples: dict, ladder: tuple,
-           thresholds: Thresholds, width: float, b: float, noise_rel: float,
-           model: VectorPotentialModel = None, t0: float = 0.0) -> dict:
+def _probe(mode: str, fields: list, samples: dict, ladder: tuple, width: float,
+           b: float, noise_rel: float, model: VectorPotentialModel = None,
+           t0: float = 0.0) -> dict:
     """Every cell's reports or error, {c: [one DecayReport per field] or MswfError}.
 
     samples[c] is cell c's ConicSample.  A static probe, or a dynamic one
@@ -416,8 +405,8 @@ def _probe(mode: str, fields: list, samples: dict, ladder: tuple,
             continue
         try:
             results[c] = _ladder_test(
-                data, *phases[c], ladder, rungs, -t0 if flowed else 0.0, thresholds,
-                width, b, noise_rel, "flowed-nyquist-guard" if flowed else "nyquist-guard")
+                data, *phases[c], ladder, rungs, -t0 if flowed else 0.0, width, b, noise_rel,
+                "flowed-nyquist-guard" if flowed else "nyquist-guard")
         except MswfError as exc:
             results[c] = exc
     return results
@@ -451,8 +440,7 @@ def direction_fan(n: int, count: int) -> np.ndarray:
 
 
 def wf_scan(mode: str, field_or_datum, positions, directions,
-            ladder=None, thresholds: Thresholds = Thresholds(),
-            width: float = 1.0, b: float = 1.0 / 8.0,
+            ladder=None, width: float = 1.0, b: float = 1.0 / 8.0,
             model: VectorPotentialModel = None, t0: float = 0.0,
             k_radius: float = ConicSample.k_radius,
             half_angle: float = ConicSample.half_angle,
@@ -490,8 +478,8 @@ def wf_scan(mode: str, field_or_datum, positions, directions,
     finite = [bool(np.isfinite(f.values).all()) for f in fields]
     probed = [f for f, ok in zip(fields, finite) if ok]
     if probed:
-        results.update(_probe(mode, probed, samples, ladder, thresholds, width, b,
-                              noise_rel, model, t0))
+        results.update(_probe(mode, probed, samples, ladder, width, b, noise_rel,
+                              model, t0))
     cells, j = [], 0  # j indexes the probed fields
     for ok in finite:
         for c, (x0, xi0) in enumerate(lattice):

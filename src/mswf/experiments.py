@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import inspect
 import json
-from dataclasses import MISSING, asdict, astuple, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -324,8 +324,6 @@ def run_transport_consistency(cfg: dict) -> dict:
     if not model.conforming:
         raise GuardError(f"model family '{model.family}' violates the decay "
                          "hypothesis; transport experiments need a conforming model")
-    if not scalar.conforming:
-        raise GuardError("scalar potential must be sub-quadratic")
     evolve_cfg = propagator.EvolveConfig(dt=config.dt)
     propagator._step_count(0.0, config.t0, evolve_cfg)  # refused before any datum
     data = [_datum_from_config(entry, spec) for entry in config.data]
@@ -365,7 +363,8 @@ def run_transport_consistency(cfg: dict) -> dict:
         "resolved": {
             "b": config.b, "ladder": list(config.ladder), "t0": config.t0,
             "dt": config.dt, "width": config.width,
-            "thresholds": dict(zip(("N", "Nlow", "R2"), astuple(detector.Thresholds()))),
+            "thresholds": {"N": detector.N_HIGH, "Nlow": detector.N_LOW,
+                           "R2": detector.R2_MIN},
             "model": asdict(model),
             "scalar": scalar.family,
         },

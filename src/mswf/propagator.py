@@ -39,12 +39,12 @@ from .grid import GridFunction, GridSpec, boundary_mass_fraction, field_batch
 from .packets import GaussianWindow, wpt
 from .potentials import VectorPotentialModel, divergence_a, eval_a, squared_norm
 
-SCALAR_FAMILIES = ("zero", "soft-power", "quadratic-test")
+SCALAR_FAMILIES = ("zero", "soft-power")
 
 
 @dataclass(frozen=True)
 class ScalarPotentialModel:
-    """Scalar term V(x), constant in time: zero, amp <x>^mu (mu < 2), or |x|^2 / 2."""
+    """Scalar term V(x), constant in time: zero or amp <x>^mu (mu < 2)."""
 
     family: str = "zero"
     mu: float = 0.0
@@ -57,17 +57,10 @@ class ScalarPotentialModel:
         if self.family == "soft-power" and not self.mu < 2.0:
             raise InputError("soft-power scalar potentials require mu < 2")
 
-    @property
-    def conforming(self) -> bool:
-        """Sub-quadratic growth; the quadratic test family is solver-only."""
-        return self.family in ("zero", "soft-power")
-
     def __call__(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if self.family == "zero":
             return np.zeros(x.shape[:-1])
-        if self.family == "quadratic-test":
-            return 0.5 * np.sum(x * x, axis=-1)
         b2 = squared_norm(x)
         b2 += 1.0
         return self.amplitude * b2 ** (0.5 * self.mu)
@@ -355,8 +348,10 @@ def evolved_wpt_leading(model: VectorPotentialModel, u0: GridFunction,
 
         exp(i Int_0^t Psi ds) * W[u0](x(0), xi(0)).
 
-    Exact (up to solver error) whenever every second derivative of the
-    potential vanishes; otherwise correct to a remainder that is lower
+    Exact (up to solver error) for a spatially uniform a(t), the tested
+    case (`test_leading_term_exact_for_gradient_free_potential`); a field
+    with vanishing second derivatives is not enough, as the constant field
+    measures 1-2% off.  Otherwise correct to a remainder that is lower
     order in the dilation.
     """
     res = flow(model, t, 0.0, *p, tol)

@@ -270,6 +270,45 @@ def test_c07_propagator():
                   f"{worst_drift:.2e} <= 1e-6/unit, order ratio {ratio:.2f} ~ 4")
 
 
+# The constant field lies outside the decay hypothesis, but its Hamiltonian
+# is quadratic, so the 2-D magnetic evolve has exact answers there.
+LANDAU_SPEC = grid.GridSpec(2, 128, 8.0)
+
+
+def test_c07_landau_state_is_stationary():
+    """In the constant field B0 = 1 (symmetric gauge) the magnetically
+    translated ground state psi_c = exp(-|x - c|^2 / 4 + (i/2)(c1 x2 - c2 x1))
+    is stationary: u(t) = exp(-i t / 2) psi_c.  The error is 9.8e-6 of the
+    peak, of which the box edge takes 3.9e-6 (the spectral reference's error
+    on this grid); the a = 0 evolve is off by 0.24, the flipped phase (a
+    flipped field) by 0.87."""
+    x1, x2 = LANDAU_SPEC.meshgrid()
+    c1, c2 = 1.0, -0.5
+    psi = np.exp(-((x1 - c1) ** 2 + (x2 - c2) ** 2) / 4.0 + 0.5j * (c1 * x2 - c2 * x1))
+    u1 = prop.evolve(pots.constant_field_model(1.0), None, grid.GridFunction(LANDAU_SPEC, psi),
+                     0.0, 1.0, prop.EvolveConfig(dt=1e-2))
+    err = float(np.max(np.abs(u1.values - np.exp(-0.5j) * psi)) / np.max(np.abs(psi)))
+    assert report("C07 Landau", err <= 5e-5, "Landau state is stationary in the constant field",
+                  f"error {err:.2e} <= 5e-5 of the peak")
+
+
+def test_c07_ehrenfest_centre_follows_the_flow():
+    """Under a quadratic Hamiltonian a packet's centre follows the classical
+    orbit exactly, so <x>(t) of the evolved Gaussian must be the terminal x
+    of `characteristics.flow` from (x0, xi0) = (centre, momentum).  This
+    ties the evolve (static side) to the flow (dynamic side)."""
+    x0, xi0, t = (1.0, -0.5), (1.5, 0.5), 1.0
+    model = pots.constant_field_model(1.0)
+    u0 = grid.gaussian_data(LANDAU_SPEC, center=x0, momentum=xi0)
+    u1 = prop.evolve(model, None, u0, 0.0, t, prop.EvolveConfig(dt=5e-3))
+    density = np.abs(u1.values) ** 2
+    centre = [float(np.sum(x * density) / np.sum(density)) for x in LANDAU_SPEC.meshgrid()]
+    orbit_end = chars.flow(model, 0.0, t, x0, xi0).terminal.x
+    gap = float(np.linalg.norm(np.subtract(centre, orbit_end)))
+    assert report("C07 Ehrenfest", gap <= 2e-4, "packet centre follows the bicharacteristic",
+                  f"|<x> - x_flow| = {gap:.2e} <= 2e-4")
+
+
 def test_c08_leading_term():
     spec = grid.GridSpec(1, 512, 20.0)
     u0 = grid.gaussian_data(spec)

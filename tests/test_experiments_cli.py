@@ -137,9 +137,11 @@ def test_readme_names_every_experiment_once():
 
 
 def test_readme_names_every_potential_family_once():
+    # the vector potential's families, then the scalar term's
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    listed = readme.split('`{"family": ')[1].split(",")[0]
-    assert sorted(re.findall(r'"([a-z-]+)"', listed)) == sorted(potentials.FAMILIES)
+    vector, scalar = (text.split(",")[0] for text in readme.split('`{"family": ')[1:3])
+    assert sorted(re.findall(r'"([a-z-]+)"', vector)) == sorted(potentials.FAMILIES)
+    assert sorted(re.findall(r'"([a-z-]+)"', scalar)) == sorted(prop.SCALAR_FAMILIES)
 
 
 # ---------------------------------------------------------------------------
@@ -220,6 +222,8 @@ BAD_CONFIGS = {
     "potential-cosbump": lambda cfg: dict(cfg, potential=dict(SOFT_1D, modulation="cosbump")),
     "scalar-modulation": lambda cfg: dict(cfg, scalar_potential={
         "family": "soft-power", "mu": 1.0, "amplitude": 0.3, "modulation": "sin"}),
+    # every scalar term is sub-quadratic, so a quadratic family is an unknown name
+    "scalar-quadratic-test": lambda cfg: dict(cfg, scalar_potential={"family": "quadratic-test"}),
     # bad values inside a model; unchecked, each exits 1 or 3 mid-run
     "potential-typo": lambda cfg: dict(
         cfg, potential={"family": "soft-power", "n": 1, "rh": 0.5}),
@@ -259,8 +263,8 @@ POINT_MASS_ONLY = ("envelope-ladder-zero", "envelope-ladder-negative", "envelope
                    "envelope-ladder-text", "t0-negative")
 TRANSPORT_ONLY = ("datum-typo", "data-text", "data-object", "data-empty", "datum-label-comma",
                   "datum-label-number", "noise-floor", "min-agreement-above-one",
-                  "max-inconclusive-negative", "scalar-modulation", "scalar-json-text", "dt-nan",
-                  "t0-huge", "t0-steps-over-limit", "dt-tiny")
+                  "max-inconclusive-negative", "scalar-modulation", "scalar-json-text",
+                  "scalar-quadratic-test", "dt-nan", "t0-huge", "t0-steps-over-limit", "dt-tiny")
 SCHEMA_CASES = (
     [(exp.run_transport_consistency, FREE_CFG, bad)
      for bad in BAD_CONFIGS if bad not in POINT_MASS_ONLY]
