@@ -22,7 +22,7 @@ from .packets import (DeltaSignal, GaussianSignal, GaussianWindow,
                       gaussian_wpt_oracle, inverse_wpt, make_scaled_packet,
                       theorem_scaling_exponent, wpt, wpt_grid)
 from .potentials import (VectorPotentialModel, constant_field_model, eval_a,
-                         jacobian_a, divergence_a, magnetic_field,
+                         flow_field, jacobian_a, divergence_a, magnetic_field,
                          rotational_model, soft_power_model, zero_model)
 from .propagator import (EvolveConfig, ScalarPotentialModel, evolve,
                          evolved_wpt_leading)

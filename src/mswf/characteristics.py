@@ -6,8 +6,10 @@ The flow solves
     dxi/ds = (grad_x a)^T (s, x) (xi - a(s, x))
 
 with the adaptive Dormand-Prince 5(4) pair and the step control of scipy's
-RK45, in one grouped stepper, `_rk45_groups`.  `flow` integrates one
-trajectory with dense output.  A complex phase density
+RK45, in one grouped stepper, `_rk45_groups`.  Its right-hand side takes
+the vector field from `potentials.flow_field`, one fused pass per family
+that writes v and dxi straight into the derivative's state layout.
+`flow` integrates one trajectory with dense output.  A complex phase density
 
     Psi = -h + grad_x(h) . x + (i/2) div a
 
@@ -35,32 +37,19 @@ import numpy as np
 
 from .errors import InputError, NumericError, StepUnderflowError, dilations, number
 from .grid import phase_points, point_array
-from .potentials import (VectorPotentialModel, divergence_a, eval_a,
-                         jacobian_a)
+from .potentials import VectorPotentialModel, divergence_a, eval_a, flow_field
+# no right-hand side calls jacobian_a; the name stays because
+# perfbench/layers.py wraps mswf.characteristics.jacobian_a in its traced run
+from .potentials import jacobian_a  # noqa: F401
 
 TOL_RANGE = (1e-13, 1e-3)
 SWEEP_OFFSETS = 4  # offsets per flow at which check_flow_bounds reads the ratios
 
 
-def _vector_field(model: VectorPotentialModel, s, x, xi):
-    """(dx/ds, dxi/ds) = (xi - a, (grad_x a)^T (xi - a)), batched over leading axes.
-
-    `s` is a time, or one time per group of shape (G, 1) with x of shape
-    (G, K, n), which every family evaluates in one call.  The contraction
-    sum_k J[..., k, :] v_k runs on the transposes, batch axes last.
-    """
-    v = xi - eval_a(model, s, x)
-    JT, vT = jacobian_a(model, s, x).T, v.T
-    dxi = JT[:, 0] * vT[0]
-    for k in range(1, model.n):
-        dxi += JT[:, k] * vT[k]
-    return v, dxi.T
-
-
 def _phase_rate(model: VectorPotentialModel, s, x, v, dxi) -> tuple:
     """Real and imaginary parts of Psi, given the vector field (v, dxi) at (s, x).
 
-    `s` is a time, or one time per row of x, as in `_vector_field`.
+    `s` is a time, or one time per row of x, as in `flow_field`.
     """
     re = -0.5 * np.sum(v * v, axis=-1) - np.sum(dxi * x, axis=-1)
     return re, 0.5 * divergence_a(model, s, x)
@@ -68,7 +57,8 @@ def _phase_rate(model: VectorPotentialModel, s, x, v, dxi) -> tuple:
 
 def hamiltonian(model: VectorPotentialModel, t: float, x, xi) -> float:
     """Kinetic energy |xi - a(t, x)|^2 / 2 of the canonical pair."""
-    v, _ = _vector_field(model, t, *phase_points(x, xi, model.n))
+    x, xi = phase_points(x, xi, model.n)
+    v = xi - eval_a(model, t, x)
     return 0.5 * np.sum(v * v, axis=-1)
 
 
@@ -281,16 +271,19 @@ def _groups_rhs(model: VectorPotentialModel, K: int,
     (x_1, xi_1, ..., x_K, xi_K) without extra channels.  `extra(s, x, xi,
     v, dxi)`, given the vector field (v, dxi), returns the rates of the
     extra channels, one array of shape (G, K) each; by default there are
-    none.
+    none.  The derivative is written in the same layout, in place:
+    `flow_field` fills its v and dxi columns, and each rate its own column.
     """
     n = model.n
 
     def rhs(s, y):
         state = y.reshape(len(y), K, -1)
         x, xi, s = state[..., :n], state[..., n:2 * n], s[:, None]
-        v, dxi = _vector_field(model, s, x, xi)
-        rates = [c[..., None] for c in extra(s, x, xi, v, dxi)]
-        return np.concatenate([v, dxi, *rates], axis=-1).reshape(len(y), -1)
+        out = np.empty(state.shape)
+        v, dxi = flow_field(model, s, x, xi, out=(out[..., :n], out[..., n:2 * n]))
+        for c, rate in enumerate(extra(s, x, xi, v, dxi), 2 * n):
+            out[..., c] = rate
+        return out.reshape(len(y), -1)
 
     return rhs
 

@@ -156,37 +156,73 @@ def eval_a(model: VectorPotentialModel, t, x) -> np.ndarray:
     return a
 
 
+def _field(model: VectorPotentialModel, t, x) -> tuple:
+    """a's components, and J(j, k) = d a_j / d x_k, which forms that one
+    entry over the batch when called; <x> and each power of it are taken
+    once.  Every element keeps the order of its products in the whole-array
+    formulas (tests/broadcast_reference.py), so the components are the
+    bits of `eval_a`'s.
+    """
+    n, xs = model.n, [x[..., k] for k in range(model.n)]
+    if model.family == "zero":
+        return [0.0] * n, lambda j, k: 0.0
+    if model.family == "constant-field":
+        h = 0.5 * model.b0
+        J = [[0.0, -h], [h, 0.0]]
+        return [h * -xs[1], h * xs[0]], lambda j, k: J[j][k]
+    b = bracket(x)
+    if model.family == "soft-power":  # J_jk = (x_k (c rho amp_j)) <x>^(rho-2)
+        p, pm2 = b ** model.rho, b ** (model.rho - 2.0)
+        coef = [_modulated(model, t, model.rho) * amp for amp in model.amplitude]
+        return ([_modulated(model, t, amp) * p for amp in model.amplitude],
+                lambda j, k: xs[k] * coef[j] * pm2)
+    x1, x2 = xs  # rotational: a = c <x>^(rho-1) (x2, -x1)
+    pm1, pm3 = b ** (model.rho - 1.0), b ** (model.rho - 3.0)
+    c, r = _modulated(model, t, model.amplitude[0]), model.rho - 1.0
+    p = c * pm1
+    # J_11 = -c r x1 x2 pm3 is -J_00 bit for bit, as negation is exact
+    q = c * r * x1 * x2 * pm3
+    J = [[q, c * (r * x2 * x2 * pm3 + pm1)], [-c * (r * x1 * x1 * pm3 + pm1), -q]]
+    return [p * x2, p * -x1], lambda j, k: J[j][k]
+
+
 def jacobian_a(model: VectorPotentialModel, t, x) -> np.ndarray:
     """Matrix with entry (j, k) = d a_j / d x_k; batched over leading axes.
 
-    `t` broadcasts to x.shape[:-1], as in `eval_a`.  The batch axes are
-    stored last, so that each entry is one contiguous run over the batch.
+    `t` broadcasts to x.shape[:-1], as in `eval_a`.
     """
     x = _check_point(model, x)
-    n = model.n
-    shape = (n, n) + x.shape[-2::-1]  # the transpose's shape
-    if model.family == "zero":
-        return np.zeros(shape).T
-    if model.family == "soft-power":  # entry (j, k) is ((c amp_j) x_k) <x>^(rho-2)
-        amp = np.reshape(model.amplitude, (n,) + (1,) * (x.ndim - 1))
-        J = x.T[:, None] * (_modulated(model, np.transpose(t), model.rho) * amp)
-        J *= (bracket(x) ** (model.rho - 2.0)).T
-        return J.T
-    J = np.zeros(shape).T
-    if model.family == "rotational":
-        x1, x2 = x[..., 0], x[..., 1]
-        b = bracket(x)
-        pm1 = b ** (model.rho - 1.0)
-        pm3 = b ** (model.rho - 3.0)
-        c = _modulated(model, t, model.amplitude[0])
-        J[..., 0, 0] = c * (model.rho - 1.0) * x1 * x2 * pm3
-        J[..., 0, 1] = c * ((model.rho - 1.0) * x2 * x2 * pm3 + pm1)
-        J[..., 1, 0] = -c * ((model.rho - 1.0) * x1 * x1 * pm3 + pm1)
-        J[..., 1, 1] = -c * (model.rho - 1.0) * x1 * x2 * pm3
-        return J
-    J[..., 0, 1] = -0.5 * model.b0  # constant-field
-    J[..., 1, 0] = 0.5 * model.b0
+    _, entry = _field(model, t, x)
+    J = np.empty(x.shape + (model.n,))
+    for j in range(model.n):
+        for k in range(model.n):
+            J[..., j, k] = entry(j, k)
     return J
+
+
+def flow_field(model: VectorPotentialModel, t, x, xi, out=None) -> tuple:
+    """The flow's vector field (v, dxi) = (xi - a, (grad_x a)^T (xi - a)).
+
+    Batched over the leading axes of x and xi, with `t` broadcasting to
+    x.shape[:-1] as in `eval_a`.  `out`, if given, is a pair of arrays of
+    x's shape, such as views into a right-hand side's state buffer, that
+    receive v and dxi; the pair is returned.  One pass takes <x> once,
+    each power of it once, and forms each Jacobian entry only where
+    dxi_k = J_0k v_0 + J_1k v_1 uses it, so v and dxi are the bits of
+    `eval_a`, `jacobian_a` and that sum.
+    """
+    x, xi = _check_point(model, x), np.asarray(xi, dtype=float)
+    a, entry = _field(model, t, x)
+    v, dxi = (np.empty(x.shape), np.empty(x.shape)) if out is None else out
+    # one component at a time: ufuncs on a strided (..., n) view are slow
+    vs, dxis = [v[..., j] for j in range(model.n)], [dxi[..., k] for k in range(model.n)]
+    for j, vj in enumerate(vs):
+        np.subtract(xi[..., j], a[j], out=vj)
+    for k, dxik in enumerate(dxis):
+        np.multiply(entry(0, k), vs[0], out=dxik)
+        for j in range(1, model.n):
+            dxik += entry(j, k) * vs[j]
+    return v, dxi
 
 
 def divergence_a(model: VectorPotentialModel, t, x) -> np.ndarray:

@@ -1,10 +1,11 @@
 """The vector potential, its Jacobian and the flow's vector field written
 as whole-array broadcasts and one einsum, for bit-for-bit pins.
 
-`eval_a`, `jacobian_a` and `characteristics._vector_field` compute the same
-products one component, or one Jacobian entry, at a time over the batch.
-Each element keeps the order of its products, so both give the same bits;
-these formulas are the reference the pins compare against.
+`eval_a`, `jacobian_a` and the fused `flow_field` of `mswf.potentials`
+compute the same products one component, or one Jacobian entry, at a time
+over the batch.  Each element keeps the order of its products, so both
+give the same bits; these formulas are the reference the pins compare
+against, and the mutants of `test_mutants` are built from them.
 """
 
 import numpy as np

@@ -10,6 +10,7 @@ cells are also held to the benchmark's reference (perfbench/reference.json,
 by check.py's rule).
 """
 
+import functools
 import importlib.util
 import json
 import time
@@ -292,21 +293,39 @@ def test_c07_landau_state_is_stationary():
                   f"error {err:.2e} <= 5e-5 of the peak")
 
 
+EHRENFEST_START = ((1.0, -0.5), (1.5, 0.5))  # the packet's centre and momentum
+EHRENFEST_T, EHRENFEST_TOL = 1.0, 2e-4
+
+
+@functools.cache
+def _ehrenfest_centre() -> tuple:
+    """<x>(t) of the Gaussian packet evolved in the constant field B0 = 1."""
+    x0, xi0 = EHRENFEST_START
+    u0 = grid.gaussian_data(LANDAU_SPEC, center=x0, momentum=xi0)
+    u1 = prop.evolve(pots.constant_field_model(1.0), None, u0, 0.0, EHRENFEST_T,
+                     prop.EvolveConfig(dt=5e-3))
+    density = np.abs(u1.values) ** 2
+    return tuple(float(np.sum(x * density) / np.sum(density)) for x in LANDAU_SPEC.meshgrid())
+
+
+def ehrenfest_gap() -> float:
+    """|<x>(t) - x_flow(t)|: the evolved packet's centre against the terminal
+    x of `characteristics.flow` from (x0, xi0) = (centre, momentum).  The
+    evolve does not depend on the flow, so it runs once per session."""
+    orbit_end = chars.flow(pots.constant_field_model(1.0), 0.0, EHRENFEST_T,
+                           *EHRENFEST_START).terminal.x
+    return float(np.linalg.norm(np.subtract(_ehrenfest_centre(), orbit_end)))
+
+
 def test_c07_ehrenfest_centre_follows_the_flow():
     """Under a quadratic Hamiltonian a packet's centre follows the classical
     orbit exactly, so <x>(t) of the evolved Gaussian must be the terminal x
-    of `characteristics.flow` from (x0, xi0) = (centre, momentum).  This
-    ties the evolve (static side) to the flow (dynamic side)."""
-    x0, xi0, t = (1.0, -0.5), (1.5, 0.5), 1.0
-    model = pots.constant_field_model(1.0)
-    u0 = grid.gaussian_data(LANDAU_SPEC, center=x0, momentum=xi0)
-    u1 = prop.evolve(model, None, u0, 0.0, t, prop.EvolveConfig(dt=5e-3))
-    density = np.abs(u1.values) ** 2
-    centre = [float(np.sum(x * density) / np.sum(density)) for x in LANDAU_SPEC.meshgrid()]
-    orbit_end = chars.flow(model, 0.0, t, x0, xi0).terminal.x
-    gap = float(np.linalg.norm(np.subtract(centre, orbit_end)))
-    assert report("C07 Ehrenfest", gap <= 2e-4, "packet centre follows the bicharacteristic",
-                  f"|<x> - x_flow| = {gap:.2e} <= 2e-4")
+    of the flow.  This ties the evolve (static side) to the flow (dynamic
+    side)."""
+    gap = ehrenfest_gap()
+    assert report("C07 Ehrenfest", gap <= EHRENFEST_TOL,
+                  "packet centre follows the bicharacteristic",
+                  f"|<x> - x_flow| = {gap:.2e} <= {EHRENFEST_TOL:g}")
 
 
 def test_c08_leading_term():
@@ -388,14 +407,18 @@ def test_transport_cells_keep_their_reference_bits(workload, free_transport,
                   f"{worst:.1e} <= {check.NHAT_TOL:g}; {problems[:3]}"), problems
 
 
+def c11_smooth(summary: dict) -> bool:
+    """A C11 summary at t0 != 0 shows the point mass smoothed out: every
+    cell not-in-WF, some conclusive, and |x(0)| / (lam t0 |xi|) within 10
+    percent of 1 at the top rung."""
+    return (summary["fraction_not_in_wf"] == 1.0 and summary["cells_conclusive"] > 0
+            and summary["ballistic_ratios"]["top_in_bracket"])
+
+
 def test_c11_fundamental_solution(c11):
     s_zero, s_soft, control = c11
-    ratios_ok = (s_zero["ballistic_ratios"]["top_in_bracket"]
-                 and s_soft["ballistic_ratios"]["top_in_bracket"])
-    ok = (s_zero["fraction_not_in_wf"] == 1.0 and s_zero["cells_conclusive"] > 0
-          and s_soft["fraction_not_in_wf"] == 1.0 and s_soft["cells_conclusive"] > 0
-          and all(c["verdict"] == "in-WF" for c in control["cells"])
-          and ratios_ok)
+    ok = (c11_smooth(s_zero) and c11_smooth(s_soft)
+          and all(c["verdict"] == "in-WF" for c in control["cells"]))
     assert report("C11", ok, "point-mass datum smooths out for t0 != 0",
                   f"zero {s_zero['fraction_not_in_wf']:.0%}, soft-power "
                   f"{s_soft['fraction_not_in_wf']:.0%} not-in-WF; control in-WF; "

@@ -31,10 +31,35 @@ def test_hamiltonian_values():
 def test_vector_field_keeps_the_einsum_bits(case):
     # sum_k J[..., k, :] v_k, component-wise, against the einsum contraction
     model, s, x, xi = ref.draw(*case)
-    for got, want in zip(chars._vector_field(model, s, x, xi),
+    for got, want in zip(pots.flow_field(model, s, x, xi),
                          ref.vector_field(model, s, x, xi)):
         assert got.shape == want.shape
         np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("name", list(ref.MODELS))
+def test_groups_rhs_writes_the_concatenated_layout(name):
+    # the derivative the right-hand side writes in place is, bit for bit, the
+    # reference vector field and the channels' rates concatenated per trajectory
+    model, n = ref.MODELS[name], ref.MODELS[name].n
+    rng = np.random.default_rng(3)
+
+    def phase(s, x, xi, v, dxi):
+        return chars._phase_rate(model, s, x, v, dxi)
+
+    for G, K in ((80, 45), (5, 16), (1, 1)):
+        for extra, channels in ((None, 0), (phase, 2)):
+            s = rng.uniform(-3.0, 3.0, G)
+            y = rng.uniform(-5.0, 5.0, (G, K * (2 * n + channels)))
+            rhs = chars._groups_rhs(model, K) if extra is None else \
+                chars._groups_rhs(model, K, extra)
+            state = y.reshape(G, K, -1)
+            x, xi = state[..., :n], state[..., n:2 * n]
+            v, dxi = ref.vector_field(model, s[:, None], x, xi)
+            rates = [] if extra is None else \
+                [r[..., None] for r in phase(s[:, None], x, xi, v, dxi)]
+            want = np.concatenate([v, dxi, *rates], axis=-1).reshape(G, -1)
+            np.testing.assert_array_equal(rhs(s, y), want)
 
 
 def test_free_flow_exact():
@@ -53,7 +78,12 @@ def test_flow_identity_at_start():
     assert res.psi_integral == 0.0
 
 
-def test_landau_orbit_matches():
+LANDAU_TOL = 1e-8
+
+
+def landau_orbit_error() -> float:
+    """Largest deviation of the constant-field flow over one cyclotron
+    period, read through its dense output, from the closed-form orbit."""
     b0 = 1.0
     x0, xi0 = (1.0, 0.0), (0.5, 1.0)
     res = chars.flow(pots.constant_field_model(b0), 0.0, 2 * np.pi, x0, xi0, 1e-10)
@@ -63,7 +93,11 @@ def test_landau_orbit_matches():
         x_ref, xi_ref = landau_orbit(b0, x0, xi0, s)
         worst = max(worst, float(np.max(np.abs(np.array(st.x) - x_ref))),
                     float(np.max(np.abs(np.array(st.xi) - xi_ref))))
-    assert worst <= 1e-8
+    return worst
+
+
+def test_landau_orbit_matches():
+    assert landau_orbit_error() <= LANDAU_TOL
 
 
 def test_energy_conservation_time_independent():
@@ -243,7 +277,7 @@ def test_integral_bound_matches_solve_ivp():
     report = chars.check_integral_bound(model, 0.5, (0.2, 1.1), samples, ladder, tol=1e-10)
 
     def rhs(s, y):
-        v, dxi = chars._vector_field(model, s, y[:2], y[2:4])
+        v, dxi = pots.flow_field(model, s, y[:2], y[2:4])
         weight = (1.0 + y[:2] @ y[:2]) ** 0.75
         return np.concatenate([v, dxi, [np.linalg.norm(y[2:4]) / weight]])
 
@@ -372,9 +406,15 @@ def test_grouped_flow_matches_solve_ivp_per_group(case):
 def test_grouped_flow_names_the_failing_group(monkeypatch):
     # a is not finite for x > 5, where group 1 starts
     model = pots.soft_power_model(1, 0.5, 0.5)
-    eval_a = chars.eval_a
-    monkeypatch.setattr(chars, "eval_a", lambda m, t, x: np.where(
-        x > 5.0, np.nan, eval_a(m, t, x)) if m is model else eval_a(m, t, x))
+    flow_field = chars.flow_field
+
+    def nan_field(m, t, x, xi, out=None):
+        v, dxi = flow_field(m, t, x, xi, out)
+        if m is model:
+            v[x > 5.0] = dxi[x > 5.0] = np.nan
+        return v, dxi
+
+    monkeypatch.setattr(chars, "flow_field", nan_field)
     X = np.array([[[0.0]], [[6.0]], [[-1.0]]])
     with pytest.raises(errors.StepUnderflowError, match="group 1"):
         chars.flow_batch(model, 1.0, 0.0, X, np.ones_like(X))
@@ -391,7 +431,7 @@ def test_flow_matches_solve_ivp(case, max_step):
     res = chars.flow(model, t0, s1, x0, xi0, tol, max_step=max_step)
 
     def rhs(s, y):
-        v, dxi = chars._vector_field(model, s, y[:n], y[n:2 * n])
+        v, dxi = pots.flow_field(model, s, y[:n], y[n:2 * n])
         return np.concatenate([v, dxi, chars._phase_rate(model, s, y[:n], v, dxi)])
 
     y0 = np.concatenate([x0, xi0, [0.0, 0.0]])

@@ -159,6 +159,51 @@ def test_decay_exponent_matches_per_sample_polyfit(seed, rungs, samples, floor_e
         assert fit.r2[s] == pytest.approx(r2, abs=1e-12, rel=0)
 
 
+# the verdict rule on decays of known order: magnitudes A (lam/4)^(-N) on
+# the 2^2..2^6 ladder with the static floor at unit norms, 1e-7
+CALIBRATION_LADDER = det.default_ladder(2, 6)
+CALIBRATION_FLOOR = 1e-7
+ITEM_3 = pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "ROADMAP item 3: the collapse rule reads a tail that the floor censors by "
+    "lam = 32 as super-polynomial, however slowly it fell"))
+
+
+def _power(order, amplitude):
+    return amplitude * (np.array(CALIBRATION_LADDER) / 4.0) ** -order
+
+
+def _calibration_rows():
+    """(samples, the verdicts the rule is meant to give) per row."""
+    # order N_LOW itself is a tie: "no faster than lam^-1" reads in-WF, and
+    # the fit's last bit (n_hat = 1 + 4e-16) reads inconclusive
+    meant = {0.5: ("in-WF",), 1.0: ("in-WF", "inconclusive"), 2.0: ("inconclusive",),
+             4.0: ("inconclusive",), 8.0: ("not-in-WF",)}
+    rows = []
+    for order, verdicts in meant.items():
+        for amp in (1e-2, 1e-4, 1e-5, 1e-6):
+            wrong = (order == 2.0 and amp <= 1e-6) or (order == 4.0 and amp <= 1e-4)
+            rows.append(pytest.param([_power(order, amp)], verdicts, id=f"N{order:g}-A{amp:g}",
+                                     marks=[ITEM_3] if wrong else []))
+    lam = np.array(CALIBRATION_LADDER)
+    rows += [
+        # super-polynomial: exp(-lam^2 / 256) falls to 1.1e-7 by lam = 64
+        pytest.param([np.exp(-lam ** 2 / 256.0)], ("not-in-WF",), id="gaussian-decay"),
+        # a cell is not-in-WF only when every sample is
+        pytest.param([_power(0.5, 1e-2), _power(8.0, 1e-2)], ("in-WF",), id="slow-and-fast"),
+        pytest.param([_power(2.0, 1e-2), _power(8.0, 1e-2)], ("inconclusive",),
+                     id="middling-and-fast"),
+    ]
+    return rows
+
+
+@pytest.mark.parametrize("samples,verdicts", _calibration_rows())
+def test_verdict_rule_on_decays_of_known_order(samples, verdicts):
+    mags = np.array(samples)
+    report = det._aggregate(CALIBRATION_LADDER, CALIBRATION_LADDER, np.zeros((len(mags), 1)),
+                            np.ones((len(mags), 1)), mags, CALIBRATION_FLOOR)
+    assert report.verdict in verdicts, (report.verdict, report.n_hat, report.flags)
+
+
 # ---------------------------------------------------------------------------
 # sampling geometry
 
@@ -629,9 +674,15 @@ def test_dynamic_scan_records_a_failed_flow_in_its_cell_only(monkeypatch):
     # smaller x, so only the cell at x = 8 meets the bad region.  Only this
     # model is made to fail, so a scan that flows with a = 0 passes the cell
     model = pots.soft_power_model(1, 0.5, 0.5, "sin")
-    eval_a = chars.eval_a
-    monkeypatch.setattr(chars, "eval_a", lambda m, t, x: np.where(
-        x > 5.0, np.nan, eval_a(m, t, x)) if m is model else eval_a(m, t, x))
+    flow_field = chars.flow_field
+
+    def nan_field(m, t, x, xi, out=None):
+        v, dxi = flow_field(m, t, x, xi, out)
+        if m is model:
+            v[x > 5.0] = dxi[x > 5.0] = np.nan
+        return v, dxi
+
+    monkeypatch.setattr(chars, "flow_field", nan_field)
     data = _multi_data()[:2]
 
     def scan(positions):
