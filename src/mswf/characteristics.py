@@ -37,7 +37,8 @@ import numpy as np
 
 from .errors import InputError, NumericError, StepUnderflowError, dilations, number
 from .grid import phase_points, point_array
-from .potentials import VectorPotentialModel, divergence_a, eval_a, flow_field
+from .potentials import (VectorPotentialModel, divergence_a, eval_a, flow_field,
+                         squared_norm)
 # no right-hand side calls jacobian_a; the name stays because
 # perfbench/layers.py wraps mswf.characteristics.jacobian_a in its traced run
 from .potentials import jacobian_a  # noqa: F401
@@ -49,17 +50,20 @@ SWEEP_OFFSETS = 4  # offsets per flow at which check_flow_bounds reads the ratio
 def _phase_rate(model: VectorPotentialModel, s, x, v, dxi) -> tuple:
     """Real and imaginary parts of Psi, given the vector field (v, dxi) at (s, x).
 
-    `s` is a time, or one time per row of x, as in `flow_field`.
+    `s` is a time, or one time per row of x, as in `flow_field`.  The sums
+    over the n components run in axis order, as in `squared_norm`.
     """
-    re = -0.5 * np.sum(v * v, axis=-1) - np.sum(dxi * x, axis=-1)
-    return re, 0.5 * divergence_a(model, s, x)
+    dot = dxi[..., 0] * x[..., 0]
+    for i in range(1, x.shape[-1]):
+        dot += dxi[..., i] * x[..., i]
+    return -0.5 * squared_norm(v) - dot, 0.5 * divergence_a(model, s, x)
 
 
 def hamiltonian(model: VectorPotentialModel, t: float, x, xi) -> float:
     """Kinetic energy |xi - a(t, x)|^2 / 2 of the canonical pair."""
     x, xi = phase_points(x, xi, model.n)
     v = xi - eval_a(model, t, x)
-    return 0.5 * np.sum(v * v, axis=-1)
+    return 0.5 * squared_norm(v)
 
 
 @dataclass(frozen=True)
@@ -431,8 +435,8 @@ def check_integral_bound(model: VectorPotentialModel, delta: float, interval,
     ladder = dilations(lam_ladder, "lam_ladder")
 
     def integrand(s, x, xi, v, dxi):
-        weight = (1.0 + np.sum(x * x, axis=-1)) ** (0.5 * (1.0 + delta))
-        return (np.linalg.norm(xi, axis=-1) / weight,)
+        weight = (1.0 + squared_norm(x)) ** (0.5 * (1.0 + delta))
+        return (np.sqrt(squared_norm(xi)) / weight,)
 
     pairs = list(zip(*phase_points([x for x, _ in samples], [xi for _, xi in samples],
                                    n, ndim=(2, 2))))

@@ -22,14 +22,20 @@ The probe is batched.  Both tests and `wf_scan` take one field or a
 sequence of fields on one grid, and all three run one core, `_probe`,
 over their cells and get back each cell's reports or its package error
 as a value: a test raises the error of its one cell, a scan writes each
-cell's error into that cell.  Each rung pairs all conic samples with all
-fields in one call of `packets.pair_many`'s kernel, on nonzero boxes
-that the probe finds once per field.  The backward
-flows depend on the model, t0 and the samples, never on the datum, so
-each (cell, rung) is flowed once for every datum at FLOW_TOL = 1e-9, all
-cells' rungs in one `flow_batch` call, one group per (cell, rung).  Each
-group keeps its own RK45 step control, so a flowed point is the same bits
-whether its (cell, rung) is flowed alone or with others.
+cell's error into that cell.  The backward flows depend on the model,
+t0 and the samples, never on the datum, so each (cell, rung) is flowed
+once for every datum at FLOW_TOL = 1e-9, all cells' rungs in one
+`flow_batch` call, one group per (cell, rung).  Each group keeps its own
+RK45 step control, so a flowed point is the same bits whether its
+(cell, rung) is flowed alone or with others.  Then one ladder step
+serves all cells: each rung pairs the samples of every cell that keeps
+it in band with all fields in one call of `packets.pair_many`'s kernel,
+on nonzero boxes found once per field, and the cells that keep the same
+rungs are fitted in one `decay_exponent` call.  A sample's fit, and its
+pairing in any batch of two rows or more (see `pair_many`), do not
+depend on the other rows, so a cell gets the same bits in a scan as
+alone.  If a joint flow or step raises a package error, the cells are
+run one by one, so only the failing cell gets the error.
 """
 
 from __future__ import annotations
@@ -147,16 +153,17 @@ class DecayFit(NamedTuple):
         return sorted(f for f, hit in hits.items() if np.any(hit))
 
 
-def decay_exponent(ladder, magnitudes, floor_abs: float = 0.0) -> DecayFit:
+def decay_exponent(ladder, magnitudes, floor_abs=0.0) -> DecayFit:
     """Decay fits of magnitudes (..., R) over a geometric ladder of R rungs.
 
     Every sample, one row along the last axis, is fitted in one masked,
     closed-form least-squares pass of log|W| against log lambda, and the
     result holds arrays over the leading axes (0-d for a 1-d input).
-    Entries at or below the censoring floor, the larger of 1e-14 * max
-    and `floor_abs` (the caller's estimate of quadrature/solver noise),
-    are dropped from a sample's fit; with fewer than 2 kept rungs it gets
-    the sentinel n_hat = +inf, R^2 = 1 and the super-polynomial flag.
+    Entries at or below the censoring floor, the larger of 1e-14 * max and
+    `floor_abs` (the caller's estimate of quadrature/solver noise; a number,
+    or an array against (..., 1) such as a (B, 1, 1) floor per field), are
+    dropped from a sample's fit; with fewer than 2 kept rungs it gets the
+    sentinel n_hat = +inf, R^2 = 1 and the super-polynomial flag.
     R^2 is 1 when the kept magnitudes are constant.  The super-polynomial
     flag is also set when the local slopes of consecutive kept triples
     steepen by more than 0.5 per rung, or when the magnitudes collapse
@@ -213,17 +220,12 @@ class DecayReport:
     verdict: str
 
 
-def _aggregate(ladder, ladder_requested, xs, xis, mags, floor_abs: float = 0.0,
-               truncated: str | None = None) -> DecayReport:
-    """The report of one field's (S, R) magnitudes.  A ladder that the
-    guard `truncated` cut below 5 rungs is not fitted: its report has no
-    samples and is inconclusive."""
-    if truncated is None:
-        fit = decay_exponent(ladder, mags, floor_abs)
-        flags = fit.flags(len(ladder))
-    else:
-        fit = DecayFit(np.empty(0), np.empty(0), np.empty(0, int), np.empty(0, bool))
-        flags = ["ladder-truncated", truncated]
+def _report(ladder, ladder_requested, xs, xis, mags, fit: DecayFit,
+            flags: list) -> DecayReport:
+    """The report of one field's (S, R) magnitudes from their fit, whose
+    arrays are over the S samples: the verdict and the binding sample.  A
+    ladder that the Nyquist guard cut below 5 rungs is not fitted: its
+    report has no samples, an empty fit and is inconclusive."""
     superp = fit.super_polynomial
     ok = superp | ((fit.n_hat >= N_HIGH) & (fit.r2 >= R2_MIN))
     if ok.size and ok.all():
@@ -268,32 +270,52 @@ class _Data(NamedTuple):
                    [f.l2_norm() for f in fields])
 
 
-def _ladder_test(data: _Data, xs, xis, ladder: tuple, points: list, t: float,
-                 width: float, b: float, noise_rel: float, reason: str) -> list:
-    """Pair every field with windows evolved freely by t over the ladder.
+def _ladder_step(data: _Data, phases: dict, points: dict, ladder: tuple, t: float,
+                 width: float, b: float, noise_rel: float, reason: str) -> dict:
+    """Every cell's reports, {c: [one DecayReport per field]}, for the cells of `points`.
 
-    (xs, xis) are the conic samples; points[r] holds the (S, n) pairing
-    positions and frequencies of rung r, shared by all fields.  Each rung
-    is one pairing of all samples with all fields, `pair_many`'s kernel
-    on the boxes `data` holds, so no rung of any cell scans a field for
-    its box again.  Rungs whose frequencies leave the band are dropped;
-    fewer than 5 surviving rungs yield inconclusive reports flagged with
-    `reason`.  Returns one report per field.
+    phases[c] holds cell c's (S, n) samples (xs, xis), points[c] its
+    [(X, XI) per rung].  A cell keeps its rungs inside the grid band; with
+    fewer than 5 it is not paired, and its reports are inconclusive and
+    flagged with `reason`.  Each rung pairs the concatenated samples of
+    every cell that keeps it in one call of `pair_many`'s kernel, with
+    windows evolved freely by t, and the cells that keep the same rungs
+    are fitted in one `decay_exponent` call over (B, sum S, R).
     """
-    spec = data.spec
-    rungs = [(lam, X, XI) for lam, (X, XI) in zip(ladder, points) if in_band(spec, XI).all()]
-    used = [lam for lam, _, _ in rungs]
-    if len(used) < MIN_RUNGS:
-        return [_aggregate(used, ladder, xs, xis, np.zeros((0, len(used))),
-                           truncated=reason) for _ in data.values]
-    mags = np.empty((len(data.values), len(xs), len(used)))
-    for r, (lam, X, XI) in enumerate(rungs):
+    spec, B = data.spec, len(data.values)
+    keeps = {c: tuple(r for r, (_, XI) in enumerate(rungs) if in_band(spec, XI).all())
+             for c, rungs in points.items()}
+    no_fit = DecayFit(np.empty(0), np.empty(0), np.empty(0, int), np.empty(0, bool))
+    reports = {c: [_report([ladder[r] for r in keep], ladder, *phases[c],
+                           np.zeros((0, len(keep))), no_fit, ["ladder-truncated", reason])
+                   for _ in range(B)]
+               for c, keep in keeps.items() if len(keep) < MIN_RUNGS}
+    paired = [c for c in points if c not in reports]
+    mags = {c: np.empty((B, len(phases[c][0]), len(keeps[c]))) for c in paired}
+    for r, lam in enumerate(ladder):
+        live = [c for c in paired if r in keeps[c]]
+        if not live:
+            continue
+        X, XI = (np.concatenate([points[c][r][i] for c in live]) for i in (0, 1))
         window = GaussianWindow(spec.n, width, lam, b, t)
-        mags[..., r] = np.abs(_pair_in_boxes(spec, data.values, data.boxes, window,
-                                             X, XI)).T
+        W = np.abs(_pair_in_boxes(spec, data.values, data.boxes, window, X, XI)).T
+        cuts = np.cumsum([len(phases[c][0]) for c in live])[:-1]
+        for c, m in zip(live, np.split(W, cuts, axis=1)):
+            mags[c][..., keeps[c].index(r)] = m
     window_norm = GaussianWindow(spec.n, width, 1.0, b, 0.0).l2_norm()
-    return [_aggregate(used, ladder, xs, xis, m, noise_rel * norm * window_norm)
-            for norm, m in zip(data.norms, mags)]
+    floor = np.array([noise_rel * norm * window_norm for norm in data.norms])[:, None, None]
+    groups = {}
+    for c in paired:
+        groups.setdefault(keeps[c], []).append(c)
+    for keep, group in groups.items():
+        used = [ladder[r] for r in keep]
+        fit = decay_exponent(used, np.concatenate([mags[c] for c in group], axis=1), floor)
+        cuts = np.cumsum([len(phases[c][0]) for c in group])[:-1]
+        for c, *parts in zip(group, *(np.split(v, cuts, axis=1) for v in fit)):
+            fits = [DecayFit(*(v[j] for v in parts)) for j in range(B)]
+            reports[c] = [_report(used, ladder, *phases[c], m, f, f.flags(len(used)))
+                          for m, f in zip(mags[c], fits)]
+    return reports
 
 
 def wf_test_static(f, sample: ConicSample, ladder=None,
@@ -347,9 +369,7 @@ def _rung_points(model: VectorPotentialModel, t0: float, phases: dict,
     phases[c] holds cell c's (S, n) samples (xs, xis).  At t0 = 0 rung
     lambda pairs at (xs, lambda xis).  Otherwise the points are flowed
     backward from t0 to 0 in one grouped `flow_batch` call, group i * R + r
-    for the i-th cell at rung r.  If that call fails, the cells are flowed
-    one by one, so a failing cell gets its own error and the others get
-    the same bits as in the grouped call; a single cell is flowed once.
+    for the i-th cell at rung r, or cell by cell if it fails (`_each_cell`).
     """
     if t0 == 0.0:
         return {c: [(xs, lam * xis) for lam in ladder] for c, (xs, xis) in phases.items()}
@@ -363,18 +383,25 @@ def _rung_points(model: VectorPotentialModel, t0: float, phases: dict,
         return {c: list(zip(X[i * R:(i + 1) * R], XI[i * R:(i + 1) * R]))
                 for i, c in enumerate(cells)}
 
-    if len(phases) > 1:
+    return _each_cell(flow, list(phases))
+
+
+def _each_cell(step, cells: list) -> dict:
+    """step(cells), a dict {c: value}, for all cells in one call, or, if that
+    raises a package error, for each cell on its own, so a failing cell
+    gets its error as its value; a single cell is stepped once."""
+    if len(cells) > 1:
         try:
-            return flow(list(phases))
+            return step(cells)
         except MswfError:
             pass
-    points = {}
-    for c in phases:
+    values = {}
+    for c in cells:
         try:
-            points.update(flow([c]))
+            values.update(step([c]))
         except MswfError as exc:
-            points[c] = exc
-    return points
+            values[c] = exc
+    return values
 
 
 def _probe(mode: str, fields: list, samples: dict, ladder: tuple, width: float,
@@ -385,9 +412,10 @@ def _probe(mode: str, fields: list, samples: dict, ladder: tuple, width: float,
     samples[c] is cell c's ConicSample.  A static probe, or a dynamic one
     at t0 = 0, pairs the fields at the samples themselves; a dynamic one at
     t0 != 0 pairs windows evolved freely by -t0 at the backward-flowed
-    samples.  A package error (MswfError) of a cell is that cell's value,
-    such as a sample of another dimension than the grid's; any other
-    exception propagates.
+    samples, all cells in one `_ladder_step`.  A package error (MswfError)
+    of a cell is that cell's value, such as a sample of another dimension
+    than the grid's, a failed flow or magnitudes that are not finite; any
+    other exception propagates.
     """
     n = fields[0].spec.n
     dynamic = mode == "dynamic"
@@ -400,15 +428,11 @@ def _probe(mode: str, fields: list, samples: dict, ladder: tuple, width: float,
                for c, sample in samples.items() if sample.n != n}
     phases = {c: sample.phase_samples() for c, sample in samples.items() if sample.n == n}
     results.update(_rung_points(model, t0 if flowed else 0.0, phases, ladder))
-    for c, rungs in results.items():
-        if isinstance(rungs, MswfError):  # refused, or its flow failed
-            continue
-        try:
-            results[c] = _ladder_test(
-                data, *phases[c], ladder, rungs, -t0 if flowed else 0.0, width, b, noise_rel,
-                "flowed-nyquist-guard" if flowed else "nyquist-guard")
-        except MswfError as exc:
-            results[c] = exc
+    points = {c: rungs for c, rungs in results.items() if not isinstance(rungs, MswfError)}
+    t, reason = (-t0, "flowed-nyquist-guard") if flowed else (0.0, "nyquist-guard")
+    results.update(_each_cell(
+        lambda cells: _ladder_step(data, phases, {c: points[c] for c in cells}, ladder, t,
+                                   width, b, noise_rel, reason), list(points)))
     return results
 
 

@@ -192,8 +192,8 @@ def _nonzero_box(g: np.ndarray):
     A field with a nonzero node on both end planes of every axis, as every
     evolved field and Gaussian datum has, keeps the full grid without a
     scan; any other field is compared with zero node by node, so a caller
-    that pairs one field many times (the detector, once per rung of each
-    cell) finds its box once and hands it to `_pair_in_boxes`."""
+    that pairs one field many times (the detector, once per rung) finds
+    its box once and hands it to `_pair_in_boxes`."""
     full = tuple(slice(0, m) for m in g.shape)
     if all(g[full[:i] + (end,)].any() for i in range(g.ndim) for end in (0, -1)):
         return full
@@ -228,9 +228,12 @@ def pair_many(spec: GridSpec, values, window: GaussianWindow,
     transform is the conjugate window sample at its node.  Any other box
     sums in another order, within round-off, and a zero field pairs to
     exact zeros.  Each call finds the boxes anew (`_nonzero_box`); the
-    detector finds them once per scan and calls `_pair_in_boxes`, with
-    the same bits.  Raises NyquistError if any frequency leaves the grid
-    band.
+    detector finds them once per scan and calls `_pair_in_boxes` once per
+    rung, on the samples of all its cells, with the same bits.  A sample
+    row gets the same bits in any batch of two or more rows (a lone row
+    takes BLAS's dot-product path; a one-node first axis of a field that
+    is not real rounds by the row's place in the batch).  Raises
+    NyquistError if any frequency leaves the grid band.
     """
     _check_window(window, spec.n)
     X, XI = phase_points(X, XI, spec.n, ndim=(2, 2))

@@ -160,7 +160,8 @@ def test_decay_exponent_matches_per_sample_polyfit(seed, rungs, samples, floor_e
 
 
 # the verdict rule on decays of known order: magnitudes A (lam/4)^(-N) on
-# the 2^2..2^6 ladder with the static floor at unit norms, 1e-7
+# the 2^2..2^6 ladder with the static floor at unit norms, 1e-7; then
+# longer ladders, a lower floor and seeded log-normal noise
 CALIBRATION_LADDER = det.default_ladder(2, 6)
 CALIBRATION_FLOOR = 1e-7
 ITEM_3 = pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
@@ -168,40 +169,86 @@ ITEM_3 = pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
     "lam = 32 as super-polynomial, however slowly it fell"))
 
 
-def _power(order, amplitude):
-    return amplitude * (np.array(CALIBRATION_LADDER) / 4.0) ** -order
+def _power(order, amplitude, rungs=5, noise=0.0):
+    """A (lam/4)^(-N) on the ladder 2^2..2^(rungs+1), times exp(noise z)
+    for standard normal z drawn with seed 0."""
+    lam = np.array(det.default_ladder(2, rungs + 1))
+    z = np.random.default_rng(0).standard_normal(rungs)
+    return amplitude * (lam / 4.0) ** -order * np.exp(noise * z)
 
 
-def _calibration_rows():
-    """(samples, the verdicts the rule is meant to give) per row."""
+def _calibration_table():
+    """(id, ladder, samples, floor, the verdicts the rule is meant to give,
+    whether the rule gets it wrong) per row."""
     # order N_LOW itself is a tie: "no faster than lam^-1" reads in-WF, and
     # the fit's last bit (n_hat = 1 + 4e-16) reads inconclusive
     meant = {0.5: ("in-WF",), 1.0: ("in-WF", "inconclusive"), 2.0: ("inconclusive",),
              4.0: ("inconclusive",), 8.0: ("not-in-WF",)}
-    rows = []
+    table = []
+
+    def row(name, samples, verdicts, floor=CALIBRATION_FLOOR, wrong=False):
+        ladder = det.default_ladder(2, len(samples[0]) + 1)
+        table.append((name, ladder, np.array(samples), floor, verdicts, wrong))
+
     for order, verdicts in meant.items():
         for amp in (1e-2, 1e-4, 1e-5, 1e-6):
-            wrong = (order == 2.0 and amp <= 1e-6) or (order == 4.0 and amp <= 1e-4)
-            rows.append(pytest.param([_power(order, amp)], verdicts, id=f"N{order:g}-A{amp:g}",
-                                     marks=[ITEM_3] if wrong else []))
+            row(f"N{order:g}-A{amp:g}", [_power(order, amp)], verdicts,
+                wrong=(order == 2.0 and amp <= 1e-6) or (order == 4.0 and amp <= 1e-4))
     lam = np.array(CALIBRATION_LADDER)
-    rows += [
-        # super-polynomial: exp(-lam^2 / 256) falls to 1.1e-7 by lam = 64
-        pytest.param([np.exp(-lam ** 2 / 256.0)], ("not-in-WF",), id="gaussian-decay"),
-        # a cell is not-in-WF only when every sample is
-        pytest.param([_power(0.5, 1e-2), _power(8.0, 1e-2)], ("in-WF",), id="slow-and-fast"),
-        pytest.param([_power(2.0, 1e-2), _power(8.0, 1e-2)], ("inconclusive",),
-                     id="middling-and-fast"),
-    ]
-    return rows
+    # super-polynomial: exp(-lam^2 / 256) falls to 1.1e-7 by lam = 64
+    row("gaussian-decay", [np.exp(-lam ** 2 / 256.0)], ("not-in-WF",))
+    # a cell is not-in-WF only when every sample is
+    row("slow-and-fast", [_power(0.5, 1e-2), _power(8.0, 1e-2)], ("in-WF",))
+    row("middling-and-fast", [_power(2.0, 1e-2), _power(8.0, 1e-2)], ("inconclusive",))
+    # longer ladders: the floor still censors an order-4 tail from 1e-4 to
+    # 3 kept rungs, whatever the ladder's length
+    for rungs in (7, 9):
+        for order, verdicts in meant.items():
+            for amp in (1e-2, 1e-4):
+                row(f"N{order:g}-A{amp:g}-R{rungs}", [_power(order, amp, rungs)], verdicts,
+                    wrong=order == 4.0 and amp == 1e-4)
+    # a floor 100 times lower keeps the tails that item 3 misreads
+    for order in (2.0, 4.0):
+        for amp in (1e-4, 1e-5):
+            row(f"N{order:g}-A{amp:g}-F1e-9", [_power(order, amp)], meant[order], floor=1e-9)
+    # seeded log-normal noise of 5% and 30% per rung leaves the verdicts
+    for rungs in (5, 9):
+        for noise in (0.05, 0.3):
+            for order in (0.5, 2.0, 8.0):
+                row(f"N{order:g}-A0.01-R{rungs}-noise{noise:g}",
+                    [_power(order, 1e-2, rungs, noise)], meant[order])
+    return table
 
 
-@pytest.mark.parametrize("samples,verdicts", _calibration_rows())
-def test_verdict_rule_on_decays_of_known_order(samples, verdicts):
-    mags = np.array(samples)
-    report = det._aggregate(CALIBRATION_LADDER, CALIBRATION_LADDER, np.zeros((len(mags), 1)),
-                            np.ones((len(mags), 1)), mags, CALIBRATION_FLOOR)
+@pytest.mark.parametrize("ladder,samples,floor,verdicts", [
+    pytest.param(*cols, id=name, marks=[ITEM_3] if wrong else [])
+    for name, *cols, wrong in _calibration_table()])
+def test_verdict_rule_on_decays_of_known_order(ladder, samples, floor, verdicts):
+    fit = det.decay_exponent(ladder, samples, floor)
+    report = det._report(ladder, ladder, np.zeros((len(samples), 1)),
+                         np.ones((len(samples), 1)), samples, fit, fit.flags(len(ladder)))
     assert report.verdict in verdicts, (report.verdict, report.n_hat, report.flags)
+
+
+def test_calibration_table_fits_in_one_call_per_ladder_with_its_bits():
+    # the table's samples of one ladder, stacked, with each row's floor as
+    # an array: the fit of each row is the bits of its own call, as a
+    # detector scan needs of the cells it fits together
+    ladders = {}
+    for _, ladder, samples, floor, _, _ in _calibration_table():
+        ladders.setdefault(ladder, []).append((samples, floor))
+    assert sorted(len(ladder) for ladder in ladders) == [5, 7, 9]
+    for ladder, rows in ladders.items():
+        mags = np.concatenate([samples for samples, _ in rows])
+        floors = np.concatenate([np.full((len(samples), 1), floor) for samples, floor in rows])
+        fit = det.decay_exponent(ladder, mags, floors)
+        start = 0
+        for samples, floor in rows:
+            alone = det.decay_exponent(ladder, samples, floor)
+            for got, want in zip(fit, alone):
+                assert np.array_equal(got[start:start + len(samples)], want)
+            start += len(samples)
+        assert start == len(mags)
 
 
 # ---------------------------------------------------------------------------
@@ -550,10 +597,11 @@ def test_non_finite_datum_voids_only_its_own_cells(mode):
 
 @pytest.mark.parametrize("name,failures", [
     ("ConicSample", [TypeError]),
-    ("_ladder_test", [TypeError]),
+    ("_ladder_step", [TypeError]),                     # in the scan's step
+    ("_ladder_step", [errors.NumericError, TypeError]),  # in the first lone cell's
     ("flow_batch", [TypeError]),                       # in the grouped flow
     ("flow_batch", [errors.NumericError, TypeError]),  # in the first lone cell's
-], ids=["conic-sample", "ladder-test", "grouped-flow", "lone-flow"])
+], ids=["conic-sample", "ladder-step", "lone-ladder-step", "grouped-flow", "lone-flow"])
 def test_scan_propagates_programming_errors(monkeypatch, name, failures):
     # a call past the listed failures raises StopIteration, not TypeError
     calls = iter(failures)
@@ -665,8 +713,36 @@ def test_dynamic_scan_finds_each_box_once_and_pairs_with_pair_many_bits(monkeypa
     cells = _scan("dynamic", data, det.direction_fan(1, 2))
     assert all(c.report is not None for c in cells)
     assert len(boxed) == len(data) and all(g is f.values for g, f in zip(boxed, data))
-    # one pairing per rung of each cell, each the bits of pair_many's
-    assert len(pairings) == len(MULTI_POSITIONS) * 2 * len(MULTI_LADDER) and all(pairings)
+    # one pairing per rung, of every cell's samples, each the bits of pair_many's
+    assert len(pairings) == len(MULTI_LADDER) and all(pairings)
+
+
+def test_a_cell_whose_magnitudes_fail_gets_the_error_alone(monkeypatch):
+    # NaN pairings at the samples of the cell at x0 = 8 fail the scan's
+    # joint fit; that cell is then probed alone into its error, and the
+    # others keep the bits of a scan without it
+    kernel = det._pair_in_boxes
+
+    def poisoned(spec, values, boxes, window, X, XI):
+        out = kernel(spec, values, boxes, window, X, XI)
+        out[X[:, 0] > 5.0] = np.nan
+        return out
+
+    def scan(positions):
+        return det.wf_scan("static", _multi_data(), positions, det.direction_fan(1, 2),
+                           MULTI_LADDER, noise_rel=1e-7)
+
+    good = scan(MULTI_POSITIONS)
+    monkeypatch.setattr(det, "_pair_in_boxes", poisoned)
+    cells = scan(MULTI_POSITIONS[:2] + [(8.0,)] + MULTI_POSITIONS[2:])
+    assert [c.x0 == (8.0,) for c in cells] == ([False] * 4 + [True] * 2 + [False] * 2) * 3
+    assert all(c.error == "InputError: magnitudes must be finite and nonnegative"
+               for c in cells if c.x0 == (8.0,))
+    for got, want in zip([c for c in cells if c.x0 != (8.0,)], good):
+        assert (got.x0, got.xi0, got.verdict, got.report.flags) == \
+            (want.x0, want.xi0, want.verdict, want.report.flags)
+        assert np.array_equal(got.report.magnitudes, want.report.magnitudes)
+        assert got.report.n_hat == want.report.n_hat
 
 
 def test_dynamic_scan_records_a_failed_flow_in_its_cell_only(monkeypatch):
@@ -722,6 +798,62 @@ def test_single_cell_tests_match_their_scan_cell(mode, t0):
     for cell, report in zip(cells, reports):
         assert np.array_equal(cell.report.magnitudes, report.magnitudes)
         assert (cell.report.flags, cell.verdict) == (report.flags, report.verdict)
+
+
+# (datum, positions, directions, ladder, dynamic model and t0, how many
+# rungs the cells keep in a static and in a dynamic scan).  The ladders'
+# top rungs sit at the grid band, so in one scan some cells keep every
+# rung, one loses its top rungs and one keeps fewer than MIN_RUNGS.  A 1-D
+# static sample pairs at lambda xi with |xi| = 1, so all of its cells share
+# one rung set; the flow moves the frequencies of the 1-D dynamic cells
+# apart, and in 2-D the fan's angle to the axes does it
+MIXED_BANDS = {
+    "1d-gaussian": (lambda: grid.gaussian_data(MULTI_SPEC), [(0.0,), (20.0,)],
+                    [(1.0,), (-1.0,)], (16.0, 32.0, 64.0, 128.0, 192.0, 194.0, 230.0),
+                    pots.soft_power_model(1, 0.5, 2.0), 1.0, {6}, {4, 6, 7}),
+    "2d-point-mass": (lambda: grid.delta_spike(grid.GridSpec(2, 128, 5.0)), [(0.0, 0.0)],
+                      [(1.0, 0.0), (np.cos(0.45), np.sin(0.45)), (0.6, 0.6)],
+                      (1.0, 2.0, 4.0, 8.0, 40.5, 41.0, 45.0),
+                      pots.soft_power_model(2, 0.5, 0.1), 0.1, {4, 6, 7}, {4, 6, 7}),
+}
+
+
+@pytest.mark.parametrize("mode", ["static", "dynamic"])
+@pytest.mark.parametrize("case", list(MIXED_BANDS))
+def test_each_scan_cell_gets_the_bits_of_its_single_cell_test(case, mode):
+    # a scan pairs and fits its cells together; each cell's report must be
+    # the bits of the single-cell test, and a non-finite field in the scan
+    # must leave the finite field's cells alone
+    make, positions, directions, ladder, model, t0, *kept = MIXED_BANDS[case]
+    f = make()
+    values = f.values.copy()
+    values.flat[0] = np.nan
+    nan_field = grid.GridFunction(f.spec, values)
+    t0 = t0 if mode == "dynamic" else 0.0
+    cells = det.wf_scan(mode, [f, nan_field], positions, directions, ladder,
+                        model=model, t0=t0)
+    finite = cells[:len(cells) // 2]
+    assert all(c.error == "InputError: field values must be finite"
+               for c in cells[len(finite):])
+    for cell in finite:
+        sample = det.ConicSample(cell.x0, cell.xi0)
+        if mode == "static":
+            test = lambda g: det.wf_test_static(g, sample, ladder)  # noqa: E731
+        else:
+            test = lambda g: det.wf_test_dynamic(g, model, t0, sample, ladder)  # noqa: E731
+        got, want = cell.report, test(f)
+        if len(want.ladder) >= det.MIN_RUNGS:  # a truncated cell pairs nothing
+            with pytest.raises(errors.InputError, match="finite"):
+                test(nan_field)
+        assert (got.ladder, got.flags, got.verdict, got.binding_index) == \
+            (want.ladder, want.flags, want.verdict, want.binding_index)
+        assert np.array_equal(got.magnitudes, want.magnitudes)
+        assert all(np.array_equal(a, b) for a, b in zip(got.fit, want.fit))
+        assert np.array_equal(got.n_hat, want.n_hat, equal_nan=True)
+        assert np.array_equal(got.r2, want.r2, equal_nan=True)
+    assert {len(c.report.ladder) for c in finite} == kept[mode == "dynamic"]
+    assert all(c.report.flags[0] == "ladder-truncated"
+               for c in finite if len(c.report.ladder) < det.MIN_RUNGS)
 
 
 def test_single_field_tests_return_one_report():

@@ -7,16 +7,19 @@ A mutant that no check inside the paper's hypothesis catches yet is a
 strict xfail naming the ROADMAP items that will close the gap; when they
 land, the row turns XPASS and must become a plain row.
 
-The rows here replace the flow's fused vector field,
+Two rows replace the flow's fused vector field,
 `mswf.characteristics.flow_field`, with one built from the whole-array
-broadcasts of `broadcast_reference`.
+broadcasts of `broadcast_reference`; the never-flow row makes the
+detector's backward flow, `mswf.detector.flow_batch`, leave its phase
+points where they are.
 """
 
 import numpy as np
 import pytest
 
 import broadcast_reference as ref
-from mswf import characteristics as chars, experiments as exp, potentials as pots
+from mswf import (characteristics as chars, detector as det, experiments as exp,
+                  potentials as pots)
 from test_acceptance import (EHRENFEST_TOL, _saved, c11_smooth, ehrenfest_gap,
                              workloads)
 from test_characteristics import LANDAU_TOL, landau_orbit_error
@@ -42,6 +45,11 @@ def _zero_field(model, t, x, xi):
     return ref.vector_field(pots.zero_model(model.n), t, x, xi)
 
 
+def _never_flow(model, t0, s_target, x0, xi0, tol):
+    """The scans' backward flow, returning its inputs unmoved."""
+    return x0, xi0
+
+
 def _c11_soft_power_smooth() -> bool:
     """C11's soft-power config (2-D, rho = 1/2): the point mass is smooth
     at every cell, as `test_c11_fundamental_solution` requires."""
@@ -56,18 +64,21 @@ CHECKS = {
     "C11 soft-power": _c11_soft_power_smooth,
 }
 
+# (module, binding, mutant, the checks that must fail under it)
 ROWS = [
-    pytest.param(_transposed_jacobian, ("C07 Ehrenfest gap", "Landau orbit"),
-                 id="transposed-jacobian"),
-    pytest.param(_zero_field, ("C11 soft-power",), id="a0-flow-field", marks=pytest.mark.xfail(
+    pytest.param(chars, "flow_field", _in_place(_transposed_jacobian),
+                 ("C07 Ehrenfest gap", "Landau orbit"), id="transposed-jacobian"),
+    pytest.param(chars, "flow_field", _in_place(_zero_field), ("C11 soft-power",),
+                 id="a0-flow-field", marks=pytest.mark.xfail(
         strict=True, raises=AssertionError, reason="no conforming-field verdict sees the flow's magnetic term: "
         "ROADMAP items 2 (a focusing-chirp datum) and 7 (a 2-D transport check "
         "where the field is not a gauge)")),
+    pytest.param(det, "flow_batch", _never_flow, ("C11 soft-power",), id="never-flow"),
 ]
 
 
-@pytest.mark.parametrize("field,checks", ROWS)
-def test_flow_field_mutant_fails_its_checks(field, checks, monkeypatch):
-    monkeypatch.setattr(chars, "flow_field", _in_place(field))
+@pytest.mark.parametrize("module,binding,mutant,checks", ROWS)
+def test_mutant_fails_its_checks(module, binding, mutant, checks, monkeypatch):
+    monkeypatch.setattr(module, binding, mutant)
     passing = [name for name in checks if CHECKS[name]()]
     assert not passing, f"{passing} pass under the mutant"
