@@ -16,20 +16,23 @@ ladder = det.default_ladder(3, 11)
 delta = mswf.delta_spike(spec)
 gauss = mswf.gaussian_data(spec)
 
+# One scan probes both fields at the three positions; its cells come
+# datum-major, the point mass's first.
+positions = [(-5.0,), (0.0,), (5.0,)]
+cells = det.wf_scan("static", [delta, gauss], positions, [(1.0,)], ladder,
+                    width=1.0, b=0.125, k_radius=0.25, a=1.5)
 print("field      x0    verdict       N_hat      flags")
-for name, field in (("delta", delta), ("gaussian", gauss)):
-    for x0 in (-5.0, 0.0, 5.0):
-        sample = det.ConicSample((x0,), (1.0,), k_radius=0.25, a=1.5)
-        rep = det.wf_test_static(field, sample, ladder, width=1.0, b=0.125)
-        nhat = f"{rep.n_hat:+.4f}" if np.isfinite(rep.n_hat) else "  inf"
-        print(f"{name:9s} {x0:+4.0f}   {rep.verdict:12s} {nhat:>9s}   "
-              f"{','.join(rep.flags) or '-'}")
+for i, cell in enumerate(cells):
+    rep = cell.report
+    name = ("delta", "gaussian")[i // len(positions)]
+    nhat = f"{rep.n_hat:+.4f}" if np.isfinite(rep.n_hat) else "  inf"
+    print(f"{name:9s} {cell.x0[0]:+4.0f}   {rep.verdict:12s} {nhat:>9s}   "
+          f"{','.join(rep.flags) or '-'}")
 
 # The point mass is singular exactly at the origin: there the magnitudes
 # GROW like lam^(n b / 2) (N_hat = -1/16 for b = 1/8), everywhere else they
 # collapse super-polynomially.
-origin = det.wf_test_static(delta, det.ConicSample((0.0,), (1.0,), a=1.5),
-                            ladder, width=1.0, b=0.125)
+origin = cells[1].report
 print("\nladder magnitudes at the singular cell:")
 i = origin.binding_index
 for lam, mag in zip(origin.ladder, origin.magnitudes[i]):

@@ -9,8 +9,8 @@ potential families), packets (wave packet transform), characteristics
 from .characteristics import (FlowResult, FlowState, check_flow_bounds,
                               check_integral_bound, flow, flow_batch,
                               hamiltonian, lower_bound_x0, phase_integral)
-from .detector import (ConicSample, DecayReport, decay_exponent,
-                       default_ladder, wf_scan, wf_test_dynamic, wf_test_static)
+from .detector import (ConicSample, DecayReport, decay_exponent, default_ladder,
+                       wf_scan)
 from .errors import (BoundaryMassError, CflError, ConsistencyError,
                      GuardError, InputError, MswfError, NumericError,
                      NyquistError, ResolutionError, StepUnderflowError,

@@ -18,11 +18,10 @@ the evolved field: it flows each phase point backward along the magnetic
 bicharacteristics, evolves the window freely by -t0 in closed form, and
 pairs it with the initial datum at the flowed point.
 
-The probe is batched.  Both tests and `wf_scan` take one field or a
-sequence of fields on one grid, and all three run one core, `_probe`,
-over their cells and get back each cell's reports or its package error
-as a value: a test raises the error of its one cell, a scan writes each
-cell's error into that cell.  The backward flows depend on the model,
+Both tests run through one entry point, `wf_scan`.  It takes one field
+or a sequence of fields on one grid and a lattice of cells, and writes
+each cell's reports, or its package error, into that cell; one cell is
+probed as a one-cell scan.  The backward flows depend on the model,
 t0 and the samples, never on the datum, so each (cell, rung) is flowed
 once for every datum at FLOW_TOL = 1e-9, all cells' rungs in one
 `flow_batch` call, one group per (cell, rung).  Each group keeps its own
@@ -41,6 +40,7 @@ run one by one, so only the failing cell gets the error.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from typing import NamedTuple
 
 import numpy as np
@@ -318,50 +318,6 @@ def _ladder_step(data: _Data, phases: dict, points: dict, ladder: tuple, t: floa
     return reports
 
 
-def wf_test_static(f, sample: ConicSample, ladder=None,
-                   width: float = 1.0, b: float = 1.0 / 8.0,
-                   noise_rel: float = 1e-12):
-    """Probe membership of (x0, xi0) relative to the field f itself.
-
-    `f` is one GridFunction or a sequence of them on one grid; the result
-    is a DecayReport or a list of them, one per field.  Rungs whose top
-    frequency lambda |xi| would leave the grid band are dropped; fewer
-    than 5 surviving rungs yield an inconclusive verdict instead of a fit
-    on aliased data.  `noise_rel` scales the absolute censoring floor
-    noise_rel * |f|_L2 * |window|_L2 of each field; raise it when f itself
-    carries solver error.
-    """
-    return _test_one("static", f, sample, ladder, width, b, noise_rel)
-
-
-def wf_test_dynamic(u0, model: VectorPotentialModel, t0: float,
-                    sample: ConicSample, ladder=None,
-                    width: float = 1.0, b: float = 1.0 / 8.0,
-                    noise_rel: float = 1e-12):
-    """Probe membership of (x0, xi0) relative to the solution at time t0,
-    using only the initial datum.
-
-    Per rung: flow (x, lambda xi) backward from t0 to 0, evolve the scaled
-    window freely by -t0 in closed form, and measure the pairing with u0
-    at the flowed phase point.  `u0` is one GridFunction or a sequence of
-    them on one grid, and the result a DecayReport or a list of them; the
-    rungs are flowed once, as one grouped `flow_batch`, and paired with
-    every datum.  At t0 = 0 nothing is flowed and the pairings are the
-    static test's.  Rungs whose flowed frequency leaves the band of u0's
-    grid are dropped.
-    """
-    return _test_one("dynamic", u0, sample, ladder, width, b, noise_rel, model, t0)
-
-
-def _test_one(mode: str, f, sample: ConicSample, ladder, *settings):
-    """Both tests: `_probe` on the one cell `sample`, raising its error."""
-    fields, single = field_batch(f)
-    reports = _probe(mode, fields, {0: sample}, parse_ladder(ladder), *settings)[0]
-    if isinstance(reports, MswfError):
-        raise reports
-    return reports[0] if single else reports
-
-
 def _rung_points(model: VectorPotentialModel, t0: float, phases: dict,
                  ladder: tuple) -> dict:
     """Every cell's pairing points or error, {c: [(X, XI) per rung] or MswfError}.
@@ -404,38 +360,6 @@ def _each_cell(step, cells: list) -> dict:
     return values
 
 
-def _probe(mode: str, fields: list, samples: dict, ladder: tuple, width: float,
-           b: float, noise_rel: float, model: VectorPotentialModel = None,
-           t0: float = 0.0) -> dict:
-    """Every cell's reports or error, {c: [one DecayReport per field] or MswfError}.
-
-    samples[c] is cell c's ConicSample.  A static probe, or a dynamic one
-    at t0 = 0, pairs the fields at the samples themselves; a dynamic one at
-    t0 != 0 pairs windows evolved freely by -t0 at the backward-flowed
-    samples, all cells in one `_ladder_step`.  A package error (MswfError)
-    of a cell is that cell's value, such as a sample of another dimension
-    than the grid's, a failed flow or magnitudes that are not finite; any
-    other exception propagates.
-    """
-    n = fields[0].spec.n
-    dynamic = mode == "dynamic"
-    if dynamic and (model is None or model.n != n):
-        return dict.fromkeys(samples, InputError(
-            "a dynamic probe needs a model of the datum's dimension"))
-    flowed = dynamic and t0 != 0.0
-    data = _Data.of(fields)
-    results = {c: InputError(f"cell has n = {sample.n}, the grid has n = {n}")
-               for c, sample in samples.items() if sample.n != n}
-    phases = {c: sample.phase_samples() for c, sample in samples.items() if sample.n == n}
-    results.update(_rung_points(model, t0 if flowed else 0.0, phases, ladder))
-    points = {c: rungs for c, rungs in results.items() if not isinstance(rungs, MswfError)}
-    t, reason = (-t0, "flowed-nyquist-guard") if flowed else (0.0, "nyquist-guard")
-    results.update(_each_cell(
-        lambda cells: _ladder_step(data, phases, {c: points[c] for c in cells}, ladder, t,
-                                   width, b, noise_rel, reason), list(points)))
-    return results
-
-
 # ---------------------------------------------------------------------------
 # batched scans
 
@@ -474,36 +398,51 @@ def wf_scan(mode: str, field_or_datum, positions, directions,
     Each cell is (position, direction), checked once, by its ConicSample.
     `field_or_datum` is one GridFunction or a sequence of them on one grid;
     the result is one flat list of ScanCell, datum-major (all cells of the
-    first field, then the next), each field's cells in input order.  The
-    cells are probed once for all finite fields together.  A field that is
-    not finite gets an InputError in each of its cells and is not paired,
-    so the others keep their bits.  A dynamic scan with t0 != 0 flows every
-    (cell, rung) once, all in one grouped `flow_batch` call.  A package
-    error (MswfError: a guard, input or numeric failure, such as a position
-    or direction that is not a phase point, or a dynamic scan without
-    `model`) is written into its cell, for every finite field, and a
-    refused cell keeps its input as (x0, xi0); any other exception is a
-    programming error and propagates.
+    first field, then the next), each field's cells in input order.  A
+    dynamic scan at t0 = 0 flows nothing and pairs as the static one does.
+    A cell keeps the rungs whose paired frequency stays inside the grid
+    band; with fewer than 5 it is inconclusive.  `noise_rel` scales each
+    field's censoring floor noise_rel * |f|_L2 * |window|_L2; raise it when
+    f carries solver error.
+
+    The cells are probed once for all finite fields together.  A field that
+    is not finite gets an InputError in each of its cells and is not
+    paired, so the others keep their bits.  A package error (MswfError: a
+    guard, input or numeric failure, such as a position or direction that
+    is not a phase point, a cell of another dimension than the grid's, a
+    failed flow, or a dynamic scan without `model`) is written into its
+    cell, for every finite field, and a refused cell keeps its input as
+    (x0, xi0); any other exception is a programming error and propagates.
     """
     one_of(mode, ("static", "dynamic"), "mode")
     fields, _ = field_batch(field_or_datum)
-    ladder = parse_ladder(ladder)
-    lattice, samples, results = [], {}, {}
-    for pos in positions:
-        for d in directions:
-            c = len(lattice)
-            try:
-                samples[c] = ConicSample(pos, d, k_radius=k_radius,
-                                         half_angle=half_angle, a=a)
-                lattice.append((samples[c].x0, samples[c].xi0))
-            except MswfError as exc:
-                results[c] = exc
-                lattice.append((pos, d))
+    ladder, n = parse_ladder(ladder), fields[0].spec.n
+    unmodelled = mode == "dynamic" and (model is None or model.n != n)
+    lattice, phases, results = [], {}, {}
+    for c, (pos, d) in enumerate(product(positions, directions)):
+        try:
+            sample = ConicSample(pos, d, k_radius=k_radius, half_angle=half_angle, a=a)
+        except MswfError as exc:
+            lattice.append((pos, d))
+            results[c] = exc
+            continue
+        lattice.append((sample.x0, sample.xi0))
+        if unmodelled:
+            results[c] = InputError("a dynamic probe needs a model of the datum's dimension")
+        elif sample.n != n:
+            results[c] = InputError(f"cell has n = {sample.n}, the grid has n = {n}")
+        else:
+            phases[c] = sample.phase_samples()
     finite = [bool(np.isfinite(f.values).all()) for f in fields]
     probed = [f for f, ok in zip(fields, finite) if ok]
     if probed:
-        results.update(_probe(mode, probed, samples, ladder, width, b, noise_rel,
-                              model, t0))
+        data, flowed = _Data.of(probed), mode == "dynamic" and t0 != 0.0
+        results.update(_rung_points(model, t0 if flowed else 0.0, phases, ladder))
+        points = {c: rungs for c, rungs in results.items() if not isinstance(rungs, MswfError)}
+        t, reason = (-t0, "flowed-nyquist-guard") if flowed else (0.0, "nyquist-guard")
+        results.update(_each_cell(lambda cells: _ladder_step(
+            data, phases, {c: points[c] for c in cells}, ladder, t, width, b, noise_rel,
+            reason), list(points)))
     cells, j = [], 0  # j indexes the probed fields
     for ok in finite:
         for c, (x0, xi0) in enumerate(lattice):

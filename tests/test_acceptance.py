@@ -276,20 +276,29 @@ def test_c07_propagator():
 LANDAU_SPEC = grid.GridSpec(2, 128, 8.0)
 
 
-def test_c07_landau_state_is_stationary():
+LANDAU_STATE_TOL = 5e-5
+
+
+def landau_state_error() -> float:
     """In the constant field B0 = 1 (symmetric gauge) the magnetically
     translated ground state psi_c = exp(-|x - c|^2 / 4 + (i/2)(c1 x2 - c2 x1))
-    is stationary: u(t) = exp(-i t / 2) psi_c.  The error is 9.8e-6 of the
-    peak, of which the box edge takes 3.9e-6 (the spectral reference's error
-    on this grid); the a = 0 evolve is off by 0.24, the flipped phase (a
-    flipped field) by 0.87."""
+    is stationary: u(t) = exp(-i t / 2) psi_c.  The evolved state's largest
+    distance from that at t = 1, relative to the peak."""
     x1, x2 = LANDAU_SPEC.meshgrid()
     c1, c2 = 1.0, -0.5
     psi = np.exp(-((x1 - c1) ** 2 + (x2 - c2) ** 2) / 4.0 + 0.5j * (c1 * x2 - c2 * x1))
     u1 = prop.evolve(pots.constant_field_model(1.0), None, grid.GridFunction(LANDAU_SPEC, psi),
                      0.0, 1.0, prop.EvolveConfig(dt=1e-2))
-    err = float(np.max(np.abs(u1.values - np.exp(-0.5j) * psi)) / np.max(np.abs(psi)))
-    assert report("C07 Landau", err <= 5e-5, "Landau state is stationary in the constant field",
+    return float(np.max(np.abs(u1.values - np.exp(-0.5j) * psi)) / np.max(np.abs(psi)))
+
+
+def test_c07_landau_state_is_stationary():
+    """The error is 9.8e-6 of the peak, of which the box edge takes 3.9e-6
+    (the spectral reference's error on this grid); the a = 0 evolve is off
+    by 0.24, the flipped field by 0.73."""
+    err = landau_state_error()
+    assert report("C07 Landau", err <= LANDAU_STATE_TOL,
+                  "Landau state is stationary in the constant field",
                   f"error {err:.2e} <= 5e-5 of the peak")
 
 
@@ -363,19 +372,15 @@ def test_c09_static_ground_truth(fine_grid):
     ladder = det.default_ladder(3, 11)
     g = grid.gaussian_data(fine_grid)
     d = grid.delta_spike(fine_grid)
-    ok = True
-    for x0 in (-5.0, 0.0, 5.0):
-        rep = det.wf_test_static(g, det.ConicSample((x0,), (1.0,), a=1.5),
-                                 ladder, width=1.0, b=0.125)
-        ok &= rep.verdict == "not-in-WF"
-    origin = det.wf_test_static(d, det.ConicSample((0.0,), (1.0,), a=1.5),
-                                ladder, width=1.0, b=0.125)
+    # datum-major: the Gaussian's cells at -5, 0, 5, then the point mass's
+    cells = det.wf_scan("static", [g, d], [(-5.0,), (0.0,), (5.0,)], [(1.0,)], ladder,
+                        width=1.0, b=0.125, a=1.5)
+    ok = all(c.verdict == "not-in-WF" for c in cells[:3])
+    origin = cells[4].report
     ok &= origin.verdict == "in-WF"
     ok &= abs(origin.n_hat - (-0.0625)) <= 0.05
-    for x0 in (-5.0, 5.0):
-        rep = det.wf_test_static(d, det.ConicSample((x0,), (1.0,), a=1.5),
-                                 ladder, width=1.0, b=0.125)
-        ok &= rep.verdict == "not-in-WF" and "super-polynomial" in rep.flags
+    ok &= all(c.verdict == "not-in-WF" and "super-polynomial" in c.report.flags
+              for c in (cells[3], cells[5]))
     assert report("C09", ok, "static detector ground truth",
                   f"gaussian smooth everywhere; point mass in-WF at 0 with "
                   f"Nhat={origin.n_hat:.4f} (-1/16 +- 0.05), smooth elsewhere")

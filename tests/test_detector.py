@@ -385,8 +385,7 @@ def test_conic_sample_rejects_non_finite_pattern(key):
 
 def test_static_delta_origin_in_wf():
     d = grid.delta_spike(FINE)
-    rep = det.wf_test_static(d, det.ConicSample((0.0,), (1.0,), a=1.5),
-                             LADDER, width=1.0, b=0.125)
+    rep = det.wf_scan("static", d, [(0.0,)], [(1.0,)], LADDER, a=1.5)[0].report
     assert rep.verdict == "in-WF"
     assert rep.n_hat == pytest.approx(-0.0625, abs=0.05)
     assert rep.r2 == pytest.approx(1.0, abs=1e-9)
@@ -394,26 +393,22 @@ def test_static_delta_origin_in_wf():
 
 def test_static_delta_elsewhere_not_in_wf():
     d = grid.delta_spike(FINE)
-    for x0 in (5.0, -5.0):
-        rep = det.wf_test_static(d, det.ConicSample((x0,), (1.0,), a=1.5),
-                                 LADDER, width=1.0, b=0.125)
-        assert rep.verdict == "not-in-WF"
-        assert "super-polynomial" in rep.flags
+    for cell in det.wf_scan("static", d, [(5.0,), (-5.0,)], [(1.0,)], LADDER, a=1.5):
+        assert cell.verdict == "not-in-WF"
+        assert "super-polynomial" in cell.report.flags
 
 
 def test_static_gaussian_everywhere_smooth():
     g = grid.gaussian_data(FINE)
-    for x0 in (0.0, 5.0):
-        rep = det.wf_test_static(g, det.ConicSample((x0,), (1.0,), a=1.5),
-                                 LADDER, width=1.0, b=0.125)
-        assert rep.verdict == "not-in-WF"
-        assert "super-polynomial" in rep.flags
+    for cell in det.wf_scan("static", g, [(0.0,), (5.0,)], [(1.0,)], LADDER, a=1.5):
+        assert cell.verdict == "not-in-WF"
+        assert "super-polynomial" in cell.report.flags
 
 
 def test_static_ladder_truncation_inconclusive():
     coarse = grid.GridSpec(1, 256, 20.0)  # band ~20, ladder tops out instantly
     g = grid.gaussian_data(coarse)
-    rep = det.wf_test_static(g, det.ConicSample((0.0,), (1.0,)), LADDER)
+    rep = det.wf_scan("static", g, [(0.0,)], [(1.0,)], LADDER)[0].report
     assert rep.verdict == "inconclusive"
     assert "ladder-truncated" in rep.flags
 
@@ -423,9 +418,8 @@ def test_static_width_robustness():
     d = grid.delta_spike(FINE)
     g = grid.gaussian_data(FINE)
     for f, x0 in ((d, 0.0), (d, 5.0), (g, 0.0)):
-        verdicts = {det.wf_test_static(
-            f, det.ConicSample((x0,), (1.0,), a=1.5), LADDER,
-            width=w, b=0.125).verdict for w in (0.5, 1.0, 2.0)}
+        verdicts = {det.wf_scan("static", f, [(x0,)], [(1.0,)], LADDER, width=w,
+                                a=1.5)[0].verdict for w in (0.5, 1.0, 2.0)}
         conclusive = verdicts - {"inconclusive"}
         assert len(conclusive) == 1, verdicts
 
@@ -434,12 +428,10 @@ def test_static_monotone_censoring():
     # enlarging the ladder never flips not-in-WF to in-WF on oracle inputs
     d = grid.delta_spike(FINE)
     g = grid.gaussian_data(FINE)
-    short, long = det.default_ladder(3, 8), det.default_ladder(3, 11)
-    for f, x0 in ((d, 5.0), (g, 0.0), (g, 5.0)):
-        s = det.ConicSample((x0,), (1.0,), a=1.5)
-        first = det.wf_test_static(f, s, short, width=1.0, b=0.125).verdict
-        second = det.wf_test_static(f, s, long, width=1.0, b=0.125).verdict
-        assert first == "not-in-WF" and second == "not-in-WF"
+    for ladder in (det.default_ladder(3, 8), det.default_ladder(3, 11)):
+        # datum-major: the point mass at 0 and 5, then the Gaussian at 0 and 5
+        cells = det.wf_scan("static", [d, g], [(0.0,), (5.0,)], [(1.0,)], ladder, a=1.5)
+        assert [c.verdict for c in cells[1:]] == ["not-in-WF"] * 3
 
 
 # ---------------------------------------------------------------------------
@@ -448,10 +440,8 @@ def test_static_monotone_censoring():
 
 def test_dynamic_time_zero_reduces_to_static():
     d = grid.delta_spike(FINE)
-    s = det.ConicSample((0.0,), (1.0,), a=1.5)
-    stat = det.wf_test_static(d, s, LADDER, width=1.0, b=0.125)
-    dyn = det.wf_test_dynamic(d, pots.zero_model(1), 0.0, s, LADDER,
-                              width=1.0, b=0.125)
+    stat, dyn = (det.wf_scan(mode, d, [(0.0,)], [(1.0,)], LADDER, model=pots.zero_model(1),
+                             a=1.5)[0].report for mode in ("static", "dynamic"))
     assert dyn.verdict == stat.verdict
     assert np.array_equal(dyn.magnitudes, stat.magnitudes)
 
@@ -460,9 +450,8 @@ def test_dynamic_free_point_mass_smooths():
     spec = grid.GridSpec(1, 4096, 30.0)
     d = grid.delta_spike(spec)
     ladder = det.default_ladder(2, 6)
-    rep = det.wf_test_dynamic(d, pots.zero_model(1), 1.0,
-                              det.ConicSample((1.0,), (1.0,)), ladder,
-                              width=1.0, b=0.125)
+    rep = det.wf_scan("dynamic", d, [(1.0,)], [(1.0,)], ladder, model=pots.zero_model(1),
+                      t0=1.0)[0].report
     assert rep.verdict == "not-in-WF"
     # the flowed-point magnitude follows the evolved-window closed form
     from mswf.packets import DeltaSignal, GaussianWindow, gaussian_wpt_oracle
@@ -480,9 +469,8 @@ def test_dynamic_gaussian_smooth_everywhere():
     spec = grid.GridSpec(1, 4096, 30.0)
     g = grid.gaussian_data(spec, momentum=1.0)
     ladder = det.default_ladder(2, 6)
-    rep = det.wf_test_dynamic(g, pots.zero_model(1), 1.0,
-                              det.ConicSample((0.0,), (1.0,)), ladder,
-                              width=1.0, b=0.125)
+    rep = det.wf_scan("dynamic", g, [(0.0,)], [(1.0,)], ladder, model=pots.zero_model(1),
+                      t0=1.0)[0].report
     assert rep.verdict == "not-in-WF"
 
 
@@ -490,9 +478,8 @@ def test_dynamic_flowed_band_guard():
     # a tiny grid cannot hold the flowed frequencies; the report says so
     spec = grid.GridSpec(1, 64, 8.0)
     d = grid.delta_spike(spec)
-    rep = det.wf_test_dynamic(d, pots.zero_model(1), 1.0,
-                              det.ConicSample((0.0,), (1.0,)),
-                              det.default_ladder(3, 12))
+    rep = det.wf_scan("dynamic", d, [(0.0,)], [(1.0,)], det.default_ladder(3, 12),
+                      model=pots.zero_model(1), t0=1.0)[0].report
     assert rep.verdict == "inconclusive"
     assert "ladder-truncated" in rep.flags
 
@@ -545,11 +532,10 @@ def test_scan_records_a_malformed_cell_in_its_row():
 def test_a_cell_of_another_dimension_gets_no_verdict():
     # a 1-d cell on a 2-d grid is refused, in its own row, before any pairing
     g = grid.gaussian_data(grid.GridSpec(2, 128, 5.0))
-    ladder, sample = det.default_ladder(2, 6), det.ConicSample((0.0,), (1.0,))
-    with pytest.raises(errors.InputError, match="the grid has n = 2"):
-        det.wf_test_static(g, sample, ladder)
-    with pytest.raises(errors.InputError, match="the grid has n = 2"):
-        det.wf_test_dynamic(g, pots.zero_model(2), 1.0, sample, ladder)
+    ladder = det.default_ladder(2, 6)
+    flowed, = det.wf_scan("dynamic", g, [(0.0,)], [(1.0,)], ladder, model=pots.zero_model(2),
+                          t0=1.0)
+    assert flowed.error == "InputError: cell has n = 1, the grid has n = 2"
     cells = det.wf_scan("static", g, [(0.0,), (0.0, 0.0)], [(1.0,), (1.0, 0.0)], ladder)
     assert cells[0].error == "InputError: cell has n = 1, the grid has n = 2"
     assert [c.verdict == "error" for c in cells] == [True, True, True, False]
@@ -564,14 +550,13 @@ def test_non_finite_input_gets_no_verdict():
     values[10] = np.nan
     f = grid.GridFunction(spec, values)
     ladder = det.default_ladder(2, 6)
-    with pytest.raises(errors.InputError):
-        det.wf_test_static(f, det.ConicSample((0.0,), (1.0,)), ladder)
     cells = det.wf_scan("static", grid.gaussian_data(spec), [(0.0,), (np.nan,)],
                         [(1.0,)], ladder)
     assert cells[0].verdict == "not-in-WF"
     assert cells[1].verdict == "error" and "InputError" in cells[1].error
     nan_cell, = det.wf_scan("static", f, [(0.0,)], [(1.0,)], ladder)
-    assert nan_cell.verdict == "error" and "InputError" in nan_cell.error
+    assert nan_cell.verdict == "error"
+    assert nan_cell.error == "InputError: field values must be finite"
 
 
 @pytest.mark.parametrize("mode", ["static", "dynamic"])
@@ -770,9 +755,7 @@ def test_dynamic_scan_records_a_failed_flow_in_its_cell_only(monkeypatch):
     good = scan([p for p in positions if p != (8.0,)])
     assert [c.error is not None for c in cells] == [False, True, False, False] * 2
     assert all("StepUnderflowError" in c.error for c in cells if c.x0 == (8.0,))
-    with pytest.raises(errors.StepUnderflowError):
-        det.wf_test_dynamic(data, model, 1.0, det.ConicSample((8.0,), (1.0,)),
-                            MULTI_LADDER, noise_rel=1e-7)
+    assert all("StepUnderflowError" in c.error for c in scan([(8.0,)]))
     for got, want in zip([c for c in cells if c.x0 != (8.0,)], good):
         assert (got.x0, got.verdict, got.report.flags) == \
             (want.x0, want.verdict, want.report.flags)
@@ -781,19 +764,17 @@ def test_dynamic_scan_records_a_failed_flow_in_its_cell_only(monkeypatch):
 
 @pytest.mark.parametrize("mode,t0", [("static", 0.0), ("dynamic", 0.0),
                                      ("dynamic", 1.0)])
-def test_single_cell_tests_match_their_scan_cell(mode, t0):
-    # a test is the scan's core run on one cell, so it gets the same bits
+def test_a_one_cell_scan_matches_its_cell_in_a_lattice_scan(mode, t0):
+    # a lattice scan pairs and fits its cells together, yet each gets the bits
+    # it gets alone
     data = _multi_data()
     model = pots.soft_power_model(1, 0.5, 0.7)
-    sample = det.ConicSample((0.0,), (-1.0,))
-    if mode == "static":
-        reports = det.wf_test_static(data, sample, MULTI_LADDER, noise_rel=1e-7)
-    else:
-        reports = det.wf_test_dynamic(data, model, t0, sample, MULTI_LADDER,
-                                      noise_rel=1e-7)
+    x0, xi0 = (0.0,), (-1.0,)
+    reports = [c.report for c in det.wf_scan(mode, data, [x0], [xi0], MULTI_LADDER,
+                                             model=model, t0=t0, noise_rel=1e-7)]
     cells = det.wf_scan(mode, data, MULTI_POSITIONS, det.direction_fan(1, 2),
                         MULTI_LADDER, model=model, t0=t0, noise_rel=1e-7)
-    cells = [c for c in cells if (c.x0, c.xi0) == (sample.x0, sample.xi0)]
+    cells = [c for c in cells if (c.x0, c.xi0) == (x0, xi0)]
     assert len(cells) == len(reports) == len(data)
     for cell, report in zip(cells, reports):
         assert np.array_equal(cell.report.magnitudes, report.magnitudes)
@@ -820,10 +801,11 @@ MIXED_BANDS = {
 
 @pytest.mark.parametrize("mode", ["static", "dynamic"])
 @pytest.mark.parametrize("case", list(MIXED_BANDS))
-def test_each_scan_cell_gets_the_bits_of_its_single_cell_test(case, mode):
+def test_each_scan_cell_gets_the_bits_of_its_one_cell_scan(case, mode):
     # a scan pairs and fits its cells together; each cell's report must be
-    # the bits of the single-cell test, and a non-finite field in the scan
-    # must leave the finite field's cells alone
+    # the bits of a one-cell scan, and a non-finite field in the scan must
+    # leave the finite field's cells alone and void each of its own, a
+    # truncated cell, which pairs nothing, included
     make, positions, directions, ladder, model, t0, *kept = MIXED_BANDS[case]
     f = make()
     values = f.values.copy()
@@ -836,15 +818,10 @@ def test_each_scan_cell_gets_the_bits_of_its_single_cell_test(case, mode):
     assert all(c.error == "InputError: field values must be finite"
                for c in cells[len(finite):])
     for cell in finite:
-        sample = det.ConicSample(cell.x0, cell.xi0)
-        if mode == "static":
-            test = lambda g: det.wf_test_static(g, sample, ladder)  # noqa: E731
-        else:
-            test = lambda g: det.wf_test_dynamic(g, model, t0, sample, ladder)  # noqa: E731
-        got, want = cell.report, test(f)
-        if len(want.ladder) >= det.MIN_RUNGS:  # a truncated cell pairs nothing
-            with pytest.raises(errors.InputError, match="finite"):
-                test(nan_field)
+        alone, nan_alone = (det.wf_scan(mode, g, [cell.x0], [cell.xi0], ladder, model=model,
+                                        t0=t0)[0] for g in (f, nan_field))
+        assert nan_alone.error == "InputError: field values must be finite"
+        got, want = cell.report, alone.report
         assert (got.ladder, got.flags, got.verdict, got.binding_index) == \
             (want.ladder, want.flags, want.verdict, want.binding_index)
         assert np.array_equal(got.magnitudes, want.magnitudes)
@@ -856,28 +833,11 @@ def test_each_scan_cell_gets_the_bits_of_its_single_cell_test(case, mode):
                for c in finite if len(c.report.ladder) < det.MIN_RUNGS)
 
 
-def test_single_field_tests_return_one_report():
-    g = grid.gaussian_data(MULTI_SPEC)
-    sample = det.ConicSample((0.0,), (1.0,))
-    assert isinstance(det.wf_test_static(g, sample, MULTI_LADDER), det.DecayReport)
-    assert isinstance(det.wf_test_dynamic(g, pots.zero_model(1), 1.0, sample,
-                                          MULTI_LADDER), det.DecayReport)
-    both = det.wf_test_static([g, g], sample, MULTI_LADDER)
-    assert [r.verdict for r in both] == ["not-in-WF"] * 2
-
-
-def test_dynamic_test_without_a_model_raises_input_error():
-    g = grid.gaussian_data(MULTI_SPEC)
-    for t0 in (0.0, 1.0):
-        with pytest.raises(errors.InputError, match="needs a model"):
-            det.wf_test_dynamic(g, None, t0, det.ConicSample((0.0,), (1.0,)),
-                                MULTI_LADDER)
-
-
-def test_dynamic_scan_without_a_model_records_input_error_in_every_cell():
+@pytest.mark.parametrize("t0", [0.0, 1.0])
+def test_dynamic_scan_without_a_model_records_input_error_in_every_cell(t0):
     data = _multi_data()[:2]
     cells = det.wf_scan("dynamic", data, MULTI_POSITIONS, det.direction_fan(1, 2),
-                        MULTI_LADDER, t0=1.0)
+                        MULTI_LADDER, t0=t0)
     assert len(cells) == 2 * len(MULTI_POSITIONS) * 2
     assert all(c.report is None and c.error.startswith("InputError: a dynamic probe")
                for c in cells)
@@ -889,4 +849,4 @@ def test_scan_rejects_data_on_different_grids():
         det.wf_scan("static", [grid.gaussian_data(MULTI_SPEC), other],
                     MULTI_POSITIONS, det.direction_fan(1, 2), MULTI_LADDER)
     with pytest.raises(errors.InputError):
-        det.wf_test_static([], det.ConicSample((0.0,), (1.0,)), MULTI_LADDER)
+        det.wf_scan("static", [], MULTI_POSITIONS, det.direction_fan(1, 2), MULTI_LADDER)

@@ -11,7 +11,12 @@ Two rows replace the flow's fused vector field,
 `mswf.characteristics.flow_field`, with one built from the whole-array
 broadcasts of `broadcast_reference`; the never-flow row makes the
 detector's backward flow, `mswf.detector.flow_batch`, leave its phase
-points where they are.
+points where they are.  Two rows replace the evolve's vector potential,
+`mswf.propagator.eval_a`, with zero or with -a; the spectral reference
+reads `mswf.potentials.eval_a`, so they leave it alone.  No evolve row
+names the C07 Ehrenfest gap: its evolved centre is cached once per
+session (`_ehrenfest_centre`), so under an evolve mutant it would read
+the centre of whichever evolve filled the cache first.
 """
 
 import numpy as np
@@ -19,10 +24,11 @@ import pytest
 
 import broadcast_reference as ref
 from mswf import (characteristics as chars, detector as det, experiments as exp,
-                  potentials as pots)
-from test_acceptance import (EHRENFEST_TOL, _saved, c11_smooth, ehrenfest_gap,
-                             workloads)
+                  potentials as pots, propagator as prop)
+from test_acceptance import (EHRENFEST_TOL, LANDAU_STATE_TOL, _saved, c11_smooth,
+                             ehrenfest_gap, landau_state_error, workloads)
 from test_characteristics import LANDAU_TOL, landau_orbit_error
+from test_propagator import REFERENCE_CASES, reference_gap
 
 
 def _in_place(field):
@@ -50,6 +56,17 @@ def _never_flow(model, t0, s_target, x0, xi0, tol):
     return x0, xi0
 
 
+def _zero_potential(model, t, x):
+    """a = 0 in the evolve; both evolve checks' fields are divergence-free,
+    so this is the a = 0 evolve."""
+    return np.zeros(np.shape(x))
+
+
+def _flipped_potential(model, t, x):
+    """-a in the evolve: the field flipped."""
+    return -pots.eval_a(model, t, x)
+
+
 def _c11_soft_power_smooth() -> bool:
     """C11's soft-power config (2-D, rho = 1/2): the point mass is smooth
     at every cell, as `test_c11_fundamental_solution` requires."""
@@ -62,6 +79,9 @@ CHECKS = {
     "C07 Ehrenfest gap": lambda: ehrenfest_gap() <= EHRENFEST_TOL,
     "Landau orbit": lambda: landau_orbit_error() <= LANDAU_TOL,
     "C11 soft-power": _c11_soft_power_smooth,
+    "2-D rotational reference":
+        lambda: reference_gap("2d-rotational")[0] <= REFERENCE_CASES["2d-rotational"][-1],
+    "Landau state": lambda: landau_state_error() <= LANDAU_STATE_TOL,
 }
 
 # (module, binding, mutant, the checks that must fail under it)
@@ -74,6 +94,10 @@ ROWS = [
         "ROADMAP items 2 (a focusing-chirp datum) and 7 (a 2-D transport check "
         "where the field is not a gauge)")),
     pytest.param(det, "flow_batch", _never_flow, ("C11 soft-power",), id="never-flow"),
+    pytest.param(prop, "eval_a", _zero_potential, ("2-D rotational reference", "Landau state"),
+                 id="a0-static-evolve"),
+    pytest.param(prop, "eval_a", _flipped_potential,
+                 ("2-D rotational reference", "Landau state"), id="flipped-evolve-field"),
 ]
 
 
