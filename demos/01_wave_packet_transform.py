@@ -41,10 +41,11 @@ for lam in (1.0, 16.0, 256.0):
           f"{win.grid_function(fine).l2_norm():.8f}, "
           f"1/e half-width = {np.sqrt(2.0 / win.beta.real):.4f}")
 
-# The full-lattice transform samples the window periodically about every
-# grid node; with the adjoint it is exactly the identity on the periodic
-# grid.
+# The lattice transform is the full table, every grid node against every FFT
+# frequency, with the window sampled periodically about each node; its
+# inverse, the adjoint over the window's squared norm, is the identity on the
+# periodic grid.
 table = packets.wpt_grid(f, window)
-back = packets.inverse_wpt(table, window)
+back = packets.inverse_wpt(spec, table, window)
 err = np.sqrt(np.sum(np.abs(back.values - f.values) ** 2) * spec.cell_volume)
 print(f"round-trip relative L2 error = {err / f.l2_norm():.2e}")

@@ -13,8 +13,7 @@ from .detector import (ConicSample, DecayReport, decay_exponent, default_ladder,
                        wf_scan)
 from .errors import (BoundaryMassError, CflError, ConsistencyError,
                      GuardError, InputError, MswfError, NumericError,
-                     NyquistError, ResolutionError, StepUnderflowError,
-                     UndersampledError)
+                     NyquistError, ResolutionError, StepUnderflowError)
 from .grid import (GridFunction, GridSpec, builtin_data, delta_spike,
                    gaussian_data, jump_data)
 from .packets import (DeltaSignal, GaussianSignal, GaussianWindow,

@@ -34,10 +34,6 @@ class ResolutionError(GuardError):
     """Field or packet is under-resolved on the grid."""
 
 
-class UndersampledError(GuardError):
-    """Phase-space lattice too coarse for a stable inverse transform."""
-
-
 class CflError(GuardError):
     """Transport substep would move mass farther than the stencil reach."""
 

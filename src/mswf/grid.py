@@ -82,9 +82,6 @@ class GridSpec:
         """Angular frequencies of the FFT basis along axis i (fft order)."""
         return 2.0 * np.pi * np.fft.fftfreq(self.points[i], d=self.dx[i])
 
-    def freq_axes(self) -> list:
-        return [self.freq_axis(i) for i in range(self.n)]
-
     def nyquist(self) -> tuple:
         """Largest representable |frequency| per axis, pi/dx."""
         return tuple(np.pi / d for d in self.dx)

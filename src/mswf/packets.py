@@ -6,10 +6,12 @@ grid.  There is one window type, the analytic `GaussianWindow` (dilated by
 lambda^b and freely evolved in closed form).  The pointwise transform
 evaluates it anywhere, so its center may sit far outside the box, which
 is what the wave-front detector needs along flowed phase points.  The
-lattice transform and its inverse sample it periodically on the grid
-about each lattice position, with the nearest-image displacement on each
-axis, which makes the discrete forward/inverse pair an exact frame
-identity on the periodic grid.
+lattice transform `wpt_grid` is the full table, every grid position
+against every FFT frequency; it samples the window periodically on the
+grid about each position, at the nearest-image displacement on each
+axis.  Each sample is a grid shift of the one about the origin, so
+`inverse_wpt` divides the adjoint by that one squared norm, and the round
+trip is an identity up to round-off.
 
 The Gaussian quadrature is written once, in `pair_many`: it pairs B
 fields with one window at S phase points through one (S, M_i) vector per
@@ -29,8 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (InputError, NyquistError, ResolutionError, UndersampledError,
-                     integer, number)
+from .errors import InputError, NyquistError, ResolutionError, integer, number
 from .grid import (GridFunction, GridSpec, apply_kinetic, phase_points,
                    spectral_derivative, spectral_support_edge)
 
@@ -284,111 +285,60 @@ def wpt(f: GridFunction, window: GaussianWindow, p) -> complex:
     return complex(pair_many(f.spec, [f.values], window, x, xi)[0, 0])
 
 
-@dataclass
-class WptTable:
-    """Transform values on a tensor lattice of positions and frequencies."""
-
-    spec: GridSpec
-    x_axes: tuple
-    xi_axes: tuple
-    values: np.ndarray
-
-
-def _lattice_frequencies(spec: GridSpec, xi_axes) -> tuple:
-    """Indices of the requested frequencies inside the FFT lattice, or raise,
-    and exp(i L.xi) on their tensor lattice, the phase that corrects the
-    FFT for the grid origin at -L."""
-    freq_idx = []
-    phase = np.ones(tuple(len(a) for a in xi_axes), dtype=np.complex128)
-    for i, requested in enumerate(xi_axes):
-        lattice = spec.freq_axis(i)
-        tol = 1e-9 * np.pi / spec.dx[i]
-        idx = []
-        for xi in requested:
-            hits = np.nonzero(np.abs(lattice - xi) <= tol)[0]
-            if len(hits) == 0:
-                raise NyquistError(
-                    f"frequency {xi:.6g} on axis {i} is not grid-representable")
-            idx.append(int(hits[0]))
-        freq_idx.append(np.asarray(idx))
-        phase = phase * spec.along(i, np.exp(1j * spec.halfwidths[i] * lattice[idx]))
-    return freq_idx, phase
+def _origin_phase(spec: GridSpec) -> np.ndarray:
+    """exp(i L.xi) on the FFT lattice, the phase that corrects the FFT for
+    the grid origin at -L."""
+    phase = np.ones((1,) * spec.n, dtype=np.complex128)
+    for i in range(spec.n):
+        phase = phase * spec.along(i, np.exp(1j * spec.halfwidths[i] * spec.freq_axis(i)))
+    return phase
 
 
-def wpt_grid(f: GridFunction, window: GaussianWindow, x_axes=None,
-             xi_axes=None) -> WptTable:
-    """Batched transform via one FFT per window position.
+def wpt_grid(f: GridFunction, window: GaussianWindow) -> np.ndarray:
+    """The transform on the full lattice, one FFT per grid position.
 
-    At each position the window is sampled periodically on the grid
-    (`GaussianWindow.grid_function`), so positions may sit anywhere;
-    frequencies must lie on the FFT lattice of the grid.  Agrees with
-    `wpt` pointwise wherever the window is negligible half a box away.
+    Returns the complex array of shape spec.shape + spec.shape: the
+    position's grid index first, then the frequency's index in FFT order
+    (`GridSpec.freq_axis`).  At each position the window is sampled
+    periodically on the grid (`GaussianWindow.grid_function`).  Agrees
+    with `wpt` wherever the window is negligible half a box away; `wpt`
+    and `pair_many` take any other phase-space point.
     """
     spec = f.spec
     _check_window(window, spec.n)
-    if x_axes is None:
-        x_axes = tuple(spec.axes())
-    else:
-        x_axes = tuple(np.atleast_1d(np.asarray(a, dtype=float)) for a in x_axes)
-    if xi_axes is None:
-        xi_axes = tuple(spec.freq_axes())
-    else:
-        xi_axes = tuple(np.atleast_1d(np.asarray(a, dtype=float)) for a in xi_axes)
-    if len(x_axes) != spec.n or len(xi_axes) != spec.n:
-        raise InputError("x_axes and xi_axes need one array per grid axis")
-    freq_idx, phase = _lattice_frequencies(spec, xi_axes)
-    phase = phase * spec.cell_volume
-    x_shape = tuple(len(a) for a in x_axes)
-    table = np.empty(x_shape + phase.shape, dtype=np.complex128)
-    for pos_idx in np.ndindex(x_shape):
-        x = [x_axes[i][pos_idx[i]] for i in range(spec.n)]
+    phase = _origin_phase(spec) * spec.cell_volume
+    axes = spec.axes()
+    table = np.empty(spec.shape * 2, dtype=np.complex128)
+    for pos in np.ndindex(spec.shape):
+        x = [axes[i][pos[i]] for i in range(spec.n)]
         win_conj = np.conj(window.grid_function(spec, x).values)
-        table[pos_idx] = np.fft.fftn(win_conj * f.values)[np.ix_(*freq_idx)] * phase
-    return WptTable(spec, x_axes, xi_axes, table)
+        table[pos] = np.fft.fftn(win_conj * f.values) * phase
+    return table
 
 
-def inverse_wpt(table: WptTable, window: GaussianWindow) -> GridFunction:
-    """Adjoint transform divided by the window's squared norm.
+def inverse_wpt(spec: GridSpec, table, window: GaussianWindow) -> GridFunction:
+    """Inverse of `wpt_grid`: the adjoint divided by the window's squared
+    grid norm.
 
-    The window is sampled periodically about each lattice position, as in
-    `wpt_grid`, and its squared norm is that of its sample at the origin.
-    Needs the full FFT frequency band and a position lattice no coarser
-    than a quarter of the window's 1/e half-width sqrt(2 / Re beta); with
-    the full grid as position lattice the discrete round trip is an
-    identity up to round-off.
+    The window is sampled periodically about each grid position, as in
+    `wpt_grid`, so every sample is a grid shift of the one about the
+    origin and carries its squared norm; the round trip is an identity
+    up to round-off for any window width.  Raises InputError for a table
+    of another shape than `wpt_grid` returns on this grid.
     """
-    spec = table.spec
     _check_window(window, spec.n)
-    freq_idx, phase = _lattice_frequencies(spec, table.xi_axes)
-    x_shape = tuple(len(a) for a in table.x_axes)
-    if np.shape(table.values) != x_shape + phase.shape:
-        raise InputError(f"table values have shape {np.shape(table.values)}, "
-                         f"its axes give {x_shape + phase.shape}")
-    if not all(np.array_equal(np.sort(idx), np.arange(m))
-               for idx, m in zip(freq_idx, spec.points)):
-        raise UndersampledError("inverse transform needs the full frequency band per axis")
-    width = np.sqrt(2.0 / window.beta.real)
-    spacings = []
-    for ax in table.x_axes:
-        if len(ax) < 2:
-            raise UndersampledError("position lattice needs at least 2 points per axis")
-        steps = np.diff(ax)
-        if not np.allclose(steps, steps[0]):
-            raise InputError("position lattice must be uniform")
-        if steps[0] > width / 4.0 + 1e-12:
-            raise UndersampledError(
-                f"position spacing {steps[0]:.3g} coarser than width/4 = "
-                f"{width / 4.0:.3g}")
-        spacings.append(float(steps[0]))
-    phase = np.conj(phase)
+    table = np.asarray(table)
+    if table.shape != spec.shape * 2:
+        raise InputError(f"table has shape {table.shape}, the grid's full lattice is "
+                         f"{spec.shape * 2}")
+    phase = np.conj(_origin_phase(spec))
+    axes = spec.axes()
     out = np.zeros(spec.shape, dtype=np.complex128)
-    for pos_idx in np.ndindex(x_shape):
-        F = np.zeros(spec.shape, dtype=np.complex128)  # the block on the full lattice
-        F[np.ix_(*freq_idx)] = table.values[pos_idx] * phase
-        y = [table.x_axes[i][pos_idx[i]] for i in range(spec.n)]
-        out += window.grid_function(spec, y).values * np.fft.ifftn(F)
-    scale = np.prod(spacings) / (spec.cell_volume * window.grid_function(spec).l2_norm() ** 2)
-    return GridFunction(spec, out * scale, label="inverse-wpt")
+    for pos in np.ndindex(spec.shape):
+        y = [axes[i][pos[i]] for i in range(spec.n)]
+        out += window.grid_function(spec, y).values * np.fft.ifftn(table[pos] * phase)
+    return GridFunction(spec, out / window.grid_function(spec).l2_norm() ** 2,
+                        label="inverse-wpt")
 
 
 # ---------------------------------------------------------------------------

@@ -121,11 +121,11 @@ def bspline_sample(coeffs: np.ndarray, points: np.ndarray, out: np.ndarray) -> n
     """Evaluate periodic cubic splines at grid-index coordinates, blockwise.
 
     `coeffs` holds the B-spline coefficients of B fields, shape (*grid, B),
-    on a grid of power-of-two sizes; `points` has shape (n, P), in units of
-    grid indices like the coordinates of map_coordinates.  Each block of
-    m <= SPLINE_BLOCK points refills one tap-major COO matrix, whose entry
-    k m + p is tap k of point p: each point's 4^n taps are summed in tap
-    order, as in a point-major CSR matrix.  Samples of all B fields go to
+    on a 1-D or 2-D grid of power-of-two sizes; `points` has shape (n, P),
+    in units of grid indices like the coordinates of map_coordinates.  Each
+    block of m <= SPLINE_BLOCK points refills one tap-major COO matrix,
+    whose entry k m + p is tap k of point p: each point's 4^n taps are
+    summed in tap order, as in a point-major CSR matrix.  Samples of all B fields go to
     `out` (P, B).  Equals map_coordinates(order=3, mode="grid-wrap") on the
     prefiltered samples.
     """
@@ -172,12 +172,8 @@ def bspline_sample(coeffs: np.ndarray, points: np.ndarray, out: np.ndarray) -> n
         cols = base.astype(np.int32)[:, None, :] + shifts
         cols &= wrap  # periodic wrap: the sizes are powers of two
         cols *= strides[:, None, None]
-        weights, flat = w[0], cols[0]
-        for k in range(1, n - 1):
-            weights = (weights[:, None, :] * w[k]).reshape(-1, m)
-            flat = (flat[:, None, :] + cols[k]).reshape(-1, m)
-        # the last axis writes straight into the matrix (n = 1: empty product)
-        head_w, head_c = (weights[:, None, :], flat[:, None, :]) if n > 1 else (1.0, 0)
+        # the last axis writes straight into the matrix, times the first in 2-D
+        head_w, head_c = (w[0][:, None, :], cols[0][:, None, :]) if n == 2 else (1.0, 0)
         np.multiply(head_w, w[-1], out=blocks[m].data.reshape(-1, 4, m))
         np.add(head_c, cols[-1], out=blocks[m].col.reshape(-1, 4, m))
         rows[start:start + m] = blocks[m] @ columns

@@ -76,6 +76,13 @@ def test_flow_identity_at_start():
     res = chars.flow(model, 1.0, 1.0, (0.3,), (2.0,), 1e-10)
     assert res.terminal.x == (0.3,) and res.terminal.xi == (2.0,)
     assert res.psi_integral == 0.0
+    assert res.at(1.0) == res.terminal  # no steps, so no dense output
+    x0, xi0 = np.array([[0.3]]), np.array([[2.0]])
+    bx, bxi = chars.flow_batch(model, 1.0, 1.0, x0, xi0)
+    assert bx.tolist() == [[0.3]] and bxi.tolist() == [[2.0]]
+    assert not np.shares_memory(bx, x0) and not np.shares_memory(bxi, xi0)
+    ex, exi = chars.flow_batch(model, 1.0, 0.0, np.zeros((0, 1)), np.zeros((0, 1)))
+    assert ex.shape == exi.shape == (0, 1)
 
 
 LANDAU_TOL = 1e-8
@@ -322,6 +329,31 @@ LADDER_TAKERS = [
 def test_every_ladder_taker_refuses_a_bad_ladder(take, ladder):
     with pytest.raises(errors.InputError, match="ladder"):
         take(ladder)
+
+
+# each bound sweep, called with one parameter out of its range, and the
+# refusal it must raise
+BAD_SWEEP_PARAMETERS = {
+    "flow-bounds-a-below-one": (lambda: chars.check_flow_bounds(
+        pots.zero_model(1), 0.5, 0.5, [16.0], 1.0, [np.zeros(1)], [np.ones(1)]), "annulus"),
+    "flow-bounds-p-zero": (lambda: chars.check_flow_bounds(
+        pots.zero_model(1), 2.0, 0.0, [16.0], 1.0, [np.zeros(1)], [np.ones(1)]), "exponent p"),
+    "flow-bounds-p-one": (lambda: chars.check_flow_bounds(
+        pots.zero_model(1), 2.0, 1.0, [16.0], 1.0, [np.zeros(1)], [np.ones(1)]), "exponent p"),
+    "flow-bounds-t0-zero": (lambda: chars.check_flow_bounds(
+        pots.zero_model(1), 2.0, 0.5, [16.0], 0.0, [np.zeros(1)], [np.ones(1)]), "t0"),
+    "integral-bound-reversed": (lambda: chars.check_integral_bound(
+        pots.zero_model(1), 0.5, (1.0, 0.0), [((0.0,), (1.0,))]), "a <= b"),
+    "lower-bound-t0-zero": (lambda: chars.lower_bound_x0(
+        pots.zero_model(1), 0.0, [np.zeros(1)], [np.ones(1)], (1.0, 10.0)), "t0"),
+}
+
+
+@pytest.mark.parametrize("call,match", BAD_SWEEP_PARAMETERS.values(),
+                         ids=BAD_SWEEP_PARAMETERS.keys())
+def test_bound_sweeps_refuse_parameters_out_of_range(call, match):
+    with pytest.raises(errors.InputError, match=match):
+        call()
 
 
 # ---------------------------------------------------------------------------

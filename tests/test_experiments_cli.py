@@ -111,6 +111,22 @@ def test_fundamental_solution_rejects_t0_zero():
         exp.run_fundamental_solution(dict(FS_CFG, t0=0.0))
 
 
+def test_fundamental_solution_rejects_nonconforming_model():
+    cfg = dict(FS_CFG, potential={"family": "constant-field", "n": 2, "b0": 1.0},
+               grid={"n": 2, "points": 64, "halfwidth": 6.0}, positions=[[0.0, 0.0]])
+    with pytest.raises(errors.GuardError, match="conforming"):
+        exp.run_fundamental_solution(cfg)
+
+
+def test_datum_with_non_finite_values_exits_2(capsys):
+    # json.loads reads NaN, so a config can carry one into a datum's amplitude
+    cfg = dict(FREE_CFG, data=[{"name": "gaussian", "amplitude": float("nan")}])
+    with pytest.raises(errors.InputError, match="non-finite values"):
+        exp.run_transport_consistency(cfg)
+    assert cli.main(["experiment", "--config", json.dumps(cfg)]) == 2
+    assert "non-finite values" in capsys.readouterr().err
+
+
 def test_fundamental_solution_control_case():
     cfg = dict(FS_CFG, t0=0.0, control=True, positions=[[0.0]],
                ladder={"kmin": 3, "kmax": 11}, k_radius=0.25,

@@ -11,12 +11,16 @@ Two rows replace the flow's fused vector field,
 `mswf.characteristics.flow_field`, with one built from the whole-array
 broadcasts of `broadcast_reference`; the never-flow row makes the
 detector's backward flow, `mswf.detector.flow_batch`, leave its phase
-points where they are.  Two rows replace the evolve's vector potential,
-`mswf.propagator.eval_a`, with zero or with -a; the spectral reference
-reads `mswf.potentials.eval_a`, so they leave it alone.  No evolve row
-names the C07 Ehrenfest gap: its evolved centre is cached once per
-session (`_ehrenfest_centre`), so under an evolve mutant it would read
-the centre of whichever evolve filled the cache first.
+points where they are; the a = 0 leading-term row makes the backward flow
+of `evolved_wpt_leading`, `mswf.propagator.flow`, flow the zero model.
+The 2-D leading-term check's probe points come from the real flow: they
+are cached before any mutant is applied.  Two rows replace the evolve's
+vector potential, `mswf.propagator.eval_a`, with zero or with -a; the
+spectral reference reads `mswf.potentials.eval_a`, so they leave it
+alone.  No evolve row names the C07 Ehrenfest gap or the 2-D leading
+term: their evolved fields are cached once per session
+(`_ehrenfest_centre`, `_leading_fields`), so under an evolve mutant they
+would read whichever evolve filled the cache first.
 """
 
 import numpy as np
@@ -25,8 +29,9 @@ import pytest
 import broadcast_reference as ref
 from mswf import (characteristics as chars, detector as det, experiments as exp,
                   potentials as pots, propagator as prop)
-from test_acceptance import (EHRENFEST_TOL, LANDAU_STATE_TOL, _saved, c11_smooth,
-                             ehrenfest_gap, landau_state_error, workloads)
+from test_acceptance import (EHRENFEST_TOL, LANDAU_STATE_TOL, LEADING_TOL, _saved,
+                             c11_smooth, ehrenfest_gap, landau_state_error,
+                             leading_probe_points, leading_term_discrepancy, workloads)
 from test_characteristics import LANDAU_TOL, landau_orbit_error
 from test_propagator import REFERENCE_CASES, reference_gap
 
@@ -56,6 +61,11 @@ def _never_flow(model, t0, s_target, x0, xi0, tol):
     return x0, xi0
 
 
+def _zero_model_flow(model, *args):
+    """The leading term's backward flow under a = 0."""
+    return chars.flow(pots.zero_model(model.n), *args)
+
+
 def _zero_potential(model, t, x):
     """a = 0 in the evolve; both evolve checks' fields are divergence-free,
     so this is the a = 0 evolve."""
@@ -82,18 +92,18 @@ CHECKS = {
     "2-D rotational reference":
         lambda: reference_gap("2d-rotational")[0] <= REFERENCE_CASES["2d-rotational"][-1],
     "Landau state": lambda: landau_state_error() <= LANDAU_STATE_TOL,
+    "2-D leading term": lambda: max(leading_term_discrepancy()) <= LEADING_TOL,
 }
 
 # (module, binding, mutant, the checks that must fail under it)
 ROWS = [
     pytest.param(chars, "flow_field", _in_place(_transposed_jacobian),
-                 ("C07 Ehrenfest gap", "Landau orbit"), id="transposed-jacobian"),
-    pytest.param(chars, "flow_field", _in_place(_zero_field), ("C11 soft-power",),
-                 id="a0-flow-field", marks=pytest.mark.xfail(
-        strict=True, raises=AssertionError, reason="no conforming-field verdict sees the flow's magnetic term: "
-        "ROADMAP items 2 (a focusing-chirp datum) and 7 (a 2-D transport check "
-        "where the field is not a gauge)")),
+                 ("C07 Ehrenfest gap", "Landau orbit", "2-D leading term"),
+                 id="transposed-jacobian"),
+    pytest.param(chars, "flow_field", _in_place(_zero_field), ("2-D leading term",),
+                 id="a0-flow-field"),
     pytest.param(det, "flow_batch", _never_flow, ("C11 soft-power",), id="never-flow"),
+    pytest.param(prop, "flow", _zero_model_flow, ("2-D leading term",), id="a0-leading-term"),
     pytest.param(prop, "eval_a", _zero_potential, ("2-D rotational reference", "Landau state"),
                  id="a0-static-evolve"),
     pytest.param(prop, "eval_a", _flipped_potential,
@@ -103,6 +113,7 @@ ROWS = [
 
 @pytest.mark.parametrize("module,binding,mutant,checks", ROWS)
 def test_mutant_fails_its_checks(module, binding, mutant, checks, monkeypatch):
+    leading_probe_points()  # from the real flow, whichever row runs first
     monkeypatch.setattr(module, binding, mutant)
     passing = [name for name in checks if CHECKS[name]()]
     assert not passing, f"{passing} pass under the mutant"

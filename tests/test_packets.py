@@ -150,9 +150,9 @@ def test_transforms_take_only_a_gaussian_window():
         packets.wpt_grid(f, sample)
     table = packets.wpt_grid(f, GaussianWindow(1))
     with pytest.raises(errors.InputError):
-        packets.inverse_wpt(table, sample)
+        packets.inverse_wpt(SPEC, table, sample)
     with pytest.raises(errors.InputError):
-        packets.inverse_wpt(table, GaussianWindow(2))
+        packets.inverse_wpt(SPEC, table, GaussianWindow(2))
 
 
 # one grid per dimension, fine enough that a unit Gaussian product is
@@ -415,42 +415,36 @@ def test_pair_many_keeps_the_per_row_phase_bits(spec, S):
 def test_wpt_grid_reduces_to_pointwise():
     f = grid.gaussian_data(SPEC, width=1.1, momentum=0.4)
     pk = GaussianWindow(1, 1.0, 2.0, 0.125)
-    xs = SPEC.axis(0)[100:103]
-    xis = SPEC.freq_axis(0)[4:7]
-    table = packets.wpt_grid(f, pk, (xs,), (xis,))
-    for i, x in enumerate(xs):
-        for j, xi in enumerate(xis):
-            assert abs(table.values[i, j]
-                       - packets.wpt(f, pk, ((x,), (xi,)))) <= 1e-10
+    table = packets.wpt_grid(f, pk)
+    for i in range(100, 103):
+        for j in range(4, 7):
+            p = ((SPEC.axis(0)[i],), (SPEC.freq_axis(0)[j],))
+            assert abs(table[i, j] - packets.wpt(f, pk, p)) <= 1e-10
 
 
 def test_wpt_grid_single_point():
+    """The table holds every grid position against every FFT frequency."""
     f = grid.gaussian_data(SPEC)
     pk = GaussianWindow(1, 1.0, 1.0, 0.125)
-    xi = SPEC.freq_axis(0)[3]
-    table = packets.wpt_grid(f, pk, (np.array([0.5]),), (np.array([xi]),))
-    assert table.values.shape == (1, 1)
-    assert abs(table.values[0, 0] - packets.wpt(f, pk, ((0.5,), (xi,)))) <= 1e-12
-
-
-def test_wpt_grid_rejects_off_lattice_frequency():
-    f = grid.gaussian_data(SPEC)
-    pk = GaussianWindow(1, 1.0, 1.0, 0.125)
-    with pytest.raises(errors.NyquistError):
-        packets.wpt_grid(f, pk, None, (np.array([0.123456]),))
+    table = packets.wpt_grid(f, pk)
+    assert table.shape == (256, 256)
+    i = SPEC.origin_index[0] + 3
+    p = ((SPEC.axis(0)[i],), (SPEC.freq_axis(0)[3],))
+    assert abs(table[i, 3] - packets.wpt(f, pk, p)) <= 1e-12
 
 
 def test_wpt_grid_oracle_agreement():
     f = grid.gaussian_data(SPEC)
     win = GaussianWindow(1)
-    xs = np.linspace(-1.5, 1.5, 8)
-    xis = SPEC.freq_axis(0)[[1, 2, 3, 250, 251, 253, 254, 255]]
-    table = packets.wpt_grid(f, win, (xs,), (xis,))
+    rows = SPEC.origin_index[0] + np.arange(-9, 10, 3)
+    cols = [1, 2, 3, 250, 251, 253, 254, 255]
+    table = packets.wpt_grid(f, win)
     worst = 0.0
-    for i, x in enumerate(xs):
-        for j, xi in enumerate(xis):
-            oracle = packets.gaussian_wpt_oracle(GaussianSignal(), win, ((x,), (xi,)))
-            worst = max(worst, abs(table.values[i, j] - oracle))
+    for i in rows:
+        for j in cols:
+            p = ((SPEC.axis(0)[i],), (SPEC.freq_axis(0)[j],))
+            oracle = packets.gaussian_wpt_oracle(GaussianSignal(), win, p)
+            worst = max(worst, abs(table[i, j] - oracle))
     assert worst <= 1e-8
 
 
@@ -459,7 +453,7 @@ def test_parseval_mass_identity():
     pk = GaussianWindow(1, 1.0, 1.0, 0.125)
     table = packets.wpt_grid(f, pk)
     dxi = np.pi / SPEC.halfwidths[0]
-    mass = np.sum(np.abs(table.values) ** 2) * SPEC.cell_volume * dxi / (2 * np.pi)
+    mass = np.sum(np.abs(table) ** 2) * SPEC.cell_volume * dxi / (2 * np.pi)
     target = pk.l2_norm() ** 2 * f.l2_norm() ** 2
     assert abs(mass - target) / target <= 0.01
 
@@ -471,16 +465,16 @@ def test_parseval_mass_identity():
 def test_inverse_wpt_zero_table():
     pk = GaussianWindow(1, 1.0, 1.0, 0.125)
     table = packets.wpt_grid(grid.GridFunction(SPEC, np.zeros(256)), pk)
-    out = packets.inverse_wpt(table, pk)
+    out = packets.inverse_wpt(SPEC, table, pk)
     assert np.all(out.values == 0)
 
 
 def test_inverse_wpt_roundtrip_gaussian():
     f = grid.gaussian_data(SPEC)
     pk = GaussianWindow(1, 1.0, 1.0, 0.125)
-    back = packets.inverse_wpt(packets.wpt_grid(f, pk), pk)
+    back = packets.inverse_wpt(SPEC, packets.wpt_grid(f, pk), pk)
     err = np.sqrt(np.sum(np.abs(back.values - f.values) ** 2) * SPEC.cell_volume)
-    assert err / f.l2_norm() <= 1e-6
+    assert err / f.l2_norm() <= 1e-12
 
 
 def test_inverse_wpt_roundtrip_band_limited():
@@ -490,9 +484,9 @@ def test_inverse_wpt_roundtrip_band_limited():
     coef[-64:] = rng.standard_normal(64) + 1j * rng.standard_normal(64)
     f = grid.GridFunction(SPEC, np.fft.ifft(coef))
     pk = GaussianWindow(1, 1.0, 1.0, 0.125)
-    back = packets.inverse_wpt(packets.wpt_grid(f, pk), pk)
+    back = packets.inverse_wpt(SPEC, packets.wpt_grid(f, pk), pk)
     err = np.sqrt(np.sum(np.abs(back.values - f.values) ** 2) * SPEC.cell_volume)
-    assert err / f.l2_norm() <= 1e-4
+    assert err / f.l2_norm() <= 1e-12
 
 
 def test_inverse_wpt_roundtrip_2d():
@@ -502,24 +496,31 @@ def test_inverse_wpt_roundtrip_2d():
     spec = grid.GridSpec(2, 32, 4.0)
     f = grid.gaussian_data(spec)
     pk = GaussianWindow(2, 1.0, 1.0, 0.125)
-    back = packets.inverse_wpt(packets.wpt_grid(f, pk), pk)
+    back = packets.inverse_wpt(spec, packets.wpt_grid(f, pk), pk)
     err = np.sqrt(np.sum(np.abs(back.values - f.values) ** 2) * spec.cell_volume)
     assert err / f.l2_norm() <= 1e-12
 
 
-def test_inverse_wpt_guards():
+def test_inverse_wpt_refuses_a_table_of_another_shape():
     f = grid.gaussian_data(SPEC)
     pk = GaussianWindow(1, 1.0, 1.0, 0.125)
     full = packets.wpt_grid(f, pk)
-    half_band = packets.WptTable(SPEC, full.x_axes,
-                                 (SPEC.freq_axis(0)[:128],),
-                                 full.values[:, :128])
-    with pytest.raises(errors.UndersampledError):
-        packets.inverse_wpt(half_band, pk)
-    coarse = packets.WptTable(SPEC, (SPEC.axis(0)[::32],), full.xi_axes,
-                              full.values[::32])
-    with pytest.raises(errors.UndersampledError):
-        packets.inverse_wpt(coarse, pk)
+    with pytest.raises(errors.InputError):
+        packets.inverse_wpt(SPEC, full[:, :128], pk)
+    with pytest.raises(errors.InputError):
+        packets.inverse_wpt(grid.GridSpec(2, 16, 20.0), full, GaussianWindow(2))
+
+
+def test_inverse_wpt_roundtrip_narrow_window():
+    """A window far narrower than the grid step still inverts exactly:
+    its samples about every node are grid shifts of one sample."""
+    spec = grid.GridSpec(1, 256, 10.0)
+    f = grid.gaussian_data(spec)
+    pk = GaussianWindow(1, 0.2, 4096.0, 0.5)
+    assert np.sqrt(2.0 / pk.beta.real) < spec.dx[0] / 16
+    back = packets.inverse_wpt(spec, packets.wpt_grid(f, pk), pk)
+    err = np.sqrt(np.sum(np.abs(back.values - f.values) ** 2) * spec.cell_volume)
+    assert err / f.l2_norm() <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -584,6 +585,9 @@ def test_commutator_second_order(alpha, beta):
 def test_commutator_order_guard():
     with pytest.raises(errors.InputError):
         packets.commutator_check(COMM_PACKET, 1.0, (2,), (1,))
+    for alpha, beta in (((1, 0), (0,)), ((0,), (0, 1))):
+        with pytest.raises(errors.InputError, match="multi-index length"):
+            packets.commutator_check(COMM_PACKET, 1.0, alpha, beta)
 
 
 def test_packet_spec_validation():

@@ -137,6 +137,9 @@ def test_conforming_flags():
 def test_dimension_mismatch_rejected():
     with pytest.raises(errors.InputError):
         pots.eval_a(pots.zero_model(2), 0.0, np.zeros(3))
+    for family in ("rotational", "constant-field"):
+        with pytest.raises(errors.InputError, match="two-dimensional"):
+            pots.VectorPotentialModel(family, 1)
 
 
 @pytest.mark.parametrize("make", [lambda n: pots.soft_power_model(n, 0.5), pots.zero_model],

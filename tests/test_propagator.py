@@ -23,6 +23,18 @@ def test_evolve_rejects_non_finite_times_and_step(value):
             prop.evolve(model, None, u0, t0, t1, cfg)
 
 
+@pytest.mark.parametrize("dt", [0.0, -1e-3])
+def test_evolve_config_refuses_a_step_that_is_not_positive(dt):
+    with pytest.raises(errors.InputError, match="dt must be positive"):
+        prop.EvolveConfig(dt=dt)
+
+
+def test_evolve_refuses_a_model_of_another_dimension():
+    with pytest.raises(errors.InputError, match="model dimension"):
+        prop.evolve(pots.zero_model(2), None, grid.gaussian_data(SPEC), 0.0, 0.1,
+                    prop.EvolveConfig(dt=1e-2))
+
+
 @pytest.mark.parametrize("model", [pots.zero_model(1), pots.soft_power_model(1, 0.5)],
                          ids=["free", "transport"])
 def test_evolve_refuses_a_step_count_that_is_not_finite(model, monkeypatch):
