@@ -25,7 +25,6 @@ summary = exp.run_fundamental_solution({
     "directions": 4,
     "ladder": {"kmin": 2, "kmax": 6},
     "b": "auto", "width": 0.5, "k_radius": 0.15, "a": 1.0,
-    "envelope_ladder": [1.0, 10.0, 100.0, 1000.0, 10000.0],
     "out_dir": str(out),
 })
 

@@ -18,7 +18,7 @@ from .grid import (GridFunction, GridSpec, builtin_data, delta_spike,
                    gaussian_data, jump_data)
 from .packets import (DeltaSignal, GaussianSignal, GaussianWindow,
                       commutator_check, free_evolve_packet,
-                      gaussian_wpt_oracle, inverse_wpt, make_scaled_packet,
+                      gaussian_wpt_oracle, inverse_wpt,
                       theorem_scaling_exponent, wpt, wpt_grid)
 from .potentials import (VectorPotentialModel, constant_field_model, eval_a,
                          flow_field, jacobian_a, divergence_a, magnetic_field,

@@ -117,11 +117,10 @@ def flow(model: VectorPotentialModel, t0: float, s_target: float,
     x0, xi0 = phase_points(x0, xi0, n, ndim=(1, 1))  # one start point, not a batch of one
     if s_target == t0:
         state = _state(t0, np.concatenate([x0, xi0]), n)
-        return FlowResult(state, [state], 0.0 + 0.0j,
-                          {"steps": 0, "rhs_evaluations": 0, "tol": tol})
+        return FlowResult(state, [state], 0.0 + 0.0j, {"steps": 0, "rhs_evaluations": 0})
     end, nfev, (segments,) = _phase_flows(model, t0, s_target, x0[None], xi0[None], tol, max_step)
     states = [_state(seg[0], seg[2], n) for seg in segments] + [_state(s_target, end[0], n)]
-    stats = {"steps": len(segments), "rhs_evaluations": int(nfev[0]), "tol": tol}
+    stats = {"steps": len(segments), "rhs_evaluations": int(nfev[0])}
     return FlowResult(states[-1], states, complex(*end[0, 2 * n:]), stats, segments)
 
 
@@ -338,14 +337,12 @@ class FlowBoundReport:
 
     ratios[lam] is a list of (s_star, |x|/(lam |s_star|), |xi|/lam) triples;
     lambda_hat0 is the first rung from which every later rung stays inside
-    [1/(2a), 2a] for both ratios.
+    [1/(2a), 2a] for both ratios, and ok says that such a rung exists.
     """
 
-    a_param: float
     ladder: tuple
     ratios: dict
     lambda_hat0: float
-    violations_above_2hat: int
     ok: bool
 
 
@@ -393,20 +390,14 @@ def check_flow_bounds(model: VectorPotentialModel, a_param: float, p: float,
         ratios[lam] = entries
         rung_ok.append(all(lo <= rx <= hi and lo <= rxi <= hi for _, rx, rxi in entries))
     lambda_hat0 = next((lam for i, lam in enumerate(ladder) if all(rung_ok[i:])), np.inf)
-    violations = sum(lam >= 2.0 * lambda_hat0 and not good
-                     for lam, good in zip(ladder, rung_ok))
-    return FlowBoundReport(a_param=a_param, ladder=ladder, ratios=ratios,
-                           lambda_hat0=float(lambda_hat0),
-                           violations_above_2hat=violations,
-                           ok=np.isfinite(lambda_hat0) and violations == 0)
+    return FlowBoundReport(ladder=ladder, ratios=ratios, lambda_hat0=float(lambda_hat0),
+                           ok=bool(np.isfinite(lambda_hat0)))
 
 
 @dataclass
 class IntegralBoundReport:
     """Momentum-over-position integral divided by (1 + interval length)."""
 
-    delta: float
-    interval: tuple
     ladder: tuple
     sup_ratio: dict          # lam -> sup over samples
     values: dict             # lam -> list per sample
@@ -454,8 +445,8 @@ def check_integral_bound(model: VectorPotentialModel, delta: float, interval,
     tail = [sup_ratio[lam] for lam in ladder[1:] if sup_ratio[lam] > 0.0] \
         if len(ladder) > 2 else [s for s in sup_ratio.values() if s > 0.0]
     stable = bool(tail) and max(tail) / min(tail) < 2.0
-    return IntegralBoundReport(delta=delta, interval=(a, b), ladder=ladder,
-                               sup_ratio=sup_ratio, values=values, stable=stable)
+    return IntegralBoundReport(ladder=ladder, sup_ratio=sup_ratio, values=values,
+                               stable=stable)
 
 
 @dataclass

@@ -30,11 +30,11 @@ RK45 step control, so a flowed point is the same bits whether its
 serves all cells: each rung pairs the samples of every cell that keeps
 it in band with all fields in one call of `packets.pair_many`'s kernel,
 on nonzero boxes found once per field, and the cells that keep the same
-rungs are fitted in one `decay_exponent` call.  A sample's fit, and its
-pairing in any batch of two rows or more (see `pair_many`), do not
-depend on the other rows, so a cell gets the same bits in a scan as
-alone.  If a joint flow or step raises a package error, the cells are
-run one by one, so only the failing cell gets the error.
+rungs are fitted in one `decay_exponent` call.  A sample's fit and its
+pairing (see `pair_many`) do not depend on the other rows, so a cell
+gets the same bits in a scan as alone.  If a joint flow or step raises
+a package error, the cells are run one by one, so only the failing cell
+gets the error.
 """
 
 from __future__ import annotations

@@ -9,8 +9,9 @@ library types built from them take Python values.  An unknown key, a
 missing required key, a value of the wrong type or a scan setting out of
 range raises InputError (exit code 2) before anything is computed.  What
 no config varies is fixed, and setting it is an unknown key: the detector
-thresholds, the noise floors (1e-7 static, 1e-12 dynamic) and the flow
-tolerance `detector.FLOW_TOL` = 1e-9.
+thresholds, the noise floors (1e-7 static, 1e-12 dynamic), the flow
+tolerance `detector.FLOW_TOL` = 1e-9 and the point-mass run's ladder of
+ballistic ratios, `ENVELOPE_LADDER`.
 The runner then computes with the library modules and (optionally) writes a
 JSON summary plus plot-ready long-format CSV tables.  Outputs are
 deterministic: identical configs and inputs produce byte-identical files,
@@ -34,6 +35,8 @@ from .errors import (ConsistencyError, GuardError, InputError, dilations,
 
 # the evolved field carries solver error; its transform floor sits there
 STATIC_NOISE_REL, DYNAMIC_NOISE_REL = 1e-7, 1e-12
+# the ladder of the point-mass run's ballistic ratios |x(0)| / (lam t0 |xi|)
+ENVELOPE_LADDER = (1.0, 10.0, 100.0, 1000.0, 10000.0)
 
 
 # ---------------------------------------------------------------------------
@@ -194,12 +197,11 @@ def _datum_from_config(entry: tuple, spec: grid.GridSpec) -> grid.GridFunction:
     value does not build or the values are not finite."""
     name, label, kwargs = entry
     try:
-        f = grid.builtin_data(name, spec, **kwargs)
+        f = grid.builtin_data(name, spec, label=label, **kwargs)
     except (TypeError, ValueError) as exc:
         raise InputError(f"datum '{label}' cannot be built from {kwargs}: {exc}") from None
     if not np.isfinite(f.values).all():
         raise InputError(f"datum '{label}' has non-finite values, from {kwargs}")
-    f.label = label
     return f
 
 
@@ -292,8 +294,6 @@ class PointMassConfig(ScanConfig):
     """Keys of the fundamental-solution experiment."""
 
     control: bool = False
-    # the ladder of the ballistic ratios |x(0)| / (lam t0 |xi|)
-    envelope_ladder: tuple = (1.0, 10.0, 100.0, 1000.0, 10000.0)
 
 
 def _cell_columns(n: int) -> list:
@@ -423,7 +423,7 @@ def run_fundamental_solution(cfg: dict) -> dict:
     fraction_smooth = len(smooth) / len(conclusive) if conclusive else 0.0
 
     ratio_report = None if t0 == 0.0 else chars.lower_bound_x0(
-        model, t0, config.positions, config.directions, config.envelope_ladder,
+        model, t0, config.positions, config.directions, ENVELOPE_LADDER,
         tol=detector.FLOW_TOL)
 
     summary = {

@@ -82,10 +82,6 @@ class GridSpec:
         """Angular frequencies of the FFT basis along axis i (fft order)."""
         return 2.0 * np.pi * np.fft.fftfreq(self.points[i], d=self.dx[i])
 
-    def nyquist(self) -> tuple:
-        """Largest representable |frequency| per axis, pi/dx."""
-        return tuple(np.pi / d for d in self.dx)
-
     def freq_squared(self) -> np.ndarray:
         """|eta|^2 on the full frequency lattice, broadcast to grid shape."""
         out = np.zeros(self.shape)

@@ -1,4 +1,4 @@
-"""Wave packet transform, scaled window packets, and Gaussian closed forms.
+"""Wave packet transform, scaled Gaussian windows, and their closed forms.
 
 The transform of a field f against a window phi at a phase-space point
 (x, xi) is the quadrature of conj(phi(y - x)) f(y) exp(-i y.xi) over the
@@ -21,7 +21,7 @@ keeps the bits of the full-grid sum for a field that fills the grid or
 has one nonzero node, and pairs a point mass in O(S).  The detector
 makes one such call per ladder rung.
 
-Scaled packets follow phi_lam(y) = lam^(n b / 2) phi(lam^b y), which keeps
+Scaled windows follow phi_lam(y) = lam^(n b / 2) phi(lam^b y), which keeps
 the L2 norm independent of lam.
 """
 
@@ -131,21 +131,7 @@ def _check_window(window, n: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# packet construction and evolution
-
-
-def make_scaled_packet(spec: GridSpec, width: float, lam: float,
-                       b: float) -> GridFunction:
-    """The Gaussian window of this width dilated by lam^b, sampled on the grid."""
-    window = GaussianWindow(spec.n, width, lam, b)
-    scale = lam ** b
-    for d in spec.dx:
-        if scale * d > width / 4.0:
-            raise ResolutionError(
-                f"dilated packet under-resolved: lam^b*dx = {scale * d:.3g} "
-                f"> width/4 = {width / 4.0:.3g} "
-                "(fewer than 8 samples across the 1/e width)")
-    return window.grid_function(spec)
+# packet evolution
 
 
 def free_evolve_packet(packet: GridFunction, t: float) -> GridFunction:
@@ -217,23 +203,21 @@ def pair_many(spec: GridSpec, values, window: GaussianWindow,
     gives one (S, M_i) vector per axis, exp(-conj(beta) (y - x_i)^2 / 2
     - i y xi_i), built in place in the real and imaginary parts of one
     complex buffer, and every field shares them.  Each field is contracted
-    on its own, the first axis with a matrix product and each later one
-    with a per-sample einsum, and only over the box that bounds its
-    nonzero nodes, since every product outside it is an exact zero.  The
-    vectors are elementwise, so built once on the union of the boxes they
-    give each field its own columns with the bits it would get alone: a
-    field's transforms do not depend on the rest of the batch (a
-    one-column product would take BLAS's matrix-vector path) and no field
-    is copied.  A field that fills the grid keeps the bits of the
+    on its own, the first axis with a matrix product (one node with an
+    elementwise product) and each later one with a per-sample einsum, and
+    only over the box that bounds its nonzero nodes, since every product
+    outside it is an exact zero.  The vectors are elementwise, so built
+    once on the union of the boxes they give each field its own columns
+    with the bits it would get alone: a field's transforms do not depend
+    on the rest of the batch (a one-column product would take BLAS's
+    matrix-vector path) and no field is copied.  A field that fills the grid keeps the bits of the
     full-grid sum, and so does a point mass, which costs O(S): its
     transform is the conjugate window sample at its node.  Any other box
     sums in another order, within round-off, and a zero field pairs to
     exact zeros.  Each call finds the boxes anew (`_nonzero_box`); the
     detector finds them once per scan and calls `_pair_in_boxes` once per
     rung, on the samples of all its cells, with the same bits.  A sample
-    row gets the same bits in any batch of two or more rows (a lone row
-    takes BLAS's dot-product path; a one-node first axis of a field that
-    is not real rounds by the row's place in the batch).  Raises
+    row gets the same bits in any batch, a lone row too.  Raises
     NyquistError if any frequency leaves the grid band.
     """
     _check_window(window, spec.n)
@@ -250,6 +234,9 @@ def _pair_in_boxes(spec: GridSpec, values: list, boxes: list, window: GaussianWi
     """The kernel of `pair_many`, on checked inputs: the (S, n) arrays X
     and XI inside the grid band, arrays `values` of the grid's shape, and
     boxes[j] = _nonzero_box(values[j])."""
+    if len(X) == 1:  # alone, a row would take BLAS's dot path; pair it as two
+        return _pair_in_boxes(spec, values, boxes, window, np.repeat(X, 2, axis=0),
+                              np.repeat(XI, 2, axis=0))[:1]
     live = [box for box in boxes if box is not None]
     out = np.zeros((len(X), len(values)), dtype=np.complex128)
     if not live:
@@ -272,7 +259,10 @@ def _pair_in_boxes(spec: GridSpec, values: list, boxes: list, window: GaussianWi
             continue
         own = [vec[:, b.start - u.start:b.stop - u.start]
                for vec, b, u in zip(vecs, box, union)]
-        g = np.tensordot(own[0], g[box], axes=(1, 0))
+        g = g[box]
+        # on one node, BLAS's axpy would round a complex row by its place in S
+        g = np.einsum("sk,k...->s...", own[0], g) if len(g) == 1 \
+            else np.tensordot(own[0], g, axes=(1, 0))
         for vec in own[1:]:
             g = np.einsum("sk,sk...->s...", vec, g)
         out[:, j] = g

@@ -190,9 +190,10 @@ def test_c04_sandwich_bounds():
             [np.zeros(model.n), 0.3 * np.eye(model.n)[0]],
             [0.5 * np.eye(model.n)[0], np.eye(model.n)[0], 2.0 * np.eye(model.n)[0]],
             tol=1e-9)
-        ok &= rep.ok and np.isfinite(rep.lambda_hat0) \
-            and rep.violations_above_2hat == 0
-        details.append(f"{model.family}: lambda_hat0={rep.lambda_hat0:g}")
+        # every rung from lambda_hat0 up is in band, and lambda_hat0 is at
+        # most the middle rung
+        ok &= rep.ok and rep.lambda_hat0 <= 2.0 ** 8
+        details.append(f"{model.family}: lambda_hat0={rep.lambda_hat0:g} <= 256")
     assert report("C04", ok, "two-sided ballistic bounds hold above lambda_hat0",
                   "; ".join(details))
 
@@ -220,7 +221,7 @@ def test_c05_integral_bound():
 
 def test_c06_commutation_identity():
     spec = grid.GridSpec(1, 512, 20.0)
-    pk = packets.make_scaled_packet(spec, 1.0, 1.0, 0.125)
+    pk = GaussianWindow(1, 1.0, 1.0, 0.125).grid_function(spec)
     worst = 0.0
     for t in (0.5, 1.0):
         for alpha, beta in (((0,), (0,)), ((1,), (0,)), ((0,), (1,)),

@@ -833,6 +833,46 @@ def test_each_scan_cell_gets_the_bits_of_its_one_cell_scan(case, mode):
                for c in finite if len(c.report.ladder) < det.MIN_RUNGS)
 
 
+def _rotated(f, phase):
+    return f.with_values(f.values * np.exp(1j * phase))
+
+
+LONE_SPEC = grid.GridSpec(1, 1024, 20.0)
+
+# (datum, positions, directions, ladder, model, sample keywords).  A cell
+# of one sample pairs a lone row in a one-cell scan, and a complex point
+# mass has a one-node box, which BLAS's axpy would round by the row's place
+# in the batch; a scan must still give each cell the bits of its one-cell scan
+LONE_ROWS = {
+    "1d-one-sample": (
+        lambda: _rotated(grid.gaussian_data(LONE_SPEC), np.random.default_rng(0).uniform(
+            0.0, 2.0 * np.pi, LONE_SPEC.shape)),
+        [(-1.0,), (0.0,), (0.5,), (1.0,)], [(1.0,), (-1.0,)], det.default_ladder(2, 6),
+        pots.soft_power_model(1, 0.5, 2.0), {"k_radius": 0.0, "a": 1.0}),
+    "1d-rotated-point-mass": (
+        lambda: _rotated(grid.delta_spike(LONE_SPEC), 0.7),
+        [(-1.0,), (0.0,), (0.5,), (1.0,)], [(1.0,), (-1.0,)], det.default_ladder(2, 6),
+        pots.soft_power_model(1, 0.5, 2.0), {}),
+    "2d-rotated-point-mass": (
+        lambda: _rotated(grid.delta_spike(grid.GridSpec(2, 64, 5.0)), 0.7),
+        [(0.0, 0.0), (0.3, -0.2)], det.direction_fan(2, 4), det.default_ladder(0, 4),
+        pots.soft_power_model(2, 0.5, 0.5), {}),
+}
+
+
+@pytest.mark.parametrize("mode", ["static", "dynamic"])
+@pytest.mark.parametrize("case", list(LONE_ROWS))
+def test_lone_rows_and_one_node_complex_fields_keep_their_bits_in_a_scan(case, mode):
+    make, positions, directions, ladder, model, sample = LONE_ROWS[case]
+    f, t0 = make(), 0.5 if mode == "dynamic" else 0.0
+    cells = det.wf_scan(mode, f, positions, directions, ladder, model=model, t0=t0, **sample)
+    for cell in cells:
+        want = det.wf_scan(mode, f, [cell.x0], [cell.xi0], ladder, model=model, t0=t0,
+                           **sample)[0].report
+        assert np.array_equal(cell.report.magnitudes, want.magnitudes)
+        assert np.array_equal(cell.report.n_hat, want.n_hat, equal_nan=True)
+
+
 @pytest.mark.parametrize("t0", [0.0, 1.0])
 def test_dynamic_scan_without_a_model_records_input_error_in_every_cell(t0):
     data = _multi_data()[:2]

@@ -73,7 +73,6 @@ FS_CFG = {
     "directions": 2,
     "ladder": {"kmin": 2, "kmax": 6},
     "b": "auto", "width": 1.0, "k_radius": 0.2, "a": 1.0,
-    "envelope_ladder": [1.0, 10.0, 100.0],
 }
 
 
@@ -103,7 +102,7 @@ def test_fundamental_solution_flows_each_point_once(tmp_path, monkeypatch):
     # one grouped flow, a group per ratio rung holding every cell once
     assert calls["flow"] == []
     (args,) = calls["flow_batch"]
-    assert args[3].shape == (len(FS_CFG["envelope_ladder"]), cells, 1)
+    assert args[3].shape == (len(exp.ENVELOPE_LADDER), cells, 1)
 
 
 def test_fundamental_solution_rejects_t0_zero():
@@ -215,20 +214,13 @@ BAD_CONFIGS = {
     "max-inconclusive-negative": lambda cfg: dict(cfg, max_inconclusive=-0.1),
     # settings that are constants now, and keys of the removed lemma suite
     "tol": lambda cfg: dict(cfg, tol=1e-9),
+    "envelope-ladder": lambda cfg: dict(cfg, envelope_ladder=[1.0, 10.0, 100.0]),
     "noise-floor": lambda cfg: dict(cfg, static_noise_rel=1e-7),
     "commutator-tol": lambda cfg: dict(cfg, commutator_tol=1e-8),
     "lemma-n": lambda cfg: dict(cfg, n=1),
     "flow-ladder-empty": lambda cfg: dict(cfg, flow_ladder=[]),
     "flow-ladder-below-one": lambda cfg: dict(cfg, flow_ladder=[0.5, 2.0, 4.0]),
-    # a dilation ladder has at least one rung, each >= 1
-    "envelope-ladder-zero": lambda cfg: dict(cfg, envelope_ladder=[0]),
-    "envelope-ladder-negative": lambda cfg: dict(cfg, envelope_ladder=[-1]),
-    "envelope-ladder-empty": lambda cfg: dict(cfg, envelope_ladder=[]),
-    # and its rungs are strictly increasing, like the scan ladder's
-    "envelope-ladder-repeated": lambda cfg: dict(cfg, envelope_ladder=[1, 10, 10]),
-    "envelope-ladder-decreasing": lambda cfg: dict(cfg, envelope_ladder=[10, 1]),
     # text is not read digit by digit
-    "envelope-ladder-text": lambda cfg: dict(cfg, envelope_ladder="159"),
     "ladder-digit-text": lambda cfg: dict(cfg, ladder="12345"),
     # a point count is an integer, not truncated to one
     "grid-points-fractional": lambda cfg: dict(
@@ -274,9 +266,7 @@ BAD_CONFIGS = {
     "out-dir-under-file": lambda cfg: dict(cfg, out_dir=str(Path(__file__) / "out")),
 }
 
-POINT_MASS_ONLY = ("envelope-ladder-zero", "envelope-ladder-negative", "envelope-ladder-empty",
-                   "envelope-ladder-repeated", "envelope-ladder-decreasing",
-                   "envelope-ladder-text", "t0-negative")
+POINT_MASS_ONLY = ("t0-negative",)
 TRANSPORT_ONLY = ("datum-typo", "data-text", "data-object", "data-empty", "datum-label-comma",
                   "datum-label-number", "noise-floor", "min-agreement-above-one",
                   "max-inconclusive-negative", "scalar-modulation", "scalar-json-text",
@@ -481,7 +471,7 @@ def test_cli_import_leaves_heavy_scipy_modules_unloaded():
 
 def test_point_mass_and_scalar_evolve_load_no_scipy():
     cfg = dict(FS_CFG, grid={"n": 1, "points": 512, "halfwidth": 20.0},
-               ladder={"kmin": 2, "kmax": 6}, envelope_ladder=[1.0, 10.0])
+               ladder={"kmin": 2, "kmax": 6})
     out = _fresh_interpreter(f"""
 import sys
 from mswf import experiments, grid, potentials, propagator

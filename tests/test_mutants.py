@@ -14,10 +14,10 @@ detector's backward flow, `mswf.detector.flow_batch`, leave its phase
 points where they are; the a = 0 leading-term row makes the backward flow
 of `evolved_wpt_leading`, `mswf.propagator.flow`, flow the zero model.
 The 2-D leading-term check's probe points come from the real flow: they
-are cached before any mutant is applied.  Two rows replace the evolve's
-vector potential, `mswf.propagator.eval_a`, with zero or with -a; the
-spectral reference reads `mswf.potentials.eval_a`, so they leave it
-alone.  No evolve row names the C07 Ehrenfest gap or the 2-D leading
+are cached before any mutant is applied.  Three rows replace the evolve's
+vector potential, `mswf.propagator.eval_a`, with zero, with -a or with a
+at -t; the spectral reference reads `mswf.potentials.eval_a`, so they
+leave it alone.  No evolve row names the C07 Ehrenfest gap or the 2-D leading
 term: their evolved fields are cached once per session
 (`_ehrenfest_centre`, `_leading_fields`), so under an evolve mutant they
 would read whichever evolve filled the cache first.
@@ -77,6 +77,11 @@ def _flipped_potential(model, t, x):
     return -pots.eval_a(model, t, x)
 
 
+def _time_reversed_potential(model, t, x):
+    """a(-t) in the evolve: the field's time factor run backwards."""
+    return pots.eval_a(model, -t, x)
+
+
 def _c11_soft_power_smooth() -> bool:
     """C11's soft-power config (2-D, rho = 1/2): the point mass is smooth
     at every cell, as `test_c11_fundamental_solution` requires."""
@@ -91,6 +96,9 @@ CHECKS = {
     "C11 soft-power": _c11_soft_power_smooth,
     "2-D rotational reference":
         lambda: reference_gap("2d-rotational")[0] <= REFERENCE_CASES["2d-rotational"][-1],
+    "2-D rotational sin reference":
+        lambda: reference_gap("2d-rotational-sin")[0]
+        <= REFERENCE_CASES["2d-rotational-sin"][-1],
     "Landau state": lambda: landau_state_error() <= LANDAU_STATE_TOL,
     "2-D leading term": lambda: max(leading_term_discrepancy()) <= LEADING_TOL,
 }
@@ -108,6 +116,8 @@ ROWS = [
                  id="a0-static-evolve"),
     pytest.param(prop, "eval_a", _flipped_potential,
                  ("2-D rotational reference", "Landau state"), id="flipped-evolve-field"),
+    pytest.param(prop, "eval_a", _time_reversed_potential, ("2-D rotational sin reference",),
+                 id="time-reversed-evolve-field"),
 ]
 
 

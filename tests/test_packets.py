@@ -16,27 +16,30 @@ def test_theorem_scaling_exponent():
 
 
 def test_scaled_packet_lambda_one_is_base():
-    pk = packets.make_scaled_packet(SPEC, 1.0, 1.0, 0.125)
+    pk = GaussianWindow(1, 1.0, 1.0, 0.125).grid_function(SPEC)
     expected = np.exp(-SPEC.axis(0) ** 2 / 2.0)
     assert np.max(np.abs(pk.values - expected)) < 1e-14
 
 
 def test_scaled_packet_norm_invariance():
-    norms = [packets.make_scaled_packet(FINE, 1.0, lam, 0.125).l2_norm()
+    norms = [GaussianWindow(1, 1.0, lam, 0.125).grid_function(FINE).l2_norm()
              for lam in (1.0, 4.0, 16.0, 64.0, 256.0, 1024.0, 4096.0)]
     assert max(abs(n - norms[0]) / norms[0] for n in norms) <= 1e-8
 
 
 def test_scaled_packet_width_shrinks():
     # lam^b = 2 halves the width; lam^(nb/2) = 2^0.5 keeps the norm
-    pk = packets.make_scaled_packet(FINE, 1.0, 256.0, 0.125)
+    pk = GaussianWindow(1, 1.0, 256.0, 0.125).grid_function(FINE)
     expected = 2.0 ** 0.5 * np.exp(-(2.0 * FINE.axis(0)) ** 2 / 2.0)
     assert np.max(np.abs(pk.values - expected)) < 1e-14
 
 
-def test_scaled_packet_resolution_guard():
-    with pytest.raises(errors.ResolutionError):
-        packets.make_scaled_packet(SPEC, 1.0, 4096.0, 0.125)
+@pytest.mark.parametrize("lam", [256.0, 4096.0, 2.0 ** 16])
+def test_scaled_packet_keeps_its_norm_at_under_four_steps_per_width(lam):
+    # the dilated width 1 / lam^b spans 3.2, 2.26 and 1.6 grid steps, and
+    # the sampled window still carries the continuum norm
+    window = GaussianWindow(1, 1.0, lam, 0.125)
+    assert abs(window.grid_function(SPEC).l2_norm() - window.l2_norm()) <= 1e-10
 
 
 def test_free_evolution_closed_form():
@@ -143,7 +146,7 @@ def test_wpt_window_centers_anywhere():
 
 def test_transforms_take_only_a_gaussian_window():
     f = grid.gaussian_data(SPEC)
-    sample = packets.make_scaled_packet(SPEC, 1.0, 1.0, 0.125)
+    sample = GaussianWindow(1, 1.0, 1.0, 0.125).grid_function(SPEC)
     with pytest.raises(errors.InputError):
         packets.wpt(f, sample, ((0.0,), (0.0,)))
     with pytest.raises(errors.InputError):
@@ -217,7 +220,7 @@ def test_pair_many_matches_reference_oracle_and_guard(case):
             assert abs(got[s, j] - oracle) <= 1e-9 * bound
     # one out-of-band frequency anywhere in the batch trips the guard
     s, i = rng.integers(S), rng.integers(n)
-    XI[s, i] = rng.choice((-1.0, 1.0)) * 1.01 * spec.nyquist()[i]
+    XI[s, i] = rng.choice((-1.0, 1.0)) * 1.01 * np.pi / spec.dx[i]
     with pytest.raises(errors.NyquistError):
         packets.pair_many(spec, noise, window, X, XI)
 
@@ -368,6 +371,9 @@ def test_pair_many_sparse_field_same_bits_alone_and_in_a_batch():
 def _per_row_pairing(spec, values, window, X, XI):
     """The kernel with its frequency phase subtracted one sample row at a
     time; otherwise the same boxes, vectors and contraction."""
+    if len(X) == 1:
+        return _per_row_pairing(spec, values, window, np.repeat(X, 2, axis=0),
+                                np.repeat(XI, 2, axis=0))[:1]
     boxes = [packets._nonzero_box(g) for g in values]
     live = [box for box in boxes if box is not None]
     union = [slice(min(box[i].start for box in live), max(box[i].stop for box in live))
@@ -387,7 +393,9 @@ def _per_row_pairing(spec, values, window, X, XI):
     out = np.zeros((len(X), len(values)), dtype=complex)
     for j, (g, box) in enumerate(zip(values, boxes)):
         own = [vec[:, b.start - u.start:b.stop - u.start] for vec, b, u in zip(vecs, box, union)]
-        g = np.tensordot(own[0], g[box], axes=(1, 0))
+        g = g[box]
+        g = np.einsum("sk,k...->s...", own[0], g) if len(g) == 1 \
+            else np.tensordot(own[0], g, axes=(1, 0))
         for vec in own[1:]:
             g = np.einsum("sk,sk...->s...", vec, g)
         out[:, j] = g
@@ -562,7 +570,7 @@ def test_oracle_rejects_unsupported_signal():
 
 
 COMM_SPEC = grid.GridSpec(1, 512, 20.0)
-COMM_PACKET = packets.make_scaled_packet(COMM_SPEC, 1.0, 1.0, 0.125)
+COMM_PACKET = GaussianWindow(1, 1.0, 1.0, 0.125).grid_function(COMM_SPEC)
 
 
 def test_commutator_zero_time():
@@ -592,9 +600,9 @@ def test_commutator_order_guard():
 
 def test_packet_spec_validation():
     with pytest.raises(errors.InputError):
-        packets.make_scaled_packet(SPEC, 1.0, 1.0, 1.5)
+        GaussianWindow(1, 1.0, 1.0, 1.5)
     with pytest.raises(errors.InputError):
-        packets.make_scaled_packet(SPEC, 1.0, 0.5, 0.125)
+        GaussianWindow(1, 1.0, 0.5, 0.125)
     with pytest.raises(errors.InputError):
         GaussianWindow(1, width=-1.0)
     for key in ("width", "lam", "t"):

@@ -231,6 +231,10 @@ REFERENCE_CASES = {
     "2d-rotational": (pots.rotational_model(0.5, amplitude=2.0), None,
                       grid.gaussian_data(SPEC_64_2D, width=0.6, center=(0.8, -0.4),
                                          momentum=(1.0, 0.5)), 0.5, 2.5e-3, 1e-3),
+    # the same under a = sin(t) a0: the time-reversed evolve field is off by 0.48
+    "2d-rotational-sin": (pots.rotational_model(0.5, amplitude=2.0, modulation="sin"), None,
+                          grid.gaussian_data(SPEC_64_2D, width=0.6, center=(0.8, -0.4),
+                                             momentum=(1.0, 0.5)), 0.5, 2.5e-3, 1e-3),
 }
 
 
