@@ -15,7 +15,7 @@ u0 = mswf.gaussian_data(spec)
 # Free evolution has a closed form; the solver reproduces it to solver
 # accuracy and conserves the L2 norm.
 u1 = prop.evolve(pots.zero_model(1), None, u0, 0.0, 1.0, prop.EvolveConfig(dt=1e-3))
-x = spec.axis(0)
+x = spec.axis()
 exact = (1 + 1j) ** (-0.5) * np.exp(-x ** 2 / (2 * (1 + 1j)))
 print(f"free gaussian: max |error| = {np.max(np.abs(u1.values - exact)):.2e}, "
       f"norm drift = {abs(u1.l2_norm() - u0.l2_norm()):.2e}")
@@ -36,7 +36,7 @@ print(f"halving dt: error ratio = {errs[16] / errs[32]:.2f}  (second order ~ 4)"
 # transform u = exp(i A0) w turns the magnetic equation into the free one,
 # so u(t) = exp(i A0) exp(i t Lap / 2) (exp(-i A0) u0) exactly; for
 # soft-power, A0 = amp * x * 2F1(-rho/2, 1/2; 3/2; -x^2).
-xf = fine.axis(0)
+xf = fine.axis()
 gauge = np.exp(1j * soft.amplitude[0] * xf * hyp2f1(-0.5 * soft.rho, 0.5, 1.5, -xf ** 2))
 exact = gauge * grid.apply_kinetic(ug.with_values(ug.values / gauge), 0.5).values
 split = prop.evolve(soft, None, ug, 0.0, 0.5, prop.EvolveConfig(dt=5e-3))

@@ -5,9 +5,12 @@ into a frozen config class, `TransportConfig` or `PointMassConfig`; both
 extend `ScanConfig`, the keys every scanning experiment reads.  Their
 fields are the reference for the keys and their defaults, and this module
 alone knows the config's JSON: nested specs are JSON objects, and the
-library types built from them take Python values.  An unknown key, a
-missing required key, a value of the wrong type or a scan setting out of
-range raises InputError (exit code 2) before anything is computed.  What
+library types built from them take Python values.  The grid is a square
+box, one point count and one half-width for every axis, and a point (a
+scan position or direction, a datum's centre or momentum) is a list of n
+numbers, read by `grid.point_array`.  An unknown key, a missing required
+key, a value of the wrong type or a scan setting out of range raises
+InputError (exit code 2) before anything is computed.  What
 no config varies is fixed, and setting it is an unknown key: the detector
 thresholds, the noise floors (1e-7 static, 1e-12 dynamic), the flow
 tolerance `detector.FLOW_TOL` = 1e-9 and the point-mass run's ladder of
@@ -150,31 +153,24 @@ def _b(value, key, done) -> float:
         model.rho if model.family in ("soft-power", "rotational") else 0.0)
 
 
-def _vectors(value, key, done) -> list:
-    """At least one entry, each of the grid's dimension n or one number
-    repeated n times."""
-    n = done["grid"].n
-    entries = [np.array([number(v, key) for v in np.atleast_1d(entry)]) for entry in value]
-    if not entries or isinstance(value, str):  # text is not read digit by digit
-        raise InputError(f"'{key}' needs a list of at least one entry, got {value!r}")
-    for entry in entries:
-        if len(entry) not in (1, n):
-            raise InputError(f"'{key}' entry {entry.tolist()} has {len(entry)} numbers, "
-                             f"the grid has n = {n}")
-    return [np.resize(entry, n) for entry in entries]
+def _points(value, key, done) -> np.ndarray:
+    """A nonempty list of points, each n numbers for the grid's n, as (S, n)."""
+    value = _typed(value, key, list, "a list of points")  # text is not read as one
+    return grid.point_array(value, done["grid"].n, (2, 2), key)
 
 
 def _directions(value, key, done) -> np.ndarray:
     n = done["grid"].n
     if isinstance(value, list):
-        return np.asarray(_vectors(value, key, done))
+        return _points(value, key, done)
     return detector.direction_fan(n, integer((4 if n > 1 else 2) if value is None
                                              else value, key))
 
 
 def _data(value, key, done) -> tuple:
     """(builder, label, keywords) per datum, the keywords checked against the
-    builder's; "delta-like" is a gaussian of width 0.15 unless given."""
+    builder's and a width, centre or momentum read as the builder reads it;
+    "delta-like" is a gaussian of width 0.15 unless given."""
     if not _typed(value, key, (list, tuple), "a nonempty list of data"):
         raise InputError(f"'{key}' must be a nonempty list of data, got {value!r}")
     entries = []
@@ -188,6 +184,10 @@ def _data(value, key, done) -> tuple:
         if name == "delta-like":
             name, entry = "gaussian", {"width": 0.15, **entry}
         inspect.signature(grid.BUILTIN_DATA[name]).bind(None, **entry)
+        if "width" in entry:
+            number(entry["width"], "width")
+        for k in {"center", "momentum"} & set(entry):
+            grid.point_array(entry[k], done["grid"].n, (1, 1), k)
         entries.append((name, label, entry))
     return tuple(entries)
 
@@ -215,7 +215,7 @@ class ScanConfig:
     out_dir: str | None = None
     grid: grid.GridSpec = _key(_grid)
     potential: potentials.VectorPotentialModel = _key(_potential, None)
-    positions: list = _key(_vectors)
+    positions: np.ndarray = _key(_points)
     directions: np.ndarray = _key(_directions, None)
     ladder: tuple = _key(_ladder, None)
     width: float = 1.0

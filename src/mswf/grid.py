@@ -1,10 +1,11 @@
 """Uniform periodic grids, complex grid functions, and spectral helpers.
 
-All fields live on tensor-product grids covering [-L, L) per axis with a
-power-of-two number of points, so FFT-based operators are exact for
-band-limited data and spectrally accurate for smooth decaying fields.
-The trapezoidal rule on such a grid coincides with the plain Riemann sum,
-which is what every quadrature here uses.
+All fields live on square grids: n = 1 or 2 alike axes, each covering
+[-L, L) with one power-of-two number of points, so FFT-based operators
+are exact for band-limited data and spectrally accurate for smooth
+decaying fields.  The trapezoidal rule on such a grid coincides with the
+plain Riemann sum, which is what every quadrature here uses.  A point,
+such as a datum's centre, is n numbers, read by `point_array`.
 """
 
 from __future__ import annotations
@@ -17,76 +18,60 @@ import numpy as np
 from .errors import InputError, integer, number, one_of
 
 SUPPORT_FLOOR = 1e-10  # spectral mass that counts as support, relative to the peak
-EDGE_MARGIN = 0.1  # the edge band, as a fraction of each half-width
-
-
-def _per_axis(value, n: int, name: str) -> tuple:
-    """Broadcast a scalar to an n-tuple, or validate an n-sequence."""
-    if np.isscalar(value):
-        return (value,) * n
-    out = tuple(value) if np.iterable(value) else ()
-    if len(out) != n:
-        raise InputError(f"{name} must be a scalar or length-{n} sequence, got {value!r}")
-    return out
+EDGE_MARGIN = 0.1  # the edge band, as a fraction of the half-width
 
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Dimension, per-axis point count M and half-width L of a periodic box."""
+    """Dimension n, point count M per axis and half-width L of the square
+    periodic box [-L, L)^n; every axis is alike."""
 
     n: int
-    points: tuple
-    halfwidths: tuple
+    points: int
+    halfwidth: float
 
-    def __init__(self, n: int, points, halfwidths):
+    def __init__(self, n: int, points, halfwidth):
         n = integer(n, "n")
         if n not in (1, 2):
             raise InputError(f"grid dimension must be 1 or 2, got {n}")
-        points = tuple(integer(m, "points") for m in _per_axis(points, n, "points"))
-        halfwidths = tuple(number(w, "halfwidth") for w in _per_axis(halfwidths, n, "halfwidths"))
-        for m in points:
-            if m < 8 or (m & (m - 1)) != 0:
-                raise InputError(f"point count must be a power of two >= 8, got {m}")
-        for w in halfwidths:
-            if w <= 0:
-                raise InputError(f"half-width must be positive, got {w}")
+        points, halfwidth = integer(points, "points"), number(halfwidth, "halfwidth")
+        if points < 8 or (points & (points - 1)) != 0:
+            raise InputError(f"point count must be a power of two >= 8, got {points}")
+        if halfwidth <= 0:
+            raise InputError(f"half-width must be positive, got {halfwidth}")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "points", points)
-        object.__setattr__(self, "halfwidths", halfwidths)
+        object.__setattr__(self, "halfwidth", halfwidth)
 
     @property
     def shape(self) -> tuple:
-        return self.points
+        return (self.points,) * self.n
 
     @property
-    def dx(self) -> tuple:
-        return tuple(2.0 * L / M for M, L in zip(self.points, self.halfwidths))
+    def dx(self) -> float:
+        return 2.0 * self.halfwidth / self.points
 
     @property
     def cell_volume(self) -> float:
-        return float(np.prod(self.dx))
+        return float(np.prod((self.dx,) * self.n))
 
     @property
     def size(self) -> int:
-        return int(np.prod(self.points))
+        return self.points ** self.n
 
-    def axis(self, i: int) -> np.ndarray:
-        """Physical coordinates along axis i: -L, -L+dx, ..., L-dx."""
-        M, L = self.points[i], self.halfwidths[i]
-        return -L + (2.0 * L / M) * np.arange(M)
+    def axis(self) -> np.ndarray:
+        """Physical coordinates along every axis: -L, -L+dx, ..., L-dx."""
+        return -self.halfwidth + self.dx * np.arange(self.points)
 
-    def axes(self) -> list:
-        return [self.axis(i) for i in range(self.n)]
-
-    def freq_axis(self, i: int) -> np.ndarray:
-        """Angular frequencies of the FFT basis along axis i (fft order)."""
-        return 2.0 * np.pi * np.fft.fftfreq(self.points[i], d=self.dx[i])
+    def freq_axis(self) -> np.ndarray:
+        """Angular frequencies of the FFT basis along every axis (fft order)."""
+        return 2.0 * np.pi * np.fft.fftfreq(self.points, d=self.dx)
 
     def freq_squared(self) -> np.ndarray:
         """|eta|^2 on the full frequency lattice, broadcast to grid shape."""
         out = np.zeros(self.shape)
         for i in range(self.n):
-            out = out + self.along(i, self.freq_axis(i) ** 2)
+            out = out + self.along(i, self.freq_axis() ** 2)
         return out
 
     def along(self, i: int, values) -> np.ndarray:
@@ -96,12 +81,12 @@ class GridSpec:
         return np.reshape(values, shape)
 
     def meshgrid(self) -> list:
-        return list(np.meshgrid(*self.axes(), indexing="ij"))
+        return list(np.meshgrid(*[self.axis()] * self.n, indexing="ij"))
 
     @property
     def origin_index(self) -> tuple:
         """Lattice index of the point x = 0 (exact by construction)."""
-        return tuple(M // 2 for M in self.points)
+        return (self.points // 2,) * self.n
 
 
 @dataclass
@@ -177,40 +162,32 @@ def apply_kinetic(f: GridFunction, t: float) -> GridFunction:
 
 
 def spectral_derivative(f: GridFunction, axis: int) -> GridFunction:
-    mult = f.spec.along(axis, 1j * f.spec.freq_axis(axis))
+    mult = f.spec.along(axis, 1j * f.spec.freq_axis())
     return f.with_values(np.fft.ifftn(mult * np.fft.fftn(f.values)))
 
 
-def spectral_support_edge(f: GridFunction) -> tuple:
-    """Per-axis largest |frequency| carrying spectral mass above SUPPORT_FLOOR."""
+def spectral_support_edge(f: GridFunction) -> float:
+    """Largest |frequency| on any axis carrying spectral mass above SUPPORT_FLOOR."""
     fhat = np.abs(np.fft.fftn(f.values))
     top = fhat.max()
     if top == 0.0:
-        return (0.0,) * f.spec.n
-    mask = fhat >= SUPPORT_FLOOR * top
-    edges = []
-    for i in range(f.spec.n):
-        eta = np.abs(f.spec.freq_axis(i))
-        other = tuple(j for j in range(f.spec.n) if j != i)
-        line = mask.any(axis=other) if other else mask
-        edges.append(float(eta[line].max()))
-    return tuple(edges)
+        return 0.0
+    rows = np.nonzero(fhat >= SUPPORT_FLOOR * top)  # lattice indices, axis by axis
+    return float(np.abs(f.spec.freq_axis()[np.concatenate(rows)]).max())
 
 
 @lru_cache(maxsize=16)
 def _edge_blocks(spec: GridSpec) -> tuple:
     """Index tuples of the 2n disjoint slabs that tile the nodes within
-    EDGE_MARGIN of the box edge: axis i outside its interior range, the
-    axes before it inside theirs.  They index a (B, *grid) complex batch
+    EDGE_MARGIN of the box edge: axis i outside the interior range, the
+    axes before it inside it.  They index a (B, *grid) complex batch
     viewed as float64, so the last axis counts real and imaginary parts."""
-    inner = []
-    for i in range(spec.n):
-        interior = np.flatnonzero(np.abs(spec.axis(i)) < (1.0 - EDGE_MARGIN) * spec.halfwidths[i])
-        inner.append((int(interior[0]), int(interior[-1]) + 1))
+    interior = np.flatnonzero(np.abs(spec.axis()) < (1.0 - EDGE_MARGIN) * spec.halfwidth)
+    lo, hi = int(interior[0]), int(interior[-1]) + 1
     blocks = []
-    for i, (lo, hi) in enumerate(inner):
+    for i in range(spec.n):
         k = 2 if i == spec.n - 1 else 1  # real and imaginary parts interleave
-        head = (slice(None),) + tuple(slice(a, b) for a, b in inner[:i])
+        head = (slice(None),) + (slice(lo, hi),) * i
         blocks += [head + (slice(0, k * lo),), head + (slice(k * hi, None),)]
     return tuple(blocks)
 
@@ -235,18 +212,19 @@ def boundary_mass_fraction(spec: GridSpec, batch: np.ndarray) -> np.ndarray:
 # built-in initial data
 
 
-def gaussian_data(spec: GridSpec, width=1.0, center=0.0, momentum=0.0,
+def gaussian_data(spec: GridSpec, width=1.0, center=None, momentum=None,
                   amplitude: complex = 1.0, label="gaussian") -> GridFunction:
-    """amplitude * exp(-|y-c|^2/(2 w^2)) * exp(i y.k), axis-wise widths allowed."""
-    width = tuple(number(w, "width") for w in _per_axis(width, spec.n, "width"))
-    if min(width) <= 0:
-        raise InputError(f"'width' must be positive, got {min(width)}")
-    center = _per_axis(center, spec.n, "center")
-    momentum = _per_axis(momentum, spec.n, "momentum")
+    """amplitude * exp(-|y-c|^2/(2 w^2)) * exp(i y.k), with c and k of n
+    numbers each, the origin and zero if omitted."""
+    width = number(width, "width")
+    if width <= 0:
+        raise InputError(f"'width' must be positive, got {width}")
+    c, k = (np.zeros(spec.n) if v is None else point_array(v, spec.n, (1, 1), key)
+            for v, key in ((center, "center"), (momentum, "momentum")))
     values = np.full(spec.shape, complex(amplitude), dtype=np.complex128)
+    y = spec.axis()
     for i in range(spec.n):
-        y = spec.axis(i) - center[i]
-        axis_vals = np.exp(-(y ** 2) / (2.0 * width[i] ** 2) + 1j * momentum[i] * spec.axis(i))
+        axis_vals = np.exp(-((y - c[i]) ** 2) / (2.0 * width ** 2) + 1j * k[i] * y)
         values = values * spec.along(i, axis_vals)
     return GridFunction(spec, values, label)
 
@@ -258,20 +236,18 @@ def delta_spike(spec: GridSpec, label="delta") -> GridFunction:
     return GridFunction(spec, values, label)
 
 
-def jump_data(spec: GridSpec, width=1.0, axis: int = 0, steepness: float = 0.0,
+def jump_data(spec: GridSpec, width=1.0, steepness: float = 0.0,
               label="jump") -> GridFunction:
-    """A Gaussian with a sign flip across the hyperplane y_axis = 0.
+    """A Gaussian with a sign flip across the hyperplane y_0 = 0.
 
     steepness > 0 mollifies the flip to tanh(y/steepness); a hard sign
     radiates mass at all frequencies and cannot be propagated on a finite
     box without tripping the boundary monitor.
     """
-    if not isinstance(axis, (int, np.integer)) or axis not in range(spec.n):
-        raise InputError(f"jump axis must be one of {list(range(spec.n))}, got {axis!r}")
     g = gaussian_data(spec, width=width)
-    y = spec.axis(axis)
+    y = spec.axis()
     flip = np.sign(y) if steepness == 0.0 else np.tanh(y / steepness)
-    return GridFunction(spec, g.values * spec.along(axis, flip), label)
+    return GridFunction(spec, g.values * spec.along(0, flip), label)
 
 
 BUILTIN_DATA = {

@@ -14,7 +14,7 @@ axis.  Each sample is a grid shift of the one about the origin, so
 trip is an identity up to round-off.
 
 The Gaussian quadrature is written once, in `pair_many`: it pairs B
-fields with one window at S phase points through one (S, M_i) vector per
+fields with one window at S phase points through one (S, M) vector per
 axis, shared by every field, and `wpt` is its one-point case.  Each field
 is contracted only over the box that bounds its nonzero nodes, which
 keeps the bits of the full-grid sum for a field that fills the grid or
@@ -115,10 +115,10 @@ class GaussianWindow:
         periodic grid, at the nearest-image displacement on each axis."""
         _check_window(self, spec.n)
         values = np.full(spec.shape, self.amplitude, dtype=np.complex128)
+        L = spec.halfwidth
         for i in range(spec.n):
-            y = spec.axis(i)
+            y = spec.axis()
             if center is not None:
-                L = spec.halfwidths[i]
                 y = (y - center[i] + L) % (2.0 * L) - L
             values = values * spec.along(i, np.exp(-0.5 * self.beta * y ** 2))
         return GridFunction(spec, values, label="gaussian-window")
@@ -143,13 +143,11 @@ def free_evolve_packet(packet: GridFunction, t: float) -> GridFunction:
     """
     if number(t, "t") == 0.0:
         return packet.with_values(packet.values.copy())
-    edges = spectral_support_edge(packet)
-    for i, edge in enumerate(edges):
-        if abs(t) * edge > packet.spec.halfwidths[i]:
-            raise ResolutionError(
-                f"free evolution under-resolved on axis {i}: |t| * eta_max = "
-                f"{abs(t) * edge:.3g} exceeds the half-width "
-                f"{packet.spec.halfwidths[i]:.3g}")
+    reach = abs(t) * spectral_support_edge(packet)
+    if reach > packet.spec.halfwidth:
+        raise ResolutionError(
+            f"free evolution under-resolved: |t| * eta_max = {reach:.3g} exceeds "
+            f"the half-width {packet.spec.halfwidth:.3g}")
     return apply_kinetic(packet, t)
 
 
@@ -159,7 +157,7 @@ def free_evolve_packet(packet: GridFunction, t: float) -> GridFunction:
 
 def in_band(spec: GridSpec, XI) -> np.ndarray:
     """Which entries of the (S, n) frequencies XI lie in the grid band |xi| dx <= pi."""
-    return np.abs(XI) * np.asarray(spec.dx) <= np.pi * NYQUIST_TOL
+    return np.abs(XI) * spec.dx <= np.pi * NYQUIST_TOL
 
 
 def _check_nyquist(spec: GridSpec, XI) -> None:
@@ -170,7 +168,7 @@ def _check_nyquist(spec: GridSpec, XI) -> None:
         s, i = np.argwhere(over)[0]
         raise NyquistError(
             f"|xi_{i}| = {abs(XI[s, i]):.4g} exceeds the grid band pi/dx = "
-            f"{np.pi / spec.dx[i]:.4g}")
+            f"{np.pi / spec.dx:.4g}")
 
 
 def _nonzero_box(g: np.ndarray):
@@ -200,7 +198,7 @@ def pair_many(spec: GridSpec, values, window: GaussianWindow,
 
     `values` is a sequence of B arrays of the grid's shape; X and XI are
     (S, n).  Returns the (S, B) array of transforms.  The separable window
-    gives one (S, M_i) vector per axis, exp(-conj(beta) (y - x_i)^2 / 2
+    gives one (S, M) vector per axis, exp(-conj(beta) (y - x_i)^2 / 2
     - i y xi_i), built in place in the real and imaginary parts of one
     complex buffer, and every field shares them.  Each field is contracted
     on its own, the first axis with a matrix product (one node with an
@@ -244,9 +242,9 @@ def _pair_in_boxes(spec: GridSpec, values: list, boxes: list, window: GaussianWi
     union = [slice(min(box[i].start for box in live), max(box[i].stop for box in live))
              for i in range(spec.n)]
     half_betabar = -0.5 * np.conj(window.beta)
-    vecs = []
+    vecs, axis = [], spec.axis()
     for i, cols in enumerate(union):
-        y = spec.axis(i)[cols]
+        y = axis[cols]
         vec = np.empty((len(X), len(y)), dtype=np.complex128)
         np.subtract(y, X[:, i, None], out=vec.real)
         np.square(vec.real, out=vec.real)
@@ -278,9 +276,10 @@ def wpt(f: GridFunction, window: GaussianWindow, p) -> complex:
 def _origin_phase(spec: GridSpec) -> np.ndarray:
     """exp(i L.xi) on the FFT lattice, the phase that corrects the FFT for
     the grid origin at -L."""
+    shift = np.exp(1j * spec.halfwidth * spec.freq_axis())
     phase = np.ones((1,) * spec.n, dtype=np.complex128)
     for i in range(spec.n):
-        phase = phase * spec.along(i, np.exp(1j * spec.halfwidths[i] * spec.freq_axis(i)))
+        phase = phase * spec.along(i, shift)
     return phase
 
 
@@ -297,11 +296,10 @@ def wpt_grid(f: GridFunction, window: GaussianWindow) -> np.ndarray:
     spec = f.spec
     _check_window(window, spec.n)
     phase = _origin_phase(spec) * spec.cell_volume
-    axes = spec.axes()
+    axis = spec.axis()
     table = np.empty(spec.shape * 2, dtype=np.complex128)
     for pos in np.ndindex(spec.shape):
-        x = [axes[i][pos[i]] for i in range(spec.n)]
-        win_conj = np.conj(window.grid_function(spec, x).values)
+        win_conj = np.conj(window.grid_function(spec, axis[list(pos)]).values)
         table[pos] = np.fft.fftn(win_conj * f.values) * phase
     return table
 
@@ -322,11 +320,11 @@ def inverse_wpt(spec: GridSpec, table, window: GaussianWindow) -> GridFunction:
         raise InputError(f"table has shape {table.shape}, the grid's full lattice is "
                          f"{spec.shape * 2}")
     phase = np.conj(_origin_phase(spec))
-    axes = spec.axes()
+    axis = spec.axis()
     out = np.zeros(spec.shape, dtype=np.complex128)
     for pos in np.ndindex(spec.shape):
-        y = [axes[i][pos[i]] for i in range(spec.n)]
-        out += window.grid_function(spec, y).values * np.fft.ifftn(table[pos] * phase)
+        window_at = window.grid_function(spec, axis[list(pos)]).values
+        out += window_at * np.fft.ifftn(table[pos] * phase)
     return GridFunction(spec, out / window.grid_function(spec).l2_norm() ** 2,
                         label="inverse-wpt")
 

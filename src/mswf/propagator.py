@@ -110,9 +110,8 @@ def bspline_prefilter(spec: GridSpec) -> np.ndarray:
     (1, 4, 1) / 6, whose symbol is 2/3 + cos(eta dx) / 3 per axis; the
     prefilter is its reciprocal (Unser, "Splines: a perfect fit", 1999).
     """
-    out = np.ones(spec.shape)
+    out, symbol = np.ones(spec.shape), 2.0 / 3.0 + np.cos(spec.freq_axis() * spec.dx) / 3.0
     for i in range(spec.n):
-        symbol = 2.0 / 3.0 + np.cos(spec.freq_axis(i) * spec.dx[i]) / 3.0
         out = out / spec.along(i, symbol)
     return out
 
@@ -226,8 +225,8 @@ def _evolve_split(model, scalar, spec, u, t0, t1, cfg):
     n_steps = _step_count(t0, t1, cfg)
     tau = (t1 - t0) / n_steps
     shape, axes = spec.shape, tuple(range(1, spec.n + 1))  # FFTs skip a shape lookup
-    grid_axes = np.meshgrid(*spec.axes(), indexing="ij", sparse=True)
-    reach = 4.0 * min(spec.dx)
+    grid_axes = np.meshgrid(*[spec.axis()] * spec.n, indexing="ij", sparse=True)
+    reach = 4.0 * spec.dx
     has_transport = model.family != "zero"
     has_scalar = scalar.family != "zero"
     if has_transport:
@@ -269,8 +268,8 @@ def _evolve_split(model, scalar, spec, u, t0, t1, cfg):
         for i, x in enumerate(grid_axes):
             np.multiply(a_y[..., i], tau, out=foot[i])
             foot[i] += x
-            foot[i] += spec.halfwidths[i]
-            foot[i] /= spec.dx[i]
+            foot[i] += spec.halfwidth
+            foot[i] /= spec.dx
         return foot.reshape(spec.n, -1), factor.reshape(-1)
 
     kinetic_half = np.exp(-0.25j * tau * spec.freq_squared())

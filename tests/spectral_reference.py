@@ -30,14 +30,14 @@ def chebyshev_step(u: np.ndarray, a: np.ndarray, V: np.ndarray, spec,
     """exp(-i tau H) u for the generator of the potential a (*grid, n) and V.
 
     H = (P - a)^2 / 2 + V with P = -i grad, so its spectrum lies in
-    [min V, sum_i (pi / dx_i + max |a_i|)^2 / 2 + max V].
+    [min V, sum_i (pi / dx + max |a_i|)^2 / 2 + max V].
     """
     kinetic = 0.5 * spec.freq_squared()
-    derivative = [1j * spec.along(i, spec.freq_axis(i)) for i in range(spec.n)]
+    derivative = [1j * spec.along(i, spec.freq_axis()) for i in range(spec.n)]
     diagonal = 0.5 * np.sum(a * a, axis=-1) + V
     low = float(V.min())
-    high = 0.5 * sum((np.pi / d + np.abs(a[..., i]).max()) ** 2
-                     for i, d in enumerate(spec.dx)) + float(V.max())
+    high = 0.5 * sum((np.pi / spec.dx + np.abs(a[..., i]).max()) ** 2
+                     for i in range(spec.n)) + float(V.max())
     center, r = 0.5 * (high + low), 0.5 * (high - low)
 
     def scaled(v):

@@ -17,7 +17,7 @@ def test_theorem_scaling_exponent():
 
 def test_scaled_packet_lambda_one_is_base():
     pk = GaussianWindow(1, 1.0, 1.0, 0.125).grid_function(SPEC)
-    expected = np.exp(-SPEC.axis(0) ** 2 / 2.0)
+    expected = np.exp(-SPEC.axis() ** 2 / 2.0)
     assert np.max(np.abs(pk.values - expected)) < 1e-14
 
 
@@ -30,7 +30,7 @@ def test_scaled_packet_norm_invariance():
 def test_scaled_packet_width_shrinks():
     # lam^b = 2 halves the width; lam^(nb/2) = 2^0.5 keeps the norm
     pk = GaussianWindow(1, 1.0, 256.0, 0.125).grid_function(FINE)
-    expected = 2.0 ** 0.5 * np.exp(-(2.0 * FINE.axis(0)) ** 2 / 2.0)
+    expected = 2.0 ** 0.5 * np.exp(-(2.0 * FINE.axis()) ** 2 / 2.0)
     assert np.max(np.abs(pk.values - expected)) < 1e-14
 
 
@@ -45,7 +45,7 @@ def test_scaled_packet_keeps_its_norm_at_under_four_steps_per_width(lam):
 def test_free_evolution_closed_form():
     g = grid.gaussian_data(SPEC)
     ev = packets.free_evolve_packet(g, 1.0)
-    x = SPEC.axis(0)
+    x = SPEC.axis()
     exact = (1 + 1j) ** (-0.5) * np.exp(-x ** 2 / (2 * (1 + 1j)))
     assert np.max(np.abs(ev.values - exact)) <= 1e-8
 
@@ -182,7 +182,7 @@ def _per_point_reference(spec, values, window, X, XI):
     for s in range(len(X)):
         for j, g in enumerate(values):
             for i in range(spec.n):
-                y = spec.axis(i)
+                y = spec.axis()
                 vec = np.conj(np.exp(-0.5 * window.beta * (y - X[s, i]) ** 2)) \
                     * np.exp(-1j * y * XI[s, i])
                 g = np.tensordot(vec, g, axes=(0, 0))
@@ -220,7 +220,7 @@ def test_pair_many_matches_reference_oracle_and_guard(case):
             assert abs(got[s, j] - oracle) <= 1e-9 * bound
     # one out-of-band frequency anywhere in the batch trips the guard
     s, i = rng.integers(S), rng.integers(n)
-    XI[s, i] = rng.choice((-1.0, 1.0)) * 1.01 * np.pi / spec.dx[i]
+    XI[s, i] = rng.choice((-1.0, 1.0)) * 1.01 * np.pi / spec.dx
     with pytest.raises(errors.NyquistError):
         packets.pair_many(spec, noise, window, X, XI)
 
@@ -258,7 +258,7 @@ def _full_grid_pairing(spec, values, window, X, XI):
     half_betabar = -0.5 * np.conj(window.beta)
     vecs = []
     for i in range(spec.n):
-        y = spec.axis(i)
+        y = spec.axis()
         d2 = (y - X[:, i, None]) ** 2
         vec = np.empty(d2.shape, dtype=complex)
         vec.real = d2 * half_betabar.real
@@ -287,7 +287,7 @@ def _box_points(spec, S, seed):
 def test_pair_many_point_mass_closed_form(spec):
     # one node y0 of height 1/dV: conj(amp) dV (1/dV) exp(-conj(beta) |y0 - x|^2 / 2 - i y0.xi)
     X, XI = _box_points(spec, 45, 3)
-    y0 = np.array([spec.axis(i)[k] for i, k in enumerate(spec.origin_index)])
+    y0 = spec.axis()[list(spec.origin_index)]
     window = GaussianWindow(spec.n, 0.5, 16.0, 0.125, -1.0)
     got = packets.pair_many(spec, [grid.delta_spike(spec).values], window, X, XI)[:, 0]
     closed = (np.conj(window.amplitude) * spec.cell_volume * (1.0 / spec.cell_volume)
@@ -303,7 +303,7 @@ def test_pair_many_box_keeps_the_full_grid_bits(n):
     spec = BOX_GRIDS[n]
     X, XI = _box_points(spec, 7, 4)
     window = GaussianWindow(n, 1.0, 4.0, 0.125, 0.5)
-    fields = [grid.delta_spike(spec).values, grid.gaussian_data(spec, momentum=1.0).values]
+    fields = [grid.delta_spike(spec).values, grid.gaussian_data(spec, momentum=(1.0,) * n).values]
     want, _ = _full_grid_pairing(spec, fields, window, X, XI)
     assert np.array_equal(packets.pair_many(spec, fields, window, X, XI), want)
 
@@ -381,7 +381,7 @@ def _per_row_pairing(spec, values, window, X, XI):
     half_betabar = -0.5 * np.conj(window.beta)
     vecs = []
     for i, cols in enumerate(union):
-        y = spec.axis(i)[cols]
+        y = spec.axis()[cols]
         vec = np.empty((len(X), len(y)), dtype=complex)
         np.subtract(y, X[:, i, None], out=vec.real)
         np.square(vec.real, out=vec.real)
@@ -412,7 +412,7 @@ def test_pair_many_keeps_the_per_row_phase_bits(spec, S):
     sparse = np.zeros(spec.shape, dtype=complex)
     sparse[(slice(100, 140),) * spec.n] = 1.5 - 0.5j
     fields = [grid.delta_spike(spec).values,
-              grid.gaussian_data(spec, width=0.7, momentum=1.0).values, sparse]
+              grid.gaussian_data(spec, width=0.7, momentum=(1.0,) * spec.n).values, sparse]
     for batch in ([g] for g in fields):
         np.testing.assert_array_equal(packets.pair_many(spec, batch, window, X, XI),
                                       _per_row_pairing(spec, batch, window, X, XI))
@@ -426,7 +426,7 @@ def test_wpt_grid_reduces_to_pointwise():
     table = packets.wpt_grid(f, pk)
     for i in range(100, 103):
         for j in range(4, 7):
-            p = ((SPEC.axis(0)[i],), (SPEC.freq_axis(0)[j],))
+            p = ((SPEC.axis()[i],), (SPEC.freq_axis()[j],))
             assert abs(table[i, j] - packets.wpt(f, pk, p)) <= 1e-10
 
 
@@ -437,7 +437,7 @@ def test_wpt_grid_single_point():
     table = packets.wpt_grid(f, pk)
     assert table.shape == (256, 256)
     i = SPEC.origin_index[0] + 3
-    p = ((SPEC.axis(0)[i],), (SPEC.freq_axis(0)[3],))
+    p = ((SPEC.axis()[i],), (SPEC.freq_axis()[3],))
     assert abs(table[i, 3] - packets.wpt(f, pk, p)) <= 1e-12
 
 
@@ -450,7 +450,7 @@ def test_wpt_grid_oracle_agreement():
     worst = 0.0
     for i in rows:
         for j in cols:
-            p = ((SPEC.axis(0)[i],), (SPEC.freq_axis(0)[j],))
+            p = ((SPEC.axis()[i],), (SPEC.freq_axis()[j],))
             oracle = packets.gaussian_wpt_oracle(GaussianSignal(), win, p)
             worst = max(worst, abs(table[i, j] - oracle))
     assert worst <= 1e-8
@@ -460,7 +460,7 @@ def test_parseval_mass_identity():
     f = grid.gaussian_data(SPEC, width=1.2, momentum=0.7)
     pk = GaussianWindow(1, 1.0, 1.0, 0.125)
     table = packets.wpt_grid(f, pk)
-    dxi = np.pi / SPEC.halfwidths[0]
+    dxi = np.pi / SPEC.halfwidth
     mass = np.sum(np.abs(table) ** 2) * SPEC.cell_volume * dxi / (2 * np.pi)
     target = pk.l2_norm() ** 2 * f.l2_norm() ** 2
     assert abs(mass - target) / target <= 0.01
@@ -525,7 +525,7 @@ def test_inverse_wpt_roundtrip_narrow_window():
     spec = grid.GridSpec(1, 256, 10.0)
     f = grid.gaussian_data(spec)
     pk = GaussianWindow(1, 0.2, 4096.0, 0.5)
-    assert np.sqrt(2.0 / pk.beta.real) < spec.dx[0] / 16
+    assert np.sqrt(2.0 / pk.beta.real) < spec.dx / 16
     back = packets.inverse_wpt(spec, packets.wpt_grid(f, pk), pk)
     err = np.sqrt(np.sum(np.abs(back.values - f.values) ** 2) * spec.cell_volume)
     assert err / f.l2_norm() <= 1e-12

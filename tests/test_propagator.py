@@ -80,7 +80,7 @@ def test_free_gaussian_closed_form():
     u0 = grid.gaussian_data(SPEC)
     u1 = prop.evolve(pots.zero_model(1), None, u0, 0.0, 1.0,
                      prop.EvolveConfig(dt=1e-3))
-    x = SPEC.axis(0)
+    x = SPEC.axis()
     exact = (1 + 1j) ** (-0.5) * np.exp(-x ** 2 / (2 * (1 + 1j)))
     assert np.max(np.abs(u1.values - exact)) <= 1e-6
 
@@ -100,7 +100,7 @@ def test_uniform_potential_gauge_identity():
     u0 = grid.gaussian_data(SPEC)
     t = 0.5
     u1 = prop.evolve(model, None, u0, 0.0, t, prop.EvolveConfig(dt=1e-3))
-    x = SPEC.axis(0)
+    x = SPEC.axis()
     w0 = grid.GridFunction(SPEC, u0.values * np.exp(-1j * c * x))
     exact = np.exp(1j * c * x) * packets.free_evolve_packet(w0, t).values
     assert np.max(np.abs(u1.values - exact)) <= 1e-6
@@ -120,7 +120,7 @@ def test_gauge_solution_1d_soft_power():
     spec = grid.GridSpec(1, 1024, 20.0)
     rho, t = 0.5, 0.5
     model = pots.soft_power_model(1, rho, amplitude=1.0)
-    x = spec.axis(0)
+    x = spec.axis()
     A0 = x * hyp2f1(-0.5 * rho, 0.5, 1.5, -x * x)
     u0 = grid.gaussian_data(spec)
     u1 = prop.evolve(model, None, u0, 0.0, t, prop.EvolveConfig(dt=5e-3))
@@ -347,7 +347,7 @@ def spline_filter_complex(values):
 
 
 @pytest.mark.parametrize("spec", [grid.GridSpec(1, 64, 3.0),
-                                  grid.GridSpec(2, (32, 16), (4.0, 2.0))],
+                                  grid.GridSpec(2, 32, 4.0)],
                          ids=["1d", "2d"])
 def test_prefilter_multiplier_matches_spline_filter(spec):
     f = random_field(np.random.default_rng(0), spec.shape)
