@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, NyquistError, ResolutionError, integer, number
-from .grid import (GridFunction, GridSpec, apply_kinetic, phase_points,
+from .grid import (GridFunction, GridSpec, apply_kinetic, phase_points, point_array,
                    spectral_derivative, spectral_support_edge)
 
 NYQUIST_TOL = 1.0 + 1e-12
@@ -335,19 +335,19 @@ def inverse_wpt(spec: GridSpec, table, window: GaussianWindow) -> GridFunction:
 
 @dataclass(frozen=True)
 class GaussianSignal:
-    """Test field amplitude * exp(-|y-c|^2/(2 u^2)) * exp(i k.y)."""
+    """Test field amplitude * exp(-|y-c|^2/(2 u^2)) * exp(i k.y); c, k = 0 if omitted."""
 
     width: float = 1.0
-    center: tuple = (0.0,)
-    momentum: tuple = (0.0,)
+    center: tuple | None = None
+    momentum: tuple | None = None
     amplitude: complex = 1.0
 
 
 @dataclass(frozen=True)
 class DeltaSignal:
-    """Point mass at `center` (the grid version is a single-node spike)."""
+    """Point mass at `center`, the origin if omitted (on a grid: a one-node spike)."""
 
-    center: tuple = (0.0,)
+    center: tuple | None = None
     amplitude: complex = 1.0
 
 
@@ -355,21 +355,22 @@ def gaussian_wpt_oracle(signal, window: GaussianWindow, p) -> complex:
     """Exact transform of a Gaussian or point-mass field against the window.
 
     Independent of any grid: a complete-the-square evaluation used to
-    cross-check every quadrature path.
+    cross-check every quadrature path.  The signal's centre and momentum
+    must have the window's dimension; InputError otherwise.
     """
     n = window.n
     x, xi = phase_points(*p, n, ndim=(1, 1))
+    if not isinstance(signal, (GaussianSignal, DeltaSignal)):
+        raise InputError("oracle supports GaussianSignal and DeltaSignal only")
+    momentum = signal.momentum if isinstance(signal, GaussianSignal) else None
+    c, k = (np.zeros(n) if v is None else point_array(v, n, (1, 1), key)
+            for v, key in ((signal.center, "center"), (momentum, "momentum")))
     if isinstance(signal, DeltaSignal):
-        c = np.resize(np.asarray(signal.center, dtype=float), n)
         value = np.conj(window(c - x))
         return complex(signal.amplitude * value * np.exp(-1j * np.dot(c, xi)))
-    if not isinstance(signal, GaussianSignal):
-        raise InputError("oracle supports GaussianSignal and DeltaSignal only")
     gamma = 1.0 / signal.width ** 2
     betabar = np.conj(window.beta)
     A = betabar + gamma
-    c = np.resize(np.asarray(signal.center, dtype=float), n)
-    k = np.resize(np.asarray(signal.momentum, dtype=float), n)
     out = np.conj(window.amplitude) * signal.amplitude
     for i in range(n):
         B = betabar * x[i] + gamma * c[i] + 1j * (k[i] - xi[i])

@@ -12,15 +12,17 @@ half kinetic), so the scheme is second order in tau and conserves the L2
 norm up to interpolation error of the semi-Lagrangian substep.
 
 `evolve` steps a batch of fields on one grid, stored as (B, *grid) so that
-FFTs run along contiguous lines, and computes a step's transport geometry
-(foot points, half-density, phase) once for the batch.  The periodic cubic
-B-spline prefilter 1 / (2/3 + cos(eta dx) / 3) per axis is folded into the
-leading half kinetic step, and a blocked tap-major sparse kernel samples
-the coefficients at the foot points.  The spectrum is carried from step to
-step, and the guards check the physical field that the transport substep
-leaves, so a transport step costs two FFTs.  That kernel is the package's
-only use of scipy: importing `mswf` loads no scipy module, and
-`scipy.sparse` is imported on the first transport step.
+FFTs run along contiguous lines.  The periodic cubic B-spline prefilter
+1 / (2/3 + cos(eta dx) / 3) per axis is folded into the leading half
+kinetic step.  The transport substep takes its geometry (foot points,
+half-density, phase) once for the batch, one slab of SPLINE_BLOCK points
+at a time, and samples the coefficients there with a tap-major sparse
+kernel whose matrix is built once per evolve: a step's working set is two
+field buffers, two spectral multipliers, a0 on the grid and that matrix.
+The spectrum is carried from step to step, and the guards check the
+physical field that the transport substep leaves, so a transport step
+costs two FFTs.  That kernel is the package's only use of scipy:
+importing `mswf` loads no scipy module.
 
 `evolved_wpt_leading` evaluates the transport identity that moves a wave
 packet transform backward along the flow with the accumulated phase.
@@ -77,7 +79,8 @@ class EvolveConfig:
             raise InputError("dt must be positive")
 
 
-_MAX_STEPS = 10 ** 7  # the CFL guard holds every step's midpoint in one array
+_MAX_STEPS = 10 ** 7  # the most steps one evolve takes
+_CFL_CHUNK = 2 ** 16  # step midpoints the CFL guard holds at once
 
 
 def _step_count(t0: float, t1: float, cfg: EvolveConfig) -> int:
@@ -95,7 +98,7 @@ def _step_count(t0: float, t1: float, cfg: EvolveConfig) -> int:
 
 ZERO_SCALAR = ScalarPotentialModel("zero")
 
-SPLINE_BLOCK = 4096  # grid points per block of interpolation weights
+SPLINE_BLOCK = 4096  # grid points per slab of the transport substep
 BOUNDARY_MASS_LIMIT = 1e-6  # largest share of |u|^2 allowed in the edge band
 
 
@@ -116,67 +119,60 @@ def bspline_prefilter(spec: GridSpec) -> np.ndarray:
     return out
 
 
-def bspline_sample(coeffs: np.ndarray, points: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Evaluate periodic cubic splines at grid-index coordinates, blockwise.
+def bspline_sampler(grid_shape: tuple):
+    """Sampler `sample(coeffs, points)` of periodic cubic splines on a 1-D
+    or 2-D grid of power-of-two sizes; InputError for other sizes.
 
-    `coeffs` holds the B-spline coefficients of B fields, shape (*grid, B),
-    on a 1-D or 2-D grid of power-of-two sizes; `points` has shape (n, P),
-    in units of grid indices like the coordinates of map_coordinates.  Each
-    block of m <= SPLINE_BLOCK points refills one tap-major COO matrix,
-    whose entry k m + p is tap k of point p: each point's 4^n taps are
-    summed in tap order, as in a point-major CSR matrix.  Samples of all B fields go to
-    `out` (P, B).  Equals map_coordinates(order=3, mode="grid-wrap") on the
-    prefiltered samples.
+    Samples B fields, from their B-spline coefficients (*grid_shape, B), at
+    points (n, P) in grid-index units, and returns them (P, B); equals
+    map_coordinates(order=3, mode="grid-wrap") on the prefiltered samples.
+    Entry k P + p of the tap-major COO matrix is tap k of point p, so each
+    point's 4^n taps are summed in tap order, as in a point-major CSR
+    matrix.  The sampler keeps one matrix per point count: one per evolve.
     """
     # imported here, its only use: `import mswf` then loads no scipy module
     from scipy import sparse
 
-    # a strided view here would make every per-block array strided and slow
-    points = np.ascontiguousarray(points, dtype=float)
-    grid_shape = coeffs.shape[:-1]
     if any(m & (m - 1) for m in grid_shape):
         raise InputError("spline grids need power-of-two sizes")
-    size = int(np.prod(grid_shape))
-    n = len(grid_shape)
-    # complex fields as interleaved real columns: one real sparse product
-    columns = coeffs.reshape(size, -1).view(np.float64)
-    rows = out.view(np.float64)
+    size, n = int(np.prod(grid_shape)), len(grid_shape)
     taps = 4 ** n
     strides = np.cumprod((1,) + grid_shape[:0:-1])[::-1].astype(np.int32)
     wrap = np.array(grid_shape, dtype=np.int32)[:, None, None] - 1
     shifts = np.arange(-1, 3, dtype=np.int32)[:, None]
-    blocks = {}  # points per block -> matrix; its row indices never change
-    for start in range(0, points.shape[1], SPLINE_BLOCK):
-        x = points[:, start:start + SPLINE_BLOCK]
+    matrices = {}  # point count -> matrix; its row indices never change
+
+    def sample(coeffs: np.ndarray, points: np.ndarray) -> np.ndarray:
+        # a strided view here would make every per-point array strided and slow
+        x = np.ascontiguousarray(points, dtype=float)
         m = x.shape[1]
-        if m not in blocks:
+        if m not in matrices:
             point = np.tile(np.arange(m, dtype=np.int32), taps)
-            blocks[m] = sparse.coo_array((np.zeros(taps * m), (point, np.zeros_like(point))),
-                                         shape=(m, size))
+            matrices[m] = sparse.coo_array((np.zeros(taps * m), (point, np.zeros_like(point))),
+                                           shape=(m, size))
         base = np.floor(x)
         t = x - base
         s = 1.0 - t
         # per-axis weights (n, 4, m), tap-major so every product runs along m:
         # s^3, 3 t^2 (t - 2) + 4, 3 s^2 (s - 2) + 4, t^3, written in place
         w = np.empty((n, 4, m))
-        for k, v in ((0, s), (3, t)):
+        for k, v in enumerate((s, t, s, t)):
             np.multiply(v, v, out=w[:, k])
-            w[:, k] *= v
-        for k, v in ((1, t), (2, s)):
-            np.multiply(v, v, out=w[:, k])
-            w[:, k] *= v - 2.0
-            w[:, k] *= 3.0
-            w[:, k] += 4.0
+            w[:, k] *= v if k in (0, 3) else v - 2.0
+        w[:, 1:3] *= 3.0
+        w[:, 1:3] += 4.0
         w /= 6.0
         cols = base.astype(np.int32)[:, None, :] + shifts
         cols &= wrap  # periodic wrap: the sizes are powers of two
         cols *= strides[:, None, None]
         # the last axis writes straight into the matrix, times the first in 2-D
         head_w, head_c = (w[0][:, None, :], cols[0][:, None, :]) if n == 2 else (1.0, 0)
-        np.multiply(head_w, w[-1], out=blocks[m].data.reshape(-1, 4, m))
-        np.add(head_c, cols[-1], out=blocks[m].col.reshape(-1, 4, m))
-        rows[start:start + m] = blocks[m] @ columns
-    return out
+        np.multiply(head_w, w[-1], out=matrices[m].data.reshape(-1, 4, m))
+        np.add(head_c, cols[-1], out=matrices[m].col.reshape(-1, 4, m))
+        # complex fields as interleaved real columns: one real sparse product
+        return (matrices[m] @ coeffs.reshape(size, -1).view(np.float64)).view(complex)
+
+    return sample
 
 
 def evolve(model: VectorPotentialModel, scalar, u0, t0: float, t1: float,
@@ -215,12 +211,12 @@ def _evolve_split(model, scalar, spec, u, t0, t1, cfg):
     With transport, the leading half kinetic step also applies the spline
     prefilter, and the spectrum is carried into the next step: two FFTs
     per step, one before the first and one for the result (four per step
-    without transport).  The inverse FFT writes the coefficients into u as
-    rows of B values, their samples go to the other buffer, and the
-    product back into u applies the factor.  The CFL guard checks every
-    step's midpoint once, before the first step; the field guards check
-    the physical field in hand: after the transport substep, at the end of
-    a free step, and the result.
+    without transport).  The inverse FFT writes the coefficients into the
+    other buffer as rows of B values, and each slab's samples times its
+    factor go straight back into u, batch-first.  The CFL guard checks
+    every step's midpoint, a chunk at a time, before the first step; the
+    field guards check the physical field in hand: after the transport
+    substep, at the end of a free step, and the result.
     """
     n_steps = _step_count(t0, t1, cfg)
     tau = (t1 - t0) / n_steps
@@ -234,43 +230,18 @@ def _evolve_split(model, scalar, spec, u, t0, t1, cfg):
         profile = eval_a(replace(model, modulation="one"), 0.0, _coordinate_stack(spec))
         # guard-first: the displacement at every step's midpoint, as the loop
         # takes it, against the stencil reach before the first step
-        mids = t0 + np.arange(n_steps) * tau + 0.5 * tau
-        shift = np.abs(model.g(mids)) * float(np.max(np.abs(profile))) * abs(tau)
-        over = np.flatnonzero(shift > reach)
-        if over.size:
-            raise CflError(f"transport displacement max|a|*dt = {shift[over[0]]:.3g} "
-                           f"exceeds 4*dx = {reach:.3g} in step {over[0]} of {n_steps} "
-                           f"(t = {t0 + over[0] * tau:.4g})")
+        a_max = float(np.max(np.abs(profile)))
+        for first in range(0, n_steps, _CFL_CHUNK):
+            steps = np.arange(first, min(first + _CFL_CHUNK, n_steps))
+            shift = np.abs(model.g(t0 + steps * tau + 0.5 * tau)) * a_max * abs(tau)
+            over = np.flatnonzero(shift > reach)
+            if over.size:
+                step = steps[over[0]]
+                raise CflError(f"transport displacement max|a|*dt = {shift[over[0]]:.3g} "
+                               f"exceeds 4*dx = {reach:.3g} in step {step} of {n_steps} "
+                               f"(t = {t0 + step * tau:.4g})")
     elif has_scalar:  # V has no time factor: every free step takes one phase
         fixed_phase = np.exp(-1j * tau * scalar(_coordinate_stack(spec)))
-
-    def geometry(t):
-        """Foot points (n, N) in grid-index units and the half-density times
-        phase factor exp(tau div a / 2 - i tau phase) (N,) of the step from
-        t, both taken at the characteristic midpoint."""
-        # transport and phase form one non-commuting group; sampling the
-        # phase at the characteristic midpoint keeps the step second order
-        t_mid = t + 0.5 * tau
-        y_mid = profile * (0.5 * tau * float(model.g(t_mid)))
-        for i, x in enumerate(grid_axes):
-            y_mid[..., i] += x
-        a_y = eval_a(model, t_mid, y_mid)
-        phase = 0.5 * np.einsum("...i,...i->...", a_y, a_y)
-        if has_scalar:
-            phase += scalar(y_mid)
-        phase *= -tau
-        factor = np.empty(phase.shape, dtype=complex)
-        np.cos(phase, out=factor.real)
-        np.sin(phase, out=factor.imag)
-        if model.family not in ("rotational", "constant-field"):  # else div a = 0
-            factor *= np.exp(0.5 * tau * divergence_a(model, t_mid, y_mid))
-        foot = np.empty((spec.n,) + spec.shape)
-        for i, x in enumerate(grid_axes):
-            np.multiply(a_y[..., i], tau, out=foot[i])
-            foot[i] += x
-            foot[i] += spec.halfwidth
-            foot[i] /= spec.dx
-        return foot.reshape(spec.n, -1), factor.reshape(-1)
 
     kinetic_half = np.exp(-0.25j * tau * spec.freq_squared())
 
@@ -282,10 +253,13 @@ def _evolve_split(model, scalar, spec, u, t0, t1, cfg):
         np.fft.ifftn(v, shape, axes, out=v)
 
     if has_transport:
+        sample = bspline_sampler(shape)
+        row = spec.size // shape[0]  # points per row of the first axis
+        slab_rows = max(1, SPLINE_BLOCK // row)
         prefiltered_half = kinetic_half * bspline_prefilter(spec)
         other = np.empty_like(u)
-        coeffs = u.reshape(-1).reshape(spec.shape + (len(u),))  # kernel input in u
-        samples = other.reshape(-1).reshape(spec.size, len(u))  # its output
+        coeffs = other.reshape(-1).reshape(spec.shape + (len(u),))  # kernel input
+        flat = u.reshape(len(u), -1)  # samples times factor, batch-first
         np.fft.fftn(u, shape, axes, out=u)  # the carried spectrum
 
     def guard(field, t):
@@ -304,14 +278,39 @@ def _evolve_split(model, scalar, spec, u, t0, t1, cfg):
         t, t_end = t0 + step * tau, t0 + (step + 1) * tau
         last = step == n_steps - 1
         if has_transport:
-            np.multiply(u, prefiltered_half, out=other)
-            # spline coefficients, written into u (now free) as rows of B values
-            np.fft.ifftn(other, shape, axes, out=np.moveaxis(coeffs, -1, 0))
-            foot, factor = geometry(t)
-            bspline_sample(coeffs, foot, samples)
-            # samples first: the complex product is not bit-symmetric
-            np.multiply(samples.T, factor, out=u.reshape(len(u), -1))
-            del foot, factor  # before the next step's geometry
+            np.multiply(u, prefiltered_half, out=u)
+            # spline coefficients, written into the other buffer as rows of B values
+            np.fft.ifftn(u, shape, axes, out=np.moveaxis(coeffs, -1, 0))
+            # slab by slab into u, at the characteristic midpoint: foot points,
+            # the samples there times the factor exp(tau div a / 2 - i tau phase);
+            # transport and phase form one non-commuting group, and taking the
+            # phase at the midpoint keeps the step second order
+            t_mid = t + 0.5 * tau
+            half_shift = 0.5 * tau * float(model.g(t_mid))
+            for r in range(0, shape[0], slab_rows):
+                xs = [grid_axes[0][r:r + slab_rows], *grid_axes[1:]]
+                y_mid = profile[r:r + slab_rows] * half_shift
+                for i, x in enumerate(xs):
+                    y_mid[..., i] += x
+                a_y = eval_a(model, t_mid, y_mid)
+                phase = 0.5 * np.einsum("...i,...i->...", a_y, a_y)
+                if has_scalar:
+                    phase += scalar(y_mid)
+                phase *= -tau
+                factor = np.empty(phase.shape, dtype=complex)
+                np.cos(phase, out=factor.real)
+                np.sin(phase, out=factor.imag)
+                if model.family not in ("rotational", "constant-field"):  # else div a = 0
+                    factor *= np.exp(0.5 * tau * divergence_a(model, t_mid, y_mid))
+                foot = np.empty((spec.n,) + phase.shape)
+                for i, x in enumerate(xs):
+                    np.multiply(a_y[..., i], tau, out=foot[i])
+                    foot[i] += x
+                    foot[i] += spec.halfwidth
+                    foot[i] /= spec.dx
+                # samples first: the complex product is not bit-symmetric
+                np.multiply(sample(coeffs, foot.reshape(spec.n, -1)).T, factor.reshape(-1),
+                            out=flat[:, r * row:(r + slab_rows) * row])
             guard(u, t_end)
             np.fft.fftn(u, shape, axes, out=u)
             np.multiply(kinetic_half, u, out=u)

@@ -560,9 +560,29 @@ def test_oracle_agrees_with_quadrature_when_evolved():
         assert abs(quad - oracle) <= 1e-8
 
 
-def test_oracle_rejects_unsupported_signal():
+@pytest.mark.parametrize("signal", [
+    "not-a-signal",
+    GaussianSignal(center=(0.5, 0.0, 9.0)),  # was cut to (0.5, 0.0)
+    GaussianSignal(center=(0.5,)),  # was stretched to (0.5, 0.5)
+    GaussianSignal(momentum=(1.0, 2.0, 3.0)),
+    DeltaSignal(center=(0.5,)),
+    DeltaSignal(center=(0.5, 0.0, 9.0)),
+    DeltaSignal(center=(0.5, np.nan)),
+], ids=["not-a-signal", "gaussian-center-3", "gaussian-center-1", "gaussian-momentum-3",
+        "delta-center-1", "delta-center-3", "delta-center-nan"])
+def test_oracle_rejects_unsupported_signal(signal):
     with pytest.raises(errors.InputError):
-        packets.gaussian_wpt_oracle("not-a-signal", GaussianWindow(1), ((0.0,), (1.0,)))
+        packets.gaussian_wpt_oracle(signal, GaussianWindow(2), ((0.0, 0.0), (1.0, 0.0)))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_oracle_default_center_and_momentum_are_the_origin(n):
+    win, p = GaussianWindow(n), ((0.3,) * n, (1.0,) * n)
+    zero = (0.0,) * n
+    assert packets.gaussian_wpt_oracle(GaussianSignal(), win, p) \
+        == packets.gaussian_wpt_oracle(GaussianSignal(center=zero, momentum=zero), win, p)
+    assert packets.gaussian_wpt_oracle(DeltaSignal(), win, p) \
+        == packets.gaussian_wpt_oracle(DeltaSignal(center=zero), win, p)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -281,10 +283,32 @@ def test_cfl_guard_checks_every_step_before_the_first(monkeypatch):
     model = pots.soft_power_model(1, 0.5, 10.0, "sin")
     u0 = grid.gaussian_data(grid.GridSpec(1, 1024, 40.0))
     calls = []
-    monkeypatch.setattr(prop, "bspline_sample", lambda *args: calls.append("sample"))
+    monkeypatch.setattr(prop, "bspline_sampler", lambda *args: calls.append("sample"))
     monkeypatch.setattr(prop, "boundary_mass_fraction", lambda *args: calls.append("guard"))
     with pytest.raises(errors.CflError, match="in step 52 of 629"):
         prop.evolve(model, None, u0, 0.0, 2 * np.pi, prop.EvolveConfig(dt=0.01))
+    assert calls == []
+
+
+def test_cfl_guard_reads_past_its_first_chunk_of_steps(monkeypatch):
+    # sin t is about t over [0, 1/8]: the displacement passes 4 dx at
+    # t = 0.104, in step 108833 of 2^17, past the first chunk of midpoints;
+    # the reference takes every midpoint in one array
+    spec = grid.GridSpec(1, 1024, 40.0)
+    model = pots.soft_power_model(1, 0.5, 5e5, "sin")
+    n_steps, tau = 2 ** 17, 2.0 ** -20
+    a_max = np.max(np.abs(pots.eval_a(pots.soft_power_model(1, 0.5, 5e5), 0.0,
+                                      prop._coordinate_stack(spec))))
+    shift = np.abs(np.sin(np.arange(n_steps) * tau + 0.5 * tau)) * a_max * tau
+    step = int(np.flatnonzero(shift > 4.0 * spec.dx)[0])
+    assert step > prop._CFL_CHUNK
+    calls = []
+    monkeypatch.setattr(prop, "bspline_sampler", lambda *args: calls.append("sample"))
+    with pytest.raises(errors.CflError) as exc_info:
+        prop.evolve(model, None, grid.gaussian_data(spec), 0.0, n_steps * tau,
+                    prop.EvolveConfig(dt=tau))
+    assert f"in step {step} of {n_steps} (t = {step * tau:.4g})" in str(exc_info.value)
+    assert f"= {shift[step]:.3g} exceeds" in str(exc_info.value)
     assert calls == []
 
 
@@ -360,13 +384,13 @@ def test_prefilter_multiplier_matches_spline_filter(spec):
 def test_spline_kernel_matches_map_coordinates(shape):
     rng = np.random.default_rng(1)
     fields = random_field(rng, shape + (3,))
-    # more points than one block, many outside the box to exercise the wrap
+    # more points than one slab, many outside the box to exercise the wrap
     points = rng.uniform(-0.5, 1.5, (len(shape), 2 * prop.SPLINE_BLOCK + 17)) \
         * np.array(shape)[:, None]
     factor = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, points.shape[1]))
     coeffs = np.stack([spline_filter_complex(fields[..., b]) for b in range(3)], -1)
-    out = prop.bspline_sample(coeffs, points, np.empty((points.shape[1], 3), complex))
-    out *= factor[:, None]  # applied outside the kernel, as evolve does
+    # the factor is applied outside the kernel, as evolve does
+    out = prop.bspline_sampler(shape)(coeffs, points) * factor[:, None]
     for b in range(3):
         f = fields[..., b]
         expected = (ndimage.map_coordinates(f.real, points, order=3, mode="grid-wrap")
@@ -410,20 +434,21 @@ def csr_spline_sample(coeffs, points):
 @pytest.mark.parametrize("shape", [(64,), (64, 32)], ids=["1d", "2d"])
 def test_spline_kernel_matches_csr_order(shape):
     """Same bits as a point-major CSR product: the benchmark's N_hat gate
-    rests on this summation order."""
+    rests on this summation order.  One sampler serves two calls, as one
+    serves every step of an evolve: its kept matrix is refilled."""
     rng = np.random.default_rng(2)
-    coeffs = random_field(rng, shape + (3,))
-    # two full blocks and a partial last one
-    points = rng.uniform(-0.5, 1.5, (len(shape), 2 * prop.SPLINE_BLOCK + 17)) \
-        * np.array(shape)[:, None]
-    out = prop.bspline_sample(coeffs, points, np.empty((points.shape[1], 3), complex))
-    assert np.array_equal(out, csr_spline_sample(coeffs, points))
+    sample = prop.bspline_sampler(shape)
+    for _ in range(2):
+        coeffs = random_field(rng, shape + (3,))
+        # in one matrix, against the reference's two full blocks and a partial one
+        points = rng.uniform(-0.5, 1.5, (len(shape), 2 * prop.SPLINE_BLOCK + 17)) \
+            * np.array(shape)[:, None]
+        assert np.array_equal(sample(coeffs, points), csr_spline_sample(coeffs, points))
 
 
 def test_spline_kernel_rejects_grids_it_cannot_wrap():
     with pytest.raises(errors.InputError):
-        prop.bspline_sample(np.zeros((48, 1), complex), np.zeros((1, 3)),
-                            np.empty((3, 1), complex))
+        prop.bspline_sampler((48,))
 
 
 def rotational_batch():
@@ -457,6 +482,40 @@ def test_batched_evolve_matches_single_with_transport():
         assert isinstance(single, grid.GridFunction)
         np.testing.assert_array_equal(u1.values, single.values)
         assert u1.label == u0.label
+
+
+@pytest.mark.parametrize("model", [pots.rotational_model(0.5, modulation="sin"),
+                                   pots.soft_power_model(2, 0.5, (0.7, 0.3), "sin")],
+                         ids=["rotational", "soft-power"])
+def test_transport_bits_do_not_depend_on_the_slab(model, monkeypatch):
+    # 128^2 points: four slabs of 32 rows against one slab of the whole grid
+    spec = grid.GridSpec(2, 128, 5.0)
+    data = [grid.gaussian_data(spec, width=0.7),
+            grid.gaussian_data(spec, width=0.6, center=(-0.5, 0.0), momentum=(2.0, 0.0))]
+    V = prop.ScalarPotentialModel("soft-power", mu=1.0, amplitude=0.3)
+    cfg = prop.EvolveConfig(dt=1e-2)
+    slabs = prop.evolve(model, V, data, 0.0, 0.05, cfg)
+    monkeypatch.setattr(prop, "SPLINE_BLOCK", spec.size)
+    whole = prop.evolve(model, V, data, 0.0, 0.05, cfg)
+    for a, b in zip(slabs, whole):
+        np.testing.assert_array_equal(a.values, b.values)
+
+
+def test_transport_step_working_set():
+    """A 256^2 batch of three fields steps within 12 MB of traced memory.
+    The floor is about 10.5 MB: two field buffers (6.3 MB), the two
+    spectral multipliers (2.1 MB), a0 on the grid (1 MB) and one spline
+    matrix (1 MB); grid-sized geometry per step would add 4.5 MB."""
+    spec = grid.GridSpec(2, 256, 5.0)
+    data = [grid.gaussian_data(spec, width=w) for w in (0.7, 0.5, 0.6)]
+    model = pots.rotational_model(0.5, modulation="sin")
+    tracemalloc.start()
+    try:
+        prop.evolve(model, None, data, 0.0, 0.01, prop.EvolveConfig(dt=2.5e-3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12e6
 
 
 @pytest.mark.parametrize("model", [pots.zero_model(1), pots.soft_power_model(1, 0.5)],
