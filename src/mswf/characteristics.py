@@ -43,7 +43,6 @@ from .potentials import (VectorPotentialModel, divergence_a, eval_a, flow_field,
 # perfbench/layers.py wraps mswf.characteristics.jacobian_a in its traced run
 from .potentials import jacobian_a  # noqa: F401
 
-TOL_RANGE = (1e-13, 1e-3)
 SWEEP_OFFSETS = 4  # offsets per flow at which check_flow_bounds reads the ratios
 
 
@@ -95,9 +94,7 @@ def _state(s, y, n: int) -> FlowState:
 
 
 def _validate_tol(tol: float) -> float:
-    if not TOL_RANGE[0] <= tol <= TOL_RANGE[1]:
-        raise InputError(f"tolerance must lie in [{TOL_RANGE[0]}, {TOL_RANGE[1]}]")
-    return float(tol)
+    return number(tol, "tol", at_least=1e-13, at_most=1e-3)
 
 
 def flow(model: VectorPotentialModel, t0: float, s_target: float,
@@ -113,6 +110,8 @@ def flow(model: VectorPotentialModel, t0: float, s_target: float,
     """
     tol = _validate_tol(tol)
     t0, s_target = number(t0, "t0"), number(s_target, "s_target")
+    if not max_step > 0:  # inf, the default, means no cap
+        raise InputError(f"'max_step' must be > 0, got {max_step!r}")
     n = model.n
     x0, xi0 = phase_points(x0, xi0, n, ndim=(1, 1))  # one start point, not a batch of one
     if s_target == t0:
@@ -358,12 +357,9 @@ def check_flow_bounds(model: VectorPotentialModel, a_param: float, p: float,
     flowed as `flow` flows it, and read at the offsets through its dense
     output.
     """
-    if a_param < 1.0:
-        raise InputError("annulus parameter a must be >= 1")
-    if not 0.0 < p < 1.0:
-        raise InputError("window exponent p must lie in (0, 1)")
-    if t0 <= 0.0:
-        raise InputError("t0 must be positive")
+    a_param = number(a_param, "a_param", at_least=1.0)
+    p = number(p, "p", above=0.0, below=1.0)
+    t0 = number(t0, "t0", above=0.0)
     n = model.n
     k_samples = point_array(k_samples, n, (2, 2), "k_samples")
     gamma_samples = point_array(gamma_samples, n, (2, 2), "gamma_samples")
@@ -416,11 +412,9 @@ def check_integral_bound(model: VectorPotentialModel, delta: float, interval,
     are one grouped call, each group with atol = tol * max(1, |y0|) per
     component.
     """
-    if delta <= 0:
-        raise InputError("delta must be positive")
-    a, b = float(interval[0]), float(interval[1])
-    if b < a:
-        raise InputError("interval must satisfy a <= b")
+    delta = number(delta, "delta", above=0.0)
+    a = number(interval[0], "interval start")
+    b = number(interval[1], "interval end", at_least=a)
     tol = _validate_tol(tol)
     n = model.n
     ladder = dilations(lam_ladder, "lam_ladder")
@@ -465,8 +459,7 @@ def lower_bound_x0(model: VectorPotentialModel, t0: float, k_samples,
     Samples run over positions, then directions; one grouped `flow_batch`
     flows all of them once per rung, one group per rung.
     """
-    if t0 <= 0:
-        raise InputError("t0 must be positive")
+    t0 = number(t0, "t0", above=0.0)
     ladder = dilations(lam_ladder, "lam_ladder")
     k_samples = point_array(k_samples, model.n, (2, 2), "k_samples")
     gamma_samples = point_array(gamma_samples, model.n, (2, 2), "gamma_samples")

@@ -91,12 +91,8 @@ class ConicSample:
         object.__setattr__(self, "xi0", tuple(xi0.tolist()))
         if float(np.linalg.norm(xi0)) == 0.0:
             raise InputError("xi0 must be nonzero")
-        for key in ("k_radius", "half_angle", "a"):
-            object.__setattr__(self, key, number(getattr(self, key), key))
-        if self.a < 1.0:
-            raise InputError("annulus parameter a must be >= 1")
-        if self.k_radius < 0 or self.half_angle < 0:
-            raise InputError("k_radius and half_angle must be nonnegative")
+        for key, low in (("k_radius", 0.0), ("half_angle", 0.0), ("a", 1.0)):
+            object.__setattr__(self, key, number(getattr(self, key), key, at_least=low))
 
     @property
     def n(self) -> int:
@@ -160,10 +156,11 @@ def decay_exponent(ladder, magnitudes, floor_abs=0.0) -> DecayFit:
     closed-form least-squares pass of log|W| against log lambda, and the
     result holds arrays over the leading axes (0-d for a 1-d input).
     Entries at or below the censoring floor, the larger of 1e-14 * max and
-    `floor_abs` (the caller's estimate of quadrature/solver noise; a number,
-    or an array against (..., 1) such as a (B, 1, 1) floor per field), are
-    dropped from a sample's fit; with fewer than 2 kept rungs it gets the
-    sentinel n_hat = +inf, R^2 = 1 and the super-polynomial flag.
+    `floor_abs` (the caller's estimate of quadrature/solver noise, finite and
+    >= 0; a number, or an array against (..., 1) such as a (B, 1, 1) floor
+    per field), are dropped from a sample's fit; with fewer than 2 kept
+    rungs it gets the sentinel n_hat = +inf, R^2 = 1 and the
+    super-polynomial flag.
     R^2 is 1 when the kept magnitudes are constant.  The super-polynomial
     flag is also set when the local slopes of consecutive kept triples
     steepen by more than 0.5 per rung, or when the magnitudes collapse
@@ -174,9 +171,11 @@ def decay_exponent(ladder, magnitudes, floor_abs=0.0) -> DecayFit:
     mag = np.asarray(magnitudes, dtype=float)
     if mag.ndim < 1 or mag.shape[-1] != len(lam):
         raise InputError("the magnitudes' last axis must be as long as the ladder")
-    if not np.all(np.isfinite(mag) & (mag >= 0)):
-        raise InputError("magnitudes must be finite and nonnegative")
-    keep = mag > np.maximum(FLOOR_REL * mag.max(-1, keepdims=True), floor_abs)
+    floor = np.asarray(floor_abs, dtype=float)
+    for key, v in (("magnitudes", mag), ("floor_abs", floor)):
+        if not np.all(np.isfinite(v) & (v >= 0)):
+            raise InputError(f"{key} must be finite and nonnegative")
+    keep = mag > np.maximum(FLOOR_REL * mag.max(-1, keepdims=True), floor)
     kept = np.count_nonzero(keep, axis=-1)
     x, y = np.log(lam), np.log(np.where(keep, mag, 1.0))
     order = np.argsort(~keep, axis=-1, kind="stable")  # kept rungs first, in order
@@ -401,9 +400,9 @@ def wf_scan(mode: str, field_or_datum, positions, directions,
     first field, then the next), each field's cells in input order.  A
     dynamic scan at t0 = 0 flows nothing and pairs as the static one does.
     A cell keeps the rungs whose paired frequency stays inside the grid
-    band; with fewer than 5 it is inconclusive.  `noise_rel` scales each
-    field's censoring floor noise_rel * |f|_L2 * |window|_L2; raise it when
-    f carries solver error.
+    band; with fewer than 5 it is inconclusive.  `noise_rel`, a finite
+    number >= 0, scales each field's censoring floor noise_rel * |f|_L2 *
+    |window|_L2; raise it when f carries solver error.
 
     The cells are probed once for all finite fields together.  A field that
     is not finite gets an InputError in each of its cells and is not
@@ -415,6 +414,7 @@ def wf_scan(mode: str, field_or_datum, positions, directions,
     (x0, xi0); any other exception is a programming error and propagates.
     """
     one_of(mode, ("static", "dynamic"), "mode")
+    noise_rel = number(noise_rel, "noise_rel", at_least=0.0)
     fields, _ = field_batch(field_or_datum)
     ladder, n = parse_ladder(ladder), fields[0].spec.n
     unmodelled = mode == "dynamic" and (model is None or model.n != n)

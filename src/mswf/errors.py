@@ -69,15 +69,20 @@ def json_object(value, keys=None) -> dict:
     return dict(value)
 
 
-def number(value, key: str) -> float:
-    """A finite number (or numeric text) as a float; InputError naming `key`
-    otherwise, for nan and +-inf too."""
+def number(value, key: str, *, above=-math.inf, at_least=-math.inf, below=math.inf,
+           at_most=math.inf) -> float:
+    """A finite number (or numeric text) as a float, with above < it < below
+    and at_least <= it <= at_most; InputError naming `key`, the finite
+    bounds and the value otherwise, for nan and +-inf too."""
     try:
         v = float(value)
     except (TypeError, ValueError):
         v = math.nan
-    if not math.isfinite(v):
-        raise InputError(f"'{key}' must be a finite number, got {value!r}")
+    if not (math.isfinite(v) and above < v < below and at_least <= v <= at_most):
+        limits = " and ".join(f"{op} {b!r}" for op, b in (
+            (">", above), (">=", at_least), ("<", below), ("<=", at_most)) if math.isfinite(b))
+        raise InputError(f"'{key}' must be a finite number" + (f" {limits}" if limits else "")
+                         + f", got {value!r}")
     return v
 
 

@@ -33,8 +33,8 @@ import numpy as np
 
 from . import characteristics as chars
 from . import detector, grid, packets, potentials, propagator
-from .errors import (ConsistencyError, GuardError, InputError, dilations,
-                     integer, json_object, number, one_of)
+from .errors import (ConsistencyError, GuardError, InputError, integer, json_object,
+                     number, one_of)
 
 # the evolved field carries solver error; its transform floor sits there
 STATIC_NOISE_REL, DYNAMIC_NOISE_REL = 1e-7, 1e-12
@@ -103,16 +103,11 @@ _BY_TYPE = {
     "float": lambda v, key, done: number(v, key),
     "bool": lambda v, key, done: _typed(v, key, bool, "true or false"),
     "str | None": lambda v, key, done: _typed(v, key, (str, type(None)), "a string or null"),
-    "tuple": lambda v, key, done: dilations(v, key),
 }
 
 
 def _fraction(value, key, done) -> float:
-    """A number in [0, 1]."""
-    value = number(value, key)
-    if not 0.0 <= value <= 1.0:
-        raise InputError(f"'{key}' must lie in [0, 1], got {value!r}")
-    return value
+    return number(value, key, at_least=0.0, at_most=1.0)
 
 
 def _grid(value, key, done) -> grid.GridSpec:
@@ -185,7 +180,7 @@ def _data(value, key, done) -> tuple:
             name, entry = "gaussian", {"width": 0.15, **entry}
         inspect.signature(grid.BUILTIN_DATA[name]).bind(None, **entry)
         if "width" in entry:
-            number(entry["width"], "width")
+            number(entry["width"], "width", above=0.0)
         for k in {"center", "momentum"} & set(entry):
             grid.point_array(entry[k], done["grid"].n, (1, 1), k)
         entries.append((name, label, entry))
@@ -293,6 +288,7 @@ class TransportConfig(ScanConfig):
 class PointMassConfig(ScanConfig):
     """Keys of the fundamental-solution experiment."""
 
+    t0: float = _key(lambda v, key, done: number(v, key, at_least=0.0), 1.0)
     control: bool = False
 
 
@@ -411,8 +407,6 @@ def run_fundamental_solution(cfg: dict) -> dict:
     spec, model, t0, b = config.grid, config.potential, config.t0, config.b
     if not model.conforming:
         raise GuardError("fundamental-solution experiment needs a conforming model")
-    if t0 < 0.0:
-        raise InputError(f"t0 must be nonnegative, got {t0!r}")
     if t0 == 0.0 and not config.control:
         raise GuardError("t0 = 0 is the singular control case; pass control=true")
     u0 = grid.delta_spike(spec)

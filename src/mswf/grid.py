@@ -34,11 +34,9 @@ class GridSpec:
         n = integer(n, "n")
         if n not in (1, 2):
             raise InputError(f"grid dimension must be 1 or 2, got {n}")
-        points, halfwidth = integer(points, "points"), number(halfwidth, "halfwidth")
+        points, halfwidth = integer(points, "points"), number(halfwidth, "halfwidth", above=0.0)
         if points < 8 or (points & (points - 1)) != 0:
             raise InputError(f"point count must be a power of two >= 8, got {points}")
-        if halfwidth <= 0:
-            raise InputError(f"half-width must be positive, got {halfwidth}")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "halfwidth", halfwidth)
@@ -216,9 +214,7 @@ def gaussian_data(spec: GridSpec, width=1.0, center=None, momentum=None,
                   amplitude: complex = 1.0, label="gaussian") -> GridFunction:
     """amplitude * exp(-|y-c|^2/(2 w^2)) * exp(i y.k), with c and k of n
     numbers each, the origin and zero if omitted."""
-    width = number(width, "width")
-    if width <= 0:
-        raise InputError(f"'width' must be positive, got {width}")
+    width = number(width, "width", above=0.0)
     c, k = (np.zeros(spec.n) if v is None else point_array(v, spec.n, (1, 1), key)
             for v, key in ((center, "center"), (momentum, "momentum")))
     values = np.full(spec.shape, complex(amplitude), dtype=np.complex128)

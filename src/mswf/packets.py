@@ -65,14 +65,9 @@ class GaussianWindow:
         object.__setattr__(self, "n", integer(self.n, "n"))
         if self.n not in (1, 2):
             raise InputError(f"dimension must be 1 or 2, got {self.n}")
-        for key in ("width", "lam", "b", "t"):
-            object.__setattr__(self, key, number(getattr(self, key), key))
-        if self.lam < 1.0:
-            raise InputError("dilation lambda must be >= 1")
-        if not 0.0 < self.b < 1.0:
-            raise InputError("scaling exponent b must lie in (0, 1)")
-        if self.width <= 0:
-            raise InputError("width must be positive")
+        for key, limits in (("width", {"above": 0.0}), ("lam", {"at_least": 1.0}),
+                            ("b", {"above": 0.0, "below": 1.0}), ("t", {})):
+            object.__setattr__(self, key, number(getattr(self, key), key, **limits))
         try:
             alpha = self.alpha
         except (OverflowError, ZeroDivisionError):

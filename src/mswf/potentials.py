@@ -71,10 +71,9 @@ class VectorPotentialModel:
         one_of(self.modulation, MODULATIONS, "modulation")
         if self.family == "constant-field" and self.modulation != "one":
             raise InputError("family 'constant-field' takes no modulation but 'one'")
-        for key in ("rho", "b0"):
-            object.__setattr__(self, key, number(getattr(self, key), key))
-        if self.family in ("soft-power", "rotational") and not self.rho < 1.0:
-            raise InputError("soft-power/rotational families require rho < 1")
+        rho_below = 1.0 if self.family in ("soft-power", "rotational") else np.inf
+        object.__setattr__(self, "rho", number(self.rho, "rho", below=rho_below))
+        object.__setattr__(self, "b0", number(self.b0, "b0"))
         count = 1 if self.family == "rotational" else self.n
         amp = self.amplitude
         if not isinstance(amp, (tuple, list, np.ndarray)):  # one for every component

@@ -54,10 +54,9 @@ class ScalarPotentialModel:
 
     def __post_init__(self):
         one_of(self.family, SCALAR_FAMILIES, "scalar family")
-        for key in ("mu", "amplitude"):
-            object.__setattr__(self, key, number(getattr(self, key), key))
-        if self.family == "soft-power" and not self.mu < 2.0:
-            raise InputError("soft-power scalar potentials require mu < 2")
+        mu_below = 2.0 if self.family == "soft-power" else np.inf
+        object.__setattr__(self, "mu", number(self.mu, "mu", below=mu_below))
+        object.__setattr__(self, "amplitude", number(self.amplitude, "amplitude"))
 
     def __call__(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -75,8 +74,7 @@ class EvolveConfig:
     dt: float
 
     def __post_init__(self):
-        if number(self.dt, "dt") <= 0:
-            raise InputError("dt must be positive")
+        object.__setattr__(self, "dt", number(self.dt, "dt", above=0.0))
 
 
 _MAX_STEPS = 10 ** 7  # the most steps one evolve takes

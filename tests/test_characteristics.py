@@ -1,3 +1,6 @@
+import contextlib
+import signal
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -5,6 +8,22 @@ from scipy.integrate import RK45, solve_ivp
 
 import broadcast_reference as ref
 from mswf import characteristics as chars, detector as det, errors, potentials as pots
+
+
+@contextlib.contextmanager
+def deadline(seconds: int = 10):
+    """Fail a call that does not return within `seconds`, where a refusal
+    that regresses would otherwise hang the suite."""
+    def expire(signum, frame):
+        raise TimeoutError(f"no return within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def landau_orbit(b0, x0, xi0, s):
@@ -139,6 +158,13 @@ def test_flow_tolerance_monotone():
 def test_flow_tol_range_guard():
     with pytest.raises(errors.InputError):
         chars.flow(pots.zero_model(1), 0.0, 1.0, (0.0,), (1.0,), 1e-2)
+
+
+@pytest.mark.parametrize("max_step", [0.0, -1.0, np.nan])
+def test_flow_refuses_a_step_cap_that_is_not_positive(max_step):
+    # a zero cap never advanced: every pass was accepted and kept a segment
+    with deadline(), pytest.raises(errors.InputError, match="'max_step' must be > 0"):
+        chars.flow(pots.zero_model(1), 0.0, 1.0, (0.0,), (1.0,), max_step=max_step)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -334,15 +360,40 @@ def test_every_ladder_taker_refuses_a_bad_ladder(take, ladder):
 # refusal it must raise
 BAD_SWEEP_PARAMETERS = {
     "flow-bounds-a-below-one": (lambda: chars.check_flow_bounds(
-        pots.zero_model(1), 0.5, 0.5, [16.0], 1.0, [np.zeros(1)], [np.ones(1)]), "annulus"),
+        pots.zero_model(1), 0.5, 0.5, [16.0], 1.0, [np.zeros(1)], [np.ones(1)]),
+        "'a_param' must be a finite number >= 1"),
+    "flow-bounds-a-inf": (lambda: chars.check_flow_bounds(
+        pots.zero_model(1), np.inf, 0.5, [16.0], 1.0, [np.zeros(1)], [np.ones(1)]),
+        "'a_param' must be a finite number >= 1"),
     "flow-bounds-p-zero": (lambda: chars.check_flow_bounds(
-        pots.zero_model(1), 2.0, 0.0, [16.0], 1.0, [np.zeros(1)], [np.ones(1)]), "exponent p"),
+        pots.zero_model(1), 2.0, 0.0, [16.0], 1.0, [np.zeros(1)], [np.ones(1)]),
+        "'p' must be a finite number > 0.0 and < 1.0"),
     "flow-bounds-p-one": (lambda: chars.check_flow_bounds(
-        pots.zero_model(1), 2.0, 1.0, [16.0], 1.0, [np.zeros(1)], [np.ones(1)]), "exponent p"),
+        pots.zero_model(1), 2.0, 1.0, [16.0], 1.0, [np.zeros(1)], [np.ones(1)]),
+        "'p' must be a finite number > 0.0 and < 1.0"),
     "flow-bounds-t0-zero": (lambda: chars.check_flow_bounds(
         pots.zero_model(1), 2.0, 0.5, [16.0], 0.0, [np.zeros(1)], [np.ones(1)]), "t0"),
+    "flow-bounds-t0-nan": (lambda: chars.check_flow_bounds(
+        pots.zero_model(1), 2.0, 0.5, [16.0], np.nan, [np.zeros(1)], [np.ones(1)]),
+        "'t0' must be a finite number > 0"),
+    "flow-bounds-t0-inf": (lambda: chars.check_flow_bounds(
+        pots.zero_model(1), 2.0, 0.5, [16.0], np.inf, [np.zeros(1)], [np.ones(1)]),
+        "'t0' must be a finite number > 0"),
     "integral-bound-reversed": (lambda: chars.check_integral_bound(
-        pots.zero_model(1), 0.5, (1.0, 0.0), [((0.0,), (1.0,))]), "a <= b"),
+        pots.zero_model(1), 0.5, (1.0, 0.0), [((0.0,), (1.0,))]),
+        "'interval end' must be a finite number >= 1.0"),
+    "integral-bound-end-inf": (lambda: chars.check_integral_bound(
+        pots.zero_model(1), 0.5, (0.0, np.inf), [((0.0,), (1.0,))]),
+        "'interval end' must be a finite number >= 0.0"),
+    "integral-bound-end-nan": (lambda: chars.check_integral_bound(
+        pots.zero_model(1), 0.5, (0.0, np.nan), [((0.0,), (1.0,))]),
+        "'interval end' must be a finite number >= 0.0"),
+    "integral-bound-delta-nan": (lambda: chars.check_integral_bound(
+        pots.zero_model(1), np.nan, (0.0, 1.0), [((0.0,), (1.0,))]),
+        "'delta' must be a finite number > 0"),
+    "integral-bound-delta-inf": (lambda: chars.check_integral_bound(
+        pots.zero_model(1), np.inf, (0.0, 1.0), [((0.0,), (1.0,))]),
+        "'delta' must be a finite number > 0"),
     "lower-bound-t0-zero": (lambda: chars.lower_bound_x0(
         pots.zero_model(1), 0.0, [np.zeros(1)], [np.ones(1)], (1.0, 10.0)), "t0"),
 }
@@ -351,7 +402,8 @@ BAD_SWEEP_PARAMETERS = {
 @pytest.mark.parametrize("call,match", BAD_SWEEP_PARAMETERS.values(),
                          ids=BAD_SWEEP_PARAMETERS.keys())
 def test_bound_sweeps_refuse_parameters_out_of_range(call, match):
-    with pytest.raises(errors.InputError, match=match):
+    # an infinite interval end never returned
+    with deadline(), pytest.raises(errors.InputError, match=match):
         call()
 
 

@@ -80,6 +80,14 @@ def test_decay_exponent_validation():
         det.decay_exponent([1, 2, 4, 8, 16], np.ones((3, 6)))  # rung count
 
 
+@pytest.mark.parametrize("floor_abs", [np.nan, np.inf, -1.0, np.array([[1e-3], [np.nan]])],
+                         ids=["nan", "inf", "negative", "array-with-nan"])
+def test_decay_exponent_refuses_a_floor_that_is_not_finite_and_nonnegative(floor_abs):
+    # a nan floor censored every rung, so a constant read as super-polynomial
+    with pytest.raises(errors.InputError, match="floor_abs must be finite and nonnegative"):
+        det.decay_exponent(det.default_ladder(2, 6), np.ones((2, 5)), floor_abs=floor_abs)
+
+
 def test_decay_exponent_scaling_invariance():
     ladder = [2.0 ** k for k in range(1, 9)]
     rng = np.random.default_rng(3)
@@ -389,6 +397,16 @@ def test_static_delta_origin_in_wf():
     assert rep.verdict == "in-WF"
     assert rep.n_hat == pytest.approx(-0.0625, abs=0.05)
     assert rep.r2 == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("noise_rel", [np.nan, np.inf, -1.0])
+def test_scan_refuses_a_noise_floor_that_is_not_finite_and_nonnegative(noise_rel):
+    # a nan or inf floor censored every rung, so the singular cell read "not-in-WF"
+    args = ("static", grid.delta_spike(grid.GridSpec(1, 4096, 30.0)), [(0.0,)], [(1.0,)],
+            det.default_ladder(2, 6))
+    assert det.wf_scan(*args, noise_rel=1e-12)[0].verdict == "in-WF"
+    with pytest.raises(errors.InputError, match="'noise_rel' must be a finite number >= 0"):
+        det.wf_scan(*args, noise_rel=noise_rel)
 
 
 def test_static_delta_elsewhere_not_in_wf():

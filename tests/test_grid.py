@@ -126,7 +126,7 @@ def test_builtin_data_rejects_unknown_name():
     ids=["negative", "zero", "2d", "jump"])
 def test_gaussian_width_must_be_positive(build, n, width):
     # w and -w give the same exp(-y^2 / (2 w^2)), so a sign slip would pass unseen
-    with pytest.raises(errors.InputError, match="'width' must be positive"):
+    with pytest.raises(errors.InputError, match="'width' must be a finite number > 0"):
         build(grid.GridSpec(n, 64, 5.0), width=width)
 
 

@@ -27,7 +27,7 @@ def test_evolve_rejects_non_finite_times_and_step(value):
 
 @pytest.mark.parametrize("dt", [0.0, -1e-3])
 def test_evolve_config_refuses_a_step_that_is_not_positive(dt):
-    with pytest.raises(errors.InputError, match="dt must be positive"):
+    with pytest.raises(errors.InputError, match="'dt' must be a finite number > 0"):
         prop.EvolveConfig(dt=dt)
 
 
